@@ -35,12 +35,12 @@ import (
 // down to the plan enumeration and returns ctx.Err() promptly — plus
 // per-call CiteOptions. Precedence is per-call over default: AtVersion,
 // WithPolicy, WithRewriteMethod, WithParallelism and WithoutFixityPin
-// override, for one call only, the system-wide defaults configured by the
-// deprecated SetPolicy/SetParallelism setters (which remain as
-// defaults-setters; calls without options behave exactly as before).
+// override, for one call only, the system-wide defaults configured by
+// SetPolicyNamed and the deprecated SetParallelism setter (calls without
+// options behave exactly as before).
 //
 // System.Version is the monotonic epoch external result caches key on —
-// it advances with every Commit, DefineView and SetPolicy (all of which
+// it advances with every Commit, DefineView and SetPolicyNamed (all of which
 // can change what a default-path citation contains) and deliberately NOT
 // with SetParallelism (scheduling only, results identical). AtVersion
 // results are keyed by their version instead: they are immutable, never
@@ -60,7 +60,7 @@ type CiteOption = core.CiteOption
 //     was generated while v was the head. Unknown versions report
 //     ErrUnknownVersion.
 //   - WithPolicy(p) — combination policy for this call (overrides the
-//     SetPolicy default).
+//     SetPolicyNamed default).
 //   - WithRewriteMethod(m) — rewriting algorithm for this call.
 //   - WithParallelism(n) — worker-pool bound for this call (overrides
 //     the SetParallelism default; 1 forces sequential evaluation).
@@ -296,7 +296,7 @@ func OpenSystem(dir string, opts DurableOptions) (*System, error) { return core.
 
 // PolicyByName resolves the named combination policies ("minsize",
 // "maxcoverage", "all") used by the command-line tools and the commit
-// log's SetPolicy entries.
+// log's SetPolicyNamed entries.
 var PolicyByName = core.PolicyByName
 
 // Fixity types for version-pinned citations.

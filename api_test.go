@@ -84,9 +84,9 @@ func TestPublicAPICiteLifecycle(t *testing.T) {
 
 func TestPublicAPIPolicySwitch(t *testing.T) {
 	sys := buildSystem(t)
-	p := datacitation.DefaultPolicy()
-	p.AltR = datacitation.SelectMaxCoverage
-	sys.SetPolicy(p)
+	if err := sys.SetPolicyNamed("maxcoverage"); err != nil {
+		t.Fatal(err)
+	}
 	cite, err := sys.Cite("Q(FID, FName) :- Family(FID, FName, Desc)")
 	if err != nil {
 		t.Fatal(err)
@@ -155,9 +155,9 @@ func TestPublicAPIFormatters(t *testing.T) {
 
 func TestPublicAPIArchive(t *testing.T) {
 	sys := buildSystem(t)
-	p := datacitation.DefaultPolicy()
-	p.AltR = datacitation.SelectMaxCoverage
-	sys.SetPolicy(p)
+	if err := sys.SetPolicyNamed("maxcoverage"); err != nil {
+		t.Fatal(err)
+	}
 	cite, err := sys.Cite("Q(FID, FName) :- Family(FID, FName, Desc)")
 	if err != nil {
 		t.Fatal(err)

@@ -284,8 +284,8 @@ func BenchmarkE10ConcurrentCite(b *testing.B) {
 
 // BenchmarkE11PlanReuse contrasts compile-per-call annotated evaluation
 // with a warm compiled plan on the gtopdb two-way join — the per-query
-// planning overhead the citation generator's plan cache removes from
-// every warm Cite. cmd/citebench reports the same comparison with an
+// planning overhead a cold Cite pays once per branch-cache miss (a warm
+// Cite skips planning and evaluation alike). cmd/citebench reports the same comparison with an
 // allocs/op column (citebench -only E11).
 func BenchmarkE11PlanReuse(b *testing.B) {
 	cfg := gtopdb.DefaultConfig()

@@ -320,7 +320,7 @@ func TestCiteOptions(t *testing.T) {
 }
 
 // TestSetParallelismDoesNotBumpEpoch pins the documented Version() rule:
-// SetPolicy bumps (results can change), SetParallelism does not
+// SetPolicyNamed bumps (results can change), SetParallelism does not
 // (scheduling only).
 func TestSetParallelismDoesNotBumpEpoch(t *testing.T) {
 	sys := paperSystem(t)
@@ -329,13 +329,15 @@ func TestSetParallelismDoesNotBumpEpoch(t *testing.T) {
 	if sys.Version() != before {
 		t.Error("SetParallelism bumped the epoch")
 	}
-	sys.SetPolicy(datacitation.DefaultPolicy())
+	if err := sys.SetPolicyNamed("minsize"); err != nil {
+		t.Fatal(err)
+	}
 	if sys.Version() != before+1 {
-		t.Error("SetPolicy did not bump the epoch")
+		t.Error("SetPolicyNamed did not bump the epoch")
 	}
 }
 
-// TestConfigVersionRules pins ConfigVersion's bumping rules: SetPolicy
+// TestConfigVersionRules pins ConfigVersion's bumping rules: SetPolicyNamed
 // and DefineView move it (they can change what a citation of an already
 // committed version contains), Commit does not (it cannot).
 func TestConfigVersionRules(t *testing.T) {
@@ -345,9 +347,11 @@ func TestConfigVersionRules(t *testing.T) {
 	if got := sys.ConfigVersion(); got != base {
 		t.Errorf("Commit moved ConfigVersion %d -> %d", base, got)
 	}
-	sys.SetPolicy(datacitation.DefaultPolicy())
+	if err := sys.SetPolicyNamed("minsize"); err != nil {
+		t.Fatal(err)
+	}
 	if got := sys.ConfigVersion(); got != base+1 {
-		t.Errorf("SetPolicy: ConfigVersion = %d, want %d", got, base+1)
+		t.Errorf("SetPolicyNamed: ConfigVersion = %d, want %d", got, base+1)
 	}
 	if err := sys.DefineView("Extra(FID, Text) :- FamilyIntro(FID, Text)",
 		datacitation.NewRecord(datacitation.FieldDatabase, "extra")); err != nil {

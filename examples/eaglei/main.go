@@ -76,9 +76,7 @@ func main() {
 
 	// Class-specific citations want the full provider credit: use the
 	// max-coverage +R policy so the class view beats the generic one.
-	p := datacitation.DefaultPolicy()
-	p.AltR = datacitation.SelectMaxCoverage
-	sys.SetPolicy(p)
+	must(sys.SetPolicyNamed("maxcoverage"))
 
 	queries := []struct{ label, src string }{
 		{"cell lines", "Q1(RID, Label) :- Resource(RID, 'CellLine', Label)"},
@@ -98,8 +96,7 @@ func main() {
 
 	// The same class-pinned query under min-size falls back to the
 	// generic catalogue citation — the policy trade-off in action.
-	sys.SetPolicy(datacitation.DefaultPolicy())
-	sys.Generator().InvalidateCache()
+	must(sys.SetPolicyNamed("minsize"))
 	cite, err := sys.Cite(queries[0].src)
 	if err != nil {
 		log.Fatal(err)

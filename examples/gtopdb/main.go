@@ -86,10 +86,9 @@ func main() {
 		fmt.Printf("   min-size citation: %s\n", cite.Text())
 
 		// Contrast with max-coverage: full credit to every curator.
-		p := datacitation.DefaultPolicy()
-		p.AltR = datacitation.SelectMaxCoverage
-		sys.SetPolicy(p)
-		sys.Generator().InvalidateCache()
+		if err := sys.SetPolicyNamed("maxcoverage"); err != nil {
+			log.Fatal(err)
+		}
 		full, err := sys.Cite(qc.src)
 		if err != nil {
 			log.Fatal(err)
@@ -98,8 +97,9 @@ func main() {
 			full.Result.Record.Size(), cite.Result.Record.Size())
 		fmt.Printf("   max-coverage authors credited: %d\n\n",
 			len(full.Result.Record[datacitation.FieldAuthor]))
-		sys.SetPolicy(datacitation.DefaultPolicy())
-		sys.Generator().InvalidateCache()
+		if err := sys.SetPolicyNamed("minsize"); err != nil {
+			log.Fatal(err)
+		}
 	}
 
 	// Cost-pruned generation: estimate at the schema level, evaluate one

@@ -79,9 +79,9 @@ func TestFullLifecycle(t *testing.T) {
 	}
 
 	// A fresh citation sees the new family: max-coverage now credits Dana.
-	p := datacitation.DefaultPolicy()
-	p.AltR = datacitation.SelectMaxCoverage
-	sys.SetPolicy(p)
+	if err := sys.SetPolicyNamed("maxcoverage"); err != nil {
+		t.Fatal(err)
+	}
 	cite2, err := sys.Cite(q)
 	if err != nil {
 		t.Fatal(err)

@@ -129,9 +129,6 @@ func TestInvalidateTouchedSelectivity(t *testing.T) {
 	if c.ViewsEvicted != base.ViewsEvicted {
 		t.Errorf("Committee delta evicted %d views, want 0", c.ViewsEvicted-base.ViewsEvicted)
 	}
-	if c.PlansEvicted != base.PlansEvicted {
-		t.Errorf("Committee delta evicted %d plans, want 0", c.PlansEvicted-base.PlansEvicted)
-	}
 	if c.AtomsEvicted == base.AtomsEvicted {
 		t.Error("Committee delta evicted no atom entries, want V1's citations gone")
 	}
@@ -153,9 +150,6 @@ func TestInvalidateTouchedSelectivity(t *testing.T) {
 	if c.ViewsEvicted == base.ViewsEvicted {
 		t.Error("Family delta evicted no views, want Family-backed materializations gone")
 	}
-	if c.PlansEvicted == base.PlansEvicted {
-		t.Error("Family delta evicted no plans, want Family-reading plans gone")
-	}
 	if !g.IsMaterialized("V3") {
 		t.Error("V3 evicted by a Family delta it does not read")
 	}
@@ -171,7 +165,7 @@ func TestInvalidateTouchedSelectivity(t *testing.T) {
 	base = g.Counters()
 	g.InvalidateTouched(nil)
 	c = g.Counters()
-	if c.ViewsEvicted != base.ViewsEvicted || c.PlansEvicted != base.PlansEvicted || c.AtomsEvicted != base.AtomsEvicted {
+	if c.ViewsEvicted != base.ViewsEvicted || c.AtomsEvicted != base.AtomsEvicted {
 		t.Error("empty touched set evicted entries")
 	}
 	if c.ViewsKept == base.ViewsKept {

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/citeexpr"
 	"repro/internal/cq"
@@ -30,14 +29,14 @@ var ErrNoRewriting = errors.New("citation: query has no rewriting over the regis
 // Generator constructs citations for conjunctive queries over one database
 // using one view registry and one combination policy.
 //
-// A Generator is safe for concurrent Cite calls: the materialization cache
-// is singleflight (each view is materialized exactly once under concurrent
-// demand, later callers block until it is ready), the citation-record cache
-// is mutex-guarded, and alternative rewritings are evaluated by a bounded
-// worker pool. The configuration fields (Method, AllowPartial, CostPruned,
-// MaxRewritings, Parallelism) must be set before the generator is shared
-// across goroutines; the view registry must likewise be fully populated
-// first.
+// A Generator is safe for concurrent Cite calls: its caches are
+// singleflight (each view is materialized, each citation atom resolved
+// and each rewriting evaluated exactly once under concurrent demand,
+// later callers block until the value is ready), and alternative
+// rewritings are evaluated by a bounded worker pool. The configuration
+// fields (Method, AllowPartial, CostPruned, MaxRewritings, Parallelism)
+// must be set before the generator is shared across goroutines; the view
+// registry must likewise be fully populated first.
 type Generator struct {
 	reg *Registry
 	db  *storage.Database
@@ -63,53 +62,18 @@ type Generator struct {
 	// join). 0 means GOMAXPROCS; 1 forces sequential evaluation.
 	Parallelism int
 
-	// The three result caches are keyed by (version, name/signature):
-	// version 0 is the mutable head generation — invalidated as one unit
-	// by InvalidateCache — while version v ≥ 1 namespaces entries computed
-	// against the immutable committed snapshot v, which can never go stale
-	// and are therefore retained across invalidations. Historical cites
-	// thus coexist with head cites without invalidation races (DESIGN.md
-	// §3, §7). paramPos is keyed by view name alone: it derives from view
-	// definitions, not data, so every version shares it.
-	viewMu    sync.RWMutex
-	viewCache map[genKey]*viewEntry
-	paramPos  map[string][]int
-
-	atomMu    sync.Mutex
-	atomCache map[genKey]*atomEntry
-
-	// planCache memoizes compiled query plans per rewriting signature. A
-	// plan captures the relation instances and statistics it was compiled
-	// against, so a head-generation entry (ver 0) lives until a delta
-	// touches one of the base relations it transitively reads — it is
-	// dropped together with the view entries it references, whose deps are
-	// a subset of its own (DESIGN.md §3, §6). Snapshot-keyed plans
-	// reference frozen relations and live until their version namespace is
-	// evicted.
-	planMu    sync.Mutex
-	planCache map[genKey]*planEntry
-
-	// branchCache memoizes the annotated evaluation of one rewriting —
-	// the branch struct CiteContext unions and aggregates — under the
-	// (ver, rewriting signature) key. It sits above the view and plan
-	// caches: a warm cite of a repeated query skips the enumeration
-	// entirely and pays only union, policy aggregation and formatting.
-	// Entries are immutable after construction (expr() only reads), so
-	// one entry serves concurrent cites; singleflight like the atom
-	// cache, with failed evaluations evicted for retry. Invalidation
-	// follows the same delta rule as the other caches: a head entry's
-	// deps are the rewriting's transitive base-relation read set.
-	branchMu    sync.Mutex
-	branchCache map[genKey]*branchEntry
-
-	// Cache-survival counters: per InvalidateTouched/InvalidateCache call,
-	// every head-generation entry is accounted exactly once as kept or
-	// evicted. Exposed on the server's /metrics so delta invalidation's
-	// win is observable in production.
-	plansKept, plansEvicted       atomic.Int64
-	viewsKept, viewsEvicted       atomic.Int64
-	atomsKept, atomsEvicted       atomic.Int64
-	branchesKept, branchesEvicted atomic.Int64
+	// The three caches memoize the pipeline's steps under (version,
+	// name/signature) keys: views holds materialized view instances
+	// (deps: Registry.QueryDeps), atoms resolved citation records (deps:
+	// Registry.CitationDeps), and branches the annotated evaluation of one
+	// rewriting (deps: Registry.BodyDeps). Version 0 is the mutable head
+	// generation, invalidated by delta; version v ≥ 1 namespaces entries
+	// computed against the immutable committed snapshot v, which never go
+	// stale, so historical cites coexist with head cites without
+	// invalidation races (DESIGN.md §3, §7).
+	views    *depCache[*storage.Relation]
+	atoms    *depCache[format.Record]
+	branches *depCache[*branch]
 
 	// verMu guards verUse, the recency order (least-recently-used first)
 	// of the versioned cache namespaces currently retained. Entries never
@@ -127,14 +91,6 @@ type Generator struct {
 // recent (or landmark) versions; anything colder re-materializes on
 // demand.
 const maxVersionGenerations = 8
-
-// genKey namespaces one cache entry: ver is the committed version the
-// entry was computed against (0 = the mutable head generation), name the
-// view name, atom key or plan signature.
-type genKey struct {
-	ver  int
-	name string
-}
 
 // Request carries the per-call parameters of one citation generation.
 // The zero value cites against the generator's bound head database with
@@ -159,65 +115,18 @@ type Request struct {
 	Parallelism int
 }
 
-// viewEntry is one singleflight materialization slot: the goroutine that
-// creates the entry evaluates the view and closes ready; every other
-// goroutine asking for the same view blocks on ready instead of repeating
-// the work.
-type viewEntry struct {
-	ready chan struct{}
-	rel   *storage.Relation
-	err   error
-	// deps is the set of base relations the view's body transitively
-	// reads (Registry.QueryDeps), fixed at creation: a delta touching any
-	// of them evicts the entry, every other delta leaves it warm.
-	deps []string
-}
-
-// atomEntry is the singleflight slot for one resolved citation atom,
-// mirroring viewEntry: concurrent demand for a hot atom runs its citation
-// queries exactly once per cache generation.
-type atomEntry struct {
-	ready chan struct{}
-	rec   format.Record
-	err   error
-	// deps is the set of base relations the view's citation queries
-	// transitively read (Registry.CitationDeps) — the only relations whose
-	// deltas can change this resolved record.
-	deps []string
-}
-
-// planEntry pairs a compiled plan with the base relations it transitively
-// reads: the residual base atoms it scans directly plus the body deps of
-// every materialized view it references (a plan must not outlive the view
-// instances and compile-time statistics it captured).
-type planEntry struct {
-	plan *eval.Plan
-	deps []string
-}
-
-// branchEntry is one cached annotated evaluation. ready closes when the
-// evaluating goroutine has filled b/err (singleflight); deps is the
-// rewriting's transitive base-relation read set, the delta-invalidation
-// key.
-type branchEntry struct {
-	ready chan struct{}
-	b     *branch
-	err   error
-	deps  []string
-}
-
 // NewGenerator builds a Generator with the paper's default policy.
 func NewGenerator(reg *Registry, db *storage.Database) *Generator {
-	return &Generator{
-		reg:       reg,
-		db:        db,
-		pol:       policy.Default(),
-		viewCache:   make(map[genKey]*viewEntry),
-		atomCache:   make(map[genKey]*atomEntry),
-		planCache:   make(map[genKey]*planEntry),
-		branchCache: make(map[genKey]*branchEntry),
-		paramPos:    make(map[string][]int),
-	}
+	g := &Generator{reg: reg, db: db, pol: policy.Default()}
+	g.views = newDepCache[*storage.Relation](g.versionLive)
+	g.atoms = newDepCache[format.Record](g.versionLive)
+	g.branches = newDepCache[*branch](g.versionLive)
+	return g
+}
+
+// caches lists the generator's caches for whole-generator sweeps.
+func (g *Generator) caches() []sweeper {
+	return []sweeper{g.views, g.atoms, g.branches}
 }
 
 // SetPolicy replaces the combination policy.
@@ -249,21 +158,19 @@ func (g *Generator) workers() int {
 }
 
 // InvalidateCache drops the head generation's materialized views,
-// resolved citation records and compiled query plans wholesale — the
+// resolved citation records and branch evaluations wholesale — the
 // full-flush fallback for changes that alter citation *semantics* rather
-// than data: core.System calls it on DefineView and SetPolicy (and as
-// the safety net where no touched-relation set exists). Data changes go
-// through InvalidateTouched instead, which keeps entries over untouched
-// relations warm. In-flight materializations finish against the orphaned
+// than data: core.System calls it on DefineView and SetPolicyNamed (and
+// as the safety net where no touched-relation set exists). Data changes
+// go through InvalidateTouched instead, which keeps entries over
+// untouched relations warm. In-flight fills finish against the orphaned
 // entries and are re-done on next demand. Entries keyed to committed
 // versions (ver ≥ 1) are retained: they were computed against immutable
 // snapshots and can never go stale, so time-travel cites survive every
-// invalidation. paramPos is deliberately retained too: it is derived
-// from view definitions, not data, and an in-flight Cite's annotator may
-// still be reading it. The evolution package refreshes the caches
+// invalidation. The evolution package refreshes the caches
 // incrementally instead.
 func (g *Generator) InvalidateCache() {
-	g.invalidate(nil)
+	g.invalidate(func([]string) bool { return true })
 }
 
 // InvalidateTouched evicts exactly the head-generation cache entries
@@ -273,124 +180,21 @@ func (g *Generator) InvalidateCache() {
 // core.System.Commit derives rels from the journaled mutation batches
 // (or, for direct head mutations, from per-relation generation
 // counters). An empty rels evicts nothing — a data-less commit keeps the
-// whole hot set. Semantic changes (DefineView/SetPolicy) must use the
-// full InvalidateCache instead.
+// whole hot set. Semantic changes (DefineView/SetPolicyNamed) must use
+// the full InvalidateCache instead.
 func (g *Generator) InvalidateTouched(rels []string) {
-	if len(rels) == 0 {
-		g.countAllKept()
-		return
-	}
-	touched := make(map[string]bool, len(rels))
-	for _, r := range rels {
-		touched[r] = true
-	}
-	g.invalidate(touched)
+	g.invalidate(func(deps []string) bool {
+		return slices.ContainsFunc(deps, func(d string) bool { return slices.Contains(rels, d) })
+	})
 }
 
-// invalidate walks the three head-generation caches, evicting entries
-// whose deps intersect touched (nil touched = evict all) and counting
-// every surviving/evicted entry once.
-func (g *Generator) invalidate(touched map[string]bool) {
-	hit := func(deps []string) bool {
-		if touched == nil {
-			return true
-		}
-		for _, d := range deps {
-			if touched[d] {
-				return true
-			}
-		}
-		return false
+// invalidate evicts, in every cache, the head-generation entries whose
+// deps hit reports as touched, counting every entry once as kept or
+// evicted.
+func (g *Generator) invalidate(hit func(deps []string) bool) {
+	for _, c := range g.caches() {
+		c.invalidate(hit)
 	}
-
-	g.viewMu.Lock()
-	for k, e := range g.viewCache {
-		if k.ver != 0 {
-			continue
-		}
-		if hit(e.deps) {
-			delete(g.viewCache, k)
-			g.viewsEvicted.Add(1)
-		} else {
-			g.viewsKept.Add(1)
-		}
-	}
-	g.viewMu.Unlock()
-
-	g.atomMu.Lock()
-	for k, e := range g.atomCache {
-		if k.ver != 0 {
-			continue
-		}
-		if hit(e.deps) {
-			delete(g.atomCache, k)
-			g.atomsEvicted.Add(1)
-		} else {
-			g.atomsKept.Add(1)
-		}
-	}
-	g.atomMu.Unlock()
-
-	g.planMu.Lock()
-	for k, e := range g.planCache {
-		if k.ver != 0 {
-			continue
-		}
-		if hit(e.deps) {
-			delete(g.planCache, k)
-			g.plansEvicted.Add(1)
-		} else {
-			g.plansKept.Add(1)
-		}
-	}
-	g.planMu.Unlock()
-
-	g.branchMu.Lock()
-	for k, e := range g.branchCache {
-		if k.ver != 0 {
-			continue
-		}
-		if hit(e.deps) {
-			delete(g.branchCache, k)
-			g.branchesEvicted.Add(1)
-		} else {
-			g.branchesKept.Add(1)
-		}
-	}
-	g.branchMu.Unlock()
-}
-
-// countAllKept accounts a no-op invalidation (empty touched set): every
-// head-generation entry survives and is counted as kept.
-func (g *Generator) countAllKept() {
-	g.viewMu.RLock()
-	for k := range g.viewCache {
-		if k.ver == 0 {
-			g.viewsKept.Add(1)
-		}
-	}
-	g.viewMu.RUnlock()
-	g.atomMu.Lock()
-	for k := range g.atomCache {
-		if k.ver == 0 {
-			g.atomsKept.Add(1)
-		}
-	}
-	g.atomMu.Unlock()
-	g.planMu.Lock()
-	for k := range g.planCache {
-		if k.ver == 0 {
-			g.plansKept.Add(1)
-		}
-	}
-	g.planMu.Unlock()
-	g.branchMu.Lock()
-	for k := range g.branchCache {
-		if k.ver == 0 {
-			g.branchesKept.Add(1)
-		}
-	}
-	g.branchMu.Unlock()
 }
 
 // CacheCounters is the point-in-time snapshot of the generator's
@@ -398,7 +202,6 @@ func (g *Generator) countAllKept() {
 // is accounted exactly once as kept (survived the delta) or evicted (a
 // touched relation was among its dependencies).
 type CacheCounters struct {
-	PlansKept, PlansEvicted       int64
 	ViewsKept, ViewsEvicted       int64
 	AtomsKept, AtomsEvicted       int64
 	BranchesKept, BranchesEvicted int64
@@ -407,14 +210,12 @@ type CacheCounters struct {
 // Counters snapshots the cache-survival counters.
 func (g *Generator) Counters() CacheCounters {
 	return CacheCounters{
-		PlansKept:    g.plansKept.Load(),
-		PlansEvicted: g.plansEvicted.Load(),
-		ViewsKept:    g.viewsKept.Load(),
-		ViewsEvicted: g.viewsEvicted.Load(),
-		AtomsKept:       g.atomsKept.Load(),
-		AtomsEvicted:    g.atomsEvicted.Load(),
-		BranchesKept:    g.branchesKept.Load(),
-		BranchesEvicted: g.branchesEvicted.Load(),
+		ViewsKept:       g.views.kept.Load(),
+		ViewsEvicted:    g.views.evicted.Load(),
+		AtomsKept:       g.atoms.kept.Load(),
+		AtomsEvicted:    g.atoms.evicted.Load(),
+		BranchesKept:    g.branches.kept.Load(),
+		BranchesEvicted: g.branches.evicted.Load(),
 	}
 }
 
@@ -748,44 +549,24 @@ func (g *Generator) readSet(rewritings []*rewrite.Rewriting) []string {
 // deterministic regardless of scheduling; canceling ctx aborts every
 // branch with ctx.Err().
 func (g *Generator) evalBranches(ctx context.Context, evalSet []*rewrite.Rewriting, db *storage.Database, ver, workers int) ([]*branch, error) {
-	annot := g.annotator()
 	evalOne := func(idx int, rw *rewrite.Rewriting, innerWorkers int) (*branch, error) {
 		// Branch cache: a repeated rewriting at an unchanged version (or
 		// an untouched head generation) reuses the whole annotated
-		// evaluation. The entry is filled exactly once under concurrent
-		// demand; failures are evicted so the next cite retries.
+		// evaluation. Deps are the rewriting's body reads: the branch
+		// holds answers and parameter-built annotations, both functions
+		// of the body relations alone — citation-query deltas are the
+		// atom cache's concern.
 		q := rw.AsQuery("rw")
-		key := genKey{ver, q.Signature()}
-		g.branchMu.Lock()
-		if e, ok := g.branchCache[key]; ok {
-			g.branchMu.Unlock()
-			<-e.ready
-			if e.err == nil {
-				_, bsp := trace.StartSpan(ctx, "branch")
-				bsp.Set("alt", idx)
-				bsp.Set("cache", "hit")
-				bsp.End()
-				return e.b, nil
-			}
-			return nil, e.err
+		b, hit, err := g.branches.get(genKey{ver, q.Signature()},
+			func() []string { return g.reg.BodyDeps(q) },
+			func() (*branch, error) { return g.evalBranch(ctx, idx, q, rw, db, ver, innerWorkers) })
+		if hit && err == nil {
+			_, bsp := trace.StartSpan(ctx, "branch")
+			bsp.Set("alt", idx)
+			bsp.Set("cache", "hit")
+			bsp.End()
 		}
-		// Deps are the rewriting's body reads (like the plan cache):
-		// the branch holds answers and parameter-built annotations, both
-		// functions of the body relations alone — citation-query deltas
-		// are the atom cache's concern.
-		e := &branchEntry{ready: make(chan struct{}), deps: g.reg.BodyDeps(q)}
-		g.branchCache[key] = e
-		g.branchMu.Unlock()
-		defer close(e.ready)
-		e.b, e.err = g.evalBranch(ctx, idx, q, rw, db, ver, innerWorkers, annot)
-		if e.err != nil {
-			g.branchMu.Lock()
-			if g.branchCache[key] == e {
-				delete(g.branchCache, key)
-			}
-			g.branchMu.Unlock()
-		}
-		return e.b, e.err
+		return b, err
 	}
 	branches := make([]*branch, len(evalSet))
 	if len(evalSet) == 1 {
@@ -832,8 +613,10 @@ func (g *Generator) evalBranches(ctx context.Context, evalSet []*rewrite.Rewriti
 // miss path of evalBranches. One span per alternative rewriting: view
 // materializations, plan compilation and the enumeration itself nest
 // under it, so a trace shows which alternative cost what. Branches may
-// run concurrently — sibling spans are mutex-appended to "eval".
-func (g *Generator) evalBranch(ctx context.Context, idx int, q *cq.Query, rw *rewrite.Rewriting, db *storage.Database, ver, innerWorkers int, annot func(string, storage.Tuple) citeexpr.Expr) (*branch, error) {
+// run concurrently — sibling spans are mutex-appended to "eval". The
+// plan is compiled on every miss: the branch cache above it already
+// memoizes the whole evaluation under the same key and deps.
+func (g *Generator) evalBranch(ctx context.Context, idx int, q *cq.Query, rw *rewrite.Rewriting, db *storage.Database, ver, innerWorkers int) (*branch, error) {
 	bctx, bsp := trace.StartSpan(ctx, "branch")
 	defer bsp.End()
 	bsp.Set("alt", idx)
@@ -844,7 +627,14 @@ func (g *Generator) evalBranch(ctx context.Context, idx int, q *cq.Query, rw *re
 		bsp.Set("outcome", "materialize-error")
 		return nil, err
 	}
-	plan, err := g.planFor(bctx, ver, inst, q)
+	annot, err := g.annotator(rw)
+	if err != nil {
+		bsp.Set("outcome", "materialize-error")
+		return nil, err
+	}
+	_, psp := trace.StartSpan(bctx, "plan")
+	plan, err := eval.Compile(inst, q)
+	psp.End()
 	if err != nil {
 		bsp.Set("outcome", "compile-error")
 		return nil, err
@@ -875,39 +665,6 @@ func (g *Generator) CiteTuple(q *cq.Query, t storage.Tuple) (*TupleCitation, err
 		}
 	}
 	return nil, fmt.Errorf("citation: tuple %s is not in the answer of %s", t, q.Name)
-}
-
-// planFor returns the compiled evaluation plan for q over inst, memoized
-// by (ver, canonical signature) — two rewritings equal up to variable
-// renaming share one plan, and each committed version keeps its own. A
-// plan captures relation instances and compile-time statistics, so a
-// cached head-generation plan (ver 0) lives until a delta touches one of
-// the base relations it transitively reads: InvalidateTouched drops it
-// together with the materialized views it references (their deps are a
-// subset of the plan's), which keeps DESIGN.md §3's invalidation rule
-// covering them. Snapshot-keyed plans reference frozen relations and
-// never go stale. A compilation race is benign — the last writer wins
-// and every compiled plan is correct.
-func (g *Generator) planFor(ctx context.Context, ver int, inst eval.Instance, q *cq.Query) (*eval.Plan, error) {
-	_, sp := trace.StartSpan(ctx, "plan")
-	defer sp.End()
-	key := genKey{ver, q.Signature()}
-	g.planMu.Lock()
-	e := g.planCache[key]
-	g.planMu.Unlock()
-	if e != nil {
-		sp.Set("cache", "hit")
-		return e.plan, nil
-	}
-	sp.Set("cache", "compiled")
-	p, err := eval.Compile(inst, q)
-	if err != nil {
-		return nil, err
-	}
-	g.planMu.Lock()
-	g.planCache[key] = &planEntry{plan: p, deps: g.reg.BodyDeps(q)}
-	g.planMu.Unlock()
-	return p, nil
 }
 
 // instanceFor materializes (with caching, namespaced by ver) the view
@@ -942,18 +699,12 @@ func (l layeredInstance) Relation(name string) *storage.Relation {
 	return l.base.Relation(name)
 }
 
-// materialize evaluates the named view over the generator's head database
-// with singleflight caching; see materializeAt.
-func (g *Generator) materialize(viewName string) (*storage.Relation, error) {
-	//lint:detach context-free convenience: callers needing cancellation use materializeAt directly
-	return g.materializeAt(context.Background(), g.db, 0, viewName)
-}
-
 // touchVersion records a use of the versioned cache namespace ver and,
 // past maxVersionGenerations distinct namespaces, evicts the coldest
-// one's entries from all three caches. In-flight cites of an evicted
-// version keep the entry pointers they already hold (the same orphan
-// semantics as InvalidateCache) and later demand re-materializes.
+// one's entries from every cache. In-flight cites of an evicted version
+// keep the entry pointers they already hold (the same orphan semantics
+// as InvalidateCache), their later fills cache nothing (versionLive),
+// and later demand re-materializes.
 func (g *Generator) touchVersion(ver int) {
 	if ver <= 0 {
 		return
@@ -974,43 +725,17 @@ func (g *Generator) touchVersion(ver int) {
 	}
 	g.verMu.Unlock()
 	if evict >= 0 {
-		g.evictVersion(evict)
+		for _, c := range g.caches() {
+			c.drop(func(k genKey, _ []string) bool { return k.ver == evict })
+		}
 	}
 }
 
-// evictVersion drops every cache entry of one versioned namespace.
-func (g *Generator) evictVersion(ver int) {
-	g.viewMu.Lock()
-	for k := range g.viewCache {
-		if k.ver == ver {
-			delete(g.viewCache, k)
-		}
-	}
-	g.viewMu.Unlock()
-
-	g.atomMu.Lock()
-	for k := range g.atomCache {
-		if k.ver == ver {
-			delete(g.atomCache, k)
-		}
-	}
-	g.atomMu.Unlock()
-
-	g.planMu.Lock()
-	for k := range g.planCache {
-		if k.ver == ver {
-			delete(g.planCache, k)
-		}
-	}
-	g.planMu.Unlock()
-
-	g.branchMu.Lock()
-	for k := range g.branchCache {
-		if k.ver == ver {
-			delete(g.branchCache, k)
-		}
-	}
-	g.branchMu.Unlock()
+// versionLive reports whether the versioned namespace ver is retained.
+func (g *Generator) versionLive(ver int) bool {
+	g.verMu.Lock()
+	defer g.verMu.Unlock()
+	return slices.Contains(g.verUse, ver)
 }
 
 // materializeAt evaluates the named view over db with singleflight caching
@@ -1027,70 +752,61 @@ func (g *Generator) materializeAt(ctx context.Context, db *storage.Database, ver
 	_, sp := trace.StartSpan(ctx, "views")
 	defer sp.End()
 	sp.Set("view", viewName)
-	key := genKey{ver, viewName}
-	g.viewMu.Lock()
-	if e, ok := g.viewCache[key]; ok {
-		g.viewMu.Unlock()
+	rel, hit, err := g.views.get(genKey{ver, viewName},
+		func() []string { return g.reg.QueryDeps(viewName) },
+		func() (*storage.Relation, error) { return g.materializeView(db, viewName) })
+	if hit {
 		sp.Set("cache", "hit")
-		<-e.ready
-		return e.rel, e.err
+	} else {
+		sp.Set("cache", "miss")
 	}
-	sp.Set("cache", "miss")
-	e := &viewEntry{ready: make(chan struct{}), deps: g.reg.QueryDeps(viewName)}
-	g.viewCache[key] = e
-	g.viewMu.Unlock()
-
-	rel, pos, err := g.materializeView(db, viewName)
-	g.viewMu.Lock()
-	if err == nil {
-		g.paramPos[viewName] = pos
-	} else if g.viewCache[key] == e {
-		delete(g.viewCache, key)
-	}
-	g.viewMu.Unlock()
-	e.rel, e.err = rel, err
-	close(e.ready)
 	return rel, err
 }
 
-// materializeView performs the actual view evaluation and indexing over db.
-func (g *Generator) materializeView(db *storage.Database, viewName string) (*storage.Relation, []int, error) {
+// materializeView performs the actual view evaluation over db.
+func (g *Generator) materializeView(db *storage.Database, viewName string) (*storage.Relation, error) {
 	v := g.reg.View(viewName)
 	if v == nil {
-		return nil, nil, fmt.Errorf("citation: unknown view %s", viewName)
+		return nil, fmt.Errorf("citation: unknown view %s", viewName)
 	}
 	rs, err := v.HeadSchema(g.reg.Schema())
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	inst := storage.NewRelation(rs)
 	if err := eval.Materialize(db, v.Query, inst); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// No eager per-column index build: the plans compiled over the view
 	// EnsureIndex exactly the probe columns they select, and a read-hot
 	// view earns a columnar block (storage.ColumnarBlock) that serves
 	// probes and scans without indexes at all.
-	pos, err := v.ParamPositions()
-	if err != nil {
-		return nil, nil, err
-	}
-	return inst, pos, nil
+	return inst, nil
 }
 
-// annotator returns the base-annotation function for annotated evaluation:
-// a view tuple is annotated with the citation atom CV(params) built from
-// the tuple's parameter columns; base-relation tuples (partial rewritings)
-// are neutral. The returned function is safe for concurrent calls.
-func (g *Generator) annotator() func(pred string, t storage.Tuple) citeexpr.Expr {
-	return func(pred string, t storage.Tuple) citeexpr.Expr {
-		v := g.reg.View(pred)
+// annotator returns the base-annotation function for rw's annotated
+// evaluation: a tuple of one of its views is annotated with the citation
+// atom CV(params) built from the tuple's parameter columns; base-relation
+// tuples (partial rewritings) are neutral. The returned function is safe
+// for concurrent calls.
+func (g *Generator) annotator(rw *rewrite.Rewriting) (func(pred string, t storage.Tuple) citeexpr.Expr, error) {
+	positions := make(map[string][]int, len(rw.ViewAtoms))
+	for _, va := range rw.ViewAtoms {
+		v := g.reg.View(va.ViewName)
 		if v == nil {
+			return nil, fmt.Errorf("citation: unknown view %s", va.ViewName)
+		}
+		pos, err := v.ParamPositions()
+		if err != nil {
+			return nil, err
+		}
+		positions[va.ViewName] = pos
+	}
+	return func(pred string, t storage.Tuple) citeexpr.Expr {
+		pos, ok := positions[pred]
+		if !ok {
 			return citeexpr.Joint{} // base relation: neutral annotation
 		}
-		g.viewMu.RLock()
-		pos := g.paramPos[pred]
-		g.viewMu.RUnlock()
 		params := make([]value.Value, len(pos))
 		for i, p := range pos {
 			params[i] = t[p]
@@ -1098,7 +814,7 @@ func (g *Generator) annotator() func(pred string, t storage.Tuple) citeexpr.Expr
 		// NewAtom precomputes the canonical rendering, so the semiring ops
 		// and the record cache never re-render this atom.
 		return citeexpr.NewAtom(pred, params...)
-	}
+	}, nil
 }
 
 // resolverAt returns a caching policy.Resolver that evaluates a view's
@@ -1109,28 +825,10 @@ func (g *Generator) annotator() func(pred string, t storage.Tuple) citeexpr.Expr
 // (failures are evicted so they retry).
 func (g *Generator) resolverAt(db *storage.Database, ver int, stats *Stats) policy.Resolver {
 	return func(a citeexpr.Atom) (format.Record, error) {
-		key := genKey{ver, a.Key()}
-		g.atomMu.Lock()
-		if e, ok := g.atomCache[key]; ok {
-			g.atomMu.Unlock()
-			<-e.ready
-			return e.rec, e.err
-		}
-		e := &atomEntry{ready: make(chan struct{}), deps: g.reg.CitationDeps(a.View)}
-		g.atomCache[key] = e
-		g.atomMu.Unlock()
-
-		rec, err := g.resolveAtom(db, a)
-		if err != nil {
-			g.atomMu.Lock()
-			if g.atomCache[key] == e {
-				delete(g.atomCache, key)
-			}
-			g.atomMu.Unlock()
-		}
-		e.rec, e.err = rec, err
-		close(e.ready)
-		if err == nil && stats != nil {
+		rec, hit, err := g.atoms.get(genKey{ver, a.Key()},
+			func() []string { return g.reg.CitationDeps(a.View) },
+			func() (format.Record, error) { return g.resolveAtom(db, a) })
+		if !hit && err == nil && stats != nil {
 			stats.AtomsResolved++
 		}
 		return rec, err
@@ -1142,24 +840,14 @@ func (g *Generator) resolverAt(db *storage.Database, ver int, stats *Stats) poli
 // cache entry: the evolution package updates it in place when maintaining
 // views incrementally.
 func (g *Generator) Materialized(name string) (*storage.Relation, error) {
-	return g.materialize(name)
+	//lint:detach context-free convenience: callers needing cancellation use materializeAt directly
+	return g.materializeAt(context.Background(), g.db, 0, name)
 }
 
 // IsMaterialized reports whether the view is currently in the head
 // generation's cache (a materialization still in flight does not count).
 func (g *Generator) IsMaterialized(name string) bool {
-	g.viewMu.RLock()
-	e, ok := g.viewCache[genKey{0, name}]
-	g.viewMu.RUnlock()
-	if !ok {
-		return false
-	}
-	select {
-	case <-e.ready:
-		return e.err == nil
-	default:
-		return false
-	}
+	return g.views.filled(genKey{0, name})
 }
 
 // InvalidateAtoms drops the head generation's cached citation records for
@@ -1168,36 +856,22 @@ func (g *Generator) IsMaterialized(name string) bool {
 // queries; snapshot-keyed records are untouched — deltas cannot reach
 // committed versions.
 func (g *Generator) InvalidateAtoms(view string) {
-	g.atomMu.Lock()
-	defer g.atomMu.Unlock()
 	prefix := "C" + view
-	for k := range g.atomCache {
-		if k.ver == 0 && strings.HasPrefix(k.name, prefix) &&
-			(len(k.name) == len(prefix) || k.name[len(prefix)] == '(') {
-			delete(g.atomCache, k)
-		}
-	}
+	g.atoms.drop(func(k genKey, _ []string) bool {
+		return k.ver == 0 && strings.HasPrefix(k.name, prefix) &&
+			(len(k.name) == len(prefix) || k.name[len(prefix)] == '(')
+	})
 }
 
 // InvalidateBranches evicts the head-generation branch entries whose
 // rewritings transitively read rel. The evolution maintainer calls this
-// per applied delta: it refreshes view instances in place (so views and
-// plans stay valid), but a cached branch holds materialized answers and
-// annotations that the delta may have changed.
+// per applied delta: it refreshes view instances in place (so views stay
+// valid), but a cached branch holds materialized answers and annotations
+// that the delta may have changed.
 func (g *Generator) InvalidateBranches(rel string) {
-	g.branchMu.Lock()
-	defer g.branchMu.Unlock()
-	for k, e := range g.branchCache {
-		if k.ver != 0 {
-			continue
-		}
-		for _, d := range e.deps {
-			if d == rel {
-				delete(g.branchCache, k)
-				break
-			}
-		}
-	}
+	g.branches.drop(func(k genKey, deps []string) bool {
+		return k.ver == 0 && slices.Contains(deps, rel)
+	})
 }
 
 // ResolveAtomCached is ResolveAtom through the generator's record cache;

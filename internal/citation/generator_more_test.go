@@ -1,6 +1,7 @@
 package citation
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/citeexpr"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/rewrite"
 	"repro/internal/schema"
 	"repro/internal/storage"
+	"repro/internal/trace"
 	"repro/internal/value"
 )
 
@@ -178,6 +180,63 @@ func TestInvalidateAtomsScopedToView(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = res
+}
+
+// TestEvictedVersionFillNotRetained pins the version-namespace bound
+// against a late fill. A cite touches its version once, at its start, and
+// fills the caches later; other cites may push that namespace out of the
+// LRU in between. The late fill must still answer, but must not cache
+// into the evicted namespace: no later eviction would ever reach the
+// entry, and memory would escape maxVersionGenerations.
+func TestEvictedVersionFillNotRetained(t *testing.T) {
+	g := paperGenerator(t)
+	db := g.Database()
+	res, err := g.Cite(cq.MustParse(paperQueryText))
+	if err != nil {
+		t.Fatal(err)
+	}
+	atom := citeexpr.NewAtom("V1", value.Int(11))
+
+	// fillTwice fills the view, atom and branch caches at ver, repeats the
+	// lookups, and reports which of the repeats the cache served.
+	fillTwice := func(ver int) (viewHit, atomHit, branchHit bool) {
+		var st Stats
+		resolve := g.resolverAt(db, ver, &st)
+		for round := 0; round < 2; round++ {
+			tr := trace.New("fill")
+			ctx := trace.NewContext(context.Background(), tr)
+			if _, err := g.materializeAt(ctx, db, ver, "V3"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := g.evalBranches(ctx, res.Rewritings[:1], db, ver, 1); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := resolve(atom); err != nil {
+				t.Fatal(err)
+			}
+			tr.Finish()
+			if round == 1 {
+				tr.Root().Visit(func(s *trace.Span) {
+					if v, _ := s.Attr("cache"); v == "hit" {
+						viewHit = viewHit || s.Name() == "views"
+						branchHit = branchHit || s.Name() == "branch"
+					}
+				})
+			}
+		}
+		return viewHit, st.AtomsResolved == 1, branchHit
+	}
+
+	g.touchVersion(1)
+	for v := 2; v <= maxVersionGenerations+1; v++ {
+		g.touchVersion(v)
+	}
+	if v, a, b := fillTwice(1); v || a || b {
+		t.Errorf("fill into evicted namespace 1 was cached: view %v, atom %v, branch %v", v, a, b)
+	}
+	if v, a, b := fillTwice(maxVersionGenerations + 1); !v || !a || !b {
+		t.Errorf("fill into live namespace not cached: view %v, atom %v, branch %v", v, a, b)
+	}
 }
 
 func TestHeadSchemaDerivesKinds(t *testing.T) {

@@ -100,9 +100,9 @@ func (r *Registry) ViewQueries() []*cq.Query {
 // another view folds that view's dependencies in (the transitive,
 // views-reading-views case). Citation queries are NOT included — they
 // are evaluated lazily per atom and tracked by CitationDeps. The result
-// is the invalidation key for materialized-view and compiled-plan cache
-// entries: an entry whose QueryDeps are disjoint from a commit's
-// touched-relation set cannot have changed and survives the commit.
+// is the invalidation key for materialized-view cache entries: an entry
+// whose QueryDeps are disjoint from a commit's touched-relation set
+// cannot have changed and survives the commit.
 func (r *Registry) QueryDeps(pred string) []string {
 	r.mu.RLock()
 	out := make(map[string]bool)
@@ -131,8 +131,8 @@ func (r *Registry) CitationDeps(view string) []string {
 
 // BodyDeps returns the sorted set of base relations q's body atoms
 // transitively read, folding registered view predicates' dependencies in
-// like QueryDeps. The citation engine keys compiled-plan cache entries
-// on it.
+// like QueryDeps. The citation engine keys branch-cache entries (one
+// rewriting's annotated evaluation) on it.
 func (r *Registry) BodyDeps(q *cq.Query) []string {
 	r.mu.RLock()
 	out := make(map[string]bool)

@@ -21,7 +21,6 @@ import (
 	"repro/internal/durable"
 	"repro/internal/fixity"
 	"repro/internal/format"
-	"repro/internal/policy"
 	"repro/internal/schema"
 	"repro/internal/storage"
 	"repro/internal/trace"
@@ -34,7 +33,7 @@ import (
 // A System serves concurrent callers: any number of Cite/CiteQuery/CiteAll
 // calls may run in parallel with each other (they share the generator's
 // singleflight materialization cache), while Commit, DefineView and
-// SetPolicy take the write side of the system lock — a Commit therefore
+// SetPolicyNamed take the write side of the system lock — a Commit therefore
 // observes no in-flight head citations and atomically invalidates the
 // generator's head caches before the next Cite proceeds.
 //
@@ -47,11 +46,11 @@ import (
 type System struct {
 	// mu is the engine-wide readers/writer lock: head-targeting
 	// Cite-family calls hold it shared, state-changing calls (Commit,
-	// DefineView, SetPolicy, SetParallelism) hold it exclusively.
+	// DefineView, SetPolicyNamed, SetParallelism) hold it exclusively.
 	// AtVersion cites do not take it at all.
 	mu    sync.RWMutex
 	epoch int64        // monotonic version token, bumped by every invalidating change
-	cfg   int64        // configuration generation: bumped by SetPolicy/DefineView only, NOT by Commit
+	cfg   int64        // configuration generation: bumped by SetPolicyNamed/DefineView only, NOT by Commit
 	par   atomic.Int32 // default parallelism (0 = GOMAXPROCS); atomic so lock-free versioned cites read it
 	store *fixity.Store
 	reg   *citation.Registry
@@ -183,7 +182,7 @@ func (s *System) Database() *storage.Database { return s.store.Head() }
 
 // Version returns the system's monotonic version token (the epoch). It
 // starts at 0 and increments on every state change that can alter the
-// outcome of a citation — Commit, DefineView and SetPolicy — atomically
+// outcome of a citation — Commit, DefineView and SetPolicyNamed — atomically
 // with the change itself (the bump happens under the exclusive system
 // lock, so a Cite that observes epoch e computes against state no older
 // than e). SetParallelism does NOT bump the epoch: it only changes how
@@ -211,7 +210,7 @@ func (s *System) Versions() (epoch int64, store fixity.Version) {
 }
 
 // ConfigVersion returns the configuration generation: a monotonic token
-// bumped by SetPolicy and DefineView — the changes that can alter what a
+// bumped by SetPolicyNamed and DefineView — the changes that can alter what a
 // citation of an *already committed* version contains — and deliberately
 // NOT by Commit, which cannot. External caches of AtVersion results key
 // on (ConfigVersion, version, query): entries survive every commit (the
@@ -231,36 +230,6 @@ func (s *System) Epochs() (epoch, config int64, store fixity.Version) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.epoch, s.cfg, s.store.Latest()
-}
-
-// SetPolicy replaces the *default* combination policy — the one used by
-// calls that carry no WithPolicy option. A per-call WithPolicy always
-// takes precedence and never touches this default.
-//
-// SetPolicy bumps Version(): changing the default can change the outcome
-// of every subsequent default-policy citation, so external result caches
-// keyed on the epoch must turn over.
-//
-// SetPolicy is NOT journaled: arbitrary policy values carry function
-// fields the commit log cannot serialize, so on a durable system the
-// change does not survive a restart. Durable systems should use
-// SetPolicyNamed, which persists.
-//
-// Deprecated: SetPolicy mutates process-global state and therefore cannot
-// serve callers that need different policies concurrently. New code
-// should pass WithPolicy to CiteContext instead and leave the default
-// alone.
-func (s *System) SetPolicy(p policy.Policy) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.epoch++
-	s.cfg++
-	s.polName = ""
-	s.gen.SetPolicy(p)
-	// A policy change alters citation semantics, not data: there is no
-	// touched-relation set that bounds its blast radius, so the delta
-	// invalidation rule falls back to the full flush (DESIGN.md §3).
-	s.gen.InvalidateCache()
 }
 
 // SetParallelism sets the *default* bound for the worker pools used by
@@ -334,8 +303,8 @@ func (s *System) DefineView(viewSrc string, static format.Record, specs ...Citat
 	s.epoch++
 	s.cfg++
 	// A view definition changes which rewritings exist — semantics, not
-	// data — so cached plans, materializations and resolved records flush
-	// wholesale: the DefineView/SetPolicy exception to delta invalidation
+	// data — so cached branches, materializations and resolved records flush
+	// wholesale: the DefineView/SetPolicyNamed exception to delta invalidation
 	// (DESIGN.md §3).
 	s.gen.InvalidateCache()
 	return nil

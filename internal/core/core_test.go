@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/format"
 	"repro/internal/gtopdb"
-	"repro/internal/policy"
 	"repro/internal/schema"
 	"repro/internal/value"
 )
@@ -160,9 +159,9 @@ func TestCiteParseError(t *testing.T) {
 
 func TestSetPolicyAffectsCitations(t *testing.T) {
 	sys := paperSystem(t)
-	p := policy.Default()
-	p.AltR = policy.MaxCoverage
-	sys.SetPolicy(p)
+	if err := sys.SetPolicyNamed("maxcoverage"); err != nil {
+		t.Fatal(err)
+	}
 	cite, err := sys.Cite(paperQ)
 	if err != nil {
 		t.Fatal(err)
@@ -180,12 +179,12 @@ func TestVersionEpoch(t *testing.T) {
 	if afterCommit <= base {
 		t.Errorf("Commit did not advance the epoch: %d -> %d", base, afterCommit)
 	}
-	p := policy.Default()
-	p.AltR = policy.MaxCoverage
-	sys.SetPolicy(p)
+	if err := sys.SetPolicyNamed("maxcoverage"); err != nil {
+		t.Fatal(err)
+	}
 	afterPolicy := sys.Version()
 	if afterPolicy <= afterCommit {
-		t.Errorf("SetPolicy did not advance the epoch: %d -> %d", afterCommit, afterPolicy)
+		t.Errorf("SetPolicyNamed did not advance the epoch: %d -> %d", afterCommit, afterPolicy)
 	}
 	if err := sys.DefineView("V7(FID) :- Family(FID, FName, Desc)", nil); err != nil {
 		t.Fatal(err)

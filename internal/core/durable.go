@@ -504,11 +504,13 @@ func (s *System) mutate(relation string, tuples []storage.Tuple, typ durable.Ent
 	return n, nil
 }
 
-// SetPolicyNamed installs one of the named default policies
-// (PolicyByName) and — unlike the deprecated SetPolicy, whose arbitrary
-// function values cannot be serialized — journals the change, so a
-// recovered system wakes up with the same default policy. It bumps both
-// Version() and ConfigVersion(), exactly like SetPolicy.
+// SetPolicyNamed replaces the *default* combination policy — the one
+// used by calls that carry no WithPolicy option, which always takes
+// precedence — with one of the named policies (PolicyByName), and
+// journals the change, so a recovered system wakes up with the same
+// default policy. It bumps both Version() and ConfigVersion(): changing
+// the default can change the outcome of every subsequent default-policy
+// citation, even of an already committed version.
 func (s *System) SetPolicyNamed(name string) error {
 	p, ok := PolicyByName(name)
 	if !ok {
@@ -528,7 +530,9 @@ func (s *System) SetPolicyNamed(name string) error {
 	s.epoch++
 	s.cfg++
 	s.gen.SetPolicy(p)
-	// Semantic change: full flush, like SetPolicy (DESIGN.md §3).
+	// A policy change alters citation semantics, not data: there is no
+	// touched-relation set that bounds its blast radius, so the delta
+	// invalidation rule falls back to the full flush (DESIGN.md §3).
 	s.gen.InvalidateCache()
 	s.polName = name
 	return nil

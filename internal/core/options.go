@@ -7,7 +7,7 @@ import (
 )
 
 // CiteOption is a per-call request parameter for the CiteContext family.
-// Options override the system-wide defaults (SetPolicy, SetParallelism,
+// Options override the system-wide defaults (SetPolicyNamed, SetParallelism,
 // the generator's Method) for one call only — two concurrent requests
 // with different options never observe each other, which is what makes
 // the option form safe for serving many tenants off one System where the
@@ -47,7 +47,7 @@ func AtVersion(v fixity.Version) CiteOption {
 }
 
 // WithPolicy overrides the combination policy for this call only,
-// taking precedence over the SetPolicy default.
+// taking precedence over the SetPolicyNamed default.
 func WithPolicy(p policy.Policy) CiteOption {
 	return func(c *citeConfig) { c.policy = &p }
 }

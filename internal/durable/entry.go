@@ -117,7 +117,7 @@ type Entry struct {
 	Cites   []ViewCite
 	Static  [][2]string
 
-	// SetPolicy.
+	// SetPolicyNamed.
 	Policy string
 }
 

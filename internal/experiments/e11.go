@@ -20,8 +20,9 @@ var e11Sizes = []int{100, 1000, 5000}
 // hot path: annotated evaluation of the gtopdb two-way join under the
 // counting semiring, once compiling the plan on every call (what every
 // evaluation paid before plans existed above the per-call interpreter
-// work) and once reusing a warm plan the way the citation generator's
-// plan cache does. Claim (ROADMAP north star + §1 "on-the-fly"
+// work) and once reusing a warm plan. The citation generator compiles a
+// plan on every branch-cache miss, so the compile/call column is the
+// planning share of a cold cite. Claim (ROADMAP north star + §1 "on-the-fly"
 // generation): the per-call cost of a hot query should be join work, not
 // planning work — warm plans must hold a constant allocation profile as
 // the database grows.

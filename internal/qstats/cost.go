@@ -40,10 +40,9 @@ type Costs struct {
 	ColumnarSteps  int64 // join steps served from columnar blocks (§10)
 
 	// Engine-cache traffic, per layer (DESIGN.md §3/§6/§10): view
-	// materializations, compiled plans and branch evaluations served
-	// from cache vs computed.
+	// materializations and branch evaluations served from cache vs
+	// computed.
 	ViewHits, ViewMisses     int64
-	PlanHits, PlanMisses     int64
 	BranchHits, BranchMisses int64
 
 	// Result-cache outcome of the query itself; set per query from the
@@ -96,11 +95,6 @@ func FromTrace(tr *trace.Trace) Costs {
 			}
 		case "plan":
 			c.PlanNS += d
-			if v, _ := s.Attr("cache"); v == "hit" {
-				c.PlanHits++
-			} else {
-				c.PlanMisses++
-			}
 		case "policy":
 			c.PolicyNS += d
 		case "fixity":
@@ -242,8 +236,6 @@ func (s *Store) ObserveRequest(tr *trace.Trace, outcomes []Outcome) {
 			q.ColumnarSteps = share(c.ColumnarSteps, en, ei)
 			q.ViewHits = share(c.ViewHits, en, ei)
 			q.ViewMisses = share(c.ViewMisses, en, ei)
-			q.PlanHits = share(c.PlanHits, en, ei)
-			q.PlanMisses = share(c.PlanMisses, en, ei)
 			q.BranchHits = share(c.BranchHits, en, ei)
 			q.BranchMisses = share(c.BranchMisses, en, ei)
 		}

@@ -58,11 +58,10 @@ type row struct {
 	calls, errors atomic.Int64
 	wall, admission, cacheNS, parse, rewrite, eval,
 	branch, views, plan, policy, fixity, encode atomic.Int64
-	tuples, outTuples, branches, pruned, columnar atomic.Int64
-	viewHits, viewMisses, planHits, planMisses,
-	branchHits, branchMisses atomic.Int64
-	resultHits, resultMisses, resultCoalesced atomic.Int64
-	respBytes                                 atomic.Int64
+	tuples, outTuples, branches, pruned, columnar  atomic.Int64
+	viewHits, viewMisses, branchHits, branchMisses atomic.Int64
+	resultHits, resultMisses, resultCoalesced      atomic.Int64
+	respBytes                                      atomic.Int64
 
 	hist *trace.Histogram // per-call wall-time latency
 
@@ -104,8 +103,6 @@ func (r *row) add(constHash uint64, c Costs) {
 	r.columnar.Add(c.ColumnarSteps)
 	r.viewHits.Add(c.ViewHits)
 	r.viewMisses.Add(c.ViewMisses)
-	r.planHits.Add(c.PlanHits)
-	r.planMisses.Add(c.PlanMisses)
 	r.branchHits.Add(c.BranchHits)
 	r.branchMisses.Add(c.BranchMisses)
 	r.resultHits.Add(c.ResultHits)
@@ -295,8 +292,6 @@ type RowSnapshot struct {
 	ResultCoalesced int64 `json:"result_cache_coalesced"`
 	ViewHits        int64 `json:"view_cache_hits"`
 	ViewMisses      int64 `json:"view_cache_misses"`
-	PlanHits        int64 `json:"plan_cache_hits"`
-	PlanMisses      int64 `json:"plan_cache_misses"`
 	BranchHits      int64 `json:"branch_cache_hits"`
 	BranchMisses    int64 `json:"branch_cache_misses"`
 
@@ -366,8 +361,6 @@ func (s *Store) Snapshot(sortKey string, limit int) (Stats, []RowSnapshot) {
 			ResultCoalesced: r.resultCoalesced.Load(),
 			ViewHits:        r.viewHits.Load(),
 			ViewMisses:      r.viewMisses.Load(),
-			PlanHits:        r.planHits.Load(),
-			PlanMisses:      r.planMisses.Load(),
 			BranchHits:      r.branchHits.Load(),
 			BranchMisses:    r.branchMisses.Load(),
 			RespBytes:       r.respBytes.Load(),

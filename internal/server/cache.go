@@ -11,7 +11,7 @@ import (
 // cacheKey identifies one cacheable citation. Both head-targeting
 // requests (version 0) and version-pinned requests (?version=v) carry
 // the *configuration generation* (core.System.ConfigVersion) in the
-// epoch field: SetPolicy/DefineView — which change what any citation
+// epoch field: SetPolicyNamed/DefineView — which change what any citation
 // contains — bump it and orphan every entry at once. Commits do NOT
 // change the key. Head entries instead record the system epoch they were
 // computed at plus their citation's relation read-set, and survive a

@@ -196,22 +196,20 @@ func (m *serverMetrics) render(w *strings.Builder, s *Server) {
 	fmt.Fprintf(w, "citeserved_cache_entries %d\n", cs.Entries)
 
 	gc := s.sys.Generator().Counters()
-	counter("citeserved_plan_cache_kept_total", "Compiled plans that survived a delta invalidation.")
-	fmt.Fprintf(w, "citeserved_plan_cache_kept_total %d\n", gc.PlansKept)
-	counter("citeserved_plan_cache_evicted_total", "Compiled plans evicted by a delta invalidation.")
-	fmt.Fprintf(w, "citeserved_plan_cache_evicted_total %d\n", gc.PlansEvicted)
-	counter("citeserved_view_cache_kept_total", "Materialized views that survived a delta invalidation.")
-	fmt.Fprintf(w, "citeserved_view_cache_kept_total %d\n", gc.ViewsKept)
-	counter("citeserved_view_cache_evicted_total", "Materialized views evicted by a delta invalidation.")
-	fmt.Fprintf(w, "citeserved_view_cache_evicted_total %d\n", gc.ViewsEvicted)
-	counter("citeserved_atom_cache_kept_total", "Atom-cache entries that survived a delta invalidation.")
-	fmt.Fprintf(w, "citeserved_atom_cache_kept_total %d\n", gc.AtomsKept)
-	counter("citeserved_atom_cache_evicted_total", "Atom-cache entries evicted by a delta invalidation.")
-	fmt.Fprintf(w, "citeserved_atom_cache_evicted_total %d\n", gc.AtomsEvicted)
-	counter("citeserved_branch_cache_kept_total", "Cached branch evaluations that survived a delta invalidation.")
-	fmt.Fprintf(w, "citeserved_branch_cache_kept_total %d\n", gc.BranchesKept)
-	counter("citeserved_branch_cache_evicted_total", "Cached branch evaluations evicted by a delta invalidation.")
-	fmt.Fprintf(w, "citeserved_branch_cache_evicted_total %d\n", gc.BranchesEvicted)
+	for _, c := range []struct {
+		name, what    string
+		kept, evicted int64
+	}{
+		{"view", "Materialized views", gc.ViewsKept, gc.ViewsEvicted},
+		{"atom", "Atom-cache entries", gc.AtomsKept, gc.AtomsEvicted},
+		{"branch", "Cached branch evaluations", gc.BranchesKept, gc.BranchesEvicted},
+	} {
+		kept, evicted := "citeserved_"+c.name+"_cache_kept_total", "citeserved_"+c.name+"_cache_evicted_total"
+		counter(kept, c.what+" that survived a delta invalidation.")
+		fmt.Fprintf(w, "%s %d\n", kept, c.kept)
+		counter(evicted, c.what+" evicted by a delta invalidation.")
+		fmt.Fprintf(w, "%s %d\n", evicted, c.evicted)
+	}
 
 	cu := storage.ColumnarUsage()
 	counter("citeserved_columnar_blocks_total", "Dictionary-encoded columnar blocks built (mutable relations and frozen snapshots).")

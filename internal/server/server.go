@@ -8,7 +8,7 @@
 // invalidates only the cached results whose relation read-set
 // (CiteResult.Reads) intersects the relations the commit actually
 // touched — everything else stays warm across writes (DESIGN.md §3, §5).
-// DefineView/SetPolicy change citation semantics and flush everything by
+// DefineView/SetPolicyNamed change citation semantics and flush everything by
 // bumping the configuration generation the cache keys on.
 //
 // Endpoints:
@@ -604,7 +604,7 @@ type pendingResult struct {
 func (s *Server) citeBatch(ctx context.Context, queries []string, version fixity.Version, slot *slotRef) (results []CiteResult, errs []error, epoch int64, respVersion fixity.Version, timedOut bool) {
 	var config int64
 	epoch, config, respVersion = s.sys.Epochs()
-	// Every key carries the config generation: SetPolicy/DefineView orphan
+	// Every key carries the config generation: SetPolicyNamed/DefineView orphan
 	// all entries at once. Head entries (version 0) survive commits and
 	// are validated per lookup against the relations they actually read —
 	// the delta invalidation rule; versioned entries are immutable and

@@ -694,7 +694,7 @@ func TestVersionedCite(t *testing.T) {
 
 // TestSetPolicyInvalidatesVersionedCache pins the configuration half of
 // the versioned-cache contract: commits never invalidate version-pinned
-// results (immutable snapshots), but SetPolicy — which changes what a
+// results (immutable snapshots), but SetPolicyNamed — which changes what a
 // citation of even an old version contains — must orphan them.
 func TestSetPolicyInvalidatesVersionedCache(t *testing.T) {
 	srv, ts := paperServer(t, Options{})
@@ -709,15 +709,17 @@ func TestSetPolicyInvalidatesVersionedCache(t *testing.T) {
 		t.Fatalf("first versioned cite cache = %q, want miss", out.Result.Cache)
 	}
 
-	pol := srv.System().Generator().Policy()
-	srv.System().SetPolicy(pol) // same policy, but the config generation moves
+	// The default policy again: same policy, but the config generation moves.
+	if err := srv.System().SetPolicyNamed("minsize"); err != nil {
+		t.Fatal(err)
+	}
 
 	_, body = postJSON(t, client, ts.URL+"/cite?version=1", citeRequest{Query: paperQuery})
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}
 	if out.Result.Cache != "miss" {
-		t.Errorf("versioned cite after SetPolicy cache = %q, want miss (config change must orphan versioned entries)", out.Result.Cache)
+		t.Errorf("versioned cite after SetPolicyNamed cache = %q, want miss (config change must orphan versioned entries)", out.Result.Cache)
 	}
 }
 
@@ -1065,7 +1067,7 @@ func TestCommitKeepsUntouchedEntries(t *testing.T) {
 	metrics := getText(t, client, ts.URL+"/metrics")
 	if !strings.Contains(metrics, "citeserved_result_cache_kept_total") ||
 		!strings.Contains(metrics, "citeserved_result_cache_evicted_total") ||
-		!strings.Contains(metrics, "citeserved_plan_cache_kept_total") {
+		!strings.Contains(metrics, "citeserved_branch_cache_kept_total") {
 		t.Error("delta-invalidation counters missing from /metrics")
 	}
 }

@@ -56,10 +56,10 @@ const columnarDemandThreshold = 2
 
 // Cumulative columnarization counters, exposed on /metrics.
 var (
-	colBlocksBuilt  atomic.Uint64 // blocks built (mutable + frozen)
-	colSnapshots    atomic.Uint64 // frozen relations that gained a block
-	colDictBytes    atomic.Uint64 // approximate dictionary bytes built
-	colCodeBytes    atomic.Uint64 // code-vector + posting-list bytes built
+	colBlocksBuilt atomic.Uint64 // blocks built (mutable + frozen)
+	colSnapshots   atomic.Uint64 // frozen relations that gained a block
+	colDictBytes   atomic.Uint64 // approximate dictionary bytes built
+	colCodeBytes   atomic.Uint64 // code-vector + posting-list bytes built
 )
 
 // ColumnarStats is a snapshot of the cumulative columnarization counters.

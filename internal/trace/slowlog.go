@@ -11,10 +11,10 @@ import (
 // reconstruct where the request spent its time, as a single JSON object
 // per line (jq-friendly, greppable by trace_id).
 type SlowEntry struct {
-	Time     time.Time    `json:"ts"`
-	TraceID  string       `json:"trace_id"`
-	Endpoint string       `json:"endpoint"`
-	DurUS    int64        `json:"dur_us"`
+	Time     time.Time `json:"ts"`
+	TraceID  string    `json:"trace_id"`
+	Endpoint string    `json:"endpoint"`
+	DurUS    int64     `json:"dur_us"`
 	// ThresholdUS echoes the configured threshold, so mixed-fleet logs
 	// stay interpretable.
 	ThresholdUS int64        `json:"threshold_us"`

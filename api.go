@@ -35,14 +35,14 @@ import (
 // down to the plan enumeration and returns ctx.Err() promptly — plus
 // per-call CiteOptions. Precedence is per-call over default: AtVersion,
 // WithPolicy, WithRewriteMethod, WithParallelism and WithoutFixityPin
-// override, for one call only, the system-wide defaults configured by
-// SetPolicyNamed and the deprecated SetParallelism setter (calls without
-// options behave exactly as before).
+// override, for one call only, the system-wide defaults (the
+// SetPolicyNamed policy, GOMAXPROCS workers; calls without options
+// behave exactly as before).
 //
 // System.Version is the monotonic epoch external result caches key on —
 // it advances with every Commit, DefineView and SetPolicyNamed (all of which
 // can change what a default-path citation contains) and deliberately NOT
-// with SetParallelism (scheduling only, results identical). AtVersion
+// with WithParallelism (scheduling only, results identical). AtVersion
 // results are keyed by their version instead: they are immutable, never
 // invalidated, and a concurrent Commit neither blocks nor races them. See
 // DESIGN.md §3 for the locking and invalidation rules and §7 for the
@@ -62,8 +62,8 @@ type CiteOption = core.CiteOption
 //   - WithPolicy(p) — combination policy for this call (overrides the
 //     SetPolicyNamed default).
 //   - WithRewriteMethod(m) — rewriting algorithm for this call.
-//   - WithParallelism(n) — worker-pool bound for this call (overrides
-//     the SetParallelism default; 1 forces sequential evaluation).
+//   - WithParallelism(n) — worker-pool bound for this call (default
+//     GOMAXPROCS; 1 forces sequential evaluation).
 //   - WithoutFixityPin() — skip the pin re-execution.
 var (
 	// AtVersion cites against a committed snapshot instead of the head.

@@ -185,10 +185,6 @@ func main() {
 		}
 	}
 
-	if *parallelism > 0 {
-		sys.SetParallelism(*parallelism)
-	}
-
 	var slowLogW io.Writer
 	if *slowQueryLog != "" {
 		f, err := os.OpenFile(*slowQueryLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -210,6 +206,7 @@ func main() {
 		SlowQuery:      *slowQuery,
 		SlowQueryLog:   slowLogW,
 		QueryStats:     *queryStats,
+		Parallelism:    *parallelism,
 	})
 
 	ln, err := net.Listen("tcp", *addr)

@@ -7,6 +7,7 @@ package datacitation_test
 // expressions identical to sequential evaluation.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -97,8 +98,7 @@ func TestParallelCiteDeterminism(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		cs.Sys.SetParallelism(parallelism)
-		return cs.Sys.CiteQuery(cs.Query)
+		return cs.Sys.CiteQueryContext(context.Background(), cs.Query, datacitation.WithParallelism(parallelism))
 	}
 	seq, err := build(1)
 	if err != nil {

@@ -319,15 +319,17 @@ func TestCiteOptions(t *testing.T) {
 	}
 }
 
-// TestSetParallelismDoesNotBumpEpoch pins the documented Version() rule:
-// SetPolicyNamed bumps (results can change), SetParallelism does not
-// (scheduling only).
-func TestSetParallelismDoesNotBumpEpoch(t *testing.T) {
+// TestWithParallelismDoesNotBumpEpoch pins the documented Version() rule:
+// SetPolicyNamed bumps (results can change), a WithParallelism cite does
+// not (scheduling only).
+func TestWithParallelismDoesNotBumpEpoch(t *testing.T) {
 	sys := paperSystem(t)
 	before := sys.Version()
-	sys.SetParallelism(2)
+	if _, err := sys.CiteContext(context.Background(), familyQuery, datacitation.WithParallelism(2)); err != nil {
+		t.Fatal(err)
+	}
 	if sys.Version() != before {
-		t.Error("SetParallelism bumped the epoch")
+		t.Error("a WithParallelism cite bumped the epoch")
 	}
 	if err := sys.SetPolicyNamed("minsize"); err != nil {
 		t.Fatal(err)

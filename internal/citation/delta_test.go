@@ -87,19 +87,7 @@ func citeText(t *testing.T, g *Generator, src string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := res.Record.MarshalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := res.Expr.String() + "\n" + string(rec)
-	for _, tc := range res.Tuples {
-		tr, err := tc.Record.MarshalJSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		out += "\n" + tc.Expr.String() + "|" + tc.Selected.String() + "|" + string(tr)
-	}
-	return out
+	return resultText(t, res)
 }
 
 // TestInvalidateTouchedSelectivity pins the generator-level delta rule:

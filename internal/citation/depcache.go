@@ -3,14 +3,40 @@ package citation
 import (
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/storage"
 )
 
-// genKey namespaces one cache entry: ver is the committed version the
-// entry was computed against (0 = the mutable head generation), name the
-// view name, atom key or rewriting signature.
+// genKey keys one cache entry: name is the view name, atom key or
+// rewriting signature, origin says which data it was computed from.
+// origin 0 is the mutable head generation. A versioned entry (computed
+// against a committed snapshot) is keyed by the content it read, not by
+// a version number: its origin is originOf the snapshot and the entry's
+// deps, so every version that shares those relations maps to the same
+// key and one entry serves them all.
 type genKey struct {
-	ver  int
-	name string
+	origin uint64
+	name   string
+}
+
+// originOf returns the origin of a versioned entry that reads deps from
+// the frozen snapshot db: 1 + the newest creation stamp
+// (storage.Relation.Stamp) among the deps' relations, and 1 for an entry
+// that reads no relation, whose value is the same at every version.
+//
+// Within one head's history the newest stamp identifies the whole
+// dep-tuple: a dep that changed after the relation carrying that stamp
+// was frozen would carry a newer stamp itself. So two snapshots map deps
+// to one origin exactly when they share every dep's frozen relation —
+// the origin is the version at which the entry's inputs last changed.
+func originOf(db *storage.Database, deps []string) uint64 {
+	var newest uint64
+	for _, d := range deps {
+		if r := db.Relation(d); r != nil {
+			newest = max(newest, r.Stamp())
+		}
+	}
+	return newest + 1
 }
 
 // depCache is the generator's one dependency-tracked cache type; the
@@ -20,14 +46,16 @@ type genKey struct {
 // value, every other caller blocks on the entry's ready channel. A failed
 // fill is evicted, so the next caller retries. Each entry records, at
 // creation, the base relations its value transitively reads: delta
-// invalidation evicts exactly the head entries (ver 0) whose deps
-// intersect the touched set. Versioned entries (ver ≥ 1) were computed
-// against immutable snapshots and leave only with their whole namespace.
+// invalidation evicts exactly the head entries (origin 0) whose deps
+// intersect the touched set. Versioned entries were computed against
+// immutable snapshots and leave only when no retained version maps to
+// them any more.
 type depCache[V any] struct {
-	// live reports whether versioned namespace ver is still retained. A
-	// fill into an evicted namespace returns its value but caches nothing,
-	// so every retained versioned entry belongs to a live namespace.
-	live func(ver int) bool
+	// live reports whether some retained version maps an entry with these
+	// deps to key. A versioned fill no live version maps to returns its
+	// value but caches nothing, so every retained versioned entry is the
+	// key of some live version.
+	live func(key genKey, deps []string) bool
 
 	mu sync.Mutex
 	m  map[genKey]*depEntry[V]
@@ -45,7 +73,7 @@ type depEntry[V any] struct {
 	deps  []string
 }
 
-func newDepCache[V any](live func(ver int) bool) *depCache[V] {
+func newDepCache[V any](live func(key genKey, deps []string) bool) *depCache[V] {
 	return &depCache[V]{live: live, m: make(map[genKey]*depEntry[V])}
 }
 
@@ -61,12 +89,13 @@ func (c *depCache[V]) get(key genKey, deps func() []string, fill func() (V, erro
 		<-e.ready
 		return e.val, true, e.err
 	}
-	if key.ver > 0 && !c.live(key.ver) {
+	d := deps()
+	if key.origin > 0 && !c.live(key, d) {
 		c.mu.Unlock()
 		v, err := fill()
 		return v, false, err
 	}
-	e := &depEntry[V]{ready: make(chan struct{}), deps: deps()}
+	e := &depEntry[V]{ready: make(chan struct{}), deps: d}
 	c.m[key] = e
 	c.mu.Unlock()
 
@@ -105,7 +134,7 @@ func (c *depCache[V]) invalidate(hit func(deps []string) bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for k, e := range c.m {
-		if k.ver != 0 {
+		if k.origin != 0 {
 			continue
 		}
 		if hit(e.deps) {

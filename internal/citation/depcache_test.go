@@ -13,7 +13,7 @@ import (
 	"repro/internal/value"
 )
 
-func alwaysLive(int) bool { return true }
+func alwaysLive(genKey, []string) bool { return true }
 
 func depsOf(rels ...string) func() []string {
 	return func() []string { return rels }
@@ -116,7 +116,7 @@ func TestDepCacheInvalidateAccounting(t *testing.T) {
 			keys = append(keys, k)
 		}
 		slices.SortFunc(keys, func(x, y genKey) int {
-			return cmp.Or(cmp.Compare(x.ver, y.ver), cmp.Compare(x.name, y.name))
+			return cmp.Or(cmp.Compare(x.origin, y.origin), cmp.Compare(x.name, y.name))
 		})
 		if !slices.Equal(keys, wantKeys) {
 			t.Errorf("%s: retained %v, want %v", name, keys, wantKeys)
@@ -130,43 +130,67 @@ func TestDepCacheInvalidateAccounting(t *testing.T) {
 		genKey{1, "a"}, genKey{2, "c"})
 }
 
-// versionsIn lists the versioned namespaces a cache holds entries for.
-func versionsIn[V any](c *depCache[V]) []int {
+// versionedEntries lists the keys and deps of a cache's versioned
+// entries.
+func versionedEntries[V any](c *depCache[V]) map[genKey][]string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var vers []int
-	for k := range c.m {
-		if k.ver > 0 && !slices.Contains(vers, k.ver) {
-			vers = append(vers, k.ver)
+	out := make(map[genKey][]string)
+	for k, e := range c.m {
+		if k.origin > 0 {
+			out[k] = e.deps
 		}
 	}
-	return vers
+	return out
 }
 
 // TestVersionedEntriesStayInLiveNamespaces checks the generator's
-// invariant directly: after fills into an evicted and a live namespace,
-// every retained versioned entry belongs to a namespace in verUse.
+// retention invariant directly: every retained versioned entry is the
+// key of some live version. Versions 1..9 change only Family. Version 1
+// fills its caches while live, then leaves the LRU, then fills again
+// late. Its views and atoms over unchanged relations stay, because live
+// versions map to the same keys; its Family view goes with it, and the
+// late fill of that view is not cached.
 func TestVersionedEntriesStayInLiveNamespaces(t *testing.T) {
 	g := paperGenerator(t)
-	db := g.Database()
-	for v := 1; v <= maxVersionGenerations+1; v++ {
-		g.touchVersion(v)
-	}
-	live := maxVersionGenerations + 1
-	for _, ver := range []int{1, live} {
-		if _, err := g.materializeAt(context.Background(), db, ver, "V3"); err != nil {
+	n := maxVersionGenerations + 1
+	vers := commitHistory(t, g, n, "Family")
+	fill := func(v int) {
+		t.Helper()
+		for _, view := range []string{"V2", "V3"} {
+			if _, err := g.materializeAt(context.Background(), vers[v-1], v, view); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := g.resolverAt(vers[v-1], v, nil)(citeexpr.NewAtom("V1", value.Int(11))); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := g.resolverAt(db, ver, nil)(citeexpr.NewAtom("V1", value.Int(11))); err != nil {
-			t.Fatal(err)
-		}
 	}
-	for name, vers := range map[string][]int{
-		"views": versionsIn(g.views),
-		"atoms": versionsIn(g.atoms),
+	g.touchVersion(1, vers[0])
+	fill(1)
+	for v := 2; v <= n; v++ {
+		g.touchVersion(v, vers[v-1])
+	}
+	fill(1)
+	fill(n)
+	g.verMu.Lock()
+	live := slices.Clone(g.verUse)
+	g.verMu.Unlock()
+	for name, entries := range map[string]map[genKey][]string{
+		"views": versionedEntries(g.views),
+		"atoms": versionedEntries(g.atoms),
 	} {
-		if !slices.Equal(vers, []int{live}) {
-			t.Errorf("%s hold versioned namespaces %v, want only [%d]", name, vers, live)
+		for k, deps := range entries {
+			if !mapsTo(live, k, deps) {
+				t.Errorf("%s: entry %v (deps %v) is the key of no live version", name, k, deps)
+			}
 		}
+	}
+	// V2 at version n, V3 shared by all versions; one shared V1(11) record.
+	if got := len(versionedEntries(g.views)); got != 2 {
+		t.Errorf("views hold %d versioned entries, want 2", got)
+	}
+	if got := len(versionedEntries(g.atoms)); got != 1 {
+		t.Errorf("atoms hold %d versioned entries, want 1", got)
 	}
 }

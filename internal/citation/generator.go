@@ -62,34 +62,41 @@ type Generator struct {
 	// join). 0 means GOMAXPROCS; 1 forces sequential evaluation.
 	Parallelism int
 
-	// The three caches memoize the pipeline's steps under (version,
-	// name/signature) keys: views holds materialized view instances
-	// (deps: Registry.QueryDeps), atoms resolved citation records (deps:
-	// Registry.CitationDeps), and branches the annotated evaluation of one
-	// rewriting (deps: Registry.BodyDeps). Version 0 is the mutable head
-	// generation, invalidated by delta; version v ≥ 1 namespaces entries
-	// computed against the immutable committed snapshot v, which never go
-	// stale, so historical cites coexist with head cites without
-	// invalidation races (DESIGN.md §3, §7).
+	// The three caches memoize the pipeline's steps under (origin,
+	// name/signature) keys (genKey): views holds materialized view
+	// instances (deps: Registry.QueryDeps), atoms resolved citation
+	// records (deps: Registry.CitationDeps), and branches the annotated
+	// evaluation of one rewriting (deps: Registry.BodyDeps). Origin 0 is
+	// the mutable head generation, invalidated by delta; a versioned entry
+	// is keyed by the snapshot content its deps read, so it never goes
+	// stale and serves every committed version that shares that content
+	// (DESIGN.md §3, §7).
 	views    *depCache[*storage.Relation]
 	atoms    *depCache[format.Record]
 	branches *depCache[*branch]
 
 	// verMu guards verUse, the recency order (least-recently-used first)
-	// of the versioned cache namespaces currently retained. Entries never
-	// go stale — snapshots are immutable — but each namespace holds
-	// materialized views, so retention is bounded: citing more than
-	// maxVersionGenerations distinct versions evicts the coldest
-	// namespace wholesale. This caps memory at O(maxVersionGenerations ×
-	// views) no matter how many versions clients sweep through.
+	// of the committed versions whose cache entries are retained, each
+	// with its snapshot. Entries never go stale — snapshots are immutable
+	// — but they hold materialized views, so retention is bounded: past
+	// maxVersionGenerations distinct versions the coldest leaves verUse,
+	// and with it every versioned entry no remaining version maps to.
+	// This caps memory at O(maxVersionGenerations × entries per version)
+	// no matter how many versions clients sweep through.
 	verMu  sync.Mutex
-	verUse []int
+	verUse []liveVersion
+}
+
+// liveVersion is one retained committed version and its snapshot.
+type liveVersion struct {
+	ver int
+	db  *storage.Database
 }
 
 // maxVersionGenerations bounds how many committed versions keep warm
 // caches at once. Serving workloads cite the head plus a handful of
 // recent (or landmark) versions; anything colder re-materializes on
-// demand.
+// demand, unless a retained version shares the content it needs.
 const maxVersionGenerations = 8
 
 // Request carries the per-call parameters of one citation generation.
@@ -98,11 +105,14 @@ const maxVersionGenerations = 8
 // Cite(q) ≡ CiteContext(ctx, q, Request{}).
 type Request struct {
 	// DB is the target database. nil means the generator's bound head;
-	// otherwise it must be the immutable snapshot identified by Version.
+	// otherwise it must be the frozen snapshot identified by Version.
 	DB *storage.Database
-	// Version namespaces the generator's caches for this request: 0 keys
-	// the mutable head generation, v ≥ 1 keys entries computed against
-	// committed snapshot v (never invalidated — snapshots cannot change).
+	// Version selects the generator's caches for this request: 0 uses the
+	// mutable head generation; v ≥ 1 marks DB as committed version v, whose
+	// entries are keyed by the snapshot content they read (never
+	// invalidated — snapshots cannot change — and shared with every other
+	// version holding the same content). v also names the version in the
+	// LRU of retained versions.
 	Version int
 	// Policy, when non-nil, overrides the generator's default combination
 	// policy for this call only.
@@ -118,9 +128,9 @@ type Request struct {
 // NewGenerator builds a Generator with the paper's default policy.
 func NewGenerator(reg *Registry, db *storage.Database) *Generator {
 	g := &Generator{reg: reg, db: db, pol: policy.Default()}
-	g.views = newDepCache[*storage.Relation](g.versionLive)
-	g.atoms = newDepCache[format.Record](g.versionLive)
-	g.branches = newDepCache[*branch](g.versionLive)
+	g.views = newDepCache[*storage.Relation](g.keyLive)
+	g.atoms = newDepCache[format.Record](g.keyLive)
+	g.branches = newDepCache[*branch](g.keyLive)
 	return g
 }
 
@@ -164,11 +174,10 @@ func (g *Generator) workers() int {
 // as the safety net where no touched-relation set exists). Data changes
 // go through InvalidateTouched instead, which keeps entries over
 // untouched relations warm. In-flight fills finish against the orphaned
-// entries and are re-done on next demand. Entries keyed to committed
-// versions (ver ≥ 1) are retained: they were computed against immutable
-// snapshots and can never go stale, so time-travel cites survive every
-// invalidation. The evolution package refreshes the caches
-// incrementally instead.
+// entries and are re-done on next demand. Versioned entries are retained:
+// they were computed against immutable snapshots and can never go stale,
+// so time-travel cites survive every invalidation. The evolution package
+// refreshes the caches incrementally instead.
 func (g *Generator) InvalidateCache() {
 	g.invalidate(func([]string) bool { return true })
 }
@@ -315,7 +324,7 @@ func (g *Generator) Cite(q *cq.Query) (*Result, error) {
 // evaluation polls ctx — between pipeline stages, per enumeration chunk,
 // and per resolved tuple — so canceling ctx aborts with ctx.Err()
 // promptly instead of finishing the enumeration. Results computed against
-// a committed version are cached under that version's namespace and
+// a committed version are cached under the snapshot content they read and
 // survive InvalidateCache, so historical cites race neither commits nor
 // each other.
 func (g *Generator) CiteContext(ctx context.Context, q *cq.Query, req Request) (*Result, error) {
@@ -329,6 +338,9 @@ func (g *Generator) CiteContext(ctx context.Context, q *cq.Query, req Request) (
 	if db == nil {
 		db = g.db
 	}
+	if req.Version > 0 && !db.Frozen() {
+		return nil, fmt.Errorf("citation: version %d: target database is not a frozen snapshot", req.Version)
+	}
 	pol := g.Policy()
 	if req.Policy != nil {
 		pol = *req.Policy
@@ -341,7 +353,7 @@ func (g *Generator) CiteContext(ctx context.Context, q *cq.Query, req Request) (
 	if workers <= 0 {
 		workers = g.workers()
 	}
-	g.touchVersion(req.Version)
+	g.touchVersion(req.Version, db)
 	res := &Result{Query: q}
 
 	// Stage: rewriting enumeration. The span records how many candidate
@@ -542,10 +554,10 @@ func (g *Generator) readSet(rewritings []*rewrite.Rewriting) []string {
 }
 
 // evalBranches evaluates every rewriting with citation-expression
-// annotations against db, caching per ver. A single rewriting is
-// partitioned internally (eval.RunAnnotatedParallelCtx); several
-// rewritings are distributed over a bounded worker pool, one sequential
-// evaluation each. Results are indexed by rewriting, so the outcome is
+// annotations against db, caching at ver (see cacheKey). A single
+// rewriting is partitioned internally (eval.RunAnnotatedParallelCtx);
+// several rewritings are distributed over a bounded worker pool, one
+// sequential evaluation each. Results are indexed by rewriting, so the outcome is
 // deterministic regardless of scheduling; canceling ctx aborts every
 // branch with ctx.Err().
 func (g *Generator) evalBranches(ctx context.Context, evalSet []*rewrite.Rewriting, db *storage.Database, ver, workers int) ([]*branch, error) {
@@ -557,8 +569,8 @@ func (g *Generator) evalBranches(ctx context.Context, evalSet []*rewrite.Rewriti
 		// of the body relations alone — citation-query deltas are the
 		// atom cache's concern.
 		q := rw.AsQuery("rw")
-		b, hit, err := g.branches.get(genKey{ver, q.Signature()},
-			func() []string { return g.reg.BodyDeps(q) },
+		key, deps := cacheKey(db, ver, q.Signature(), func() []string { return g.reg.BodyDeps(q) })
+		b, hit, err := g.branches.get(key, deps,
 			func() (*branch, error) { return g.evalBranch(ctx, idx, q, rw, db, ver, innerWorkers) })
 		if hit && err == nil {
 			_, bsp := trace.StartSpan(ctx, "branch")
@@ -667,9 +679,8 @@ func (g *Generator) CiteTuple(q *cq.Query, t storage.Tuple) (*TupleCitation, err
 	return nil, fmt.Errorf("citation: tuple %s is not in the answer of %s", t, q.Name)
 }
 
-// instanceFor materializes (with caching, namespaced by ver) the view
-// instances a rewriting references and combines them with db for residual
-// atoms.
+// instanceFor materializes (with caching at ver) the view instances a
+// rewriting references and combines them with db for residual atoms.
 func (g *Generator) instanceFor(ctx context.Context, rw *rewrite.Rewriting, db *storage.Database, ver int) (eval.Instance, error) {
 	rels := make(eval.Relations)
 	for _, va := range rw.ViewAtoms {
@@ -699,47 +710,71 @@ func (l layeredInstance) Relation(name string) *storage.Relation {
 	return l.base.Relation(name)
 }
 
-// touchVersion records a use of the versioned cache namespace ver and,
-// past maxVersionGenerations distinct namespaces, evicts the coldest
-// one's entries from every cache. In-flight cites of an evicted version
-// keep the entry pointers they already hold (the same orphan semantics
-// as InvalidateCache), their later fills cache nothing (versionLive),
-// and later demand re-materializes.
-func (g *Generator) touchVersion(ver int) {
+// cacheKey returns the cache key of name for a lookup at ver against db,
+// with the deps the entry records. A head key (ver 0) leaves deps to be
+// computed on a miss; a versioned key needs them up front, because they
+// decide its origin (originOf).
+func cacheKey(db *storage.Database, ver int, name string, deps func() []string) (genKey, func() []string) {
+	if ver <= 0 {
+		return genKey{0, name}, deps
+	}
+	d := deps()
+	return genKey{originOf(db, d), name}, func() []string { return d }
+}
+
+// touchVersion records a use of committed version ver, whose snapshot is
+// db, and past maxVersionGenerations distinct versions evicts the
+// coldest: every versioned entry that no remaining version maps to leaves
+// every cache, while entries the evicted version shared with a live one
+// stay. In-flight cites of an evicted version keep the entry pointers
+// they already hold (the same orphan semantics as InvalidateCache), their
+// later fills cache nothing unless a live version maps to them (keyLive),
+// and later demand recomputes.
+func (g *Generator) touchVersion(ver int, db *storage.Database) {
 	if ver <= 0 {
 		return
 	}
-	evict := -1
 	g.verMu.Lock()
-	for i, v := range g.verUse {
-		if v == ver {
-			g.verUse = append(append(g.verUse[:i:i], g.verUse[i+1:]...), ver)
-			g.verMu.Unlock()
-			return
-		}
+	if i := slices.IndexFunc(g.verUse, func(u liveVersion) bool { return u.ver == ver }); i >= 0 {
+		u := g.verUse[i]
+		g.verUse = append(slices.Delete(g.verUse, i, i+1), u)
+		g.verMu.Unlock()
+		return
 	}
-	g.verUse = append(g.verUse, ver)
-	if len(g.verUse) > maxVersionGenerations {
-		evict = g.verUse[0]
-		g.verUse = append([]int(nil), g.verUse[1:]...)
+	g.verUse = append(g.verUse, liveVersion{ver, db})
+	if len(g.verUse) <= maxVersionGenerations {
+		g.verMu.Unlock()
+		return
 	}
+	g.verUse = slices.Delete(g.verUse, 0, 1)
+	live := slices.Clone(g.verUse)
 	g.verMu.Unlock()
-	if evict >= 0 {
-		for _, c := range g.caches() {
-			c.drop(func(k genKey, _ []string) bool { return k.ver == evict })
-		}
+	for _, c := range g.caches() {
+		c.drop(func(k genKey, deps []string) bool { return k.origin > 0 && !mapsTo(live, k, deps) })
 	}
 }
 
-// versionLive reports whether the versioned namespace ver is retained.
-func (g *Generator) versionLive(ver int) bool {
+// keyLive reports whether some retained version maps an entry with deps
+// to key — the admission test for a versioned fill.
+func (g *Generator) keyLive(key genKey, deps []string) bool {
 	g.verMu.Lock()
 	defer g.verMu.Unlock()
-	return slices.Contains(g.verUse, ver)
+	return mapsTo(g.verUse, key, deps)
+}
+
+// mapsTo reports whether any of the versions maps an entry with deps to
+// key.
+func mapsTo(vers []liveVersion, key genKey, deps []string) bool {
+	for _, u := range vers {
+		if originOf(u.db, deps) == key.origin {
+			return true
+		}
+	}
+	return false
 }
 
 // materializeAt evaluates the named view over db with singleflight caching
-// under the (ver, name) key: under concurrent demand exactly one goroutine
+// at ver (see cacheKey): under concurrent demand exactly one goroutine
 // performs the evaluation, the rest block until the instance is ready.
 // Materialization always runs to completion — it is shared work, so no
 // caller's context may cancel it for the others. A failed materialization
@@ -752,8 +787,8 @@ func (g *Generator) materializeAt(ctx context.Context, db *storage.Database, ver
 	_, sp := trace.StartSpan(ctx, "views")
 	defer sp.End()
 	sp.Set("view", viewName)
-	rel, hit, err := g.views.get(genKey{ver, viewName},
-		func() []string { return g.reg.QueryDeps(viewName) },
+	key, deps := cacheKey(db, ver, viewName, func() []string { return g.reg.QueryDeps(viewName) })
+	rel, hit, err := g.views.get(key, deps,
 		func() (*storage.Relation, error) { return g.materializeView(db, viewName) })
 	if hit {
 		sp.Set("cache", "hit")
@@ -820,13 +855,13 @@ func (g *Generator) annotator(rw *rewrite.Rewriting) (func(pred string, t storag
 // resolverAt returns a caching policy.Resolver that evaluates a view's
 // citation queries over db with the atom's parameter values and applies
 // the view's citation function. The cache is shared across concurrent
-// Cite calls under the (ver, atom) key and singleflight: a hot atom
-// demanded by many citers at once is resolved by exactly one of them
-// (failures are evicted so they retry).
+// Cite calls, keyed by atom at ver (see cacheKey), and singleflight: a
+// hot atom demanded by many citers at once is resolved by exactly one of
+// them (failures are evicted so they retry).
 func (g *Generator) resolverAt(db *storage.Database, ver int, stats *Stats) policy.Resolver {
 	return func(a citeexpr.Atom) (format.Record, error) {
-		rec, hit, err := g.atoms.get(genKey{ver, a.Key()},
-			func() []string { return g.reg.CitationDeps(a.View) },
+		key, deps := cacheKey(db, ver, a.Key(), func() []string { return g.reg.CitationDeps(a.View) })
+		rec, hit, err := g.atoms.get(key, deps,
 			func() (format.Record, error) { return g.resolveAtom(db, a) })
 		if !hit && err == nil && stats != nil {
 			stats.AtomsResolved++
@@ -858,7 +893,7 @@ func (g *Generator) IsMaterialized(name string) bool {
 func (g *Generator) InvalidateAtoms(view string) {
 	prefix := "C" + view
 	g.atoms.drop(func(k genKey, _ []string) bool {
-		return k.ver == 0 && strings.HasPrefix(k.name, prefix) &&
+		return k.origin == 0 && strings.HasPrefix(k.name, prefix) &&
 			(len(k.name) == len(prefix) || k.name[len(prefix)] == '(')
 	})
 }
@@ -870,7 +905,7 @@ func (g *Generator) InvalidateAtoms(view string) {
 // that the delta may have changed.
 func (g *Generator) InvalidateBranches(rel string) {
 	g.branches.drop(func(k genKey, deps []string) bool {
-		return k.ver == 0 && slices.Contains(deps, rel)
+		return k.origin == 0 && slices.Contains(deps, rel)
 	})
 }
 

@@ -182,24 +182,27 @@ func TestInvalidateAtomsScopedToView(t *testing.T) {
 	_ = res
 }
 
-// TestEvictedVersionFillNotRetained pins the version-namespace bound
+// TestEvictedVersionFillNotRetained pins the version retention bound
 // against a late fill. A cite touches its version once, at its start, and
-// fills the caches later; other cites may push that namespace out of the
-// LRU in between. The late fill must still answer, but must not cache
-// into the evicted namespace: no later eviction would ever reach the
-// entry, and memory would escape maxVersionGenerations.
+// fills the caches later; other cites may push the version out of the
+// LRU in between. The late fill must still answer, but must cache
+// nothing when no live version maps to its key: no later eviction would
+// ever reach the entry, and memory would escape maxVersionGenerations.
+// Every version here changes every relation, so no key is shared.
 func TestEvictedVersionFillNotRetained(t *testing.T) {
 	g := paperGenerator(t)
-	db := g.Database()
 	res, err := g.Cite(cq.MustParse(paperQueryText))
 	if err != nil {
 		t.Fatal(err)
 	}
 	atom := citeexpr.NewAtom("V1", value.Int(11))
+	n := maxVersionGenerations + 1
+	vers := commitHistory(t, g, n, "Family", "Committee", "FamilyIntro")
 
 	// fillTwice fills the view, atom and branch caches at ver, repeats the
 	// lookups, and reports which of the repeats the cache served.
 	fillTwice := func(ver int) (viewHit, atomHit, branchHit bool) {
+		db := vers[ver-1]
 		var st Stats
 		resolve := g.resolverAt(db, ver, &st)
 		for round := 0; round < 2; round++ {
@@ -227,15 +230,14 @@ func TestEvictedVersionFillNotRetained(t *testing.T) {
 		return viewHit, st.AtomsResolved == 1, branchHit
 	}
 
-	g.touchVersion(1)
-	for v := 2; v <= maxVersionGenerations+1; v++ {
-		g.touchVersion(v)
+	for v := 1; v <= n; v++ {
+		g.touchVersion(v, vers[v-1])
 	}
 	if v, a, b := fillTwice(1); v || a || b {
-		t.Errorf("fill into evicted namespace 1 was cached: view %v, atom %v, branch %v", v, a, b)
+		t.Errorf("fill for evicted version 1 was cached: view %v, atom %v, branch %v", v, a, b)
 	}
-	if v, a, b := fillTwice(maxVersionGenerations + 1); !v || !a || !b {
-		t.Errorf("fill into live namespace not cached: view %v, atom %v, branch %v", v, a, b)
+	if v, a, b := fillTwice(n); !v || !a || !b {
+		t.Errorf("fill for live version %d not cached: view %v, atom %v, branch %v", n, v, a, b)
 	}
 }
 

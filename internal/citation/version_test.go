@@ -1,0 +1,242 @@
+package citation
+
+// Tests and benchmarks of versioned (time-travel) caching: entries are
+// keyed by the snapshot content they read, so versions that share a
+// relation share the entries computed from it.
+
+import (
+	"context"
+	"fmt"
+	"sync"
+	"testing"
+
+	"repro/internal/cq"
+	"repro/internal/format"
+	"repro/internal/gtopdb"
+	"repro/internal/storage"
+	"repro/internal/trace"
+	"repro/internal/value"
+)
+
+// commitHistory freezes n versions of g's head database, the first as it
+// is and each later one after adding one fresh tuple to every relation in
+// change (Family, Committee or FamilyIntro). vers[v-1] is version v.
+func commitHistory(t testing.TB, g *Generator, n int, change ...string) []*storage.Database {
+	t.Helper()
+	head := g.Database()
+	vers := make([]*storage.Database, 0, n)
+	for v := 1; v <= n; v++ {
+		if v > 1 {
+			id := value.Int(int64(100 + v))
+			for _, rel := range change {
+				var tup storage.Tuple
+				switch rel {
+				case "Family":
+					tup = storage.Tuple{id, value.String(fmt.Sprintf("Family %d", v)), value.String("added")}
+				case "Committee":
+					tup = storage.Tuple{value.Int(11), value.String(fmt.Sprintf("Member %d", v))}
+				case "FamilyIntro":
+					tup = storage.Tuple{id, value.String(fmt.Sprintf("Intro %d", v))}
+				default:
+					t.Fatalf("commitHistory: no fresh tuple for %s", rel)
+				}
+				if _, err := head.Relation(rel).Insert(tup); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		vers = append(vers, head.Snapshot())
+	}
+	return vers
+}
+
+// resultText canonicalizes a Result for byte-identity comparison.
+func resultText(t testing.TB, res *Result) string {
+	t.Helper()
+	rec, err := res.Record.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := res.Expr.String() + "\n" + string(rec)
+	for _, tc := range res.Tuples {
+		tr, err := tc.Record.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out += "\n" + tc.Tuple.String() + "|" + tc.Expr.String() + "|" + tc.Selected.String() + "|" + string(tr)
+	}
+	return out
+}
+
+// TestVersionSweepSharesUnchangedViews: across 12 versions that change
+// only Family, a view over FamilyIntro alone is materialized once — even
+// though the sweep passes maxVersionGenerations — while the views over
+// Family are materialized once per version, and every version's citation
+// is byte-identical to a fresh generator's.
+func TestVersionSweepSharesUnchangedViews(t *testing.T) {
+	g := paperGenerator(t)
+	const n = 12
+	vers := commitHistory(t, g, n, "Family")
+	introQuery := "Q(Text) :- FamilyIntro(FID, Text)"
+	misses := make(map[any]int) // view name -> materializations
+	for v := 1; v <= n; v++ {
+		req := Request{DB: vers[v-1], Version: v}
+		for _, src := range []string{introQuery, paperQueryText} {
+			tr := trace.New("cite")
+			res, err := g.CiteContext(trace.NewContext(context.Background(), tr), cq.MustParse(src), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr.Finish()
+			tr.Root().Visit(func(s *trace.Span) {
+				if c, _ := s.Attr("cache"); s.Name() == "views" && c == "miss" {
+					view, _ := s.Attr("view")
+					misses[view]++
+				}
+			})
+			fresh, err := NewGenerator(g.Registry(), g.Database()).CiteContext(context.Background(), cq.MustParse(src), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := resultText(t, res), resultText(t, fresh); got != want {
+				t.Errorf("version %d, %s:\n got %s\nwant %s", v, src, got, want)
+			}
+		}
+	}
+	if misses["V3"] != 1 {
+		t.Errorf("V3 (FamilyIntro only) materialized %d times over %d versions, want 1", misses["V3"], n)
+	}
+	if misses["V2"] != n {
+		t.Errorf("V2 (Family) materialized %d times over %d versions, want %d", misses["V2"], n, n)
+	}
+}
+
+// TestConcurrentVersionSweep cites 12 versions that change only Family
+// from several goroutines at once, so fills, shared hits and evictions
+// of the version LRU interleave (meaningful under -race); every answer
+// must equal a fresh generator's citation of that version.
+func TestConcurrentVersionSweep(t *testing.T) {
+	g := paperGenerator(t)
+	const n = 12
+	vers := commitHistory(t, g, n, "Family")
+	q := cq.MustParse(paperQueryText)
+	want := make([]string, n)
+	for v := 1; v <= n; v++ {
+		res, err := NewGenerator(g.Registry(), g.Database()).CiteContext(context.Background(), q, Request{DB: vers[v-1], Version: v})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[v-1] = resultText(t, res)
+	}
+	const workers, cites = 4, 3 * n
+	got := make([][]*Result, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < cites; i++ {
+				v := 1 + (i*(w+1)+w)%n
+				res, err := g.CiteContext(context.Background(), q, Request{DB: vers[v-1], Version: v})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[w] = append(got[w], res)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := range got {
+		for i, res := range got[w] {
+			v := 1 + (i*(w+1)+w)%n
+			if text := resultText(t, res); text != want[v-1] {
+				t.Errorf("worker %d, version %d:\n got %s\nwant %s", w, v, text, want[v-1])
+			}
+		}
+	}
+}
+
+// TestVersionedCiteNeedsFrozenSnapshot: a versioned request over a
+// mutable database is refused, since its content cannot key a cache entry.
+func TestVersionedCiteNeedsFrozenSnapshot(t *testing.T) {
+	g := paperGenerator(t)
+	if _, err := g.CiteContext(context.Background(), cq.MustParse(paperQueryText), Request{Version: 1}); err == nil {
+		t.Error("versioned cite of the mutable head accepted")
+	}
+}
+
+// BenchmarkVersionSweep cites the four query shapes of the serving
+// benchmark's history traffic across 32 committed versions of a
+// 500-family GtoPdb instance that differ only in Family, one sweep per
+// iteration over one long-lived generator. The sweep touches 32 versions,
+// more than maxVersionGenerations, so views over Family re-materialize on
+// every sweep while those over Target and FamilyIntro are shared by
+// every version.
+func BenchmarkVersionSweep(b *testing.B) {
+	const versions, families = 32, 500
+	cfg := gtopdb.DefaultConfig()
+	cfg.Families = families
+	db := gtopdb.Generate(cfg)
+	reg := NewRegistry(db.Schema())
+	title := format.NewRecord(format.FieldDatabase, gtopdbTitle)
+	for _, v := range []struct {
+		view, cite string
+		fields     []string
+		static     format.Record
+	}{
+		{"lambda FID. FamilyView(FID, FName, Desc) :- Family(FID, FName, Desc)",
+			"lambda FID. CFam(FID, PName) :- Committee(FID, PName)",
+			[]string{format.FieldIdentifier, format.FieldAuthor}, title},
+		{"FamilyAll(FID, FName, Desc) :- Family(FID, FName, Desc)",
+			"CAll(D) :- D = '" + gtopdbTitle + "'", []string{format.FieldDatabase}, nil},
+		{"IntroView(FID, Text) :- FamilyIntro(FID, Text)",
+			"CIntro(D) :- D = '" + gtopdbTitle + "'", []string{format.FieldDatabase}, nil},
+		{"lambda TID. TargetView(TID, FID, TName, Type) :- Target(TID, FID, TName, Type)",
+			"lambda TID. CTgt(TID, CName) :- Contributor(TID, CName)",
+			[]string{format.FieldIdentifier, format.FieldAuthor}, title},
+	} {
+		reg.MustAdd(&View{
+			Query:     cq.MustParse(v.view),
+			Citations: []*CitationQuery{{Query: cq.MustParse(v.cite), Fields: v.fields}},
+			Static:    v.static,
+		})
+	}
+	snaps := make([]*storage.Database, 0, versions)
+	for v := 1; v <= versions; v++ {
+		if v > 1 {
+			fid := int64(families + v)
+			if err := db.Insert("Family", value.Int(fid), value.String(fmt.Sprintf("Family added in release %d", v)), value.String("added")); err != nil {
+				b.Fatal(err)
+			}
+		}
+		snaps = append(snaps, db.Snapshot())
+	}
+	shapes := []string{
+		"Q(FName, Desc) :- Family(%[1]d, FName, Desc)",
+		"Q(FName, Text) :- Family(%[1]d, FName, Desc), FamilyIntro(%[1]d, Text)",
+		"Q(TName, Type) :- Target(%[1]d, FID, TName, Type)",
+		"Q(FName, TName) :- Target(%[1]d, FID, TName, Type), Family(FID, FName, Desc)",
+	}
+	g := NewGenerator(reg, db)
+	g.Parallelism = 1
+	sweep := func(i int) {
+		for v := 1; v <= versions; v++ {
+			for s, shape := range shapes {
+				// Constants advance with every cite, so consecutive sweeps
+				// cite different queries and mostly miss the branch cache.
+				id := 1 + (i*versions*len(shapes)+v*len(shapes)+s)%families
+				q := cq.MustParse(fmt.Sprintf(shape, id))
+				if _, err := g.CiteContext(context.Background(), q, Request{DB: snaps[v-1], Version: v}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	sweep(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sweep(i + 1)
+	}
+}

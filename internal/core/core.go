@@ -12,7 +12,6 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/citation"
@@ -46,12 +45,11 @@ import (
 type System struct {
 	// mu is the engine-wide readers/writer lock: head-targeting
 	// Cite-family calls hold it shared, state-changing calls (Commit,
-	// DefineView, SetPolicyNamed, SetParallelism) hold it exclusively.
-	// AtVersion cites do not take it at all.
+	// DefineView, SetPolicyNamed) hold it exclusively. AtVersion cites do
+	// not take it at all.
 	mu    sync.RWMutex
-	epoch int64        // monotonic version token, bumped by every invalidating change
-	cfg   int64        // configuration generation: bumped by SetPolicyNamed/DefineView only, NOT by Commit
-	par   atomic.Int32 // default parallelism (0 = GOMAXPROCS); atomic so lock-free versioned cites read it
+	epoch int64 // monotonic version token, bumped by every invalidating change
+	cfg   int64 // configuration generation: bumped by SetPolicyNamed/DefineView only, NOT by Commit
 	store *fixity.Store
 	reg   *citation.Registry
 	gen   *citation.Generator
@@ -185,8 +183,8 @@ func (s *System) Database() *storage.Database { return s.store.Head() }
 // outcome of a citation — Commit, DefineView and SetPolicyNamed — atomically
 // with the change itself (the bump happens under the exclusive system
 // lock, so a Cite that observes epoch e computes against state no older
-// than e). SetParallelism does NOT bump the epoch: it only changes how
-// work is scheduled, never what a citation contains. External result
+// than e). The per-call WithParallelism option changes only how work is
+// scheduled, never what a citation contains. External result
 // caches key head results on this token: an entry cached at epoch e is
 // never served once the epoch has moved on, which is the server-cache
 // invalidation rule documented in DESIGN.md §3. Results of AtVersion
@@ -230,35 +228,6 @@ func (s *System) Epochs() (epoch, config int64, store fixity.Version) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.epoch, s.cfg, s.store.Latest()
-}
-
-// SetParallelism sets the *default* bound for the worker pools used by
-// the citation engine — the per-query rewriting evaluation and the
-// CiteAll batch fan-out — used by calls that carry no WithParallelism
-// option (which always takes precedence). 0 (the default) means
-// GOMAXPROCS; 1 forces fully sequential evaluation, which is useful to
-// compare parallel and sequential citation output.
-//
-// SetParallelism does NOT bump Version(): parallel and sequential
-// evaluation produce structurally identical citations (DESIGN.md §3), so
-// cached results stay valid across the change.
-//
-// Deprecated: SetParallelism mutates process-global state; new code
-// should pass WithParallelism to CiteContext for per-call control.
-func (s *System) SetParallelism(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.par.Store(int32(n))
-	s.gen.Parallelism = n
-}
-
-// parallelism resolves the effective default fan-out width, lock-free so
-// versioned cites never wait on the engine lock.
-func (s *System) parallelism() int {
-	if n := s.par.Load(); n > 0 {
-		return int(n)
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // DefineView parses and registers a citation view in one step: viewSrc is
@@ -475,7 +444,7 @@ func (s *System) CiteQuery(q *cq.Query) (*Citation, error) {
 // Head-targeting calls hold the system lock shared, exactly like Cite.
 // AtVersion calls do not take the engine lock at all: the target snapshot
 // is immutable, the registry serializes internally, and the generator's
-// version-keyed caches are never invalidated — so a concurrent Commit
+// versioned cache entries are never invalidated — so a concurrent Commit
 // neither blocks a time-travel cite nor evicts its cache entries.
 func (s *System) CiteQueryContext(ctx context.Context, q *cq.Query, opts ...CiteOption) (*Citation, error) {
 	cfg := resolveOptions(opts)
@@ -486,9 +455,6 @@ func (s *System) CiteQueryContext(ctx context.Context, q *cq.Query, opts ...Cite
 		Policy:      cfg.policy,
 		Method:      cfg.method,
 		Parallelism: cfg.parallelism,
-	}
-	if req.Parallelism <= 0 {
-		req.Parallelism = s.parallelism()
 	}
 
 	if cfg.version > 0 {
@@ -541,12 +507,13 @@ func (s *System) CiteQueryContext(ctx context.Context, q *cq.Query, opts ...Cite
 }
 
 // CiteAll generates citations for a batch of queries with bounded
-// parallelism (SetParallelism; default GOMAXPROCS). Results are positional:
-// out[i] is the citation of queries[i]. The queries share one cache
-// generation, so a view referenced by many batch members is materialized
-// once (singleflight) and its citation records are resolved once. On error
-// the first failure in query order is returned along with the partial
-// results (failed or unprocessed positions are nil).
+// parallelism (GOMAXPROCS workers; CiteAllContext takes WithParallelism).
+// Results are positional: out[i] is the citation of queries[i]. The
+// queries share one cache generation, so a view referenced by many batch
+// members is materialized once (singleflight) and its citation records
+// are resolved once. On error the first failure in query order is
+// returned along with the partial results (failed or unprocessed
+// positions are nil).
 //
 // Each query acquires the system lock independently: a batch does not
 // starve Commit, and a Commit that lands mid-batch is observed by the
@@ -613,13 +580,13 @@ func (s *System) CiteEachContext(ctx context.Context, queries []string, opts ...
 }
 
 // citeBatch cites every non-nil query over a worker pool bounded by the
-// per-call (or system) parallelism, writing results and errors
+// per-call parallelism (default GOMAXPROCS), writing results and errors
 // positionally. Positions with a nil query (parse failures recorded by
 // the caller) are skipped.
 func (s *System) citeBatch(ctx context.Context, qs []*cq.Query, out []*Citation, errs []error, opts []CiteOption) {
 	workers := resolveOptions(opts).parallelism
 	if workers <= 0 {
-		workers = s.parallelism()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > len(qs) {
 		workers = len(qs)

@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/durable"
@@ -431,5 +433,52 @@ func TestDurableRefusesUnjournaledCommit(t *testing.T) {
 	}
 	if re.Store().Latest() != 1 {
 		t.Fatalf("recovered latest = %d, want 1", re.Store().Latest())
+	}
+}
+
+// TestDurableRecoverySharesUnchangedRelations: a system recovered with
+// Open — checkpointed versions plus a replayed log tail — shares each
+// unchanged relation across its versions exactly as the live system did,
+// so versioned cache entries keep serving every version that shares
+// their inputs after a restart.
+func TestDurableRecoverySharesUnchangedRelations(t *testing.T) {
+	sys, dir := durableSystem(t, DurableOptions{})
+	buildDurableHistory(t, sys)
+	if err := sys.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Insert("FamilyIntro", []storage.Tuple{{value.Int(13), value.String("3rd")}}); err != nil {
+		t.Fatal(err)
+	}
+	sys.Commit("v4")
+	sys.Commit("v5 (no data change)")
+
+	// sharing lists, per version after the first and per relation,
+	// whether the version holds the same frozen relation as its
+	// predecessor.
+	sharing := func(s *System) []string {
+		var out []string
+		for v := fixity.Version(2); v <= s.Store().Latest(); v++ {
+			prev, _ := s.Store().At(v - 1)
+			cur, _ := s.Store().At(v)
+			for _, name := range cur.Schema().Names() {
+				out = append(out, fmt.Sprintf("v%d %s shared=%v", v, name, prev.Relation(name) == cur.Relation(name)))
+			}
+		}
+		return out
+	}
+	want := sharing(sys)
+	if !slices.Contains(want, "v2 FamilyIntro shared=true") || !slices.Contains(want, "v4 FamilyIntro shared=false") {
+		t.Fatalf("live history does not share as expected: %v", want)
+	}
+	if err := sys.CloseDurability(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(dir, DurableOptions{ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sharing(re); !slices.Equal(got, want) {
+		t.Errorf("recovered sharing differs:\n got %v\nwant %v", got, want)
 	}
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // CiteOption is a per-call request parameter for the CiteContext family.
-// Options override the system-wide defaults (SetPolicyNamed, SetParallelism,
-// the generator's Method) for one call only — two concurrent requests
+// Options override the system-wide defaults (SetPolicyNamed, the
+// generator's Method, GOMAXPROCS workers) for one call only — two concurrent requests
 // with different options never observe each other, which is what makes
 // the option form safe for serving many tenants off one System where the
 // mutable global setters are not.
@@ -39,7 +39,7 @@ func resolveOptions(opts []CiteOption) citeConfig {
 // mutable head. The result is byte-identical to the citation that was (or
 // would have been) generated while v was the head, and it stays available
 // forever: committed snapshots cannot change, so the engine's
-// version-keyed caches never invalidate them and a concurrent Commit
+// versioned caches never invalidate them and a concurrent Commit
 // neither blocks the call nor evicts its cache entries. Citing a version
 // that was never committed fails with ErrUnknownVersion.
 func AtVersion(v fixity.Version) CiteOption {
@@ -57,9 +57,12 @@ func WithRewriteMethod(m rewrite.Method) CiteOption {
 	return func(c *citeConfig) { c.method = &m }
 }
 
-// WithParallelism bounds this call's worker pools, taking precedence over
-// the SetParallelism default. 1 forces fully sequential evaluation; 0 (or
-// omitting the option) falls back to the system default.
+// WithParallelism bounds this call's worker pools — the per-query
+// rewriting evaluation and the CiteAll/CiteEach batch fan-out. 1 forces
+// fully sequential evaluation; 0 (or omitting the option) means
+// GOMAXPROCS. Parallel and sequential evaluation produce structurally
+// identical citations (DESIGN.md §3), so the option never changes a
+// result and bumps no epoch.
 func WithParallelism(n int) CiteOption {
 	return func(c *citeConfig) { c.parallelism = n }
 }

@@ -118,6 +118,11 @@ type Options struct {
 	// /debug/querystats. 0 means qstats.DefaultK (256); negative
 	// disables the store (the endpoint then answers 404).
 	QueryStats int
+	// Parallelism bounds the engine's worker pools for every cite the
+	// server makes — a batch's fan-out and each query's rewriting
+	// evaluation — through core.WithParallelism. 0 means GOMAXPROCS; 1
+	// forces sequential evaluation. Results are identical either way.
+	Parallelism int
 }
 
 // Server serves a core.System over HTTP. Create with New, mount via
@@ -137,8 +142,8 @@ type Server struct {
 
 	// citer computes a batch of citations with per-query errors, against
 	// the head when version is 0 or the committed snapshot otherwise. It
-	// defaults to sys.CiteEachContext (+ AtVersion); tests substitute
-	// instrumented or slow implementations.
+	// defaults to sys.CiteEachContext (+ AtVersion, WithParallelism);
+	// tests substitute instrumented or slow implementations.
 	citer func(ctx context.Context, queries []string, version fixity.Version) ([]*core.Citation, []error)
 
 	// computeWG tracks detached cache-fill computations so Shutdown can
@@ -189,10 +194,14 @@ func New(sys *core.System, opts Options) *Server {
 		s.qstats = qstats.NewStore(opts.QueryStats)
 	}
 	s.citer = func(ctx context.Context, queries []string, version fixity.Version) ([]*core.Citation, []error) {
+		var citeOpts []core.CiteOption
 		if version > 0 {
-			return sys.CiteEachContext(ctx, queries, core.AtVersion(version))
+			citeOpts = append(citeOpts, core.AtVersion(version))
 		}
-		return sys.CiteEachContext(ctx, queries)
+		if par := s.opts.Parallelism; par > 0 {
+			citeOpts = append(citeOpts, core.WithParallelism(par))
+		}
+		return sys.CiteEachContext(ctx, queries, citeOpts...)
 	}
 	if opts.MaxInFlight > 0 {
 		s.sem = make(chan struct{}, opts.MaxInFlight)

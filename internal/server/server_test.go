@@ -1124,3 +1124,28 @@ func TestIngestScopedPurge(t *testing.T) {
 		t.Errorf("family cite after no-op ingest: cache %q, want hit", fam.Result.Cache)
 	}
 }
+
+// TestParallelismOptionSameCitation: Options.Parallelism only schedules
+// engine work, so a sequential server answers head and versioned cites
+// with the same citations as a default one.
+func TestParallelismOptionSameCitation(t *testing.T) {
+	_, def := paperServer(t, Options{})
+	_, seq := paperServer(t, Options{Parallelism: 1})
+	for _, path := range []string{"/cite", "/cite?version=1"} {
+		var texts []string
+		for _, ts := range []*httptest.Server{def, seq} {
+			resp, body := postJSON(t, ts.Client(), ts.URL+path, citeRequest{Query: paperQuery})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", path, resp.StatusCode, body)
+			}
+			var out citeResponse
+			if err := json.Unmarshal(body, &out); err != nil {
+				t.Fatal(err)
+			}
+			texts = append(texts, out.Result.Text)
+		}
+		if texts[0] != texts[1] {
+			t.Errorf("%s: parallelism 1 cites %q, default %q", path, texts[1], texts[0])
+		}
+	}
+}

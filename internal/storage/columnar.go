@@ -21,10 +21,9 @@ import (
 // generation it was built from and dropped by the next mutation, so a
 // stale block is never served (see Relation.ColumnarBlock).
 type ColBlock struct {
-	gen    uint64 // Relation.statsGen at build time (mutable sources only)
-	frozen bool   // built from (or inherited by) a frozen snapshot
-	rows   []Tuple
-	cols   []colVec
+	gen  uint64 // Relation.statsGen at build time (mutable sources only)
+	rows []Tuple
+	cols []colVec
 }
 
 // colVec is one column of a ColBlock.
@@ -135,7 +134,7 @@ func (r *Relation) buildColumnar() *ColBlock {
 
 	// Tuples are never mutated in place, so encoding proceeds without the
 	// lock; the generation check below catches membership changes.
-	blk := &ColBlock{gen: gen, frozen: r.frozen, rows: rows, cols: make([]colVec, r.schema.Arity())}
+	blk := &ColBlock{gen: gen, rows: rows, cols: make([]colVec, r.schema.Arity())}
 	var dictBytes, codeBytes uint64
 	for col := range blk.cols {
 		cv := &blk.cols[col]

@@ -153,3 +153,130 @@ func TestConcurrentReadersOneWriter(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestSnapshotReusedWhileUnchanged: Snapshot hands out the same frozen
+// object, stamp included, until the source's content changes. No-op
+// writes, index builds and compaction leave the content alone.
+func TestSnapshotReusedWhileUnchanged(t *testing.T) {
+	r := NewRelation(snapSchema().Relation("R"))
+	for i := 0; i < 100; i++ {
+		r.MustInsert(value.Int(int64(i)), value.String("v"))
+	}
+	for i := 0; i < 80; i++ {
+		r.Delete(Tuple{value.Int(int64(i)), value.String("v")})
+	}
+	snap := r.Snapshot()
+	if snap.Stamp() == 0 {
+		t.Fatal("frozen snapshot has no stamp")
+	}
+	if r.Stamp() != 0 {
+		t.Errorf("mutable relation has stamp %d", r.Stamp())
+	}
+	for name, op := range map[string]func(){
+		"no-op insert": func() { r.MustInsert(value.Int(90), value.String("v")) },
+		"EnsureIndex":  func() { r.EnsureIndex(1) },
+		"Compact":      r.Compact,
+	} {
+		op()
+		if got := r.Snapshot(); got != snap {
+			t.Errorf("after %s: new snapshot (stamp %d), want the previous one (stamp %d)", name, got.Stamp(), snap.Stamp())
+		}
+	}
+	if snap.Len() != 20 {
+		t.Errorf("reused snapshot holds %d tuples, want 20", snap.Len())
+	}
+}
+
+// TestSnapshotNewAfterMutation: every content mutation makes the next
+// Snapshot a new frozen object with a newer stamp, and the old one keeps
+// its contents.
+func TestSnapshotNewAfterMutation(t *testing.T) {
+	r := NewRelation(snapSchema().Relation("R"))
+	r.MustInsert(value.Int(1), value.String("a"))
+	r.MustInsert(value.Int(2), value.String("b"))
+	ta := Tuple{value.Int(3), value.String("c")}
+	for _, step := range []struct {
+		name string
+		op   func() error
+	}{
+		{"Insert", func() error { _, err := r.Insert(ta); return err }},
+		{"Delete", func() error { r.Delete(ta); return nil }},
+		{"InsertBatch", func() error { _, err := r.InsertBatch([]Tuple{ta}); return err }},
+		{"DeleteBatch", func() error { _, err := r.DeleteBatch([]Tuple{ta}); return err }},
+	} {
+		prev := r.Snapshot()
+		n := prev.Len()
+		if err := step.op(); err != nil {
+			t.Fatal(err)
+		}
+		next := r.Snapshot()
+		if next == prev {
+			t.Errorf("after %s: Snapshot returned the previous object", step.name)
+			continue
+		}
+		if next.Stamp() <= prev.Stamp() {
+			t.Errorf("after %s: stamp %d not newer than %d", step.name, next.Stamp(), prev.Stamp())
+		}
+		if prev.Len() != n || next.Len() == n {
+			t.Errorf("after %s: previous snapshot %d tuples (want %d), new %d", step.name, prev.Len(), n, next.Len())
+		}
+	}
+}
+
+// TestReusedSnapshotAdoptsHeadBlock: a columnar block the source earns
+// after the first snapshot is adopted by the reused snapshot, instead of
+// the snapshot building a second one.
+func TestReusedSnapshotAdoptsHeadBlock(t *testing.T) {
+	r := NewRelation(snapSchema().Relation("R"))
+	for i := 0; i < 10; i++ {
+		r.MustInsert(value.Int(int64(i)), value.String("v"))
+	}
+	snap := r.Snapshot()
+	blk := r.EnsureColumnar()
+	if blk == nil {
+		t.Fatal("source did not columnarize")
+	}
+	if got := r.Snapshot(); got != snap {
+		t.Fatal("snapshot not reused")
+	}
+	if got := snap.ColumnarBlock(); got != blk {
+		t.Error("reused snapshot did not adopt the source's block")
+	}
+}
+
+// TestConcurrentSnapshotInsert races Snapshot against Insert (meaningful
+// under -race): every snapshot is frozen, holds between the initial and
+// the final tuple count, and two snapshots with equal stamps are the same
+// object.
+func TestConcurrentSnapshotInsert(t *testing.T) {
+	r := NewRelation(snapSchema().Relation("R"))
+	r.MustInsert(value.Int(0), value.String("seed"))
+	const writes = 200
+	var wg sync.WaitGroup
+	snaps := make([][]*Relation, 4)
+	for w := range snaps {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < writes; i++ {
+				snaps[w] = append(snaps[w], r.Snapshot())
+			}
+		}(w)
+	}
+	for i := 1; i <= writes; i++ {
+		r.MustInsert(value.Int(int64(i)), value.String("w"))
+	}
+	wg.Wait()
+	byStamp := make(map[uint64]*Relation)
+	for _, ss := range snaps {
+		for _, s := range ss {
+			if !s.Frozen() || s.Len() < 1 || s.Len() > writes+1 {
+				t.Fatalf("snapshot frozen=%v len=%d", s.Frozen(), s.Len())
+			}
+			if prev, ok := byStamp[s.Stamp()]; ok && prev != s {
+				t.Fatalf("stamp %d names two snapshots", s.Stamp())
+			}
+			byStamp[s.Stamp()] = s
+		}
+	}
+}

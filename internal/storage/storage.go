@@ -15,7 +15,9 @@
 // relations are immutable from birth, so their readers skip locking
 // entirely. The source relation detaches (copies the shared storage) before
 // its next mutation, making snapshot creation O(1) per relation no matter
-// how large the data is.
+// how large the data is. A relation that has not changed since its last
+// snapshot hands out that same frozen object again, so versions share
+// unchanged relations.
 package storage
 
 import (
@@ -127,7 +129,19 @@ type Relation struct {
 	colBlk    atomic.Pointer[ColBlock]
 	colDemand atomic.Uint32
 	colMu     sync.Mutex
+
+	// Snapshot reuse. On a mutable relation, snap is the last frozen
+	// snapshot handed out and snapGen the content generation it froze
+	// (both guarded by mu): while statsGen still equals snapGen, Snapshot
+	// returns snap again. On a frozen relation, stamp is its creation
+	// stamp (see Stamp); 0 on mutable relations.
+	snap    *Relation
+	snapGen uint64
+	stamp   uint64
 }
+
+// snapStamps draws the creation stamps of frozen snapshots.
+var snapStamps atomic.Uint64
 
 // NewRelation creates an empty relation instance for the given schema.
 func NewRelation(rs *schema.Relation) *Relation {
@@ -205,12 +219,33 @@ func (r *Relation) detach() {
 // The snapshot shares backing storage with the source, so creation is O(1);
 // the source copies the storage lazily before its next mutation. Snapshots
 // of a snapshot return the receiver.
+//
+// While the source's content has not mutated since the previous snapshot
+// (index builds, compaction and no-op writes do not count), Snapshot
+// returns that same frozen object, so committed versions share every
+// unchanged relation — its columnar block, distinct-count memo and
+// indexes included — instead of holding one copy per version.
 func (r *Relation) Snapshot() *Relation {
 	if r.frozen {
 		return r
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	// mu is held, so the generation cannot move under the checks below.
+	gen := r.statsGen.Load()
+	blk := r.colBlk.Load()
+	if blk != nil && blk.gen != gen {
+		blk = nil
+	}
+	if snap := r.snap; snap != nil && r.snapGen == gen {
+		// A block the source earned after the first snapshot describes
+		// the same contents; the reused snapshot adopts it unless it has
+		// built its own.
+		if blk != nil && snap.colBlk.CompareAndSwap(nil, blk) {
+			colSnapshots.Add(1)
+		}
+		return snap
+	}
 	r.shared = true
 	snap := &Relation{
 		schema:  r.schema,
@@ -218,17 +253,26 @@ func (r *Relation) Snapshot() *Relation {
 		tuples:  r.tuples,
 		present: r.present,
 		indexes: r.indexes,
+		stamp:   snapStamps.Add(1),
 	}
 	// A columnar block current at snapshot time describes exactly the
 	// contents being frozen, so the snapshot adopts it: commits of a
 	// read-hot head hand out snapshots that are columnar from birth.
-	// mu is held, so the generation cannot move under the check.
-	if blk := r.colBlk.Load(); blk != nil && blk.gen == r.statsGen.Load() {
+	if blk != nil {
 		snap.colBlk.Store(blk)
 		colSnapshots.Add(1)
 	}
+	r.snap, r.snapGen = snap, gen
 	return snap
 }
+
+// Stamp returns a frozen relation's creation stamp: a process-wide
+// counter value drawn when Snapshot created it, never 0. Snapshot hands
+// out a new frozen object, and so a new stamp, only when the source's
+// content changed, so two versions of a relation carry the same stamp
+// exactly when they are the same object. Successive snapshots of one
+// source carry increasing stamps. Mutable relations report 0.
+func (r *Relation) Stamp() uint64 { return r.stamp }
 
 // Len returns the number of live tuples.
 func (r *Relation) Len() int {
@@ -763,7 +807,11 @@ func (db *Database) Clone() *Database {
 // Snapshot returns an immutable copy-on-write view of the database — the
 // cheap versioning primitive behind fixity commits. Creation cost is
 // O(relations), not O(data): each relation shares storage with its
-// snapshot and detaches lazily on its next write. Snapshot readers join
+// snapshot and detaches lazily on its next write, and a relation whose
+// content did not change since the previous Snapshot contributes that
+// snapshot's frozen object again (Relation.Snapshot), so successive
+// versions share their unchanged relations and Relation.Stamp tells
+// which ones changed. Snapshot readers join
 // through whatever access support the source already earned — inherited
 // hash indexes, an inherited columnar block, or the block the planner
 // builds on first access (frozen relations columnarize on demand and keep

@@ -37,7 +37,7 @@ func BenchmarkServerCite(b *testing.B) {
 // endpoint (POST /cite?version=1): the request path adds the version
 // parse + snapshot lookup, keys the result cache by version instead of
 // epoch, and on cold paths cites against the committed snapshot through
-// the generator's version-keyed caches. Tracked beside ServerCite in
+// the generator's versioned caches. Tracked beside ServerCite in
 // BENCH_eval.json so versioned serving cannot silently regress against
 // head serving.
 func BenchmarkVersionedCite(b *testing.B) {

@@ -881,10 +881,12 @@ type TupleIndex struct {
 	mask   uint64
 	hashes []uint64 // hash per id, for cheap rejection and rehashing
 	tuples []storage.Tuple
-	// arena backs cloned tuples in shared chunks, so inserting n distinct
-	// tuples costs ~n/chunk allocations instead of n. Retained tuples
-	// slice into a chunk with capacity == length, so callers appending to
-	// a returned tuple cannot clobber a neighbor.
+	// arena backs cloned tuples in shared chunks that grow with the index
+	// (see clone): a large index costs about one allocation per 1,024
+	// values instead of one per tuple, and a one-tuple index retains one
+	// tuple's values. Retained tuples slice into a chunk with capacity ==
+	// length, so callers appending to a returned tuple cannot clobber a
+	// neighbor.
 	arena []value.Value
 }
 
@@ -973,7 +975,10 @@ func (ix *TupleIndex) insert(t storage.Tuple, clone bool) (int, bool) {
 
 // clone copies t into the index's arena. Indexes are built once and never
 // shrink, so chunks stay reachable exactly as long as the tuples cut from
-// them.
+// them. Each new chunk holds about as many values as the index already
+// has, capped at 1,024. Growth is geometric, so a small answer pins only
+// its own values, where a worst-case chunk would pin 40 KB (1,024 values
+// of 40 B) behind every index that caches hold for a one-tuple answer.
 func (ix *TupleIndex) clone(t storage.Tuple) storage.Tuple {
 	n := len(t)
 	if n == 0 {
@@ -981,11 +986,7 @@ func (ix *TupleIndex) clone(t storage.Tuple) storage.Tuple {
 	}
 	if len(ix.arena) < n {
 		const chunk = 1024
-		sz := chunk
-		if n > sz {
-			sz = n
-		}
-		ix.arena = make([]value.Value, sz)
+		ix.arena = make([]value.Value, max(n, min(chunk, len(ix.tuples)*n)))
 	}
 	out := ix.arena[:n:n]
 	ix.arena = ix.arena[n:]

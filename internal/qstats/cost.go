@@ -2,7 +2,6 @@ package qstats
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cq"
@@ -147,14 +146,17 @@ type fpEntry struct {
 	hash uint64
 }
 
-// fpCache memoizes Parse+Fingerprint per raw query text, copy-on-write
-// like trace.HistogramVec: the warm path (a repeated query string) is
-// one atomic load + map read, no parsing. Bounded by dropping the whole
-// map past maxFPCache — the working set of distinct raw texts re-warms
-// in one round.
+// fpCache memoizes Parse+Fingerprint per raw query text. The warm path
+// (a repeated query string) is one lock-free sync.Map load, no parsing.
+// An insert costs O(1) whatever the memo holds, which matters because
+// the keys are raw texts: under a stream of distinct constants nearly
+// every request inserts. Inserts are counted under mu, and the whole
+// memo is dropped once it holds maxFPCache entries — the working set of
+// distinct raw texts re-warms in one round.
 type fpCache struct {
+	m  sync.Map // raw query text → fpEntry
 	mu sync.Mutex
-	m  atomic.Pointer[map[string]fpEntry]
+	n  int // entries inserted since the last drop; guarded by mu
 }
 
 const maxFPCache = 4096
@@ -246,10 +248,9 @@ func (s *Store) ObserveRequest(tr *trace.Trace, outcomes []Outcome) {
 // fingerprint resolves a raw query text to its constant-normalized
 // fingerprint and constant-binding hash, memoized per text.
 func (s *Store) fingerprint(query string) (string, uint64, bool) {
-	if m := s.fps.m.Load(); m != nil {
-		if e, ok := (*m)[query]; ok {
-			return e.fp, e.hash, e.fp != ""
-		}
+	if v, ok := s.fps.m.Load(query); ok {
+		e := v.(fpEntry)
+		return e.fp, e.hash, e.fp != ""
 	}
 	var e fpEntry
 	if q, err := cq.Parse(query); err == nil {
@@ -259,18 +260,13 @@ func (s *Store) fingerprint(query string) (string, uint64, bool) {
 	// e.fp == "" memoizes the parse failure, so a client hammering one
 	// malformed query does not re-parse it per request.
 	s.fps.mu.Lock()
-	old := s.fps.m.Load()
-	var next map[string]fpEntry
-	if old == nil || len(*old) >= maxFPCache {
-		next = make(map[string]fpEntry, 64)
-	} else {
-		next = make(map[string]fpEntry, len(*old)+1)
-		for k, v := range *old {
-			next[k] = v
-		}
+	if s.fps.n >= maxFPCache {
+		s.fps.m.Clear()
+		s.fps.n = 0
 	}
-	next[query] = e
-	s.fps.m.Store(&next)
+	if _, loaded := s.fps.m.LoadOrStore(query, e); !loaded {
+		s.fps.n++
+	}
 	s.fps.mu.Unlock()
 	return e.fp, e.hash, e.fp != ""
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cq"
 	"repro/internal/trace"
 )
 
@@ -299,14 +300,13 @@ func TestFingerprintMemoization(t *testing.T) {
 	if !ok || fp1 == "" {
 		t.Fatalf("fingerprint failed: %q", fp1)
 	}
-	// Second resolution hits the memo table (same pointer-backed map);
-	// behaviorally: same result.
+	// The second resolution hits the memo and inserts nothing.
 	fp2, h2, ok := s.fingerprint("Q(FName) :- Family(11, FName, Desc)")
 	if !ok || fp1 != fp2 || h1 != h2 {
 		t.Fatalf("memoized resolution differs: %q/%d vs %q/%d", fp1, h1, fp2, h2)
 	}
-	if m := s.fps.m.Load(); m == nil || len(*m) != 1 {
-		t.Fatalf("memo table should hold 1 entry")
+	if n := memoLen(s); n != 1 || s.fps.n != 1 {
+		t.Fatalf("memo holds %d entries (counted %d), want 1", n, s.fps.n)
 	}
 	// Parse failures memoize too (as misses).
 	if _, _, ok := s.fingerprint("not a query"); ok {
@@ -315,7 +315,102 @@ func TestFingerprintMemoization(t *testing.T) {
 	if _, _, ok := s.fingerprint("not a query"); ok {
 		t.Fatal("memoized failure must stay a failure")
 	}
-	if m := s.fps.m.Load(); len(*m) != 2 {
-		t.Fatalf("memo table should hold 2 entries, has %d", len(*m))
+	if n := memoLen(s); n != 2 || s.fps.n != 2 {
+		t.Fatalf("memo holds %d entries (counted %d), want 2", n, s.fps.n)
+	}
+}
+
+// memoLen counts the fingerprint memo's entries.
+func memoLen(s *Store) int {
+	n := 0
+	s.fps.m.Range(func(any, any) bool { n++; return true })
+	return n
+}
+
+// wantFingerprint resolves a text without the memo.
+func wantFingerprint(t testing.TB, query string) (string, uint64) {
+	t.Helper()
+	q, err := cq.Parse(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, consts := q.Fingerprint()
+	return fp, cq.ConstHash(consts)
+}
+
+func TestFingerprintMemoBound(t *testing.T) {
+	s := NewStore(4)
+	text := func(i int) string { return fmt.Sprintf("Q(FName) :- Family(%d, FName, Desc)", i) }
+	for i := 0; i <= maxFPCache; i++ {
+		fp, h, ok := s.fingerprint(text(i))
+		wfp, wh := wantFingerprint(t, text(i))
+		if !ok || fp != wfp || h != wh {
+			t.Fatalf("text %d: got %q/%d, want %q/%d", i, fp, h, wfp, wh)
+		}
+		if s.fps.n > maxFPCache {
+			t.Fatalf("text %d: memo counts %d entries, bound %d", i, s.fps.n, maxFPCache)
+		}
+		if i == maxFPCache-1 {
+			if n := memoLen(s); n != maxFPCache {
+				t.Fatalf("full memo holds %d entries, want %d", n, maxFPCache)
+			}
+		}
+	}
+	// Text maxFPCache found the memo full: the memo was dropped and holds
+	// only that text.
+	if n := memoLen(s); n != 1 || s.fps.n != 1 {
+		t.Fatalf("after the drop the memo holds %d entries (counted %d), want 1", n, s.fps.n)
+	}
+	// A dropped text re-resolves to the same answer.
+	fp, h, ok := s.fingerprint(text(0))
+	if wfp, wh := wantFingerprint(t, text(0)); !ok || fp != wfp || h != wh {
+		t.Fatalf("re-resolved text 0: got %q/%d, want %q/%d", fp, h, wfp, wh)
+	}
+}
+
+// TestFingerprintConcurrent has 8 goroutines fingerprint overlapping
+// windows of texts that together exceed maxFPCache, so loads, inserts
+// and whole-memo drops interleave. Run it under -race.
+func TestFingerprintConcurrent(t *testing.T) {
+	const workers, window, stride = 8, 1024, 512
+	total := stride*(workers-1) + window
+	if total <= maxFPCache {
+		t.Fatalf("%d texts do not overflow the memo (%d)", total, maxFPCache)
+	}
+	texts := make([]string, total)
+	type answer struct {
+		fp   string
+		hash uint64
+	}
+	want := make([]answer, total)
+	for i := range texts {
+		texts[i] = fmt.Sprintf("Q(FName) :- Family(%d, FName, Desc)", i)
+		want[i].fp, want[i].hash = wantFingerprint(t, texts[i])
+	}
+	s := NewStore(4)
+	var wg sync.WaitGroup
+	errs := make(chan string, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(lo int) {
+			defer wg.Done()
+			for pass := 0; pass < 2; pass++ {
+				for i := lo; i < lo+window; i++ {
+					fp, h, ok := s.fingerprint(texts[i])
+					if !ok || fp != want[i].fp || h != want[i].hash {
+						errs <- fmt.Sprintf("text %d: got %q/%d", i, fp, h)
+						return
+					}
+				}
+			}
+		}(w * stride)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	if n := memoLen(s); n > maxFPCache || n != s.fps.n {
+		t.Fatalf("memo holds %d entries (counted %d), bound %d", n, s.fps.n, maxFPCache)
 	}
 }

@@ -20,12 +20,15 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/format"
 	"repro/internal/server"
 )
 
@@ -42,6 +45,112 @@ func BenchmarkServerCite(b *testing.B) {
 // head serving.
 func BenchmarkVersionedCite(b *testing.B) {
 	benchServerCite(b, "/cite?version=1")
+}
+
+// BenchmarkServerCiteDistinct cites a fresh (shape, constant) query per
+// op, so no result, atom or branch cache entry is ever reused and every
+// request pays the full engine path plus the query-statistics store's
+// first sight of a new text. ServerCite's cold mode re-cites the same
+// four queries, so per-query fixed costs — memory sized for the worst
+// case rather than the answer — never show there. Besides B/op it
+// reports retained-KB/query: the live-heap growth across the run (after
+// runtime.GC) divided by b.N, which is what each distinct query leaves
+// behind in the server's caches.
+func BenchmarkServerCiteDistinct(b *testing.B) {
+	const families = 2000
+	sys, err := experiments.GtoPdbSystem(families)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// A per-target view, so the four shapes below are the citeload cold
+	// workload's.
+	if err := sys.DefineView(
+		"lambda TID. TargetView(TID, FID, TName, Type) :- Target(TID, FID, TName, Type)",
+		format.NewRecord(format.FieldDatabase, experiments.GtoPdbTitle),
+		core.CitationSpec{
+			Query:  "lambda TID. CTgt(TID, CName) :- Contributor(TID, CName)",
+			Fields: []string{format.FieldIdentifier, format.FieldAuthor},
+		}); err != nil {
+		b.Fatal(err)
+	}
+	sys.Commit("bench base")
+	srv := server.New(sys, server.Options{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	client := ts.Client()
+
+	shapes := []string{
+		"Q(FName, Desc) :- Family(%[1]d, FName, Desc)",
+		"Q(FName, Text) :- Family(%[1]d, FName, Desc), FamilyIntro(%[1]d, Text)",
+		"Q(TName, Type) :- Target(%[1]d, FID, TName, Type)",
+		"Q(FName, TName) :- Target(%[1]d, FID, TName, Type), Family(FID, FName, Desc)",
+	}
+	// Key i has shape i mod 4 and constant 1 + (i/4 mod families-2), so
+	// keys are distinct until 4·(families-2) ops; the top two constants
+	// are kept for the warm-up.
+	citeBody := func(si, c int) []byte {
+		body, err := json.Marshal(map[string]string{"query": fmt.Sprintf(shapes[si], c)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return body
+	}
+	post := func(body []byte) error {
+		resp, err := client.Post(ts.URL+"/cite", "application/json", bytes.NewReader(body))
+		if err != nil {
+			return err
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("status %d", resp.StatusCode)
+		}
+		return nil
+	}
+	// Warm up with two constants per shape: the first cite of a shape
+	// materializes its views and columnar blocks, and the second pays
+	// the rest of the one-time work a shape's later cites share.
+	var warm [][]byte
+	for si := range shapes {
+		warm = append(warm, citeBody(si, families), citeBody(si, families-1))
+	}
+	warmUp := func() {
+		for _, body := range warm {
+			if err := post(body); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	warmUp()
+	bodies := make([][]byte, b.N)
+	for i := range bodies {
+		bodies[i] = citeBody(i%len(shapes), 1+(i/len(shapes))%(families-2))
+	}
+
+	// Two collections before each heap sample: the first moves sync.Pool
+	// contents to the victim cache, the second frees them. Re-citing the
+	// warm-up (result-cache hits) then refills the pools, so B/op is not
+	// their refill; what the re-cites retain is a fixed few KB, which a
+	// run of a few hundred ops spreads thin.
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	warmUp()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, body := range bodies {
+		if err := post(body); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(bodies) // live in both samples, so they cancel
+	grown := float64(int64(after.HeapAlloc) - int64(before.HeapAlloc))
+	b.ReportMetric(grown/1024/float64(b.N), "retained-KB/query")
 }
 
 func benchServerCite(b *testing.B, path string) {

@@ -188,16 +188,16 @@ func EvalAnnotated[T any](inst Instance, q *cq.Query, sr semiring.Semiring[T], a
 
 // Materialize evaluates q and loads its distinct answers into a fresh
 // relation with the given schema. It is used to materialize view instances
-// before evaluating rewritings over them.
+// before evaluating rewritings over them. Eval's answer is owned and
+// sorted, so the relation takes it whole (storage.InsertOwned): rows in
+// answer order, no per-row clone. A schema mismatch loads nothing.
 func Materialize(inst Instance, q *cq.Query, rs *storage.Relation) error {
 	tuples, err := Eval(inst, q)
 	if err != nil {
 		return err
 	}
-	for _, t := range tuples {
-		if _, err := rs.Insert(t); err != nil {
-			return fmt.Errorf("eval: materializing %s: %w", q.Name, err)
-		}
+	if _, err := rs.InsertOwned(tuples); err != nil {
+		return fmt.Errorf("eval: materializing %s: %w", q.Name, err)
 	}
 	return nil
 }

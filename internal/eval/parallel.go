@@ -131,7 +131,7 @@ func RunAnnotatedParallelCtx[T any](ctx context.Context, p *Plan, sr semiring.Se
 		if r.columnar > total.columnar {
 			total.columnar = r.columnar
 		}
-		for i, t := range r.ix.tuples {
+		for i, t := range r.ix.Tuples() {
 			id, added := total.ix.AddOwned(t)
 			if added {
 				total.anns = append(total.anns, r.anns[i])

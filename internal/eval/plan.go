@@ -675,7 +675,7 @@ func (p *Plan) Eval() []storage.Tuple {
 		ix.Add(st.headBuf)
 		return true
 	})
-	out := ix.tuples
+	out := ix.Tuples()
 	slices.SortFunc(out, storage.Tuple.Compare)
 	return out
 }
@@ -704,7 +704,7 @@ func (p *Plan) EvalContext(ctx context.Context) ([]storage.Tuple, error) {
 	}) {
 		return nil, ctx.Err()
 	}
-	out := ix.tuples
+	out := ix.Tuples()
 	slices.SortFunc(out, storage.Tuple.Compare)
 	return out, nil
 }
@@ -846,8 +846,8 @@ func runAnnotatedLeadingCtx[T any](ctx context.Context, p *Plan, sr semiring.Sem
 
 // finishAnnotated converts an accumulator into the sorted output slice.
 func finishAnnotated[T any](acc *annotAcc[T]) []Annotated[T] {
-	out := make([]Annotated[T], len(acc.ix.tuples))
-	for i, t := range acc.ix.tuples {
+	out := make([]Annotated[T], acc.ix.Len())
+	for i, t := range acc.ix.Tuples() {
 		out[i] = Annotated[T]{Tuple: t, Annotation: acc.anns[i]}
 	}
 	slices.SortFunc(out, func(a, b Annotated[T]) int { return a.Tuple.Compare(b.Tuple) })
@@ -867,142 +867,13 @@ func constantRun[T any](p *Plan, sr semiring.Semiring[T]) []Annotated[T] {
 }
 
 // ---------------------------------------------------------------------------
-// Open-addressed tuple hash table.
+// Tuple hash table.
 
 // TupleIndex deduplicates tuples and assigns each distinct tuple a dense
-// id in insertion order. It replaces map[string] keyed on Tuple.Key():
-// tuples hash directly through value.Hash, so deduplication builds no key
-// strings — neither in the inner join loop here nor in the citation
-// generator's per-branch and result-union bookkeeping. Linear probing over
-// a power-of-two table; the zero value is ready to use. Not safe for
-// concurrent mutation.
-type TupleIndex struct {
-	table  []int32 // id + 1; 0 = empty
-	mask   uint64
-	hashes []uint64 // hash per id, for cheap rejection and rehashing
-	tuples []storage.Tuple
-	// arena backs cloned tuples in shared chunks that grow with the index
-	// (see clone): a large index costs about one allocation per 1,024
-	// values instead of one per tuple, and a one-tuple index retains one
-	// tuple's values. Retained tuples slice into a chunk with capacity ==
-	// length, so callers appending to a returned tuple cannot clobber a
-	// neighbor.
-	arena []value.Value
-}
-
-func hashTuple(t storage.Tuple) uint64 {
-	h := uint64(14695981039346656037)
-	for _, v := range t {
-		h ^= v.Hash()
-		h *= 1099511628211
-	}
-	return h
-}
-
-// Add returns the id of t, inserting a clone if absent; added reports
-// whether the tuple was new. The argument may be a reused buffer — the
-// table never retains it.
-func (ix *TupleIndex) Add(t storage.Tuple) (id int, added bool) {
-	return ix.insert(t, true)
-}
-
-// AddOwned is Add for tuples the caller owns (already cloned, never
-// mutated); the table retains the argument instead of copying it.
-func (ix *TupleIndex) AddOwned(t storage.Tuple) (id int, added bool) {
-	return ix.insert(t, false)
-}
-
-// Get returns the id of t, or ok=false if the tuple was never added.
-func (ix *TupleIndex) Get(t storage.Tuple) (id int, ok bool) {
-	if ix.table == nil {
-		return 0, false
-	}
-	h := hashTuple(t)
-	i := h & ix.mask
-	for {
-		e := ix.table[i]
-		if e == 0 {
-			return 0, false
-		}
-		j := int(e - 1)
-		if ix.hashes[j] == h && ix.tuples[j].Equal(t) {
-			return j, true
-		}
-		i = (i + 1) & ix.mask
-	}
-}
-
-// Len returns the number of distinct tuples added.
-func (ix *TupleIndex) Len() int { return len(ix.tuples) }
-
-// Tuple returns the tuple with the given dense id.
-func (ix *TupleIndex) Tuple(id int) storage.Tuple { return ix.tuples[id] }
-
-// Tuples returns the distinct tuples in insertion order. The slice is the
-// index's backing storage; callers must not mutate it while the index is
-// still in use.
-func (ix *TupleIndex) Tuples() []storage.Tuple { return ix.tuples }
-
-func (ix *TupleIndex) insert(t storage.Tuple, clone bool) (int, bool) {
-	if ix.table == nil {
-		ix.table = make([]int32, 64)
-		ix.mask = 63
-	}
-	h := hashTuple(t)
-	i := h & ix.mask
-	for {
-		e := ix.table[i]
-		if e == 0 {
-			id := len(ix.tuples)
-			if clone {
-				t = ix.clone(t)
-			}
-			ix.tuples = append(ix.tuples, t)
-			ix.hashes = append(ix.hashes, h)
-			ix.table[i] = int32(id + 1)
-			if len(ix.tuples)*4 >= len(ix.table)*3 {
-				ix.grow()
-			}
-			return id, true
-		}
-		j := int(e - 1)
-		if ix.hashes[j] == h && ix.tuples[j].Equal(t) {
-			return j, false
-		}
-		i = (i + 1) & ix.mask
-	}
-}
-
-// clone copies t into the index's arena. Indexes are built once and never
-// shrink, so chunks stay reachable exactly as long as the tuples cut from
-// them. Each new chunk holds about as many values as the index already
-// has, capped at 1,024. Growth is geometric, so a small answer pins only
-// its own values, where a worst-case chunk would pin 40 KB (1,024 values
-// of 40 B) behind every index that caches hold for a one-tuple answer.
-func (ix *TupleIndex) clone(t storage.Tuple) storage.Tuple {
-	n := len(t)
-	if n == 0 {
-		return storage.Tuple{}
-	}
-	if len(ix.arena) < n {
-		const chunk = 1024
-		ix.arena = make([]value.Value, max(n, min(chunk, len(ix.tuples)*n)))
-	}
-	out := ix.arena[:n:n]
-	ix.arena = ix.arena[n:]
-	copy(out, t)
-	return out
-}
-
-func (ix *TupleIndex) grow() {
-	n := len(ix.table) * 2
-	ix.table = make([]int32, n)
-	ix.mask = uint64(n - 1)
-	for j, h := range ix.hashes {
-		i := h & ix.mask
-		for ix.table[i] != 0 {
-			i = (i + 1) & ix.mask
-		}
-		ix.table[i] = int32(j + 1)
-	}
-}
+// id in insertion order. It is storage's tuple table — the one every
+// relation keeps its rows in — so answers dedup exactly as relations do:
+// by Tuple.Key equality, with no Key string built, neither in the inner
+// join loop here nor in the citation generator's per-branch and
+// result-union bookkeeping. Its tuples are owned clones, so an answer
+// loads into a relation without another copy (Materialize).
+type TupleIndex = storage.TupleIndex

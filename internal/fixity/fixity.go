@@ -11,12 +11,13 @@
 package fixity
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -158,36 +159,48 @@ func (st *Store) History() []VersionInfo {
 }
 
 // Digest computes the canonical SHA-256 digest of a query result: tuples
-// sorted, rendered canonically, and hashed. Two results digest equal iff
-// they are equal as sets.
+// rendered canonically (Tuple.Key), sorted, and hashed. Two results
+// digest equal iff they are equal as sets. The renderings go into one
+// buffer and are sorted as byte spans of it, so no per-tuple string is
+// built.
 func Digest(tuples []storage.Tuple) string {
-	keys := make([]string, len(tuples))
+	var buf []byte
+	spans := make([][2]int, len(tuples))
 	for i, t := range tuples {
-		keys[i] = t.Key()
+		start := len(buf)
+		buf = t.AppendKey(buf)
+		spans[i] = [2]int{start, len(buf)}
 	}
-	sort.Strings(keys)
+	slices.SortFunc(spans, func(a, b [2]int) int {
+		return bytes.Compare(buf[a[0]:a[1]], buf[b[0]:b[1]])
+	})
 	h := sha256.New()
-	for _, k := range keys {
-		h.Write([]byte(k))
-		h.Write([]byte{0})
+	for _, s := range spans {
+		h.Write(buf[s[0]:s[1]])
+		h.Write(keyEnd)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
+
+// keyEnd terminates each tuple's rendering in a digest.
+var keyEnd = []byte{0}
 
 // DatabaseDigest computes the canonical SHA-256 digest of a whole
 // database: relations in schema order, each hashed as its name followed
 // by its tuples in canonical (sorted) order. Two databases digest equal
 // iff every relation is equal as a set. Commit log entries carry this
 // digest so recovery can prove a rebuilt snapshot is byte-equivalent to
-// the one the original process committed.
+// the one the original process committed. Every tuple is rendered into
+// one reused buffer.
 func DatabaseDigest(db *storage.Database) string {
 	h := sha256.New()
+	var buf []byte
 	for _, name := range db.Schema().Names() {
 		h.Write([]byte(name))
 		h.Write([]byte{0xff})
 		for _, t := range db.Relation(name).SortedTuples() {
-			h.Write([]byte(t.Key()))
-			h.Write([]byte{0})
+			buf = append(t.AppendKey(buf[:0]), 0)
+			h.Write(buf)
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))

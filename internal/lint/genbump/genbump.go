@@ -1,6 +1,6 @@
 // Package genbump enforces the storage layer's generation-counter
 // contract: any method that mutates a relation's tuple state (the
-// tuples slice and the present map) must bump the statistics
+// rows table and the live-row count) must bump the statistics
 // generation via bumpStats. The counter is what delta-aware commit
 // invalidation (DESIGN.md §3), columnar-block validity (§10) and the
 // durable layer's bypass detection (§8) all key on — a mutation that
@@ -26,15 +26,17 @@ var Analyzer = &analysis.Analyzer{
 	Name:      "genbump",
 	Directive: "nobump",
 	Doc: "require bumpStats on every method that writes relation " +
-		"tuple state (tuples/present) unless annotated //lint:nobump <reason>",
+		"tuple state (rows/live) unless annotated //lint:nobump <reason>",
 	Run: run,
 }
 
 // tupleStateFields are the fields whose writes constitute a content
-// mutation.
+// mutation. Rows change through methods of the rows table, which this
+// structural check cannot see into, but every insert or delete of a row
+// also moves the live count, so a write to live marks the mutation.
 var tupleStateFields = map[string]bool{
-	"tuples":  true,
-	"present": true,
+	"rows": true,
+	"live": true,
 }
 
 func run(pass *analysis.Pass) error {
@@ -111,7 +113,7 @@ func checkMethod(pass *analysis.Pass, fd *ast.FuncDecl, recv *types.Var) {
 		case *ast.CallExpr:
 			switch fun := ast.Unparen(n.Fun).(type) {
 			case *ast.Ident:
-				// delete(r.present, k) mutates the map in place.
+				// delete(r.rows, k) mutates a map-typed field in place.
 				if fun.Name == "delete" && len(n.Args) == 2 && writesTupleState(pass, n.Args[0], recv) {
 					writes = append(writes, n)
 				}
@@ -146,9 +148,8 @@ func checkMethod(pass *analysis.Pass, fd *ast.FuncDecl, recv *types.Var) {
 	}
 }
 
-// writesTupleState recognizes lvalues of the form r.tuples,
-// r.tuples[i], r.present[k] — a write through the method receiver into
-// tuple state.
+// writesTupleState recognizes lvalues of the form r.rows, r.rows[i],
+// r.live — a write through the method receiver into tuple state.
 func writesTupleState(pass *analysis.Pass, e ast.Expr, recv *types.Var) bool {
 	e = ast.Unparen(e)
 	if ix, ok := e.(*ast.IndexExpr); ok {

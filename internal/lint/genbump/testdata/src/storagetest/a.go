@@ -6,8 +6,8 @@ package storagetest
 import "sync/atomic"
 
 type Relation struct {
-	tuples   []string
-	present  map[string]int
+	rows     map[string]int
+	live     int
 	indexes  map[int][]int
 	statsGen atomic.Uint64
 }
@@ -17,42 +17,42 @@ func (r *Relation) bumpStats() {
 }
 
 func (r *Relation) BadInsert(t string) {
-	r.tuples = append(r.tuples, t) // want `method BadInsert writes relation tuple state without calling bumpStats`
-	r.present[t] = len(r.tuples)   // want `method BadInsert writes relation tuple state without calling bumpStats`
+	r.rows[t] = r.live // want `method BadInsert writes relation tuple state without calling bumpStats`
+	r.live++           // want `method BadInsert writes relation tuple state without calling bumpStats`
 }
 
 func (r *Relation) BadDelete(t string) {
-	delete(r.present, t) // want `method BadDelete writes relation tuple state without calling bumpStats`
+	delete(r.rows, t) // want `method BadDelete writes relation tuple state without calling bumpStats`
 }
 
-func (r *Relation) BadHole(i int) {
-	r.tuples[i] = "" // want `method BadHole writes relation tuple state without calling bumpStats`
+func (r *Relation) BadReset() {
+	r.live = 0 // want `method BadReset writes relation tuple state without calling bumpStats`
 }
 
 func (r *Relation) GoodInsert(t string) {
-	r.tuples = append(r.tuples, t)
-	r.present[t] = len(r.tuples)
+	r.rows[t] = r.live
+	r.live++
 	r.bumpStats()
 }
 
 func (r *Relation) GoodConditional(ts []string) {
 	added := 0
 	for _, t := range ts {
-		if _, ok := r.present[t]; ok {
+		if _, ok := r.rows[t]; ok {
 			continue
 		}
-		r.tuples = append(r.tuples, t)
-		r.present[t] = len(r.tuples)
+		r.rows[t] = r.live + added
 		added++
 	}
 	if added > 0 {
+		r.live += added
 		r.bumpStats()
 	}
 }
 
 func (r *Relation) compact() {
 	//lint:nobump content-preserving reorganization: the tuple set is unchanged
-	r.tuples = append([]string(nil), r.tuples...)
+	r.rows = make(map[string]int, len(r.rows))
 }
 
 // rebuild rewrites tuple state on several lines; the method-level
@@ -60,26 +60,26 @@ func (r *Relation) compact() {
 //
 //lint:nobump content-preserving rewrite: same tuples, fresh backing storage
 func (r *Relation) rebuild() {
-	live := append([]string(nil), r.tuples...)
-	r.tuples = live
-	r.present = make(map[string]int, len(live))
-	for i, t := range live {
-		r.present[t] = i
+	rows := make(map[string]int, len(r.rows))
+	for t, i := range r.rows {
+		rows[t] = i
 	}
+	r.rows = rows
+	r.live = len(rows)
 }
 
 // Index builds touch indexes, not tuple state: no bump required.
 func (r *Relation) buildIndex(col int) {
-	r.indexes[col] = append(r.indexes[col], len(r.tuples))
+	r.indexes[col] = append(r.indexes[col], r.live)
 }
 
 // Writes to a relation under construction (not the receiver) are the
 // caller's problem; the fresh value has generation zero and no caches.
 func (r *Relation) Clone() *Relation {
-	nr := &Relation{present: make(map[string]int)}
-	nr.tuples = append(nr.tuples, r.tuples...)
-	for k, v := range r.present {
-		nr.present[k] = v
+	nr := &Relation{rows: make(map[string]int)}
+	for k, v := range r.rows {
+		nr.rows[k] = v
 	}
+	nr.live = r.live
 	return nr
 }

@@ -51,3 +51,75 @@ func BenchmarkColumnarBuild(b *testing.B) {
 		}
 	}
 }
+
+// benchTuples returns benchRelation's n tuples as a batch.
+func benchTuples(n int) []Tuple {
+	ts := make([]Tuple, n)
+	for i := range ts {
+		ts[i] = Tuple{value.Int(int64(i)), value.String(fmt.Sprintf("s%d", i%16))}
+	}
+	return ts
+}
+
+// BenchmarkInsertBatch loads 2,000 tuples into an empty relation per op:
+// the membership table and the row arena, with no index.
+func BenchmarkInsertBatch(b *testing.B) {
+	rs := snapSchema().Relation("R")
+	ts := benchTuples(2000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := NewRelation(rs)
+		if n, err := r.InsertBatch(ts); err != nil || n != len(ts) {
+			b.Fatalf("InsertBatch = %d, %v", n, err)
+		}
+	}
+}
+
+// BenchmarkBuildIndex builds the 16-value string column's index over
+// 2,000 rows per op.
+func BenchmarkBuildIndex(b *testing.B) {
+	r := benchRelation(2000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.BuildIndex(1)
+	}
+}
+
+// BenchmarkAppendLookup probes a warm index on the key column into a
+// reused buffer, as a compiled plan's join step does.
+func BenchmarkAppendLookup(b *testing.B) {
+	r := benchRelation(2000)
+	r.BuildIndex(0)
+	buf := make([]Tuple, 0, 16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = r.AppendLookup(buf[:0], 0, value.Int(int64(i%2000)))
+	}
+	if len(buf) != 1 {
+		b.Fatalf("lookup returned %d rows", len(buf))
+	}
+}
+
+// BenchmarkDistinctCount counts a column's distinct values over 2,000
+// unindexed rows with the memo cold, as the planner's first compile over
+// a fresh view does: the key column (2,000 values) and the tag column
+// (16 values).
+func BenchmarkDistinctCount(b *testing.B) {
+	r := benchRelation(2000)
+	for _, c := range []struct {
+		name      string
+		col, want int
+	}{{"key", 0, 2000}, {"tag", 1, 16}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if d := r.distinctCount(c.col); d != c.want {
+					b.Fatalf("distinct count %d, want %d", d, c.want)
+				}
+			}
+		})
+	}
+}

@@ -26,13 +26,11 @@ type ColBlock struct {
 	cols []colVec
 }
 
-// colVec is one column of a ColBlock.
+// colVec is one column of a ColBlock: the column's value dictionary, a
+// dense row -> code vector, and CSR posting lists.
 type colVec struct {
-	dict   []value.Value // code -> distinct value
-	hashes []uint64      // value.Hash per code, for cheap table rejection
-	table  []int32       // open-addressed value -> code+1; 0 = empty
-	mask   uint64
-	codes  []uint32 // row -> code
+	valueDict
+	codes []uint32 // row -> code
 
 	// CSR posting lists: rows with code c are postRows[postStart[c]:postStart[c+1]].
 	postStart []uint32
@@ -121,8 +119,8 @@ func (r *Relation) buildColumnar() *ColBlock {
 	gen := r.statsGen.Load()
 
 	r.rLock()
-	rows := make([]Tuple, 0, len(r.present))
-	for _, t := range r.tuples {
+	rows := make([]Tuple, 0, r.live)
+	for _, t := range r.rows.tuples {
 		if t != nil {
 			rows = append(rows, t)
 		}
@@ -140,11 +138,11 @@ func (r *Relation) buildColumnar() *ColBlock {
 		cv := &blk.cols[col]
 		cv.codes = make([]uint32, len(rows))
 		for i, t := range rows {
-			cv.codes[i] = cv.lookupOrInsert(t[col])
+			cv.codes[i] = cv.codeOrAdd(t[col])
 		}
 		// CSR postings by counting sort: one pass for bucket sizes, a
 		// prefix sum, one pass to scatter row ids in ascending order.
-		cv.postStart = make([]uint32, len(cv.dict)+1)
+		cv.postStart = make([]uint32, len(cv.vals)+1)
 		for _, c := range cv.codes {
 			cv.postStart[c+1]++
 		}
@@ -152,13 +150,13 @@ func (r *Relation) buildColumnar() *ColBlock {
 			cv.postStart[i] += cv.postStart[i-1]
 		}
 		cv.postRows = make([]uint32, len(rows))
-		next := make([]uint32, len(cv.dict))
-		copy(next, cv.postStart[:len(cv.dict)])
+		next := make([]uint32, len(cv.vals))
+		copy(next, cv.postStart[:len(cv.vals)])
 		for i, c := range cv.codes {
 			cv.postRows[next[c]] = uint32(i)
 			next[c]++
 		}
-		dictBytes += cv.dictFootprint()
+		dictBytes += cv.footprint()
 		codeBytes += 4 * uint64(len(cv.codes)+len(cv.postRows)+len(cv.postStart))
 	}
 
@@ -175,59 +173,6 @@ func (r *Relation) buildColumnar() *ColBlock {
 	return blk
 }
 
-// dictFootprint approximates the dictionary's memory in bytes: the value
-// structs, their string payloads, the hash cache and the probe table.
-func (cv *colVec) dictFootprint() uint64 {
-	n := uint64(0)
-	for _, v := range cv.dict {
-		n += 32 + uint64(len(v.String()))
-	}
-	return n + 8*uint64(len(cv.hashes)) + 4*uint64(len(cv.table))
-}
-
-// lookupOrInsert returns v's dictionary code, assigning the next code if
-// the value is new. Open addressing with linear probing, as in
-// eval.TupleIndex.
-func (cv *colVec) lookupOrInsert(v value.Value) uint32 {
-	if cv.table == nil {
-		cv.table = make([]int32, 16)
-		cv.mask = 15
-	}
-	h := v.Hash()
-	i := h & cv.mask
-	for {
-		e := cv.table[i]
-		if e == 0 {
-			code := uint32(len(cv.dict))
-			cv.dict = append(cv.dict, v)
-			cv.hashes = append(cv.hashes, h)
-			cv.table[i] = int32(code + 1)
-			if len(cv.dict)*4 >= len(cv.table)*3 {
-				cv.grow()
-			}
-			return code
-		}
-		j := uint32(e - 1)
-		if cv.hashes[j] == h && cv.dict[j] == v {
-			return j
-		}
-		i = (i + 1) & cv.mask
-	}
-}
-
-func (cv *colVec) grow() {
-	n := len(cv.table) * 2
-	cv.table = make([]int32, n)
-	cv.mask = uint64(n - 1)
-	for j, h := range cv.hashes {
-		i := h & cv.mask
-		for cv.table[i] != 0 {
-			i = (i + 1) & cv.mask
-		}
-		cv.table[i] = int32(j + 1)
-	}
-}
-
 // Len returns the number of encoded rows.
 func (b *ColBlock) Len() int { return len(b.rows) }
 
@@ -238,23 +183,7 @@ func (b *ColBlock) Row(i uint32) Tuple { return b.rows[i] }
 // value does not occur in the column — in which case no row can match an
 // equality against it and the caller short-circuits to zero candidates.
 func (b *ColBlock) Code(col int, v value.Value) (uint32, bool) {
-	cv := &b.cols[col]
-	if cv.table == nil {
-		return 0, false
-	}
-	h := v.Hash()
-	i := h & cv.mask
-	for {
-		e := cv.table[i]
-		if e == 0 {
-			return 0, false
-		}
-		j := uint32(e - 1)
-		if cv.hashes[j] == h && cv.dict[j] == v {
-			return j, true
-		}
-		i = (i + 1) & cv.mask
-	}
+	return b.cols[col].code(v)
 }
 
 // CodeAt returns the dictionary code of column col at row position row.
@@ -270,7 +199,7 @@ func (b *ColBlock) Postings(col int, code uint32) []uint32 {
 
 // DistinctCount returns the number of distinct values in column col — a
 // free dictionary-length read.
-func (b *ColBlock) DistinctCount(col int) int { return len(b.cols[col].dict) }
+func (b *ColBlock) DistinctCount(col int) int { return len(b.cols[col].vals) }
 
 // AppendAll appends every encoded row's tuple to dst.
 func (b *ColBlock) AppendAll(dst []Tuple) []Tuple { return append(dst, b.rows...) }

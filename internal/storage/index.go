@@ -1,0 +1,202 @@
+package storage
+
+import (
+	"repro/internal/value"
+)
+
+// valueDict is a column's value dictionary: it assigns each distinct value
+// a dense code in first-seen order, through an open-addressed table over
+// the codes. Values are the same exactly when == says so, as in a Go map:
+// +0 and -0 share a code, and no NaN equals anything, so each NaN gets a
+// code of its own. Both a mutable relation's column index (colIndex) and
+// a columnar block's column (colVec) are built on one.
+type valueDict struct {
+	vals   []value.Value // code -> distinct value
+	hashes []uint64      // dictHash per code, for cheap table rejection
+	table  []int32       // open-addressed value -> code+1; 0 = empty
+	mask   uint64
+}
+
+// dictHash hashes v consistently with ==: the two zeros hash alike.
+func dictHash(v value.Value) uint64 {
+	if v.Kind() == value.KindFloat && v.FloatVal() == 0 {
+		v = value.Float(0)
+	}
+	return v.Hash()
+}
+
+// code returns v's code, or ok=false when no value equal to v was added.
+func (d *valueDict) code(v value.Value) (uint32, bool) {
+	if d.table == nil {
+		return 0, false
+	}
+	_, code := d.find(v, dictHash(v))
+	return uint32(code), code >= 0
+}
+
+// codeOrAdd returns v's code, assigning the next one if v is new.
+func (d *valueDict) codeOrAdd(v value.Value) uint32 {
+	if d.table == nil {
+		d.table = make([]int32, 16)
+		d.mask = 15
+	}
+	h := dictHash(v)
+	slot, code := d.find(v, h)
+	if code >= 0 {
+		return uint32(code)
+	}
+	c := uint32(len(d.vals))
+	d.vals = append(d.vals, v)
+	d.hashes = append(d.hashes, h)
+	d.table[slot] = int32(c + 1)
+	if len(d.vals)*4 >= len(d.table)*3 {
+		d.grow()
+	}
+	return c
+}
+
+// find probes for v, whose hash is h. It returns v's code, or -1 with
+// the empty slot where v's probe ended.
+func (d *valueDict) find(v value.Value, h uint64) (slot uint64, code int) {
+	i := h & d.mask
+	for {
+		e := d.table[i]
+		if e == 0 {
+			return i, -1
+		}
+		j := int(e - 1)
+		if d.hashes[j] == h && d.vals[j] == v {
+			return i, j
+		}
+		i = (i + 1) & d.mask
+	}
+}
+
+func (d *valueDict) grow() {
+	n := len(d.table) * 2
+	d.table = make([]int32, n)
+	d.mask = uint64(n - 1)
+	for j, h := range d.hashes {
+		i := h & d.mask
+		for d.table[i] != 0 {
+			i = (i + 1) & d.mask
+		}
+		d.table[i] = int32(j + 1)
+	}
+}
+
+// footprint approximates the dictionary's memory in bytes: the value
+// structs, their string payloads, the hash cache and the probe table.
+func (d *valueDict) footprint() uint64 {
+	n := uint64(0)
+	for _, v := range d.vals {
+		n += 32 + uint64(len(v.String()))
+	}
+	return n + 8*uint64(len(d.hashes)) + 4*uint64(len(d.table))
+}
+
+// colIndex is a mutable relation's hash index on one column: the column's
+// value dictionary plus two chains over row positions. head[c] is the
+// first row holding the value with code c and next[row] the following
+// one (-1 ends a chain), so a lookup walks rows in ascending position
+// order with no per-value allocation; tail[c] makes appending a row O(1).
+// Deleted rows stay chained and are skipped by readers, as they are in
+// the row slice; compaction rebuilds the index.
+type colIndex struct {
+	dict valueDict
+	head []int32 // code -> first row
+	tail []int32 // code -> last row
+	next []int32 // row -> next row with the same value, or -1
+}
+
+// newColIndex indexes column col of rows (nil entries are holes).
+func newColIndex(rows []Tuple, col int) *colIndex {
+	ix := &colIndex{next: make([]int32, 0, len(rows))}
+	for i, t := range rows {
+		if t == nil {
+			ix.next = append(ix.next, -1)
+			continue
+		}
+		ix.add(i, t[col])
+	}
+	return ix
+}
+
+// add chains row, which must be the next row position, under v.
+func (ix *colIndex) add(row int, v value.Value) {
+	code := ix.dict.codeOrAdd(v)
+	ix.next = append(ix.next, -1)
+	if int(code) == len(ix.head) {
+		ix.head = append(ix.head, int32(row))
+		ix.tail = append(ix.tail, int32(row))
+		return
+	}
+	ix.next[ix.tail[code]] = int32(row)
+	ix.tail[code] = int32(row)
+}
+
+// first returns the first row whose column equals v, or -1.
+func (ix *colIndex) first(v value.Value) int32 {
+	code, ok := ix.dict.code(v)
+	if !ok {
+		return -1
+	}
+	return ix.head[code]
+}
+
+// distinct counts the values that still have a live row.
+func (ix *colIndex) distinct(rows []Tuple) int {
+	n := 0
+	for _, r := range ix.head {
+		for ; r >= 0; r = ix.next[r] {
+			if rows[r] != nil {
+				n++
+				break
+			}
+		}
+	}
+	return n
+}
+
+// detached returns a copy whose writes cannot reach ix's readers. add
+// writes the dictionary's probe table, tail and next in place, so those
+// are copied; the dictionary's values and hashes and head are only ever
+// appended to, so a reader of ix keeps seeing its own prefix of them.
+func (ix *colIndex) detached() *colIndex {
+	out := *ix
+	out.dict.table = append([]int32(nil), ix.dict.table...)
+	out.tail = append([]int32(nil), ix.tail...)
+	out.next = append([]int32(nil), ix.next...)
+	return &out
+}
+
+// distinctRows counts the distinct values of column col among rows (nil
+// entries are holes) without an index: one probe table of row positions,
+// compared with == like the dictionary, sized once for live rows.
+func distinctRows(rows []Tuple, col, live int) int {
+	size := 16
+	for size < 2*live {
+		size *= 2
+	}
+	table := make([]int32, size)
+	mask := uint64(size - 1)
+	n := 0
+	for r, t := range rows {
+		if t == nil {
+			continue
+		}
+		v := t[col]
+		for i := dictHash(v) & mask; ; i = (i + 1) & mask {
+			e := table[i]
+			if e == 0 {
+				table[i] = int32(r + 1)
+				n++
+				break
+			}
+			if rows[e-1][col] == v {
+				break
+			}
+		}
+	}
+	return n
+}

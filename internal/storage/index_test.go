@@ -1,0 +1,99 @@
+package storage
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/schema"
+	"repro/internal/value"
+)
+
+// TestSignedZeroAndNaNPathsAgree: a float column holding 0, -0 and two
+// NaNs answers every probe and distinct count the same way on the scan
+// path, the index path and the columnar block, and that way is ==: a
+// zero probe finds both zeros, a NaN probe finds nothing, the zeros count
+// once and each NaN counts on its own.
+func TestSignedZeroAndNaNPathsAgree(t *testing.T) {
+	rs := schema.MustRelation("Z", []schema.Attribute{
+		{Name: "id", Kind: value.KindInt},
+		{Name: "f", Kind: value.KindFloat},
+	})
+	load := func() *Relation {
+		r := NewRelation(rs)
+		for i, f := range []value.Value{value.Float(0), negZero, nanA, nanB, value.Float(1), negZero} {
+			r.MustInsert(value.Int(int64(i)), f)
+		}
+		return r
+	}
+	scan, indexed, columnar := load(), load(), load()
+	indexed.BuildIndex(1)
+	blk := columnar.EnsureColumnar()
+	if blk == nil {
+		t.Fatal("no columnar block")
+	}
+	ids := func(ts []Tuple) string {
+		out := make([]int64, len(ts))
+		for i, tu := range ts {
+			out[i] = tu[0].IntVal()
+		}
+		return fmt.Sprint(out)
+	}
+	for _, probe := range []struct {
+		v    value.Value
+		want string
+	}{
+		{value.Float(0), "[0 1 5]"},
+		{negZero, "[0 1 5]"},
+		{nanA, "[]"},
+		{nanB, "[]"},
+		{value.Float(1), "[4]"},
+		{value.Float(2), "[]"},
+	} {
+		var viaBlock []Tuple
+		if code, ok := blk.Code(1, probe.v); ok {
+			viaBlock = blk.AppendRows(nil, blk.Postings(1, code))
+		}
+		got := map[string]string{
+			"scan":     ids(scan.Lookup(1, probe.v)),
+			"index":    ids(indexed.Lookup(1, probe.v)),
+			"columnar": ids(viaBlock),
+		}
+		for path, g := range got {
+			if g != probe.want {
+				t.Errorf("probe %v on the %s path: rows %s, want %s", probe.v, path, g, probe.want)
+			}
+		}
+	}
+	for path, d := range map[string]int{
+		"scan":     scan.DistinctCount(1),
+		"index":    indexed.DistinctCount(1),
+		"columnar": columnar.DistinctCount(1),
+		"block":    blk.DistinctCount(1),
+	} {
+		if d != 4 {
+			t.Errorf("DistinctCount on the %s path = %d, want 4 (one zero, two NaNs, one)", path, d)
+		}
+	}
+}
+
+// TestIndexedAppendLookupAllocsZero: a warm indexed probe into a reused
+// buffer allocates nothing — the dictionary probe and the chain walk
+// read flat arrays.
+func TestIndexedAppendLookupAllocsZero(t *testing.T) {
+	r := benchRelation(2000)
+	r.BuildIndex(0)
+	r.BuildIndex(1)
+	buf := make([]Tuple, 0, 256)
+	k := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		k = (k + 37) % 2000
+		buf = r.AppendLookup(buf[:0], 0, value.Int(int64(k)))
+		buf = r.AppendLookup(buf[:0], 1, value.String("s3"))
+	})
+	if allocs != 0 {
+		t.Fatalf("warm indexed AppendLookup: %.1f allocs/run, want 0", allocs)
+	}
+	if len(buf) != 2000/16 {
+		t.Fatalf("chain walk returned %d rows, want %d", len(buf), 2000/16)
+	}
+}

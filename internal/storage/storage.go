@@ -9,23 +9,35 @@
 // joins, cardinality statistics for cost estimation, and copy-on-write
 // snapshots for the fixity subsystem.
 //
+// Storage is flat: no path renders a tuple to a string to store or find
+// it. A relation keeps its rows in a TupleIndex, an open-addressed table
+// over row positions that answers membership by content and backs cloned
+// rows with shared arena chunks. A column index is the column's value
+// dictionary (the one columnar blocks use) with per-value and per-row
+// chains through the row positions, and distinct counts read an index or
+// a throwaway table of row positions. The evaluator shares the TupleIndex
+// for deduplication, and a materialized view is loaded from its owned
+// answer in one call (InsertOwned), without a clone per row.
+//
 // Concurrency model (see DESIGN.md §3): every Relation is safe for
 // concurrent readers and writers via an internal RWMutex. Snapshot produces
 // a frozen relation that shares the backing storage with its source; frozen
 // relations are immutable from birth, so their readers skip locking
-// entirely. The source relation detaches (copies the shared storage) before
-// its next mutation, making snapshot creation O(1) per relation no matter
-// how large the data is. A relation that has not changed since its last
-// snapshot hands out that same frozen object again, so versions share
-// unchanged relations.
+// entirely. The source relation detaches (copies the arrays it writes in
+// place) before its next mutation, making snapshot creation O(1) per
+// relation no matter how large the data is. A relation that has not
+// changed since its last snapshot hands out that same frozen object again,
+// so versions share unchanged relations.
 package storage
 
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/schema"
 	"repro/internal/value"
@@ -69,15 +81,34 @@ func (t Tuple) Compare(u Tuple) int {
 
 // Key renders the tuple as a canonical string usable as a map key.
 func (t Tuple) Key() string {
-	var b strings.Builder
+	var buf [64]byte
+	return string(t.AppendKey(buf[:0]))
+}
+
+// AppendKey appends the tuple's canonical rendering — the bytes Key
+// returns — to dst and returns the extended slice: per value, its kind
+// digit and value.String rendering, separated by 0x1f. Digests render
+// every tuple into one reused buffer through it.
+func (t Tuple) AppendKey(dst []byte) []byte {
 	for i, v := range t {
 		if i > 0 {
-			b.WriteByte('\x1f')
+			dst = append(dst, '\x1f')
 		}
-		b.WriteByte(byte('0' + v.Kind()))
-		b.WriteString(v.String())
+		dst = append(dst, byte('0'+v.Kind()))
+		switch v.Kind() {
+		case value.KindString:
+			dst = append(dst, v.Str()...)
+		case value.KindInt:
+			dst = strconv.AppendInt(dst, v.IntVal(), 10)
+		case value.KindFloat:
+			dst = strconv.AppendFloat(dst, v.FloatVal(), 'g', -1, 64)
+		case value.KindTime:
+			dst = v.TimeVal().UTC().AppendFormat(dst, time.RFC3339Nano)
+		default:
+			dst = append(dst, v.String()...)
+		}
 	}
-	return b.String()
+	return dst
 }
 
 // Clone returns an independent copy of the tuple.
@@ -105,22 +136,27 @@ type Relation struct {
 
 	mu     sync.RWMutex
 	frozen bool // immutable snapshot: set at construction, never cleared
-	shared bool // backing storage shared with a snapshot; detach before writing
+	shared bool // rows and indexes shared with a snapshot; detach before writing
 
-	tuples  []Tuple
-	present map[string]int // tuple key -> index into tuples (or -1 if deleted)
-	indexes map[int]map[value.Value][]int
+	// rows holds the tuples by row position — rows.Tuple(i) is row i,
+	// nil once deleted — and answers membership by content. live counts
+	// the rows that are not nil. indexes[col] is the hash index on column
+	// col, nil if none was built; the slice is nil until the first build.
+	rows    TupleIndex
+	live    int
+	indexes []*colIndex
 
 	// Statistics cache for the query planner. distinct memoizes per-column
-	// distinct counts; it is dropped on every content mutation (Insert,
-	// Delete, InsertBatch, DeleteBatch) and therefore permanent on frozen
-	// relations. statsMu is separate from mu so frozen relations — whose
-	// readers skip mu entirely — can still fill the cache; it is never held
-	// while acquiring mu. statsGen is atomic so the columnar-block fast
-	// path can validate a block's generation without taking any lock.
+	// distinct counts (-1 = not computed yet); it is dropped on every
+	// content mutation (Insert, Delete, InsertBatch, InsertOwned,
+	// DeleteBatch) and therefore permanent on frozen relations. statsMu is
+	// separate from mu so frozen relations — whose readers skip mu
+	// entirely — can still fill the cache; it is never held while
+	// acquiring mu. statsGen is atomic so the columnar-block fast path can
+	// validate a block's generation without taking any lock.
 	statsMu  sync.Mutex
 	statsGen atomic.Uint64
-	distinct map[int]int
+	distinct []int
 
 	// Columnar cache (see columnar.go): the current dictionary-encoded
 	// block, the demand counter that decides when a mutable relation earns
@@ -145,11 +181,7 @@ var snapStamps atomic.Uint64
 
 // NewRelation creates an empty relation instance for the given schema.
 func NewRelation(rs *schema.Relation) *Relation {
-	return &Relation{
-		schema:  rs,
-		present: make(map[string]int),
-		indexes: make(map[int]map[value.Value][]int),
-	}
+	return &Relation{schema: rs}
 }
 
 // Schema returns the relation's schema.
@@ -186,32 +218,30 @@ func (r *Relation) wLock() {
 	r.detach()
 }
 
-// detach copies backing storage shared with a snapshot. Tuples themselves
-// are never mutated in place, so the copy is shallow: the tuple slice and
-// the maps are duplicated, the tuples and index posting lists are shared
-// (appending to a posting list only ever writes beyond the snapshot's
-// visible length).
+// detach privatizes the storage shared with a snapshot before the first
+// write after it. Only the arrays a write changes in place are copied:
+// the row slice (deletes nil a row) and the membership probe table, and
+// per index the dictionary's probe table and the tail and next chains.
+// Everything else is shared for good — the tuples, the arena chunks, and
+// the slices that writes only ever append to (row hashes, dictionary
+// values and hashes, chain heads): the snapshot reads its own prefix of
+// them, which later appends never touch.
 //
 //lint:nobump content-preserving copy: the tuple set is identical, only the backing storage is privatized
 func (r *Relation) detach() {
 	if !r.shared {
 		return
 	}
-	tuples := make([]Tuple, len(r.tuples))
-	copy(tuples, r.tuples)
-	present := make(map[string]int, len(r.present))
-	for k, v := range r.present {
-		present[k] = v
-	}
-	indexes := make(map[int]map[value.Value][]int, len(r.indexes))
-	for col, ix := range r.indexes {
-		nix := make(map[value.Value][]int, len(ix))
-		for v, rows := range ix {
-			nix[v] = rows
+	r.rows = r.rows.detached()
+	if r.indexes != nil {
+		indexes := make([]*colIndex, len(r.indexes))
+		for col, ix := range r.indexes {
+			if ix != nil {
+				indexes[col] = ix.detached()
+			}
 		}
-		indexes[col] = nix
+		r.indexes = indexes
 	}
-	r.tuples, r.present, r.indexes = tuples, present, indexes
 	r.shared = false
 }
 
@@ -247,11 +277,13 @@ func (r *Relation) Snapshot() *Relation {
 		return snap
 	}
 	r.shared = true
+	rows := r.rows
+	rows.arena = nil // a frozen relation never clones; the arena stays the source's
 	snap := &Relation{
 		schema:  r.schema,
 		frozen:  true,
-		tuples:  r.tuples,
-		present: r.present,
+		rows:    rows,
+		live:    r.live,
 		indexes: r.indexes,
 		stamp:   snapStamps.Add(1),
 	}
@@ -278,35 +310,49 @@ func (r *Relation) Stamp() uint64 { return r.stamp }
 func (r *Relation) Len() int {
 	r.rLock()
 	defer r.rUnlock()
-	return len(r.present)
+	return r.live
 }
 
 // Insert adds a tuple; it is a no-op (returning false) if an equal tuple is
 // already present. It returns an error if the arity or kinds mismatch the
-// schema, and panics if the relation is a frozen snapshot.
+// schema, and panics if the relation is a frozen snapshot. Tuples are
+// equal when their Keys are: floats compare by bit pattern, so 0 and -0
+// are distinct tuples, and all NaNs are one value.
 func (r *Relation) Insert(t Tuple) (bool, error) {
 	if err := r.checkTuple(t); err != nil {
 		return false, err
 	}
 	r.wLock()
 	defer r.mu.Unlock()
-	k := t.Key()
-	if _, ok := r.present[k]; ok {
+	if !r.insertLocked(t, true) {
 		return false, nil
 	}
-	// Amortized hole reclamation: if deletions have left more holes than
-	// live tuples, compact before growing the backing slice further.
-	if holes := len(r.tuples) - len(r.present); holes > 64 && holes > len(r.present) {
-		r.compactLocked()
-	}
-	idx := len(r.tuples)
-	r.tuples = append(r.tuples, t.Clone())
-	r.present[k] = idx
-	for col, ix := range r.indexes {
-		ix[t[col]] = append(ix[t[col]], idx)
-	}
+	r.live++
 	r.bumpStats()
 	return true, nil
+}
+
+// insertLocked adds t as the next row unless an equal tuple is present —
+// cloned into the row arena, or retained as is when the caller hands it
+// over — and chains it into every index. It reports whether t was added;
+// the caller counts the row live and bumps the statistics generation.
+// Called with mu held for writing.
+func (r *Relation) insertLocked(t Tuple, clone bool) bool {
+	// Amortized hole reclamation: if deletions have left more holes than
+	// live tuples, compact before growing the row slice further.
+	if holes := r.rows.Len() - r.live; holes > 64 && holes > r.live {
+		r.compactLocked()
+	}
+	row, added := r.rows.insert(t, clone)
+	if !added {
+		return false
+	}
+	for col, ix := range r.indexes {
+		if ix != nil {
+			ix.add(row, t[col])
+		}
+	}
+	return true
 }
 
 // bumpStats drops the statistics and columnar caches after a content
@@ -347,32 +393,20 @@ func (r *Relation) Generation() uint64 {
 // mismatch nothing is inserted. This is the bulk path used by network
 // ingest and log replay.
 func (r *Relation) InsertBatch(ts []Tuple) (int, error) {
+	if err := r.checkBatch(ts); err != nil {
+		return 0, err
+	}
 	if len(ts) == 0 {
 		return 0, nil
-	}
-	for _, t := range ts {
-		if err := r.checkTuple(t); err != nil {
-			return 0, err
-		}
 	}
 	r.wLock()
 	defer r.mu.Unlock()
 	added := 0
 	for _, t := range ts {
-		k := t.Key()
-		if _, ok := r.present[k]; ok {
-			continue
+		if r.insertLocked(t, true) {
+			r.live++
+			added++
 		}
-		if holes := len(r.tuples) - len(r.present); holes > 64 && holes > len(r.present) {
-			r.compactLocked()
-		}
-		idx := len(r.tuples)
-		r.tuples = append(r.tuples, t.Clone())
-		r.present[k] = idx
-		for col, ix := range r.indexes {
-			ix[t[col]] = append(ix[t[col]], idx)
-		}
-		added++
 	}
 	if added > 0 {
 		r.bumpStats()
@@ -380,33 +414,73 @@ func (r *Relation) InsertBatch(ts []Tuple) (int, error) {
 	return added, nil
 }
 
+// InsertOwned is InsertBatch for tuples the caller hands over: the
+// relation retains them instead of cloning them, so they must never be
+// mutated afterwards. An empty relation also takes ts's backing array as
+// its row slice, so the caller must not use ts after the call either.
+// This is the bulk load that materializes a view from the evaluator's
+// answer in one call.
+func (r *Relation) InsertOwned(ts []Tuple) (int, error) {
+	if err := r.checkBatch(ts); err != nil {
+		return 0, err
+	}
+	if len(ts) == 0 {
+		return 0, nil
+	}
+	r.wLock()
+	defer r.mu.Unlock()
+	adopted := r.rows.Len() == 0
+	if adopted {
+		r.rows.adopt(ts)
+	}
+	added := 0
+	for _, t := range ts {
+		if r.insertLocked(t, false) {
+			r.live++
+			added++
+		}
+	}
+	if adopted {
+		// Slots past the loaded rows still point at the duplicates.
+		clear(ts[added:])
+	}
+	if added > 0 {
+		r.bumpStats()
+	}
+	return added, nil
+}
+
+// checkBatch validates every tuple of a batch against the schema.
+func (r *Relation) checkBatch(ts []Tuple) error {
+	for _, t := range ts {
+		if err := r.checkTuple(t); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // DeleteBatch removes a batch of tuples under one lock acquisition,
 // returning how many were present (and therefore removed). Tuples are
 // validated against the schema first so replayed deletions fail loudly
 // rather than silently matching nothing.
 func (r *Relation) DeleteBatch(ts []Tuple) (int, error) {
+	if err := r.checkBatch(ts); err != nil {
+		return 0, err
+	}
 	if len(ts) == 0 {
 		return 0, nil
-	}
-	for _, t := range ts {
-		if err := r.checkTuple(t); err != nil {
-			return 0, err
-		}
 	}
 	r.wLock()
 	defer r.mu.Unlock()
 	removed := 0
 	for _, t := range ts {
-		k := t.Key()
-		idx, ok := r.present[k]
-		if !ok {
-			continue
+		if r.rows.remove(t) {
+			removed++
 		}
-		delete(r.present, k)
-		r.tuples[idx] = nil
-		removed++
 	}
 	if removed > 0 {
+		r.live -= removed
 		r.bumpStats()
 	}
 	return removed, nil
@@ -421,18 +495,15 @@ func (r *Relation) MustInsert(vals ...value.Value) {
 }
 
 // Delete removes a tuple if present, returning whether it was removed.
-// Deletion leaves a hole in the backing slice (nil tuple) so index entries
+// Deletion leaves a hole in the row slice (nil tuple) so index entries
 // can be skipped cheaply; Compact reclaims space.
 func (r *Relation) Delete(t Tuple) bool {
 	r.wLock()
 	defer r.mu.Unlock()
-	k := t.Key()
-	idx, ok := r.present[k]
-	if !ok {
+	if !r.rows.remove(t) {
 		return false
 	}
-	delete(r.present, k)
-	r.tuples[idx] = nil
+	r.live--
 	r.bumpStats()
 	return true
 }
@@ -441,7 +512,7 @@ func (r *Relation) Delete(t Tuple) bool {
 func (r *Relation) Contains(t Tuple) bool {
 	r.rLock()
 	defer r.rUnlock()
-	_, ok := r.present[t.Key()]
+	_, ok := r.rows.Get(t)
 	return ok
 }
 
@@ -453,28 +524,16 @@ func (r *Relation) Compact() {
 	r.compactLocked()
 }
 
-// compactLocked squeezes deletion holes out of the tuple slice.
+// compactLocked squeezes deletion holes out of the row slice and rebuilds
+// the indexes over the new row positions.
 //
 //lint:nobump content-preserving rewrite: same live tuples, fresh backing storage; callers bump when the content changed
 func (r *Relation) compactLocked() {
-	live := make([]Tuple, 0, len(r.present))
-	for _, t := range r.tuples {
-		if t != nil {
-			live = append(live, t)
+	r.rows = r.rows.compacted(r.live)
+	for col, ix := range r.indexes {
+		if ix != nil {
+			r.indexes[col] = newColIndex(r.rows.tuples, col)
 		}
-	}
-	r.tuples = live
-	r.present = make(map[string]int, len(live))
-	for i, t := range live {
-		r.present[t.Key()] = i
-	}
-	cols := make([]int, 0, len(r.indexes))
-	for col := range r.indexes {
-		cols = append(cols, col)
-	}
-	r.indexes = make(map[int]map[value.Value][]int)
-	for _, col := range cols {
-		r.buildIndexLocked(col)
 	}
 }
 
@@ -486,14 +545,19 @@ func (r *Relation) BuildIndex(col int) {
 }
 
 func (r *Relation) buildIndexLocked(col int) {
-	ix := make(map[value.Value][]int)
-	for i, t := range r.tuples {
-		if t == nil {
-			continue
-		}
-		ix[t[col]] = append(ix[t[col]], i)
+	if r.indexes == nil {
+		r.indexes = make([]*colIndex, r.schema.Arity())
 	}
-	r.indexes[col] = ix
+	r.indexes[col] = newColIndex(r.rows.tuples, col)
+}
+
+// index returns the hash index on column col, or nil. Callers hold mu
+// (or read a frozen relation).
+func (r *Relation) index(col int) *colIndex {
+	if col < 0 || col >= len(r.indexes) {
+		return nil
+	}
+	return r.indexes[col]
 }
 
 // EnsureIndex builds a hash index on the column if one does not exist yet,
@@ -519,52 +583,35 @@ func (r *Relation) EnsureIndex(col int) bool {
 func (r *Relation) HasIndex(col int) bool {
 	r.rLock()
 	defer r.rUnlock()
-	_, ok := r.indexes[col]
-	return ok
+	return r.index(col) != nil
 }
 
 // Lookup returns the live tuples whose column col equals v, using the index
 // if present and scanning otherwise.
 func (r *Relation) Lookup(col int, v value.Value) []Tuple {
-	r.rLock()
-	defer r.rUnlock()
-	if ix, ok := r.indexes[col]; ok {
-		rows := ix[v]
-		out := make([]Tuple, 0, len(rows))
-		for _, i := range rows {
-			if t := r.tuples[i]; t != nil {
-				out = append(out, t)
-			}
-		}
-		return out
-	}
-	var out []Tuple
-	for _, t := range r.tuples {
-		if t != nil && t[col] == v {
-			out = append(out, t)
-		}
-	}
-	return out
+	return r.AppendLookup(nil, col, v)
 }
 
 // AppendLookup appends the live tuples whose column col equals v to dst and
 // returns the extended slice, using the index if present and scanning
-// otherwise. It is Lookup with a caller-provided buffer: the compiled-plan
-// evaluator reuses one buffer per join depth, so a warm plan probes without
-// allocating. The appended tuples remain valid after the call (tuples are
-// never mutated in place).
+// otherwise; either way the tuples come in row order and equality is ==
+// (0 matches -0, NaN matches nothing). It is Lookup with a caller-provided
+// buffer: the compiled-plan evaluator reuses one buffer per join depth,
+// so a warm plan probes without allocating. The appended tuples remain
+// valid after the call (tuples are never mutated in place).
 func (r *Relation) AppendLookup(dst []Tuple, col int, v value.Value) []Tuple {
 	r.rLock()
 	defer r.rUnlock()
-	if ix, ok := r.indexes[col]; ok {
-		for _, i := range ix[v] {
-			if t := r.tuples[i]; t != nil {
+	rows := r.rows.tuples
+	if ix := r.index(col); ix != nil {
+		for i := ix.first(v); i >= 0; i = ix.next[i] {
+			if t := rows[i]; t != nil {
 				dst = append(dst, t)
 			}
 		}
 		return dst
 	}
-	for _, t := range r.tuples {
+	for _, t := range rows {
 		if t != nil && t[col] == v {
 			dst = append(dst, t)
 		}
@@ -577,7 +624,7 @@ func (r *Relation) AppendLookup(dst []Tuple, col int, v value.Value) []Tuple {
 func (r *Relation) AppendTuples(dst []Tuple) []Tuple {
 	r.rLock()
 	defer r.rUnlock()
-	for _, t := range r.tuples {
+	for _, t := range r.rows.tuples {
 		if t != nil {
 			dst = append(dst, t)
 		}
@@ -590,7 +637,7 @@ func (r *Relation) AppendTuples(dst []Tuple) []Tuple {
 func (r *Relation) Scan(fn func(Tuple) bool) {
 	r.rLock()
 	defer r.rUnlock()
-	for _, t := range r.tuples {
+	for _, t := range r.rows.tuples {
 		if t == nil {
 			continue
 		}
@@ -604,8 +651,8 @@ func (r *Relation) Scan(fn func(Tuple) bool) {
 func (r *Relation) Tuples() []Tuple {
 	r.rLock()
 	defer r.rUnlock()
-	out := make([]Tuple, 0, len(r.present))
-	for _, t := range r.tuples {
+	out := make([]Tuple, 0, r.live)
+	for _, t := range r.rows.tuples {
 		if t != nil {
 			out = append(out, t)
 		}
@@ -621,11 +668,13 @@ func (r *Relation) SortedTuples() []Tuple {
 	return out
 }
 
-// DistinctCount returns the number of distinct values in column col. It is
-// used by the schema-level citation-size estimator and by the query
-// planner's selectivity estimates. Results are memoized until the next
-// content mutation; on frozen relations the cache is permanent, so a plan
-// compiled against a snapshot reads statistics at map-lookup cost.
+// DistinctCount returns the number of distinct values in column col, where
+// values are distinct unless == says otherwise (0 and -0 count once, each
+// NaN counts on its own). It is used by the schema-level citation-size
+// estimator and by the query planner's selectivity estimates. Results are
+// memoized until the next content mutation; on frozen relations the cache
+// is permanent, so a plan compiled against a snapshot reads statistics at
+// slice-lookup cost.
 func (r *Relation) DistinctCount(col int) int {
 	// A current columnar block answers for free: the dictionary length is
 	// the distinct count, exact by construction. On frozen snapshots this
@@ -634,7 +683,8 @@ func (r *Relation) DistinctCount(col int) int {
 		return blk.DistinctCount(col)
 	}
 	r.statsMu.Lock()
-	if n, ok := r.distinct[col]; ok {
+	if r.distinct != nil && r.distinct[col] >= 0 {
+		n := r.distinct[col]
 		r.statsMu.Unlock()
 		return n
 	}
@@ -648,7 +698,10 @@ func (r *Relation) DistinctCount(col int) int {
 	r.statsMu.Lock()
 	if r.statsGen.Load() == gen {
 		if r.distinct == nil {
-			r.distinct = make(map[int]int, r.schema.Arity())
+			r.distinct = make([]int, r.schema.Arity())
+			for i := range r.distinct {
+				r.distinct[i] = -1
+			}
 		}
 		r.distinct[col] = n
 	}
@@ -656,29 +709,15 @@ func (r *Relation) DistinctCount(col int) int {
 	return n
 }
 
-// distinctCount computes the distinct count uncached.
+// distinctCount computes the distinct count uncached: from the column's
+// index when there is one, otherwise through a table of row positions.
 func (r *Relation) distinctCount(col int) int {
 	r.rLock()
 	defer r.rUnlock()
-	if ix, ok := r.indexes[col]; ok {
-		n := 0
-		for _, rows := range ix {
-			for _, i := range rows {
-				if r.tuples[i] != nil {
-					n++
-					break
-				}
-			}
-		}
-		return n
+	if ix := r.index(col); ix != nil {
+		return ix.distinct(r.rows.tuples)
 	}
-	seen := make(map[value.Value]struct{})
-	for _, t := range r.tuples {
-		if t != nil {
-			seen[t[col]] = struct{}{}
-		}
-	}
-	return len(seen)
+	return distinctRows(r.rows.tuples, col, r.live)
 }
 
 // Clone returns a deep copy of the relation (tuples are shared, which is
@@ -686,17 +725,14 @@ func (r *Relation) distinctCount(col int) int {
 // copy is mutable and fully independent.
 func (r *Relation) Clone() *Relation {
 	out := NewRelation(r.schema)
-	cols := make([]int, 0)
+	var cols []int
 	r.rLock()
-	for _, t := range r.tuples {
-		if t == nil {
-			continue
+	out.rows = r.rows.compacted(r.live)
+	out.live = r.live
+	for col, ix := range r.indexes {
+		if ix != nil {
+			cols = append(cols, col)
 		}
-		out.tuples = append(out.tuples, t)
-		out.present[t.Key()] = len(out.tuples) - 1
-	}
-	for col := range r.indexes {
-		cols = append(cols, col)
 	}
 	r.rUnlock()
 	for _, col := range cols {

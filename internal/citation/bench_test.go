@@ -1,0 +1,90 @@
+package citation
+
+import (
+	"context"
+	"fmt"
+	"testing"
+
+	"repro/internal/cq"
+	"repro/internal/format"
+	"repro/internal/gtopdb"
+	"repro/internal/schema"
+)
+
+// servingShapes are the four query shapes of the serving benchmark's
+// cold and history traffic, each with one constant.
+var servingShapes = []string{
+	"Q(FName, Desc) :- Family(%[1]d, FName, Desc)",
+	"Q(FName, Text) :- Family(%[1]d, FName, Desc), FamilyIntro(%[1]d, Text)",
+	"Q(TName, Type) :- Target(%[1]d, FID, TName, Type)",
+	"Q(FName, TName) :- Target(%[1]d, FID, TName, Type), Family(FID, FName, Desc)",
+}
+
+// servingRegistry registers the serving benchmark's GtoPdb view set with
+// its citation queries over s.
+func servingRegistry(s *schema.Schema) *Registry {
+	reg := NewRegistry(s)
+	title := format.NewRecord(format.FieldDatabase, gtopdbTitle)
+	for _, v := range []struct {
+		view, cite string
+		fields     []string
+		static     format.Record
+	}{
+		{"lambda FID. FamilyView(FID, FName, Desc) :- Family(FID, FName, Desc)",
+			"lambda FID. CFam(FID, PName) :- Committee(FID, PName)",
+			[]string{format.FieldIdentifier, format.FieldAuthor}, title},
+		{"FamilyAll(FID, FName, Desc) :- Family(FID, FName, Desc)",
+			"CAll(D) :- D = '" + gtopdbTitle + "'", []string{format.FieldDatabase}, nil},
+		{"IntroView(FID, Text) :- FamilyIntro(FID, Text)",
+			"CIntro(D) :- D = '" + gtopdbTitle + "'", []string{format.FieldDatabase}, nil},
+		{"lambda TID. TargetView(TID, FID, TName, Type) :- Target(TID, FID, TName, Type)",
+			"lambda TID. CTgt(TID, CName) :- Contributor(TID, CName)",
+			[]string{format.FieldIdentifier, format.FieldAuthor}, title},
+	} {
+		reg.MustAdd(&View{
+			Query:     cq.MustParse(v.view),
+			Citations: []*CitationQuery{{Query: cq.MustParse(v.cite), Fields: v.fields}},
+			Static:    v.static,
+		})
+	}
+	return reg
+}
+
+// BenchmarkCiteDistinctConstants cites the four cold shapes over a
+// 2,000-family GtoPdb head with a fresh constant per op, so every cite
+// misses the branch and atom caches. Queries are parsed before the
+// timer, so an op is the generator's work alone: rewriting, planning,
+// evaluation and policy aggregation. Views and their columnar blocks
+// are warm, and so is the rewriting memo: after the warm-up every
+// shape's rewritings are a memo hit with substituted constants.
+func BenchmarkCiteDistinctConstants(b *testing.B) {
+	const families = 2000
+	cfg := gtopdb.DefaultConfig()
+	cfg.Families = families
+	db := gtopdb.Generate(cfg)
+	g := NewGenerator(servingRegistry(db.Schema()), db)
+	g.Parallelism = 1
+	cite := func(shape, id int) {
+		q := cq.MustParse(fmt.Sprintf(servingShapes[shape], id))
+		if _, err := g.CiteContext(context.Background(), q, Request{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// The top two constants warm each shape; the timed cites draw from
+	// the rest, so no query repeats before 4·(families-2) ops.
+	for s := range servingShapes {
+		cite(s, families)
+		cite(s, families-1)
+	}
+	queries := make([]*cq.Query, b.N)
+	for i := range queries {
+		queries[i] = cq.MustParse(fmt.Sprintf(servingShapes[i%len(servingShapes)], 1+(i/len(servingShapes))%(families-2)))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, q := range queries {
+		if _, err := g.CiteContext(context.Background(), q, Request{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -85,6 +85,9 @@ type Generator struct {
 	// no matter how many versions clients sweep through.
 	verMu  sync.Mutex
 	verUse []liveVersion
+
+	// memo answers the rewriting stage by query shape (memo.go).
+	memo rewriteMemo
 }
 
 // liveVersion is one retained committed version and its snapshot.
@@ -263,6 +266,8 @@ type Result struct {
 	// result whose Reads are disjoint from a commit's touched-relation set
 	// is byte-identical to a recomputation, which is the delta
 	// invalidation rule external result caches key on (DESIGN.md §3).
+	// Every cite of one query shape shares the slice: read it, do not
+	// modify it.
 	Reads []string
 }
 
@@ -358,36 +363,24 @@ func (g *Generator) CiteContext(ctx context.Context, q *cq.Query, req Request) (
 
 	// Stage: rewriting enumeration. The span records how many candidate
 	// rewritings the search examined and how many survived — the first
-	// place a slow /cite can burn time (combinatorial view sets).
+	// place a slow /cite can burn time (combinatorial view sets) — and
+	// whether the shape memo answered it; a hit reports the candidates
+	// its entry's search examined.
 	_, rwSpan := trace.StartSpan(ctx, "rewrite")
-	rres, err := rewrite.Rewrite(q, g.reg.ViewQueries(), rewrite.Options{
-		Method:        method,
-		MaxRewritings: g.MaxRewritings,
-	})
+	rewritings, prep, hit, err := g.rewriteStage(q, method)
 	if err != nil {
 		rwSpan.End()
 		return nil, err
 	}
-	rewritings := rres.Rewritings
-	res.Stats.CandidatesExamined = rres.CandidatesExamined
-	if len(rewritings) == 0 && g.AllowPartial {
-		rwSpan.Set("partial", true)
-		pres, err := rewrite.Rewrite(q, g.reg.ViewQueries(), rewrite.Options{
-			Method:        method,
-			MaxRewritings: g.MaxRewritings,
-			AllowPartial:  true,
-		})
-		if err != nil {
-			rwSpan.End()
-			return nil, err
-		}
-		res.Stats.CandidatesExamined += pres.CandidatesExamined
-		for _, rw := range pres.Rewritings {
-			if len(rw.ViewAtoms) > 0 {
-				rewritings = append(rewritings, rw)
-			}
-		}
+	if hit {
+		rwSpan.Set("memo", "hit")
+	} else {
+		rwSpan.Set("memo", "miss")
 	}
+	if prep.partial {
+		rwSpan.Set("partial", true)
+	}
+	res.Stats.CandidatesExamined = prep.candidates
 	rwSpan.Add("candidates_examined", int64(res.Stats.CandidatesExamined))
 	rwSpan.Add("rewritings_found", int64(len(rewritings)))
 	rwSpan.End()
@@ -396,7 +389,7 @@ func (g *Generator) CiteContext(ctx context.Context, q *cq.Query, req Request) (
 	}
 	res.Rewritings = rewritings
 	res.Stats.RewritingsFound = len(rewritings)
-	res.Reads = g.readSet(rewritings)
+	res.Reads = prep.reads
 
 	evalSet := rewritings
 	if g.CostPruned && pol.AltR != policy.AllBranches {
@@ -417,7 +410,7 @@ func (g *Generator) CiteContext(ctx context.Context, q *cq.Query, req Request) (
 	evalCtx, evalSpan := trace.StartSpan(ctx, "eval")
 	evalSpan.Set("branches", len(evalSet))
 	evalSpan.Set("pruned", res.Stats.Pruned)
-	branches, err := g.evalBranches(evalCtx, evalSet, db, req.Version, workers)
+	branches, err := g.evalBranches(evalCtx, evalSet, prep.params, db, req.Version, workers)
 	evalSpan.End()
 	if err != nil {
 		return nil, err
@@ -517,6 +510,59 @@ func (g *Generator) CiteContext(ctx context.Context, q *cq.Query, req Request) (
 	return res, nil
 }
 
+// rewriteStage runs the rewriting stage for q with method: the complete
+// rewritings over the registered views or, when none exists and
+// AllowPartial is set, the partial rewritings that use a view. The shape
+// memo answers it when a query of q's shape was rewritten over the same
+// view set before (hit reports that); a miss runs rewrite.Rewrite and
+// fills the memo. The returned entry carries the candidates examined and
+// what the pipeline derives from the rewritings alone: the read-set and
+// the views' parameter positions. Its fields are shared by every cite of
+// the shape and must not be modified.
+func (g *Generator) rewriteStage(q *cq.Query, method rewrite.Method) ([]*rewrite.Rewriting, *memoEntry, bool, error) {
+	vs := g.reg.viewSet()
+	var kb [256]byte
+	var cb [8]value.Value
+	key, classes := shapeKey(kb[:0], q, vs, method, g.MaxRewritings, g.AllowPartial, cb[:0])
+	if e := g.memo.load(key); e != nil {
+		return e.instantiate(classes), e, true, nil
+	}
+	opts := rewrite.Options{Method: method, MaxRewritings: g.MaxRewritings}
+	rres, err := rewrite.Rewrite(q, vs.queries, opts)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	e := &memoEntry{candidates: rres.CandidatesExamined, mcds: rres.MCDCount}
+	rewritings := rres.Rewritings
+	if len(rewritings) == 0 && g.AllowPartial {
+		e.partial = true
+		opts.AllowPartial = true
+		pres, err := rewrite.Rewrite(q, vs.queries, opts)
+		if err != nil {
+			return nil, nil, false, err
+		}
+		e.candidates += pres.CandidatesExamined
+		e.mcds += pres.MCDCount
+		for _, rw := range pres.Rewritings {
+			if len(rw.ViewAtoms) > 0 {
+				rewritings = append(rewritings, rw)
+			}
+		}
+	}
+	if e.params, err = g.paramPositions(rewritings); err != nil {
+		return nil, nil, false, err
+	}
+	e.reads = g.readSet(rewritings)
+	e.rewritings = copyRewritings(rewritings, func(t cq.Term) cq.Term { return t })
+	e.from = slices.Clone(classes)
+	g.memo.store(key, e)
+	return rewritings, e, false, nil
+}
+
+// RewriteMemoStats snapshots the rewriting memo's hit and miss counters
+// and its entry count.
+func (g *Generator) RewriteMemoStats() MemoStats { return g.memo.stats() }
+
 // readSet computes the union of base relations a citation built from
 // these rewritings transitively reads: every view atom contributes its
 // body deps (the materialized instance) and its citation-query deps (the
@@ -560,7 +606,7 @@ func (g *Generator) readSet(rewritings []*rewrite.Rewriting) []string {
 // sequential evaluation each. Results are indexed by rewriting, so the outcome is
 // deterministic regardless of scheduling; canceling ctx aborts every
 // branch with ctx.Err().
-func (g *Generator) evalBranches(ctx context.Context, evalSet []*rewrite.Rewriting, db *storage.Database, ver, workers int) ([]*branch, error) {
+func (g *Generator) evalBranches(ctx context.Context, evalSet []*rewrite.Rewriting, params map[string][]int, db *storage.Database, ver, workers int) ([]*branch, error) {
 	evalOne := func(idx int, rw *rewrite.Rewriting, innerWorkers int) (*branch, error) {
 		// Branch cache: a repeated rewriting at an unchanged version (or
 		// an untouched head generation) reuses the whole annotated
@@ -569,9 +615,9 @@ func (g *Generator) evalBranches(ctx context.Context, evalSet []*rewrite.Rewriti
 		// of the body relations alone — citation-query deltas are the
 		// atom cache's concern.
 		q := rw.AsQuery("rw")
-		key, deps := cacheKey(db, ver, q.Signature(), func() []string { return g.reg.BodyDeps(q) })
+		key, deps := cacheKey(db, ver, branchName(q), func() []string { return g.reg.BodyDeps(q) })
 		b, hit, err := g.branches.get(key, deps,
-			func() (*branch, error) { return g.evalBranch(ctx, idx, q, rw, db, ver, innerWorkers) })
+			func() (*branch, error) { return g.evalBranch(ctx, idx, q, rw, params, db, ver, innerWorkers) })
 		if hit && err == nil {
 			_, bsp := trace.StartSpan(ctx, "branch")
 			bsp.Set("alt", idx)
@@ -621,6 +667,31 @@ func (g *Generator) evalBranches(ctx context.Context, evalSet []*rewrite.Rewriti
 	return branches, nil
 }
 
+// branchName names a rewriting's branch-cache entry: its signature
+// followed by the kind of each constant, since the signature renders
+// constants as literals and lookalikes of different kinds (Int(1) and
+// Float(1) both render as 1) select different tuples.
+func branchName(q *cq.Query) string {
+	var kb [16]byte
+	kinds := kb[:0]
+	for _, t := range q.Head {
+		if !t.IsVar {
+			kinds = append(kinds, '0'+byte(t.Const.Kind()))
+		}
+	}
+	for _, a := range q.Body {
+		for _, t := range a.Terms {
+			if !t.IsVar {
+				kinds = append(kinds, '0'+byte(t.Const.Kind()))
+			}
+		}
+	}
+	if len(kinds) == 0 {
+		return q.Signature()
+	}
+	return q.Signature() + "#" + string(kinds)
+}
+
 // evalBranch performs one rewriting's annotated evaluation — the cache
 // miss path of evalBranches. One span per alternative rewriting: view
 // materializations, plan compilation and the enumeration itself nest
@@ -628,18 +699,13 @@ func (g *Generator) evalBranches(ctx context.Context, evalSet []*rewrite.Rewriti
 // run concurrently — sibling spans are mutex-appended to "eval". The
 // plan is compiled on every miss: the branch cache above it already
 // memoizes the whole evaluation under the same key and deps.
-func (g *Generator) evalBranch(ctx context.Context, idx int, q *cq.Query, rw *rewrite.Rewriting, db *storage.Database, ver, innerWorkers int) (*branch, error) {
+func (g *Generator) evalBranch(ctx context.Context, idx int, q *cq.Query, rw *rewrite.Rewriting, params map[string][]int, db *storage.Database, ver, innerWorkers int) (*branch, error) {
 	bctx, bsp := trace.StartSpan(ctx, "branch")
 	defer bsp.End()
 	bsp.Set("alt", idx)
 	bsp.Set("views", len(rw.ViewAtoms))
 	bsp.Set("base_atoms", len(rw.BaseAtoms))
 	inst, err := g.instanceFor(bctx, rw, db, ver)
-	if err != nil {
-		bsp.Set("outcome", "materialize-error")
-		return nil, err
-	}
-	annot, err := g.annotator(rw)
 	if err != nil {
 		bsp.Set("outcome", "materialize-error")
 		return nil, err
@@ -651,7 +717,7 @@ func (g *Generator) evalBranch(ctx context.Context, idx int, q *cq.Query, rw *re
 		bsp.Set("outcome", "compile-error")
 		return nil, err
 	}
-	annotated, err := eval.RunAnnotatedParallelCtx[citeexpr.Expr](bctx, plan, citeexpr.Semiring{}, annot, innerWorkers)
+	annotated, err := eval.RunAnnotatedParallelCtx[citeexpr.Expr](bctx, plan, citeexpr.Semiring{}, annotator(params), innerWorkers)
 	if err != nil {
 		bsp.Set("outcome", "eval-error")
 		return nil, err
@@ -819,24 +885,36 @@ func (g *Generator) materializeView(db *storage.Database, viewName string) (*sto
 	return inst, nil
 }
 
-// annotator returns the base-annotation function for rw's annotated
-// evaluation: a tuple of one of its views is annotated with the citation
-// atom CV(params) built from the tuple's parameter columns; base-relation
-// tuples (partial rewritings) are neutral. The returned function is safe
-// for concurrent calls.
-func (g *Generator) annotator(rw *rewrite.Rewriting) (func(pred string, t storage.Tuple) citeexpr.Expr, error) {
-	positions := make(map[string][]int, len(rw.ViewAtoms))
-	for _, va := range rw.ViewAtoms {
-		v := g.reg.View(va.ViewName)
-		if v == nil {
-			return nil, fmt.Errorf("citation: unknown view %s", va.ViewName)
+// paramPositions maps every view the rewritings use to its parameter
+// positions in the view head.
+func (g *Generator) paramPositions(rewritings []*rewrite.Rewriting) (map[string][]int, error) {
+	positions := make(map[string][]int)
+	for _, rw := range rewritings {
+		for _, va := range rw.ViewAtoms {
+			if _, done := positions[va.ViewName]; done {
+				continue
+			}
+			v := g.reg.View(va.ViewName)
+			if v == nil {
+				return nil, fmt.Errorf("citation: unknown view %s", va.ViewName)
+			}
+			pos, err := v.ParamPositions()
+			if err != nil {
+				return nil, err
+			}
+			positions[va.ViewName] = pos
 		}
-		pos, err := v.ParamPositions()
-		if err != nil {
-			return nil, err
-		}
-		positions[va.ViewName] = pos
 	}
+	return positions, nil
+}
+
+// annotator returns the base-annotation function for a rewriting's
+// annotated evaluation, given its views' parameter positions: a tuple of
+// one of the views is annotated with the citation atom CV(params) built
+// from the tuple's parameter columns; base-relation tuples (partial
+// rewritings) are neutral. The returned function is safe for concurrent
+// calls.
+func annotator(positions map[string][]int) func(pred string, t storage.Tuple) citeexpr.Expr {
 	return func(pred string, t storage.Tuple) citeexpr.Expr {
 		pos, ok := positions[pred]
 		if !ok {
@@ -849,7 +927,7 @@ func (g *Generator) annotator(rw *rewrite.Rewriting) (func(pred string, t storag
 		// NewAtom precomputes the canonical rendering, so the semiring ops
 		// and the record cache never re-render this atom.
 		return citeexpr.NewAtom(pred, params...)
-	}, nil
+	}
 }
 
 // resolverAt returns a caching policy.Resolver that evaluates a view's

@@ -196,6 +196,10 @@ func TestEvictedVersionFillNotRetained(t *testing.T) {
 		t.Fatal(err)
 	}
 	atom := citeexpr.NewAtom("V1", value.Int(11))
+	params, err := g.paramPositions(res.Rewritings[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
 	n := maxVersionGenerations + 1
 	vers := commitHistory(t, g, n, "Family", "Committee", "FamilyIntro")
 
@@ -211,7 +215,7 @@ func TestEvictedVersionFillNotRetained(t *testing.T) {
 			if _, err := g.materializeAt(ctx, db, ver, "V3"); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := g.evalBranches(ctx, res.Rewritings[:1], db, ver, 1); err != nil {
+			if _, err := g.evalBranches(ctx, res.Rewritings[:1], params, db, ver, 1); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := resolve(atom); err != nil {

@@ -2,12 +2,14 @@ package citation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
 	"repro/internal/cq"
 	"repro/internal/rewrite"
 	"repro/internal/schema"
+	"repro/internal/value"
 )
 
 // Registry holds the citation views declared by the database owner for one
@@ -22,11 +24,22 @@ type Registry struct {
 	schema *schema.Schema
 	views  []*View
 	byName map[string]*View
+	set    *viewSet // the rewriter's image of views; replaced by every Add
+}
+
+// viewSet is one generation of the registry's views as the rewriter sees
+// them. It is immutable: Add builds the next generation's set, so a cite
+// that read a set keeps a consistent (generation, views, constants)
+// triple however many views land meanwhile.
+type viewSet struct {
+	gen     uint64        // bumped by every Add
+	queries []*cq.Query   // view queries, in registration order
+	consts  []value.Value // distinct constants of the view bodies
 }
 
 // NewRegistry creates an empty registry over the schema.
 func NewRegistry(s *schema.Schema) *Registry {
-	return &Registry{schema: s, byName: make(map[string]*View)}
+	return &Registry{schema: s, byName: make(map[string]*View), set: &viewSet{}}
 }
 
 // Schema returns the registry's database schema.
@@ -49,7 +62,29 @@ func (r *Registry) Add(v *View) error {
 	}
 	r.views = append(r.views, v)
 	r.byName[name] = v
+	next := &viewSet{
+		gen:     r.set.gen + 1,
+		queries: append(slices.Clip(r.set.queries), v.Query),
+		consts:  slices.Clip(r.set.consts),
+	}
+	for _, a := range v.Query.Body {
+		for _, t := range a.Terms {
+			if !t.IsVar && !slices.ContainsFunc(next.consts, func(c value.Value) bool { return identical(c, t.Const) }) {
+				next.consts = append(next.consts, t.Const)
+			}
+		}
+	}
+	r.set = next
 	return nil
+}
+
+// viewSet returns the current generation of the view set, read under
+// the same lock as the view list so a concurrent Add cannot pair one
+// generation with another's views.
+func (r *Registry) viewSet() *viewSet {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.set
 }
 
 // MustAdd is Add but panics on error; for statically known view sets.
@@ -85,13 +120,7 @@ func (r *Registry) Len() int {
 // ViewQueries returns the view queries in registration order, as consumed
 // by the rewriting engine.
 func (r *Registry) ViewQueries() []*cq.Query {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]*cq.Query, 0, len(r.views))
-	for _, v := range r.views {
-		out = append(out, v.Query)
-	}
-	return out
+	return slices.Clone(r.viewSet().queries)
 }
 
 // QueryDeps returns the sorted set of base relations the named predicate

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/cq"
-	"repro/internal/format"
 	"repro/internal/gtopdb"
 	"repro/internal/storage"
 	"repro/internal/trace"
@@ -178,30 +177,7 @@ func BenchmarkVersionSweep(b *testing.B) {
 	cfg := gtopdb.DefaultConfig()
 	cfg.Families = families
 	db := gtopdb.Generate(cfg)
-	reg := NewRegistry(db.Schema())
-	title := format.NewRecord(format.FieldDatabase, gtopdbTitle)
-	for _, v := range []struct {
-		view, cite string
-		fields     []string
-		static     format.Record
-	}{
-		{"lambda FID. FamilyView(FID, FName, Desc) :- Family(FID, FName, Desc)",
-			"lambda FID. CFam(FID, PName) :- Committee(FID, PName)",
-			[]string{format.FieldIdentifier, format.FieldAuthor}, title},
-		{"FamilyAll(FID, FName, Desc) :- Family(FID, FName, Desc)",
-			"CAll(D) :- D = '" + gtopdbTitle + "'", []string{format.FieldDatabase}, nil},
-		{"IntroView(FID, Text) :- FamilyIntro(FID, Text)",
-			"CIntro(D) :- D = '" + gtopdbTitle + "'", []string{format.FieldDatabase}, nil},
-		{"lambda TID. TargetView(TID, FID, TName, Type) :- Target(TID, FID, TName, Type)",
-			"lambda TID. CTgt(TID, CName) :- Contributor(TID, CName)",
-			[]string{format.FieldIdentifier, format.FieldAuthor}, title},
-	} {
-		reg.MustAdd(&View{
-			Query:     cq.MustParse(v.view),
-			Citations: []*CitationQuery{{Query: cq.MustParse(v.cite), Fields: v.fields}},
-			Static:    v.static,
-		})
-	}
+	reg := servingRegistry(db.Schema())
 	snaps := make([]*storage.Database, 0, versions)
 	for v := 1; v <= versions; v++ {
 		if v > 1 {
@@ -212,20 +188,14 @@ func BenchmarkVersionSweep(b *testing.B) {
 		}
 		snaps = append(snaps, db.Snapshot())
 	}
-	shapes := []string{
-		"Q(FName, Desc) :- Family(%[1]d, FName, Desc)",
-		"Q(FName, Text) :- Family(%[1]d, FName, Desc), FamilyIntro(%[1]d, Text)",
-		"Q(TName, Type) :- Target(%[1]d, FID, TName, Type)",
-		"Q(FName, TName) :- Target(%[1]d, FID, TName, Type), Family(FID, FName, Desc)",
-	}
 	g := NewGenerator(reg, db)
 	g.Parallelism = 1
 	sweep := func(i int) {
 		for v := 1; v <= versions; v++ {
-			for s, shape := range shapes {
+			for s, shape := range servingShapes {
 				// Constants advance with every cite, so consecutive sweeps
 				// cite different queries and mostly miss the branch cache.
-				id := 1 + (i*versions*len(shapes)+v*len(shapes)+s)%families
+				id := 1 + (i*versions*len(servingShapes)+v*len(servingShapes)+s)%families
 				q := cq.MustParse(fmt.Sprintf(shape, id))
 				if _, err := g.CiteContext(context.Background(), q, Request{DB: snaps[v-1], Version: v}); err != nil {
 					b.Fatal(err)

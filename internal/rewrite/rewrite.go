@@ -229,7 +229,7 @@ func Rewrite(q *cq.Query, views []*cq.Query, opts Options) (*Result, error) {
 	case MethodBucket:
 		combineBucket(q, mcds, opts, emit)
 	}
-	sortRewritings(res.Rewritings)
+	SortRewritings(res.Rewritings)
 	return res, nil
 }
 
@@ -254,7 +254,13 @@ func checkViews(views []*cq.Query) error {
 	return nil
 }
 
-func sortRewritings(rs []*Rewriting) {
+// SortRewritings puts rewritings in the order Rewrite returns them:
+// fewer view atoms first, then by rendering. Rewrite's results render
+// pairwise differently (equal renderings share a signature and are
+// deduplicated), so the order is total. Callers that substitute
+// constants into a result re-sort with it to get the order a fresh
+// Rewrite would give.
+func SortRewritings(rs []*Rewriting) {
 	sort.SliceStable(rs, func(i, j int) bool {
 		if len(rs[i].ViewAtoms) != len(rs[j].ViewAtoms) {
 			return len(rs[i].ViewAtoms) < len(rs[j].ViewAtoms)

@@ -210,6 +210,15 @@ func (m *serverMetrics) render(w *strings.Builder, s *Server) {
 		counter(evicted, c.what+" evicted by a delta invalidation.")
 		fmt.Fprintf(w, "%s %d\n", evicted, c.evicted)
 	}
+	// The rewriting memo is keyed by view-set generation, not by data, so
+	// it has no kept/evicted counts: hits, misses and live entries.
+	rm := s.sys.Generator().RewriteMemoStats()
+	counter("citeserved_rewrite_memo_hits_total", "Rewriting stages answered by the shape memo.")
+	fmt.Fprintf(w, "citeserved_rewrite_memo_hits_total %d\n", rm.Hits)
+	counter("citeserved_rewrite_memo_misses_total", "Rewriting stages that ran the rewriter and filled the shape memo.")
+	fmt.Fprintf(w, "citeserved_rewrite_memo_misses_total %d\n", rm.Misses)
+	gauge("citeserved_rewrite_memo_entries", "Query shapes held by the rewriting memo.")
+	fmt.Fprintf(w, "citeserved_rewrite_memo_entries %d\n", rm.Entries)
 
 	cu := storage.ColumnarUsage()
 	counter("citeserved_columnar_blocks_total", "Dictionary-encoded columnar blocks built (mutable relations and frozen snapshots).")

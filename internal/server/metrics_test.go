@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -286,6 +287,41 @@ func TestMetricsExposition(t *testing.T) {
 		}
 		if s2.value < s1.value {
 			t.Errorf("counter went backwards: %q %g -> %g", s1.line, s1.value, s2.value)
+		}
+	}
+}
+
+// TestRewriteMemoMetrics: /metrics exposes the rewriting memo's hits,
+// misses and entries. Two constants of one shape are one miss and one
+// hit; the series are a counter pair and a gauge outside the cache
+// kept/evicted families.
+func TestRewriteMemoMetrics(t *testing.T) {
+	_, ts := paperServer(t, Options{})
+	client := ts.Client()
+	for _, fid := range []int{11, 12} {
+		resp, body := postJSON(t, client, ts.URL+"/cite", citeRequest{Query: fmt.Sprintf("Q(FName) :- Family(%d, FName, Desc)", fid)})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("cite %d: %d %s", fid, resp.StatusCode, body)
+		}
+	}
+	samples, types := parseExposition(t, getText(t, client, ts.URL+"/metrics"))
+	got := map[string]float64{}
+	for _, s := range samples {
+		got[s.name] = s.value
+	}
+	for name, want := range map[string]struct {
+		typ   string
+		value float64
+	}{
+		"citeserved_rewrite_memo_hits_total":   {"counter", 1},
+		"citeserved_rewrite_memo_misses_total": {"counter", 1},
+		"citeserved_rewrite_memo_entries":      {"gauge", 1},
+	} {
+		if types[name] != want.typ {
+			t.Errorf("%s: type %q, want %q", name, types[name], want.typ)
+		}
+		if got[name] != want.value {
+			t.Errorf("%s = %g, want %g", name, got[name], want.value)
 		}
 	}
 }

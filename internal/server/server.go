@@ -1155,7 +1155,9 @@ func decodeBody(r *http.Request, into any) error {
 	if err := dec.Decode(into); err != nil {
 		return fmt.Errorf("invalid request body: %w", err)
 	}
-	if dec.More() {
+	// More reports false before a closing delimiter, so a stray '}' or
+	// ']' would slip past it; only end of input ends a valid body.
+	if _, err := dec.Token(); err != io.EOF {
 		return errors.New("invalid request body: trailing data")
 	}
 	return nil

@@ -372,6 +372,43 @@ func TestCiteRequestValidation(t *testing.T) {
 	}
 }
 
+// TestTrailingBodyDataRejected: a JSON body must be one value followed
+// by nothing but whitespace. A stray closing delimiter, a bare word or a
+// second value after it is a 400 on every endpoint that decodes a body;
+// trailing whitespace is not.
+func TestTrailingBodyDataRejected(t *testing.T) {
+	_, ts := paperServer(t, Options{})
+	client := ts.Client()
+	valid := map[string]string{
+		"/cite":   `{"query":"` + paperQuery + `"}`,
+		"/ingest": `{"relation":"Family","insert":[[501,"Trailing","T"]]}`,
+		"/commit": `{"message":"trailing"}`,
+	}
+	for _, path := range []string{"/cite", "/ingest", "/commit"} {
+		for _, tc := range []struct {
+			name, suffix string
+			want         int
+		}{
+			{"closing brace", "}", http.StatusBadRequest},
+			{"closing bracket", "]", http.StatusBadRequest},
+			{"bare word", "x", http.StatusBadRequest},
+			{"second object", valid[path], http.StatusBadRequest},
+			{"second object after space", " {}", http.StatusBadRequest},
+			{"trailing whitespace", " \n\t\r\n", http.StatusOK},
+		} {
+			resp, err := client.Post(ts.URL+path, "application/json", strings.NewReader(valid[path]+tc.suffix))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Errorf("%s with %s: status %d, want %d: %s", path, tc.name, resp.StatusCode, tc.want, out)
+			}
+		}
+	}
+}
+
 func TestVersionsViewsHealthz(t *testing.T) {
 	_, ts := paperServer(t, Options{})
 	client := ts.Client()

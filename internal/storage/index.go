@@ -87,10 +87,18 @@ func (d *valueDict) grow() {
 
 // footprint approximates the dictionary's memory in bytes: the value
 // structs, their string payloads, the hash cache and the probe table.
+// A value's payload counts as the length of its String rendering,
+// measured by rendering into a stack buffer rather than building the
+// string, so measuring a block allocates nothing.
 func (d *valueDict) footprint() uint64 {
 	n := uint64(0)
+	var buf [64]byte
 	for _, v := range d.vals {
-		n += 32 + uint64(len(v.String()))
+		if v.Kind() == value.KindString {
+			n += 32 + uint64(len(v.Str()))
+		} else {
+			n += 32 + uint64(len(value.AppendString(buf[:0], v)))
+		}
 	}
 	return n + 8*uint64(len(d.hashes)) + 4*uint64(len(d.table))
 }

@@ -2,7 +2,9 @@ package storage
 
 import (
 	"fmt"
+	"math"
 	"testing"
+	"time"
 
 	"repro/internal/schema"
 	"repro/internal/value"
@@ -95,5 +97,32 @@ func TestIndexedAppendLookupAllocsZero(t *testing.T) {
 	}
 	if len(buf) != 2000/16 {
 		t.Fatalf("chain walk returned %d rows, want %d", len(buf), 2000/16)
+	}
+}
+
+// TestDictFootprintCountsRenderings: a dictionary's footprint is
+// Σ(32 + len(String())) over its values plus the hash and table terms,
+// for all four kinds (the zeros share a code, each NaN has its own), and
+// measuring it allocates nothing.
+func TestDictFootprintCountsRenderings(t *testing.T) {
+	var d valueDict
+	for _, v := range []value.Value{
+		value.String("Calcitonin receptors"), value.String(""), value.Int(7), value.Int(-123456789),
+		value.Float(0), negZero, nanA, nanB, value.Float(1e300), value.Float(-1.5e-300),
+		value.Float(math.Inf(1)), value.Time(time.Date(2017, 5, 14, 9, 0, 0, 0, time.UTC)),
+		value.Time(time.Date(1999, 1, 2, 3, 4, 5, 678, time.UTC)),
+	} {
+		d.codeOrAdd(v)
+	}
+	want := uint64(0)
+	for _, v := range d.vals {
+		want += 32 + uint64(len(v.String()))
+	}
+	want += 8*uint64(len(d.hashes)) + 4*uint64(len(d.table))
+	if got := d.footprint(); got != want {
+		t.Fatalf("footprint = %d, want %d", got, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { d.footprint() }); allocs != 0 {
+		t.Fatalf("footprint: %.1f allocs/run, want 0", allocs)
 	}
 }

@@ -96,6 +96,25 @@ func (v Value) String() string {
 	}
 }
 
+// AppendString appends v's String rendering to dst and returns the
+// extended buffer. Given a buffer with room, it renders without
+// allocating, so callers that only need the rendering's bytes (or its
+// length) need not build a string.
+func AppendString(dst []byte, v Value) []byte {
+	switch v.kind {
+	case KindString:
+		return append(dst, v.s...)
+	case KindInt:
+		return strconv.AppendInt(dst, v.i, 10)
+	case KindFloat:
+		return strconv.AppendFloat(dst, v.f, 'g', -1, 64)
+	case KindTime:
+		return time.Unix(0, v.i).UTC().AppendFormat(dst, time.RFC3339Nano)
+	default:
+		return fmt.Appendf(dst, "value(%d)", uint8(v.kind))
+	}
+}
+
 // Quote renders the value as a literal that the query parser accepts:
 // strings are single-quoted with internal quotes doubled; other kinds use
 // their natural literal form.

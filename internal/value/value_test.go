@@ -46,6 +46,23 @@ func TestZeroValueIsEmptyString(t *testing.T) {
 	}
 }
 
+// TestAppendStringMatchesString: AppendString renders exactly String's
+// bytes for every kind, including the float specials and times with
+// and without sub-second digits, and appends after existing content.
+func TestAppendStringMatchesString(t *testing.T) {
+	for _, v := range []Value{
+		String(""), String("it's"), Int(0), Int(-42), Int(math.MaxInt64),
+		Float(0), Float(math.Copysign(0, -1)), Float(math.NaN()), Float(math.Inf(-1)),
+		Float(1e300), Float(-1.5e-300), Float(100000), Float(1e6),
+		Time(time.Date(2017, 5, 14, 9, 0, 0, 0, time.UTC)),
+		Time(time.Date(1969, 12, 31, 23, 59, 59, 123456789, time.UTC)),
+	} {
+		if got := string(AppendString([]byte("x"), v)); got != "x"+v.String() {
+			t.Errorf("AppendString(%s %v) = %q, want %q", v.Kind(), v, got, "x"+v.String())
+		}
+	}
+}
+
 func TestStringRendering(t *testing.T) {
 	cases := []struct {
 		v    Value

@@ -381,8 +381,9 @@ func BenchmarkServerCiteTraceOverhead(b *testing.B) {
 
 // BenchmarkMixedReadWrite measures what delta-aware invalidation buys
 // under a read/write mix: N client goroutines drain the E10 query mix
-// while a writer ingests single-relation Family deltas and commits at a
-// fixed cadence. With dependency-scoped invalidation, queries that do
+// while the dispatcher ingests a single-relation Family delta and
+// commits once per writeEvery cites, so every run does the same writes
+// for the same cites. With dependency-scoped invalidation, queries that do
 // not read Family (Q3, over FamilyIntro) keep hitting the result cache
 // across commits; the per-op metric untouched-hit-rate reports the
 // fraction of those requests served from cache (the acceptance bar is
@@ -422,6 +423,25 @@ func BenchmarkMixedReadWrite(b *testing.B) {
 		return out, nil
 	}
 
+	// One ingest and one commit per writeEvery cites, about the mix of
+	// citeload's mixed workload. Family IDs stay fresh across runs, so
+	// every ingest inserts a row and every commit touches Family.
+	const writeEvery = 32
+	commitBody, _ := json.Marshal(map[string]string{"message": "delta"})
+	fid := 1_000_000
+	write := func(client *http.Client) error {
+		fid++
+		ingest, _ := json.Marshal(map[string]any{
+			"relation": "Family",
+			"insert":   [][]any{{fid, fmt.Sprintf("Bench %d", fid), "D"}},
+		})
+		if _, err := post(client, "/ingest", ingest); err != nil {
+			return err
+		}
+		_, err := post(client, "/commit", commitBody)
+		return err
+	}
+
 	for _, clients := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("clients-%d", clients), func(b *testing.B) {
 			// Prime the cache so the steady state starts warm.
@@ -430,34 +450,6 @@ func BenchmarkMixedReadWrite(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-
-			stopWriter := make(chan struct{})
-			var writerWG sync.WaitGroup
-			writerWG.Add(1)
-			go func() {
-				defer writerWG.Done()
-				client := ts.Client()
-				tick := time.NewTicker(2 * time.Millisecond)
-				defer tick.Stop()
-				commitBody, _ := json.Marshal(map[string]string{"message": "delta"})
-				for fid := 1_000_000; ; fid++ {
-					select {
-					case <-stopWriter:
-						return
-					case <-tick.C:
-					}
-					ingest, _ := json.Marshal(map[string]any{
-						"relation": "Family",
-						"insert":   [][]any{{fid, fmt.Sprintf("Bench %d", fid), "D"}},
-					})
-					if _, err := post(client, "/ingest", ingest); err != nil {
-						return
-					}
-					if _, err := post(client, "/commit", commitBody); err != nil {
-						return
-					}
-				}
-			}()
 
 			var untouchedHits, untouchedTotal atomic.Int64
 			var wg sync.WaitGroup
@@ -499,15 +491,21 @@ func BenchmarkMixedReadWrite(b *testing.B) {
 					}
 				}()
 			}
+			writer := ts.Client()
+			var writeErr error
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			for i := 0; i < b.N && writeErr == nil; i++ {
+				if i%writeEvery == writeEvery-1 {
+					writeErr = write(writer)
+				}
 				next <- i
 			}
 			close(next)
 			wg.Wait()
 			b.StopTimer()
-			close(stopWriter)
-			writerWG.Wait()
+			if writeErr != nil {
+				b.Fatal(writeErr)
+			}
 			select {
 			case err := <-errs:
 				b.Fatal(err)

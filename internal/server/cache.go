@@ -38,7 +38,7 @@ type freshFunc func(deps []string, since int64) bool
 // cached under.
 type cacheCall struct {
 	done  chan struct{}
-	val   CiteResult
+	val   *encodedCite
 	err   error
 	epoch int64
 }
@@ -81,12 +81,13 @@ func newResultCache(capacity int) *resultCache {
 	}
 }
 
-// cacheEntry is one cached citation with its freshness evidence: the
-// epoch the value was computed at and the base relations it read
-// (CiteResult.Reads). Version-pinned entries never consult either.
+// cacheEntry is one cached citation, held as the bytes replies are
+// written from, with its freshness evidence: the epoch the value was
+// computed at and the base relations it read (encodedCite.reads).
+// Version-pinned entries never consult either.
 type cacheEntry struct {
 	key   cacheKey
-	val   CiteResult
+	val   *encodedCite
 	epoch int64
 }
 
@@ -105,12 +106,12 @@ type cacheEntry struct {
 // (call.epoch < curEpoch) is not coalesced onto — the caller replaces
 // the registration and computes against current data, while the old
 // owner's result is dropped at its own complete unless still fresh.
-func (c *resultCache) acquire(k cacheKey, curEpoch int64, fresh freshFunc) (val CiteResult, cached bool, cl *cacheCall, owner bool) {
+func (c *resultCache) acquire(k cacheKey, curEpoch int64, fresh freshFunc) (val *encodedCite, cached bool, cl *cacheCall, owner bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[k]; ok {
 		e := el.Value.(*cacheEntry)
-		if k.version > 0 || fresh == nil || fresh(e.val.Reads, e.epoch) {
+		if k.version > 0 || fresh == nil || fresh(e.val.reads, e.epoch) {
 			c.lru.MoveToFront(el)
 			c.hits.Add(1)
 			return e.val, true, nil, false
@@ -123,12 +124,12 @@ func (c *resultCache) acquire(k cacheKey, curEpoch int64, fresh freshFunc) (val 
 	}
 	if cl, ok := c.inflight[k]; ok && (k.version > 0 || cl.epoch >= curEpoch) {
 		c.coalesced.Add(1)
-		return CiteResult{}, false, cl, false
+		return nil, false, cl, false
 	}
 	cl = &cacheCall{done: make(chan struct{}), epoch: curEpoch}
 	c.inflight[k] = cl
 	c.misses.Add(1)
-	return CiteResult{}, false, cl, true
+	return nil, false, cl, true
 }
 
 // complete publishes the owner's result: waiters are released, and a
@@ -136,12 +137,12 @@ func (c *resultCache) acquire(k cacheKey, curEpoch int64, fresh freshFunc) (val 
 // past capacity) — unless a head result went stale while it was being
 // computed, which fresh detects against the relations the citation
 // actually read. Failed computations are not cached.
-func (c *resultCache) complete(k cacheKey, cl *cacheCall, val CiteResult, err error, fresh freshFunc) {
+func (c *resultCache) complete(k cacheKey, cl *cacheCall, val *encodedCite, err error, fresh freshFunc) {
 	c.mu.Lock()
 	if c.inflight[k] == cl {
 		delete(c.inflight, k)
 	}
-	if err == nil && (k.version > 0 || fresh == nil || fresh(val.Reads, cl.epoch)) {
+	if err == nil && (k.version > 0 || fresh == nil || fresh(val.reads, cl.epoch)) {
 		if el, ok := c.entries[k]; ok {
 			e := el.Value.(*cacheEntry)
 			e.val, e.epoch = val, cl.epoch
@@ -195,7 +196,7 @@ func (c *resultCache) purgeTouched(rels []string) {
 			continue
 		}
 		stale := false
-		for _, d := range e.val.Reads {
+		for _, d := range e.val.reads {
 			if touched[d] {
 				stale = true
 				break

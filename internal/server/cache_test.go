@@ -7,6 +7,19 @@ import (
 	"testing"
 )
 
+// testCite is a cached citation whose encoded body is text.
+func testCite(text string, reads ...string) *encodedCite {
+	return &encodedCite{reads: reads, body: []byte(text)}
+}
+
+// text reads back testCite's text ("" for nil).
+func text(e *encodedCite) string {
+	if e == nil {
+		return ""
+	}
+	return string(e.body)
+}
+
 // TestCacheCoalescingExactlyOnce pins the coalescing contract
 // deterministically: N goroutines acquire the same key while the owner's
 // computation is gated open only after every goroutine has registered,
@@ -20,7 +33,7 @@ func TestCacheCoalescingExactlyOnce(t *testing.T) {
 	registered.Add(n)
 	var owners, waiters int
 	var mu sync.Mutex
-	results := make([]CiteResult, n)
+	results := make([]*encodedCite, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -42,7 +55,7 @@ func TestCacheCoalescingExactlyOnce(t *testing.T) {
 			registered.Done()
 			if owner {
 				registered.Wait() // every caller has acquired — none can slip in post-completion
-				c.complete(k, cl, CiteResult{Query: k.query, Text: "computed"}, nil, nil)
+				c.complete(k, cl, testCite("computed"), nil, nil)
 			}
 			<-cl.done
 			val = cl.val
@@ -58,7 +71,7 @@ func TestCacheCoalescingExactlyOnce(t *testing.T) {
 		t.Fatalf("%d waiters, want %d", waiters, n-1)
 	}
 	for i, r := range results {
-		if r.Text != "computed" {
+		if text(r) != "computed" {
 			t.Errorf("caller %d got %+v", i, r)
 		}
 	}
@@ -83,7 +96,7 @@ func TestCacheErrorsNotCached(t *testing.T) {
 	if !owner {
 		t.Fatal("first acquire must own the computation")
 	}
-	c.complete(k, cl, CiteResult{}, errors.New("transient"), nil)
+	c.complete(k, cl, nil, errors.New("transient"), nil)
 	if cl.err == nil {
 		t.Error("error not published to waiters")
 	}
@@ -103,16 +116,16 @@ func TestCacheConfigKeying(t *testing.T) {
 	c := newResultCache(8)
 	old := cacheKey{epoch: 1, query: "q"}
 	_, _, cl, _ := c.acquire(old, 1, nil)
-	c.complete(old, cl, CiteResult{Text: "v1"}, nil, nil)
+	c.complete(old, cl, testCite("v1"), nil, nil)
 
 	fresh := cacheKey{epoch: 2, query: "q"}
 	_, cached, cl2, owner := c.acquire(fresh, 1, nil)
 	if cached || !owner {
 		t.Fatal("bumped configuration generation must miss")
 	}
-	c.complete(fresh, cl2, CiteResult{Text: "v2"}, nil, nil)
-	if val, cached, _, _ := c.acquire(fresh, 1, nil); !cached || val.Text != "v2" {
-		t.Errorf("fresh config: cached=%v val=%q", cached, val.Text)
+	c.complete(fresh, cl2, testCite("v2"), nil, nil)
+	if val, cached, _, _ := c.acquire(fresh, 1, nil); !cached || text(val) != "v2" {
+		t.Errorf("fresh config: cached=%v val=%q", cached, text(val))
 	}
 }
 
@@ -126,7 +139,7 @@ func TestCacheLRUEviction(t *testing.T) {
 		if !owner {
 			t.Fatalf("put %q: not owner", q)
 		}
-		c.complete(k, cl, CiteResult{Text: text}, nil, nil)
+		c.complete(k, cl, testCite(text), nil, nil)
 	}
 	put("a", "A")
 	put("b", "B")
@@ -152,7 +165,7 @@ func TestCachePurge(t *testing.T) {
 	c := newResultCache(8)
 	done := cacheKey{epoch: 1, query: "done"}
 	_, _, cl, _ := c.acquire(done, 1, nil)
-	c.complete(done, cl, CiteResult{Text: "done"}, nil, nil)
+	c.complete(done, cl, testCite("done"), nil, nil)
 
 	inflight := cacheKey{epoch: 1, query: "inflight"}
 	_, _, inflightCall, owner := c.acquire(inflight, 1, nil)
@@ -167,14 +180,14 @@ func TestCachePurge(t *testing.T) {
 		t.Error("purged entry still served")
 	}
 	// The in-flight call still completes and publishes.
-	c.complete(inflight, inflightCall, CiteResult{Text: "late"}, nil, nil)
+	c.complete(inflight, inflightCall, testCite("late"), nil, nil)
 	select {
 	case <-inflightCall.done:
 	default:
 		t.Fatal("in-flight call not completed after purge")
 	}
-	if inflightCall.val.Text != "late" {
-		t.Errorf("in-flight value %q", inflightCall.val.Text)
+	if text(inflightCall.val) != "late" {
+		t.Errorf("in-flight value %q", text(inflightCall.val))
 	}
 }
 
@@ -193,7 +206,7 @@ func TestCacheConcurrentDistinctKeys(t *testing.T) {
 				switch {
 				case cached:
 				case owner:
-					c.complete(k, cl, CiteResult{Text: k.query}, nil, nil)
+					c.complete(k, cl, testCite(k.query), nil, nil)
 				default:
 					<-cl.done
 				}
@@ -215,7 +228,7 @@ func put(t *testing.T, c *resultCache, k cacheKey, reads ...string) {
 	if !owner {
 		t.Fatalf("put %+v: not owner", k)
 	}
-	c.complete(k, cl, CiteResult{Query: k.query, Reads: reads}, nil, nil)
+	c.complete(k, cl, testCite(k.query, reads...), nil, nil)
 }
 
 // TestPurgeTouchedScopesByReads pins the delta invalidation rule at the
@@ -269,12 +282,12 @@ func TestCacheFreshnessAtLookup(t *testing.T) {
 	c := newResultCache(8)
 	k := cacheKey{epoch: 1, query: "q"}
 	_, _, cl, _ := c.acquire(k, 5, nil)
-	c.complete(k, cl, CiteResult{Text: "v5", Reads: []string{"Family"}}, nil, nil)
+	c.complete(k, cl, testCite("v5", "Family"), nil, nil)
 
 	// Data unchanged: served.
 	aliveFresh := func(deps []string, since int64) bool { return true }
-	if val, cached, _, _ := c.acquire(k, 5, aliveFresh); !cached || val.Text != "v5" {
-		t.Fatalf("fresh entry not served: cached=%v val=%q", cached, val.Text)
+	if val, cached, _, _ := c.acquire(k, 5, aliveFresh); !cached || text(val) != "v5" {
+		t.Fatalf("fresh entry not served: cached=%v val=%q", cached, text(val))
 	}
 
 	// Family changed at epoch 6 > 5: the entry is stale.
@@ -297,7 +310,7 @@ func TestCacheFreshnessAtLookup(t *testing.T) {
 	// A version-pinned entry never consults fresh.
 	pk := cacheKey{epoch: 1, version: 2, query: "q"}
 	_, _, pcl, _ := c.acquire(pk, 5, nil)
-	c.complete(pk, pcl, CiteResult{Text: "pinned", Reads: []string{"Family"}}, nil, nil)
+	c.complete(pk, pcl, testCite("pinned", "Family"), nil, nil)
 	if _, cached, _, _ := c.acquire(pk, 6, staleFresh); !cached {
 		t.Error("version-pinned entry failed freshness it should never take")
 	}
@@ -329,19 +342,19 @@ func TestCacheStaleInflightNotCoalesced(t *testing.T) {
 	// The old owner completes late; its result fails freshness and is not
 	// inserted, but its waiters still get the value.
 	staleFresh := func(deps []string, since int64) bool { return since >= 6 }
-	c.complete(k, oldCall, CiteResult{Text: "stale", Reads: []string{"Family"}}, nil, staleFresh)
+	c.complete(k, oldCall, testCite("stale", "Family"), nil, staleFresh)
 	if c.len() != 0 {
 		t.Errorf("stale result was cached: %d entries", c.len())
 	}
-	if oldCall.val.Text != "stale" {
+	if text(oldCall.val) != "stale" {
 		t.Error("old owner's waiters did not receive its value")
 	}
 
 	// The new owner's result is inserted and the registration it owns is
 	// still intact (the old complete must not delete the new inflight).
-	c.complete(k, newCall, CiteResult{Text: "fresh", Reads: []string{"Family"}}, nil, staleFresh)
-	if val, cached, _, _ := c.acquire(k, 6, staleFresh); !cached || val.Text != "fresh" {
-		t.Errorf("recomputed value not served: cached=%v val=%q", cached, val.Text)
+	c.complete(k, newCall, testCite("fresh", "Family"), nil, staleFresh)
+	if val, cached, _, _ := c.acquire(k, 6, staleFresh); !cached || text(val) != "fresh" {
+		t.Errorf("recomputed value not served: cached=%v val=%q", cached, text(val))
 	}
 	// A same-epoch caller coalesces onto in-flight work as before.
 	_, _, cl3, owner := c.acquire(cacheKey{epoch: 1, query: "r"}, 6, nil)
@@ -352,5 +365,5 @@ func TestCacheStaleInflightNotCoalesced(t *testing.T) {
 	if cached || owner || cl4 != cl3 {
 		t.Errorf("same-epoch caller did not coalesce: cached=%v owner=%v", cached, owner)
 	}
-	c.complete(cacheKey{epoch: 1, query: "r"}, cl3, CiteResult{}, nil, nil)
+	c.complete(cacheKey{epoch: 1, query: "r"}, cl3, testCite("r"), nil, nil)
 }

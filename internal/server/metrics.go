@@ -72,6 +72,10 @@ func (r *statusRecorder) WriteHeader(status int) {
 	r.ResponseWriter.WriteHeader(status)
 }
 
+// Unwrap exposes the underlying writer, to http.ResponseController and
+// to decodeBody, which hands it to http.MaxBytesReader.
+func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
+
 // Flush passes through to the underlying writer's http.Flusher, so
 // streaming endpoints behind the instrumentation wrapper can still push
 // partial responses to the client.

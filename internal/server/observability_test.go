@@ -67,9 +67,31 @@ func TestTraceEcho(t *testing.T) {
 	if out.Trace.Root.Name != "cite" {
 		t.Errorf("root span %q, want cite", out.Trace.Root.Name)
 	}
-	// The acceptance taxonomy: a fresh cite's trace names at least the
-	// parse, rewrite, eval and fixity stages, each with time attributed.
-	requireStages(t, out.Trace.Root, "parse", "rewrite", "eval", "fixity")
+	// The acceptance taxonomy: a fresh cite's trace names the server's
+	// stages from the handler's first byte (validate, decode, admission,
+	// cache) and the engine's parse, rewrite, eval and fixity stages,
+	// each with time attributed. The echo is taken before encoding, so
+	// it has no encode span.
+	requireStages(t, out.Trace.Root, "validate", "decode", "admission", "cache", "parse", "rewrite", "eval", "fixity")
+	// The root's children start with the handler's own stages, in order.
+	var first []string
+	for _, c := range out.Trace.Root.Children[:min(4, len(out.Trace.Root.Children))] {
+		first = append(first, c.Name)
+	}
+	if got := strings.Join(first, ","); got != "validate,decode,admission,cache" {
+		t.Errorf("root children start %s, want validate,decode,admission,cache", got)
+	}
+
+	// A hit's echo carries the server stages alone.
+	_, body = postJSON(t, client, ts.URL+"/cite?trace=1", citeRequest{Query: paperQuery})
+	out = citeResponse{}
+	if err := json.Unmarshal(body, &out); err != nil || out.Trace == nil {
+		t.Fatalf("bad hit echo (%v): %s", err, body)
+	}
+	requireStages(t, out.Trace.Root, "validate", "decode", "admission", "cache")
+	if _, ok := spanNames(out.Trace.Root)["parse"]; ok {
+		t.Error("a cache hit must not run the engine")
+	}
 
 	// Without ?trace=1 the envelope stays clean.
 	_, body = postJSON(t, client, ts.URL+"/cite", citeRequest{Query: paperQuery})
@@ -79,6 +101,56 @@ func TestTraceEcho(t *testing.T) {
 	}
 	if out.Trace != nil {
 		t.Error("trace echoed without ?trace=1")
+	}
+}
+
+// TestRejectedCiteTraced checks that a /cite request rejected before
+// citing is still traced from its first byte and observed exactly once:
+// it enters the trace ring and the stage histograms, but adds no query
+// statistics, having no per-query outcome.
+func TestRejectedCiteTraced(t *testing.T) {
+	srv, ts := paperServer(t, Options{})
+	client := ts.Client()
+	for _, tc := range []struct {
+		name, path, body string
+		status           int
+		last             string // the last span the request opened
+	}{
+		{"bad version", "/cite?version=x", `{"query": "` + paperQuery + `"}`, http.StatusBadRequest, "validate"},
+		{"unknown version", "/cite?version=99", `{"query": "` + paperQuery + `"}`, http.StatusNotFound, "validate"},
+		{"malformed body", "/cite", `{"query": `, http.StatusBadRequest, "decode"},
+		{"empty body", "/cite", `{}`, http.StatusBadRequest, "decode"},
+	} {
+		before := srv.ring.Len()
+		resp, err := client.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.status {
+			t.Fatalf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.status)
+		}
+		// The deferred observation runs as the handler returns, after the
+		// reply is written.
+		deadline := time.Now().Add(5 * time.Second)
+		for srv.ring.Len() == before && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if got := srv.ring.Len() - before; got != 1 {
+			t.Fatalf("%s: %d traces observed, want 1", tc.name, got)
+		}
+		tr := srv.ring.Snapshot(1)[0].Root
+		if n := len(tr.Children); n == 0 || tr.Children[n-1].Name != tc.last {
+			t.Errorf("%s: spans %+v, want the last to be %s", tc.name, tr.Children, tc.last)
+		}
+	}
+	if n := srv.QueryStats().Stats().Observations; n != 0 {
+		t.Errorf("rejected requests added %d query statistics observations, want 0", n)
+	}
+	for _, stage := range []string{"validate", "decode"} {
+		if h := srv.metrics.stages.Get(stage); h == nil || h.Snapshot().Count == 0 {
+			t.Errorf("stage histogram %q observed nothing", stage)
+		}
 	}
 }
 

@@ -43,6 +43,7 @@ import (
 	"math/rand/v2"
 	"net"
 	"net/http"
+	"net/url"
 	"os"
 	"runtime"
 	"strconv"
@@ -351,22 +352,6 @@ type citeRequest struct {
 	Queries []string `json:"queries,omitempty"`
 }
 
-// citeResponse is the POST /cite reply. Result is set for single-query
-// requests, Results for batches. Version is the latest committed store
-// version for head requests, or the requested version for ?version=
-// (time-travel) requests.
-type citeResponse struct {
-	Epoch   int64        `json:"epoch"`
-	Version int          `json:"version"`
-	Result  *CiteResult  `json:"result,omitempty"`
-	Results []CiteResult `json:"results,omitempty"`
-	// Trace is the request's span tree, echoed when the server has
-	// TraceEcho enabled and the request asked with ?trace=1. The
-	// snapshot is taken before the response is encoded, so the "encode"
-	// span appears in /debug/traces and the slow-query log but not here.
-	Trace *trace.TraceSnapshot `json:"trace,omitempty"`
-}
-
 // errEngineFault marks failures that are the server's own (an engine
 // panic), not the client's; statusForError maps it to 500.
 var errEngineFault = errors.New("server: engine fault")
@@ -407,21 +392,21 @@ func (s *Server) sampleTrace() bool {
 // /debug/traces ring, a request at or over the slow-query threshold
 // emits one slow-query log line with the full span tree, and the
 // per-query statistics store accumulates the request's cost vector
-// under each query's fingerprint. results carries the batch's per-query
+// under each query's fingerprint. outs carries the batch's per-query
 // outcomes (nil when the request was rejected before computing — such
 // requests have no per-query story to account).
-func (s *Server) observeTrace(endpoint string, tr *trace.Trace, queries []string, results []CiteResult) {
+func (s *Server) observeTrace(endpoint string, tr *trace.Trace, queries []string, outs []citeOutcome) {
 	if tr == nil {
 		return
 	}
-	for _, st := range tr.Stages() {
-		if st.Name == endpoint {
-			// The root span is the whole request, already covered by the
-			// endpoint latency histogram.
-			continue
+	root := tr.Root()
+	root.Visit(func(sp *trace.Span) {
+		// The root span is the whole request, already covered by the
+		// endpoint latency histogram; open spans have no duration yet.
+		if d := sp.Duration(); sp != root && d > 0 {
+			s.metrics.stages.Observe(sp.Name(), d)
 		}
-		s.metrics.stages.Observe(st.Name, st.Dur)
-	}
+	})
 	s.ring.Add(tr)
 	if s.slowLog != nil && tr.Duration() >= s.opts.SlowQuery {
 		s.slowLog.Log(trace.SlowEntry{
@@ -434,131 +419,171 @@ func (s *Server) observeTrace(endpoint string, tr *trace.Trace, queries []string
 			Spans:       tr.Root().Snapshot(),
 		})
 	}
-	if s.qstats != nil && len(results) > 0 {
-		outcomes := make([]qstats.Outcome, len(results))
-		for i, res := range results {
-			outcomes[i] = qstats.Outcome{
-				Query: res.Query,
-				Cache: res.Cache,
-				Err:   res.Error != "",
-			}
+	if s.qstats != nil && len(outs) > 0 {
+		// A single query's outcome stays on the stack.
+		var one [1]qstats.Outcome
+		outcomes := one[:0]
+		for _, o := range outs {
+			outcomes = append(outcomes, qstats.Outcome{
+				Query: o.query,
+				Cache: o.cache,
+				Err:   o.err != nil,
+			})
 		}
 		s.qstats.ObserveRequest(tr, outcomes)
 	}
 }
 
 func (s *Server) handleCite(w http.ResponseWriter, r *http.Request) {
-	ctx := r.Context()
+	// The trace opens at handler entry, so validation and body decoding
+	// are attributed too, and the deferred call finishes and observes it
+	// (ring, stage histograms, slow-query log, query statistics) exactly
+	// once on every return path. queries and outs fill in as the request
+	// gets that far: a request rejected before citing (400, 404, 413,
+	// 503) feeds the trace sinks but no per-query statistics (nil outs).
+	var tr *trace.Trace
+	var queries []string
+	var outs []citeOutcome
+	if s.sampleTrace() {
+		tr = trace.New("cite")
+		defer func() {
+			tr.Finish()
+			s.observeTrace("cite", tr, queries, outs)
+		}()
+	}
+	// The server's own stages open as children of the root directly:
+	// only the engine's stages need a context carrying their span, and
+	// each such context is an allocation.
+	root := tr.Root()
+	ctx := trace.NewContext(r.Context(), tr)
 	if s.opts.RequestTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.opts.RequestTimeout)
 		defer cancel()
 	}
-	// Decode and validate before admission: malformed requests answer 400
-	// immediately instead of queueing for (and wasting) a /cite slot.
-	var version fixity.Version
-	if vs := r.URL.Query().Get("version"); vs != "" {
-		n, err := strconv.Atoi(vs)
-		if err != nil || n < 1 {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid version %q: want a positive integer", vs))
-			return
-		}
-		version = fixity.Version(n)
-		// Reject unknown versions before admission and before touching the
-		// cache: the whole batch targets one snapshot, so the check is one
-		// store lookup, and the taxonomy makes it a 404.
-		if _, err := s.sys.Store().At(version); err != nil {
-			writeError(w, statusForError(err), err.Error())
-			return
-		}
+	var params url.Values
+	if r.URL.RawQuery != "" {
+		params = r.URL.Query()
 	}
-	var req citeRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	// Validate and decode before admission: malformed requests answer
+	// 4xx immediately instead of queueing for (and wasting) a /cite slot.
+	validate := root.StartChild("validate")
+	version, status, msg := s.citeVersion(params.Get("version"))
+	validate.End()
+	if status != 0 {
+		writeError(w, status, msg)
 		return
 	}
-	single := req.Query != ""
-	queries := req.Queries
-	switch {
-	case single && len(queries) > 0:
-		writeError(w, http.StatusBadRequest, `body must set exactly one of "query" or "queries"`)
+	decode := root.StartChild("decode")
+	queries, single, status, msg := decodeCite(w, r)
+	decode.End()
+	if status != 0 {
+		writeError(w, status, msg)
 		return
-	case single:
-		queries = []string{req.Query}
-	case len(queries) == 0:
-		writeError(w, http.StatusBadRequest, `body must set "query" or a non-empty "queries"`)
-		return
-	}
-	// The trace starts after validation so every trace created is also
-	// finished and observed (ring, stage histograms, slow-query log,
-	// query statistics) on every remaining return path. results is
-	// assigned after citeBatch, so a request rejected at admission feeds
-	// the trace sinks but no per-query statistics (nil results).
-	var results []CiteResult
-	var tr *trace.Trace
-	if s.sampleTrace() {
-		tr = trace.New("cite")
-		ctx = trace.NewContext(ctx, tr)
-		defer func() {
-			tr.Finish()
-			s.observeTrace("cite", tr, queries, results)
-		}()
 	}
 	var slot *slotRef
 	if s.sem != nil {
 		// The wait is measured directly (not via the admission span):
 		// the histogram is always on, like the endpoint latencies, while
 		// the span exists only on sampled requests.
-		_, admSpan := trace.StartSpan(ctx, "admission")
+		admSpan := root.StartChild("admission")
 		admStart := time.Now()
+		admitted := false
 		select {
 		case s.sem <- struct{}{}:
-			s.metrics.admissionWait.Observe(time.Since(admStart))
-			admSpan.End()
-			slot = newSlotRef(func() { <-s.sem })
-			defer slot.done()
-		case <-ctx.Done():
-			s.metrics.admissionWait.Observe(time.Since(admStart))
+			admitted = true
+		default:
+			// Every slot is taken: queue until one frees or the deadline
+			// passes. Only now is the context asked for its Done channel,
+			// which it allocates on first use.
+			select {
+			case s.sem <- struct{}{}:
+				admitted = true
+			case <-ctx.Done():
+			}
+		}
+		s.metrics.admissionWait.Observe(time.Since(admStart))
+		if !admitted {
 			admSpan.Set("rejected", true)
 			admSpan.End()
 			s.metrics.rejected.Add(1)
 			writeError(w, http.StatusServiceUnavailable, "admission queue full: "+ctx.Err().Error())
 			return
 		}
+		admSpan.End()
+		slot = newSlotRef(s.sem)
+		defer slot.done()
 	}
 
-	batch, errs, epoch, respVersion, timedOut := s.citeBatch(ctx, queries, version, slot)
-	results = batch
+	cited, epoch, respVersion, timedOut := s.citeBatch(ctx, queries, version, slot)
+	outs = cited
 	if timedOut {
 		s.metrics.timeouts.Add(1)
 	}
-	// Stamp the envelope with the epoch/version pair the batch was keyed
+	if single && outs[0].err != nil {
+		writeError(w, statusForError(outs[0].err), outs[0].err.Error())
+		return
+	}
+	// Batches always answer 200; per-query failures travel in each
+	// result's "error" field so one bad query cannot mask its neighbors'
+	// citations. The echoed snapshot is taken before the reply is
+	// encoded, so the "encode" span appears in /debug/traces and the
+	// slow-query log but not in the echo.
+	var echo *trace.TraceSnapshot
+	if tr != nil && s.opts.TraceEcho && params.Get("trace") == "1" {
+		snap := tr.Snapshot()
+		echo = &snap
+	}
+	// The envelope carries the epoch/version pair the batch was keyed
 	// on, not a fresh read: a commit racing the response must not make
 	// the envelope claim a version newer than the results it carries.
-	resp := citeResponse{
-		Epoch:   epoch,
-		Version: int(respVersion),
-	}
-	if single {
-		if errs[0] != nil {
-			writeError(w, statusForError(errs[0]), results[0].Error)
-			return
-		}
-		resp.Result = &results[0]
-	} else {
-		// Batches always answer 200; per-query failures travel in each
-		// result's "error" field so one bad query cannot mask its
-		// neighbors' citations.
-		resp.Results = results
-	}
-	if tr != nil && s.opts.TraceEcho && r.URL.Query().Get("trace") == "1" {
-		snap := tr.Snapshot()
-		resp.Trace = &snap
-	}
-	_, encSpan := trace.StartSpan(ctx, "encode")
-	n := writeJSON(w, http.StatusOK, resp)
+	encSpan := root.StartChild("encode")
+	n, err := writeCite(w, epoch, int(respVersion), single, outs, echo)
 	encSpan.Add("bytes", int64(n))
 	encSpan.End()
+	if err != nil {
+		// writeCite writes nothing when it cannot encode the reply.
+		writeError(w, http.StatusInternalServerError, err.Error())
+	}
+}
+
+// citeVersion checks a /cite request's ?version= parameter: 0 for a
+// head request, else a committed version. A rejection reports its
+// status and message; status 0 accepts.
+func (s *Server) citeVersion(vs string) (v fixity.Version, status int, msg string) {
+	if vs == "" {
+		return 0, 0, ""
+	}
+	n, err := strconv.Atoi(vs)
+	if err != nil || n < 1 {
+		return 0, http.StatusBadRequest, fmt.Sprintf("invalid version %q: want a positive integer", vs)
+	}
+	// Reject unknown versions before admission and before touching the
+	// cache: the whole batch targets one snapshot, so the check is one
+	// store lookup, and the taxonomy makes it a 404.
+	if _, err := s.sys.Store().At(fixity.Version(n)); err != nil {
+		return 0, statusForError(err), err.Error()
+	}
+	return fixity.Version(n), 0, ""
+}
+
+// decodeCite decodes a /cite body into its queries; single reports a
+// {"query": …} body. A rejection reports its status and message; status
+// 0 accepts.
+func decodeCite(w http.ResponseWriter, r *http.Request) (queries []string, single bool, status int, msg string) {
+	var req citeRequest
+	if err := decodeBody(w, r, &req); err != nil {
+		return nil, false, bodyStatus(err), err.Error()
+	}
+	switch {
+	case req.Query != "" && len(req.Queries) > 0:
+		return nil, false, http.StatusBadRequest, `body must set exactly one of "query" or "queries"`
+	case req.Query != "":
+		return []string{req.Query}, true, 0, ""
+	case len(req.Queries) == 0:
+		return nil, false, http.StatusBadRequest, `body must set "query" or a non-empty "queries"`
+	}
+	return req.Queries, false, 0, ""
 }
 
 // slotRef shares one admission slot between a request handler and the
@@ -568,11 +593,11 @@ func (s *Server) handleCite(w http.ResponseWriter, r *http.Request) {
 // *slotRef (admission control disabled) is a no-op.
 type slotRef struct {
 	holders atomic.Int32
-	release func()
+	sem     chan struct{}
 }
 
-func newSlotRef(release func()) *slotRef {
-	r := &slotRef{release: release}
+func newSlotRef(sem chan struct{}) *slotRef {
+	r := &slotRef{sem: sem}
 	r.holders.Store(1)
 	return r
 }
@@ -585,7 +610,7 @@ func (r *slotRef) add() {
 
 func (r *slotRef) done() {
 	if r != nil && r.holders.Add(-1) == 0 {
-		r.release()
+		<-r.sem
 	}
 }
 
@@ -607,10 +632,10 @@ type pendingResult struct {
 // deadline (Options.ComputeTimeout, detached from the client
 // connection), which the engine's cooperative cancellation enforces — a
 // runaway enumeration stops at the deadline instead of burning a worker
-// indefinitely. errs reports each failed position's typed error (nil on
-// success) for status mapping; timedOut reports whether any position
-// was abandoned at the request deadline.
-func (s *Server) citeBatch(ctx context.Context, queries []string, version fixity.Version, slot *slotRef) (results []CiteResult, errs []error, epoch int64, respVersion fixity.Version, timedOut bool) {
+// indefinitely. Each failed position's outcome carries its typed error
+// for status mapping; timedOut reports whether any position was
+// abandoned at the request deadline.
+func (s *Server) citeBatch(ctx context.Context, queries []string, version fixity.Version, slot *slotRef) (outs []citeOutcome, epoch int64, respVersion fixity.Version, timedOut bool) {
 	var config int64
 	epoch, config, respVersion = s.sys.Epochs()
 	// Every key carries the config generation: SetPolicyNamed/DefineView orphan
@@ -618,20 +643,18 @@ func (s *Server) citeBatch(ctx context.Context, queries []string, version fixity
 	// are validated per lookup against the relations they actually read —
 	// the delta invalidation rule; versioned entries are immutable and
 	// need no validation.
-	fresh := s.sys.DataFresh
-	results = make([]CiteResult, len(queries))
-	errs = make([]error, len(queries))
+	outs = make([]citeOutcome, len(queries))
 	var pending []pendingResult
 	var owned []pendingResult
 	// The cache span covers the lookup decisions only; waiting for (or
 	// running) a computation is timed by the engine's own stage spans.
-	_, cacheSpan := trace.StartSpan(ctx, "cache")
+	cacheSpan := trace.SpanFromContext(ctx).StartChild("cache")
 	for i, q := range queries {
 		k := cacheKey{epoch: config, version: version, query: q}
-		val, cached, cl, owner := s.cache.acquire(k, epoch, fresh)
+		val, cached, cl, owner := s.cache.acquire(k, epoch, s.sys.DataFresh)
+		outs[i].query = q
 		if cached {
-			results[i] = val
-			results[i].Cache = "hit"
+			outs[i].cite, outs[i].cache = val, "hit"
 			cacheSpan.Add("hits", 1)
 			continue
 		}
@@ -677,21 +700,23 @@ func (s *Server) citeBatch(ctx context.Context, queries []string, version fixity
 				if r := recover(); r != nil {
 					err := fmt.Errorf("%w: citation panicked: %v", errEngineFault, r)
 					for _, p := range owned[completed:] {
-						s.cache.complete(p.key, p.call, CiteResult{}, err, fresh)
+						s.cache.complete(p.key, p.call, nil, err, s.sys.DataFresh)
 					}
 				}
 			}()
 			cites, cerrs := s.citer(compCtx, batch, version)
 			for j, p := range owned {
-				var val CiteResult
+				var val *encodedCite
 				err := cerrs[j]
 				if err == nil && cites[j] == nil {
 					err = fmt.Errorf("%w: citer returned no citation", errEngineFault)
 				}
 				if err == nil {
-					val = NewCiteResult(batch[j], cites[j])
+					// The one encoding of this citation: every reply that
+					// carries it is written around these bytes.
+					val, err = encodeCite(NewCiteResult(batch[j], cites[j]))
 				}
-				s.cache.complete(p.key, p.call, val, err, fresh)
+				s.cache.complete(p.key, p.call, val, err, s.sys.DataFresh)
 				completed = j + 1
 			}
 		}()
@@ -699,32 +724,26 @@ func (s *Server) citeBatch(ctx context.Context, queries []string, version fixity
 	// Within one batch a duplicated query coalesces onto the batch's own
 	// owner; its call completes above, so waiting here cannot deadlock.
 	for _, p := range pending {
+		o := &outs[p.idx]
 		select {
 		case <-p.call.done:
 			if p.call.err != nil {
-				results[p.idx] = CiteResult{Query: queries[p.idx], Error: p.call.err.Error()}
-				errs[p.idx] = p.call.err
+				o.err = p.call.err
 				continue
 			}
-			results[p.idx] = p.call.val
+			o.cite, o.cache = p.call.val, "coalesced"
 			if p.owner {
-				results[p.idx].Cache = "miss"
-			} else {
-				results[p.idx].Cache = "coalesced"
+				o.cache = "miss"
 			}
 		case <-ctx.Done():
 			timedOut = true
-			results[p.idx] = CiteResult{
-				Query: queries[p.idx],
-				Error: "deadline exceeded: " + ctx.Err().Error(),
-			}
-			errs[p.idx] = ctx.Err()
+			o.err = fmt.Errorf("deadline exceeded: %w", ctx.Err())
 		}
 	}
 	if version > 0 {
 		respVersion = version
 	}
-	return results, errs, epoch, respVersion, timedOut
+	return outs, epoch, respVersion, timedOut
 }
 
 // commitRequest is the POST /commit body.
@@ -742,8 +761,8 @@ type versionInfo struct {
 
 func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 	var req commitRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	if err := decodeBody(w, r, &req); err != nil {
+		writeError(w, bodyStatus(err), err.Error())
 		return
 	}
 	if req.Message == "" {
@@ -901,8 +920,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 	var req ingestRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	if err := decodeBody(w, r, &req); err != nil {
+		writeError(w, bodyStatus(err), err.Error())
 		return
 	}
 	single := req.Relation != "" || len(req.Insert) > 0 || len(req.Delete) > 0
@@ -1148,9 +1167,20 @@ func (s *Server) methodOnly(method string, h http.HandlerFunc) http.HandlerFunc 
 }
 
 // decodeBody decodes a bounded JSON request body, rejecting trailing
-// garbage.
-func decodeBody(r *http.Request, into any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, defaultBodyLimit))
+// garbage. A body over the limit fails with an error bodyStatus maps to
+// 413.
+func decodeBody(w http.ResponseWriter, r *http.Request, into any) error {
+	// Past the limit, MaxBytesReader asks net/http to close the
+	// connection rather than drain the rest of the body, through a hook
+	// only net/http's own writer has, so it gets the innermost one.
+	for {
+		u, ok := w.(interface{ Unwrap() http.ResponseWriter })
+		if !ok {
+			break
+		}
+		w = u.Unwrap()
+	}
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, defaultBodyLimit))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
 		return fmt.Errorf("invalid request body: %w", err)
@@ -1158,34 +1188,34 @@ func decodeBody(r *http.Request, into any) error {
 	// More reports false before a closing delimiter, so a stray '}' or
 	// ']' would slip past it; only end of input ends a valid body.
 	if _, err := dec.Token(); err != io.EOF {
+		if bodyStatus(err) == http.StatusRequestEntityTooLarge {
+			return fmt.Errorf("invalid request body: %w", err)
+		}
 		return errors.New("invalid request body: trailing data")
 	}
 	return nil
 }
 
-// writeJSON encodes v onto the response and returns the bytes written
-// (the encode span's "bytes" attribute, which qstats aggregates into
-// per-fingerprint response sizes).
-func writeJSON(w http.ResponseWriter, status int, v any) int {
+// bodyStatus maps a decodeBody error to its status: 413 for a body over
+// the limit, else 400.
+func bodyStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
+// writeJSON encodes v onto the response, indented. /cite replies are
+// written around cached bytes instead (writeCite), which must equal
+// what this gives for the same reply.
+func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	cw := &countingWriter{w: w}
-	enc := json.NewEncoder(cw)
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
+	// The status is already sent, so an error here has nowhere to go.
 	_ = enc.Encode(v)
-	return cw.n
-}
-
-// countingWriter counts bytes on their way to the client.
-type countingWriter struct {
-	w io.Writer
-	n int
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += n
-	return n, err
 }
 
 func writeError(w http.ResponseWriter, status int, msg string) {

@@ -1186,3 +1186,55 @@ func TestParallelismOptionSameCitation(t *testing.T) {
 		}
 	}
 }
+
+// postOversized posts bodies of prefix, filler bytes past the 1 MiB
+// body limit, and suffix, and checks each reply: 413 with a JSON error,
+// and the connection closed. A body 2 MiB long is one net/http would
+// not drain anyway; one just 64 KiB over the limit it would drain and
+// keep the connection for, unless the limit reached net/http's own
+// writer.
+func postOversized(t *testing.T, path, prefix string, filler byte, suffix string) {
+	t.Helper()
+	_, ts := paperServer(t, Options{})
+	client := ts.Client()
+	client.Timeout = 10 * time.Second
+	for _, n := range []int{defaultBodyLimit + 64<<10, 2 << 20} {
+		body := prefix + strings.Repeat(string(filler), n) + suffix
+		resp, err := client.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s, %d filler bytes: status %d, want 413: %s", path, n, resp.StatusCode, out)
+		}
+		var e struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(out, &e); err != nil || !strings.Contains(e.Error, "too large") {
+			t.Errorf("%s, %d filler bytes: error body %q (%v)", path, n, out, err)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s, %d filler bytes: Content-Type %q", path, n, ct)
+		}
+		if !resp.Close {
+			t.Errorf("%s, %d filler bytes: connection kept open after an oversized body", path, n)
+		}
+	}
+}
+
+func TestOversizedCiteBody(t *testing.T) {
+	postOversized(t, "/cite", `{"query": "`, 'a', `"}`)
+	// Past a complete value, an oversized run of whitespace is still too
+	// large, not trailing data.
+	postOversized(t, "/cite", `{"query": "`+paperQuery+`"}`, ' ', "")
+}
+
+func TestOversizedIngestBody(t *testing.T) {
+	postOversized(t, "/ingest", `{"relation": "Family", "insert": [[501, "`, 'a', `", "x"]]}`)
+}
+
+func TestOversizedCommitBody(t *testing.T) {
+	postOversized(t, "/commit", `{"message": "`, 'a', `"}`)
+}

@@ -16,11 +16,17 @@
 //  2. Safe under the engine's concurrency. Alternative rewritings are
 //     evaluated by a worker pool and batch queries fan out, so sibling
 //     spans are created concurrently under one parent; each span guards
-//     its own children/attrs with a mutex and durations are atomics.
-//     Snapshot can therefore race an in-flight computation (a client
-//     that timed out while its detached cache-fill keeps running) and
-//     still render a consistent tree.
-//  3. Plain data out. A finished trace renders to a JSON span tree
+//     its attributes and child list with a mutex and durations are
+//     atomics. Snapshot and Visit can therefore race an in-flight
+//     computation (a client that timed out while its detached
+//     cache-fill keeps running) and still see a consistent tree.
+//  3. Nearly free when on. Tracing is on for every request by default,
+//     so a traced cache hit must cost little more than an untraced one:
+//     its spans live in a slab inside the Trace, attributes sit in
+//     small inline arrays with counters unboxed, and walks follow the
+//     tree in place. A traced hit allocates twice, for the trace and
+//     its ID string.
+//  4. Plain data out. A finished trace renders to a JSON span tree
 //     (Snapshot) used verbatim by the slow-query log, GET /debug/traces
 //     and the ?trace=1 response echo — one format, three sinks.
 package trace
@@ -39,6 +45,12 @@ import (
 // Trace is one request's span tree. Create with New, thread through
 // contexts via NewContext/StartSpan, and Finish the root when the
 // request completes.
+//
+// A trace carries its first slabSpans spans inline (the root included),
+// enough for every span a /cite cache hit opens, so a traced hit costs
+// one allocation for its whole tree. Later spans — an engine
+// computation's parse, rewrite, views, eval and the rest — fall back to
+// the heap one by one.
 type Trace struct {
 	// ID is the request's trace identifier (16 hex chars), stamped on
 	// the slow-query log, /debug/traces and the ?trace=1 echo so one
@@ -46,20 +58,59 @@ type Trace struct {
 	ID    string
 	start time.Time
 	root  *Span
+	used  atomic.Int32 // slab spans handed out, the root included
+	slab  [slabSpans]Span
 }
+
+// slabSpans is the span count of a traced /cite cache hit: the root
+// plus validate, decode, admission, cache and encode.
+const slabSpans = 6
+
+// inlineAttrs is how many attributes a span holds before it spills to
+// the heap: every server span carries at most one, most engine spans
+// two.
+const inlineAttrs = 2
 
 // Span is one timed stage of a trace. All methods are nil-safe: a nil
 // *Span (no trace in the context) ignores every call, which is what
 // keeps the un-sampled hot path free of branches beyond the nil check.
+//
+// Children form an intrusive list: the parent points at its first and
+// last child, and each child at its next sibling, so no span allocates
+// for its children, however many it has. Appends hold the parent's
+// mutex. A walk reads first and last under it once, then follows the
+// chain up to last without it: every link before last was written
+// before last was appended, so the walk sees a consistent prefix of a
+// list that may still be growing, and never copies it.
 type Span struct {
 	tr    *Trace
 	name  string
 	start int64        // nanoseconds since the trace start
 	dur   atomic.Int64 // 0 while the span is still open
 
-	mu       sync.Mutex
-	attrs    map[string]any // int64 counters and string notes
-	children []*Span
+	mu      sync.Mutex
+	first   *Span  // first child
+	last    *Span  // last child, the append point
+	next    *Span  // next sibling, written under the parent's mutex
+	attrs   []attr // attrBuf until it spills
+	attrBuf [inlineAttrs]attr
+}
+
+// attr is one span attribute. An int64 — a counter from Add, or Set's
+// int64 — stays unboxed in n with v nil; any other Set value keeps
+// whatever it was given in v.
+type attr struct {
+	key string
+	n   int64
+	v   any
+}
+
+// value returns the attribute as Snapshot renders it.
+func (a *attr) value() any {
+	if a.v == nil {
+		return a.n
+	}
+	return a.v
 }
 
 // New starts a trace whose root span carries the given name (the
@@ -70,10 +121,14 @@ func New(name string) *Trace {
 	// IDs only need to be distinct enough for log correlation, so the
 	// fast math/rand source beats a crypto/rand syscall on every
 	// sampled request.
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], rand.Uint64())
-	tr := &Trace{ID: hex.EncodeToString(b[:]), start: time.Now()}
-	tr.root = &Span{tr: tr, name: name}
+	var raw [8]byte
+	var id [16]byte
+	binary.BigEndian.PutUint64(raw[:], rand.Uint64())
+	hex.Encode(id[:], raw[:])
+	tr := &Trace{ID: string(id[:]), start: time.Now()}
+	tr.used.Store(1)
+	tr.root = &tr.slab[0]
+	tr.root.tr, tr.root.name = tr, name
 	return tr
 }
 
@@ -164,11 +219,31 @@ func (s *Span) StartChild(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	child := &Span{tr: s.tr, name: name, start: int64(time.Since(s.tr.start))}
+	var child *Span
+	if i := s.tr.used.Add(1) - 1; i < slabSpans {
+		child = &s.tr.slab[i]
+	} else {
+		child = new(Span)
+	}
+	child.tr, child.name, child.start = s.tr, name, int64(time.Since(s.tr.start))
 	s.mu.Lock()
-	s.children = append(s.children, child)
+	if s.last == nil {
+		s.first = child
+	} else {
+		s.last.next = child
+	}
+	s.last = child
 	s.mu.Unlock()
 	return child
+}
+
+// children returns the span's first and last child as of now. The chain
+// from first to last is complete and never changes; only last.next may
+// still be written.
+func (s *Span) children() (first, last *Span) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.first, s.last
 }
 
 // End closes the span. Idempotent: the first call wins, so a span
@@ -204,16 +279,19 @@ func (s *Span) Duration() time.Duration {
 }
 
 // Set records a key/value attribute on the span (strings, bools and
-// integers; values render into the JSON span tree). Nil-safe.
+// integers; values render into the JSON span tree). A nil value is
+// ignored. Nil-safe.
 func (s *Span) Set(key string, v any) {
-	if s == nil {
+	if s == nil || v == nil {
 		return
 	}
 	s.mu.Lock()
-	if s.attrs == nil {
-		s.attrs = make(map[string]any, 4)
+	a := s.attr(key)
+	if n, ok := v.(int64); ok {
+		a.n, a.v = n, nil
+	} else {
+		a.n, a.v = 0, v
 	}
-	s.attrs[key] = v
 	s.mu.Unlock()
 }
 
@@ -223,12 +301,36 @@ func (s *Span) Add(key string, n int64) {
 		return
 	}
 	s.mu.Lock()
-	if s.attrs == nil {
-		s.attrs = make(map[string]any, 4)
+	a := s.attr(key)
+	if a.v != nil {
+		// A counter replaces a Set value that is not an int64.
+		a.n, a.v = 0, nil
 	}
-	cur, _ := s.attrs[key].(int64)
-	s.attrs[key] = cur + n
+	a.n += n
 	s.mu.Unlock()
+}
+
+// attr returns the key's attribute, appending an empty one (a zero
+// counter) when the span has none. The caller holds s.mu.
+func (s *Span) attr(key string) *attr {
+	if a := s.lookup(key); a != nil {
+		return a
+	}
+	if s.attrs == nil {
+		s.attrs = s.attrBuf[:0]
+	}
+	s.attrs = append(s.attrs, attr{key: key})
+	return &s.attrs[len(s.attrs)-1]
+}
+
+// lookup finds the key's attribute, or nil. The caller holds s.mu.
+func (s *Span) lookup(key string) *attr {
+	for i := range s.attrs {
+		if s.attrs[i].key == key {
+			return &s.attrs[i]
+		}
+	}
+	return nil
 }
 
 // Attr reads one attribute of the span. Nil-safe (reports absent).
@@ -237,21 +339,28 @@ func (s *Span) Attr(key string) (any, bool) {
 		return nil, false
 	}
 	s.mu.Lock()
-	v, ok := s.attrs[key]
-	s.mu.Unlock()
-	return v, ok
+	defer s.mu.Unlock()
+	if a := s.lookup(key); a != nil {
+		return a.value(), true
+	}
+	return nil, false
 }
 
 // AttrInt reads an integer attribute, coercing the int/int64 values Set
 // and Add store. Absent or non-numeric attributes read as 0.
 func (s *Span) AttrInt(key string) int64 {
-	v, ok := s.Attr(key)
-	if !ok {
+	if s == nil {
 		return 0
 	}
-	switch n := v.(type) {
-	case int64:
-		return n
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	a := s.lookup(key)
+	if a == nil {
+		return 0
+	}
+	switch n := a.v.(type) {
+	case nil:
+		return a.n
 	case int:
 		return int64(n)
 	}
@@ -259,22 +368,23 @@ func (s *Span) AttrInt(key string) int64 {
 }
 
 // Visit walks the span subtree preorder, calling fn on every span
-// (ended or not). Like Snapshot it copies each span's child list under
-// the span mutex, so it is safe against a detached computation still
-// appending — the walk sees a consistent prefix of the final tree.
-// Nil-safe. This is the extraction path of the per-query statistics
-// store: costs are read from live spans (full nanosecond durations, no
-// snapshot allocation) after the root finishes.
+// (ended or not). It follows the child lists in place, so it allocates
+// nothing and is safe against a detached computation still appending —
+// the walk sees a consistent prefix of the final tree. Nil-safe. This
+// is the extraction path of the per-query statistics store and of the
+// server's stage histograms: costs are read from live spans (full
+// nanosecond durations, no snapshot allocation) after the root
+// finishes.
 func (s *Span) Visit(fn func(*Span)) {
 	if s == nil {
 		return
 	}
 	fn(s)
-	s.mu.Lock()
-	children := append([]*Span(nil), s.children...)
-	s.mu.Unlock()
-	for _, c := range children {
+	for c, last := s.children(); c != nil; c = c.next {
 		c.Visit(fn)
+		if c == last {
+			break
+		}
 	}
 }
 
@@ -294,10 +404,11 @@ type SpanSnapshot struct {
 	Children []SpanSnapshot `json:"children,omitempty"`
 }
 
-// Snapshot renders the span subtree into plain data. It takes each
-// span's mutex, so it is safe to call while a detached computation is
-// still appending spans — the result is a consistent prefix of the
-// final tree. Nil-safe (returns a zero snapshot).
+// Snapshot renders the span subtree into plain data. It reads each
+// span's attributes under its mutex and follows the child lists like
+// Visit, so it is safe to call while a detached computation is still
+// appending spans — the result is a consistent prefix of the final
+// tree. Nil-safe (returns a zero snapshot).
 func (s *Span) Snapshot() SpanSnapshot {
 	if s == nil {
 		return SpanSnapshot{}
@@ -315,14 +426,17 @@ func (s *Span) Snapshot() SpanSnapshot {
 	s.mu.Lock()
 	if len(s.attrs) > 0 {
 		out.Attrs = make(map[string]any, len(s.attrs))
-		for k, v := range s.attrs {
-			out.Attrs[k] = v
+		for i := range s.attrs {
+			out.Attrs[s.attrs[i].key] = s.attrs[i].value()
 		}
 	}
-	children := append([]*Span(nil), s.children...)
+	c, last := s.first, s.last
 	s.mu.Unlock()
-	for _, c := range children {
+	for ; c != nil; c = c.next {
 		out.Children = append(out.Children, c.Snapshot())
+		if c == last {
+			break
+		}
 	}
 	return out
 }
@@ -349,27 +463,21 @@ func (t *Trace) Snapshot() TraceSnapshot {
 }
 
 // Stages flattens the span tree into (name, duration) pairs for every
-// *ended* span, the feed for the per-stage latency histograms. Repeated
-// names (one "views" span per materialized view, one "branch" per
-// rewriting) each contribute their own observation.
+// *ended* span. Repeated names (one "views" span per materialized view,
+// one "branch" per rewriting) each contribute their own observation.
+// Callers that only consume the pairs, like the server's per-stage
+// latency histograms, walk the tree with Visit instead and allocate
+// nothing.
 func (t *Trace) Stages() []Stage {
 	if t == nil {
 		return nil
 	}
 	var out []Stage
-	var walk func(s *Span)
-	walk = func(s *Span) {
+	t.root.Visit(func(s *Span) {
 		if d := s.dur.Load(); d > 0 {
 			out = append(out, Stage{Name: s.name, Dur: time.Duration(d)})
 		}
-		s.mu.Lock()
-		children := append([]*Span(nil), s.children...)
-		s.mu.Unlock()
-		for _, c := range children {
-			walk(c)
-		}
-	}
-	walk(t.root)
+	})
 	return out
 }
 

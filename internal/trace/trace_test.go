@@ -255,3 +255,51 @@ func TestSlowLogger(t *testing.T) {
 		t.Fatalf("bad entry: %+v", e)
 	}
 }
+
+// TestHitTraceAllocations pins the cost of tracing a /cite cache hit:
+// its six spans live in the trace's slab, their attributes inline and
+// unboxed, and walks copy nothing, so the whole traced hit allocates
+// twice — the trace and its ID string.
+func TestHitTraceAllocations(t *testing.T) {
+	var sink time.Duration
+	allocs := testing.AllocsPerRun(100, func() {
+		tr := New("cite")
+		root := tr.Root()
+		for _, name := range []string{"validate", "decode", "admission", "cache", "encode"} {
+			sp := root.StartChild(name)
+			sp.Add("bytes", 4096)
+			sp.End()
+		}
+		tr.Finish()
+		root.Visit(func(s *Span) { sink += s.Duration() + time.Duration(s.AttrInt("bytes")) })
+	})
+	if allocs != 2 {
+		t.Errorf("a traced hit allocates %v times, want 2", allocs)
+	}
+	_ = sink
+}
+
+// TestSlabOverflow checks that spans past the slab fall back to the
+// heap and keep their place in the tree.
+func TestSlabOverflow(t *testing.T) {
+	tr := New("cite")
+	var want []string
+	for i := range 3 * slabSpans {
+		name := "s" + strings.Repeat("x", i)
+		sp := tr.Root().StartChild(name)
+		sp.Set("n", int64(i))
+		sp.Add("n", 1)
+		sp.End()
+		want = append(want, name)
+	}
+	tr.Finish()
+	snap := tr.Snapshot()
+	if len(snap.Root.Children) != len(want) {
+		t.Fatalf("%d children, want %d", len(snap.Root.Children), len(want))
+	}
+	for i, c := range snap.Root.Children {
+		if c.Name != want[i] || c.Attrs["n"] != int64(i+1) {
+			t.Errorf("child %d: %s n=%v, want %s n=%d", i, c.Name, c.Attrs["n"], want[i], i+1)
+		}
+	}
+}

@@ -1,11 +1,13 @@
 package eval
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cq"
 	"repro/internal/gtopdb"
 	"repro/internal/schema"
+	"repro/internal/semiring"
 	"repro/internal/storage"
 )
 
@@ -37,5 +39,54 @@ func BenchmarkMaterialize(b *testing.B) {
 		if _, err := Compile(Relations{"FamilyView": rel}, probe); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkWalk is one warm plan walk on the E8 join over 2,000 families,
+// one plan read through indexed row steps and through columnar blocks.
+// count is the allocation-free consumer under a context that can never be
+// canceled; annotated sums a count annotation per output tuple under a
+// cancelable context, so its walk also polls. The database is mutable
+// because a frozen snapshot keeps no row indexes: its row path would scan.
+func BenchmarkWalk(b *testing.B) {
+	cfg := gtopdb.DefaultConfig()
+	cfg.Families = 2000
+	db := gtopdb.Generate(cfg)
+	for _, name := range db.Schema().Names() {
+		db.Relation(name).EnsureColumnar()
+	}
+	q := cq.MustParse("Q(FName, PName) :- Family(FID, FName, Desc), Committee(FID, PName)")
+	p, err := Compile(db, q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	one := func(string, storage.Tuple) int { return 1 }
+	for _, path := range []struct {
+		name     string
+		columnar bool
+	}{{"row", false}, {"columnar", true}} {
+		b.Run(path.name, func(b *testing.B) {
+			withColumnar(path.columnar, func() {
+				want := p.CountBindings() // warm the pooled run state
+				b.Run("count", func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if n := p.CountBindings(); n != want {
+							b.Fatalf("count = %d, want %d", n, want)
+						}
+					}
+				})
+				b.Run("annotated", func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if _, err := RunAnnotatedParallelCtx(ctx, p, semiring.Natural{}, one, 1); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			})
+		})
 	}
 }

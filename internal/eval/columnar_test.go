@@ -2,6 +2,7 @@ package eval
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -179,8 +180,10 @@ func compareSemiringPaths[T any](t *testing.T, name string, inst Instance, q *cq
 	}
 }
 
-// TestColumnarCancellation: the cancelable columnar walk observes a
-// context canceled mid-enumeration, exactly like the row walk.
+// TestColumnarCancellation: the columnar walk observes a context canceled
+// mid-enumeration, exactly like the row walk. The annotation callback
+// cancels at the first binding, after the entry check has passed, so only
+// the walk's own poll can stop the run before it completes.
 func TestColumnarCancellation(t *testing.T) {
 	cfg := gtopdb.DefaultConfig()
 	cfg.Families = 200
@@ -191,10 +194,20 @@ func TestColumnarCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	bindings := p.CountBindings()
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := p.EvalContext(ctx); err == nil {
-		t.Fatal("canceled columnar EvalContext returned nil error")
+	defer cancel()
+	calls := 0
+	_, err = RunAnnotatedParallelCtx(ctx, p, semiring.Natural{}, func(string, storage.Tuple) int {
+		calls++
+		cancel()
+		return 1
+	}, 1)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("columnar run canceled mid-walk: err = %v, want context.Canceled", err)
+	}
+	if all := bindings * len(p.steps); calls >= all {
+		t.Errorf("canceled walk annotated %d matched tuples, as many as the full run's %d", calls, all)
 	}
 }
 

@@ -108,7 +108,9 @@ func TestRunCancellation(t *testing.T) {
 // TestCancellationWithoutBindings asserts cancellation is observed even
 // by a join that rejects every combination: the walk produces zero
 // satisfying assignments, so polls paced on bindings would never fire —
-// forEachCancel paces on candidate tuples examined instead.
+// the walk paces on candidate tuples examined instead. The walk runs
+// once through row steps and once through columnar steps, so each step
+// kind's poll is the only thing that can stop its run.
 func TestCancellationWithoutBindings(t *testing.T) {
 	s := schema.New()
 	rs, err := schema.NewRelation("P", []schema.Attribute{
@@ -141,14 +143,28 @@ func TestCancellationWithoutBindings(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	st := p.getState()
-	defer p.putState(st)
-	calls := 0
-	if p.forEachCancel(ctx, st, nil, func(*runState) bool { calls++; return true }) {
-		t.Error("forEachCancel completed under a canceled context")
-	}
-	if calls != 0 {
-		t.Errorf("join with no satisfying assignments invoked fn %d times", calls)
+	for _, columnar := range []bool{false, true} {
+		if columnar {
+			columnarize(t, db)
+		}
+		withColumnar(columnar, func() {
+			st := p.getState()
+			defer p.putState(st)
+			calls := 0
+			if p.walk(ctx, st, nil, func(*runState) bool { calls++; return true }) {
+				t.Errorf("columnar=%v: walk completed under a canceled context", columnar)
+			}
+			if calls != 0 {
+				t.Errorf("columnar=%v: join with no satisfying assignments invoked fn %d times", columnar, calls)
+			}
+			want := 0
+			if columnar {
+				want = len(p.steps)
+			}
+			if st.columnarSteps != want {
+				t.Errorf("columnar=%v: %d steps read a columnar block, want %d", columnar, st.columnarSteps, want)
+			}
+		})
 	}
 	if _, err := p.EvalContext(ctx); !errors.Is(err, context.Canceled) {
 		t.Errorf("EvalContext err = %v, want context.Canceled", err)

@@ -194,21 +194,6 @@ func TestCountBindingsVsDistinct(t *testing.T) {
 	}
 }
 
-func TestForEachBindingEarlyStop(t *testing.T) {
-	db := edgeDB(t, [][2]int64{{1, 2}, {2, 3}, {3, 4}})
-	n := 0
-	err := ForEachBinding(db, cq.MustParse("Q(X) :- E(X, Y)"), func(Binding) bool {
-		n++
-		return n < 2
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Errorf("visited %d bindings, want 2", n)
-	}
-}
-
 func TestBindingApply(t *testing.T) {
 	b := Binding{"X": value.Int(1)}
 	if v, ok := b.Apply(cq.Var("X")); !ok || v != value.Int(1) {
@@ -219,11 +204,6 @@ func TestBindingApply(t *testing.T) {
 	}
 	if v, ok := b.Apply(cq.Const(value.Int(9))); !ok || v != value.Int(9) {
 		t.Error("constant term not applied")
-	}
-	c := b.Clone()
-	c["X"] = value.Int(2)
-	if b["X"] != value.Int(1) {
-		t.Error("Clone shares storage")
 	}
 }
 

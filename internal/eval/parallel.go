@@ -37,9 +37,9 @@ func EvalAnnotatedParallel[T any](inst Instance, q *cq.Query, sr semiring.Semiri
 // free-expression annotations such as citeexpr — is identical to the
 // sequential evaluation. annot must be safe for concurrent calls.
 func RunAnnotatedParallel[T any](p *Plan, sr semiring.Semiring[T], annot func(pred string, t storage.Tuple) T, workers int) []Annotated[T] {
-	// context.Background can never be canceled, so the ctx variant takes
-	// its poll-free path and the error is statically nil.
-	//lint:detach context-free public API: the Ctx variant takes its poll-free path under Background
+	// context.Background can never be canceled, so the walk never polls
+	// it and the error is statically nil.
+	//lint:detach context-free public API: a walk under Background is never polled
 	out, _ := RunAnnotatedParallelCtx(context.Background(), p, sr, annot, workers)
 	return out
 }
@@ -49,8 +49,7 @@ func RunAnnotatedParallel[T any](p *Plan, sr semiring.Semiring[T], annot func(pr
 // tuples its chunk's walk examines — at every join depth, independent of
 // how many satisfying assignments exist — so canceling ctx aborts the
 // whole run promptly with ctx.Err() instead of finishing the
-// enumeration. A context that can never be canceled pays no polling
-// overhead.
+// enumeration. A context that can never be canceled is never polled.
 func RunAnnotatedParallelCtx[T any](ctx context.Context, p *Plan, sr semiring.Semiring[T], annot func(pred string, t storage.Tuple) T, workers int) ([]Annotated[T], error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -61,26 +60,18 @@ func RunAnnotatedParallelCtx[T any](ctx context.Context, p *Plan, sr semiring.Se
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	// A sequential run leaves leading nil, so step 0 enumerates through
+	// the pooled candidate buffer instead of materializing a fresh slice
+	// per call; a partition with too few leading tuples reuses the slice
+	// it computed.
+	var leading []storage.Tuple
+	if workers > 1 {
+		leading = p.leadingCandidates()
+		workers = min(workers, len(leading)/minLeadingPerWorker)
+	}
 	sp := trace.SpanFromContext(ctx)
 	if workers <= 1 {
-		// Sequential run: leave leading nil so step 0 enumerates through
-		// the pooled candidate buffer instead of materializing a fresh
-		// slice per call (the ctx-free path), or is re-fetched by the
-		// cancelable walk.
-		acc, err := runAnnotatedLeadingCtx(ctx, p, sr, annot, nil)
-		if err != nil {
-			return nil, err
-		}
-		recordEvalStats(sp, p, 1, acc.examined, acc.ix.Len(), acc.columnar)
-		return finishAnnotated(acc), nil
-	}
-	leading := p.leadingCandidates()
-	if max := len(leading) / minLeadingPerWorker; workers > max {
-		workers = max
-	}
-	if workers <= 1 {
-		// Too few leading tuples to partition; reuse the computed slice.
-		acc, err := runAnnotatedLeadingCtx(ctx, p, sr, annot, leading)
+		acc, err := runAnnotatedLeading(ctx, p, sr, annot, leading)
 		if err != nil {
 			return nil, err
 		}
@@ -108,7 +99,7 @@ func RunAnnotatedParallelCtx[T any](ctx context.Context, p *Plan, sr semiring.Se
 		wg.Add(1)
 		go func(w int, chunk []storage.Tuple) {
 			defer wg.Done()
-			results[w], errs[w] = runAnnotatedLeadingCtx(ctx, p, sr, annot, chunk)
+			results[w], errs[w] = runAnnotatedLeading(ctx, p, sr, annot, chunk)
 		}(w, leading[lo:hi])
 	}
 	wg.Wait()

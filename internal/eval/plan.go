@@ -9,7 +9,6 @@ import (
 	"repro/internal/cq"
 	"repro/internal/semiring"
 	"repro/internal/storage"
-	"repro/internal/trace"
 	"repro/internal/value"
 )
 
@@ -29,19 +28,17 @@ import (
 // pool, so a cached plan serves any number of goroutines and a warm run
 // performs no per-binding allocation. Plans read their relations live —
 // data mutated after compilation is still observed — but the atom order
-// and probe choices reflect compile-time statistics, which is why the
-// citation generator caches plans per cache generation and drops them
-// whenever Commit or DefineView invalidates the view caches (DESIGN.md §3,
-// §6).
+// and probe choices reflect compile-time statistics. The citation
+// generator compiles a rewriting's plan on every branch-cache miss and
+// drops it once the branch is evaluated (DESIGN.md §6).
 type Plan struct {
 	query    *cq.Query
 	constant bool          // body-less query: head is all constants
 	constRow storage.Tuple // the single output row of a constant query
 
-	nslots    int
-	slotNames []string // slot -> variable name, for Binding reconstruction
-	steps     []atomStep
-	head      []headSrc
+	nslots int
+	steps  []atomStep
+	head   []headSrc
 
 	pool sync.Pool // *runState
 }
@@ -124,11 +121,12 @@ type runState struct {
 	// resolved to a block (surfaced as the `columnar` span attribute).
 	colSteps      []colRun
 	columnarSteps int
-	// examined is the number of candidate tuples the last cancelable
-	// walk looked at across all join depths — the counter the walk
-	// already keeps to pace its context polls, surfaced for tracing.
-	// The poll-free forEach does not maintain it.
-	examined int
+	// examined is the number of candidate tuples the last walk looked at
+	// across all join depths: the counter that paces its context polls,
+	// surfaced for tracing. cancelable records whether the walk's context
+	// can be canceled at all; one that cannot is never polled.
+	examined   int
+	cancelable bool
 }
 
 // Compile builds an execution plan for q over the instances supplied by
@@ -238,7 +236,6 @@ func Compile(inst Instance, q *cq.Query) (*Plan, error) {
 				s := p.nslots
 				p.nslots++
 				slots[t.Name] = s
-				p.slotNames = append(p.slotNames, t.Name)
 				freshHere[t.Name] = true
 				step.binds = append(step.binds, colBind{col, s})
 			}
@@ -283,9 +280,6 @@ func Compile(inst Instance, q *cq.Query) (*Plan, error) {
 
 // Query returns the query the plan was compiled from.
 func (p *Plan) Query() *cq.Query { return p.query }
-
-// Slots returns the number of register slots the plan uses.
-func (p *Plan) Slots() int { return p.nslots }
 
 func (p *Plan) initPool() {
 	p.pool.New = func() any {
@@ -350,14 +344,31 @@ func (p *Plan) bindBlocks(st *runState) {
 	}
 }
 
+// cancelCheckMask paces the context polls of a walk: ctx.Err() is
+// consulted every (mask+1) candidate tuples examined. A poll takes the
+// context's mutex, so the interval trades promptness against hot-loop
+// overhead.
+const cancelCheckMask = 255
+
+// examine counts one candidate tuple the walk looks at and reports whether
+// the walk must stop: every cancelCheckMask+1 candidates it polls a
+// cancelable context. Both step kinds call it once per candidate, at every
+// join depth, so even a join that rejects every combination (and never
+// reaches the consumer) observes a cancellation.
+func (st *runState) examine(ctx context.Context) bool {
+	st.examined++
+	return st.examined&cancelCheckMask == 0 && st.cancelable && ctx.Err() != nil
+}
+
 // colStep enumerates one join level through its columnar block: earlier-
 // slot check values resolve to dictionary codes once per entry, probe
 // candidates come from the block's posting list (full scans iterate the
 // dense row range), and every equality against an earlier binding or a
 // constant is a uint32 compare on the code vectors. Only intra-atom
 // repeats (sameAtom checks) compare values, after the step's own binds.
-// Returns false iff rec did (the caller stops the walk).
-func (p *Plan) colStep(st *runState, i int, rec func(int) bool) bool {
+// Returns false iff rec did or ctx was canceled (the caller stops the
+// walk).
+func (p *Plan) colStep(ctx context.Context, st *runState, i int, rec func(int) bool) bool {
 	s := &p.steps[i]
 	cs := &st.colSteps[i]
 	if cs.dead {
@@ -394,75 +405,7 @@ func (p *Plan) colStep(st *runState, i int, rec func(int) bool) bool {
 	}
 cand:
 	for idx := 0; idx < end; idx++ {
-		row := uint32(idx)
-		if !full {
-			row = rows[idx]
-		}
-		for k := range s.checks {
-			c := &s.checks[k]
-			if !c.sameAtom && blk.CodeAt(c.col, row) != cs.checkCodes[k] {
-				continue cand
-			}
-		}
-		t := blk.Row(row)
-		for _, b := range s.binds {
-			st.regs[b.slot] = t[b.col]
-		}
-		for k := range s.checks {
-			c := &s.checks[k]
-			if c.sameAtom && t[c.col] != st.regs[c.slot] {
-				continue cand
-			}
-		}
-		st.matched[i] = t
-		if !rec(i + 1) {
-			return false
-		}
-	}
-	return true
-}
-
-// colStepCancel is colStep for the cancelable walk: candidates count into
-// *examined and the context is polled on the shared cadence.
-func (p *Plan) colStepCancel(ctx context.Context, st *runState, i int, examined *int, rec func(int) bool) bool {
-	s := &p.steps[i]
-	cs := &st.colSteps[i]
-	if cs.dead {
-		return true
-	}
-	blk := cs.blk
-	for k := range s.checks {
-		c := &s.checks[k]
-		if c.sameAtom || c.slot < 0 {
-			continue
-		}
-		code, ok := blk.Code(c.col, st.regs[c.slot])
-		if !ok {
-			return true
-		}
-		cs.checkCodes[k] = code
-	}
-	var rows []uint32
-	end := 0
-	full := s.probeCol < 0
-	if full {
-		end = blk.Len()
-	} else {
-		code := cs.probeCode
-		if s.probeSlot >= 0 {
-			var ok bool
-			code, ok = blk.Code(s.probeCol, st.regs[s.probeSlot])
-			if !ok {
-				return true
-			}
-		}
-		rows = blk.Postings(s.probeCol, code)
-		end = len(rows)
-	}
-cand:
-	for idx := 0; idx < end; idx++ {
-		*examined++
-		if *examined&cancelCheckMask == 0 && ctx.Err() != nil {
+		if st.examine(ctx) {
 			return false
 		}
 		row := uint32(idx)
@@ -493,18 +436,23 @@ cand:
 	return true
 }
 
-// forEach enumerates every satisfying assignment, calling fn with the run
+// walk enumerates every satisfying assignment, calling fn with the run
 // state (register file filled, matched tuples parallel to steps). When
 // leading is non-nil it supplies step 0's candidate tuples — the parallel
 // evaluator injects one contiguous chunk per worker. fn returning false
-// stops the walk; forEach reports whether it ran to completion.
+// stops the walk; walk reports whether it ran to completion. Every
+// candidate is counted into st.examined, and a cancelable ctx is polled
+// on the examine cadence: a canceled walk returns false, so callers whose
+// fn always returns true read false as "canceled".
 //
 // Steps whose relation carries a current columnar block take the
 // code-compare path (colStep); the rest — and step 0 when a leading chunk
 // of row tuples is injected — run the row path below, which is also the
 // oracle the randomized equivalence tests pin the columnar path against.
-func (p *Plan) forEach(st *runState, leading []storage.Tuple, fn func(*runState) bool) bool {
+func (p *Plan) walk(ctx context.Context, st *runState, leading []storage.Tuple, fn func(*runState) bool) bool {
 	p.bindBlocks(st)
+	st.examined = 0
+	st.cancelable = ctx.Done() != nil
 	var rec func(i int) bool
 	rec = func(i int) bool {
 		if i == len(p.steps) {
@@ -512,7 +460,7 @@ func (p *Plan) forEach(st *runState, leading []storage.Tuple, fn func(*runState)
 		}
 		s := &p.steps[i]
 		if st.colSteps[i].blk != nil && (i != 0 || leading == nil) {
-			return p.colStep(st, i, rec)
+			return p.colStep(ctx, st, i, rec)
 		}
 		var cands []storage.Tuple
 		if i == 0 && leading != nil {
@@ -532,72 +480,7 @@ func (p *Plan) forEach(st *runState, leading []storage.Tuple, fn func(*runState)
 			cands = buf
 		}
 		for _, t := range cands {
-			for _, b := range s.binds {
-				st.regs[b.slot] = t[b.col]
-			}
-			ok := true
-			for _, c := range s.checks {
-				want := c.cnst
-				if c.slot >= 0 {
-					want = st.regs[c.slot]
-				}
-				if t[c.col] != want {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			st.matched[i] = t
-			if !rec(i + 1) {
-				return false
-			}
-		}
-		return true
-	}
-	return rec(0)
-}
-
-// forEachCancel is forEach with cooperative cancellation: ctx is polled
-// every cancelCheckMask+1 candidate tuples examined, at every join depth
-// — not per satisfying assignment — so even highly selective joins that
-// reject every combination (and would never invoke fn) observe a
-// cancellation. It reports whether the walk ran to completion; callers
-// whose fn always returns true can read false as "canceled".
-func (p *Plan) forEachCancel(ctx context.Context, st *runState, leading []storage.Tuple, fn func(*runState) bool) bool {
-	p.bindBlocks(st)
-	examined := 0
-	defer func() { st.examined = examined }()
-	var rec func(i int) bool
-	rec = func(i int) bool {
-		if i == len(p.steps) {
-			return fn(st)
-		}
-		s := &p.steps[i]
-		if st.colSteps[i].blk != nil && (i != 0 || leading == nil) {
-			return p.colStepCancel(ctx, st, i, &examined, rec)
-		}
-		var cands []storage.Tuple
-		if i == 0 && leading != nil {
-			cands = leading
-		} else {
-			buf := st.cand[i][:0]
-			if s.probeCol >= 0 {
-				v := s.probeConst
-				if s.probeSlot >= 0 {
-					v = st.regs[s.probeSlot]
-				}
-				buf = s.rel.AppendLookup(buf, s.probeCol, v)
-			} else {
-				buf = s.rel.AppendTuples(buf)
-			}
-			st.cand[i] = buf
-			cands = buf
-		}
-		for _, t := range cands {
-			examined++
-			if examined&cancelCheckMask == 0 && ctx.Err() != nil {
+			if st.examine(ctx) {
 				return false
 			}
 			for _, b := range s.binds {
@@ -664,30 +547,17 @@ func (p *Plan) leadingCandidates() []storage.Tuple {
 // Eval runs the plan with set semantics, returning the distinct answer
 // tuples in deterministic (sorted) order.
 func (p *Plan) Eval() []storage.Tuple {
-	if p.constant {
-		return []storage.Tuple{p.constRow.Clone()}
-	}
-	st := p.getState()
-	defer p.putState(st)
-	var ix TupleIndex
-	p.forEach(st, nil, func(st *runState) bool {
-		p.fillHead(st)
-		ix.Add(st.headBuf)
-		return true
-	})
-	out := ix.Tuples()
-	slices.SortFunc(out, storage.Tuple.Compare)
+	// Background can never be canceled, so the error is statically nil.
+	//lint:detach context-free public API: a walk under Background is never polled
+	out, _ := p.EvalContext(context.Background())
 	return out
 }
 
-// EvalContext is Eval with cooperative cancellation (via forEachCancel,
-// which polls ctx per candidate tuple at every join depth): a canceled
-// enumeration aborts with ctx.Err(). A context that can never be
-// canceled (ctx.Done() == nil) takes the poll-free Eval path.
+// EvalContext is Eval with cooperative cancellation: the walk polls ctx
+// per candidate tuple at every join depth, and a canceled enumeration
+// aborts with ctx.Err(). A context that can never be canceled
+// (ctx.Done() == nil) is never polled.
 func (p *Plan) EvalContext(ctx context.Context) ([]storage.Tuple, error) {
-	if ctx.Done() == nil {
-		return p.Eval(), nil
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -697,7 +567,7 @@ func (p *Plan) EvalContext(ctx context.Context) ([]storage.Tuple, error) {
 	st := p.getState()
 	defer p.putState(st)
 	var ix TupleIndex
-	if !p.forEachCancel(ctx, st, nil, func(st *runState) bool {
+	if !p.walk(ctx, st, nil, func(st *runState) bool {
 		p.fillHead(st)
 		ix.Add(st.headBuf)
 		return true
@@ -719,7 +589,8 @@ func (p *Plan) CountBindings() int {
 	n := 0
 	st := p.getState()
 	defer p.putState(st)
-	p.forEach(st, nil, func(*runState) bool { n++; return true })
+	//lint:detach context-free public API: a walk under Background is never polled
+	p.walk(context.Background(), st, nil, func(*runState) bool { n++; return true })
 	return n
 }
 
@@ -732,29 +603,9 @@ func (p *Plan) HasBinding() bool {
 	found := false
 	st := p.getState()
 	defer p.putState(st)
-	p.forEach(st, nil, func(*runState) bool { found = true; return false })
+	//lint:detach context-free public API: a walk under Background is never polled
+	p.walk(context.Background(), st, nil, func(*runState) bool { found = true; return false })
 	return found
-}
-
-// ForEachBinding invokes fn with every satisfying assignment of the
-// query's body variables. Each callback receives a freshly built Binding
-// the consumer may retain; consumers that only count or test existence
-// should use CountBindings/HasBinding, which allocate nothing per
-// assignment.
-func (p *Plan) ForEachBinding(fn func(Binding) bool) {
-	if p.constant {
-		fn(Binding{})
-		return
-	}
-	st := p.getState()
-	defer p.putState(st)
-	p.forEach(st, nil, func(st *runState) bool {
-		b := make(Binding, len(st.regs))
-		for s, name := range p.slotNames {
-			b[name] = st.regs[s]
-		}
-		return fn(b)
-	})
 }
 
 // ---------------------------------------------------------------------------
@@ -768,8 +619,7 @@ func (p *Plan) ForEachBinding(fn func(Binding) bool) {
 type annotAcc[T any] struct {
 	ix   TupleIndex
 	anns []T
-	// examined counts the candidate tuples the walk looked at (only on
-	// the cancelable/traced path; 0 on the poll-free path).
+	// examined counts the candidate tuples the walk looked at.
 	examined int
 	// columnar is the number of plan steps the walk served from a
 	// dictionary-encoded block (the rest ran the row path).
@@ -795,43 +645,13 @@ func accumBinding[T any](p *Plan, sr semiring.Semiring[T], annot func(pred strin
 // runAnnotatedLeading enumerates every satisfying assignment whose leading
 // tuple ranges over leading (nil means all of step 0's candidates), summing
 // the per-binding products into a fresh accumulator. It is the single
-// evaluation core shared by the sequential and parallel annotated runs.
-func runAnnotatedLeading[T any](p *Plan, sr semiring.Semiring[T], annot func(pred string, t storage.Tuple) T, leading []storage.Tuple) *annotAcc[T] {
+// evaluation core shared by the sequential and parallel annotated runs,
+// and aborts with ctx.Err() once the walk observes a cancellation.
+func runAnnotatedLeading[T any](ctx context.Context, p *Plan, sr semiring.Semiring[T], annot func(pred string, t storage.Tuple) T, leading []storage.Tuple) (*annotAcc[T], error) {
 	out := &annotAcc[T]{}
 	st := p.getState()
 	defer p.putState(st)
-	p.forEach(st, leading, func(st *runState) bool {
-		accumBinding(p, sr, annot, out, st)
-		return true
-	})
-	out.columnar = st.columnarSteps
-	return out
-}
-
-// cancelCheckMask paces the context polls of cancelable runs: ctx.Err()
-// is consulted every (mask+1) candidate tuples examined by the walk. A
-// poll is one atomic load, so the interval trades promptness against
-// hot-loop overhead.
-const cancelCheckMask = 255
-
-// runAnnotatedLeadingCtx is runAnnotatedLeading with cooperative
-// cancellation (via forEachCancel, which polls per candidate tuple at
-// every join depth), aborting promptly with ctx.Err(). Contexts that can
-// never be canceled take the poll-free path.
-func runAnnotatedLeadingCtx[T any](ctx context.Context, p *Plan, sr semiring.Semiring[T], annot func(pred string, t storage.Tuple) T, leading []storage.Tuple) (*annotAcc[T], error) {
-	// The poll-free path skips the examined counter too; a context that
-	// carries a trace span takes the counting walk even when it cannot
-	// be canceled, so traced runs always report tuples_examined.
-	if ctx.Done() == nil && trace.SpanFromContext(ctx) == nil {
-		return runAnnotatedLeading(p, sr, annot, leading), nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	out := &annotAcc[T]{}
-	st := p.getState()
-	defer p.putState(st)
-	if !p.forEachCancel(ctx, st, leading, func(st *runState) bool {
+	if !p.walk(ctx, st, leading, func(st *runState) bool {
 		accumBinding(p, sr, annot, out, st)
 		return true
 	}) {

@@ -287,7 +287,8 @@ const (
 var ParseFsyncPolicy = durable.ParseFsyncPolicy
 
 // ErrCorrupt marks log or checkpoint bytes that fail structural
-// validation during recovery. Classify with errors.Is.
+// validation, or hold an entry that does not apply, during recovery.
+// Classify with errors.Is.
 var ErrCorrupt = durable.ErrCorrupt
 
 // OpenSystem recovers a System from a durable data directory and (unless

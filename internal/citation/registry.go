@@ -48,18 +48,12 @@ func (r *Registry) Schema() *schema.Schema { return r.schema }
 // Add validates and registers a view. View names must be unique and
 // distinct from base relation names.
 func (r *Registry) Add(v *View) error {
-	if err := v.Validate(r.schema); err != nil {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if err := r.checkLocked(v); err != nil {
 		return err
 	}
 	name := v.Name()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.byName[name]; dup {
-		return fmt.Errorf("citation: view %s already registered", name)
-	}
-	if r.schema.Relation(name) != nil {
-		return fmt.Errorf("citation: view %s collides with a base relation", name)
-	}
 	r.views = append(r.views, v)
 	r.byName[name] = v
 	next := &viewSet{
@@ -75,6 +69,30 @@ func (r *Registry) Add(v *View) error {
 		}
 	}
 	r.set = next
+	return nil
+}
+
+// Check reports the error Add would return for v, without registering
+// it, so a caller can journal a view only once the registry accepts it.
+func (r *Registry) Check(v *View) error {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.checkLocked(v)
+}
+
+// checkLocked validates v against the schema and requires a name that is
+// neither registered nor a base relation's.
+func (r *Registry) checkLocked(v *View) error {
+	if err := v.Validate(r.schema); err != nil {
+		return err
+	}
+	name := v.Name()
+	if _, dup := r.byName[name]; dup {
+		return fmt.Errorf("citation: view %s already registered", name)
+	}
+	if r.schema.Relation(name) != nil {
+		return fmt.Errorf("citation: view %s collides with a base relation", name)
+	}
 	return nil
 }
 

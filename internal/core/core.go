@@ -233,8 +233,8 @@ func (s *System) Epochs() (epoch, config int64, store fixity.Version) {
 // DefineView parses and registers a citation view in one step: viewSrc is
 // the view query in datalog syntax; each CitationSpec pairs a citation
 // query with its field mapping. On a durable system the definition is
-// journaled (in canonical query syntax) after it validates, so a
-// recovered system wakes up with the same view set.
+// journaled (in canonical query syntax) after it validates and before it
+// registers, so a recovered system wakes up with the same view set.
 func (s *System) DefineView(viewSrc string, static format.Record, specs ...CitationSpec) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -256,18 +256,20 @@ func (s *System) DefineView(viewSrc string, static format.Record, specs ...Citat
 			Fields: spec.Fields,
 		})
 	}
-	if err := s.reg.Add(v); err != nil {
+	// Journal between the registry's checks and the registration, as the
+	// other journaled mutations do: a failed append leaves no view behind
+	// that a restart would lose.
+	if err := s.reg.Check(v); err != nil {
 		return err
 	}
 	if s.wal != nil {
-		e := durable.Entry{Type: durable.EntryDefineView, ViewSrc: vq.String(), Static: staticPairs(static)}
-		for _, c := range v.Citations {
-			e.Cites = append(e.Cites, durable.ViewCite{Query: c.Query.String(), Fields: c.Fields})
-		}
 		//lint:lockscope journaled mutation: the WAL entry and the registry update must commit atomically under the writer lock
-		if _, err := s.wal.Append(e, true); err != nil {
+		if _, err := s.wal.Append(viewEntry(v), true); err != nil {
 			return fmt.Errorf("core: journal: %w", err)
 		}
+	}
+	if err := s.reg.Add(v); err != nil {
+		return err // unreachable unless the registry is added to directly, bypassing DefineView
 	}
 	s.epoch++
 	s.cfg++
@@ -356,15 +358,8 @@ func (s *System) CommitDelta(message string) (fixity.VersionInfo, int64, []strin
 			Message:   message,
 			Tuples:    head.Size(),
 		}
-		meta := durable.CommitMeta{
-			Version:   int64(info.Version),
-			Timestamp: info.Timestamp.UnixNano(),
-			Message:   info.Message,
-			Tuples:    int64(info.Tuples),
-			Digest:    fixity.DatabaseDigest(head),
-		}
 		//lint:lockscope journaled mutation: the commit record and the version store must advance atomically under the writer lock
-		if _, err := s.wal.Append(durable.Entry{Type: durable.EntryCommit, Commit: meta}, true); err != nil {
+		if _, err := s.wal.Append(durable.Entry{Type: durable.EntryCommit, Commit: commitMeta(info, head)}, true); err != nil {
 			return fixity.VersionInfo{}, s.epoch, nil, fmt.Errorf("core: journal: %w", err)
 		}
 		if err := s.store.RestoreCommit(info); err != nil {

@@ -122,13 +122,14 @@ func (s *System) EnableDurability(dir string, opts DurableOptions) error {
 }
 
 // Open recovers a System from a durable data directory: the manifest
-// yields the schema, the newest checkpoint restores the bulk of the
-// state, and the log tail replays on top — rebuilding the exact fixity
-// version history (same version numbers, timestamps, messages and
-// digests; every rebuilt snapshot is verified against the digest its
-// commit entry recorded). A torn log tail recovers the longest clean
-// prefix; checksum or sequencing damage anywhere else reports an error
-// wrapping durable.ErrCorrupt rather than serving a mangled state.
+// yields the schema, and the newest checkpoint's entries and then the
+// log tail's apply one by one through the same applyEntry — rebuilding
+// the exact fixity version history (same version numbers, timestamps,
+// messages and digests; every rebuilt snapshot is verified against the
+// digest its commit entry recorded). A torn log tail recovers the
+// longest clean prefix; checksum or sequencing damage anywhere else, or
+// an entry that does not apply, reports an error wrapping
+// durable.ErrCorrupt rather than serving a mangled state.
 //
 // Unless opts.ReadOnly is set, the recovered system continues journaling
 // to the same directory.
@@ -141,6 +142,15 @@ func Open(dir string, opts DurableOptions) (*System, error) {
 	sys := NewSystem(sch)
 	head := sys.store.Head()
 
+	// A checkpoint and the log tail hold only entries the live system
+	// applied, so an entry that does not apply is damage, whichever
+	// source it comes from.
+	apply := func(src string, i uint64, e durable.Entry) error {
+		if err := sys.applyEntry(e); err != nil {
+			return fmt.Errorf("%w: %s entry %d (%s): %w", durable.ErrCorrupt, src, i, e.Type, err)
+		}
+		return nil
+	}
 	watermark := uint64(0)
 	ckpt, err := durable.LoadCheckpoint(dir)
 	if err != nil {
@@ -148,32 +158,14 @@ func Open(dir string, opts DurableOptions) (*System, error) {
 	}
 	if ckpt != nil {
 		watermark = ckpt.Watermark
-		if err := sys.applyPolicyName(ckpt.Policy); err != nil {
-			return nil, err
-		}
-		for _, vd := range ckpt.Views {
-			if err := sys.applyViewDef(vd); err != nil {
+		for i, e := range ckpt.Entries {
+			if err := apply("checkpoint", uint64(i), e); err != nil {
 				return nil, err
 			}
-		}
-		for _, vs := range ckpt.Versions {
-			if err := durable.ApplyDelta(head, vs.Delta); err != nil {
-				return nil, err
-			}
-			if err := sys.restoreVersion(vs.Meta); err != nil {
-				return nil, err
-			}
-		}
-		if err := durable.ApplyDelta(head, ckpt.Head); err != nil {
-			return nil, err
 		}
 	}
-
 	next, err := durable.Replay(dir, watermark, func(lsn uint64, e durable.Entry) error {
-		if err := sys.applyEntry(e); err != nil {
-			return fmt.Errorf("entry %d (%s): %w", lsn, e.Type, err)
-		}
-		return nil
+		return apply("log", lsn, e)
 	})
 	if err != nil {
 		return nil, err
@@ -209,27 +201,21 @@ func Open(dir string, opts DurableOptions) (*System, error) {
 	return sys, nil
 }
 
-// applyEntry applies one replayed log entry to the system, without
-// journaling. It runs before the system is shared, so no locking.
+// applyEntry applies one recovered entry, from a checkpoint or the log
+// tail, without journaling. It runs before the system is shared, so no
+// locking.
 func (s *System) applyEntry(e durable.Entry) error {
-	head := s.store.Head()
 	switch e.Type {
-	case durable.EntryInsert:
-		r := head.Relation(e.Relation)
+	case durable.EntryInsert, durable.EntryDelete:
+		r := s.store.Head().Relation(e.Relation)
 		if r == nil {
 			return fmt.Errorf("unknown relation %s", e.Relation)
 		}
-		if _, err := r.InsertBatch(e.Tuples); err != nil {
-			return err
+		batch := r.InsertBatch
+		if e.Type == durable.EntryDelete {
+			batch = r.DeleteBatch
 		}
-		s.epoch++
-		s.relEpochs[e.Relation] = s.epoch
-	case durable.EntryDelete:
-		r := head.Relation(e.Relation)
-		if r == nil {
-			return fmt.Errorf("unknown relation %s", e.Relation)
-		}
-		if _, err := r.DeleteBatch(e.Tuples); err != nil {
+		if _, err := batch(e.Tuples); err != nil {
 			return err
 		}
 		s.epoch++
@@ -240,15 +226,18 @@ func (s *System) applyEntry(e durable.Entry) error {
 		}
 		s.epoch++
 	case durable.EntryDefineView:
-		if err := s.applyViewDef(durable.ViewDef{Src: e.ViewSrc, Cites: e.Cites, Static: e.Static}); err != nil {
+		if err := s.applyViewDef(e); err != nil {
 			return err
 		}
 		s.epoch++
 		s.cfg++
 	case durable.EntrySetPolicy:
-		if err := s.applyPolicyName(e.Policy); err != nil {
-			return err
+		p, ok := PolicyByName(e.Policy)
+		if !ok {
+			return fmt.Errorf("unknown policy %q", e.Policy)
 		}
+		s.gen.SetPolicy(p)
+		s.polName = e.Policy
 		s.epoch++
 		s.cfg++
 	default:
@@ -275,20 +264,32 @@ func (s *System) restoreVersion(meta durable.CommitMeta) error {
 		return err
 	}
 	if got := fixity.DatabaseDigest(db); got != meta.Digest {
-		return fmt.Errorf("%w: version %d digest mismatch: rebuilt %s, committed %s",
-			durable.ErrCorrupt, info.Version, got, meta.Digest)
+		return fmt.Errorf("version %d digest mismatch: rebuilt %s, committed %s",
+			info.Version, got, meta.Digest)
 	}
 	return nil
 }
 
-// applyViewDef registers a logged view definition without journaling.
-func (s *System) applyViewDef(vd durable.ViewDef) error {
-	vq, err := cq.Parse(vd.Src)
+// commitMeta is the commit entry's record of a version: its metadata and
+// the digest of its database.
+func commitMeta(info fixity.VersionInfo, db *storage.Database) durable.CommitMeta {
+	return durable.CommitMeta{
+		Version:   int64(info.Version),
+		Timestamp: info.Timestamp.UnixNano(),
+		Message:   info.Message,
+		Tuples:    int64(info.Tuples),
+		Digest:    fixity.DatabaseDigest(db),
+	}
+}
+
+// applyViewDef registers a define-view entry's view without journaling.
+func (s *System) applyViewDef(e durable.Entry) error {
+	vq, err := cq.Parse(e.ViewSrc)
 	if err != nil {
 		return fmt.Errorf("view query: %w", err)
 	}
-	v := &citation.View{Query: vq, Static: staticRecord(vd.Static)}
-	for _, c := range vd.Cites {
+	v := &citation.View{Query: vq, Static: staticRecord(e.Static)}
+	for _, c := range e.Cites {
 		cqy, err := cq.Parse(c.Query)
 		if err != nil {
 			return fmt.Errorf("citation query: %w", err)
@@ -296,18 +297,6 @@ func (s *System) applyViewDef(vd durable.ViewDef) error {
 		v.Citations = append(v.Citations, &citation.CitationQuery{Query: cqy, Fields: c.Fields})
 	}
 	return s.reg.Add(v)
-}
-
-// applyPolicyName resolves and installs a named policy without
-// journaling.
-func (s *System) applyPolicyName(name string) error {
-	p, ok := PolicyByName(name)
-	if !ok {
-		return fmt.Errorf("unknown policy %q", name)
-	}
-	s.gen.SetPolicy(p)
-	s.polName = name
-	return nil
 }
 
 // staticPairs renders a record as ordered field/value pairs (canonical
@@ -335,19 +324,27 @@ func staticRecord(pairs [][2]string) format.Record {
 	return rec
 }
 
-// buildCheckpointLocked serializes the full logical state at the given
-// log watermark: the policy name, every view, the version history as a
-// chain of canonical deltas (each with its commit metadata and digest),
-// and the head as a delta from the latest version. Called with the
-// exclusive system lock held (or before the system is shared).
+// viewEntry is the define-view entry that records a view: its query and
+// citation queries in canonical syntax, and its static record.
+func viewEntry(v *citation.View) durable.Entry {
+	e := durable.Entry{Type: durable.EntryDefineView, ViewSrc: v.Query.String(), Static: staticPairs(v.Static)}
+	for _, c := range v.Citations {
+		e.Cites = append(e.Cites, durable.ViewCite{Query: c.Query.String(), Fields: c.Fields})
+	}
+	return e
+}
+
+// buildCheckpointLocked captures the full logical state at the given log
+// watermark as the entries that rebuild it from an empty database: the
+// policy, every view, each committed version as the batches from its
+// predecessor plus its commit, and the batches from the latest version
+// to the head. Called with the exclusive system lock held (or before the
+// system is shared).
 func (s *System) buildCheckpointLocked(watermark uint64) *durable.Checkpoint {
-	c := &durable.Checkpoint{Watermark: watermark, Policy: s.polName}
+	c := &durable.Checkpoint{Watermark: watermark}
+	c.Entries = append(c.Entries, durable.Entry{Type: durable.EntrySetPolicy, Policy: s.polName})
 	for _, v := range s.reg.Views() {
-		vd := durable.ViewDef{Src: v.Query.String(), Static: staticPairs(v.Static)}
-		for _, cite := range v.Citations {
-			vd.Cites = append(vd.Cites, durable.ViewCite{Query: cite.Query.String(), Fields: cite.Fields})
-		}
-		c.Views = append(c.Views, vd)
+		c.Entries = append(c.Entries, viewEntry(v))
 	}
 	var prev *storage.Database
 	for v := fixity.Version(1); v <= s.store.Latest(); v++ {
@@ -359,19 +356,11 @@ func (s *System) buildCheckpointLocked(watermark uint64) *durable.Checkpoint {
 		if err != nil {
 			panic(fmt.Sprintf("core: checkpoint: %v", err))
 		}
-		c.Versions = append(c.Versions, durable.VersionState{
-			Meta: durable.CommitMeta{
-				Version:   int64(info.Version),
-				Timestamp: info.Timestamp.UnixNano(),
-				Message:   info.Message,
-				Tuples:    int64(info.Tuples),
-				Digest:    fixity.DatabaseDigest(db),
-			},
-			Delta: durable.DiffDatabases(prev, db),
-		})
+		c.Entries = durable.AppendDiff(c.Entries, prev, db)
+		c.Entries = append(c.Entries, durable.Entry{Type: durable.EntryCommit, Commit: commitMeta(info, db)})
 		prev = db
 	}
-	c.Head = durable.DiffDatabases(prev, s.store.Head())
+	c.Entries = durable.AppendDiff(c.Entries, prev, s.store.Head())
 	return c
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -481,4 +482,146 @@ func TestDurableRecoverySharesUnchangedRelations(t *testing.T) {
 	if got := sharing(re); !slices.Equal(got, want) {
 		t.Errorf("recovered sharing differs:\n got %v\nwant %v", got, want)
 	}
+}
+
+// TestCheckpointKeepsKeyLookalikes: two tuples whose Tuple.Key
+// renderings coincide are still two tuples to a checkpoint. Version 2
+// swaps one for the other, and a reopen from the checkpoint alone must
+// rebuild both versions and the head by value. The digest check cannot
+// catch a mix-up here, because it hashes the same rendering.
+func TestCheckpointKeepsKeyLookalikes(t *testing.T) {
+	a := famTuple(99, "a\x1f0b", "c")
+	b := famTuple(99, "a", "b\x1f0c")
+	if a.Key() != b.Key() {
+		t.Fatal("the fixture tuples no longer render alike")
+	}
+	sys, dir := durableSystem(t, DurableOptions{})
+	if _, err := sys.Insert("Family", []storage.Tuple{a}); err != nil {
+		t.Fatal(err)
+	}
+	sys.Commit("v1")
+	if _, err := sys.Delete("Family", []storage.Tuple{a}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Insert("Family", []storage.Tuple{b}); err != nil {
+		t.Fatal(err)
+	}
+	sys.Commit("v2")
+	if err := sys.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.CloseDurability(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(dir, DurableOptions{ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1, _ := re.Store().At(1)
+	v2, _ := re.Store().At(2)
+	for _, c := range []struct {
+		name       string
+		db         *storage.Database
+		has, lacks storage.Tuple
+	}{
+		{"version 1", v1, a, b},
+		{"version 2", v2, b, a},
+		{"head", re.Database(), b, a},
+	} {
+		fam := c.db.Relation("Family")
+		if !fam.Contains(c.has) || fam.Contains(c.lacks) {
+			t.Errorf("recovered %s: has %v = %v, has %v = %v",
+				c.name, c.has, fam.Contains(c.has), c.lacks, fam.Contains(c.lacks))
+		}
+	}
+}
+
+// TestDefineViewJournalsBeforeRegistering: a view whose journal append
+// fails is not registered, and neither the epoch nor the configuration
+// generation moves, so a restart cannot lose a view the live system
+// served.
+func TestDefineViewJournalsBeforeRegistering(t *testing.T) {
+	sys, _ := durableSystem(t, DurableOptions{})
+	views, epoch, cfg := sys.Registry().Len(), sys.Version(), sys.ConfigVersion()
+	if err := sys.wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.DefineView("lambda FID. V9(FID, PName) :- Committee(FID, PName)", nil); err == nil {
+		t.Fatal("DefineView succeeded on a closed journal")
+	}
+	if sys.Registry().Len() != views || sys.Registry().View("V9") != nil {
+		t.Fatal("a view whose journal append failed is registered")
+	}
+	if sys.Version() != epoch || sys.ConfigVersion() != cfg {
+		t.Fatalf("failed DefineView moved Version %d -> %d, ConfigVersion %d -> %d",
+			epoch, sys.Version(), cfg, sys.ConfigVersion())
+	}
+}
+
+// TestCheckpointCarriesConfiguration: a checkpoint truncates the log
+// that journaled the policy change and the extra view, so it must carry
+// both itself.
+func TestCheckpointCarriesConfiguration(t *testing.T) {
+	sys, dir := durableSystem(t, DurableOptions{})
+	buildDurableHistory(t, sys) // sets maxcoverage + defines V9
+	if err := sys.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(dir, DurableOptions{ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.polName != sys.polName || re.Generator().Policy() != sys.Generator().Policy() {
+		t.Fatalf("recovered policy %q (%v), want %q (%v)",
+			re.polName, re.Generator().Policy(), sys.polName, sys.Generator().Policy())
+	}
+	if re.Registry().Len() != sys.Registry().Len() {
+		t.Fatalf("recovered %d views, want %d", re.Registry().Len(), sys.Registry().Len())
+	}
+	const q = "Q(PName) :- Committee(FID, PName)"
+	orig, err := sys.Cite(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := re.Cite(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Text() != orig.Text() {
+		t.Fatalf("recovered citation differs:\n orig: %s\n got: %s", orig.Text(), got.Text())
+	}
+}
+
+// TestDurableUnknownRelationIsCorrupt: an entry recovery cannot apply,
+// here one naming a relation the manifest lacks, fails Open with
+// durable.ErrCorrupt, whether the log tail or a checkpoint holds it.
+func TestDurableUnknownRelationIsCorrupt(t *testing.T) {
+	bad := durable.Entry{Type: durable.EntryInsert, Relation: "Nope", Tuples: []storage.Tuple{{value.Int(1)}}}
+	t.Run("log", func(t *testing.T) {
+		sys, dir := durableSystem(t, DurableOptions{})
+		if _, err := sys.wal.Append(bad, true); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.CloseDurability(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(dir, DurableOptions{ReadOnly: true}); !errors.Is(err, durable.ErrCorrupt) {
+			t.Fatalf("Open = %v, want an error wrapping ErrCorrupt", err)
+		}
+	})
+	t.Run("checkpoint", func(t *testing.T) {
+		sys, dir := durableSystem(t, DurableOptions{})
+		if err := sys.CloseDurability(); err != nil {
+			t.Fatal(err)
+		}
+		// Overwrite the checkpoint EnableDurability wrote at watermark 0.
+		c := sys.buildCheckpointLocked(0)
+		c.Entries = append(c.Entries, bad)
+		if err := durable.WriteCheckpoint(dir, c); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(dir, DurableOptions{ReadOnly: true}); !errors.Is(err, durable.ErrCorrupt) {
+			t.Fatalf("Open = %v, want an error wrapping ErrCorrupt", err)
+		}
+	})
 }

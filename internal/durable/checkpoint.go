@@ -11,217 +11,79 @@ import (
 )
 
 // checkpointMagic begins every checkpoint file.
-var checkpointMagic = []byte("DCCKPT1\n")
-
-// RelationDelta is the canonical tuple-level difference of one relation
-// between two database states: tuples to insert and tuples to delete, each
-// in canonical (lexicographic) order.
-type RelationDelta struct {
-	Name   string
-	Insert []storage.Tuple
-	Delete []storage.Tuple
-}
-
-// Delta is a whole-database difference, relations in schema order.
-// Applying a delta to the older state reproduces the newer one exactly.
-type Delta []RelationDelta
-
-// Empty reports whether the delta changes nothing.
-func (d Delta) Empty() bool {
-	for _, rd := range d {
-		if len(rd.Insert) > 0 || len(rd.Delete) > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// ViewDef is the serialized form of one citation view: the view query
-// source, its citation queries, and the static record as ordered
-// field/value pairs.
-type ViewDef struct {
-	Src    string
-	Cites  []ViewCite
-	Static [][2]string
-}
-
-// VersionState is one committed version inside a checkpoint: its commit
-// metadata (including the canonical database digest) plus the delta from
-// the previous version (or from the empty database for version 1).
-type VersionState struct {
-	Meta  CommitMeta
-	Delta Delta
-}
+var checkpointMagic = []byte("DCCKPT2\n")
 
 // Checkpoint is the full logical state of a citation-enabled database at
-// a log watermark: every log entry with sequence number below Watermark
-// is reflected in it, so recovery loads the checkpoint and replays only
-// the log tail. Version history is stored as a chain of canonical deltas
-// — version v's snapshot is the deltas of versions 1..v applied in order
-// — and Head is the delta from the latest version to the working state.
+// a log watermark, as the log entries that rebuild it from an empty
+// database: every log entry with sequence number below Watermark is
+// reflected in it, so recovery applies the checkpoint's entries and then
+// replays only the log tail, both through one path. The entries are a
+// set-policy, one define-view per view, for each committed version the
+// delete and insert batches from its predecessor followed by its commit,
+// and the batches from the latest version to the head.
 type Checkpoint struct {
 	Watermark uint64
-	Policy    string
-	Views     []ViewDef
-	Versions  []VersionState
-	Head      Delta
+	Entries   []Entry
 }
 
-// DiffDatabases computes the canonical delta from old to new. old may be
-// nil, meaning the empty database. The relations iterate in new's schema
-// order; tuples within each side of a relation delta are sorted.
-func DiffDatabases(old, new *storage.Database) Delta {
-	var out Delta
+// AppendDiff appends to dst the delete and insert batches that turn old
+// into new, relation by relation in new's schema order, and returns the
+// extended slice. old may be nil, meaning the empty database. Tuples
+// compare by value (Relation.Contains), never by a rendering, and a
+// relation both databases hold as the same frozen object is skipped
+// unread: committed versions share every relation they did not change.
+func AppendDiff(dst []Entry, old, new *storage.Database) []Entry {
 	for _, name := range new.Schema().Names() {
 		nr := new.Relation(name)
 		var or *storage.Relation
 		if old != nil {
 			or = old.Relation(name)
 		}
-		rd := RelationDelta{Name: name}
-		newSorted := nr.SortedTuples()
-		newKeys := make(map[string]bool, len(newSorted))
-		for _, t := range newSorted {
-			newKeys[t.Key()] = true
+		if or == nr {
+			continue
 		}
-		oldKeys := make(map[string]bool)
+		var del, ins []storage.Tuple
 		if or != nil {
-			for _, t := range or.SortedTuples() {
-				k := t.Key()
-				oldKeys[k] = true
-				if !newKeys[k] {
-					rd.Delete = append(rd.Delete, t)
+			or.Scan(func(t storage.Tuple) bool {
+				if !nr.Contains(t) {
+					del = append(del, t)
 				}
+				return true
+			})
+		}
+		nr.Scan(func(t storage.Tuple) bool {
+			if or == nil || !or.Contains(t) {
+				ins = append(ins, t)
 			}
+			return true
+		})
+		if del != nil {
+			dst = append(dst, Entry{Type: EntryDelete, Relation: name, Tuples: del})
 		}
-		for _, t := range newSorted {
-			if !oldKeys[t.Key()] {
-				rd.Insert = append(rd.Insert, t)
-			}
-		}
-		out = append(out, rd)
-	}
-	return out
-}
-
-// ApplyDelta applies a delta to a mutable database: deletions first, then
-// insertions, per relation.
-func ApplyDelta(db *storage.Database, d Delta) error {
-	for _, rd := range d {
-		r := db.Relation(rd.Name)
-		if r == nil {
-			return fmt.Errorf("%w: delta references unknown relation %s", ErrCorrupt, rd.Name)
-		}
-		if _, err := r.DeleteBatch(rd.Delete); err != nil {
-			return fmt.Errorf("durable: delta delete from %s: %w", rd.Name, err)
-		}
-		if _, err := r.InsertBatch(rd.Insert); err != nil {
-			return fmt.Errorf("durable: delta insert into %s: %w", rd.Name, err)
+		if ins != nil {
+			dst = append(dst, Entry{Type: EntryInsert, Relation: name, Tuples: ins})
 		}
 	}
-	return nil
+	return dst
 }
 
-// --- encoding ---
-
-func appendDelta(b []byte, d Delta) []byte {
-	b = appendUvarint(b, uint64(len(d)))
-	for _, rd := range d {
-		b = appendString(b, rd.Name)
-		b = appendTuples(b, rd.Insert)
-		b = appendTuples(b, rd.Delete)
-	}
-	return b
-}
-
-func appendViewDef(b []byte, v ViewDef) []byte {
-	b = appendString(b, v.Src)
-	b = appendUvarint(b, uint64(len(v.Cites)))
-	for _, c := range v.Cites {
-		b = appendString(b, c.Query)
-		b = appendUvarint(b, uint64(len(c.Fields)))
-		for _, f := range c.Fields {
-			b = appendString(b, f)
-		}
-	}
-	b = appendUvarint(b, uint64(len(v.Static)))
-	for _, kv := range v.Static {
-		b = appendString(b, kv[0])
-		b = appendString(b, kv[1])
-	}
-	return b
-}
-
-func appendCommitMeta(b []byte, m CommitMeta) []byte {
-	b = appendUvarint(b, uint64(m.Version))
-	b = appendFixed64(b, uint64(m.Timestamp))
-	b = appendString(b, m.Message)
-	b = appendUvarint(b, uint64(m.Tuples))
-	return appendString(b, m.Digest)
-}
-
-// EncodeCheckpoint renders a checkpoint file: magic, payload, trailing
-// CRC32C over the payload.
+// EncodeCheckpoint renders a checkpoint file: magic, then a payload of
+// the watermark, an entry count and the entries, then a CRC32C over the
+// payload.
 func EncodeCheckpoint(c *Checkpoint) []byte {
 	b := append([]byte(nil), checkpointMagic...)
 	b = appendUvarint(b, c.Watermark)
-	b = appendString(b, c.Policy)
-	b = appendUvarint(b, uint64(len(c.Views)))
-	for _, v := range c.Views {
-		b = appendViewDef(b, v)
+	b = appendUvarint(b, uint64(len(c.Entries)))
+	for _, e := range c.Entries {
+		b = appendEntry(b, e)
 	}
-	b = appendUvarint(b, uint64(len(c.Versions)))
-	for _, vs := range c.Versions {
-		b = appendCommitMeta(b, vs.Meta)
-		b = appendDelta(b, vs.Delta)
-	}
-	b = appendDelta(b, c.Head)
 	sum := crc32.Checksum(b[len(checkpointMagic):], crcTable)
 	return binary.LittleEndian.AppendUint32(b, sum)
 }
 
-func (d *decoder) delta() Delta {
-	n := d.count(3)
-	var out Delta
-	for i := 0; i < n && d.err == nil; i++ {
-		rd := RelationDelta{Name: d.str()}
-		rd.Insert = d.tuples()
-		rd.Delete = d.tuples()
-		out = append(out, rd)
-	}
-	return out
-}
-
-func (d *decoder) viewDef() ViewDef {
-	v := ViewDef{Src: d.str()}
-	nc := d.count(2)
-	for i := 0; i < nc && d.err == nil; i++ {
-		c := ViewCite{Query: d.str()}
-		nf := d.count(1)
-		for j := 0; j < nf && d.err == nil; j++ {
-			c.Fields = append(c.Fields, d.str())
-		}
-		v.Cites = append(v.Cites, c)
-	}
-	ns := d.count(2)
-	for i := 0; i < ns && d.err == nil; i++ {
-		v.Static = append(v.Static, [2]string{d.str(), d.str()})
-	}
-	return v
-}
-
-func (d *decoder) commitMeta() CommitMeta {
-	return CommitMeta{
-		Version:   int64(d.uvarint()),
-		Timestamp: int64(d.fixed64()),
-		Message:   d.str(),
-		Tuples:    int64(d.uvarint()),
-		Digest:    d.str(),
-	}
-}
-
 // DecodeCheckpoint parses a checkpoint file, validating magic and
-// checksum. It never panics on malformed input.
+// checksum. Malformed input of any shape reports an error satisfying
+// errors.Is(err, ErrCorrupt) and never panics.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if len(data) < len(checkpointMagic)+4 || string(data[:len(checkpointMagic)]) != string(checkpointMagic) {
 		return nil, fmt.Errorf("%w: not a checkpoint file", ErrCorrupt)
@@ -232,21 +94,11 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("%w: checkpoint checksum mismatch", ErrCorrupt)
 	}
 	d := &decoder{b: payload}
-	c := &Checkpoint{
-		Watermark: d.uvarint(),
-		Policy:    d.str(),
+	c := &Checkpoint{Watermark: d.uvarint()}
+	n := d.count(2) // type byte + at least one field byte
+	for i := 0; i < n && d.err == nil; i++ {
+		c.Entries = append(c.Entries, d.entry())
 	}
-	nv := d.count(1)
-	for i := 0; i < nv && d.err == nil; i++ {
-		c.Views = append(c.Views, d.viewDef())
-	}
-	nver := d.count(1)
-	for i := 0; i < nver && d.err == nil; i++ {
-		vs := VersionState{Meta: d.commitMeta()}
-		vs.Delta = d.delta()
-		c.Versions = append(c.Versions, vs)
-	}
-	c.Head = d.delta()
 	if d.err != nil {
 		return nil, d.err
 	}

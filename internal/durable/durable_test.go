@@ -61,12 +61,17 @@ func randomTuples(rng *rand.Rand) []storage.Tuple {
 }
 
 func randomEntry(rng *rand.Rand) Entry {
-	switch 1 + rng.Intn(5) {
-	case int(EntryInsert):
+	return randomEntryOf(rng, EntryType(1+rng.Intn(5)))
+}
+
+// randomEntryOf draws a random entry of the given type.
+func randomEntryOf(rng *rand.Rand, typ EntryType) Entry {
+	switch typ {
+	case EntryInsert:
 		return Entry{Type: EntryInsert, Relation: randomString(rng), Tuples: randomTuples(rng)}
-	case int(EntryDelete):
+	case EntryDelete:
 		return Entry{Type: EntryDelete, Relation: randomString(rng), Tuples: randomTuples(rng)}
-	case int(EntryCommit):
+	case EntryCommit:
 		return Entry{Type: EntryCommit, Commit: CommitMeta{
 			Version:   rng.Int63n(1 << 40),
 			Timestamp: rng.Int63() - rng.Int63(),
@@ -74,7 +79,7 @@ func randomEntry(rng *rand.Rand) Entry {
 			Tuples:    rng.Int63n(1 << 40),
 			Digest:    randomString(rng),
 		}}
-	case int(EntryDefineView):
+	case EntryDefineView:
 		e := Entry{Type: EntryDefineView, ViewSrc: randomString(rng)}
 		for i := rng.Intn(3); i > 0; i-- {
 			c := ViewCite{Query: randomString(rng)}
@@ -363,19 +368,17 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	c := &Checkpoint{
 		Watermark: 12345,
-		Policy:    "maxcoverage",
-		Views: []ViewDef{
-			{Src: "lambda FID. V1(FID, X) :- R(FID, X)",
+		Entries: []Entry{
+			{Type: EntrySetPolicy, Policy: "maxcoverage"},
+			{Type: EntryDefineView, ViewSrc: "lambda FID. V1(FID, X) :- R(FID, X)",
 				Cites:  []ViewCite{{Query: "CV(FID) :- S(FID)", Fields: []string{"identifier"}}},
 				Static: [][2]string{{"database", "GtoPdb"}}},
+			{Type: EntryInsert, Relation: "R", Tuples: randomTuples(rng)},
+			{Type: EntryCommit, Commit: CommitMeta{Version: 1, Timestamp: 99, Message: "v1", Tuples: 2, Digest: "abc"}},
+			{Type: EntryDelete, Relation: "R", Tuples: randomTuples(rng)},
+			{Type: EntryCommit, Commit: CommitMeta{Version: 2, Timestamp: 100, Message: "v2", Tuples: 1, Digest: "def"}},
+			{Type: EntryInsert, Relation: "R", Tuples: randomTuples(rng)},
 		},
-		Versions: []VersionState{
-			{Meta: CommitMeta{Version: 1, Timestamp: 99, Message: "v1", Tuples: 2, Digest: "abc"},
-				Delta: Delta{{Name: "R", Insert: randomTuples(rng)}}},
-			{Meta: CommitMeta{Version: 2, Timestamp: 100, Message: "v2", Tuples: 1, Digest: "def"},
-				Delta: Delta{{Name: "R", Delete: randomTuples(rng)}}},
-		},
-		Head: Delta{{Name: "R", Insert: randomTuples(rng)}},
 	}
 	got, err := DecodeCheckpoint(EncodeCheckpoint(c))
 	if err != nil {
@@ -398,7 +401,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 
 	// A damaged newest checkpoint falls back to the older one.
-	newer := &Checkpoint{Watermark: 99999, Policy: "minsize"}
+	newer := &Checkpoint{Watermark: 99999, Entries: []Entry{{Type: EntrySetPolicy, Policy: "minsize"}}}
 	if err := WriteCheckpoint(dir, newer); err != nil {
 		t.Fatal(err)
 	}

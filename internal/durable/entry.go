@@ -11,14 +11,16 @@
 //   - a segmented, CRC-checksummed append-only commit log of typed entries
 //     (relation insert/delete batches, commits with digest metadata, view
 //     definitions, policy changes),
-//   - checkpoint files that serialize the full logical state (version
-//     history as canonical deltas, head contents, views, policy) and allow
-//     the log to be truncated.
+//   - checkpoint files that hold the full logical state as the entries
+//     that rebuild it from an empty database (policy, views, each
+//     version's tuple changes and commit, the head's changes since), and
+//     allow the log to be truncated.
 //
-// Recovery replays checkpoint+tail and rebuilds the exact version history:
-// same version numbers, same snapshot contents, same digests. A torn log
-// tail (the crash case) yields a clean prefix of the history; bytes that
-// fail their checksum mid-log are reported as corruption, never applied.
+// Recovery applies the checkpoint's entries and then the log tail's, one
+// at a time, and rebuilds the exact version history: same version
+// numbers, same snapshot contents, same digests. A torn log tail (the
+// crash case) yields a clean prefix of the history; bytes that fail
+// their checksum mid-log are reported as corruption, never applied.
 // The orchestration — which entries mean what to the engine — lives in
 // core; this package owns bytes, files and framing only.
 package durable
@@ -34,9 +36,10 @@ import (
 )
 
 // ErrCorrupt marks log or checkpoint bytes that fail structural validation
-// (bad checksum, impossible length, malformed entry). Recovery distinguishes
-// it from a clean end-of-log: a torn tail is a prefix, corruption is an
-// error. Classify with errors.Is.
+// (bad checksum, impossible length, malformed entry) or hold an entry
+// recovery cannot apply. Recovery distinguishes it from a clean
+// end-of-log: a torn tail is a prefix, corruption is an error. Classify
+// with errors.Is.
 var ErrCorrupt = errors.New("durable: corrupt data")
 
 // EntryType enumerates the log entry kinds.
@@ -179,7 +182,14 @@ func appendTuples(b []byte, ts []storage.Tuple) []byte {
 // EncodeEntry renders an entry as its canonical binary payload (without
 // the log record framing, which Log.Append adds).
 func EncodeEntry(e Entry) []byte {
-	b := []byte{byte(e.Type)}
+	return appendEntry(nil, e)
+}
+
+// appendEntry appends an entry's canonical encoding — its type byte, then
+// the type's fields — to b. Log records and checkpoint files both carry
+// entries in this form.
+func appendEntry(b []byte, e Entry) []byte {
+	b = append(b, byte(e.Type))
 	switch e.Type {
 	case EntryInsert, EntryDelete:
 		b = appendString(b, e.Relation)
@@ -342,16 +352,17 @@ func (d *decoder) tuples() []storage.Tuple {
 	return ts
 }
 
-// DecodeEntry parses a payload produced by EncodeEntry. Malformed input of
-// any shape reports an error satisfying errors.Is(err, ErrCorrupt) and
-// never panics.
-func DecodeEntry(payload []byte) (Entry, error) {
-	d := &decoder{b: payload}
-	if len(payload) == 0 {
-		return Entry{}, fmt.Errorf("%w: empty entry", ErrCorrupt)
+// entry reads one entry written by appendEntry.
+func (d *decoder) entry() Entry {
+	if d.err != nil {
+		return Entry{}
 	}
-	e := Entry{Type: EntryType(payload[0])}
-	d.off = 1
+	if d.off >= len(d.b) {
+		d.fail("truncated entry at offset %d", d.off)
+		return Entry{}
+	}
+	e := Entry{Type: EntryType(d.b[d.off])}
+	d.off++
 	switch e.Type {
 	case EntryInsert, EntryDelete:
 		e.Relation = d.str()
@@ -381,8 +392,17 @@ func DecodeEntry(payload []byte) (Entry, error) {
 	case EntrySetPolicy:
 		e.Policy = d.str()
 	default:
-		return Entry{}, fmt.Errorf("%w: unknown entry type %d", ErrCorrupt, payload[0])
+		d.fail("unknown entry type %d", uint8(e.Type))
 	}
+	return e
+}
+
+// DecodeEntry parses a payload produced by EncodeEntry. Malformed input of
+// any shape reports an error satisfying errors.Is(err, ErrCorrupt) and
+// never panics.
+func DecodeEntry(payload []byte) (Entry, error) {
+	d := &decoder{b: payload}
+	e := d.entry()
 	if d.err != nil {
 		return Entry{}, d.err
 	}

@@ -1,6 +1,10 @@
 package durable
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -54,6 +58,47 @@ func FuzzLogReplay(f *testing.F) {
 		// The raw entry decoder shares the same totality contract.
 		if e, err := DecodeEntry(data); err == nil {
 			_ = EncodeEntry(e)
+		}
+	})
+}
+
+// FuzzCheckpoint feeds arbitrary bytes to the checkpoint decoder twice:
+// as a whole file, and as a payload framed with the magic and a valid
+// checksum, so mutations reach the entry decoder behind the checksum.
+// The decoder never panics and refuses only with ErrCorrupt, and
+// whatever it accepts re-encodes to a checkpoint that decodes equal.
+func FuzzCheckpoint(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	c := &Checkpoint{Watermark: 42}
+	for typ := EntryInsert; typ <= EntrySetPolicy; typ++ {
+		c.Entries = append(c.Entries, randomEntryOf(rng, typ))
+	}
+	file := EncodeCheckpoint(c)
+	f.Add(file)
+	f.Add(file[len(checkpointMagic) : len(file)-4])
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		framed := append(append([]byte(nil), checkpointMagic...), data...)
+		framed = binary.LittleEndian.AppendUint32(framed, crc32.Checksum(data, crcTable))
+		for _, in := range [][]byte{data, framed} {
+			c, err := DecodeCheckpoint(in)
+			if err != nil {
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("error does not wrap ErrCorrupt: %v", err)
+				}
+				continue
+			}
+			enc := EncodeCheckpoint(c)
+			again, err := DecodeCheckpoint(enc)
+			if err != nil {
+				t.Fatalf("re-encoded checkpoint does not decode: %v", err)
+			}
+			// Equal means the same canonical encoding: reflect.DeepEqual
+			// calls a NaN value unequal to itself.
+			if !bytes.Equal(EncodeCheckpoint(again), enc) {
+				t.Fatal("re-encoded checkpoint decodes to a different one")
+			}
 		}
 	})
 }

@@ -121,10 +121,10 @@ func BenchmarkE4Incremental(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := sys.Generator().Materialized("FamilyView"); err != nil {
+		m, err := evolution.NewMaintainer(sys)
+		if err != nil {
 			b.Fatal(err)
 		}
-		m := evolution.NewMaintainer(sys.Generator())
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			fid := int64(1000000 + i)
@@ -141,10 +141,10 @@ func BenchmarkE4Incremental(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := sys.Generator().Materialized("FamilyView"); err != nil {
+		m, err := evolution.NewMaintainer(sys)
+		if err != nil {
 			b.Fatal(err)
 		}
-		m := evolution.NewMaintainer(sys.Generator())
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			fid := int64(1000000 + i)

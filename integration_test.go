@@ -58,10 +58,10 @@ func TestFullLifecycle(t *testing.T) {
 	// Evolve: a new Amylin family arrives, curated by Dana. (A distinct
 	// name, so the projected answer set — and therefore the digest —
 	// actually changes.)
-	if _, err := sys.Generator().Materialized("V1"); err != nil {
+	m, err := evolution.NewMaintainer(sys)
+	if err != nil {
 		t.Fatal(err)
 	}
-	m := evolution.NewMaintainer(sys.Generator())
 	deltas := []evolution.Delta{
 		evolution.Insert("Family", storage.Tuple{value.Int(13), value.String("Amylin"), value.String("A1")}),
 		evolution.Insert("FamilyIntro", storage.Tuple{value.Int(13), value.String("3rd")}),

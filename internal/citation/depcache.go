@@ -111,22 +111,6 @@ func (c *depCache[V]) get(key genKey, deps func() []string, fill func() (V, erro
 	return e.val, false, e.err
 }
 
-// filled reports whether key holds a finished, successful fill.
-func (c *depCache[V]) filled(key genKey) bool {
-	c.mu.Lock()
-	e, ok := c.m[key]
-	c.mu.Unlock()
-	if !ok {
-		return false
-	}
-	select {
-	case <-e.ready:
-		return e.err == nil
-	default:
-		return false
-	}
-}
-
 // invalidate evicts the head entries whose deps hit reports as touched
 // and counts every head entry once as kept or evicted. Versioned entries
 // are not visited.

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 
 	"repro/internal/citeexpr"
@@ -179,8 +178,7 @@ func (g *Generator) workers() int {
 // untouched relations warm. In-flight fills finish against the orphaned
 // entries and are re-done on next demand. Versioned entries are retained:
 // they were computed against immutable snapshots and can never go stale,
-// so time-travel cites survive every invalidation. The evolution package
-// refreshes the caches incrementally instead.
+// so time-travel cites survive every invalidation.
 func (g *Generator) InvalidateCache() {
 	g.invalidate(func([]string) bool { return true })
 }
@@ -855,34 +853,13 @@ func (g *Generator) materializeAt(ctx context.Context, db *storage.Database, ver
 	sp.Set("view", viewName)
 	key, deps := cacheKey(db, ver, viewName, func() []string { return g.reg.QueryDeps(viewName) })
 	rel, hit, err := g.views.get(key, deps,
-		func() (*storage.Relation, error) { return g.materializeView(db, viewName) })
+		func() (*storage.Relation, error) { return g.reg.Materialize(db, viewName) })
 	if hit {
 		sp.Set("cache", "hit")
 	} else {
 		sp.Set("cache", "miss")
 	}
 	return rel, err
-}
-
-// materializeView performs the actual view evaluation over db.
-func (g *Generator) materializeView(db *storage.Database, viewName string) (*storage.Relation, error) {
-	v := g.reg.View(viewName)
-	if v == nil {
-		return nil, fmt.Errorf("citation: unknown view %s", viewName)
-	}
-	rs, err := v.HeadSchema(g.reg.Schema())
-	if err != nil {
-		return nil, err
-	}
-	inst := storage.NewRelation(rs)
-	if err := eval.Materialize(db, v.Query, inst); err != nil {
-		return nil, err
-	}
-	// No eager per-column index build: the plans compiled over the view
-	// EnsureIndex exactly the probe columns they select, and a read-hot
-	// view earns a columnar block (storage.ColumnarBlock) that serves
-	// probes and scans without indexes at all.
-	return inst, nil
 }
 
 // paramPositions maps every view the rewritings use to its parameter
@@ -946,52 +923,6 @@ func (g *Generator) resolverAt(db *storage.Database, ver int, stats *Stats) poli
 		}
 		return rec, err
 	}
-}
-
-// Materialized returns the cached materialized instance of the named view,
-// materializing it first if needed. The returned relation is the live
-// cache entry: the evolution package updates it in place when maintaining
-// views incrementally.
-func (g *Generator) Materialized(name string) (*storage.Relation, error) {
-	//lint:detach context-free convenience: callers needing cancellation use materializeAt directly
-	return g.materializeAt(context.Background(), g.db, 0, name)
-}
-
-// IsMaterialized reports whether the view is currently in the head
-// generation's cache (a materialization still in flight does not count).
-func (g *Generator) IsMaterialized(name string) bool {
-	return g.views.filled(genKey{0, name})
-}
-
-// InvalidateAtoms drops the head generation's cached citation records for
-// one view (all parameter instantiations). The evolution package calls
-// this when a delta touches a relation referenced by the view's citation
-// queries; snapshot-keyed records are untouched — deltas cannot reach
-// committed versions.
-func (g *Generator) InvalidateAtoms(view string) {
-	prefix := "C" + view
-	g.atoms.drop(func(k genKey, _ []string) bool {
-		return k.origin == 0 && strings.HasPrefix(k.name, prefix) &&
-			(len(k.name) == len(prefix) || k.name[len(prefix)] == '(')
-	})
-}
-
-// InvalidateBranches evicts the head-generation branch entries whose
-// rewritings transitively read rel. The evolution maintainer calls this
-// per applied delta: it refreshes view instances in place (so views stay
-// valid), but a cached branch holds materialized answers and annotations
-// that the delta may have changed.
-func (g *Generator) InvalidateBranches(rel string) {
-	g.branches.drop(func(k genKey, deps []string) bool {
-		return k.origin == 0 && slices.Contains(deps, rel)
-	})
-}
-
-// ResolveAtomCached is ResolveAtom through the generator's record cache;
-// repeated resolutions of the same atom are free until the cache is
-// invalidated.
-func (g *Generator) ResolveAtomCached(a citeexpr.Atom) (format.Record, error) {
-	return g.resolverAt(g.db, 0, nil)(a)
 }
 
 // ResolveAtom evaluates the citation queries of the atom's view with the

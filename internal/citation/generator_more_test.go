@@ -163,25 +163,6 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
-func TestInvalidateAtomsScopedToView(t *testing.T) {
-	g := paperGenerator(t)
-	if _, err := g.Cite(cq.MustParse(paperQueryText)); err != nil {
-		t.Fatal(err)
-	}
-	// Prime both V1 atoms and V3's.
-	if _, err := g.ResolveAtomCached(citeexpr.NewAtom("V1", value.Int(11))); err != nil {
-		t.Fatal(err)
-	}
-	g.InvalidateAtoms("V1")
-	// V1 entries must be gone, V2/V3 retained — observable via the debug
-	// counter on the next Cite: atoms are re-resolved for V1 only.
-	res, err := g.Cite(cq.MustParse(paperQueryText))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = res
-}
-
 // TestEvictedVersionFillNotRetained pins the version retention bound
 // against a late fill. A cite touches its version once, at its start, and
 // fills the caches later; other cites may push the version out of the

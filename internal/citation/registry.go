@@ -7,8 +7,10 @@ import (
 	"sync"
 
 	"repro/internal/cq"
+	"repro/internal/eval"
 	"repro/internal/rewrite"
 	"repro/internal/schema"
+	"repro/internal/storage"
 	"repro/internal/value"
 )
 
@@ -126,6 +128,30 @@ func (r *Registry) Views() []*View {
 	out := make([]*View, len(r.views))
 	copy(out, r.views)
 	return out
+}
+
+// Materialize evaluates the named view over db into a new relation of the
+// view's head schema. It is the one materialization routine: the
+// generator's view cache fills through it, and so does any caller that
+// keeps instances of its own.
+func (r *Registry) Materialize(db *storage.Database, name string) (*storage.Relation, error) {
+	v := r.View(name)
+	if v == nil {
+		return nil, fmt.Errorf("citation: unknown view %s", name)
+	}
+	rs, err := v.HeadSchema(r.schema)
+	if err != nil {
+		return nil, err
+	}
+	inst := storage.NewRelation(rs)
+	if err := eval.Materialize(db, v.Query, inst); err != nil {
+		return nil, err
+	}
+	// No eager per-column index build: the plans compiled over the view
+	// EnsureIndex exactly the probe columns they select, and a read-hot
+	// view earns a columnar block (storage.ColumnarBlock) that serves
+	// probes and scans without indexes at all.
+	return inst, nil
 }
 
 // Len returns the number of registered views.

@@ -62,6 +62,11 @@ func (a Atom) render() string {
 	parts := make([]string, len(a.Params))
 	for i, p := range a.Params {
 		parts[i] = p.String()
+		// Quoting a string that holds a separator or a quote keeps the
+		// rendering injective: CV('a,b', c) and CV(a, 'b,c') differ.
+		if p.Kind() == value.KindString && strings.ContainsAny(parts[i], ",()'") {
+			parts[i] = p.Quote()
+		}
 	}
 	return "C" + a.View + "(" + strings.Join(parts, ",") + ")"
 }

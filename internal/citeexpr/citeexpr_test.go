@@ -24,6 +24,10 @@ func TestAtomString(t *testing.T) {
 	if got := multi.String(); got != "CV(1,x)" {
 		t.Errorf("multi-param String = %q", got)
 	}
+	quoted := NewAtom("V", value.String("a,b"), value.String("it's"), value.String("f(x)"))
+	if got := quoted.String(); got != "CV('a,b','it''s','f(x)')" {
+		t.Errorf("separator-holding params String = %q", got)
+	}
 }
 
 func TestPaperExpressionRendering(t *testing.T) {
@@ -88,6 +92,13 @@ func TestAtomsAndSize(t *testing.T) {
 	// Parameter values distinguish atoms of the same view.
 	if atoms[0].Key() == atoms[1].Key() {
 		t.Error("differently parameterized atoms share a key")
+	}
+	// So do parameter lists that join alike: CV('a,b', c) and CV(a, 'b,c').
+	x := NewAtom("V", value.String("a,b"), value.String("c"))
+	y := NewAtom("V", value.String("a"), value.String("b,c"))
+	sum := Alt{Children: []Expr{x, y}}
+	if Equal(x, y) || Size(sum) != 2 || len(Atoms(sum)) != 2 {
+		t.Errorf("lookalike parameter lists merge: %s and %s", x, y)
 	}
 }
 

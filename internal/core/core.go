@@ -293,8 +293,7 @@ type CitationSpec struct {
 // commit touched — everything else stays warm: no Cite call is in flight
 // while the caches turn over, so a citation is always generated against
 // a consistent cache generation. Commit is the synchronization point
-// after mutating the head database directly (for incremental maintenance
-// without commits, see package evolution); the touched-relation set is
+// after mutating the head database directly; the touched-relation set is
 // derived from per-relation storage generations, so direct writes are
 // detected exactly like journaled ones.
 //

@@ -244,3 +244,46 @@ func TestNewSystemFromDatabase(t *testing.T) {
 		t.Error("system shares storage with source database")
 	}
 }
+
+// TestAtomCacheKeepsLookalikeParams: the generator's atom cache keys on
+// the atom's rendering, so two parameter lists that join alike,
+// CV('a,b', c) and CV(a, 'b,c'), must render apart, or one tuple is cited
+// with the other's record.
+func TestAtomCacheKeepsLookalikeParams(t *testing.T) {
+	str := func(name string) schema.Attribute { return schema.Attribute{Name: name, Kind: value.KindString} }
+	s := schema.New()
+	s.MustAdd(schema.MustRelation("P", []schema.Attribute{{Name: "K", Kind: value.KindInt}, str("A"), str("B")}))
+	s.MustAdd(schema.MustRelation("Names", []schema.Attribute{str("A"), str("B"), str("N")}))
+	sys := NewSystem(s)
+	db := sys.Database()
+	for _, err := range []error{
+		db.Insert("P", value.Int(1), value.String("a,b"), value.String("c")),
+		db.Insert("P", value.Int(2), value.String("a"), value.String("b,c")),
+		db.Insert("Names", value.String("a,b"), value.String("c"), value.String("first")),
+		db.Insert("Names", value.String("a"), value.String("b,c"), value.String("second")),
+		sys.DefineView("lambda A, B. V(K, A, B) :- P(K, A, B)", nil, CitationSpec{
+			Query:  "lambda A, B. CV(A, B, N) :- Names(A, B, N)",
+			Fields: []string{"", "", format.FieldAuthor},
+		}),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	cite, err := sys.Cite("Q(K) :- P(K, A, B)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"first", "second"}
+	if len(cite.Result.Tuples) != len(want) {
+		t.Fatalf("%d tuples, want %d", len(cite.Result.Tuples), len(want))
+	}
+	for i, tc := range cite.Result.Tuples {
+		if got := tc.Record[format.FieldAuthor]; len(got) != 1 || got[0] != want[i] {
+			t.Errorf("tuple %s: expr %s, authors %v, want [%s]", tc.Tuple, tc.Expr, got, want[i])
+		}
+	}
+	if got := cite.Result.Record[format.FieldAuthor]; len(got) != len(want) {
+		t.Errorf("aggregate authors %v, want %v", got, want)
+	}
+}

@@ -3,21 +3,31 @@
 // intriguing computational challenge is how to compute citations in an
 // incremental manner in this setting".
 //
-// The Maintainer applies inserts and deletes to the database while keeping
-// the citation generator's materialized view instances consistent without
-// full recomputation. For each delta tuple and each view whose body
-// mentions the delta's relation, the affected view rows are computed by
-// evaluating the view query with the delta tuple's values pre-bound
-// (a delta rule); membership of each affected row is then re-checked
-// against the updated database. Rows outside the affected set cannot
-// change, so the work per delta is proportional to the number of affected
-// rows rather than to the view size.
+// A Maintainer holds its own instance of every view a core.System had
+// when the Maintainer was built. It writes inserts and deletes through
+// the system's journaled Insert/Delete and keeps the instances consistent
+// with the head without full recomputation, by the delta rule of Gupta,
+// Mumick & Subrahmanian (Maintaining Views Incrementally, SIGMOD 1993):
+// for a delta tuple and a view whose body mentions the delta's relation,
+// each body occurrence the tuple matches is bound to the tuple and
+// dropped, and evaluating the rest of the body yields the view rows with
+// a derivation through the tuple. That runs before and after the write,
+// and each candidate row's membership is then re-checked against the
+// updated head. Rows outside the candidate set cannot change, so the work
+// per delta is proportional to the number of affected rows rather than to
+// the view size.
+//
+// The Maintainer never touches the citation generator: the system's write
+// evicts the generator's entries that read the written relation, by the
+// rule every other write follows.
 package evolution
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/citation"
+	"repro/internal/core"
 	"repro/internal/cq"
 	"repro/internal/eval"
 	"repro/internal/storage"
@@ -57,117 +67,99 @@ type Stats struct {
 	RowsRechecked     int
 	RowsInserted      int
 	RowsDeleted       int
-	AtomsInvalidated  int
 	FullRecomputeRows int // rows rebuilt by RecomputeAll (baseline)
 }
 
-// Maintainer keeps a citation generator's materialized views and citation
-// caches consistent under deltas.
+// Maintainer keeps its own instances of a system's views consistent with
+// the head under deltas. The instances stay consistent while every write
+// to a relation they read goes through the Maintainer. A Maintainer is
+// not safe for concurrent use.
 type Maintainer struct {
-	gen   *citation.Generator
+	sys   *core.System
+	views []maintained
 	Stats Stats
 }
 
-// NewMaintainer wraps a generator. The generator's database is mutated by
-// Apply; the generator's view cache is maintained in place.
-func NewMaintainer(g *citation.Generator) *Maintainer {
-	return &Maintainer{gen: g}
+// maintained is one view and the Maintainer's instance of it.
+type maintained struct {
+	view *citation.View
+	inst *storage.Relation
 }
 
-// Generator returns the wrapped generator.
-func (m *Maintainer) Generator() *citation.Generator { return m.gen }
-
-// Apply applies one delta to the database and incrementally maintains all
-// materialized views and citation-atom caches.
-func (m *Maintainer) Apply(d Delta) error {
-	db := m.gen.Database()
-	rel := db.Relation(d.Relation)
-	if rel == nil {
-		return fmt.Errorf("evolution: unknown relation %s", d.Relation)
+// NewMaintainer materializes every view registered with sys and maintains
+// those instances from then on. Views defined later are not maintained.
+func NewMaintainer(sys *core.System) (*Maintainer, error) {
+	m := &Maintainer{sys: sys}
+	for _, v := range sys.Registry().Views() {
+		inst, err := sys.Registry().Materialize(sys.Database(), v.Name())
+		if err != nil {
+			return nil, err
+		}
+		m.views = append(m.views, maintained{v, inst})
 	}
+	return m, nil
+}
 
-	// Collect, per materialized view, the affected rows BEFORE the
-	// database changes (needed for deletions: rows that may lose their
-	// last derivation).
+// View returns the Maintainer's instance of the named view, or nil when it
+// maintains none.
+func (m *Maintainer) View(name string) *storage.Relation {
+	for _, mv := range m.views {
+		if mv.view.Name() == name {
+			return mv.inst
+		}
+	}
+	return nil
+}
+
+// Apply writes one delta through the system and incrementally maintains
+// every view whose body reads the delta's relation.
+func (m *Maintainer) Apply(d Delta) error {
+	head := m.sys.Database()
+	// Candidates gathered before the write cover rows that lose a
+	// derivation through a deleted tuple; those gathered after it, rows
+	// that gain one through an inserted tuple.
 	type affected struct {
-		view *citation.View
-		inst *storage.Relation
-		rows map[string]storage.Tuple
+		maintained
+		rows *storage.Relation
 	}
 	var work []affected
-	for _, v := range m.gen.Registry().Views() {
-		if !m.gen.IsMaterialized(v.Name()) {
-			continue // not cached: nothing to maintain
-		}
-		if !mentions(v.Query, d.Relation) && !citationMentions(v, d.Relation) {
+	for _, mv := range m.views {
+		if !mentions(mv.view.Query, d.Relation) {
 			continue
 		}
-		inst, err := m.gen.Materialized(v.Name())
-		if err != nil {
+		a := affected{mv, storage.NewRelation(mv.inst.Schema())}
+		if err := affectedRows(head, a.view.Query, d, a.rows); err != nil {
 			return err
-		}
-		a := affected{view: v, inst: inst, rows: make(map[string]storage.Tuple)}
-		if mentions(v.Query, d.Relation) {
-			rows, err := affectedRows(db, v.Query, d)
-			if err != nil {
-				return err
-			}
-			for _, r := range rows {
-				a.rows[r.Key()] = r
-			}
 		}
 		work = append(work, a)
 	}
-
-	// Apply the delta.
-	if d.Insert {
-		if err := db.Insert(d.Relation, d.Tuple...); err != nil {
-			return err
-		}
-	} else {
-		if _, err := db.Delete(d.Relation, d.Tuple...); err != nil {
-			return err
-		}
+	if err := m.write(d); err != nil {
+		return err
 	}
 	m.Stats.DeltasApplied++
 
-	// Recompute affected rows AFTER the change and reconcile.
 	for _, a := range work {
 		m.Stats.ViewsTouched++
-		if mentions(a.view.Query, d.Relation) {
-			rows, err := affectedRows(db, a.view.Query, d)
+		if err := affectedRows(head, a.view.Query, d, a.rows); err != nil {
+			return err
+		}
+		for _, r := range a.rows.Tuples() {
+			m.Stats.RowsRechecked++
+			present, err := derivable(head, a.view.Query, r)
 			if err != nil {
 				return err
 			}
-			for _, r := range rows {
-				a.rows[r.Key()] = r
-			}
-			for _, r := range a.rows {
-				m.Stats.RowsRechecked++
-				present, err := derivable(db, a.view.Query, r)
-				if err != nil {
+			switch {
+			case present && !a.inst.Contains(r):
+				if _, err := a.inst.Insert(r); err != nil {
 					return err
 				}
-				switch {
-				case present && !a.inst.Contains(r):
-					if _, err := a.inst.Insert(r); err != nil {
-						return err
-					}
-					m.Stats.RowsInserted++
-				case !present && a.inst.Contains(r):
-					a.inst.Delete(r)
-					m.Stats.RowsDeleted++
-				}
+				m.Stats.RowsInserted++
+			case !present && a.inst.Delete(r):
+				m.Stats.RowsDeleted++
 			}
 		}
-		if citationMentions(a.view, d.Relation) {
-			m.gen.InvalidateAtoms(a.view.Name())
-			m.Stats.AtomsInvalidated++
-		}
 	}
-	// Views and plans were refreshed in place, but cached branch
-	// evaluations hold answers computed before the delta.
-	m.gen.InvalidateBranches(d.Relation)
 	return nil
 }
 
@@ -181,30 +173,35 @@ func (m *Maintainer) ApplyBatch(deltas []Delta) error {
 	return nil
 }
 
-// RecomputeAll is the non-incremental baseline: apply the deltas, drop all
-// caches, and let views re-materialize from scratch on next use.
+// RecomputeAll is the non-incremental baseline: it writes the deltas
+// through the system and re-materializes every maintained view in full.
 func (m *Maintainer) RecomputeAll(deltas []Delta) error {
-	db := m.gen.Database()
 	for i, d := range deltas {
-		var err error
-		if d.Insert {
-			err = db.Insert(d.Relation, d.Tuple...)
-		} else {
-			_, err = db.Delete(d.Relation, d.Tuple...)
-		}
-		if err != nil {
+		if err := m.write(d); err != nil {
 			return fmt.Errorf("evolution: delta %d (%s): %w", i, d, err)
 		}
 	}
-	m.gen.InvalidateCache()
-	for _, v := range m.gen.Registry().Views() {
-		inst, err := m.gen.Materialized(v.Name())
+	for i, mv := range m.views {
+		inst, err := m.sys.Registry().Materialize(m.sys.Database(), mv.view.Name())
 		if err != nil {
 			return err
 		}
+		m.views[i].inst = inst
 		m.Stats.FullRecomputeRows += inst.Len()
 	}
 	return nil
+}
+
+// write applies the delta to the head through the system's journaled API.
+func (m *Maintainer) write(d Delta) error {
+	ts := []storage.Tuple{d.Tuple}
+	var err error
+	if d.Insert {
+		_, err = m.sys.Insert(d.Relation, ts)
+	} else {
+		_, err = m.sys.Delete(d.Relation, ts)
+	}
+	return err
 }
 
 // mentions reports whether the query body references the relation.
@@ -217,60 +214,54 @@ func mentions(q *cq.Query, relation string) bool {
 	return false
 }
 
-// citationMentions reports whether any citation query of the view
-// references the relation.
-func citationMentions(v *citation.View, relation string) bool {
-	for _, c := range v.Citations {
-		if mentions(c.Query, relation) {
-			return true
-		}
-	}
-	return false
-}
-
-// affectedRows evaluates the view with the delta tuple pre-bound at each
-// occurrence of the delta's relation in the body, returning the view rows
-// that have (or had) a derivation through the delta tuple.
-func affectedRows(db *storage.Database, view *cq.Query, d Delta) ([]storage.Tuple, error) {
-	var out []storage.Tuple
-	seen := make(map[string]bool)
-	for _, a := range view.Body {
+// affectedRows adds to rows every view row with a derivation that uses the
+// delta tuple at a body occurrence of its relation, over db as it stands.
+// The occurrence is bound to the tuple and dropped, since the tuple
+// satisfies it by construction; the rest of the body is evaluated.
+func affectedRows(db *storage.Database, view *cq.Query, d Delta, rows *storage.Relation) error {
+	for i, a := range view.Body {
 		if a.Predicate != d.Relation {
 			continue
 		}
-		sub, ok := unifyAtomWithTuple(a, d.Tuple)
+		sub, ok := bind(a.Terms, d.Tuple)
 		if !ok {
 			continue
 		}
-		bound := view.Substitute(sub)
-		bound.Params = nil
-		// The bound occurrence itself is satisfied by the delta tuple by
-		// construction; keep it in the body so repeated-variable
-		// constraints are enforced, but evaluate over the current
-		// database plus the delta tuple to make it visible both before
-		// an insert and after a delete.
-		rows, err := evalWithExtra(db, bound, d)
+		q := view.Substitute(sub)
+		q.Body = slices.Delete(q.Body, i, i+1)
+		q.Params = nil
+		tuples, err := eval.Eval(db, q)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		for _, r := range rows {
-			if !seen[r.Key()] {
-				seen[r.Key()] = true
-				out = append(out, r)
-			}
+		if _, err := rows.InsertOwned(tuples); err != nil {
+			return err
 		}
 	}
-	return out, nil
+	return nil
 }
 
-// unifyAtomWithTuple binds the atom's variables to the tuple's values,
-// failing on constant mismatches or inconsistent repeated variables.
-func unifyAtomWithTuple(a cq.Atom, t storage.Tuple) (map[string]cq.Term, bool) {
-	if len(a.Terms) != len(t) {
+// derivable re-checks one view row against db: with the view's head bound
+// to the row, the body must have a binding.
+func derivable(db *storage.Database, view *cq.Query, row storage.Tuple) (bool, error) {
+	sub, ok := bind(view.Head, row)
+	if !ok {
+		return false, nil
+	}
+	q := view.Substitute(sub)
+	q.Params = nil
+	return eval.HasBinding(db, q)
+}
+
+// bind matches terms against the tuple: a constant must equal its value
+// and a repeated variable must meet one value. It returns the substitution
+// binding each variable to its value.
+func bind(terms []cq.Term, t storage.Tuple) (map[string]cq.Term, bool) {
+	if len(terms) != len(t) {
 		return nil, false
 	}
-	sub := make(map[string]cq.Term)
-	for i, term := range a.Terms {
+	sub := make(map[string]cq.Term, len(terms))
+	for i, term := range terms {
 		if !term.IsVar {
 			if term.Const != t[i] {
 				return nil, false
@@ -278,7 +269,7 @@ func unifyAtomWithTuple(a cq.Atom, t storage.Tuple) (map[string]cq.Term, bool) {
 			continue
 		}
 		if prev, ok := sub[term.Name]; ok {
-			if !prev.Const.Equal(t[i]) {
+			if prev.Const != t[i] {
 				return nil, false
 			}
 			continue
@@ -286,49 +277,4 @@ func unifyAtomWithTuple(a cq.Atom, t storage.Tuple) (map[string]cq.Term, bool) {
 		sub[term.Name] = cq.Const(t[i])
 	}
 	return sub, true
-}
-
-// evalWithExtra evaluates q over the database with the delta tuple made
-// visible in its relation regardless of the current database state. The
-// tuple is inserted transiently and removed afterwards if it was not
-// already present, so the cost stays proportional to the query result, not
-// to the relation size.
-func evalWithExtra(db *storage.Database, q *cq.Query, d Delta) ([]storage.Tuple, error) {
-	rel := db.Relation(d.Relation)
-	added, err := rel.Insert(d.Tuple)
-	if err != nil {
-		return nil, err
-	}
-	rows, evalErr := eval.Eval(db, q)
-	if added {
-		rel.Delete(d.Tuple)
-	}
-	return rows, evalErr
-}
-
-// derivable re-checks membership of one view row against the current
-// database by pinning the view's head variables to the row's values.
-func derivable(db *storage.Database, view *cq.Query, row storage.Tuple) (bool, error) {
-	if len(view.Head) != len(row) {
-		return false, fmt.Errorf("evolution: row arity %d vs view head %d", len(row), len(view.Head))
-	}
-	sub := make(map[string]cq.Term)
-	for i, h := range view.Head {
-		if !h.IsVar {
-			if h.Const != row[i] {
-				return false, nil
-			}
-			continue
-		}
-		if prev, ok := sub[h.Name]; ok {
-			if !prev.Const.Equal(row[i]) {
-				return false, nil
-			}
-			continue
-		}
-		sub[h.Name] = cq.Const(row[i])
-	}
-	bound := view.Substitute(sub)
-	bound.Params = nil
-	return eval.HasBinding(db, bound)
 }

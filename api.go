@@ -89,7 +89,9 @@ type Citation = core.Citation
 // NewSystem creates a citation-enabled database over the schema.
 func NewSystem(s *Schema) *System { return core.NewSystem(s) }
 
-// NewSystemFromDatabase wraps an already-loaded database.
+// NewSystemFromDatabase wraps an already-loaded database. The system
+// shares db's immutable tuples rather than copying them; writes to db or
+// to the system never reach the other.
 func NewSystemFromDatabase(db *Database) *System { return core.NewSystemFromDatabase(db) }
 
 // Schema describes a database schema; Relation describes one relation.

@@ -142,18 +142,18 @@ func (s *System) DataFresh(rels []string, since int64) bool {
 }
 
 // NewSystemFromDatabase wraps an already-loaded database (e.g. from the
-// synthetic generators). The database becomes the store's head via bulk
-// copy; the original is not retained.
+// synthetic generators). The head loads each relation's tuples in one
+// bulk call that shares them with db instead of copying them: tuples are
+// never mutated in place, and the head keeps row arrays of its own, so
+// writes to db or to the system never reach the other. Loading costs
+// O(relations) allocations, not O(tuples).
 func NewSystemFromDatabase(db *storage.Database) *System {
 	sys := NewSystem(db.Schema())
 	head := sys.store.Head()
 	for _, name := range db.Schema().Names() {
-		db.Relation(name).Scan(func(t storage.Tuple) bool {
-			if _, err := head.Relation(name).Insert(t); err != nil {
-				panic(fmt.Sprintf("core: copying %s: %v", name, err))
-			}
-			return true
-		})
+		if _, err := head.Relation(name).InsertOwned(db.Relation(name).Tuples()); err != nil {
+			panic(fmt.Sprintf("core: loading %s: %v", name, err))
+		}
 	}
 	// No eager index build: the planner calls EnsureIndex for exactly the
 	// probe columns its compiled plans select (and columnarizes read-hot

@@ -8,6 +8,7 @@ import (
 	"repro/internal/format"
 	"repro/internal/gtopdb"
 	"repro/internal/schema"
+	"repro/internal/storage"
 	"repro/internal/value"
 )
 
@@ -229,19 +230,45 @@ func TestCiteEachPerQueryErrors(t *testing.T) {
 }
 
 func TestNewSystemFromDatabase(t *testing.T) {
-	cfg := gtopdb.DefaultConfig()
-	cfg.Families = 15
-	db := gtopdb.Generate(cfg)
+	generate := func(families int) *storage.Database {
+		cfg := gtopdb.DefaultConfig()
+		cfg.Families = families
+		return gtopdb.Generate(cfg)
+	}
+	db := generate(15)
 	sys := NewSystemFromDatabase(db)
-	if sys.Database().Relation("Family").Len() != 15 {
+	fam := sys.Database().Relation("Family")
+	if fam.Len() != 15 {
 		t.Error("data not copied")
 	}
 	// Mutating the source must not affect the system.
 	if err := db.Insert("Family", value.Int(999), value.String("X"), value.String("D")); err != nil {
 		t.Fatal(err)
 	}
-	if sys.Database().Relation("Family").Len() != 15 {
+	if fam.Len() != 15 {
 		t.Error("system shares storage with source database")
+	}
+	gone := db.Relation("Family").Tuples()[0]
+	if ok, err := db.Delete("Family", gone...); err != nil || !ok {
+		t.Fatalf("deleting %v from the source: %v, %v", gone, ok, err)
+	}
+	if fam.Len() != 15 || !fam.Contains(gone) {
+		t.Errorf("a delete on the source reached the system: %d tuples, holds %v: %v", fam.Len(), gone, fam.Contains(gone))
+	}
+	if err := sys.Database().Insert("Family", value.Int(998), value.String("Y"), value.String("D")); err != nil {
+		t.Fatal(err)
+	}
+	if n := db.Relation("Family").Len(); n != 15 {
+		t.Errorf("an insert on the system reached the source: %d tuples, want 15", n)
+	}
+
+	// The loader shares the tuples: its allocations do not grow with them.
+	small, large := generate(15), generate(1500)
+	allocs := func(db *storage.Database) float64 {
+		return testing.AllocsPerRun(3, func() { NewSystemFromDatabase(db) })
+	}
+	if a, b := allocs(small), allocs(large); a != b {
+		t.Errorf("loading allocates %.0f times at 15 families and %.0f at 1,500; want the same", a, b)
 	}
 }
 

@@ -252,6 +252,39 @@ func TestColumnarScanAllocsZero(t *testing.T) {
 	}
 }
 
+// TestColumnarWalkEncodesReadColumnsOnly: planning and walking a plan
+// encode only the block columns its steps compare codes on. A full scan
+// encodes none, and a probed column is encoded once, however many plans
+// probe it.
+func TestColumnarWalkEncodesReadColumnsOnly(t *testing.T) {
+	cfg := gtopdb.DefaultConfig()
+	cfg.Families = 20
+	snap := gtopdb.Generate(cfg).Snapshot()
+	columnarize(t, snap)
+	encodedBy := func(query string) uint64 {
+		u := storage.ColumnarUsage()
+		before := u.DictBytes + u.CodeBytes
+		p, err := Compile(snap, cq.MustParse(query))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.CountBindings() == 0 {
+			t.Fatalf("%s: no bindings", query)
+		}
+		u = storage.ColumnarUsage()
+		return u.DictBytes + u.CodeBytes - before
+	}
+	if n := encodedBy("Q(A, B) :- Family(F, A, B)"); n != 0 {
+		t.Errorf("a full scan encoded %d bytes of columns, want 0", n)
+	}
+	if n := encodedBy("Q(A) :- Family(7, A, B)"); n == 0 {
+		t.Error("a probe encoded no column")
+	}
+	if n := encodedBy("Q(A) :- Family(9, A, B)"); n != 0 {
+		t.Errorf("a second probe of the same column encoded %d more bytes, want 0", n)
+	}
+}
+
 // TestColumnarSpanAttribute: a traced run over columnar-served relations
 // records the `columnar` attribute (and the step count) on the eval span,
 // so /debug/traces shows which storage path served a request.

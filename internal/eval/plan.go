@@ -91,20 +91,31 @@ type colCheck struct {
 var columnarEnabled = true
 
 // colRun is the per-run columnar binding of one atom step: the block the
-// step's relation currently serves (nil = row path), the probe constant's
-// dictionary code, and one resolved code per check. Resolved once per
-// walk by bindBlocks, before any candidate is examined.
+// step's relation currently serves (nil = row path), the encoded columns
+// its probe and checks compare, the probe constant's dictionary code, and
+// one resolved code per check. Resolved once per walk by bindBlocks,
+// before any candidate is examined, so the candidate loops read flat
+// arrays.
 type colRun struct {
-	blk       *storage.ColBlock
+	blk   *storage.ColBlock
+	probe *storage.Column // probe column (nil for a full scan)
+	// checks[k] binds the step's checks[k]: its column (nil for a sameAtom
+	// check, which compares values) and its code. Constants are resolved
+	// by bindBlocks, earlier-slot checks per step entry (registers are
+	// fixed for the duration of one entry's candidate loop).
+	checks []colCheckRun
+	// probeCode and dead come last so the struct packs into 48 bytes:
+	// every run state holds one colRun per step.
 	probeCode uint32 // code of probeConst when probeSlot < 0
-	// checkCodes[k] is the code for checks[k]: constants are resolved by
-	// bindBlocks, earlier-slot checks per step entry (registers are fixed
-	// for the duration of one entry's candidate loop).
-	checkCodes []uint32
 	// dead: a probe or check constant does not occur in its column's
 	// dictionary, so the step — and with it the whole conjunction — can
 	// never match.
 	dead bool
+}
+
+type colCheckRun struct {
+	col  *storage.Column
+	code uint32
 }
 
 // runState is the per-run mutable state drawn from the plan's pool: the
@@ -292,7 +303,7 @@ func (p *Plan) initPool() {
 		}
 		for i := range p.steps {
 			if n := len(p.steps[i].checks); n > 0 {
-				st.colSteps[i].checkCodes = make([]uint32, n)
+				st.colSteps[i].checks = make([]colCheckRun, n)
 			}
 		}
 		return st
@@ -303,17 +314,19 @@ func (p *Plan) getState() *runState  { return p.pool.Get().(*runState) }
 func (p *Plan) putState(s *runState) { p.pool.Put(s) }
 
 // bindBlocks resolves each step's columnar binding for one walk: which
-// steps have a current dictionary-encoded block, the dictionary codes of
-// every probe and check constant, and whether a constant's absence from
-// its column's dictionary makes the step (hence the whole conjunction)
-// unsatisfiable. Runs once per walk; the per-candidate loops then compare
-// uint32 codes instead of value.Values.
+// steps have a current dictionary-encoded block, the block columns the
+// step's probe and code-compared checks read (encoding each on its first
+// read), the dictionary codes of every probe and check constant, and
+// whether a constant's absence from its column's dictionary makes the
+// step (hence the whole conjunction) unsatisfiable. Runs once per walk;
+// the per-candidate loops then compare uint32 codes instead of
+// value.Values.
 func (p *Plan) bindBlocks(st *runState) {
 	st.columnarSteps = 0
 	for i := range p.steps {
 		s := &p.steps[i]
 		cs := &st.colSteps[i]
-		cs.blk, cs.dead = nil, false
+		cs.blk, cs.probe, cs.dead = nil, nil, false
 		if !columnarEnabled {
 			continue
 		}
@@ -323,22 +336,31 @@ func (p *Plan) bindBlocks(st *runState) {
 		}
 		cs.blk = blk
 		st.columnarSteps++
-		if s.probeCol >= 0 && s.probeSlot < 0 {
-			code, ok := blk.Code(s.probeCol, s.probeConst)
-			if !ok {
-				cs.dead = true
-				continue
+		if s.probeCol >= 0 {
+			cs.probe = blk.Column(s.probeCol)
+			if s.probeSlot < 0 {
+				code, ok := cs.probe.Code(s.probeConst)
+				if !ok {
+					cs.dead = true
+					continue
+				}
+				cs.probeCode = code
 			}
-			cs.probeCode = code
 		}
 		for k := range s.checks {
-			if c := &s.checks[k]; c.slot < 0 {
-				code, ok := blk.Code(c.col, c.cnst)
+			c, cr := &s.checks[k], &cs.checks[k]
+			cr.col = nil
+			if c.sameAtom {
+				continue
+			}
+			cr.col = blk.Column(c.col)
+			if c.slot < 0 {
+				code, ok := cr.col.Code(c.cnst)
 				if !ok {
 					cs.dead = true
 					break
 				}
-				cs.checkCodes[k] = code
+				cr.code = code
 			}
 		}
 	}
@@ -374,33 +396,32 @@ func (p *Plan) colStep(ctx context.Context, st *runState, i int, rec func(int) b
 	if cs.dead {
 		return true
 	}
-	blk := cs.blk
 	for k := range s.checks {
-		c := &s.checks[k]
+		c, cr := &s.checks[k], &cs.checks[k]
 		if c.sameAtom || c.slot < 0 {
 			continue
 		}
-		code, ok := blk.Code(c.col, st.regs[c.slot])
+		code, ok := cr.col.Code(st.regs[c.slot])
 		if !ok {
 			return true
 		}
-		cs.checkCodes[k] = code
+		cr.code = code
 	}
 	var rows []uint32
 	end := 0
 	full := s.probeCol < 0
 	if full {
-		end = blk.Len()
+		end = cs.blk.Len()
 	} else {
 		code := cs.probeCode
 		if s.probeSlot >= 0 {
 			var ok bool
-			code, ok = blk.Code(s.probeCol, st.regs[s.probeSlot])
+			code, ok = cs.probe.Code(st.regs[s.probeSlot])
 			if !ok {
 				return true
 			}
 		}
-		rows = blk.Postings(s.probeCol, code)
+		rows = cs.probe.Postings(code)
 		end = len(rows)
 	}
 cand:
@@ -412,13 +433,12 @@ cand:
 		if !full {
 			row = rows[idx]
 		}
-		for k := range s.checks {
-			c := &s.checks[k]
-			if !c.sameAtom && blk.CodeAt(c.col, row) != cs.checkCodes[k] {
+		for k := range cs.checks {
+			if cr := &cs.checks[k]; cr.col != nil && cr.col.CodeAt(row) != cr.code {
 				continue cand
 			}
 		}
-		t := blk.Row(row)
+		t := cs.blk.Row(row)
 		for _, b := range s.binds {
 			st.regs[b.slot] = t[b.col]
 		}

@@ -2,6 +2,8 @@ package storage
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/schema"
@@ -215,8 +217,8 @@ func TestDistinctCountBatchInvalidation(t *testing.T) {
 	}
 }
 
-// TestColumnarUsageCounters: building and inheriting blocks moves the
-// process-wide counters exposed on /metrics.
+// TestColumnarUsageCounters: building and inheriting blocks, and reading
+// a block column, move the process-wide counters exposed on /metrics.
 func TestColumnarUsageCounters(t *testing.T) {
 	before := ColumnarUsage()
 	r := NewRelation(colSchema(t))
@@ -230,6 +232,13 @@ func TestColumnarUsageCounters(t *testing.T) {
 	if snap.ColumnarBlock() == nil {
 		t.Fatal("snapshot has no block")
 	}
+	// A block encodes a column on its first read, so a bare build moves
+	// only the block counters.
+	if built := ColumnarUsage(); built.DictBytes != before.DictBytes || built.CodeBytes != before.CodeBytes {
+		t.Errorf("a bare build moved the byte counters: dict %d->%d, code %d->%d",
+			before.DictBytes, built.DictBytes, before.CodeBytes, built.CodeBytes)
+	}
+	snap.ColumnarBlock().DistinctCount(1)
 	after := ColumnarUsage()
 	if after.BlocksBuilt <= before.BlocksBuilt {
 		t.Error("BlocksBuilt did not advance")
@@ -240,6 +249,101 @@ func TestColumnarUsageCounters(t *testing.T) {
 	if after.DictBytes <= before.DictBytes || after.CodeBytes <= before.CodeBytes {
 		t.Errorf("byte counters did not advance: dict %d->%d, code %d->%d",
 			before.DictBytes, after.DictBytes, before.CodeBytes, after.CodeBytes)
+	}
+}
+
+// TestBlockColumnsEncodeOnFirstUse: a block encodes a column only when a
+// reader first asks for it, once, and every relation sharing the block
+// sees the encoding.
+func TestBlockColumnsEncodeOnFirstUse(t *testing.T) {
+	encoded := func(blk *ColBlock) []bool {
+		out := make([]bool, len(blk.cols))
+		for col := range blk.cols {
+			out[col] = blk.cols[col].Load() != nil
+		}
+		return out
+	}
+	before := ColumnarUsage()
+	frozen := benchRelation(1600).Snapshot()
+	blk := frozen.ColumnarBlock()
+	if blk == nil {
+		t.Fatal("frozen snapshot built no block")
+	}
+	if &blk.rows[0] != &frozen.rows.tuples[0] {
+		t.Error("the block copied the rows of a frozen relation without holes")
+	}
+	// A full scan reads rows, never codes.
+	if n := len(blk.AppendAll(nil)); n != 1600 {
+		t.Fatalf("full scan read %d rows, want 1600", n)
+	}
+	for i := 0; i < blk.Len(); i++ {
+		blk.Row(uint32(i))
+	}
+	if got := encoded(blk); slices.Contains(got, true) {
+		t.Fatalf("build and full scan encoded columns %v, want none", got)
+	}
+	if u := ColumnarUsage(); u.DictBytes != before.DictBytes || u.CodeBytes != before.CodeBytes {
+		t.Fatal("build and full scan moved the byte counters")
+	}
+
+	// A probe encodes exactly the column it probes.
+	code, ok := blk.Code(1, value.String("s3"))
+	if !ok {
+		t.Fatal("s3 missing from the tag dictionary")
+	}
+	if n := len(blk.Postings(1, code)); n != 100 {
+		t.Fatalf("probe found %d rows, want 100", n)
+	}
+	if got := encoded(blk); !slices.Equal(got, []bool{false, true}) {
+		t.Fatalf("after a tag probe, encoded columns %v, want [false true]", got)
+	}
+
+	// A snapshot that adopted the head's block sees the columns the head
+	// encodes, without encoding them again.
+	r := benchRelation(64)
+	head := r.EnsureColumnar()
+	snap := r.Snapshot()
+	if snap.ColumnarBlock() != head {
+		t.Fatal("snapshot did not adopt the head's block")
+	}
+	col := head.Column(0)
+	mark := ColumnarUsage()
+	if got := snap.ColumnarBlock().Column(0); got != col {
+		t.Fatal("snapshot does not see the column the head encoded")
+	}
+	if u := ColumnarUsage(); u.DictBytes != mark.DictBytes || u.CodeBytes != mark.CodeBytes {
+		t.Fatal("reading an encoded column through the snapshot encoded it again")
+	}
+
+	// Concurrent first readers of one column encode it once.
+	blk = benchRelation(1600).Snapshot().ColumnarBlock()
+	mark = ColumnarUsage()
+	const readers = 8
+	cols := make([]*Column, readers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range cols {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			cols[i] = blk.Column(0)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, c := range cols {
+		if c != cols[0] {
+			t.Fatalf("reader %d got a different encoding of column 0", i)
+		}
+	}
+	c := cols[0]
+	wantDict := c.footprint()
+	wantCode := 4 * uint64(len(c.codes)+len(c.postRows)+len(c.postStart))
+	u := ColumnarUsage()
+	if d, k := u.DictBytes-mark.DictBytes, u.CodeBytes-mark.CodeBytes; d != wantDict || k != wantCode {
+		t.Fatalf("%d concurrent readers moved the byte counters by dict %d, code %d; want one encoding's %d, %d",
+			readers, d, k, wantDict, wantCode)
 	}
 }
 

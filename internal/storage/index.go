@@ -9,7 +9,8 @@ import (
 // the codes. Values are the same exactly when == says so, as in a Go map:
 // +0 and -0 share a code, and no NaN equals anything, so each NaN gets a
 // code of its own. Both a mutable relation's column index (colIndex) and
-// a columnar block's column (colVec) are built on one.
+// a columnar block's column (Column) are built on one, in bulk by
+// encodeColumn; codeOrAdd extends a column index one row at a time.
 type valueDict struct {
 	vals   []value.Value // code -> distinct value
 	hashes []uint64      // dictHash per code, for cheap table rejection
@@ -85,6 +86,78 @@ func (d *valueDict) grow() {
 	}
 }
 
+// encodeColumn is the bulk dictionary build, shared by column indexes
+// and columnar blocks. It writes the code of each row's column col into
+// codes (-1 for a nil row, a hole) and returns the dictionary codeOrAdd
+// would build row by row: codes in first-seen order under the same ==
+// rules. It hashes each row once and copies no value until the end: its
+// probe table holds each distinct value's first row and compares
+// candidates in place in rows, and it grows with the distinct count, not
+// the row count, as does the hash per code. The values are then
+// allocated once, at their final count, and the probe table is rewritten
+// in place into the dictionary's.
+func encodeColumn(rows []Tuple, col int, codes []int32) valueDict {
+	table := make([]int32, 16) // first row + 1; 0 = empty
+	hashes := make([]uint64, 12)
+	mask := uint64(15)
+	n := 0
+	for r, t := range rows {
+		if t == nil {
+			codes[r] = -1
+			continue
+		}
+		v := t[col]
+		h := dictHash(v)
+		for i := h & mask; ; i = (i + 1) & mask {
+			e := table[i]
+			if e == 0 {
+				table[i] = int32(r + 1)
+				codes[r] = int32(n)
+				hashes[n] = h
+				n++
+				if n == len(hashes) {
+					table, hashes, mask = regrowFirstRows(table, hashes, codes)
+				}
+				break
+			}
+			if c := codes[e-1]; hashes[c] == h && rows[e-1][col] == v {
+				codes[r] = c
+				break
+			}
+		}
+	}
+	vals := make([]value.Value, n)
+	for i, e := range table {
+		if e != 0 {
+			code := codes[e-1]
+			vals[code] = rows[e-1][col]
+			table[i] = code + 1
+		}
+	}
+	return valueDict{vals: vals, hashes: hashes[:n], table: table, mask: mask}
+}
+
+// regrowFirstRows doubles encodeColumn's probe table of first rows and
+// its hash per code. The hashes hold as many codes as the table takes
+// below the 3/4 load factor, so both grow at the point codeOrAdd's table
+// does.
+func regrowFirstRows(table []int32, hashes []uint64, codes []int32) ([]int32, []uint64, uint64) {
+	out := make([]int32, 2*len(table))
+	mask := uint64(len(out) - 1)
+	for _, e := range table {
+		if e != 0 {
+			i := hashes[codes[e-1]] & mask
+			for out[i] != 0 {
+				i = (i + 1) & mask
+			}
+			out[i] = e
+		}
+	}
+	grown := make([]uint64, len(out)*3/4)
+	copy(grown, hashes)
+	return out, grown, mask
+}
+
 // footprint approximates the dictionary's memory in bytes: the value
 // structs, their string payloads, the hash cache and the probe table.
 // A value's payload counts as the length of its String rendering,
@@ -117,23 +190,33 @@ type colIndex struct {
 	next []int32 // row -> next row with the same value, or -1
 }
 
-// newColIndex indexes column col of rows (nil entries are holes).
+// newColIndex indexes column col of rows (nil entries are holes). The
+// bulk encoder writes each row's code into next, which the chaining pass
+// then overwrites in place: row r's code is read before any write reaches
+// position r.
 func newColIndex(rows []Tuple, col int) *colIndex {
-	ix := &colIndex{next: make([]int32, 0, len(rows))}
-	for i, t := range rows {
-		if t == nil {
-			ix.next = append(ix.next, -1)
-			continue
+	next := make([]int32, len(rows))
+	ix := &colIndex{dict: encodeColumn(rows, col, next), next: next}
+	ix.head = make([]int32, 0, len(ix.dict.vals))
+	ix.tail = make([]int32, 0, len(ix.dict.vals))
+	for r, code := range next {
+		next[r] = -1
+		if code >= 0 {
+			ix.chain(r, code)
 		}
-		ix.add(i, t[col])
 	}
 	return ix
 }
 
 // add chains row, which must be the next row position, under v.
 func (ix *colIndex) add(row int, v value.Value) {
-	code := ix.dict.codeOrAdd(v)
 	ix.next = append(ix.next, -1)
+	ix.chain(row, int32(ix.dict.codeOrAdd(v)))
+}
+
+// chain links row, whose next entry is already -1, at the end of code's
+// chain; a code one past the last starts a new chain.
+func (ix *colIndex) chain(row int, code int32) {
 	if int(code) == len(ix.head) {
 		ix.head = append(ix.head, int32(row))
 		ix.tail = append(ix.tail, int32(row))

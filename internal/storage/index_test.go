@@ -3,6 +3,8 @@ package storage
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -124,5 +126,85 @@ func TestDictFootprintCountsRenderings(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { d.footprint() }); allocs != 0 {
 		t.Fatalf("footprint: %.1f allocs/run, want 0", allocs)
+	}
+}
+
+// TestEncodeColumnMatchesCodeOrAdd: the bulk encoder builds exactly the
+// dictionary codeOrAdd builds row by row — the same values in the same
+// order, the same hashes, the same code for every row and the same
+// answer to every lookup — over random columns with holes, every value
+// kind, both zeros and several NaNs, and sizes its values exactly.
+func TestEncodeColumnMatchesCodeOrAdd(t *testing.T) {
+	pool := []value.Value{
+		value.Float(0), negZero, nanA, nanB, value.Float(math.NaN()), value.Float(1), value.Float(math.Inf(-1)),
+		value.Int(0), value.Int(1), value.Int(-1), value.String(""), value.String("1"), value.String("0"),
+		value.Time(time.Date(2017, 5, 14, 9, 0, 0, 0, time.UTC)), value.Time(time.Unix(0, 0)),
+	}
+	same := func(a, b value.Value) bool {
+		if a.Kind() == value.KindFloat && b.Kind() == value.KindFloat {
+			return math.Float64bits(a.FloatVal()) == math.Float64bits(b.FloatVal())
+		}
+		return a == b
+	}
+	rng := rand.New(rand.NewSource(17))
+	for iter := 0; iter < 300; iter++ {
+		n := rng.Intn(400)
+		// Some columns draw from the fixed pool, others also from a range
+		// of ints wide enough to grow the probe table several times.
+		spread := 0
+		if iter%2 == 1 {
+			spread = 1 + rng.Intn(1000)
+		}
+		holes := rng.Float64() * 0.3
+		rows := make([]Tuple, n)
+		for r := range rows {
+			if rng.Float64() < holes {
+				continue
+			}
+			v := pool[rng.Intn(len(pool))]
+			if spread > 0 && rng.Intn(2) == 0 {
+				v = value.Int(int64(100 + rng.Intn(spread)))
+			}
+			rows[r] = Tuple{value.Int(int64(r)), v}
+		}
+
+		var want valueDict
+		wantCodes := make([]int32, n)
+		for r, tu := range rows {
+			wantCodes[r] = -1
+			if tu != nil {
+				wantCodes[r] = int32(want.codeOrAdd(tu[1]))
+			}
+		}
+		codes := make([]int32, n)
+		got := encodeColumn(rows, 1, codes)
+
+		if !slices.Equal(codes, wantCodes) {
+			t.Fatalf("iter %d: row codes %v, want %v", iter, codes, wantCodes)
+		}
+		if len(got.vals) != len(want.vals) || len(got.vals) != cap(got.vals) {
+			t.Fatalf("iter %d: %d values (cap %d), want %d at exact capacity", iter, len(got.vals), cap(got.vals), len(want.vals))
+		}
+		for c := range want.vals {
+			if !same(got.vals[c], want.vals[c]) {
+				t.Fatalf("iter %d: code %d holds %v, want %v", iter, c, got.vals[c], want.vals[c])
+			}
+		}
+		if !slices.Equal(got.hashes, want.hashes) {
+			t.Fatalf("iter %d: hashes differ", iter)
+		}
+		probes := append([]value.Value{value.Int(-7), value.Int(100), value.String("absent")}, pool...)
+		for _, tu := range rows {
+			if tu != nil {
+				probes = append(probes, tu[1])
+			}
+		}
+		for _, v := range probes {
+			gc, gok := got.code(v)
+			wc, wok := want.code(v)
+			if gok != wok || (wok && gc != wc) {
+				t.Fatalf("iter %d: code(%v) = %d, %v; want %d, %v", iter, v, gc, gok, wc, wok)
+			}
+		}
 	}
 }

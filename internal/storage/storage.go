@@ -676,9 +676,11 @@ func (r *Relation) SortedTuples() []Tuple {
 // is permanent, so a plan compiled against a snapshot reads statistics at
 // slice-lookup cost.
 func (r *Relation) DistinctCount(col int) int {
-	// A current columnar block answers for free: the dictionary length is
-	// the distinct count, exact by construction. On frozen snapshots this
-	// is the permanent memo the planner reads on every compile.
+	// A current columnar block answers with the column's dictionary
+	// length, exact by construction. The first read encodes the column,
+	// which costs nothing extra: the planner asks only about columns its
+	// plan then probes or checks. On frozen snapshots this is the
+	// permanent memo the planner reads on every compile.
 	if blk := r.colBlk.Load(); blk != nil && (r.frozen || blk.gen == r.statsGen.Load()) {
 		return blk.DistinctCount(col)
 	}

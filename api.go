@@ -39,14 +39,16 @@ import (
 // SetPolicyNamed policy, GOMAXPROCS workers; calls without options
 // behave exactly as before).
 //
-// System.Version is the monotonic epoch external result caches key on —
-// it advances with every Commit, DefineView and SetPolicyNamed (all of which
-// can change what a default-path citation contains) and deliberately NOT
-// with WithParallelism (scheduling only, results identical). AtVersion
-// results are keyed by their version instead: they are immutable, never
-// invalidated, and a concurrent Commit neither blocks nor races them. See
-// DESIGN.md §3 for the locking and invalidation rules and §7 for the
-// request-option and versioned-read design.
+// Every cite reads a frozen snapshot — the head's, reused until the
+// head's content changes, or a committed version's with AtVersion — and
+// holds the engine lock at most while taking it, so writes never wait
+// for cites in flight. A cached result (Citation.Result.Reads and .Origin)
+// is current exactly while a snapshot holds the content its read-set had.
+// System.Version is the monotonic epoch replies carry: it advances with
+// every Insert, Delete, Commit, DefineView and SetPolicyNamed and
+// deliberately NOT with WithParallelism (scheduling only, results
+// identical). See DESIGN.md §3 for the locking and invalidation rules
+// and §7 for the request-option and versioned-read design.
 type System = core.System
 
 // CiteOption is a per-call request parameter for the CiteContext family;

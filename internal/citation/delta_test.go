@@ -1,9 +1,8 @@
 package citation
 
-// Tests of the dependency machinery behind delta invalidation: the
+// Tests of the dependency machinery behind content-keyed caching: the
 // registry's transitive read-set computations, Result.Reads, and the
-// generator's InvalidateTouched selectivity with its kept/evicted
-// accounting.
+// selectivity of a head turnover with its kept/evicted accounting.
 
 import (
 	"reflect"
@@ -80,11 +79,12 @@ func TestResultReads(t *testing.T) {
 	}
 }
 
-// headViewCached reports whether the head generation's view cache holds
-// a finished, successful materialization of the named view.
+// headViewCached reports whether the view cache holds a finished,
+// successful materialization of the named view for the head's content.
 func headViewCached(g *Generator, name string) bool {
+	key := genKey{g.Head().Origin(g.reg.QueryDeps(name)), name}
 	g.views.mu.Lock()
-	e, ok := g.views.m[genKey{0, name}]
+	e, ok := g.views.m[key]
 	g.views.mu.Unlock()
 	if !ok {
 		return false
@@ -107,12 +107,14 @@ func citeText(t *testing.T, g *Generator, src string) string {
 	return resultText(t, res)
 }
 
-// TestInvalidateTouchedSelectivity pins the generator-level delta rule:
-// invalidating a touched relation evicts exactly the plan, view and atom
-// entries that transitively read it; everything else survives and keeps
-// serving citations identical to a cold recomputation.
-func TestInvalidateTouchedSelectivity(t *testing.T) {
+// TestHeadTurnoverSelectivity pins the generator-level delta rule:
+// when a write turns the head over, exactly the plan, view and atom
+// entries that transitively read a written relation leave; everything
+// else survives and keeps serving citations identical to a cold
+// recomputation.
+func TestHeadTurnoverSelectivity(t *testing.T) {
 	g := paperGenerator(t)
+	db := g.Database()
 	introQuery := "Q(Text) :- FamilyIntro(FID, Text)"
 
 	paperBefore := citeText(t, g, paperQueryText)
@@ -122,26 +124,27 @@ func TestInvalidateTouchedSelectivity(t *testing.T) {
 	}
 	// The min-size policy picks CV2·CV3 (constant citations), so force a
 	// Committee-reading atom entry into the cache explicitly.
-	if _, err := g.resolverAt(g.db, 0, nil)(citeexpr.NewAtom("V1", value.Int(11))); err != nil {
+	if _, err := g.resolverAt(g.Head(), nil)(citeexpr.NewAtom("V1", value.Int(11))); err != nil {
 		t.Fatal(err)
 	}
 	base := g.Counters()
 
 	// Committee only feeds V1's citation query: every materialization and
 	// plan survives; only atom-cache entries for V1 go.
-	g.InvalidateTouched([]string{"Committee"})
+	db.Relation("Committee").MustInsert(value.Int(12), value.String("Dan"))
+	g.Head()
 	c := g.Counters()
 	if c.ViewsEvicted != base.ViewsEvicted {
-		t.Errorf("Committee delta evicted %d views, want 0", c.ViewsEvicted-base.ViewsEvicted)
+		t.Errorf("Committee write evicted %d views, want 0", c.ViewsEvicted-base.ViewsEvicted)
 	}
 	if c.AtomsEvicted == base.AtomsEvicted {
-		t.Error("Committee delta evicted no atom entries, want V1's citations gone")
+		t.Error("Committee write evicted no atom entries, want V1's citations gone")
 	}
 	if c.ViewsKept == base.ViewsKept {
 		t.Error("surviving views not counted kept")
 	}
 	if !headViewCached(g, "V3") {
-		t.Error("V3 evicted by a Committee delta it does not read")
+		t.Error("V3 evicted by a Committee write it does not read")
 	}
 	if got := citeText(t, g, paperQueryText); got != paperBefore {
 		t.Errorf("survivor-served citation diverged from original:\n got %s\nwant %s", got, paperBefore)
@@ -150,34 +153,30 @@ func TestInvalidateTouchedSelectivity(t *testing.T) {
 	// Family feeds V1/V2 bodies and the paper query's plans; V3 and the
 	// intro query survive untouched.
 	base = g.Counters()
-	g.InvalidateTouched([]string{"Family"})
+	db.Relation("Family").MustInsert(value.Int(13), value.String("Galanin"), value.String("C3"))
+	g.Head()
 	c = g.Counters()
 	if c.ViewsEvicted == base.ViewsEvicted {
-		t.Error("Family delta evicted no views, want Family-backed materializations gone")
+		t.Error("Family write evicted no views, want Family-backed materializations gone")
 	}
 	if !headViewCached(g, "V3") {
-		t.Error("V3 evicted by a Family delta it does not read")
+		t.Error("V3 evicted by a Family write it does not read")
 	}
 	if headViewCached(g, "V1") || headViewCached(g, "V2") {
-		t.Error("Family-backed materialization survived a Family delta")
+		t.Error("Family-backed materialization survived a Family write")
 	}
 	if got := citeText(t, g, introQuery); got != introBefore {
-		t.Errorf("intro citation diverged after Family delta:\n got %s\nwant %s", got, introBefore)
+		t.Errorf("intro citation diverged after Family write:\n got %s\nwant %s", got, introBefore)
 	}
 
-	// An empty touched set is a no-delta turnover: nothing evicted,
-	// survivors counted kept.
+	// No write, no turnover: nothing evicted and nothing counted.
 	base = g.Counters()
-	g.InvalidateTouched(nil)
-	c = g.Counters()
-	if c.ViewsEvicted != base.ViewsEvicted || c.AtomsEvicted != base.AtomsEvicted {
-		t.Error("empty touched set evicted entries")
-	}
-	if c.ViewsKept == base.ViewsKept {
-		t.Error("empty touched set did not count survivors kept")
+	g.Head()
+	if c := g.Counters(); c != base {
+		t.Errorf("Head without a write turned the caches over: %+v, was %+v", c, base)
 	}
 	if !headViewCached(g, "V3") {
-		t.Error("V3 evicted by an empty delta")
+		t.Error("V3 evicted without a write")
 	}
 
 	// Full flush still works and counts evictions.
@@ -190,18 +189,20 @@ func TestInvalidateTouchedSelectivity(t *testing.T) {
 	if c.ViewsEvicted == base.ViewsEvicted {
 		t.Error("InvalidateCache counted no view evictions")
 	}
-	if got := citeText(t, g, paperQueryText); got != paperBefore {
-		t.Errorf("cold recomputation diverged from original:\n got %s\nwant %s", got, paperBefore)
+	cold := NewGenerator(paperRegistry(t, db.Schema()), db)
+	if got, want := citeText(t, g, paperQueryText), citeText(t, cold, paperQueryText); got != want {
+		t.Errorf("recomputation diverged from a cold generator:\n got %s\nwant %s", got, want)
 	}
 }
 
 // TestBranchCacheInvalidation pins the branch cache's lifecycle: repeat
-// cites reuse the cached annotated evaluation, a delta to a relation the
-// rewriting's body does not read keeps the branch warm, and a body delta
+// cites reuse the cached annotated evaluation, a write to a relation the
+// rewriting's body does not read keeps the branch warm, and a body write
 // evicts it so the recomputed citation reflects the new data — byte
 // identical to a cold generator over the same database.
 func TestBranchCacheInvalidation(t *testing.T) {
 	g := paperGenerator(t)
+	db := g.Database()
 	before := citeText(t, g, paperQueryText)
 	if got := citeText(t, g, paperQueryText); got != before {
 		t.Fatalf("warm repeat diverged:\n got %s\nwant %s", got, before)
@@ -210,10 +211,11 @@ func TestBranchCacheInvalidation(t *testing.T) {
 	// Committee feeds only V1's citation query — the branch's body reads
 	// (Family, FamilyIntro) are untouched, so every branch survives.
 	base := g.Counters()
-	g.InvalidateTouched([]string{"Committee"})
+	db.Relation("Committee").MustInsert(value.Int(12), value.String("Dan"))
+	g.Head()
 	c := g.Counters()
 	if c.BranchesEvicted != base.BranchesEvicted {
-		t.Errorf("Committee delta evicted %d branches, want 0", c.BranchesEvicted-base.BranchesEvicted)
+		t.Errorf("Committee write evicted %d branches, want 0", c.BranchesEvicted-base.BranchesEvicted)
 	}
 	if c.BranchesKept == base.BranchesKept {
 		t.Error("surviving branches not counted kept")
@@ -222,20 +224,19 @@ func TestBranchCacheInvalidation(t *testing.T) {
 		t.Errorf("branch-cache-served citation diverged:\n got %s\nwant %s", got, before)
 	}
 
-	// A body delta evicts the branch, and the recomputation sees the new
+	// A body write evicts the branch, and the recomputation sees the new
 	// family — identical to a generator with no cache history.
-	db := g.Database()
 	db.Relation("Family").MustInsert(value.Int(13), value.String("Galanin"), value.String("C3"))
 	db.Relation("FamilyIntro").MustInsert(value.Int(13), value.String("3rd"))
 	base = g.Counters()
-	g.InvalidateTouched([]string{"Family", "FamilyIntro"})
+	g.Head()
 	c = g.Counters()
 	if c.BranchesEvicted == base.BranchesEvicted {
-		t.Error("body delta evicted no branches")
+		t.Error("body write evicted no branches")
 	}
 	after := citeText(t, g, paperQueryText)
 	if after == before {
-		t.Error("citation unchanged after body delta")
+		t.Error("citation unchanged after body write")
 	}
 	cold := NewGenerator(paperRegistry(t, db.Schema()), db)
 	if got := citeText(t, cold, paperQueryText); got != after {

@@ -15,9 +15,7 @@ import (
 
 func alwaysLive(genKey, []string) bool { return true }
 
-func depsOf(rels ...string) func() []string {
-	return func() []string { return rels }
-}
+func depsOf(rels ...string) []string { return rels }
 
 // TestDepCacheSingleflight: N goroutines demanding one key run its fill
 // exactly once, and every caller sees the filled value.
@@ -35,7 +33,7 @@ func TestDepCacheSingleflight(t *testing.T) {
 		go func(i int) {
 			defer done.Done()
 			started.Done()
-			v, hit, err := c.get(genKey{0, "k"}, depsOf("R"), func() (int, error) {
+			v, hit, err := c.get(genKey{1, "k"}, depsOf("R"), func() (int, error) {
 				fills.Add(1)
 				<-release
 				return 42, nil
@@ -66,7 +64,7 @@ func TestDepCacheSingleflight(t *testing.T) {
 // get refills, and the refilled value is then served from the cache.
 func TestDepCacheFailedFillRetries(t *testing.T) {
 	c := newDepCache[int](alwaysLive)
-	k := genKey{0, "k"}
+	k := genKey{1, "k"}
 	boom := errors.New("boom")
 	if _, _, err := c.get(k, depsOf("R"), func() (int, error) { return 0, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
@@ -86,28 +84,31 @@ func TestDepCacheFailedFillRetries(t *testing.T) {
 	}
 }
 
-// TestDepCacheInvalidateAccounting: each invalidation counts every head
-// entry exactly once as kept or evicted, and never touches versioned
-// entries.
+// TestDepCacheInvalidateAccounting: a drop deletes exactly the entries
+// its stale test selects, and counts each entry its counted test selects
+// once — as evicted when dropped, else as kept. Origin 1 plays the old
+// head here, whose entries a head turnover counts; the other entries
+// leave or stay without a count.
 func TestDepCacheInvalidateAccounting(t *testing.T) {
 	c := newDepCache[string](alwaysLive)
 	for _, e := range []struct {
 		key  genKey
 		deps []string
 	}{
-		{genKey{0, "a"}, []string{"R"}},
-		{genKey{0, "b"}, []string{"S"}},
-		{genKey{0, "c"}, []string{"R", "S"}},
-		{genKey{0, "d"}, nil},
 		{genKey{1, "a"}, []string{"R"}},
-		{genKey{2, "c"}, []string{"R", "S"}},
+		{genKey{1, "b"}, []string{"S"}},
+		{genKey{1, "c"}, []string{"R", "S"}},
+		{genKey{1, "d"}, nil},
+		{genKey{2, "a"}, []string{"R"}},
+		{genKey{3, "c"}, []string{"R", "S"}},
 	} {
 		c.get(e.key, depsOf(e.deps...), func() (string, error) { return e.key.name, nil })
 	}
-	step := func(name string, hit func([]string) bool, wantKept, wantEvicted int64, wantKeys ...genKey) {
+	counted := func(k genKey, _ []string) bool { return k.origin == 1 }
+	step := func(name string, stale func(genKey, []string) bool, wantKept, wantEvicted int64, wantKeys ...genKey) {
 		t.Helper()
 		kept, evicted := c.kept.Load(), c.evicted.Load()
-		c.invalidate(hit)
+		c.drop(stale, counted)
 		if dk, de := c.kept.Load()-kept, c.evicted.Load()-evicted; dk != wantKept || de != wantEvicted {
 			t.Errorf("%s: kept %d evicted %d, want %d and %d", name, dk, de, wantKept, wantEvicted)
 		}
@@ -122,24 +123,20 @@ func TestDepCacheInvalidateAccounting(t *testing.T) {
 			t.Errorf("%s: retained %v, want %v", name, keys, wantKeys)
 		}
 	}
-	step("touch R", func(deps []string) bool { return slices.Contains(deps, "R") }, 2, 2,
-		genKey{0, "b"}, genKey{0, "d"}, genKey{1, "a"}, genKey{2, "c"})
-	step("touch nothing", func([]string) bool { return false }, 2, 0,
-		genKey{0, "b"}, genKey{0, "d"}, genKey{1, "a"}, genKey{2, "c"})
-	step("flush", func([]string) bool { return true }, 0, 2,
-		genKey{1, "a"}, genKey{2, "c"})
+	step("drop the head's R readers", func(k genKey, deps []string) bool { return k.origin == 1 && slices.Contains(deps, "R") }, 2, 2,
+		genKey{1, "b"}, genKey{1, "d"}, genKey{2, "a"}, genKey{3, "c"})
+	step("drop the others", func(k genKey, _ []string) bool { return k.origin != 1 }, 2, 0,
+		genKey{1, "b"}, genKey{1, "d"})
+	step("flush", func(genKey, []string) bool { return true }, 0, 2)
 }
 
-// versionedEntries lists the keys and deps of a cache's versioned
-// entries.
-func versionedEntries[V any](c *depCache[V]) map[genKey][]string {
+// cacheEntries lists the keys and deps of a cache's entries.
+func cacheEntries[V any](c *depCache[V]) map[genKey][]string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make(map[genKey][]string)
 	for k, e := range c.m {
-		if k.origin > 0 {
-			out[k] = e.deps
-		}
+		out[k] = e.deps
 	}
 	return out
 }
@@ -158,11 +155,11 @@ func TestVersionedEntriesStayInLiveNamespaces(t *testing.T) {
 	fill := func(v int) {
 		t.Helper()
 		for _, view := range []string{"V2", "V3"} {
-			if _, err := g.materializeAt(context.Background(), vers[v-1], v, view); err != nil {
+			if _, err := g.materializeAt(context.Background(), vers[v-1], view); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if _, err := g.resolverAt(vers[v-1], v, nil)(citeexpr.NewAtom("V1", value.Int(11))); err != nil {
+		if _, err := g.resolverAt(vers[v-1], nil)(citeexpr.NewAtom("V1", value.Int(11))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -177,8 +174,8 @@ func TestVersionedEntriesStayInLiveNamespaces(t *testing.T) {
 	live := slices.Clone(g.verUse)
 	g.verMu.Unlock()
 	for name, entries := range map[string]map[genKey][]string{
-		"views": versionedEntries(g.views),
-		"atoms": versionedEntries(g.atoms),
+		"views": cacheEntries(g.views),
+		"atoms": cacheEntries(g.atoms),
 	} {
 		for k, deps := range entries {
 			if !mapsTo(live, k, deps) {
@@ -187,10 +184,10 @@ func TestVersionedEntriesStayInLiveNamespaces(t *testing.T) {
 		}
 	}
 	// V2 at version n, V3 shared by all versions; one shared V1(11) record.
-	if got := len(versionedEntries(g.views)); got != 2 {
+	if got := len(cacheEntries(g.views)); got != 2 {
 		t.Errorf("views hold %d versioned entries, want 2", got)
 	}
-	if got := len(versionedEntries(g.atoms)); got != 1 {
+	if got := len(cacheEntries(g.atoms)); got != 1 {
 		t.Errorf("atoms hold %d versioned entries, want 1", got)
 	}
 }

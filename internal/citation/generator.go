@@ -65,25 +65,30 @@ type Generator struct {
 	// name/signature) keys (genKey): views holds materialized view
 	// instances (deps: Registry.QueryDeps), atoms resolved citation
 	// records (deps: Registry.CitationDeps), and branches the annotated
-	// evaluation of one rewriting (deps: Registry.BodyDeps). Origin 0 is
-	// the mutable head generation, invalidated by delta; a versioned entry
-	// is keyed by the snapshot content its deps read, so it never goes
-	// stale and serves every committed version that shares that content
-	// (DESIGN.md §3, §7).
+	// evaluation of one rewriting (deps: Registry.BodyDeps). Every cite
+	// reads a frozen snapshot, and an entry is keyed by the origin of the
+	// content its deps read there, so it never goes stale and serves every
+	// snapshot — the head's or a committed version's — that shares that
+	// content (DESIGN.md §3, §7).
 	views    *depCache[*storage.Relation]
 	atoms    *depCache[format.Record]
 	branches *depCache[*branch]
 
-	// verMu guards verUse, the recency order (least-recently-used first)
-	// of the committed versions whose cache entries are retained, each
-	// with its snapshot. Entries never go stale — snapshots are immutable
-	// — but they hold materialized views, so retention is bounded: past
-	// maxVersionGenerations distinct versions the coldest leaves verUse,
-	// and with it every versioned entry no remaining version maps to.
-	// This caps memory at O(maxVersionGenerations × entries per version)
-	// no matter how many versions clients sweep through.
-	verMu  sync.Mutex
-	verUse []liveVersion
+	// verMu guards the live snapshots, whose entries the caches retain.
+	// head is the snapshot head cites read (Head) and headGen the bound
+	// database's MutationGen when it was taken. verUse is the recency
+	// order (least-recently-used first) of the committed versions whose
+	// entries are retained, each with its snapshot. Entries never go
+	// stale — snapshots are immutable — but they hold materialized views,
+	// so retention is bounded: past maxVersionGenerations distinct
+	// versions the coldest leaves verUse, and with it every entry no
+	// remaining version nor the head maps to. This caps memory at
+	// O(maxVersionGenerations × entries per version) no matter how many
+	// versions clients sweep through.
+	verMu   sync.Mutex
+	head    *storage.Database
+	headGen uint64
+	verUse  []liveVersion
 
 	// memo answers the rewriting stage by query shape (memo.go).
 	memo rewriteMemo
@@ -102,19 +107,17 @@ type liveVersion struct {
 const maxVersionGenerations = 8
 
 // Request carries the per-call parameters of one citation generation.
-// The zero value cites against the generator's bound head database with
-// the generator's default policy, rewriting method and parallelism — so
+// The zero value cites against the head's snapshot (Head) with the
+// generator's default policy, rewriting method and parallelism — so
 // Cite(q) ≡ CiteContext(ctx, q, Request{}).
 type Request struct {
-	// DB is the target database. nil means the generator's bound head;
-	// otherwise it must be the frozen snapshot identified by Version.
+	// DB is the frozen snapshot to cite. nil means Head(), and only for a
+	// head request (Version 0); a mutable database is refused.
 	DB *storage.Database
-	// Version selects the generator's caches for this request: 0 uses the
-	// mutable head generation; v ≥ 1 marks DB as committed version v, whose
-	// entries are keyed by the snapshot content they read (never
-	// invalidated — snapshots cannot change — and shared with every other
-	// version holding the same content). v also names the version in the
-	// LRU of retained versions.
+	// Version is 0 for a head request; v ≥ 1 marks DB as committed
+	// version v and names it in the LRU of retained versions. Either
+	// way, cache entries are keyed by the snapshot content they read, and
+	// shared with every snapshot holding the same content.
 	Version int
 	// Policy, when non-nil, overrides the generator's default combination
 	// policy for this call only.
@@ -130,6 +133,9 @@ type Request struct {
 // NewGenerator builds a Generator with the paper's default policy.
 func NewGenerator(reg *Registry, db *storage.Database) *Generator {
 	g := &Generator{reg: reg, db: db, pol: policy.Default()}
+	if db != nil && db.Frozen() {
+		g.head = db
+	}
 	g.views = newDepCache[*storage.Relation](g.keyLive)
 	g.atoms = newDepCache[format.Record](g.keyLive)
 	g.branches = newDepCache[*branch](g.keyLive)
@@ -169,48 +175,24 @@ func (g *Generator) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// InvalidateCache drops the head generation's materialized views,
-// resolved citation records and branch evaluations wholesale — the
-// full-flush fallback for changes that alter citation *semantics* rather
-// than data: core.System calls it on DefineView and SetPolicyNamed (and
-// as the safety net where no touched-relation set exists). Data changes
-// go through InvalidateTouched instead, which keeps entries over
-// untouched relations warm. In-flight fills finish against the orphaned
-// entries and are re-done on next demand. Versioned entries are retained:
-// they were computed against immutable snapshots and can never go stale,
-// so time-travel cites survive every invalidation.
+// InvalidateCache drops every materialized view, resolved citation
+// record and branch evaluation, counting the ones the head maps as
+// evicted. No change needs it for correctness — entries are keyed by the
+// content they read — so only cold-cache experiments and tests call it.
+// In-flight fills finish for the callers already holding their entries
+// and are re-done on next demand.
 func (g *Generator) InvalidateCache() {
-	g.invalidate(func([]string) bool { return true })
-}
-
-// InvalidateTouched evicts exactly the head-generation cache entries
-// whose transitive base-relation dependencies intersect rels, leaving
-// everything else warm across the delta: a commit touching only relation
-// R recomputes queries that read R and serves the rest from cache.
-// core.System.Commit derives rels from the journaled mutation batches
-// (or, for direct head mutations, from per-relation generation
-// counters). An empty rels evicts nothing — a data-less commit keeps the
-// whole hot set. Semantic changes (DefineView/SetPolicyNamed) must use
-// the full InvalidateCache instead.
-func (g *Generator) InvalidateTouched(rels []string) {
-	g.invalidate(func(deps []string) bool {
-		return slices.ContainsFunc(deps, func(d string) bool { return slices.Contains(rels, d) })
-	})
-}
-
-// invalidate evicts, in every cache, the head-generation entries whose
-// deps hit reports as touched, counting every entry once as kept or
-// evicted.
-func (g *Generator) invalidate(hit func(deps []string) bool) {
-	for _, c := range g.caches() {
-		c.invalidate(hit)
-	}
+	g.verMu.Lock()
+	head := g.head
+	g.verMu.Unlock()
+	g.sweep(nil, head)
 }
 
 // CacheCounters is the point-in-time snapshot of the generator's
-// cache-survival counters: per invalidation, every head-generation entry
-// is accounted exactly once as kept (survived the delta) or evicted (a
-// touched relation was among its dependencies).
+// cache-survival counters: per head turnover (Head replacing its
+// snapshot), every entry the old head mapped is accounted exactly once
+// as kept (the new head or a retained version still maps it) or evicted
+// (a relation among its dependencies changed).
 type CacheCounters struct {
 	ViewsKept, ViewsEvicted       int64
 	AtomsKept, AtomsEvicted       int64
@@ -260,13 +242,15 @@ type Result struct {
 	// Reads is the sorted set of base relations this citation transitively
 	// read: for every rewriting found (evaluated or not — cost pruning
 	// consults relation statistics of all of them), the body deps and
-	// citation-query deps of its views plus its residual base atoms. A
-	// result whose Reads are disjoint from a commit's touched-relation set
-	// is byte-identical to a recomputation, which is the delta
-	// invalidation rule external result caches key on (DESIGN.md §3).
-	// Every cite of one query shape shares the slice: read it, do not
-	// modify it.
+	// citation-query deps of its views plus its residual base atoms. Every
+	// cite of one query shape shares the slice: read it, do not modify it.
 	Reads []string
+	// Origin is the origin of Reads in the snapshot the citation read
+	// (storage.Database.Origin). A recomputation against any snapshot
+	// that gives Reads the same origin is byte-identical, which is the
+	// rule result caches above the engine validate entries by (DESIGN.md
+	// §3).
+	Origin uint64
 }
 
 // branch is the annotated evaluation of one rewriting: per answer tuple,
@@ -322,14 +306,13 @@ func (g *Generator) Cite(q *cq.Query) (*Result, error) {
 }
 
 // CiteContext is Cite with per-call parameters and cooperative
-// cancellation: req selects the target database/version and overrides
-// policy, rewriting method and parallelism for this call only, and the
+// cancellation: req selects the target snapshot and overrides policy,
+// rewriting method and parallelism for this call only, and the
 // evaluation polls ctx — between pipeline stages, per enumeration chunk,
 // and per resolved tuple — so canceling ctx aborts with ctx.Err()
-// promptly instead of finishing the enumeration. Results computed against
-// a committed version are cached under the snapshot content they read and
-// survive InvalidateCache, so historical cites race neither commits nor
-// each other.
+// promptly instead of finishing the enumeration. Every step is cached
+// under the snapshot content it read, so cites race neither writes nor
+// commits nor each other.
 func (g *Generator) CiteContext(ctx context.Context, q *cq.Query, req Request) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -338,10 +321,10 @@ func (g *Generator) CiteContext(ctx context.Context, q *cq.Query, req Request) (
 		return nil, err
 	}
 	db := req.DB
-	if db == nil {
-		db = g.db
+	if db == nil && req.Version <= 0 {
+		db = g.Head()
 	}
-	if req.Version > 0 && !db.Frozen() {
+	if db == nil || !db.Frozen() {
 		return nil, fmt.Errorf("citation: version %d: target database is not a frozen snapshot", req.Version)
 	}
 	pol := g.Policy()
@@ -388,6 +371,7 @@ func (g *Generator) CiteContext(ctx context.Context, q *cq.Query, req Request) (
 	res.Rewritings = rewritings
 	res.Stats.RewritingsFound = len(rewritings)
 	res.Reads = prep.reads
+	res.Origin = db.Origin(res.Reads)
 
 	evalSet := rewritings
 	if g.CostPruned && pol.AltR != policy.AllBranches {
@@ -408,7 +392,7 @@ func (g *Generator) CiteContext(ctx context.Context, q *cq.Query, req Request) (
 	evalCtx, evalSpan := trace.StartSpan(ctx, "eval")
 	evalSpan.Set("branches", len(evalSet))
 	evalSpan.Set("pruned", res.Stats.Pruned)
-	branches, err := g.evalBranches(evalCtx, evalSet, prep.params, db, req.Version, workers)
+	branches, err := g.evalBranches(evalCtx, evalSet, prep.params, db, workers)
 	evalSpan.End()
 	if err != nil {
 		return nil, err
@@ -460,7 +444,7 @@ func (g *Generator) CiteContext(ctx context.Context, q *cq.Query, req Request) (
 		polSpan.End()
 	}()
 	polSpan.Set("tuples", len(tuples))
-	resolver := g.resolverAt(db, req.Version, &res.Stats)
+	resolver := g.resolverAt(db, &res.Stats)
 	var aggChildren []citeexpr.Expr
 	records := make([]format.Record, 0, len(tuples))
 	for _, tup := range tuples {
@@ -598,24 +582,23 @@ func (g *Generator) readSet(rewritings []*rewrite.Rewriting) []string {
 }
 
 // evalBranches evaluates every rewriting with citation-expression
-// annotations against db, caching at ver (see cacheKey). A single
+// annotations against the snapshot db, with caching. A single
 // rewriting is partitioned internally (eval.RunAnnotatedParallelCtx);
 // several rewritings are distributed over a bounded worker pool, one
 // sequential evaluation each. Results are indexed by rewriting, so the outcome is
 // deterministic regardless of scheduling; canceling ctx aborts every
 // branch with ctx.Err().
-func (g *Generator) evalBranches(ctx context.Context, evalSet []*rewrite.Rewriting, params map[string][]int, db *storage.Database, ver, workers int) ([]*branch, error) {
+func (g *Generator) evalBranches(ctx context.Context, evalSet []*rewrite.Rewriting, params map[string][]int, db *storage.Database, workers int) ([]*branch, error) {
 	evalOne := func(idx int, rw *rewrite.Rewriting, innerWorkers int) (*branch, error) {
-		// Branch cache: a repeated rewriting at an unchanged version (or
-		// an untouched head generation) reuses the whole annotated
-		// evaluation. Deps are the rewriting's body reads: the branch
-		// holds answers and parameter-built annotations, both functions
-		// of the body relations alone — citation-query deltas are the
-		// atom cache's concern.
+		// Branch cache: a repeated rewriting over unchanged body content
+		// reuses the whole annotated evaluation. Deps are the rewriting's
+		// body reads: the branch holds answers and parameter-built
+		// annotations, both functions of the body relations alone —
+		// citation-query deltas are the atom cache's concern.
 		q := rw.AsQuery("rw")
-		key, deps := cacheKey(db, ver, branchName(q), func() []string { return g.reg.BodyDeps(q) })
-		b, hit, err := g.branches.get(key, deps,
-			func() (*branch, error) { return g.evalBranch(ctx, idx, q, rw, params, db, ver, innerWorkers) })
+		deps := g.reg.BodyDeps(q)
+		b, hit, err := g.branches.get(genKey{db.Origin(deps), branchName(q)}, deps,
+			func() (*branch, error) { return g.evalBranch(ctx, idx, q, rw, params, db, innerWorkers) })
 		if hit && err == nil {
 			_, bsp := trace.StartSpan(ctx, "branch")
 			bsp.Set("alt", idx)
@@ -697,13 +680,13 @@ func branchName(q *cq.Query) string {
 // run concurrently — sibling spans are mutex-appended to "eval". The
 // plan is compiled on every miss: the branch cache above it already
 // memoizes the whole evaluation under the same key and deps.
-func (g *Generator) evalBranch(ctx context.Context, idx int, q *cq.Query, rw *rewrite.Rewriting, params map[string][]int, db *storage.Database, ver, innerWorkers int) (*branch, error) {
+func (g *Generator) evalBranch(ctx context.Context, idx int, q *cq.Query, rw *rewrite.Rewriting, params map[string][]int, db *storage.Database, innerWorkers int) (*branch, error) {
 	bctx, bsp := trace.StartSpan(ctx, "branch")
 	defer bsp.End()
 	bsp.Set("alt", idx)
 	bsp.Set("views", len(rw.ViewAtoms))
 	bsp.Set("base_atoms", len(rw.BaseAtoms))
-	inst, err := g.instanceFor(bctx, rw, db, ver)
+	inst, err := g.instanceFor(bctx, rw, db)
 	if err != nil {
 		bsp.Set("outcome", "materialize-error")
 		return nil, err
@@ -743,15 +726,15 @@ func (g *Generator) CiteTuple(q *cq.Query, t storage.Tuple) (*TupleCitation, err
 	return nil, fmt.Errorf("citation: tuple %s is not in the answer of %s", t, q.Name)
 }
 
-// instanceFor materializes (with caching at ver) the view instances a
+// instanceFor materializes (with caching) the view instances a
 // rewriting references and combines them with db for residual atoms.
-func (g *Generator) instanceFor(ctx context.Context, rw *rewrite.Rewriting, db *storage.Database, ver int) (eval.Instance, error) {
+func (g *Generator) instanceFor(ctx context.Context, rw *rewrite.Rewriting, db *storage.Database) (eval.Instance, error) {
 	rels := make(eval.Relations)
 	for _, va := range rw.ViewAtoms {
 		if _, done := rels[va.ViewName]; done {
 			continue
 		}
-		mat, err := g.materializeAt(ctx, db, ver, va.ViewName)
+		mat, err := g.materializeAt(ctx, db, va.ViewName)
 		if err != nil {
 			return nil, err
 		}
@@ -774,26 +757,44 @@ func (l layeredInstance) Relation(name string) *storage.Relation {
 	return l.base.Relation(name)
 }
 
-// cacheKey returns the cache key of name for a lookup at ver against db,
-// with the deps the entry records. A head key (ver 0) leaves deps to be
-// computed on a miss; a versioned key needs them up front, because they
-// decide its origin (originOf).
-func cacheKey(db *storage.Database, ver int, name string, deps func() []string) (genKey, func() []string) {
-	if ver <= 0 {
-		return genKey{0, name}, deps
+// Head returns the frozen snapshot head cites read: the bound database
+// itself when that is frozen, else a snapshot of it, taken on first use
+// and reused while the database's MutationGen is unchanged — so the next
+// cite after any write, journaled or direct, reads it. Replacing the
+// snapshot sweeps the caches: every entry that neither the new head nor
+// a retained version maps leaves them, and every entry the old head
+// mapped is counted as kept or evicted. The head never counts toward
+// maxVersionGenerations. Head must not race writes to the bound
+// database; core.System calls it under its engine lock.
+func (g *Generator) Head() *storage.Database {
+	if g.db.Frozen() {
+		return g.db
 	}
-	d := deps()
-	return genKey{originOf(db, d), name}, func() []string { return d }
+	gen := g.db.MutationGen()
+	g.verMu.Lock()
+	old := g.head
+	if old != nil && g.headGen == gen {
+		g.verMu.Unlock()
+		return old
+	}
+	head := g.db.Snapshot()
+	g.head, g.headGen = head, gen
+	live := g.liveLocked()
+	g.verMu.Unlock()
+	if old != nil {
+		g.sweep(live, old)
+	}
+	return head
 }
 
 // touchVersion records a use of committed version ver, whose snapshot is
 // db, and past maxVersionGenerations distinct versions evicts the
-// coldest: every versioned entry that no remaining version maps to leaves
-// every cache, while entries the evicted version shared with a live one
-// stay. In-flight cites of an evicted version keep the entry pointers
-// they already hold (the same orphan semantics as InvalidateCache), their
-// later fills cache nothing unless a live version maps to them (keyLive),
-// and later demand recomputes.
+// coldest: every entry that neither the head nor a remaining version
+// maps to leaves every cache, while entries the evicted version shared
+// with a live snapshot stay. In-flight cites of an evicted version keep
+// the entry pointers they already hold (the same orphan semantics as
+// InvalidateCache), their later fills cache nothing unless a live
+// snapshot maps to them (keyLive), and later demand recomputes.
 func (g *Generator) touchVersion(ver int, db *storage.Database) {
 	if ver <= 0 {
 		return
@@ -811,34 +812,48 @@ func (g *Generator) touchVersion(ver int, db *storage.Database) {
 		return
 	}
 	g.verUse = slices.Delete(g.verUse, 0, 1)
-	live := slices.Clone(g.verUse)
+	live := g.liveLocked()
 	g.verMu.Unlock()
+	g.sweep(live, nil)
+}
+
+// liveLocked lists the live snapshots: the retained versions, then the
+// head when one was taken. Called with verMu held.
+func (g *Generator) liveLocked() []liveVersion {
+	live := slices.Clone(g.verUse)
+	if g.head != nil {
+		live = append(live, liveVersion{0, g.head})
+	}
+	return live
+}
+
+// sweep drops, from every cache, each entry no snapshot in live maps,
+// and counts each entry old maps as kept or evicted (none when old is
+// nil).
+func (g *Generator) sweep(live []liveVersion, old *storage.Database) {
+	stale := func(k genKey, deps []string) bool { return !mapsTo(live, k, deps) }
+	counted := func(k genKey, deps []string) bool { return old != nil && old.Origin(deps) == k.origin }
 	for _, c := range g.caches() {
-		c.drop(func(k genKey, deps []string) bool { return k.origin > 0 && !mapsTo(live, k, deps) })
+		c.drop(stale, counted)
 	}
 }
 
-// keyLive reports whether some retained version maps an entry with deps
-// to key — the admission test for a versioned fill.
+// keyLive reports whether the head or a retained version maps an entry
+// with deps to key — the admission test for a fill.
 func (g *Generator) keyLive(key genKey, deps []string) bool {
 	g.verMu.Lock()
 	defer g.verMu.Unlock()
-	return mapsTo(g.verUse, key, deps)
+	return g.head != nil && g.head.Origin(deps) == key.origin || mapsTo(g.verUse, key, deps)
 }
 
-// mapsTo reports whether any of the versions maps an entry with deps to
+// mapsTo reports whether any of the snapshots maps an entry with deps to
 // key.
 func mapsTo(vers []liveVersion, key genKey, deps []string) bool {
-	for _, u := range vers {
-		if originOf(u.db, deps) == key.origin {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(vers, func(u liveVersion) bool { return u.db.Origin(deps) == key.origin })
 }
 
-// materializeAt evaluates the named view over db with singleflight caching
-// at ver (see cacheKey): under concurrent demand exactly one goroutine
+// materializeAt evaluates the named view over the snapshot db with
+// singleflight caching: under concurrent demand exactly one goroutine
 // performs the evaluation, the rest block until the instance is ready.
 // Materialization always runs to completion — it is shared work, so no
 // caller's context may cancel it for the others. A failed materialization
@@ -847,12 +862,12 @@ func mapsTo(vers []liveVersion, key genKey, deps []string) bool {
 // The span covers the singleflight wait as well as the evaluation: a
 // "hit" with a long duration means this request blocked on another
 // goroutine's in-flight materialization of the same view.
-func (g *Generator) materializeAt(ctx context.Context, db *storage.Database, ver int, viewName string) (*storage.Relation, error) {
+func (g *Generator) materializeAt(ctx context.Context, db *storage.Database, viewName string) (*storage.Relation, error) {
 	_, sp := trace.StartSpan(ctx, "views")
 	defer sp.End()
 	sp.Set("view", viewName)
-	key, deps := cacheKey(db, ver, viewName, func() []string { return g.reg.QueryDeps(viewName) })
-	rel, hit, err := g.views.get(key, deps,
+	deps := g.reg.QueryDeps(viewName)
+	rel, hit, err := g.views.get(genKey{db.Origin(deps), viewName}, deps,
 		func() (*storage.Relation, error) { return g.reg.Materialize(db, viewName) })
 	if hit {
 		sp.Set("cache", "hit")
@@ -908,15 +923,16 @@ func annotator(positions map[string][]int) func(pred string, t storage.Tuple) ci
 }
 
 // resolverAt returns a caching policy.Resolver that evaluates a view's
-// citation queries over db with the atom's parameter values and applies
-// the view's citation function. The cache is shared across concurrent
-// Cite calls, keyed by atom at ver (see cacheKey), and singleflight: a
-// hot atom demanded by many citers at once is resolved by exactly one of
-// them (failures are evicted so they retry).
-func (g *Generator) resolverAt(db *storage.Database, ver int, stats *Stats) policy.Resolver {
+// citation queries over the snapshot db with the atom's parameter values
+// and applies the view's citation function. The cache is shared across
+// concurrent Cite calls, keyed by atom and the origin of its citation
+// queries' content, and singleflight: a hot atom demanded by many citers
+// at once is resolved by exactly one of them (failures are evicted so
+// they retry).
+func (g *Generator) resolverAt(db *storage.Database, stats *Stats) policy.Resolver {
 	return func(a citeexpr.Atom) (format.Record, error) {
-		key, deps := cacheKey(db, ver, a.Key(), func() []string { return g.reg.CitationDeps(a.View) })
-		rec, hit, err := g.atoms.get(key, deps,
+		deps := g.reg.CitationDeps(a.View)
+		rec, hit, err := g.atoms.get(genKey{db.Origin(deps), a.Key()}, deps,
 			func() (format.Record, error) { return g.resolveAtom(db, a) })
 		if !hit && err == nil && stats != nil {
 			stats.AtomsResolved++

@@ -169,7 +169,8 @@ func TestStatsAccounting(t *testing.T) {
 // LRU in between. The late fill must still answer, but must cache
 // nothing when no live version maps to its key: no later eviction would
 // ever reach the entry, and memory would escape maxVersionGenerations.
-// Every version here changes every relation, so no key is shared.
+// Every version here changes every relation, so no key is shared; the
+// head, a live snapshot too, moves to version n's content first.
 func TestEvictedVersionFillNotRetained(t *testing.T) {
 	g := paperGenerator(t)
 	res, err := g.Cite(cq.MustParse(paperQueryText))
@@ -183,20 +184,21 @@ func TestEvictedVersionFillNotRetained(t *testing.T) {
 	}
 	n := maxVersionGenerations + 1
 	vers := commitHistory(t, g, n, "Family", "Committee", "FamilyIntro")
+	g.Head()
 
 	// fillTwice fills the view, atom and branch caches at ver, repeats the
 	// lookups, and reports which of the repeats the cache served.
 	fillTwice := func(ver int) (viewHit, atomHit, branchHit bool) {
 		db := vers[ver-1]
 		var st Stats
-		resolve := g.resolverAt(db, ver, &st)
+		resolve := g.resolverAt(db, &st)
 		for round := 0; round < 2; round++ {
 			tr := trace.New("fill")
 			ctx := trace.NewContext(context.Background(), tr)
-			if _, err := g.materializeAt(ctx, db, ver, "V3"); err != nil {
+			if _, err := g.materializeAt(ctx, db, "V3"); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := g.evalBranches(ctx, res.Rewritings[:1], params, db, ver, 1); err != nil {
+			if _, err := g.evalBranches(ctx, res.Rewritings[:1], params, db, 1); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := resolve(atom); err != nil {

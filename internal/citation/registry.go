@@ -172,10 +172,9 @@ func (r *Registry) ViewQueries() []*cq.Query {
 // base relations of its body atoms, and a view whose body references
 // another view folds that view's dependencies in (the transitive,
 // views-reading-views case). Citation queries are NOT included — they
-// are evaluated lazily per atom and tracked by CitationDeps. The result
-// is the invalidation key for materialized-view cache entries: an entry
-// whose QueryDeps are disjoint from a commit's touched-relation set
-// cannot have changed and survives the commit.
+// are evaluated lazily per atom and tracked by CitationDeps. Materialized
+// view cache entries are keyed by the origin of these relations'
+// content, so a write to none of them leaves the entry current.
 func (r *Registry) QueryDeps(pred string) []string {
 	r.mu.RLock()
 	out := make(map[string]bool)
@@ -226,8 +225,8 @@ func (r *Registry) bodyDepsLocked(pred string, visited, out map[string]bool) {
 	visited[pred] = true
 	v := r.byName[pred]
 	if v == nil {
-		// A base relation (or an unknown predicate, which can never be in
-		// a touched set and is therefore harmless to record).
+		// A base relation (or an unknown predicate, which no snapshot
+		// holds and is therefore harmless to record).
 		out[pred] = true
 		return
 	}

@@ -29,41 +29,30 @@ import (
 // registry, a combination policy, and a citation generator bound to the
 // store's head.
 //
-// A System serves concurrent callers: any number of Cite/CiteQuery/CiteAll
-// calls may run in parallel with each other (they share the generator's
-// singleflight materialization cache), while Commit, DefineView and
-// SetPolicyNamed take the write side of the system lock — a Commit therefore
-// observes no in-flight head citations and atomically invalidates the
-// generator's head caches before the next Cite proceeds.
+// A System serves concurrent callers. Every cite reads a frozen
+// snapshot: a head cite the head's (citation.Generator.Head, taken under
+// the shared system lock together with the latest version it pins
+// against), an AtVersion cite the committed version's. Generation and
+// pinning then run with no lock, so any number of cites run in parallel
+// (sharing the generator's singleflight caches, keyed by the content
+// they read), and Insert, Delete, Commit, DefineView and SetPolicyNamed —
+// which take the write side of the lock — never wait for a cite in
+// flight (DESIGN.md §3, §7).
 //
 // The CiteContext family threads a context.Context and per-call
 // CiteOptions through the whole request path: cancellation reaches the
-// plan enumeration, and AtVersion cites any committed snapshot. Versioned
-// cites run entirely outside the engine lock — their target is immutable
-// and their cache entries are never invalidated — so a Commit neither
-// blocks them nor races them (DESIGN.md §7).
+// plan enumeration, and AtVersion cites any committed snapshot.
 type System struct {
-	// mu is the engine-wide readers/writer lock: head-targeting
-	// Cite-family calls hold it shared, state-changing calls (Commit,
-	// DefineView, SetPolicyNamed) hold it exclusively. AtVersion cites do
-	// not take it at all.
+	// mu is the engine-wide readers/writer lock: head cites hold it
+	// shared only while taking their snapshot, state-changing calls
+	// (Insert, Delete, Commit, DefineView, SetPolicyNamed) hold it
+	// exclusively. AtVersion cites do not take it at all.
 	mu    sync.RWMutex
-	epoch int64 // monotonic version token, bumped by every invalidating change
+	epoch int64 // monotonic version token, bumped by every state change
 	cfg   int64 // configuration generation: bumped by SetPolicyNamed/DefineView only, NOT by Commit
 	store *fixity.Store
 	reg   *citation.Registry
 	gen   *citation.Generator
-
-	// Delta tracking for dependency-based cache invalidation (DESIGN.md
-	// §3). relEpochs records, per base relation, the epoch of its last
-	// known content change: external caches validate a head entry cached
-	// at epoch e by checking no relation in its read-set changed after e
-	// (DataFresh). relGens records each relation's storage generation
-	// counter as of the last cache turnover, so Commit can derive the
-	// touched-relation set even for direct Database() mutations that
-	// bypassed the journaled API. Both guarded by mu.
-	relEpochs map[string]int64
-	relGens   map[string]uint64
 
 	// Durability (nil/zero when the system is purely in-memory; see
 	// durable.go). wal is the attached commit log: journaled mutations
@@ -85,60 +74,11 @@ type System struct {
 func NewSystem(s *schema.Schema) *System {
 	store := fixity.NewStore(s)
 	reg := citation.NewRegistry(s)
-	sys := &System{
-		store:     store,
-		reg:       reg,
-		gen:       citation.NewGenerator(reg, store.Head()),
-		relEpochs: make(map[string]int64),
-		relGens:   make(map[string]uint64),
+	return &System{
+		store: store,
+		reg:   reg,
+		gen:   citation.NewGenerator(reg, store.Head()),
 	}
-	sys.syncRelGensLocked()
-	return sys
-}
-
-// syncRelGensLocked records every head relation's current storage
-// generation as the "caches are consistent with this" baseline, so the
-// next Commit's touched-relation diff starts here. Called with the
-// exclusive lock held, or before the system is shared.
-func (s *System) syncRelGensLocked() {
-	head := s.store.Head()
-	for _, name := range head.Schema().Names() {
-		s.relGens[name] = head.Relation(name).Generation()
-	}
-}
-
-// touchedLocked derives the set of relations whose content changed since
-// the last cache turnover, by diffing each head relation's storage
-// generation against the recorded baseline — this catches journaled
-// mutations and direct Database() writes alike — and advances the
-// baseline. Called with the exclusive lock held.
-func (s *System) touchedLocked() []string {
-	head := s.store.Head()
-	var touched []string
-	for _, name := range head.Schema().Names() {
-		if g := head.Relation(name).Generation(); g != s.relGens[name] {
-			touched = append(touched, name)
-			s.relGens[name] = g
-		}
-	}
-	return touched
-}
-
-// DataFresh reports whether none of the given base relations changed
-// content after epoch since: a cached head citation computed at epoch
-// since whose read-set is rels is still byte-identical to a fresh
-// recomputation exactly when DataFresh(rels, since) holds. Relations the
-// system has never seen change are always fresh. The server's result
-// cache validates surviving entries with this check (DESIGN.md §3, §5).
-func (s *System) DataFresh(rels []string, since int64) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, r := range rels {
-		if s.relEpochs[r] > since {
-			return false
-		}
-	}
-	return true
 }
 
 // NewSystemFromDatabase wraps an already-loaded database (e.g. from the
@@ -158,7 +98,6 @@ func NewSystemFromDatabase(db *storage.Database) *System {
 	// No eager index build: the planner calls EnsureIndex for exactly the
 	// probe columns its compiled plans select (and columnarizes read-hot
 	// relations), so startup never pays for columns no query probes.
-	sys.syncRelGensLocked()
 	return sys
 }
 
@@ -171,7 +110,9 @@ func (s *System) Registry() *citation.Registry { return s.reg }
 // Generator returns the citation generator bound to the store head.
 func (s *System) Generator() *citation.Generator { return s.gen }
 
-// Database returns the mutable head database.
+// Database returns the mutable head database. The next head cite after a
+// direct write reads it, as it reads a journaled one; writes must not
+// race cites, as System.Insert/Delete cannot.
 //
 // On a durable system, do NOT mutate it directly: direct writes bypass
 // the commit log, and the next Commit refuses to seal contents the log
@@ -180,16 +121,14 @@ func (s *System) Database() *storage.Database { return s.store.Head() }
 
 // Version returns the system's monotonic version token (the epoch). It
 // starts at 0 and increments on every state change that can alter the
-// outcome of a citation — Commit, DefineView and SetPolicyNamed — atomically
-// with the change itself (the bump happens under the exclusive system
-// lock, so a Cite that observes epoch e computes against state no older
-// than e). The per-call WithParallelism option changes only how work is
-// scheduled, never what a citation contains. External result
-// caches key head results on this token: an entry cached at epoch e is
-// never served once the epoch has moved on, which is the server-cache
-// invalidation rule documented in DESIGN.md §3. Results of AtVersion
-// cites are keyed on the requested version instead — they are immutable
-// and outlive every epoch.
+// outcome of a citation — Insert, Delete, Commit, DefineView and
+// SetPolicyNamed — atomically with the change itself (the bump happens
+// under the exclusive system lock, so a cite whose snapshot was taken
+// at epoch e reads state no older than e). The per-call WithParallelism
+// option changes only how work is scheduled, never what a citation
+// contains. Replies carry it; caches do not key on it, since the
+// content a citation read is what decides whether it is still current
+// (DESIGN.md §3).
 func (s *System) Version() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -220,14 +159,22 @@ func (s *System) ConfigVersion() int64 {
 	return s.cfg
 }
 
-// Epochs returns the epoch, the configuration generation and the latest
-// committed store version under one shared lock acquisition, so the
-// triple is consistent against concurrent state changes. Servers read it
-// once before keying a request batch.
-func (s *System) Epochs() (epoch, config int64, store fixity.Version) {
+// Snapshot returns the frozen database a cite of version v reads — the
+// head's snapshot (citation.Generator.Head) for v = 0, else committed
+// version v (ErrUnknownVersion if it was never committed) — with the
+// epoch, the configuration generation and the latest committed version,
+// all under one shared lock acquisition, so the four are consistent
+// against concurrent state changes. Servers read it once before keying
+// a request batch, and validate cached citations against db.
+func (s *System) Snapshot(v fixity.Version) (db *storage.Database, epoch, config int64, latest fixity.Version, err error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.epoch, s.cfg, s.store.Latest()
+	if v == 0 {
+		db = s.gen.Head()
+	} else {
+		db, err = s.store.At(v)
+	}
+	return db, s.epoch, s.cfg, s.store.Latest(), err
 }
 
 // DefineView parses and registers a citation view in one step: viewSrc is
@@ -271,13 +218,11 @@ func (s *System) DefineView(viewSrc string, static format.Record, specs ...Citat
 	if err := s.reg.Add(v); err != nil {
 		return err // unreachable unless the registry is added to directly, bypassing DefineView
 	}
+	// A new view changes which rewritings exist, which the rewriting memo
+	// keys by registry generation; no cached view, atom or branch depends
+	// on another view's definition, so none turns over.
 	s.epoch++
 	s.cfg++
-	// A view definition changes which rewritings exist — semantics, not
-	// data — so cached branches, materializations and resolved records flush
-	// wholesale: the DefineView/SetPolicyNamed exception to delta invalidation
-	// (DESIGN.md §3).
-	s.gen.InvalidateCache()
 	return nil
 }
 
@@ -288,14 +233,11 @@ type CitationSpec struct {
 	Fields []string
 }
 
-// Commit snapshots the head as a new immutable version and atomically
-// evicts the generator cache entries that depend on a relation this
-// commit touched — everything else stays warm: no Cite call is in flight
-// while the caches turn over, so a citation is always generated against
-// a consistent cache generation. Commit is the synchronization point
-// after mutating the head database directly; the touched-relation set is
-// derived from per-relation storage generations, so direct writes are
-// detected exactly like journaled ones.
+// Commit snapshots the head as a new immutable version. No cache turns
+// over: the version shares every relation whose content it has in
+// common with the head snapshot cites read, and cache entries are keyed
+// by the content they read, so a citation that reads nothing written
+// since it was computed stays warm.
 //
 // On a durable system the commit is journaled — version number,
 // UTC timestamp, message, tuple count and the canonical database digest
@@ -321,21 +263,10 @@ func (s *System) Commit(message string) fixity.VersionInfo {
 // already landed durably; the error is surfaced so operators see the
 // disk problem before the log grows without bound.
 func (s *System) CommitVersioned(message string) (fixity.VersionInfo, int64, error) {
-	info, epoch, _, err := s.CommitDelta(message)
-	return info, epoch, err
-}
-
-// CommitDelta is CommitVersioned returning, in addition, the commit's
-// touched-relation set: the base relations whose content changed since
-// the previous cache turnover (journaled batches and direct head writes
-// alike). Servers feed it to their result cache's purgeTouched so only
-// entries reading a touched relation are evicted; a data-less commit
-// returns an empty set and keeps every cached citation warm.
-func (s *System) CommitDelta(message string) (fixity.VersionInfo, int64, []string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.readOnly {
-		return fixity.VersionInfo{}, s.epoch, nil, fmt.Errorf("core: system was opened read-only")
+		return fixity.VersionInfo{}, s.epoch, fmt.Errorf("core: system was opened read-only")
 	}
 	var info fixity.VersionInfo
 	if s.wal == nil {
@@ -348,7 +279,7 @@ func (s *System) CommitDelta(message string) (fixity.VersionInfo, int64, []strin
 		// boot (replay rebuilds different contents and fails the digest
 		// check). Failing here is loud and immediate instead.
 		if g := head.MutationGen(); g != s.walGen {
-			return fixity.VersionInfo{}, s.epoch, nil, fmt.Errorf(
+			return fixity.VersionInfo{}, s.epoch, fmt.Errorf(
 				"core: head was mutated outside the journaled API (direct Database() writes?); durable systems must mutate through System.Insert/Delete")
 		}
 		info = fixity.VersionInfo{
@@ -359,31 +290,22 @@ func (s *System) CommitDelta(message string) (fixity.VersionInfo, int64, []strin
 		}
 		//lint:lockscope journaled mutation: the commit record and the version store must advance atomically under the writer lock
 		if _, err := s.wal.Append(durable.Entry{Type: durable.EntryCommit, Commit: commitMeta(info, head)}, true); err != nil {
-			return fixity.VersionInfo{}, s.epoch, nil, fmt.Errorf("core: journal: %w", err)
+			return fixity.VersionInfo{}, s.epoch, fmt.Errorf("core: journal: %w", err)
 		}
 		if err := s.store.RestoreCommit(info); err != nil {
-			return fixity.VersionInfo{}, s.epoch, nil, err
+			return fixity.VersionInfo{}, s.epoch, err
 		}
 	}
-	// Delta-aware invalidation: evict only the generator cache entries
-	// that depend on a relation this commit touched (detected by
-	// generation diff, so direct head writes count), and record each
-	// touched relation's last-change epoch for external cache validation.
-	touched := s.touchedLocked()
 	s.epoch++
-	for _, r := range touched {
-		s.relEpochs[r] = s.epoch
-	}
-	s.gen.InvalidateTouched(touched)
 	if s.wal != nil && s.walOpts.CheckpointEvery > 0 {
 		s.commitsSinceCkpt++
 		if s.commitsSinceCkpt >= s.walOpts.CheckpointEvery {
 			if err := s.checkpointLocked(); err != nil {
-				return info, s.epoch, touched, fmt.Errorf("core: checkpoint after commit %d: %w", info.Version, err)
+				return info, s.epoch, fmt.Errorf("core: checkpoint after commit %d: %w", info.Version, err)
 			}
 		}
 	}
-	return info, s.epoch, touched, nil
+	return info, s.epoch, nil
 }
 
 // Citation is the complete outcome of citing a query: the structural
@@ -394,11 +316,13 @@ type Citation struct {
 	Pin    *fixity.PinnedCitation
 }
 
-// Cite parses querySrc, generates its citation against the head database,
-// and — when at least one version has been committed — attaches a fixity
-// pin computed against the latest version. Cite holds the system lock
-// shared, so any number of citations are generated concurrently. It is
-// CiteContext with a background context and no options.
+// Cite parses querySrc, generates its citation against the head's
+// snapshot, and — when at least one version has been committed — attaches
+// a fixity pin computed against the latest version as of that snapshot.
+// Cite holds the system lock shared only while it takes the snapshot, so
+// any number of citations are generated concurrently and writes never
+// wait for them. It is CiteContext with a background context and no
+// options.
 func (s *System) Cite(querySrc string) (*Citation, error) {
 	//lint:detach context-free public API: Cite is the no-cancellation wrapper over CiteContext
 	return s.CiteContext(context.Background(), querySrc)
@@ -435,67 +359,48 @@ func (s *System) CiteQuery(q *cq.Query) (*Citation, error) {
 
 // CiteQueryContext is CiteContext for an already-parsed query.
 //
-// Head-targeting calls hold the system lock shared, exactly like Cite.
-// AtVersion calls do not take the engine lock at all: the target snapshot
-// is immutable, the registry serializes internally, and the generator's
-// versioned cache entries are never invalidated — so a concurrent Commit
-// neither blocks a time-travel cite nor evicts its cache entries.
+// A head cite holds the system lock shared only to take the head's
+// snapshot and the latest committed version together, then generates
+// and pins with no lock, so the pin pairs with the snapshot the cite
+// read. AtVersion calls do not take the engine lock at all: the target
+// snapshot is immutable and the registry serializes internally.
 func (s *System) CiteQueryContext(ctx context.Context, q *cq.Query, opts ...CiteOption) (*Citation, error) {
 	cfg := resolveOptions(opts)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	req := citation.Request{
+		Version:     int(cfg.version),
 		Policy:      cfg.policy,
 		Method:      cfg.method,
 		Parallelism: cfg.parallelism,
 	}
-
+	pinAt := cfg.version
 	if cfg.version > 0 {
-		// Time-travel cite: resolve the immutable snapshot and run outside
-		// the engine lock (see the method comment).
 		db, err := s.store.At(cfg.version)
 		if err != nil {
 			return nil, err
 		}
 		req.DB = db
-		req.Version = int(cfg.version)
-		res, err := s.gen.CiteContext(ctx, q, req)
-		if err != nil {
-			return nil, err
-		}
-		out := &Citation{Result: res}
-		if !cfg.noPin {
-			pinCtx, pinSpan := trace.StartSpan(ctx, "fixity")
-			pinSpan.Set("version", int(cfg.version))
-			_, pin, err := s.store.ExecuteContext(pinCtx, q, cfg.version)
-			pinSpan.End()
-			if err != nil {
-				return nil, err
-			}
-			out.Pin = &pin
-		}
-		return out, nil
+	} else {
+		s.mu.RLock()
+		req.DB, pinAt = s.gen.Head(), s.store.Latest()
+		s.mu.RUnlock()
 	}
-
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	res, err := s.gen.CiteContext(ctx, q, req)
 	if err != nil {
 		return nil, err
 	}
 	out := &Citation{Result: res}
-	if !cfg.noPin {
-		if v := s.store.Latest(); v > 0 {
-			pinCtx, pinSpan := trace.StartSpan(ctx, "fixity")
-			pinSpan.Set("version", int(v))
-			_, pin, err := s.store.ExecuteContext(pinCtx, q, v)
-			pinSpan.End()
-			if err != nil {
-				return nil, err
-			}
-			out.Pin = &pin
+	if !cfg.noPin && pinAt > 0 {
+		pinCtx, pinSpan := trace.StartSpan(ctx, "fixity")
+		pinSpan.Set("version", int(pinAt))
+		_, pin, err := s.store.ExecuteContext(pinCtx, q, pinAt)
+		pinSpan.End()
+		if err != nil {
+			return nil, err
 		}
+		out.Pin = &pin
 	}
 	return out, nil
 }
@@ -503,15 +408,15 @@ func (s *System) CiteQueryContext(ctx context.Context, q *cq.Query, opts ...Cite
 // CiteAll generates citations for a batch of queries with bounded
 // parallelism (GOMAXPROCS workers; CiteAllContext takes WithParallelism).
 // Results are positional: out[i] is the citation of queries[i]. The
-// queries share one cache generation, so a view referenced by many batch
-// members is materialized once (singleflight) and its citation records
-// are resolved once. On error the first failure in query order is
+// queries share the generator's caches, so a view referenced by many
+// batch members is materialized once (singleflight) and its citation
+// records are resolved once. On error the first failure in query order is
 // returned along with the partial results (failed or unprocessed
 // positions are nil).
 //
-// Each query acquires the system lock independently: a batch does not
-// starve Commit, and a Commit that lands mid-batch is observed by the
-// remaining queries' fixity pins.
+// Each query takes its own head snapshot: a batch does not starve
+// Commit, and a Commit that lands mid-batch is observed by the remaining
+// queries' snapshots and fixity pins.
 func (s *System) CiteAll(queries []string) ([]*Citation, error) {
 	//lint:detach context-free public API: CiteAll is the no-cancellation wrapper over CiteAllContext
 	return s.CiteAllContext(context.Background(), queries)

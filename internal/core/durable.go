@@ -175,11 +175,6 @@ func Open(dir string, opts DurableOptions) (*System, error) {
 	// on demand as the planner's EnsureIndex/ColumnarBlock calls touch the
 	// columns real queries probe, keeping restart cost proportional to the
 	// log, not to schema width.
-	sys.gen.InvalidateCache()
-	// Replay mutated relations past the construction-time baseline; the
-	// caches are empty now, so re-baseline: the first post-recovery commit
-	// must not mistake replayed history for fresh deltas.
-	sys.syncRelGensLocked()
 	sys.recoveryDur = time.Since(start)
 	sys.recoveredVer = sys.store.Latest()
 	sys.readOnly = opts.ReadOnly
@@ -219,7 +214,6 @@ func (s *System) applyEntry(e durable.Entry) error {
 			return err
 		}
 		s.epoch++
-		s.relEpochs[e.Relation] = s.epoch
 	case durable.EntryCommit:
 		if err := s.restoreVersion(e.Commit); err != nil {
 			return err
@@ -431,9 +425,9 @@ func (s *System) Durability() (stats DurabilityStats, ok bool) {
 // relation, returning how many were actually added (duplicates are
 // no-ops). The batch is validated against the schema first, the log
 // entry is appended (and synced per the fsync policy) before storage is
-// touched, and the system epoch advances — head citations can change, so
-// external caches keyed on Version() turn over exactly as they do for
-// Commit. On a system without durability the batch applies directly.
+// touched, and the system epoch advances; the next head cite reads a
+// snapshot holding the batch. On a system without durability the batch
+// applies directly.
 func (s *System) Insert(relation string, tuples []storage.Tuple) (int, error) {
 	return s.mutate(relation, tuples, durable.EntryInsert)
 }
@@ -482,14 +476,6 @@ func (s *System) mutate(relation string, tuples []storage.Tuple, typ durable.Ent
 		s.walGen = s.store.Head().MutationGen()
 	}
 	s.epoch++
-	if n > 0 {
-		// Delta-aware invalidation: only entries reading this relation
-		// turn over; everything else stays warm. A no-op batch (all
-		// duplicates / absent tuples) changes nothing and evicts nothing.
-		s.relEpochs[relation] = s.epoch
-		s.relGens[relation] = r.Generation()
-		s.gen.InvalidateTouched([]string{relation})
-	}
 	return n, nil
 }
 
@@ -516,13 +502,11 @@ func (s *System) SetPolicyNamed(name string) error {
 			return fmt.Errorf("core: journal: %w", err)
 		}
 	}
+	// No generator cache entry depends on the policy: it is applied to
+	// cached branches and atoms on every cite.
 	s.epoch++
 	s.cfg++
 	s.gen.SetPolicy(p)
-	// A policy change alters citation semantics, not data: there is no
-	// touched-relation set that bounds its blast radius, so the delta
-	// invalidation rule falls back to the full flush (DESIGN.md §3).
-	s.gen.InvalidateCache()
 	s.polName = name
 	return nil
 }

@@ -1,11 +1,10 @@
 // Package genbump enforces the storage layer's generation-counter
 // contract: any method that mutates a relation's tuple state (the
 // rows table and the live-row count) must bump the statistics
-// generation via bumpStats. The counter is what delta-aware commit
-// invalidation (DESIGN.md §3), columnar-block validity (§10) and the
-// durable layer's bypass detection (§8) all key on — a mutation that
-// skips the bump serves stale cached citations and can brick
-// recovery. Content-preserving reorganizations (detach's lazy copy,
+// generation via bumpStats. The counter is what head-snapshot reuse
+// (DESIGN.md §3), columnar-block validity (§10) and the durable layer's
+// bypass detection (§8) all key on — a mutation that skips the bump
+// serves stale cached citations and can brick recovery. Content-preserving reorganizations (detach's lazy copy,
 // compaction) legitimately leave the counter alone and annotate with
 //
 //	//lint:nobump <reason>
@@ -143,7 +142,7 @@ func checkMethod(pass *analysis.Pass, fd *ast.FuncDecl, recv *types.Var) {
 	}
 	for _, w := range writes {
 		pass.Reportf(w.Pos(),
-			"method %s writes relation tuple state without calling bumpStats: delta invalidation and columnar-block validity go stale (annotate content-preserving writes with //lint:nobump <reason>)",
+			"method %s writes relation tuple state without calling bumpStats: head snapshots and columnar-block validity go stale (annotate content-preserving writes with //lint:nobump <reason>)",
 			fd.Name.Name)
 	}
 }

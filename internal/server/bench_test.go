@@ -37,23 +37,26 @@ var hotQuery = gtopdbQuery(1, 7)
 
 // hotResult cites hotQuery once on a 2,000-family GtoPdb system and
 // returns its wire form, as a cache hit would serve it.
-func hotResult(b *testing.B) (CiteResult, int64, int) {
+func hotResult(b *testing.B) (CiteResult, uint64, int64, int) {
 	b.Helper()
 	sys := gtopdbSystem(b, 2000)
 	c, err := sys.CiteContext(context.Background(), hotQuery)
 	if err != nil {
 		b.Fatal(err)
 	}
-	epoch, _, version := sys.Epochs()
+	_, epoch, _, version, err := sys.Snapshot(0)
+	if err != nil {
+		b.Fatal(err)
+	}
 	res := NewCiteResult(hotQuery, c)
 	res.Cache = "hit"
-	return res, epoch, int(version)
+	return res, c.Result.Origin, epoch, int(version)
 }
 
 // BenchmarkCiteEnvelope encodes one single-result /cite reply for a
 // hot-workload citation.
 func BenchmarkCiteEnvelope(b *testing.B) {
-	res, epoch, version := hotResult(b)
+	res, origin, epoch, version := hotResult(b)
 	w := &discardWriter{h: make(http.Header)}
 	b.Run("reflective", func(b *testing.B) {
 		b.ReportAllocs()
@@ -61,7 +64,7 @@ func BenchmarkCiteEnvelope(b *testing.B) {
 			writeJSON(w, http.StatusOK, citeResponse{Epoch: epoch, Version: version, Result: &res})
 		}
 	})
-	enc, err := encodeCite(res)
+	enc, err := encodeCite(res, origin)
 	if err != nil {
 		b.Fatal(err)
 	}

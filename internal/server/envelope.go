@@ -33,11 +33,13 @@ import (
 
 // encodedCite is one successful citation as the result cache keeps it:
 // its wire form (CiteResult) already encoded. Beside the bytes it keeps
-// only the relation read-set, which delta invalidation reads; the query
-// is the cache key's, and the record, text and pin the bytes were
-// rendered from are dropped.
+// only what validates it — the relation read-set and the origin of the
+// content it read (citation.Result.Origin); the query is the cache
+// key's, and the record, text and pin the bytes were rendered from are
+// dropped.
 type encodedCite struct {
-	reads []string
+	reads  []string
+	origin uint64
 	// body is the "result" object of a single-result envelope: indented
 	// one level, without a trailing newline, and without the "cache"
 	// member, which differs per reply and belongs at cacheAt.
@@ -49,10 +51,10 @@ type encodedCite struct {
 // object, with the placeholder value it encodes and then cuts out.
 const cacheMember = ",\n    \"cache\": \"hit\""
 
-// encodeCite encodes a successful citation for the result cache. The
-// encoding lands in a pooled buffer, and the entry keeps one copy of
-// exactly its size.
-func encodeCite(res CiteResult) (*encodedCite, error) {
+// encodeCite encodes a successful citation, whose content has the given
+// origin, for the result cache. The encoding lands in a pooled buffer,
+// and the entry keeps one copy of exactly its size.
+func encodeCite(res CiteResult, origin uint64) (*encodedCite, error) {
 	res.Cache = "hit"
 	rb := getReplyBuf()
 	defer putReplyBuf(rb)
@@ -67,7 +69,7 @@ func encodeCite(res CiteResult) (*encodedCite, error) {
 	body := make([]byte, len(b)-len(cacheMember))
 	copy(body, b[:at])
 	copy(body[at:], b[at+len(cacheMember):])
-	return &encodedCite{reads: res.Reads, body: body, cacheAt: at}, nil
+	return &encodedCite{reads: res.Reads, origin: origin, body: body, cacheAt: at}, nil
 }
 
 // appendTo appends the result object with outcome ("hit", "miss" or

@@ -168,7 +168,7 @@ func (g *goldenServer) reference(t *testing.T, path, body string, cache []string
 	// The citer sees version 0 for a head request; the envelope names the
 	// latest committed version.
 	var version fixity.Version
-	epoch, _, latest := g.srv.sys.Epochs()
+	epoch, latest := g.srv.sys.Versions()
 	resp := citeResponse{Epoch: epoch, Version: int(latest)}
 	if vs := u.Query().Get("version"); vs != "" {
 		n, _ := strconv.Atoi(vs)

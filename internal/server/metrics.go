@@ -192,9 +192,7 @@ func (m *serverMetrics) render(w *strings.Builder, s *Server) {
 	fmt.Fprintf(w, "citeserved_cache_coalesced_total %d\n", cs.Coalesced)
 	counter("citeserved_cache_evictions_total", "Cache entries evicted at capacity.")
 	fmt.Fprintf(w, "citeserved_cache_evictions_total %d\n", cs.Evictions)
-	counter("citeserved_result_cache_kept_total", "Head entries that survived a commit/ingest because their read-set was untouched.")
-	fmt.Fprintf(w, "citeserved_result_cache_kept_total %d\n", cs.Kept)
-	counter("citeserved_result_cache_evicted_total", "Head entries invalidated because a commit/ingest touched a relation they read.")
+	counter("citeserved_result_cache_evicted_total", "Cached citations a lookup found computed from content that has since changed.")
 	fmt.Fprintf(w, "citeserved_result_cache_evicted_total %d\n", cs.Invalidated)
 	gauge("citeserved_cache_entries", "Cached citation results.")
 	fmt.Fprintf(w, "citeserved_cache_entries %d\n", cs.Entries)
@@ -209,9 +207,9 @@ func (m *serverMetrics) render(w *strings.Builder, s *Server) {
 		{"branch", "Cached branch evaluations", gc.BranchesKept, gc.BranchesEvicted},
 	} {
 		kept, evicted := "citeserved_"+c.name+"_cache_kept_total", "citeserved_"+c.name+"_cache_evicted_total"
-		counter(kept, c.what+" that survived a delta invalidation.")
+		counter(kept, c.what+" the old head read that the new head still reads, per head snapshot turnover.")
 		fmt.Fprintf(w, "%s %d\n", kept, c.kept)
-		counter(evicted, c.what+" evicted by a delta invalidation.")
+		counter(evicted, c.what+" the old head read that no live snapshot reads, dropped at a head snapshot turnover.")
 		fmt.Fprintf(w, "%s %d\n", evicted, c.evicted)
 	}
 	// The rewriting memo is keyed by view-set generation, not by data, so

@@ -2,14 +2,15 @@
 // paper's framing of citation generation as a service a repository runs
 // against its live, evolving database (§1: citations "generated
 // on-the-fly", §3: serving many users over shared views). It exposes the
-// engine as HTTP/JSON endpoints behind a dependency-validated LRU result
+// engine as HTTP/JSON endpoints behind a content-validated LRU result
 // cache with request coalescing: a hot query is computed exactly once no
-// matter how many clients demand it concurrently, and a commit
-// invalidates only the cached results whose relation read-set
-// (CiteResult.Reads) intersects the relations the commit actually
-// touched — everything else stays warm across writes (DESIGN.md §3, §5).
-// DefineView/SetPolicyNamed change citation semantics and flush everything by
-// bumping the configuration generation the cache keys on.
+// matter how many clients demand it concurrently, and a cached result is
+// served exactly while the snapshot a request reads holds the content
+// its relation read-set (CiteResult.Reads) had when it was computed —
+// so results over relations a write did not change stay warm across it
+// (DESIGN.md §3, §5). DefineView/SetPolicyNamed change citation
+// semantics and orphan everything by bumping the configuration
+// generation the cache keys on.
 //
 // Endpoints:
 //
@@ -261,22 +262,19 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// InvalidateCache drops every cached citation result. Epoch keying makes
-// this unnecessary for correctness (stale keys are never looked up); it
-// exists to release memory promptly and for benchmarks that need a cold
-// cache.
+// InvalidateCache drops every cached citation result. Origin validation
+// makes this unnecessary for correctness (a stale entry is never
+// served); it exists to release memory promptly and for benchmarks that
+// need a cold cache.
 func (s *Server) InvalidateCache() { s.cache.purge() }
 
 // CacheStats is a point-in-time snapshot of the result-cache counters.
 // Misses count engine computations: under coalescing, N concurrent
 // requests for the same query at the same version add exactly 1.
-// Evictions counts LRU capacity evictions; Kept and Invalidated account
-// delta invalidation — per commit/ingest, every head entry is counted
-// once as kept (read-set disjoint from the touched relations) or
-// invalidated (evicted because it read a touched relation).
+// Evictions counts LRU capacity evictions; Invalidated counts the
+// entries a lookup found computed from content that has since changed.
 type CacheStats struct {
-	Hits, Misses, Coalesced, Evictions, Entries int64
-	Kept, Invalidated                           int64
+	Hits, Misses, Coalesced, Evictions, Entries, Invalidated int64
 }
 
 // QueryStats returns the per-query statistics store, or nil when
@@ -291,7 +289,6 @@ func (s *Server) CacheStats() CacheStats {
 		Coalesced:   s.cache.coalesced.Load(),
 		Evictions:   s.cache.evictions.Load(),
 		Entries:     int64(s.cache.len()),
-		Kept:        s.cache.kept.Load(),
 		Invalidated: s.cache.invalidated.Load(),
 	}
 }
@@ -318,8 +315,8 @@ type CiteResult struct {
 	Cache  string        `json:"cache,omitempty"` // "hit", "miss" or "coalesced"
 	// Reads is the citation's relation read-set: the base relations the
 	// engine transitively read to produce it (citation.Result.Reads).
-	// Clients see which deltas can invalidate the citation; the server's
-	// result cache keys delta invalidation on it.
+	// Clients see which writes can change the citation; the server's
+	// result cache validates entries by the content of these relations.
 	Reads []string `json:"reads,omitempty"`
 	Error string   `json:"error,omitempty"`
 }
@@ -623,12 +620,12 @@ type pendingResult struct {
 }
 
 // citeBatch resolves a batch of queries through the coalescing cache.
-// Head batches (version 0) key on the epoch snapshot; version-pinned
-// batches key on the requested version, whose entries are immutable and
-// survive commits. Owned computations run in a detached goroutine
-// (holding a reference to the caller's admission slot) so a caller
-// timing out cannot strand coalesced waiters: the computation publishes
-// to every waiter and fills the cache. The detached run carries its own
+// The batch looks up against one snapshot — the head's for version 0,
+// else the version's — and a cached entry serves it while that snapshot
+// holds the content the entry read. Owned computations run in a
+// detached goroutine (holding a reference to the caller's admission
+// slot) so a caller timing out cannot strand coalesced waiters: the
+// computation publishes to every waiter and fills the cache. The detached run carries its own
 // deadline (Options.ComputeTimeout, detached from the client
 // connection), which the engine's cooperative cancellation enforces — a
 // runaway enumeration stops at the deadline instead of burning a worker
@@ -636,22 +633,26 @@ type pendingResult struct {
 // for status mapping; timedOut reports whether any position was
 // abandoned at the request deadline.
 func (s *Server) citeBatch(ctx context.Context, queries []string, version fixity.Version, slot *slotRef) (outs []citeOutcome, epoch int64, respVersion fixity.Version, timedOut bool) {
-	var config int64
-	epoch, config, respVersion = s.sys.Epochs()
-	// Every key carries the config generation: SetPolicyNamed/DefineView orphan
-	// all entries at once. Head entries (version 0) survive commits and
-	// are validated per lookup against the relations they actually read —
-	// the delta invalidation rule; versioned entries are immutable and
-	// need no validation.
 	outs = make([]citeOutcome, len(queries))
+	// Every key carries the config generation: SetPolicyNamed/DefineView
+	// orphan all entries at once.
+	snap, epoch, config, respVersion, err := s.sys.Snapshot(version)
+	if err != nil {
+		// citeVersion admitted the version, and versions are never
+		// removed, so this cannot happen; it still answers by the error.
+		for i, q := range queries {
+			outs[i] = citeOutcome{query: q, err: err}
+		}
+		return outs, epoch, respVersion, false
+	}
 	var pending []pendingResult
 	var owned []pendingResult
 	// The cache span covers the lookup decisions only; waiting for (or
 	// running) a computation is timed by the engine's own stage spans.
 	cacheSpan := trace.SpanFromContext(ctx).StartChild("cache")
 	for i, q := range queries {
-		k := cacheKey{epoch: config, version: version, query: q}
-		val, cached, cl, owner := s.cache.acquire(k, epoch, s.sys.DataFresh)
+		k := cacheKey{config: config, version: version, query: q}
+		val, cached, cl, owner := s.cache.acquire(k, snap)
 		outs[i].query = q
 		if cached {
 			outs[i].cite, outs[i].cache = val, "hit"
@@ -700,7 +701,7 @@ func (s *Server) citeBatch(ctx context.Context, queries []string, version fixity
 				if r := recover(); r != nil {
 					err := fmt.Errorf("%w: citation panicked: %v", errEngineFault, r)
 					for _, p := range owned[completed:] {
-						s.cache.complete(p.key, p.call, nil, err, s.sys.DataFresh)
+						s.cache.complete(p.key, p.call, nil, err)
 					}
 				}
 			}()
@@ -713,10 +714,12 @@ func (s *Server) citeBatch(ctx context.Context, queries []string, version fixity
 				}
 				if err == nil {
 					// The one encoding of this citation: every reply that
-					// carries it is written around these bytes.
-					val, err = encodeCite(NewCiteResult(batch[j], cites[j]))
+					// carries it is written around these bytes. Its origin
+					// is the one of the snapshot the citation read, which
+					// may be newer than the one the batch looked up with.
+					val, err = encodeCite(NewCiteResult(batch[j], cites[j]), cites[j].Result.Origin)
 				}
-				s.cache.complete(p.key, p.call, val, err, s.sys.DataFresh)
+				s.cache.complete(p.key, p.call, val, err)
 				completed = j + 1
 			}
 		}()
@@ -768,22 +771,15 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 	if req.Message == "" {
 		req.Message = "citeserved commit"
 	}
-	// CommitDelta pairs the commit with the epoch it produced — a racing
-	// second commit cannot make this response claim its epoch — and with
-	// the set of relations it touched.
-	info, epoch, touched, err := s.sys.CommitDelta(req.Message)
+	// CommitVersioned pairs the commit with the epoch it produced — a
+	// racing second commit cannot make this response claim its epoch.
+	info, epoch, err := s.sys.CommitVersioned(req.Message)
 	if err != nil {
 		// Journal/checkpoint failures are the server's disk, not the
 		// client's request.
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	// Delta invalidation: evict only the cached citations that read a
-	// touched relation; every other head entry stays warm across the
-	// commit, and version-pinned entries are immutable anyway. Freshness
-	// validation at lookup already guarantees correctness — the purge
-	// releases memory promptly and keeps the kept/evicted counters exact.
-	s.cache.purgeTouched(touched)
 	writeJSON(w, http.StatusOK, struct {
 		Epoch int64 `json:"epoch"`
 		versionInfo
@@ -908,10 +904,11 @@ func decodeTuple(rs *schema.Relation, raw []json.RawMessage) (storage.Tuple, err
 // handleIngest applies per-relation insert/delete batches to the head
 // database through the system's journaled mutation API: on a durable
 // system every batch reaches the commit log before storage, and in every
-// case the system epoch advances so cached head citations turn over
-// exactly as they do on commit. Ingest is admission-controlled by the
-// same semaphore as /cite, so mutation pressure and citation load share
-// one bound.
+// case the system epoch advances. The next /cite reads a head snapshot
+// holding the batches, so cached citations that read a changed relation
+// are no longer served. Ingest is admission-controlled by the same
+// semaphore as /cite, so mutation pressure and citation load share one
+// bound.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	if s.opts.RequestTimeout > 0 {
@@ -989,7 +986,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	resp := ingestResponse{Batches: make([]ingestBatchResult, 0, len(work))}
-	touched := make([]string, 0, len(work))
 	for _, d := range work {
 		res := ingestBatchResult{Relation: d.relation}
 		if len(d.delete) > 0 {
@@ -1012,15 +1008,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		resp.Inserted += res.Inserted
 		resp.Deleted += res.Deleted
 		resp.Batches = append(resp.Batches, res)
-		if res.Inserted > 0 || res.Deleted > 0 {
-			touched = append(touched, d.relation)
-		}
 	}
-	// Scope the purge to the relations this ingest actually changed:
-	// cached citations over untouched relations stay warm (a no-op batch
-	// evicts nothing), exactly as /commit does for its touched set.
-	// Version-pinned entries target immutable snapshots and survive.
-	s.cache.purgeTouched(touched)
 	resp.Epoch = s.sys.Version()
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -863,6 +863,29 @@ func (db *Database) Snapshot() *Database {
 	return out
 }
 
+// Origin returns the origin of content read from the named relations of
+// the frozen snapshot db: 1 + the newest creation stamp (Relation.Stamp)
+// among them, and 1 when none is named, since such content is the same
+// in every snapshot. Unknown names are skipped.
+//
+// Within one source's history the newest stamp identifies the whole
+// tuple of relations: one that changed after the relation carrying that
+// stamp was frozen would carry a newer stamp itself. So two snapshots
+// give rels one origin exactly when they share every named relation's
+// frozen object, and a later snapshot never gives a smaller origin than
+// an earlier one. Caches key what they compute from a snapshot by its
+// origin: the entry is valid for every snapshot that gives its reads the
+// same origin.
+func (db *Database) Origin(rels []string) uint64 {
+	var newest uint64
+	for _, name := range rels {
+		if r := db.relations[name]; r != nil {
+			newest = max(newest, r.stamp)
+		}
+	}
+	return newest + 1
+}
+
 // BuildIndexes constructs hash indexes on every column of every relation.
 // The evaluator works without indexes; building them turns joins into
 // index-nested-loop joins.

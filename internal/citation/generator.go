@@ -4,10 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"iter"
+	"math"
 	"runtime"
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/citeexpr"
 	"repro/internal/cq"
@@ -15,6 +18,7 @@ import (
 	"repro/internal/format"
 	"repro/internal/policy"
 	"repro/internal/rewrite"
+	"repro/internal/semiring"
 	"repro/internal/storage"
 	"repro/internal/trace"
 	"repro/internal/value"
@@ -62,15 +66,15 @@ type Generator struct {
 	Parallelism int
 
 	// The three caches memoize the pipeline's steps under (origin,
-	// name/signature) keys (genKey): views holds materialized view
-	// instances (deps: Registry.QueryDeps), atoms resolved citation
+	// name/signature) keys (genKey): views holds view instances
+	// (viewInstance; deps: Registry.QueryDeps), atoms resolved citation
 	// records (deps: Registry.CitationDeps), and branches the annotated
 	// evaluation of one rewriting (deps: Registry.BodyDeps). Every cite
 	// reads a frozen snapshot, and an entry is keyed by the origin of the
 	// content its deps read there, so it never goes stale and serves every
 	// snapshot — the head's or a committed version's — that shares that
 	// content (DESIGN.md §3, §7).
-	views    *depCache[*storage.Relation]
+	views    *depCache[viewInstance]
 	atoms    *depCache[format.Record]
 	branches *depCache[*branch]
 
@@ -136,7 +140,7 @@ func NewGenerator(reg *Registry, db *storage.Database) *Generator {
 	if db != nil && db.Frozen() {
 		g.head = db
 	}
-	g.views = newDepCache[*storage.Relation](g.keyLive)
+	g.views = newDepCache[viewInstance](g.keyLive)
 	g.atoms = newDepCache[format.Record](g.keyLive)
 	g.branches = newDepCache[*branch](g.keyLive)
 	return g
@@ -686,29 +690,97 @@ func (g *Generator) evalBranch(ctx context.Context, idx int, q *cq.Query, rw *re
 	bsp.Set("alt", idx)
 	bsp.Set("views", len(rw.ViewAtoms))
 	bsp.Set("base_atoms", len(rw.BaseAtoms))
-	inst, err := g.instanceFor(bctx, rw, db)
+	inst, unordered, err := g.instanceFor(bctx, rw, db)
 	if err != nil {
 		bsp.Set("outcome", "materialize-error")
 		return nil, err
 	}
-	_, psp := trace.StartSpan(bctx, "plan")
-	plan, err := eval.Compile(inst, q)
-	psp.End()
+	run := func(sr semiring.Semiring[citeexpr.Expr]) ([]eval.Annotated[citeexpr.Expr], error) {
+		_, psp := trace.StartSpan(bctx, "plan")
+		plan, err := eval.Compile(inst, q)
+		psp.End()
+		if err != nil {
+			bsp.Set("outcome", "compile-error")
+			return nil, err
+		}
+		annotated, err := eval.RunAnnotatedParallelCtx(bctx, plan, sr, annotator(params), innerWorkers)
+		if err != nil {
+			bsp.Set("outcome", "eval-error")
+		}
+		return annotated, err
+	}
+	if len(unordered) == 0 {
+		annotated, err := run(citeexpr.Semiring{})
+		if err != nil {
+			return nil, err
+		}
+		return newBranch(bsp, annotated), nil
+	}
+	// Some views are aliases whose rows do not ascend. The walk meets
+	// their rows in row order, not in answer order, but the result shows
+	// that order only where an answer has several derivations (the
+	// order of its + alternatives), or where answers tie under
+	// Tuple.Compare or hold a NaN (their order after sorting). If
+	// neither happened, the result is the one the views in answer order
+	// give; else evaluate again over those. The cost of an alias thus
+	// does not depend on its row order unless the result does.
+	var plus atomic.Int64
+	annotated, err := run(plusCounter{&plus})
 	if err != nil {
-		bsp.Set("outcome", "compile-error")
 		return nil, err
 	}
-	annotated, err := eval.RunAnnotatedParallelCtx[citeexpr.Expr](bctx, plan, citeexpr.Semiring{}, annotator(params), innerWorkers)
-	if err != nil {
-		bsp.Set("outcome", "eval-error")
-		return nil, err
+	if plus.Load() > 0 || !ascending(answerTuples(annotated)) {
+		bsp.Set("resorted", len(unordered))
+		for name, vi := range unordered {
+			rel, err := vi.sorted()
+			if err != nil {
+				bsp.Set("outcome", "materialize-error")
+				return nil, err
+			}
+			inst.views[name] = rel
+		}
+		if annotated, err = run(citeexpr.Semiring{}); err != nil {
+			return nil, err
+		}
 	}
+	return newBranch(bsp, annotated), nil
+}
+
+// newBranch indexes a branch's annotated answer and marks its span ok.
+func newBranch(bsp *trace.Span, annotated []eval.Annotated[citeexpr.Expr]) *branch {
 	bsp.Set("outcome", "ok")
 	b := &branch{annotated: annotated}
 	for _, a := range annotated {
 		b.ix.AddOwned(a.Tuple)
 	}
-	return b, nil
+	return b
+}
+
+// plusCounter is the citation semiring counting its Plus calls. The
+// annotated evaluation stores an answer's first derivation as is and
+// adds each further one with Plus, so no call means that every answer
+// has exactly one derivation.
+type plusCounter struct{ n *atomic.Int64 }
+
+func (plusCounter) Zero() citeexpr.Expr                    { return citeexpr.Semiring{}.Zero() }
+func (plusCounter) One() citeexpr.Expr                     { return citeexpr.Semiring{}.One() }
+func (plusCounter) Times(a, b citeexpr.Expr) citeexpr.Expr { return citeexpr.Semiring{}.Times(a, b) }
+func (plusCounter) Equal(a, b citeexpr.Expr) bool          { return citeexpr.Semiring{}.Equal(a, b) }
+func (plusCounter) IsZero(a citeexpr.Expr) bool            { return citeexpr.Semiring{}.IsZero(a) }
+func (c plusCounter) Plus(a, b citeexpr.Expr) citeexpr.Expr {
+	c.n.Add(1)
+	return citeexpr.Semiring{}.Plus(a, b)
+}
+
+// answerTuples yields the tuples of an annotated answer in order.
+func answerTuples(annotated []eval.Annotated[citeexpr.Expr]) iter.Seq[storage.Tuple] {
+	return func(yield func(storage.Tuple) bool) {
+		for _, a := range annotated {
+			if !yield(a.Tuple) {
+				return
+			}
+		}
+	}
 }
 
 // CiteTuple returns the citation of a single answer tuple of q, or an
@@ -726,21 +798,28 @@ func (g *Generator) CiteTuple(q *cq.Query, t storage.Tuple) (*TupleCitation, err
 	return nil, fmt.Errorf("citation: tuple %s is not in the answer of %s", t, q.Name)
 }
 
-// instanceFor materializes (with caching) the view instances a
-// rewriting references and combines them with db for residual atoms.
-func (g *Generator) instanceFor(ctx context.Context, rw *rewrite.Rewriting, db *storage.Database) (eval.Instance, error) {
+// instanceFor fetches (with caching) the view instances a rewriting
+// references and combines them with db for residual atoms. unordered
+// holds those of them that list their view's answer out of order.
+func (g *Generator) instanceFor(ctx context.Context, rw *rewrite.Rewriting, db *storage.Database) (inst layeredInstance, unordered map[string]viewInstance, err error) {
 	rels := make(eval.Relations)
 	for _, va := range rw.ViewAtoms {
 		if _, done := rels[va.ViewName]; done {
 			continue
 		}
-		mat, err := g.materializeAt(ctx, db, va.ViewName)
+		vi, err := g.materializeAt(ctx, db, va.ViewName)
 		if err != nil {
-			return nil, err
+			return layeredInstance{}, nil, err
 		}
-		rels[va.ViewName] = mat
+		rels[va.ViewName] = vi.rel
+		if vi.sorted != nil {
+			if unordered == nil {
+				unordered = make(map[string]viewInstance)
+			}
+			unordered[va.ViewName] = vi
+		}
 	}
-	return layeredInstance{views: rels, base: db}, nil
+	return layeredInstance{views: rels, base: db}, unordered, nil
 }
 
 // layeredInstance resolves view predicates from materialized instances and
@@ -852,30 +931,117 @@ func mapsTo(vers []liveVersion, key genKey, deps []string) bool {
 	return slices.ContainsFunc(vers, func(u liveVersion) bool { return u.db.Origin(deps) == key.origin })
 }
 
-// materializeAt evaluates the named view over the snapshot db with
-// singleflight caching: under concurrent demand exactly one goroutine
-// performs the evaluation, the rest block until the instance is ready.
+// viewInstance is a view-cache entry. rel is the relation plans read for
+// the view: a materialized copy, which lists the view's answer in
+// ascending Tuple.Compare order as Materialize loads it, or an identity
+// view's frozen base relation (identityInstance). An alias whose rows do
+// not ascend lists the answer in row order instead, and sorted then
+// materializes the view in answer order, once, on first call.
+type viewInstance struct {
+	rel    *storage.Relation
+	sorted func() (*storage.Relation, error)
+}
+
+// materializeAt returns the named view's instance over the snapshot db
+// with singleflight caching: under concurrent demand exactly one
+// goroutine fills the entry, the rest block until the instance is ready.
 // Materialization always runs to completion — it is shared work, so no
 // caller's context may cancel it for the others. A failed materialization
 // is not cached, so transient errors are retried on next demand.
 //
+// The fill of an identity view serves its frozen base relation instead
+// of a copy (the span says alias: true); any other view is materialized.
+//
 // The span covers the singleflight wait as well as the evaluation: a
 // "hit" with a long duration means this request blocked on another
 // goroutine's in-flight materialization of the same view.
-func (g *Generator) materializeAt(ctx context.Context, db *storage.Database, viewName string) (*storage.Relation, error) {
+func (g *Generator) materializeAt(ctx context.Context, db *storage.Database, viewName string) (viewInstance, error) {
 	_, sp := trace.StartSpan(ctx, "views")
 	defer sp.End()
 	sp.Set("view", viewName)
 	deps := g.reg.QueryDeps(viewName)
-	rel, hit, err := g.views.get(genKey{db.Origin(deps), viewName}, deps,
-		func() (*storage.Relation, error) { return g.reg.Materialize(db, viewName) })
+	vi, hit, err := g.views.get(genKey{db.Origin(deps), viewName}, deps,
+		func() (viewInstance, error) {
+			if vi, ok := g.identityInstance(db, viewName); ok {
+				sp.Set("alias", true)
+				return vi, nil
+			}
+			rel, err := g.reg.Materialize(db, viewName)
+			return viewInstance{rel: rel}, err
+		})
 	if hit {
 		sp.Set("cache", "hit")
 	} else {
 		sp.Set("cache", "miss")
 	}
-	return rel, err
+	return vi, err
 }
+
+// identityInstance serves the named view over db as its frozen base
+// relation, or reports false when the view must be materialized: it is
+// not an identity view (identityBase), or db's relation is not frozen. The
+// relation holds exactly the view's answer, and plans look relations up
+// by atom predicate, so its schema's name does not matter. When its rows
+// ascend they are in answer order too, and plans over it enumerate the
+// bindings a copy gives in the same order. When they do not, sorted
+// materializes the copy for the evaluations whose result would show the
+// difference (evalBranch).
+func (g *Generator) identityInstance(db *storage.Database, viewName string) (viewInstance, bool) {
+	v := g.reg.View(viewName)
+	if v == nil {
+		return viewInstance{}, false
+	}
+	base, ok := identityBase(v.Query)
+	if !ok {
+		return viewInstance{}, false
+	}
+	rel := db.Relation(base)
+	if rel == nil || !rel.Frozen() {
+		return viewInstance{}, false
+	}
+	vi := viewInstance{rel: rel}
+	if !ascending(rel.Scan) {
+		vi.sorted = sync.OnceValues(func() (*storage.Relation, error) { return g.reg.Materialize(db, viewName) })
+	}
+	return vi, true
+}
+
+// identityBase reports whether q is an identity view — one body atom
+// whose terms are distinct variables, listed by the head in the same
+// order — and names its base relation. Such a view's answer is exactly
+// the base relation's tuples. λ-parameters do not matter.
+func identityBase(q *cq.Query) (string, bool) {
+	if len(q.Body) != 1 || len(q.Head) != len(q.Body[0].Terms) {
+		return "", false
+	}
+	terms := q.Body[0].Terms
+	for i, t := range terms {
+		if !t.IsVar || !q.Head[i].IsVar || q.Head[i].Name != t.Name ||
+			slices.ContainsFunc(terms[:i], func(u cq.Term) bool { return u.Name == t.Name }) {
+			return "", false
+		}
+	}
+	return q.Body[0].Predicate, true
+}
+
+// ascending reports whether rows strictly ascend under
+// storage.Tuple.Compare and hold no NaN: then sorting them, in any
+// order, gives this sequence and only it. A NaN compares equal to every
+// float, which makes Compare intransitive: rows can ascend pairwise yet
+// sort differently. Two rows that compare equal (0 and -0) keep an order
+// that depends on the sort's input.
+func ascending(rows iter.Seq[storage.Tuple]) bool {
+	var prev storage.Tuple
+	for t := range rows {
+		if prev != nil && prev.Compare(t) >= 0 || slices.ContainsFunc(t, isNaN) {
+			return false
+		}
+		prev = t
+	}
+	return true
+}
+
+func isNaN(v value.Value) bool { return v.Kind() == value.KindFloat && math.IsNaN(v.FloatVal()) }
 
 // paramPositions maps every view the rewritings use to its parameter
 // positions in the view head.

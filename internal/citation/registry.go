@@ -131,9 +131,13 @@ func (r *Registry) Views() []*View {
 }
 
 // Materialize evaluates the named view over db into a new relation of the
-// view's head schema. It is the one materialization routine: the
-// generator's view cache fills through it, and so does any caller that
-// keeps instances of its own.
+// view's head schema, loaded in ascending Tuple.Compare order. It always
+// returns a fresh, mutable relation, so a caller that keeps instances of
+// its own (evolution.Maintainer) may write to them. The generator's view
+// cache fills through it too, except where an identity view is served as
+// its frozen base relation itself (Generator.materializeAt); such an
+// alias whose rows do not ascend calls it only for a branch whose result
+// shows the order (Generator.evalBranch).
 func (r *Registry) Materialize(db *storage.Database, name string) (*storage.Relation, error) {
 	v := r.View(name)
 	if v == nil {

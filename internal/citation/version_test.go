@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/cq"
 	"repro/internal/gtopdb"
+	"repro/internal/schema"
 	"repro/internal/storage"
 	"repro/internal/trace"
 	"repro/internal/value"
@@ -169,15 +170,36 @@ func TestVersionedCiteNeedsFrozenSnapshot(t *testing.T) {
 // benchmark's history traffic across 32 committed versions of a
 // 500-family GtoPdb instance that differ only in Family, one sweep per
 // iteration over one long-lived generator. The sweep touches 32 versions,
-// more than maxVersionGenerations, so views over Family re-materialize on
-// every sweep while those over Target and FamilyIntro are shared by
-// every version.
+// more than maxVersionGenerations, so views over Family refill on every
+// sweep while those over Target and FamilyIntro are shared by every
+// version. Under identity the views are the serving benchmark's
+// own, identity views each served as its ascending base relation; under
+// copy each view's first two head columns are swapped, so every fill
+// materializes a copy.
 func BenchmarkVersionSweep(b *testing.B) {
+	b.Run("identity", func(b *testing.B) { benchmarkVersionSweep(b, servingRegistry) })
+	b.Run("copy", func(b *testing.B) { benchmarkVersionSweep(b, swappedServingRegistry) })
+}
+
+// swappedServingRegistry is servingRegistry with the first two head
+// columns of every view swapped: the same views as a rewriting target,
+// none of them an identity view.
+func swappedServingRegistry(s *schema.Schema) *Registry {
+	reg := NewRegistry(s)
+	for _, v := range servingRegistry(s).Views() {
+		q := v.Query.Clone()
+		q.Head[0], q.Head[1] = q.Head[1], q.Head[0]
+		reg.MustAdd(&View{Query: q, Citations: v.Citations, Fn: v.Fn, Static: v.Static})
+	}
+	return reg
+}
+
+func benchmarkVersionSweep(b *testing.B, registry func(*schema.Schema) *Registry) {
 	const versions, families = 32, 500
 	cfg := gtopdb.DefaultConfig()
 	cfg.Families = families
 	db := gtopdb.Generate(cfg)
-	reg := servingRegistry(db.Schema())
+	reg := registry(db.Schema())
 	snaps := make([]*storage.Database, 0, versions)
 	for v := 1; v <= versions; v++ {
 		if v > 1 {

@@ -101,16 +101,14 @@ func personName(rng *rand.Rand) string {
 	return firstNames[rng.Intn(len(firstNames))] + " " + lastNames[rng.Intn(len(lastNames))]
 }
 
-// Generate produces a database instance per the config, with indexes built
-// on every column.
+// Generate produces a database instance per the config. Each relation's
+// tuples are collected first and loaded in one batch that adopts them, in
+// generation order.
 func Generate(cfg Config) *storage.Database {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	db := storage.NewDatabase(Schema())
-	family := db.Relation("Family")
-	committee := db.Relation("Committee")
-	intro := db.Relation("FamilyIntro")
-	target := db.Relation("Target")
-	contributor := db.Relation("Contributor")
+	families := make([]storage.Tuple, 0, cfg.Families)
+	intros := make([]storage.Tuple, 0, cfg.Families)
+	var committees, targets, contributors []storage.Tuple
 
 	tid := 0
 	for fid := 1; fid <= cfg.Families; fid++ {
@@ -121,10 +119,10 @@ func Generate(cfg Config) *storage.Database {
 		} else {
 			name = fmt.Sprintf("%s receptors %d", familyStems[rng.Intn(len(familyStems))], fid)
 		}
-		family.MustInsert(value.Int(int64(fid)), value.String(name),
-			value.String(fmt.Sprintf("Family %d: %s signalling components", fid, name)))
-		intro.MustInsert(value.Int(int64(fid)),
-			value.String(fmt.Sprintf("Introduction to family %d, curated overview.", fid)))
+		families = append(families, storage.Tuple{value.Int(int64(fid)), value.String(name),
+			value.String(fmt.Sprintf("Family %d: %s signalling components", fid, name))})
+		intros = append(intros, storage.Tuple{value.Int(int64(fid)),
+			value.String(fmt.Sprintf("Introduction to family %d, curated overview.", fid))})
 		members := 1 + rng.Intn(2*cfg.MembersPerFamily)
 		seen := map[string]bool{}
 		for m := 0; m < members; m++ {
@@ -133,24 +131,39 @@ func Generate(cfg Config) *storage.Database {
 				continue
 			}
 			seen[p] = true
-			committee.MustInsert(value.Int(int64(fid)), value.String(p))
+			committees = append(committees, storage.Tuple{value.Int(int64(fid)), value.String(p)})
 		}
-		targets := 1 + rng.Intn(2*cfg.TargetsPerFamily)
-		for k := 0; k < targets; k++ {
+		nt := 1 + rng.Intn(2*cfg.TargetsPerFamily)
+		for k := 0; k < nt; k++ {
 			tid++
-			target.MustInsert(value.Int(int64(tid)), value.Int(int64(fid)),
+			targets = append(targets, storage.Tuple{value.Int(int64(tid)), value.Int(int64(fid)),
 				value.String(fmt.Sprintf("%s target %d", name, k+1)),
-				value.String(targetTypes[rng.Intn(len(targetTypes))]))
-			contributors := 1 + rng.Intn(3)
+				value.String(targetTypes[rng.Intn(len(targetTypes))])})
+			ncs := 1 + rng.Intn(3)
 			cs := map[string]bool{}
-			for c := 0; c < contributors; c++ {
+			for c := 0; c < ncs; c++ {
 				p := personName(rng)
 				if cs[p] {
 					continue
 				}
 				cs[p] = true
-				contributor.MustInsert(value.Int(int64(tid)), value.String(p))
+				contributors = append(contributors, storage.Tuple{value.Int(int64(tid)), value.String(p)})
 			}
+		}
+	}
+	db := storage.NewDatabase(Schema())
+	for _, load := range []struct {
+		rel    string
+		tuples []storage.Tuple
+	}{
+		{"Family", families},
+		{"Committee", committees},
+		{"FamilyIntro", intros},
+		{"Target", targets},
+		{"Contributor", contributors},
+	} {
+		if _, err := db.Relation(load.rel).InsertOwned(load.tuples); err != nil {
+			panic(err)
 		}
 	}
 	return db

@@ -285,13 +285,13 @@ func BenchmarkE10ConcurrentCite(b *testing.B) {
 // BenchmarkE11PlanReuse contrasts compile-per-call annotated evaluation
 // with a warm compiled plan on the gtopdb two-way join — the per-query
 // planning overhead a cold Cite pays once per branch-cache miss (a warm
-// Cite skips planning and evaluation alike). cmd/citebench reports the same comparison with an
+// Cite skips planning and evaluation alike), over a frozen snapshot as a
+// cite reads it. cmd/citebench reports the same comparison with an
 // allocs/op column (citebench -only E11).
 func BenchmarkE11PlanReuse(b *testing.B) {
 	cfg := gtopdb.DefaultConfig()
 	cfg.Families = 1000
-	db := gtopdb.Generate(cfg)
-	db.BuildIndexes()
+	db := gtopdb.Generate(cfg).Snapshot()
 	q := cq.MustParse("Q(FName, Text) :- Family(FID, FName, Desc), FamilyIntro(FID, Text)")
 	sr := semiring.Natural{}
 	count := func(string, storage.Tuple) int { return 1 }
@@ -315,11 +315,11 @@ func BenchmarkE11PlanReuse(b *testing.B) {
 }
 
 // BenchmarkE8AnnotationOverhead compares plain evaluation with annotated
-// evaluation across semirings on a two-way join.
+// evaluation across semirings on a two-way join over a frozen snapshot.
 func BenchmarkE8AnnotationOverhead(b *testing.B) {
 	cfg := gtopdb.DefaultConfig()
 	cfg.Families = 500
-	db := gtopdb.Generate(cfg)
+	db := gtopdb.Generate(cfg).Snapshot()
 	q := cq.MustParse("Q(FName, PName) :- Family(FID, FName, Desc), Committee(FID, PName)")
 	b.Run("plain", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

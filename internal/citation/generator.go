@@ -931,12 +931,12 @@ func mapsTo(vers []liveVersion, key genKey, deps []string) bool {
 	return slices.ContainsFunc(vers, func(u liveVersion) bool { return u.db.Origin(deps) == key.origin })
 }
 
-// viewInstance is a view-cache entry. rel is the relation plans read for
-// the view: a materialized copy, which lists the view's answer in
-// ascending Tuple.Compare order as Materialize loads it, or an identity
-// view's frozen base relation (identityInstance). An alias whose rows do
-// not ascend lists the answer in row order instead, and sorted then
-// materializes the view in answer order, once, on first call.
+// viewInstance is a view-cache entry. rel is the frozen relation plans
+// read for the view: a materialized copy (frozenCopy), which lists the
+// view's answer in ascending Tuple.Compare order as Materialize loads it,
+// or an identity view's base relation (identityInstance). An alias whose
+// rows do not ascend lists the answer in row order instead, and sorted
+// then materializes the view in answer order, once, on first call.
 type viewInstance struct {
 	rel    *storage.Relation
 	sorted func() (*storage.Relation, error)
@@ -950,7 +950,8 @@ type viewInstance struct {
 // is not cached, so transient errors are retried on next demand.
 //
 // The fill of an identity view serves its frozen base relation instead
-// of a copy (the span says alias: true); any other view is materialized.
+// of a copy (the span says alias: true); any other view is materialized
+// into a frozen copy.
 //
 // The span covers the singleflight wait as well as the evaluation: a
 // "hit" with a long duration means this request blocked on another
@@ -966,7 +967,7 @@ func (g *Generator) materializeAt(ctx context.Context, db *storage.Database, vie
 				sp.Set("alias", true)
 				return vi, nil
 			}
-			rel, err := g.reg.Materialize(db, viewName)
+			rel, err := g.frozenCopy(db, viewName)
 			return viewInstance{rel: rel}, err
 		})
 	if hit {
@@ -975,6 +976,17 @@ func (g *Generator) materializeAt(ctx context.Context, db *storage.Database, vie
 		sp.Set("cache", "miss")
 	}
 	return vi, err
+}
+
+// frozenCopy materializes the named view over db and freezes the copy,
+// in O(1): nobody writes a cached instance, so plans read it through its
+// columnar block.
+func (g *Generator) frozenCopy(db *storage.Database, viewName string) (*storage.Relation, error) {
+	rel, err := g.reg.Materialize(db, viewName)
+	if err != nil {
+		return nil, err
+	}
+	return rel.Snapshot(), nil
 }
 
 // identityInstance serves the named view over db as its frozen base
@@ -1001,7 +1013,7 @@ func (g *Generator) identityInstance(db *storage.Database, viewName string) (vie
 	}
 	vi := viewInstance{rel: rel}
 	if !ascending(rel.Scan) {
-		vi.sorted = sync.OnceValues(func() (*storage.Relation, error) { return g.reg.Materialize(db, viewName) })
+		vi.sorted = sync.OnceValues(func() (*storage.Relation, error) { return g.frozenCopy(db, viewName) })
 	}
 	return vi, true
 }

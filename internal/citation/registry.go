@@ -134,10 +134,11 @@ func (r *Registry) Views() []*View {
 // view's head schema, loaded in ascending Tuple.Compare order. It always
 // returns a fresh, mutable relation, so a caller that keeps instances of
 // its own (evolution.Maintainer) may write to them. The generator's view
-// cache fills through it too, except where an identity view is served as
-// its frozen base relation itself (Generator.materializeAt); such an
-// alias whose rows do not ascend calls it only for a branch whose result
-// shows the order (Generator.evalBranch).
+// cache fills through it too and freezes what it returns
+// (Generator.frozenCopy), except where an identity view is served as its
+// frozen base relation itself (Generator.materializeAt); such an alias
+// whose rows do not ascend calls it only for a branch whose result shows
+// the order (Generator.evalBranch).
 func (r *Registry) Materialize(db *storage.Database, name string) (*storage.Relation, error) {
 	v := r.View(name)
 	if v == nil {
@@ -151,10 +152,9 @@ func (r *Registry) Materialize(db *storage.Database, name string) (*storage.Rela
 	if err := eval.Materialize(db, v.Query, inst); err != nil {
 		return nil, err
 	}
-	// No eager per-column index build: the plans compiled over the view
-	// EnsureIndex exactly the probe columns they select, and a read-hot
-	// view earns a columnar block (storage.ColumnarBlock) that serves
-	// probes and scans without indexes at all.
+	// No eager per-column index build: plans compiled over the mutable
+	// instance EnsureIndex exactly the probe columns they select, and a
+	// frozen one reads its columnar block (storage.ColumnarBlock).
 	return inst, nil
 }
 

@@ -194,6 +194,45 @@ func swappedServingRegistry(s *schema.Schema) *Registry {
 	return reg
 }
 
+// TestViewCopyIsFrozen: the view cache freezes every copy it fills, so
+// plans read a copy through its columnar block and build no row index on
+// it, and a second cite that probes the same column encodes nothing.
+func TestViewCopyIsFrozen(t *testing.T) {
+	cfg := gtopdb.DefaultConfig()
+	cfg.Families = 200
+	snap := gtopdb.Generate(cfg).Snapshot()
+	g := NewGenerator(swappedServingRegistry(snap.Schema()), snap)
+	encoded := func(fid int) uint64 {
+		t.Helper()
+		u := storage.ColumnarUsage()
+		before := u.DictBytes + u.CodeBytes
+		q := cq.MustParse(fmt.Sprintf("Q(FName, Desc) :- Family(%d, FName, Desc)", fid))
+		if _, err := g.CiteContext(context.Background(), q, Request{}); err != nil {
+			t.Fatal(err)
+		}
+		u = storage.ColumnarUsage()
+		return u.DictBytes + u.CodeBytes - before
+	}
+	encoded(7)
+	if n := encoded(9); n != 0 {
+		t.Errorf("a second cite over the cached copy encoded %d bytes, want 0", n)
+	}
+	for _, name := range []string{"FamilyView", "FamilyAll"} {
+		vi, err := g.materializeAt(context.Background(), snap, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !vi.rel.Frozen() {
+			t.Errorf("%s: the cached copy is mutable", name)
+		}
+		for col := range vi.rel.Schema().Arity() {
+			if vi.rel.HasIndex(col) {
+				t.Errorf("%s: the cached copy holds a row index on column %d", name, col)
+			}
+		}
+	}
+}
+
 func benchmarkVersionSweep(b *testing.B, registry func(*schema.Schema) *Registry) {
 	const versions, families = 32, 500
 	cfg := gtopdb.DefaultConfig()

@@ -96,8 +96,9 @@ func NewSystemFromDatabase(db *storage.Database) *System {
 		}
 	}
 	// No eager index build: the planner calls EnsureIndex for exactly the
-	// probe columns its compiled plans select (and columnarizes read-hot
-	// relations), so startup never pays for columns no query probes.
+	// probe columns its compiled plans select over the mutable head, and
+	// cites read snapshots, which build columnar blocks on first read, so
+	// startup never pays for columns no query probes.
 	return sys
 }
 

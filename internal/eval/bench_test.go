@@ -12,9 +12,10 @@ import (
 )
 
 // BenchmarkMaterialize is a versioned cite's per-view path: materialize a
-// 2,000-row single-atom view over a frozen gtopdb snapshot, then compile
-// a constant probe over the fresh view relation, which reads the view's
-// distinct counts and builds the probe column's index.
+// 2,000-row single-atom view over a frozen gtopdb snapshot, freeze it as
+// the view cache does, then compile a constant probe over the frozen
+// view, which builds the view's block and encodes the probe column to
+// read its distinct count.
 func BenchmarkMaterialize(b *testing.B) {
 	cfg := gtopdb.DefaultConfig()
 	cfg.Families = 2000
@@ -25,7 +26,7 @@ func BenchmarkMaterialize(b *testing.B) {
 	// A frozen relation builds its columnar block on first use and keeps
 	// it; build it here so even a one-iteration run measures the steady
 	// per-cite path.
-	snap.Relation("Family").EnsureColumnar()
+	snap.Relation("Family").ColumnarBlock()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -36,56 +37,52 @@ func BenchmarkMaterialize(b *testing.B) {
 		if rel.Len() != cfg.Families {
 			b.Fatalf("view holds %d rows, want %d", rel.Len(), cfg.Families)
 		}
-		if _, err := Compile(Relations{"FamilyView": rel}, probe); err != nil {
+		if _, err := Compile(Relations{"FamilyView": rel.Snapshot()}, probe); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkWalk is one warm plan walk on the E8 join over 2,000 families,
-// one plan read through indexed row steps and through columnar blocks.
-// count is the allocation-free consumer under a context that can never be
-// canceled; annotated sums a count annotation per output tuple under a
-// cancelable context, so its walk also polls. The database is mutable
-// because a frozen snapshot keeps no row indexes: its row path would scan.
+// BenchmarkWalk is one warm plan walk on the E8 join over 2,000 families:
+// row reads the mutable database through its indexed row steps, and
+// columnar reads its snapshot through columnar blocks (a frozen relation
+// has no row index, so its row path would scan). count is the
+// allocation-free consumer under a context that can never be canceled;
+// annotated sums a count annotation per output tuple under a cancelable
+// context, so its walk also polls.
 func BenchmarkWalk(b *testing.B) {
 	cfg := gtopdb.DefaultConfig()
 	cfg.Families = 2000
 	db := gtopdb.Generate(cfg)
-	for _, name := range db.Schema().Names() {
-		db.Relation(name).EnsureColumnar()
-	}
 	q := cq.MustParse("Q(FName, PName) :- Family(FID, FName, Desc), Committee(FID, PName)")
-	p, err := Compile(db, q)
-	if err != nil {
-		b.Fatal(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	one := func(string, storage.Tuple) int { return 1 }
 	for _, path := range []struct {
-		name     string
-		columnar bool
-	}{{"row", false}, {"columnar", true}} {
+		name string
+		inst *storage.Database
+	}{{"row", db}, {"columnar", db.Snapshot()}} {
 		b.Run(path.name, func(b *testing.B) {
-			withColumnar(path.columnar, func() {
-				want := p.CountBindings() // warm the pooled run state
-				b.Run("count", func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						if n := p.CountBindings(); n != want {
-							b.Fatalf("count = %d, want %d", n, want)
-						}
+			p, err := Compile(path.inst, q)
+			if err != nil {
+				b.Fatal(err)
+			}
+			want := p.CountBindings() // warm the pooled run state
+			b.Run("count", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if n := p.CountBindings(); n != want {
+						b.Fatalf("count = %d, want %d", n, want)
 					}
-				})
-				b.Run("annotated", func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						if _, err := RunAnnotatedParallelCtx(ctx, p, semiring.Natural{}, one, 1); err != nil {
-							b.Fatal(err)
-						}
+				}
+			})
+			b.Run("annotated", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := RunAnnotatedParallelCtx(ctx, p, semiring.Natural{}, one, 1); err != nil {
+						b.Fatal(err)
 					}
-				})
+				}
 			})
 		})
 	}

@@ -109,8 +109,9 @@ func TestRunCancellation(t *testing.T) {
 // by a join that rejects every combination: the walk produces zero
 // satisfying assignments, so polls paced on bindings would never fire —
 // the walk paces on candidate tuples examined instead. The walk runs
-// once through row steps and once through columnar steps, so each step
-// kind's poll is the only thing that can stop its run.
+// once through row steps, over the mutable database, and once through
+// columnar steps, over its snapshot, so each step kind's poll is the only
+// thing that can stop its run.
 func TestCancellationWithoutBindings(t *testing.T) {
 	s := schema.New()
 	rs, err := schema.NewRelation("P", []schema.Attribute{
@@ -130,43 +131,42 @@ func TestCancellationWithoutBindings(t *testing.T) {
 		}
 	}
 	db.BuildIndexes()
+	snap := db.Snapshot()
+	columnarize(t, snap)
 	q := cq.MustParse("Q(X, Y, Z) :- P(X, Y), P(Y, Z), P(Z, X)")
-	p, err := Compile(db, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Sanity: the join really is empty.
-	if out := p.Eval(); len(out) != 0 {
-		t.Fatalf("cycle query returned %d tuples over a chain", len(out))
-	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, columnar := range []bool{false, true} {
-		if columnar {
-			columnarize(t, db)
+	for _, tc := range []struct {
+		columnar bool
+		inst     Instance
+	}{{false, db}, {true, snap}} {
+		p, err := Compile(tc.inst, q)
+		if err != nil {
+			t.Fatal(err)
 		}
-		withColumnar(columnar, func() {
-			st := p.getState()
-			defer p.putState(st)
-			calls := 0
-			if p.walk(ctx, st, nil, func(*runState) bool { calls++; return true }) {
-				t.Errorf("columnar=%v: walk completed under a canceled context", columnar)
-			}
-			if calls != 0 {
-				t.Errorf("columnar=%v: join with no satisfying assignments invoked fn %d times", columnar, calls)
-			}
-			want := 0
-			if columnar {
-				want = len(p.steps)
-			}
-			if st.columnarSteps != want {
-				t.Errorf("columnar=%v: %d steps read a columnar block, want %d", columnar, st.columnarSteps, want)
-			}
-		})
-	}
-	if _, err := p.EvalContext(ctx); !errors.Is(err, context.Canceled) {
-		t.Errorf("EvalContext err = %v, want context.Canceled", err)
+		// Sanity: the join really is empty.
+		if out := p.Eval(); len(out) != 0 {
+			t.Fatalf("columnar=%v: cycle query returned %d tuples over a chain", tc.columnar, len(out))
+		}
+		st := p.getState()
+		calls := 0
+		if p.walk(ctx, st, nil, func(*runState) bool { calls++; return true }) {
+			t.Errorf("columnar=%v: walk completed under a canceled context", tc.columnar)
+		}
+		if calls != 0 {
+			t.Errorf("columnar=%v: join with no satisfying assignments invoked fn %d times", tc.columnar, calls)
+		}
+		want := 0
+		if tc.columnar {
+			want = len(p.steps)
+		}
+		if st.columnarSteps != want {
+			t.Errorf("columnar=%v: %d steps read a columnar block, want %d", tc.columnar, st.columnarSteps, want)
+		}
+		p.putState(st)
+		if _, err := p.EvalContext(ctx); !errors.Is(err, context.Canceled) {
+			t.Errorf("columnar=%v: EvalContext err = %v, want context.Canceled", tc.columnar, err)
+		}
 	}
 }

@@ -145,7 +145,7 @@ type runState struct {
 // reported here, once, instead of on every evaluation. The planner asks
 // relations for the statistics it needs (Len, DistinctCount — both cached
 // by package storage) and builds hash indexes on demand for the probe
-// columns it selects.
+// columns it selects on mutable relations.
 func Compile(inst Instance, q *cq.Query) (*Plan, error) {
 	p := &Plan{query: q}
 	if q.IsConstant() {
@@ -465,10 +465,12 @@ cand:
 // on the examine cadence: a canceled walk returns false, so callers whose
 // fn always returns true read false as "canceled".
 //
-// Steps whose relation carries a current columnar block take the
-// code-compare path (colStep); the rest — and step 0 when a leading chunk
-// of row tuples is injected — run the row path below, which is also the
-// oracle the randomized equivalence tests pin the columnar path against.
+// Steps over a frozen relation read its columnar block through the
+// code-compare path (colStep). Steps over a mutable relation, which has no
+// block, and step 0 when a leading chunk of row tuples is injected, run
+// the row path below through the relation's indexes. Over frozen
+// relations with columnarEnabled off, the row path is the oracle the
+// randomized equivalence tests pin the columnar path against.
 func (p *Plan) walk(ctx context.Context, st *runState, leading []storage.Tuple, fn func(*runState) bool) bool {
 	p.bindBlocks(st)
 	st.examined = 0

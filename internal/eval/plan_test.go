@@ -65,15 +65,14 @@ func TestPlanReuseObservesLiveData(t *testing.T) {
 
 // TestPlanRunIsAllocationFree pins the tentpole property: a warm plan
 // counts bindings without allocating per binding (the interpreter paid
-// maps, clones and Key() strings here).
+// maps, clones and Key() strings here). The plan reads a snapshot, as
+// every cite's plans do, so its steps walk columnar blocks.
 func TestPlanRunIsAllocationFree(t *testing.T) {
 	edges := make([][2]int64, 0, 200)
 	for i := int64(0); i < 200; i++ {
 		edges = append(edges, [2]int64{i % 20, (i + 1) % 20})
 	}
-	db := edgeDB(t, edges)
-	db.BuildIndexes()
-	p, err := Compile(db, cq.MustParse("Q(X, Z) :- E(X, Y), E(Y, Z)"))
+	p, err := Compile(edgeDB(t, edges).Snapshot(), cq.MustParse("Q(X, Z) :- E(X, Y), E(Y, Z)"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,7 +91,7 @@ type maintained struct {
 func NewMaintainer(sys *core.System) (*Maintainer, error) {
 	m := &Maintainer{sys: sys}
 	for _, v := range sys.Registry().Views() {
-		inst, err := sys.Registry().Materialize(sys.Database(), v.Name())
+		inst, err := m.materialize(v.Name())
 		if err != nil {
 			return nil, err
 		}
@@ -182,7 +182,7 @@ func (m *Maintainer) RecomputeAll(deltas []Delta) error {
 		}
 	}
 	for i, mv := range m.views {
-		inst, err := m.sys.Registry().Materialize(m.sys.Database(), mv.view.Name())
+		inst, err := m.materialize(mv.view.Name())
 		if err != nil {
 			return err
 		}
@@ -190,6 +190,18 @@ func (m *Maintainer) RecomputeAll(deltas []Delta) error {
 		m.Stats.FullRecomputeRows += inst.Len()
 	}
 	return nil
+}
+
+// materialize evaluates the named view in full over the snapshot a head
+// cite reads, so the evaluation reads frozen relations through their
+// columnar blocks. The delta rule reads the mutable head instead: it
+// writes between every read.
+func (m *Maintainer) materialize(name string) (*storage.Relation, error) {
+	head, _, _, _, err := m.sys.Snapshot(0)
+	if err != nil {
+		return nil, err
+	}
+	return m.sys.Registry().Materialize(head, name)
 }
 
 // write applies the delta to the head through the system's journaled API.

@@ -72,6 +72,46 @@ func materializedEqualsFresh(t *testing.T, sys *core.System, m *Maintainer, view
 	})
 }
 
+// TestMaintainerBuildsNoBlocks: the delta rule reads the mutable head,
+// which is read through its row indexes and never has a columnar block,
+// so maintaining E4's two views over Family builds no block however many
+// deltas land.
+func TestMaintainerBuildsNoBlocks(t *testing.T) {
+	cfg := gtopdb.DefaultConfig()
+	cfg.Families = 200
+	sys := core.NewSystemFromDatabase(gtopdb.Generate(cfg))
+	for _, v := range []struct {
+		view, cite string
+		fields     []string
+	}{
+		{"lambda FID. FamilyView(FID, FName, Desc) :- Family(FID, FName, Desc)",
+			"lambda FID. CFam(FID, PName) :- Committee(FID, PName)", []string{format.FieldIdentifier, format.FieldAuthor}},
+		{"FamilyAll(FID, FName, Desc) :- Family(FID, FName, Desc)",
+			"CAll(D) :- D = 'GtoPdb'", []string{format.FieldDatabase}},
+	} {
+		if err := sys.DefineView(v.view, nil, core.CitationSpec{Query: v.cite, Fields: v.fields}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, err := NewMaintainer(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const inserts = 50
+	before := storage.ColumnarUsage().BlocksBuilt
+	for i := 0; i < inserts; i++ {
+		if err := m.Apply(Insert("Family", familyTuple(int64(1000000+i), fmt.Sprintf("new %d", i)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := storage.ColumnarUsage().BlocksBuilt - before; n != 0 {
+		t.Errorf("%d maintained inserts built %d columnar blocks, want 0", inserts, n)
+	}
+	for _, v := range []string{"FamilyView", "FamilyAll"} {
+		materializedEqualsFresh(t, sys, m, v)
+	}
+}
+
 func TestInsertMaintainsView(t *testing.T) {
 	sys, m := testSystem(t, 20)
 	if err := m.Apply(Insert("Family", familyTuple(500, "New family"))); err != nil {

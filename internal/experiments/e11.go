@@ -25,7 +25,8 @@ var e11Sizes = []int{100, 1000, 5000}
 // planning share of a cold cite. Claim (ROADMAP north star + §1 "on-the-fly"
 // generation): the per-call cost of a hot query should be join work, not
 // planning work — warm plans must hold a constant allocation profile as
-// the database grows.
+// the database grows. Both evaluate a frozen snapshot, the content a cite
+// reads.
 func E11PlanReuse() (*Table, error) {
 	t := &Table{
 		ID:    "E11",
@@ -42,7 +43,7 @@ func E11PlanReuse() (*Table, error) {
 	for _, families := range e11Sizes {
 		cfg := gtopdb.DefaultConfig()
 		cfg.Families = families
-		db := gtopdb.Generate(cfg)
+		db := gtopdb.Generate(cfg).Snapshot()
 
 		plan, err := eval.Compile(db, q)
 		if err != nil {

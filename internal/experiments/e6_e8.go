@@ -148,7 +148,8 @@ func E7Coverage() (*Table, error) {
 // E8AnnotationOverhead compares plain set-semantics evaluation with
 // semiring-annotated evaluation across semirings. Claim (§2): citations
 // ride the provenance-semiring machinery; the overhead of carrying
-// annotations is the price of citation generation.
+// annotations is the price of citation generation. Both evaluate a frozen
+// snapshot, the content a cite reads.
 func E8AnnotationOverhead() (*Table, error) {
 	t := &Table{
 		ID:     "E8",
@@ -160,7 +161,7 @@ func E8AnnotationOverhead() (*Table, error) {
 	for _, families := range []int{500, 2000} {
 		cfg := gtopdb.DefaultConfig()
 		cfg.Families = families
-		db := gtopdb.Generate(cfg)
+		db := gtopdb.Generate(cfg).Snapshot()
 
 		plain, err := timeIt(func() error {
 			_, err := eval.Eval(db, q)

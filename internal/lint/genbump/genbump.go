@@ -2,7 +2,7 @@
 // contract: any method that mutates a relation's tuple state (the
 // rows table and the live-row count) must bump the statistics
 // generation via bumpStats. The counter is what head-snapshot reuse
-// (DESIGN.md §3), columnar-block validity (§10) and the durable layer's
+// (DESIGN.md §3), the distinct-count memo and the durable layer's
 // bypass detection (§8) all key on — a mutation that skips the bump
 // serves stale cached citations and can brick recovery. Content-preserving reorganizations (detach's lazy copy,
 // compaction) legitimately leave the counter alone and annotate with

@@ -223,10 +223,8 @@ func (m *serverMetrics) render(w *strings.Builder, s *Server) {
 	fmt.Fprintf(w, "citeserved_rewrite_memo_entries %d\n", rm.Entries)
 
 	cu := storage.ColumnarUsage()
-	counter("citeserved_columnar_blocks_total", "Dictionary-encoded columnar blocks built (mutable relations and frozen snapshots).")
+	counter("citeserved_columnar_blocks_total", "Dictionary-encoded columnar blocks built, one per frozen relation read.")
 	fmt.Fprintf(w, "citeserved_columnar_blocks_total %d\n", cu.BlocksBuilt)
-	counter("citeserved_columnar_snapshots_total", "Frozen snapshot relations columnarized (built on demand or inherited at commit).")
-	fmt.Fprintf(w, "citeserved_columnar_snapshots_total %d\n", cu.SnapshotsColumnarized)
 	counter("citeserved_columnar_dict_bytes_total", "Cumulative dictionary bytes built into columnar blocks.")
 	fmt.Fprintf(w, "citeserved_columnar_dict_bytes_total %d\n", cu.DictBytes)
 	counter("citeserved_columnar_code_bytes_total", "Cumulative code-vector and posting-list bytes built into columnar blocks.")

@@ -858,6 +858,8 @@ type ingestResponse struct {
 }
 
 // decodeTuple coerces one wire tuple onto the relation's attribute kinds.
+// A JSON null is refused for every kind: json.Unmarshal would leave the
+// kind's zero value in its place without an error.
 func decodeTuple(rs *schema.Relation, raw []json.RawMessage) (storage.Tuple, error) {
 	if len(raw) != rs.Arity() {
 		return nil, fmt.Errorf("tuple arity %d, relation %s has %d", len(raw), rs.Name, rs.Arity())
@@ -865,6 +867,9 @@ func decodeTuple(rs *schema.Relation, raw []json.RawMessage) (storage.Tuple, err
 	t := make(storage.Tuple, len(raw))
 	for i, rm := range raw {
 		attr := rs.Attributes[i]
+		if string(rm) == "null" {
+			return nil, fmt.Errorf("attribute %s: null is not a value of kind %s", attr.Name, attr.Kind)
+		}
 		switch attr.Kind {
 		case value.KindString:
 			var s string

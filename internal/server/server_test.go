@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -761,7 +762,7 @@ func TestSetPolicyInvalidatesVersionedCache(t *testing.T) {
 }
 
 func TestIngestEndpoint(t *testing.T) {
-	_, ts := paperServer(t, Options{})
+	srv, ts := paperServer(t, Options{})
 	client := ts.Client()
 
 	// A cite before the ingest, to prove the cache turns over.
@@ -816,24 +817,36 @@ func TestIngestEndpoint(t *testing.T) {
 	}
 
 	// Error taxonomy: unknown relation 422, malformed tuples 400, both
-	// shapes at once 400, empty 400 — and nothing is applied.
+	// shapes at once 400, empty 400 — and nothing is applied. A null
+	// attribute is malformed whatever its kind, and the reply names it.
+	version, sizes := srv.System().Version(), relationSizes(srv.System())
 	for _, tc := range []struct {
 		name string
 		body map[string]any
 		want int
+		msg  string // a substring of the error reply, when set
 	}{
-		{"unknown relation", map[string]any{"relation": "Nope", "insert": [][]any{{1}}}, http.StatusUnprocessableEntity},
-		{"bad arity", map[string]any{"relation": "Family", "insert": [][]any{{1, "x"}}}, http.StatusBadRequest},
-		{"bad kind", map[string]any{"relation": "Family", "insert": [][]any{{"str", "x", "y"}}}, http.StatusBadRequest},
+		{"unknown relation", map[string]any{"relation": "Nope", "insert": [][]any{{1}}}, http.StatusUnprocessableEntity, ""},
+		{"bad arity", map[string]any{"relation": "Family", "insert": [][]any{{1, "x"}}}, http.StatusBadRequest, ""},
+		{"bad kind", map[string]any{"relation": "Family", "insert": [][]any{{"str", "x", "y"}}}, http.StatusBadRequest, ""},
+		{"null int", map[string]any{"relation": "Family", "insert": [][]any{{nil, "x", "y"}}}, http.StatusBadRequest, "attribute FID: null"},
+		{"null strings", map[string]any{"relation": "Family", "insert": [][]any{{777, nil, nil}}}, http.StatusBadRequest, "attribute FName: null"},
+		{"null in a delete", map[string]any{"relation": "Family", "delete": [][]any{{11, nil, "x"}}}, http.StatusBadRequest, "attribute FName: null"},
 		{"both shapes", map[string]any{"relation": "Family", "insert": [][]any{{1, "a", "b"}},
-			"batches": []map[string]any{{"relation": "Family"}}}, http.StatusBadRequest},
-		{"empty", map[string]any{}, http.StatusBadRequest},
-		{"empty batch", map[string]any{"batches": []map[string]any{{"relation": "Family"}}}, http.StatusBadRequest},
+			"batches": []map[string]any{{"relation": "Family"}}}, http.StatusBadRequest, ""},
+		{"empty", map[string]any{}, http.StatusBadRequest, ""},
+		{"empty batch", map[string]any{"batches": []map[string]any{{"relation": "Family"}}}, http.StatusBadRequest, ""},
 	} {
 		resp, body := postJSON(t, client, ts.URL+"/ingest", tc.body)
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s: status %d, want %d (%s)", tc.name, resp.StatusCode, tc.want, body)
 		}
+		if !strings.Contains(string(body), tc.msg) {
+			t.Errorf("%s: reply %s does not say %q", tc.name, body, tc.msg)
+		}
+	}
+	if v, got := srv.System().Version(), relationSizes(srv.System()); v != version || !maps.Equal(got, sizes) {
+		t.Errorf("rejected ingests moved the version %d -> %d or relation sizes %v -> %v", version, v, sizes, got)
 	}
 }
 

@@ -27,6 +27,7 @@ func FuzzWriteHandlers(f *testing.F) {
 		`{"relation":"Nope","insert":[[1]]}`,
 		`{"relation":"Family","insert":[[1,"x"]]}`,
 		`{"relation":"Family","insert":[["str","x","y"]]}`,
+		`{"relation":"Family","insert":[[null,"x","y"]]}`,
 		`{"relation":"Family","insert":[[1,"a","b"]],"batches":[{"relation":"Family"}]}`,
 		`{}`,
 		`{"batches":[{"relation":"Family"}]}`,

@@ -132,8 +132,8 @@ func BenchmarkAppendLookup(b *testing.B) {
 
 // BenchmarkDistinctCount counts a column's distinct values over 2,000
 // unindexed rows with the memo cold, as the planner's first compile over
-// a fresh view does: the key column (2,000 values) and the tag column
-// (16 values).
+// a mutable relation after a write does: the key column (2,000 values)
+// and the tag column (16 values).
 func BenchmarkDistinctCount(b *testing.B) {
 	r := benchRelation(2000)
 	for _, c := range []struct {

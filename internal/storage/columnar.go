@@ -7,27 +7,24 @@ import (
 	"repro/internal/value"
 )
 
-// ColBlock is a dictionary-encoded columnar image of a relation's live
-// tuples at one content generation. It keeps the rows and encodes each
-// column only when a reader first asks for it (Column), so a block costs
-// its row slice plus the columns plans actually compare: a column's
-// distinct values stored once in a dictionary (hash-indexed by an
-// open-addressed table), a dense code vector mapping row position to
-// dictionary code, and a CSR posting list mapping code to row positions.
-// The compiled evaluator (internal/eval) resolves each step's columns and
-// constants once per run, compares uint32 codes instead of value.Values
-// in its probe/scan loops, and walks posting lists in place — no
-// per-probe buffer copies, no locking, no allocation.
+// ColBlock is a dictionary-encoded columnar image of a frozen relation's
+// live tuples: the read-optimized access structure of data that no longer
+// changes (a mutable relation is read through its row indexes instead).
+// It keeps the rows and encodes each column only when a reader first asks
+// for it (Column), so a block costs its row slice plus the columns plans
+// actually compare: a column's distinct values stored once in a
+// dictionary (hash-indexed by an open-addressed table), a dense code
+// vector mapping row position to dictionary code, and a CSR posting list
+// mapping code to row positions. The compiled evaluator (internal/eval)
+// resolves each step's columns and constants once per run, compares
+// uint32 codes instead of value.Values in its probe/scan loops, and walks
+// posting lists in place — no per-probe buffer copies, no locking, no
+// allocation.
 //
-// A block's rows never change. Each column is encoded at most once,
-// under the block's lock, and published atomically; every relation
-// sharing the block (a snapshot that adopted it) sees it. On frozen
-// snapshots the block is cached forever; on mutable relations it is
-// tagged with the content generation it was built from and dropped by
-// the next mutation, so a stale block is never served (see
-// Relation.ColumnarBlock).
+// A block's rows never change, and the relation keeps its block for
+// life. Each column is encoded at most once, under the block's lock, and
+// published atomically.
 type ColBlock struct {
-	gen  uint64 // Relation.statsGen at build time (mutable sources only)
 	rows []Tuple
 	mu   sync.Mutex               // serializes column encodings
 	cols []atomic.Pointer[Column] // nil until the column is first read
@@ -49,89 +46,55 @@ type Column struct {
 // the relation simply stays on the row path.
 const maxColumnarRows = 1 << 30
 
-// columnarDemandThreshold is how many block requests a *mutable* relation
-// must see — with no intervening mutation — before a block is built for
-// it. The second request pays the O(rows × arity) build; write-heavy
-// relations (incremental view maintenance mutates between every read)
-// never cross the threshold and never pay it. Frozen snapshots build on
-// first request: they can never be invalidated, so the build always
-// amortizes.
-const columnarDemandThreshold = 2
-
 // Cumulative columnarization counters, exposed on /metrics.
 var (
-	colBlocksBuilt atomic.Uint64 // blocks built (mutable + frozen)
-	colSnapshots   atomic.Uint64 // frozen relations that gained a block
+	colBlocksBuilt atomic.Uint64 // blocks built
 	colDictBytes   atomic.Uint64 // approximate dictionary bytes of encoded columns
 	colCodeBytes   atomic.Uint64 // code-vector + posting-list bytes of encoded columns
 )
 
 // ColumnarStats is a snapshot of the cumulative columnarization counters.
 type ColumnarStats struct {
-	BlocksBuilt           uint64 // columnar blocks constructed since process start
-	SnapshotsColumnarized uint64 // frozen snapshot relations holding a block
-	DictBytes             uint64 // cumulative dictionary bytes of encoded block columns
-	CodeBytes             uint64 // cumulative code-vector and posting-list bytes of encoded block columns
+	BlocksBuilt uint64 // columnar blocks constructed since process start
+	DictBytes   uint64 // cumulative dictionary bytes of encoded block columns
+	CodeBytes   uint64 // cumulative code-vector and posting-list bytes of encoded block columns
 }
 
 // ColumnarUsage returns the process-wide columnarization counters.
 func ColumnarUsage() ColumnarStats {
 	return ColumnarStats{
-		BlocksBuilt:           colBlocksBuilt.Load(),
-		SnapshotsColumnarized: colSnapshots.Load(),
-		DictBytes:             colDictBytes.Load(),
-		CodeBytes:             colCodeBytes.Load(),
+		BlocksBuilt: colBlocksBuilt.Load(),
+		DictBytes:   colDictBytes.Load(),
+		CodeBytes:   colCodeBytes.Load(),
 	}
 }
 
-// ColumnarBlock returns the relation's current columnar block, or nil when
-// the relation is served by the row path. Frozen snapshots build their
-// block on first request and keep it forever. Mutable relations build one
-// after columnarDemandThreshold requests with no intervening mutation and
-// drop it on the next mutation — so read-hot relations (materialized
-// views, benchmark heads) get code-compare joins while write-hot ones
-// never pay a build they would immediately discard.
+// ColumnarBlock returns a frozen relation's columnar block, building it on
+// first request and keeping it for the relation's life. A mutable
+// relation has no block (nil): it is read through its row indexes, which
+// writes keep current, where a block would be stale after the next write.
+// So is a relation past maxColumnarRows.
 func (r *Relation) ColumnarBlock() *ColBlock {
-	if blk := r.colBlk.Load(); blk != nil && (r.frozen || blk.gen == r.statsGen.Load()) {
-		return blk
-	}
-	if !r.frozen && r.colDemand.Add(1) < columnarDemandThreshold {
-		return nil
-	}
-	return r.buildColumnar()
-}
-
-// EnsureColumnar builds the relation's columnar block immediately,
-// bypassing the demand threshold, and returns it (nil only if a
-// concurrent mutation raced the build or the relation is too large).
-func (r *Relation) EnsureColumnar() *ColBlock {
-	if blk := r.colBlk.Load(); blk != nil && (r.frozen || blk.gen == r.statsGen.Load()) {
+	if blk := r.colBlk.Load(); blk != nil || !r.frozen {
 		return blk
 	}
 	return r.buildColumnar()
 }
 
-// buildColumnar constructs and publishes a block for the relation's
-// current contents: the live rows, with no column encoded yet. colMu
-// serializes builders; the generation check after reading the rows
-// discards a block a concurrent mutation made stale before it was ever
-// published. A stale block that slips past the final check (the mutation
-// landing between check and store) is harmless: every reader
-// re-validates blk.gen against the live generation.
+// buildColumnar constructs and publishes the block of the frozen relation
+// r: its live rows, with no column encoded yet. colMu serializes builders,
+// so a relation builds one block.
 func (r *Relation) buildColumnar() *ColBlock {
 	r.colMu.Lock()
 	defer r.colMu.Unlock()
-	if blk := r.colBlk.Load(); blk != nil && (r.frozen || blk.gen == r.statsGen.Load()) {
+	if blk := r.colBlk.Load(); blk != nil || r.live > maxColumnarRows {
 		return blk
 	}
-	gen := r.statsGen.Load()
-
 	// A frozen relation's row slice is never written again (its source
 	// detaches before writing), so a block over one without holes shares
-	// it; any other block copies the live rows.
-	r.rLock()
+	// it; otherwise the block copies the live rows.
 	rows := r.rows.tuples
-	if !r.frozen || r.live != len(rows) {
+	if r.live != len(rows) {
 		rows = make([]Tuple, 0, r.live)
 		for _, t := range r.rows.tuples {
 			if t != nil {
@@ -139,19 +102,9 @@ func (r *Relation) buildColumnar() *ColBlock {
 			}
 		}
 	}
-	r.rUnlock()
-	if len(rows) > maxColumnarRows {
-		return nil
-	}
-	if !r.frozen && r.statsGen.Load() != gen {
-		return nil
-	}
-	blk := &ColBlock{gen: gen, rows: rows, cols: make([]atomic.Pointer[Column], r.schema.Arity())}
+	blk := &ColBlock{rows: rows, cols: make([]atomic.Pointer[Column], r.schema.Arity())}
 	r.colBlk.Store(blk)
 	colBlocksBuilt.Add(1)
-	if r.frozen {
-		colSnapshots.Add(1)
-	}
 	return blk
 }
 

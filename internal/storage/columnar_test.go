@@ -26,9 +26,9 @@ func TestColBlockEncoding(t *testing.T) {
 	for i, tag := range tags {
 		r.MustInsert(value.Int(int64(i)), value.String(tag))
 	}
-	blk := r.EnsureColumnar()
+	blk := r.Snapshot().ColumnarBlock()
 	if blk == nil {
-		t.Fatal("EnsureColumnar returned nil")
+		t.Fatal("snapshot built no block")
 	}
 	if blk.Len() != len(tags) {
 		t.Fatalf("block has %d rows, want %d", blk.Len(), len(tags))
@@ -73,71 +73,19 @@ func TestColBlockEncoding(t *testing.T) {
 	}
 }
 
-// TestColumnarInvalidation: every content mutation — single-tuple and
-// batch — drops the block; a block rebuilt afterwards sees the new
-// contents. Deletion holes are excluded from the dense rows.
-func TestColumnarInvalidation(t *testing.T) {
+// TestColumnarOnlyFrozen: a mutable relation is read through its row
+// indexes and never has a block, however often it is asked. A snapshot
+// builds its block on first request and keeps it whatever its source
+// writes, and the snapshot taken after a write gets a block of its own
+// over the new contents.
+func TestColumnarOnlyFrozen(t *testing.T) {
 	r := NewRelation(colSchema(t))
 	r.MustInsert(value.Int(1), value.String("a"))
 	r.MustInsert(value.Int(2), value.String("b"))
-
-	mutate := []struct {
-		label string
-		fn    func()
-		rows  int
-	}{
-		{"Insert", func() { r.MustInsert(value.Int(3), value.String("c")) }, 3},
-		{"Delete", func() { r.Delete(Tuple{value.Int(3), value.String("c")}) }, 2},
-		{"InsertBatch", func() {
-			if _, err := r.InsertBatch([]Tuple{
-				{value.Int(4), value.String("d")},
-				{value.Int(5), value.String("e")},
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}, 4},
-		{"DeleteBatch", func() {
-			if _, err := r.DeleteBatch([]Tuple{{value.Int(4), value.String("d")}}); err != nil {
-				t.Fatal(err)
-			}
-		}, 3},
-	}
-	for _, m := range mutate {
-		before := r.EnsureColumnar()
-		if before == nil {
-			t.Fatalf("%s: EnsureColumnar returned nil before mutation", m.label)
+	for i := 0; i < 4; i++ {
+		if blk := r.ColumnarBlock(); blk != nil {
+			t.Fatalf("request %d built a block for a mutable relation", i+1)
 		}
-		m.fn()
-		if got := r.ColumnarBlock(); got == before {
-			t.Fatalf("%s: stale block served after mutation", m.label)
-		}
-		after := r.EnsureColumnar()
-		if after == nil || after == before {
-			t.Fatalf("%s: block not rebuilt (got %p, stale %p)", m.label, after, before)
-		}
-		if after.Len() != m.rows {
-			t.Fatalf("%s: rebuilt block has %d rows, want %d", m.label, after.Len(), m.rows)
-		}
-	}
-}
-
-// TestColumnarDemandThreshold: mutable relations earn a block only after
-// repeated requests with no intervening mutation; frozen snapshots build
-// on first request and keep the block forever.
-func TestColumnarDemandThreshold(t *testing.T) {
-	r := NewRelation(colSchema(t))
-	r.MustInsert(value.Int(1), value.String("a"))
-
-	if blk := r.ColumnarBlock(); blk != nil {
-		t.Fatal("first request built a block for a mutable relation")
-	}
-	if blk := r.ColumnarBlock(); blk == nil {
-		t.Fatalf("request %d did not build a block", columnarDemandThreshold)
-	}
-	// A mutation restarts the demand count.
-	r.MustInsert(value.Int(2), value.String("b"))
-	if blk := r.ColumnarBlock(); blk != nil {
-		t.Fatal("first request after a mutation built a block")
 	}
 
 	snap := r.Snapshot()
@@ -148,25 +96,27 @@ func TestColumnarDemandThreshold(t *testing.T) {
 	if again := snap.ColumnarBlock(); again != blk {
 		t.Fatal("frozen snapshot did not keep its block")
 	}
-	// The source keeps mutating; the snapshot's block is unaffected.
+	if r.ColumnarBlock() != nil {
+		t.Fatal("the source gained a block from its snapshot")
+	}
+	// The source keeps writing; the snapshot's block is unaffected.
 	r.MustInsert(value.Int(3), value.String("c"))
+	r.Delete(Tuple{value.Int(1), value.String("a")})
 	if again := snap.ColumnarBlock(); again != blk || again.Len() != 2 {
-		t.Fatalf("snapshot block disturbed by source mutation (%p vs %p, %d rows)", again, blk, blk.Len())
+		t.Fatalf("snapshot block disturbed by source writes (%p vs %p, %d rows)", again, blk, again.Len())
 	}
-}
 
-// TestSnapshotInheritsBlock: a snapshot taken while the source holds a
-// current block adopts it instead of rebuilding.
-func TestSnapshotInheritsBlock(t *testing.T) {
-	r := NewRelation(colSchema(t))
-	r.MustInsert(value.Int(1), value.String("a"))
-	blk := r.EnsureColumnar()
-	if blk == nil {
-		t.Fatal("EnsureColumnar returned nil")
+	next := r.Snapshot()
+	nblk := next.ColumnarBlock()
+	if next == snap || nblk == nil || nblk == blk {
+		t.Fatalf("the snapshot after a write shares the old block (snapshot reused: %v, block %p vs %p)", next == snap, nblk, blk)
 	}
-	snap := r.Snapshot()
-	if got := snap.ColumnarBlock(); got != blk {
-		t.Fatalf("snapshot built a fresh block (%p) instead of inheriting %p", got, blk)
+	var got []int64
+	for _, tu := range nblk.AppendAll(nil) {
+		got = append(got, tu[0].IntVal())
+	}
+	if !slices.Equal(got, []int64{2, 3}) {
+		t.Fatalf("new snapshot's block holds ids %v, want [2 3]", got)
 	}
 }
 
@@ -202,33 +152,33 @@ func TestDistinctCountBatchInvalidation(t *testing.T) {
 	if n := r.DistinctCount(1); n != 1 {
 		t.Fatalf("DistinctCount(tag) after DeleteBatch = %d, want 1", n)
 	}
-	// A no-op batch (all duplicates) must not disturb the memo — and must
-	// not invalidate a columnar block either.
-	blk := r.EnsureColumnar()
+	// A no-op batch (all duplicates) must not disturb the memo, nor make
+	// the next snapshot a new one.
+	snap := r.Snapshot()
 	if _, err := r.InsertBatch([]Tuple{{value.Int(1), value.String("a")}}); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.ColumnarBlock(); got != blk {
-		t.Fatal("no-op batch invalidated the columnar block")
-	}
-	// With a block current, DistinctCount answers from the dictionary.
 	if n := r.DistinctCount(1); n != 1 {
-		t.Fatalf("dictionary DistinctCount(tag) = %d, want 1", n)
+		t.Fatalf("DistinctCount(tag) after a no-op batch = %d, want 1", n)
+	}
+	if r.Snapshot() != snap {
+		t.Fatal("no-op batch changed the snapshot")
+	}
+	// A snapshot answers from its block's dictionary.
+	if n := snap.DistinctCount(1); n != 1 || snap.ColumnarBlock() == nil {
+		t.Fatalf("snapshot DistinctCount(tag) = %d (block %p), want 1 from a block", n, snap.ColumnarBlock())
 	}
 }
 
-// TestColumnarUsageCounters: building and inheriting blocks, and reading
-// a block column, move the process-wide counters exposed on /metrics.
+// TestColumnarUsageCounters: building a block, and reading a block
+// column, move the process-wide counters exposed on /metrics.
 func TestColumnarUsageCounters(t *testing.T) {
 	before := ColumnarUsage()
 	r := NewRelation(colSchema(t))
 	for i := 0; i < 8; i++ {
 		r.MustInsert(value.Int(int64(i)), value.String(fmt.Sprintf("t%d", i%3)))
 	}
-	if r.EnsureColumnar() == nil {
-		t.Fatal("EnsureColumnar returned nil")
-	}
-	snap := r.Snapshot() // inherits the current block
+	snap := r.Snapshot()
 	if snap.ColumnarBlock() == nil {
 		t.Fatal("snapshot has no block")
 	}
@@ -243,9 +193,6 @@ func TestColumnarUsageCounters(t *testing.T) {
 	if after.BlocksBuilt <= before.BlocksBuilt {
 		t.Error("BlocksBuilt did not advance")
 	}
-	if after.SnapshotsColumnarized <= before.SnapshotsColumnarized {
-		t.Error("SnapshotsColumnarized did not advance")
-	}
 	if after.DictBytes <= before.DictBytes || after.CodeBytes <= before.CodeBytes {
 		t.Errorf("byte counters did not advance: dict %d->%d, code %d->%d",
 			before.DictBytes, after.DictBytes, before.CodeBytes, after.CodeBytes)
@@ -253,8 +200,7 @@ func TestColumnarUsageCounters(t *testing.T) {
 }
 
 // TestBlockColumnsEncodeOnFirstUse: a block encodes a column only when a
-// reader first asks for it, once, and every relation sharing the block
-// sees the encoding.
+// reader first asks for it, and once, however many readers ask at once.
 func TestBlockColumnsEncodeOnFirstUse(t *testing.T) {
 	encoded := func(blk *ColBlock) []bool {
 		out := make([]bool, len(blk.cols))
@@ -298,26 +244,9 @@ func TestBlockColumnsEncodeOnFirstUse(t *testing.T) {
 		t.Fatalf("after a tag probe, encoded columns %v, want [false true]", got)
 	}
 
-	// A snapshot that adopted the head's block sees the columns the head
-	// encodes, without encoding them again.
-	r := benchRelation(64)
-	head := r.EnsureColumnar()
-	snap := r.Snapshot()
-	if snap.ColumnarBlock() != head {
-		t.Fatal("snapshot did not adopt the head's block")
-	}
-	col := head.Column(0)
-	mark := ColumnarUsage()
-	if got := snap.ColumnarBlock().Column(0); got != col {
-		t.Fatal("snapshot does not see the column the head encoded")
-	}
-	if u := ColumnarUsage(); u.DictBytes != mark.DictBytes || u.CodeBytes != mark.CodeBytes {
-		t.Fatal("reading an encoded column through the snapshot encoded it again")
-	}
-
 	// Concurrent first readers of one column encode it once.
 	blk = benchRelation(1600).Snapshot().ColumnarBlock()
-	mark = ColumnarUsage()
+	mark := ColumnarUsage()
 	const readers = 8
 	cols := make([]*Column, readers)
 	start := make(chan struct{})
@@ -347,10 +276,10 @@ func TestBlockColumnsEncodeOnFirstUse(t *testing.T) {
 	}
 }
 
-// TestColumnarConcurrentBuild hammers a mutable relation with concurrent
-// block requests while a writer mutates — meaningful under -race; also
-// asserts no reader ever observes a block inconsistent with a quiescent
-// final state.
+// TestColumnarConcurrentBuild takes snapshots of a relation while a
+// writer inserts and deletes, and builds each snapshot's block from
+// several goroutines at once — meaningful under -race. Every snapshot
+// builds one block, and the block holds exactly that snapshot's rows.
 func TestColumnarConcurrentBuild(t *testing.T) {
 	r := NewRelation(colSchema(t))
 	for i := 0; i < 100; i++ {
@@ -359,29 +288,40 @@ func TestColumnarConcurrentBuild(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for i := 100; i < 200; i++ {
+		for i := 100; i < 300; i++ {
 			r.MustInsert(value.Int(int64(i)), value.String("w"))
+			if i%3 == 0 {
+				r.Delete(Tuple{value.Int(int64(i - 100)), value.String("seed")})
+			}
 		}
 	}()
-	for {
-		if blk := r.ColumnarBlock(); blk != nil {
-			// Whatever generation this block is from, its row count must
-			// match a prefix state: between 100 and 200 rows.
-			if n := blk.Len(); n < 100 || n > 200 {
-				t.Fatalf("block has %d rows, outside [100,200]", n)
-			}
-		}
+	for running := true; running; {
 		select {
 		case <-done:
-			blk := r.EnsureColumnar()
-			if blk == nil {
-				t.Fatal("EnsureColumnar nil after writer finished")
-			}
-			if blk.Len() != 200 {
-				t.Fatalf("final block has %d rows, want 200", blk.Len())
-			}
-			return
+			running = false
 		default:
 		}
+		snap := r.Snapshot()
+		blks := make([]*ColBlock, 4)
+		var wg sync.WaitGroup
+		for i := range blks {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				blks[i] = snap.ColumnarBlock()
+			}()
+		}
+		wg.Wait()
+		for _, b := range blks {
+			if b != blks[0] {
+				t.Fatal("one snapshot built two blocks")
+			}
+		}
+		if got, want := blks[0].AppendAll(nil), snap.Tuples(); !slices.EqualFunc(got, want, Tuple.Equal) {
+			t.Fatalf("block holds %d rows, snapshot %d, or they differ", len(got), len(want))
+		}
+	}
+	if blk := r.Snapshot().ColumnarBlock(); blk.Len() != r.Len() {
+		t.Fatalf("final block has %d rows, want %d", blk.Len(), r.Len())
 	}
 }

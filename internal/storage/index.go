@@ -249,18 +249,6 @@ func (ix *colIndex) distinct(rows []Tuple) int {
 	return n
 }
 
-// detached returns a copy whose writes cannot reach ix's readers. add
-// writes the dictionary's probe table, tail and next in place, so those
-// are copied; the dictionary's values and hashes and head are only ever
-// appended to, so a reader of ix keeps seeing its own prefix of them.
-func (ix *colIndex) detached() *colIndex {
-	out := *ix
-	out.dict.table = append([]int32(nil), ix.dict.table...)
-	out.tail = append([]int32(nil), ix.tail...)
-	out.next = append([]int32(nil), ix.next...)
-	return &out
-}
-
 // distinctRows counts the distinct values of column col among rows (nil
 // entries are holes) without an index: one probe table of row positions,
 // compared with == like the dictionary, sized once for live rows.

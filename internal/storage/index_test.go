@@ -29,9 +29,9 @@ func TestSignedZeroAndNaNPathsAgree(t *testing.T) {
 		}
 		return r
 	}
-	scan, indexed, columnar := load(), load(), load()
+	scan, indexed, columnar := load(), load(), load().Snapshot()
 	indexed.BuildIndex(1)
-	blk := columnar.EnsureColumnar()
+	blk := columnar.ColumnarBlock()
 	if blk == nil {
 		t.Fatal("no columnar block")
 	}

@@ -223,27 +223,6 @@ func TestSnapshotNewAfterMutation(t *testing.T) {
 	}
 }
 
-// TestReusedSnapshotAdoptsHeadBlock: a columnar block the source earns
-// after the first snapshot is adopted by the reused snapshot, instead of
-// the snapshot building a second one.
-func TestReusedSnapshotAdoptsHeadBlock(t *testing.T) {
-	r := NewRelation(snapSchema().Relation("R"))
-	for i := 0; i < 10; i++ {
-		r.MustInsert(value.Int(int64(i)), value.String("v"))
-	}
-	snap := r.Snapshot()
-	blk := r.EnsureColumnar()
-	if blk == nil {
-		t.Fatal("source did not columnarize")
-	}
-	if got := r.Snapshot(); got != snap {
-		t.Fatal("snapshot not reused")
-	}
-	if got := snap.ColumnarBlock(); got != blk {
-		t.Error("reused snapshot did not adopt the source's block")
-	}
-}
-
 // TestConcurrentSnapshotInsert races Snapshot against Insert (meaningful
 // under -race): every snapshot is frozen, holds between the initial and
 // the final tuple count, and two snapshots with equal stamps are the same

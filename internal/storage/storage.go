@@ -12,22 +12,28 @@
 // Storage is flat: no path renders a tuple to a string to store or find
 // it. A relation keeps its rows in a TupleIndex, an open-addressed table
 // over row positions that answers membership by content and backs cloned
-// rows with shared arena chunks. A column index is the column's value
-// dictionary (the one columnar blocks use) with per-value and per-row
-// chains through the row positions, and distinct counts read an index or
-// a throwaway table of row positions. The evaluator shares the TupleIndex
-// for deduplication, and a materialized view is loaded from its owned
-// answer in one call (InsertOwned), without a clone per row.
+// rows with shared arena chunks. The evaluator shares the TupleIndex for
+// deduplication, and a materialized view is loaded from its owned answer
+// in one call (InsertOwned), without a clone per row.
+//
+// A relation has one access structure, chosen by whether it can change.
+// A mutable relation is read through its column indexes — the column's
+// value dictionary with per-value and per-row chains through the row
+// positions — which every write keeps current, and counts distinct values
+// through an index or a throwaway table of row positions, memoized until
+// the next write. A frozen relation is read through its columnar block
+// (ColBlock), built on first request and kept for life, whose
+// dictionaries also answer its distinct counts.
 //
 // Concurrency model (see DESIGN.md §3): every Relation is safe for
 // concurrent readers and writers via an internal RWMutex. Snapshot produces
-// a frozen relation that shares the backing storage with its source; frozen
-// relations are immutable from birth, so their readers skip locking
-// entirely. The source relation detaches (copies the arrays it writes in
-// place) before its next mutation, making snapshot creation O(1) per
-// relation no matter how large the data is. A relation that has not
-// changed since its last snapshot hands out that same frozen object again,
-// so versions share unchanged relations.
+// a frozen relation that shares the rows with its source; frozen relations
+// are immutable from birth, so their readers skip locking entirely. The
+// source relation detaches (copies the arrays it writes in place) before
+// its next mutation, making snapshot creation O(1) per relation no matter
+// how large the data is. A relation that has not changed since its last
+// snapshot hands out that same frozen object again, so versions share
+// unchanged relations.
 package storage
 
 import (
@@ -127,44 +133,42 @@ func (t Tuple) String() string {
 	return "(" + strings.Join(parts, ", ") + ")"
 }
 
-// Relation is a set-semantics collection of tuples conforming to a schema,
-// with lazily built hash indexes per column. It is safe for concurrent use;
-// frozen snapshots (see Snapshot) additionally serve readers without any
-// locking.
+// Relation is a set-semantics collection of tuples conforming to a schema.
+// A mutable relation builds hash indexes per column on demand; a frozen
+// snapshot (see Snapshot) is read through its columnar block instead,
+// without any locking. It is safe for concurrent use.
 type Relation struct {
 	schema *schema.Relation
 
 	mu     sync.RWMutex
 	frozen bool // immutable snapshot: set at construction, never cleared
-	shared bool // rows and indexes shared with a snapshot; detach before writing
+	shared bool // rows shared with a snapshot; detach before writing
 
 	// rows holds the tuples by row position — rows.Tuple(i) is row i,
 	// nil once deleted — and answers membership by content. live counts
-	// the rows that are not nil. indexes[col] is the hash index on column
-	// col, nil if none was built; the slice is nil until the first build.
+	// the rows that are not nil. indexes[col] is a mutable relation's
+	// hash index on column col, nil if none was built; the slice is nil
+	// until the first build, and always on a frozen relation.
 	rows    TupleIndex
 	live    int
 	indexes []*colIndex
 
-	// Statistics cache for the query planner. distinct memoizes per-column
-	// distinct counts (-1 = not computed yet); it is dropped on every
-	// content mutation (Insert, Delete, InsertBatch, InsertOwned,
-	// DeleteBatch) and therefore permanent on frozen relations. statsMu is
-	// separate from mu so frozen relations — whose readers skip mu
-	// entirely — can still fill the cache; it is never held while
-	// acquiring mu. statsGen is atomic so the columnar-block fast path can
-	// validate a block's generation without taking any lock.
+	// Statistics cache for the query planner on relations without a
+	// columnar block. distinct memoizes per-column distinct counts (-1 =
+	// not computed yet); it is dropped on every content mutation (Insert,
+	// Delete, InsertBatch, InsertOwned, DeleteBatch). statsMu is separate
+	// from mu so a frozen relation past maxColumnarRows — whose readers
+	// skip mu entirely — can still fill the cache; it is never held while
+	// acquiring mu. statsGen is atomic so Generation reads it without a
+	// lock.
 	statsMu  sync.Mutex
 	statsGen atomic.Uint64
 	distinct []int
 
-	// Columnar cache (see columnar.go): the current dictionary-encoded
-	// block, the demand counter that decides when a mutable relation earns
-	// one, and the builder lock. Dropped by bumpStats on every content
-	// mutation; permanent on frozen snapshots.
-	colBlk    atomic.Pointer[ColBlock]
-	colDemand atomic.Uint32
-	colMu     sync.Mutex
+	// A frozen relation's columnar block (see columnar.go), built on first
+	// request under colMu and kept for life; always nil on a mutable one.
+	colBlk atomic.Pointer[ColBlock]
+	colMu  sync.Mutex
 
 	// Snapshot reuse. On a mutable relation, snap is the last frozen
 	// snapshot handed out and snapGen the content generation it froze
@@ -218,14 +222,12 @@ func (r *Relation) wLock() {
 	r.detach()
 }
 
-// detach privatizes the storage shared with a snapshot before the first
+// detach privatizes the rows shared with a snapshot before the first
 // write after it. Only the arrays a write changes in place are copied:
-// the row slice (deletes nil a row) and the membership probe table, and
-// per index the dictionary's probe table and the tail and next chains.
-// Everything else is shared for good — the tuples, the arena chunks, and
-// the slices that writes only ever append to (row hashes, dictionary
-// values and hashes, chain heads): the snapshot reads its own prefix of
-// them, which later appends never touch.
+// the row slice (deletes nil a row) and the membership probe table. The
+// tuples, the arena chunks and the row hashes, which writes only ever
+// append to, are shared for good: the snapshot reads its own prefix of
+// them, which later appends never touch. Indexes are never shared.
 //
 //lint:nobump content-preserving copy: the tuple set is identical, only the backing storage is privatized
 func (r *Relation) detach() {
@@ -233,69 +235,37 @@ func (r *Relation) detach() {
 		return
 	}
 	r.rows = r.rows.detached()
-	if r.indexes != nil {
-		indexes := make([]*colIndex, len(r.indexes))
-		for col, ix := range r.indexes {
-			if ix != nil {
-				indexes[col] = ix.detached()
-			}
-		}
-		r.indexes = indexes
-	}
 	r.shared = false
 }
 
 // Snapshot returns an immutable view of the relation's current contents.
-// The snapshot shares backing storage with the source, so creation is O(1);
-// the source copies the storage lazily before its next mutation. Snapshots
-// of a snapshot return the receiver.
+// The snapshot shares the rows with the source, so creation is O(1); the
+// source copies them lazily before its next mutation. It shares no index
+// and no block: the snapshot builds its own columnar block when it is
+// first read. Snapshots of a snapshot return the receiver.
 //
 // While the source's content has not mutated since the previous snapshot
 // (index builds, compaction and no-op writes do not count), Snapshot
 // returns that same frozen object, so committed versions share every
-// unchanged relation — its columnar block, distinct-count memo and
-// indexes included — instead of holding one copy per version.
+// unchanged relation — its columnar block included — instead of holding
+// one copy per version.
 func (r *Relation) Snapshot() *Relation {
 	if r.frozen {
 		return r
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	// mu is held, so the generation cannot move under the checks below.
+	// mu is held, so the generation cannot move under the check below.
 	gen := r.statsGen.Load()
-	blk := r.colBlk.Load()
-	if blk != nil && blk.gen != gen {
-		blk = nil
-	}
-	if snap := r.snap; snap != nil && r.snapGen == gen {
-		// A block the source earned after the first snapshot describes
-		// the same contents; the reused snapshot adopts it unless it has
-		// built its own.
-		if blk != nil && snap.colBlk.CompareAndSwap(nil, blk) {
-			colSnapshots.Add(1)
-		}
-		return snap
+	if r.snap != nil && r.snapGen == gen {
+		return r.snap
 	}
 	r.shared = true
 	rows := r.rows
 	rows.arena = nil // a frozen relation never clones; the arena stays the source's
-	snap := &Relation{
-		schema:  r.schema,
-		frozen:  true,
-		rows:    rows,
-		live:    r.live,
-		indexes: r.indexes,
-		stamp:   snapStamps.Add(1),
-	}
-	// A columnar block current at snapshot time describes exactly the
-	// contents being frozen, so the snapshot adopts it: commits of a
-	// read-hot head hand out snapshots that are columnar from birth.
-	if blk != nil {
-		snap.colBlk.Store(blk)
-		colSnapshots.Add(1)
-	}
-	r.snap, r.snapGen = snap, gen
-	return snap
+	r.snap = &Relation{schema: r.schema, frozen: true, rows: rows, live: r.live, stamp: snapStamps.Add(1)}
+	r.snapGen = gen
+	return r.snap
 }
 
 // Stamp returns a frozen relation's creation stamp: a process-wide
@@ -355,20 +325,14 @@ func (r *Relation) insertLocked(t Tuple, clone bool) bool {
 	return true
 }
 
-// bumpStats drops the statistics and columnar caches after a content
-// mutation. Called with mu held; statsMu is acquired on its own (no lock
-// cycle: statsMu is never held while acquiring mu).
+// bumpStats advances the content generation and drops the distinct-count
+// memo after a content mutation. Called with mu held; statsMu is acquired
+// on its own (no lock cycle: statsMu is never held while acquiring mu).
 func (r *Relation) bumpStats() {
 	r.statsMu.Lock()
 	r.statsGen.Add(1)
 	r.distinct = nil
 	r.statsMu.Unlock()
-	// Readers validate blk.gen against statsGen, so clearing the pointer
-	// is an optimization (freeing the memory promptly), not a correctness
-	// requirement. The demand counter restarts: a relation must prove
-	// it is read-hot again after every write before the next build.
-	r.colBlk.Store(nil)
-	r.colDemand.Store(0)
 }
 
 // Check validates a tuple against the relation schema (arity and value
@@ -560,22 +524,18 @@ func (r *Relation) index(col int) *colIndex {
 	return r.indexes[col]
 }
 
-// EnsureIndex builds a hash index on the column if one does not exist yet,
-// reporting whether an index is available afterwards. On frozen snapshots
-// no index can be built (they are immutable), so the report is simply
-// whether the snapshot inherited one — frozen relations instead serve
-// probes through their columnar block (ColumnarBlock), which any reader
-// can build because it lives outside the frozen storage. The query
-// planner calls this for the probe columns it selects on mutable
-// relations.
+// EnsureIndex builds a hash index on the column of a mutable relation if
+// one does not exist yet, reporting whether an index is available
+// afterwards. A frozen relation has no index and reports false: it serves
+// probes through its columnar block (ColumnarBlock) instead. The query
+// planner calls this for the probe columns it selects.
 func (r *Relation) EnsureIndex(col int) bool {
-	if r.HasIndex(col) {
-		return true
-	}
 	if r.frozen {
 		return false
 	}
-	r.BuildIndex(col)
+	if !r.HasIndex(col) {
+		r.BuildIndex(col)
+	}
 	return true
 }
 
@@ -671,17 +631,14 @@ func (r *Relation) SortedTuples() []Tuple {
 // DistinctCount returns the number of distinct values in column col, where
 // values are distinct unless == says otherwise (0 and -0 count once, each
 // NaN counts on its own). It is used by the schema-level citation-size
-// estimator and by the query planner's selectivity estimates. Results are
-// memoized until the next content mutation; on frozen relations the cache
-// is permanent, so a plan compiled against a snapshot reads statistics at
-// slice-lookup cost.
+// estimator and by the query planner's selectivity estimates. A frozen
+// relation answers with its block column's dictionary length, exact by
+// construction; the first read encodes the column, which costs nothing
+// extra, because the planner asks only about columns its plan then probes
+// or checks. A mutable relation counts, and memoizes the count until its
+// next content mutation.
 func (r *Relation) DistinctCount(col int) int {
-	// A current columnar block answers with the column's dictionary
-	// length, exact by construction. The first read encodes the column,
-	// which costs nothing extra: the planner asks only about columns its
-	// plan then probes or checks. On frozen snapshots this is the
-	// permanent memo the planner reads on every compile.
-	if blk := r.colBlk.Load(); blk != nil && (r.frozen || blk.gen == r.statsGen.Load()) {
+	if blk := r.ColumnarBlock(); blk != nil {
 		return blk.DistinctCount(col)
 	}
 	r.statsMu.Lock()
@@ -844,17 +801,15 @@ func (db *Database) Clone() *Database {
 
 // Snapshot returns an immutable copy-on-write view of the database — the
 // cheap versioning primitive behind fixity commits. Creation cost is
-// O(relations), not O(data): each relation shares storage with its
+// O(relations), not O(data): each relation shares its rows with its
 // snapshot and detaches lazily on its next write, and a relation whose
 // content did not change since the previous Snapshot contributes that
 // snapshot's frozen object again (Relation.Snapshot), so successive
 // versions share their unchanged relations and Relation.Stamp tells
-// which ones changed. Snapshot readers join
-// through whatever access support the source already earned — inherited
-// hash indexes, an inherited columnar block, or the block the planner
-// builds on first access (frozen relations columnarize on demand and keep
-// the block forever; see ColumnarBlock) — so commits never pay an eager
-// per-column index build for columns no query probes.
+// which ones changed. Snapshot readers join through each relation's
+// columnar block, built on first access and kept for life (see
+// ColumnarBlock), and a block encodes only the columns plans compare, so
+// a commit pays no eager build for columns no query reads.
 func (db *Database) Snapshot() *Database {
 	out := &Database{frozen: true, schema: db.schema, relations: make(map[string]*Relation, len(db.relations))}
 	for name, r := range db.relations {

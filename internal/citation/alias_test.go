@@ -1,19 +1,22 @@
 package citation
 
-// Tests of identity views served as their base relation: the view cache's
-// fill returns the frozen base relation itself when the view is one body
-// atom listed whole by its head. When the relation's rows do not ascend,
-// a branch whose result would show their order is evaluated again over a
-// copy in answer order.
+// Tests of identity views read as their base relation: a view that is one
+// body atom listed whole by its head is the snapshot's frozen base
+// relation itself, found without a view-cache lookup. When the relation's
+// rows do not ascend, a branch whose result would show their order is
+// evaluated again over a copy in answer order from the view cache.
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"repro/internal/citeexpr"
 	"repro/internal/cq"
+	"repro/internal/eval"
 	"repro/internal/format"
 	"repro/internal/policy"
 	"repro/internal/schema"
@@ -41,6 +44,38 @@ func TestIdentityViewShapes(t *testing.T) {
 		base, ok := identityBase(cq.MustParse(c.src))
 		if ok != c.identity || ok && base != "Family" {
 			t.Errorf("%s: identityBase = %q, %v; want identity %v", c.src, base, ok, c.identity)
+		}
+	}
+}
+
+// TestIdentityViewsLeaveNoCacheEntry: an identity view is read straight
+// from the snapshot, so citing the serving shapes across 10 versions that
+// change Family leaves no view-cache entry, and a lookup at version 1,
+// which the caches no longer retain, runs no fill: it allocates only the
+// span attribute.
+func TestIdentityViewsLeaveNoCacheEntry(t *testing.T) {
+	const families, versions = 200, 10
+	db, vers := familyReleases(t, families, versions)
+	g := NewGenerator(servingRegistry(db.Schema()), db)
+	for v := 1; v <= versions; v++ {
+		for _, shape := range servingShapes {
+			q := cq.MustParse(fmt.Sprintf(shape, v))
+			if _, err := g.CiteContext(context.Background(), q, Request{DB: vers[v-1], Version: v}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if n := len(cacheEntries(g.views)); n != 0 {
+		t.Errorf("the view cache holds %d entries after %d versions, want 0", n, versions)
+	}
+	for _, name := range []string{"FamilyView", "FamilyAll"} {
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, _, err := g.materializeAt(context.Background(), vers[0], name); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 1 {
+			t.Errorf("%s at version 1: %v allocations per lookup, want at most 1 (the span attribute)", name, allocs)
 		}
 	}
 }
@@ -82,24 +117,53 @@ func aliasRegistry(s *schema.Schema) *Registry {
 	return reg
 }
 
-// copyingGenerator returns a generator over snap whose view cache holds
-// Registry.Materialize's copy of every view of reg, as a fill that never
-// aliases would leave it: its cites are what the identity views' cites
-// must render as.
-func copyingGenerator(t *testing.T, reg *Registry, snap *storage.Database) *Generator {
+// copiesCite cites q over snap as a generator that copies every view
+// would: each rewriting is evaluated over a layeredInstance of
+// Registry.Materialize's copies, and the results pre-fill the branch
+// cache, so the cite itself only unions, selects and resolves. Its result
+// is what the identity views' cite must render as.
+func copiesCite(t *testing.T, reg *Registry, snap *storage.Database, q *cq.Query, pol policy.Policy) *Result {
 	t.Helper()
-	g := NewGenerator(reg, snap)
+	copies := make(eval.Relations)
 	for _, v := range reg.Views() {
-		name := v.Query.Name
-		deps := reg.QueryDeps(name)
-		if _, _, err := g.views.get(genKey{snap.Origin(deps), name}, deps, func() (viewInstance, error) {
-			rel, err := reg.Materialize(snap, name)
-			return viewInstance{rel: rel}, err
-		}); err != nil {
+		rel, err := reg.Materialize(snap, v.Query.Name)
+		if err != nil {
 			t.Fatal(err)
 		}
+		copies[v.Query.Name] = rel.Snapshot()
 	}
-	return g
+	inst := layeredInstance{views: copies, base: snap}
+	g := NewGenerator(reg, snap)
+	rewritings, prep, _, err := g.rewriteStage(q, g.Method)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rw := range rewritings {
+		bq := rw.AsQuery("rw")
+		plan, err := eval.Compile(inst, bq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		annotated, err := eval.RunAnnotatedParallelCtx(context.Background(), plan, citeexpr.Semiring{}, annotator(prep.params), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deps := reg.BodyDeps(bq)
+		g.branches.get(genKey{snap.Origin(deps), branchName(bq)}, deps,
+			func() (*branch, error) { return newBranch(nil, annotated), nil })
+	}
+	tr := trace.New("cite")
+	res, err := g.CiteContext(trace.NewContext(context.Background(), tr), q, Request{Policy: &pol})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish()
+	tr.Root().Visit(func(sp *trace.Span) {
+		if c, _ := sp.Attr("cache"); sp.Name() == "branch" && c != "hit" {
+			t.Fatalf("%s: the reference evaluated a branch itself instead of reading the copies'", q)
+		}
+	})
+	return res
 }
 
 // randomRows draws up to 40 rows for rel. Only when special is set do
@@ -142,6 +206,8 @@ func ascendsEverywhere(rel *storage.Relation) bool {
 	return true
 }
 
+func isNaN(v value.Value) bool { return v.Kind() == value.KindFloat && math.IsNaN(v.FloatVal()) }
+
 // rowKeys renders a relation's live rows in scan order.
 func rowKeys(rel *storage.Relation) []string {
 	var out []string
@@ -154,12 +220,12 @@ func rowKeys(rel *storage.Relation) []string {
 
 // TestIdentityViewAliasMatchesMaterialize: over random base relations —
 // loaded ascending or shuffled, with a row deleted and re-inserted, with
-// holes, with NaN, ±0 and integral floats — the view cache's instance of
-// an identity view is the snapshot's base relation itself. It lists
-// exactly Registry.Materialize's rows in the same order exactly when its
-// rows ascend, and otherwise carries a copy that does. Every cite through
-// the identity views renders as the cite through a view cache of
-// Materialize's copies (copyingGenerator), and one of rows inserted out
+// holes, with NaN, ±0 and integral floats — the instance of an identity
+// view is the snapshot's base relation itself, a view-cache hit that
+// leaves no entry. It is in answer order exactly when its rows ascend,
+// and the view cache's copy of it lists Registry.Materialize's rows in
+// their order. Every cite through the identity views renders as the cite
+// through Materialize's copies (copiesCite), and one of rows inserted out
 // of order renders its alternatives in answer order.
 func TestIdentityViewAliasMatchesMaterialize(t *testing.T) {
 	t.Run("random", func(t *testing.T) {
@@ -229,26 +295,30 @@ func TestIdentityViewAliasMatchesMaterialize(t *testing.T) {
 				for _, base := range []string{"M", "N"} {
 					view := base + "V"
 					tr := trace.New("cite")
-					vi, err := NewGenerator(reg, db).materializeAt(trace.NewContext(context.Background(), tr), snap, view)
+					g := NewGenerator(reg, db)
+					rel, inAnswerOrder, err := g.materializeAt(trace.NewContext(context.Background(), tr), snap, view)
 					if err != nil {
 						t.Fatal(err)
 					}
 					tr.Finish()
 					name := layout + "/" + base
-					if vi.rel != snap.Relation(base) {
+					if rel != snap.Relation(base) {
 						t.Fatalf("seed %d, %s: identity view instance is not the base relation", seed, name)
 					}
-					if wantOrdered := ascendsEverywhere(vi.rel); (vi.sorted == nil) != wantOrdered {
-						t.Errorf("seed %d, %s: in answer order %v, want %v (rows %q)", seed, name, vi.sorted == nil, wantOrdered, rowKeys(vi.rel))
+					if n := len(cacheEntries(g.views)); n != 0 {
+						t.Errorf("seed %d, %s: the view cache holds %d entries after an identity view's lookup, want 0", seed, name, n)
 					}
-					inOrder := vi.rel
-					if vi.sorted != nil {
-						if inOrder, err = vi.sorted(); err != nil {
+					if want := ascendsEverywhere(rel); inAnswerOrder != want {
+						t.Errorf("seed %d, %s: in answer order %v, want %v (rows %q)", seed, name, inAnswerOrder, want, rowKeys(rel))
+					}
+					inOrder := rel
+					if inAnswerOrder {
+						ordered++
+					} else {
+						if inOrder, _, err = g.viewCopy(snap, view); err != nil {
 							t.Fatal(err)
 						}
 						unordered++
-					} else {
-						ordered++
 					}
 					want, err := reg.Materialize(snap, view)
 					if err != nil {
@@ -263,8 +333,8 @@ func TestIdentityViewAliasMatchesMaterialize(t *testing.T) {
 						}
 						alias, _ := sp.Attr("alias")
 						cache, _ := sp.Attr("cache")
-						if alias != true || cache != "miss" {
-							t.Errorf("seed %d, %s: views span alias=%v cache=%v, want an aliasing miss", seed, name, alias, cache)
+						if alias != true || cache != "hit" {
+							t.Errorf("seed %d, %s: views span alias=%v cache=%v, want an aliasing hit", seed, name, alias, cache)
 						}
 					})
 				}
@@ -279,10 +349,7 @@ func TestIdentityViewAliasMatchesMaterialize(t *testing.T) {
 							t.Fatal(err)
 						}
 						tr.Finish()
-						want, err := copyingGenerator(t, reg, snap).CiteContext(context.Background(), q, Request{Policy: &pol})
-						if err != nil {
-							t.Fatal(err)
-						}
+						want := copiesCite(t, reg, snap, q, pol)
 						if got, want := resultText(t, got), resultText(t, want); got != want {
 							t.Fatalf("seed %d, %s, %s, %s: identity views cite\n%s\ncopies cite\n%s", seed, layout, src, pol, got, want)
 						}

@@ -102,6 +102,15 @@ func paperGenerator(t *testing.T) *Generator {
 	return NewGenerator(paperRegistry(t, s), db)
 }
 
+// copyingPaperGenerator is paperGenerator over the paper's views with
+// swapped heads (swappedHeads): every view is a copy the view cache
+// holds, so tests of its retention rules read entries for V1, V2 and V3.
+func copyingPaperGenerator(t *testing.T) *Generator {
+	t.Helper()
+	g := paperGenerator(t)
+	return NewGenerator(swappedHeads(g.Registry()), g.Database())
+}
+
 var paperQueryText = "Q(FName) :- Family(FID, FName, Desc), FamilyIntro(FID, Text)"
 
 // TestPaperExampleEndToEnd reproduces the paper's §2 example exactly: the
@@ -452,9 +461,9 @@ func TestCoverageAnalysis(t *testing.T) {
 
 func TestResolveAtomRecordsParams(t *testing.T) {
 	g := paperGenerator(t)
-	rec, err := g.ResolveAtom(citeexpr.NewAtom("V1", value.Int(11)))
+	rec, err := g.resolveAtom(g.Head(), citeexpr.NewAtom("V1", value.Int(11)))
 	if err != nil {
-		t.Fatalf("ResolveAtom: %v", err)
+		t.Fatalf("resolveAtom: %v", err)
 	}
 	if !contains(rec[format.FieldAuthor], "Alice") || !contains(rec[format.FieldAuthor], "Bob") {
 		t.Errorf("authors %v, want Alice and Bob", rec[format.FieldAuthor])

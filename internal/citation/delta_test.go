@@ -108,12 +108,13 @@ func citeText(t *testing.T, g *Generator, src string) string {
 }
 
 // TestHeadTurnoverSelectivity pins the generator-level delta rule:
-// when a write turns the head over, exactly the plan, view and atom
+// when a write turns the head over, exactly the view-copy and atom
 // entries that transitively read a written relation leave; everything
 // else survives and keeps serving citations identical to a cold
-// recomputation.
+// recomputation. The views have swapped heads, so each is a copy the
+// view cache holds.
 func TestHeadTurnoverSelectivity(t *testing.T) {
-	g := paperGenerator(t)
+	g := copyingPaperGenerator(t)
 	db := g.Database()
 	introQuery := "Q(Text) :- FamilyIntro(FID, Text)"
 
@@ -129,8 +130,8 @@ func TestHeadTurnoverSelectivity(t *testing.T) {
 	}
 	base := g.Counters()
 
-	// Committee only feeds V1's citation query: every materialization and
-	// plan survives; only atom-cache entries for V1 go.
+	// Committee only feeds V1's citation query: every view copy survives;
+	// only atom-cache entries for V1 go.
 	db.Relation("Committee").MustInsert(value.Int(12), value.String("Dan"))
 	g.Head()
 	c := g.Counters()
@@ -150,8 +151,8 @@ func TestHeadTurnoverSelectivity(t *testing.T) {
 		t.Errorf("survivor-served citation diverged from original:\n got %s\nwant %s", got, paperBefore)
 	}
 
-	// Family feeds V1/V2 bodies and the paper query's plans; V3 and the
-	// intro query survive untouched.
+	// Family feeds the V1/V2 bodies; V3 and the intro query survive
+	// untouched.
 	base = g.Counters()
 	db.Relation("Family").MustInsert(value.Int(13), value.String("Galanin"), value.String("C3"))
 	g.Head()
@@ -189,7 +190,7 @@ func TestHeadTurnoverSelectivity(t *testing.T) {
 	if c.ViewsEvicted == base.ViewsEvicted {
 		t.Error("InvalidateCache counted no view evictions")
 	}
-	cold := NewGenerator(paperRegistry(t, db.Schema()), db)
+	cold := NewGenerator(g.Registry(), db)
 	if got, want := citeText(t, g, paperQueryText), citeText(t, cold, paperQueryText); got != want {
 		t.Errorf("recomputation diverged from a cold generator:\n got %s\nwant %s", got, want)
 	}

@@ -145,17 +145,18 @@ func cacheEntries[V any](c *depCache[V]) map[genKey][]string {
 // retention invariant directly: every retained versioned entry is the
 // key of some live version. Versions 1..9 change only Family. Version 1
 // fills its caches while live, then leaves the LRU, then fills again
-// late. Its views and atoms over unchanged relations stay, because live
-// versions map to the same keys; its Family view goes with it, and the
-// late fill of that view is not cached.
+// late. Its view copies and atoms over unchanged relations stay, because
+// live versions map to the same keys; its Family copy goes with it, and
+// the late fill of that copy is not cached. The views have swapped heads,
+// so each is a copy the view cache holds.
 func TestVersionedEntriesStayInLiveNamespaces(t *testing.T) {
-	g := paperGenerator(t)
+	g := copyingPaperGenerator(t)
 	n := maxVersionGenerations + 1
 	vers := commitHistory(t, g, n, "Family")
 	fill := func(v int) {
 		t.Helper()
 		for _, view := range []string{"V2", "V3"} {
-			if _, err := g.materializeAt(context.Background(), vers[v-1], view); err != nil {
+			if _, _, err := g.materializeAt(context.Background(), vers[v-1], view); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"iter"
-	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -33,13 +32,14 @@ var ErrNoRewriting = errors.New("citation: query has no rewriting over the regis
 // using one view registry and one combination policy.
 //
 // A Generator is safe for concurrent Cite calls: its caches are
-// singleflight (each view is materialized, each citation atom resolved
-// and each rewriting evaluated exactly once under concurrent demand,
-// later callers block until the value is ready), and alternative
-// rewritings are evaluated by a bounded worker pool. The configuration
-// fields (Method, AllowPartial, CostPruned, MaxRewritings, Parallelism)
-// must be set before the generator is shared across goroutines; the view
-// registry must likewise be fully populated first.
+// singleflight (each view copy is materialized, each citation atom
+// resolved and each rewriting evaluated exactly once under concurrent
+// demand, later callers block until the value is ready). A cite
+// evaluates its rewritings in order; the only parallelism inside one
+// cite is a rewriting's partitioned join. The configuration fields
+// (Method, AllowPartial, CostPruned, MaxRewritings, Parallelism) must be
+// set before the generator is shared across goroutines; the view registry
+// must likewise be fully populated first.
 type Generator struct {
 	reg *Registry
 	db  *storage.Database
@@ -60,21 +60,24 @@ type Generator struct {
 	CostPruned bool
 	// MaxRewritings caps the rewriting search (0 = unlimited).
 	MaxRewritings int
-	// Parallelism bounds the workers used to evaluate alternative
-	// rewritings (and, when only one rewriting survives, to partition its
-	// join). 0 means GOMAXPROCS; 1 forces sequential evaluation.
+	// Parallelism bounds the workers that partition one rewriting's join
+	// (eval.RunAnnotatedParallelCtx), which partitions only when the
+	// leading step has enough candidates. 0 means GOMAXPROCS; 1 forces
+	// sequential evaluation.
 	Parallelism int
 
 	// The three caches memoize the pipeline's steps under (origin,
-	// name/signature) keys (genKey): views holds view instances
-	// (viewInstance; deps: Registry.QueryDeps), atoms resolved citation
-	// records (deps: Registry.CitationDeps), and branches the annotated
-	// evaluation of one rewriting (deps: Registry.BodyDeps). Every cite
-	// reads a frozen snapshot, and an entry is keyed by the origin of the
-	// content its deps read there, so it never goes stale and serves every
-	// snapshot — the head's or a committed version's — that shares that
-	// content (DESIGN.md §3, §7).
-	views    *depCache[viewInstance]
+	// name/signature) keys (genKey): views holds frozen view copies
+	// (viewCopy; deps: Registry.QueryDeps) — an identity view is read
+	// straight from the snapshot and has an entry only for its copy in
+	// answer order — atoms resolved citation records (deps:
+	// Registry.CitationDeps), and branches the annotated evaluation of one
+	// rewriting (deps: Registry.BodyDeps). Every cite reads a frozen
+	// snapshot, and an entry is keyed by the origin of the content its
+	// deps read there, so it never goes stale and serves every snapshot —
+	// the head's or a committed version's — that shares that content
+	// (DESIGN.md §3, §7).
+	views    *depCache[*storage.Relation]
 	atoms    *depCache[format.Record]
 	branches *depCache[*branch]
 
@@ -129,8 +132,8 @@ type Request struct {
 	// Method, when non-nil, overrides the rewriting algorithm for this
 	// call only.
 	Method *rewrite.Method
-	// Parallelism, when positive, overrides the generator's worker bound
-	// for this call only (1 forces sequential evaluation).
+	// Parallelism, when positive, overrides the generator's join worker
+	// bound for this call only (1 forces sequential evaluation).
 	Parallelism int
 }
 
@@ -140,7 +143,7 @@ func NewGenerator(reg *Registry, db *storage.Database) *Generator {
 	if db != nil && db.Frozen() {
 		g.head = db
 	}
-	g.views = newDepCache[viewInstance](g.keyLive)
+	g.views = newDepCache[*storage.Relation](g.keyLive)
 	g.atoms = newDepCache[format.Record](g.keyLive)
 	g.branches = newDepCache[*branch](g.keyLive)
 	return g
@@ -171,7 +174,7 @@ func (g *Generator) Registry() *Registry { return g.reg }
 // Database returns the generator's database.
 func (g *Generator) Database() *storage.Database { return g.db }
 
-// workers resolves the effective worker-pool width.
+// workers resolves the effective join worker bound.
 func (g *Generator) workers() int {
 	if g.Parallelism > 0 {
 		return g.Parallelism
@@ -301,9 +304,9 @@ func (b *branch) expr(t storage.Tuple) (citeexpr.Expr, bool) {
 // Cite constructs the citation for q's answer over the generator's
 // database (Definitions 2.1 and 2.2 plus the Agg step). The query must
 // range over base relations. Alternative rewritings are evaluated in
-// parallel (bounded by Parallelism); when a single rewriting survives
-// pruning, its join is partitioned instead. Both strategies produce
-// expressions identical to sequential evaluation.
+// order, each join partitioned over up to Parallelism workers when its
+// leading step has enough candidates; the expressions are identical to
+// sequential evaluation.
 func (g *Generator) Cite(q *cq.Query) (*Result, error) {
 	//lint:detach context-free public API: Cite is the no-cancellation convenience wrapper over CiteContext
 	return g.CiteContext(context.Background(), q, Request{})
@@ -586,14 +589,13 @@ func (g *Generator) readSet(rewritings []*rewrite.Rewriting) []string {
 }
 
 // evalBranches evaluates every rewriting with citation-expression
-// annotations against the snapshot db, with caching. A single
-// rewriting is partitioned internally (eval.RunAnnotatedParallelCtx);
-// several rewritings are distributed over a bounded worker pool, one
-// sequential evaluation each. Results are indexed by rewriting, so the outcome is
-// deterministic regardless of scheduling; canceling ctx aborts every
-// branch with ctx.Err().
+// annotations against the snapshot db, in order, with caching. Each
+// evaluation may partition its own join over up to workers goroutines
+// (eval.RunAnnotatedParallelCtx); canceling ctx aborts it with
+// ctx.Err().
 func (g *Generator) evalBranches(ctx context.Context, evalSet []*rewrite.Rewriting, params map[string][]int, db *storage.Database, workers int) ([]*branch, error) {
-	evalOne := func(idx int, rw *rewrite.Rewriting, innerWorkers int) (*branch, error) {
+	branches := make([]*branch, len(evalSet))
+	for i, rw := range evalSet {
 		// Branch cache: a repeated rewriting over unchanged body content
 		// reuses the whole annotated evaluation. Deps are the rewriting's
 		// body reads: the branch holds answers and parameter-built
@@ -602,52 +604,17 @@ func (g *Generator) evalBranches(ctx context.Context, evalSet []*rewrite.Rewriti
 		q := rw.AsQuery("rw")
 		deps := g.reg.BodyDeps(q)
 		b, hit, err := g.branches.get(genKey{db.Origin(deps), branchName(q)}, deps,
-			func() (*branch, error) { return g.evalBranch(ctx, idx, q, rw, params, db, innerWorkers) })
-		if hit && err == nil {
+			func() (*branch, error) { return g.evalBranch(ctx, i, q, rw, params, db, workers) })
+		if err != nil {
+			return nil, err
+		}
+		if hit {
 			_, bsp := trace.StartSpan(ctx, "branch")
-			bsp.Set("alt", idx)
+			bsp.Set("alt", i)
 			bsp.Set("cache", "hit")
 			bsp.End()
 		}
-		return b, err
-	}
-	branches := make([]*branch, len(evalSet))
-	if len(evalSet) == 1 {
-		b, err := evalOne(0, evalSet[0], workers)
-		if err != nil {
-			return nil, err
-		}
-		branches[0] = b
-		return branches, nil
-	}
-	if workers <= 1 {
-		for i, rw := range evalSet {
-			b, err := evalOne(i, rw, 1)
-			if err != nil {
-				return nil, err
-			}
-			branches[i] = b
-		}
-		return branches, nil
-	}
-
-	errs := make([]error, len(evalSet))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, rw := range evalSet {
-		wg.Add(1)
-		go func(i int, rw *rewrite.Rewriting) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			branches[i], errs[i] = evalOne(i, rw, 1)
-		}(i, rw)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+		branches[i] = b
 	}
 	return branches, nil
 }
@@ -679,12 +646,11 @@ func branchName(q *cq.Query) string {
 
 // evalBranch performs one rewriting's annotated evaluation — the cache
 // miss path of evalBranches. One span per alternative rewriting: view
-// materializations, plan compilation and the enumeration itself nest
-// under it, so a trace shows which alternative cost what. Branches may
-// run concurrently — sibling spans are mutex-appended to "eval". The
-// plan is compiled on every miss: the branch cache above it already
-// memoizes the whole evaluation under the same key and deps.
-func (g *Generator) evalBranch(ctx context.Context, idx int, q *cq.Query, rw *rewrite.Rewriting, params map[string][]int, db *storage.Database, innerWorkers int) (*branch, error) {
+// lookups, plan compilation and the enumeration itself nest under it, so
+// a trace shows which alternative cost what. The plan is compiled on
+// every miss: the branch cache above it already memoizes the whole
+// evaluation under the same key and deps.
+func (g *Generator) evalBranch(ctx context.Context, idx int, q *cq.Query, rw *rewrite.Rewriting, params map[string][]int, db *storage.Database, workers int) (*branch, error) {
 	bctx, bsp := trace.StartSpan(ctx, "branch")
 	defer bsp.End()
 	bsp.Set("alt", idx)
@@ -703,7 +669,7 @@ func (g *Generator) evalBranch(ctx context.Context, idx int, q *cq.Query, rw *re
 			bsp.Set("outcome", "compile-error")
 			return nil, err
 		}
-		annotated, err := eval.RunAnnotatedParallelCtx(bctx, plan, sr, annotator(params), innerWorkers)
+		annotated, err := eval.RunAnnotatedParallelCtx(bctx, plan, sr, annotator(params), workers)
 		if err != nil {
 			bsp.Set("outcome", "eval-error")
 		}
@@ -722,17 +688,18 @@ func (g *Generator) evalBranch(ctx context.Context, idx int, q *cq.Query, rw *re
 	// order of its + alternatives), or where answers tie under
 	// Tuple.Compare or hold a NaN (their order after sorting). If
 	// neither happened, the result is the one the views in answer order
-	// give; else evaluate again over those. The cost of an alias thus
-	// does not depend on its row order unless the result does.
+	// give; else evaluate again over their copies in answer order, from
+	// the view cache. The cost of an alias thus does not depend on its
+	// row order unless the result does.
 	var plus atomic.Int64
 	annotated, err := run(plusCounter{&plus})
 	if err != nil {
 		return nil, err
 	}
-	if plus.Load() > 0 || !ascending(answerTuples(annotated)) {
+	if plus.Load() > 0 || !storage.Ascending(answerTuples(annotated)) {
 		bsp.Set("resorted", len(unordered))
-		for name, vi := range unordered {
-			rel, err := vi.sorted()
+		for _, name := range unordered {
+			rel, _, err := g.viewCopy(db, name)
 			if err != nil {
 				bsp.Set("outcome", "materialize-error")
 				return nil, err
@@ -798,25 +765,22 @@ func (g *Generator) CiteTuple(q *cq.Query, t storage.Tuple) (*TupleCitation, err
 	return nil, fmt.Errorf("citation: tuple %s is not in the answer of %s", t, q.Name)
 }
 
-// instanceFor fetches (with caching) the view instances a rewriting
-// references and combines them with db for residual atoms. unordered
-// holds those of them that list their view's answer out of order.
-func (g *Generator) instanceFor(ctx context.Context, rw *rewrite.Rewriting, db *storage.Database) (inst layeredInstance, unordered map[string]viewInstance, err error) {
+// instanceFor fetches the view instances a rewriting references and
+// combines them with db for residual atoms. unordered names those of
+// them that list their view's answer out of order.
+func (g *Generator) instanceFor(ctx context.Context, rw *rewrite.Rewriting, db *storage.Database) (inst layeredInstance, unordered []string, err error) {
 	rels := make(eval.Relations)
 	for _, va := range rw.ViewAtoms {
 		if _, done := rels[va.ViewName]; done {
 			continue
 		}
-		vi, err := g.materializeAt(ctx, db, va.ViewName)
+		rel, ordered, err := g.materializeAt(ctx, db, va.ViewName)
 		if err != nil {
 			return layeredInstance{}, nil, err
 		}
-		rels[va.ViewName] = vi.rel
-		if vi.sorted != nil {
-			if unordered == nil {
-				unordered = make(map[string]viewInstance)
-			}
-			unordered[va.ViewName] = vi
+		rels[va.ViewName] = rel
+		if !ordered {
+			unordered = append(unordered, va.ViewName)
 		}
 	}
 	return layeredInstance{views: rels, base: db}, unordered, nil
@@ -931,91 +895,72 @@ func mapsTo(vers []liveVersion, key genKey, deps []string) bool {
 	return slices.ContainsFunc(vers, func(u liveVersion) bool { return u.db.Origin(deps) == key.origin })
 }
 
-// viewInstance is a view-cache entry. rel is the frozen relation plans
-// read for the view: a materialized copy (frozenCopy), which lists the
-// view's answer in ascending Tuple.Compare order as Materialize loads it,
-// or an identity view's base relation (identityInstance). An alias whose
-// rows do not ascend lists the answer in row order instead, and sorted
-// then materializes the view in answer order, once, on first call.
-type viewInstance struct {
-	rel    *storage.Relation
-	sorted func() (*storage.Relation, error)
-}
-
-// materializeAt returns the named view's instance over the snapshot db
-// with singleflight caching: under concurrent demand exactly one
-// goroutine fills the entry, the rest block until the instance is ready.
-// Materialization always runs to completion — it is shared work, so no
-// caller's context may cancel it for the others. A failed materialization
-// is not cached, so transient errors are retried on next demand.
+// materializeAt returns the named view's instance over the snapshot db,
+// and whether its rows list the view's answer in answer order (ascending
+// Tuple.Compare, as Registry.Materialize loads it).
 //
-// The fill of an identity view serves its frozen base relation instead
-// of a copy (the span says alias: true); any other view is materialized
-// into a frozen copy.
-//
-// The span covers the singleflight wait as well as the evaluation: a
-// "hit" with a long duration means this request blocked on another
-// goroutine's in-flight materialization of the same view.
-func (g *Generator) materializeAt(ctx context.Context, db *storage.Database, viewName string) (viewInstance, error) {
+// An identity view is read straight from db: its instance is the frozen
+// base relation itself (identityRelation), found without a cache lookup,
+// and in answer order iff its rows ascend (Relation.RowsAscend). The
+// span says alias: true and cache: "hit", since nothing is materialized.
+// Any other view is a frozen copy from the view cache (viewCopy).
+func (g *Generator) materializeAt(ctx context.Context, db *storage.Database, viewName string) (*storage.Relation, bool, error) {
 	_, sp := trace.StartSpan(ctx, "views")
 	defer sp.End()
 	sp.Set("view", viewName)
-	deps := g.reg.QueryDeps(viewName)
-	vi, hit, err := g.views.get(genKey{db.Origin(deps), viewName}, deps,
-		func() (viewInstance, error) {
-			if vi, ok := g.identityInstance(db, viewName); ok {
-				sp.Set("alias", true)
-				return vi, nil
-			}
-			rel, err := g.frozenCopy(db, viewName)
-			return viewInstance{rel: rel}, err
-		})
+	if rel := g.identityRelation(db, viewName); rel != nil {
+		sp.Set("alias", true)
+		sp.Set("cache", "hit")
+		return rel, rel.RowsAscend(), nil
+	}
+	rel, hit, err := g.viewCopy(db, viewName)
 	if hit {
 		sp.Set("cache", "hit")
 	} else {
 		sp.Set("cache", "miss")
 	}
-	return vi, err
+	return rel, true, err
 }
 
-// frozenCopy materializes the named view over db and freezes the copy,
-// in O(1): nobody writes a cached instance, so plans read it through its
-// columnar block.
-func (g *Generator) frozenCopy(db *storage.Database, viewName string) (*storage.Relation, error) {
-	rel, err := g.reg.Materialize(db, viewName)
-	if err != nil {
-		return nil, err
-	}
-	return rel.Snapshot(), nil
+// viewCopy returns the named view materialized over the snapshot db into
+// a frozen copy in answer order, and whether the view cache already held
+// it. Fills are singleflight: under concurrent demand exactly one
+// goroutine materializes, the rest block until the copy is ready (a
+// materializeAt "hit" with a long span blocked on a neighbour's fill).
+// Materialization always runs to completion — it is shared work, so no
+// caller's context may cancel it for the others. A failed fill is not
+// cached, so transient errors are retried on next demand. The copy is
+// frozen in O(1): nobody writes a cached instance, so plans read it
+// through its columnar block.
+func (g *Generator) viewCopy(db *storage.Database, viewName string) (*storage.Relation, bool, error) {
+	deps := g.reg.QueryDeps(viewName)
+	return g.views.get(genKey{db.Origin(deps), viewName}, deps, func() (*storage.Relation, error) {
+		rel, err := g.reg.Materialize(db, viewName)
+		if err != nil {
+			return nil, err
+		}
+		return rel.Snapshot(), nil
+	})
 }
 
-// identityInstance serves the named view over db as its frozen base
-// relation, or reports false when the view must be materialized: it is
-// not an identity view (identityBase), or db's relation is not frozen. The
+// identityRelation returns the snapshot db's frozen base relation of the
+// named view, or nil when the view must be materialized: it is not an
+// identity view (identityBase), or db's relation is not frozen. The
 // relation holds exactly the view's answer, and plans look relations up
-// by atom predicate, so its schema's name does not matter. When its rows
-// ascend they are in answer order too, and plans over it enumerate the
-// bindings a copy gives in the same order. When they do not, sorted
-// materializes the copy for the evaluations whose result would show the
-// difference (evalBranch).
-func (g *Generator) identityInstance(db *storage.Database, viewName string) (viewInstance, bool) {
+// by atom predicate, so its schema's name does not matter.
+func (g *Generator) identityRelation(db *storage.Database, viewName string) *storage.Relation {
 	v := g.reg.View(viewName)
 	if v == nil {
-		return viewInstance{}, false
+		return nil
 	}
 	base, ok := identityBase(v.Query)
 	if !ok {
-		return viewInstance{}, false
+		return nil
 	}
-	rel := db.Relation(base)
-	if rel == nil || !rel.Frozen() {
-		return viewInstance{}, false
+	if rel := db.Relation(base); rel != nil && rel.Frozen() {
+		return rel
 	}
-	vi := viewInstance{rel: rel}
-	if !ascending(rel.Scan) {
-		vi.sorted = sync.OnceValues(func() (*storage.Relation, error) { return g.frozenCopy(db, viewName) })
-	}
-	return vi, true
+	return nil
 }
 
 // identityBase reports whether q is an identity view — one body atom
@@ -1035,25 +980,6 @@ func identityBase(q *cq.Query) (string, bool) {
 	}
 	return q.Body[0].Predicate, true
 }
-
-// ascending reports whether rows strictly ascend under
-// storage.Tuple.Compare and hold no NaN: then sorting them, in any
-// order, gives this sequence and only it. A NaN compares equal to every
-// float, which makes Compare intransitive: rows can ascend pairwise yet
-// sort differently. Two rows that compare equal (0 and -0) keep an order
-// that depends on the sort's input.
-func ascending(rows iter.Seq[storage.Tuple]) bool {
-	var prev storage.Tuple
-	for t := range rows {
-		if prev != nil && prev.Compare(t) >= 0 || slices.ContainsFunc(t, isNaN) {
-			return false
-		}
-		prev = t
-	}
-	return true
-}
-
-func isNaN(v value.Value) bool { return v.Kind() == value.KindFloat && math.IsNaN(v.FloatVal()) }
 
 // paramPositions maps every view the rewritings use to its parameter
 // positions in the view head.
@@ -1119,14 +1045,9 @@ func (g *Generator) resolverAt(db *storage.Database, stats *Stats) policy.Resolv
 	}
 }
 
-// ResolveAtom evaluates the citation queries of the atom's view with the
-// atom's parameter values bound against the head database, and applies
-// the citation function.
-func (g *Generator) ResolveAtom(a citeexpr.Atom) (format.Record, error) {
-	return g.resolveAtom(g.db, a)
-}
-
-// resolveAtom is ResolveAtom against an explicit target database.
+// resolveAtom evaluates the citation queries of the atom's view with the
+// atom's parameter values bound against the snapshot db, and applies the
+// citation function.
 func (g *Generator) resolveAtom(db *storage.Database, a citeexpr.Atom) (format.Record, error) {
 	v := g.reg.View(a.View)
 	if v == nil {

@@ -135,10 +135,10 @@ func (r *Registry) Views() []*View {
 // returns a fresh, mutable relation, so a caller that keeps instances of
 // its own (evolution.Maintainer) may write to them. The generator's view
 // cache fills through it too and freezes what it returns
-// (Generator.frozenCopy), except where an identity view is served as its
-// frozen base relation itself (Generator.materializeAt); such an alias
-// whose rows do not ascend calls it only for a branch whose result shows
-// the order (Generator.evalBranch).
+// (Generator.viewCopy). An identity view is read as its frozen base
+// relation instead (Generator.materializeAt), and copied only for a
+// branch whose result shows that its rows do not ascend
+// (Generator.evalBranch).
 func (r *Registry) Materialize(db *storage.Database, name string) (*storage.Relation, error) {
 	v := r.View(name)
 	if v == nil {

@@ -69,12 +69,14 @@ func resultText(t testing.TB, res *Result) string {
 }
 
 // TestVersionSweepSharesUnchangedViews: across 12 versions that change
-// only Family, a view over FamilyIntro alone is materialized once — even
-// though the sweep passes maxVersionGenerations — while the views over
-// Family are materialized once per version, and every version's citation
-// is byte-identical to a fresh generator's.
+// only Family, a view copy over FamilyIntro alone is materialized once —
+// even though the sweep passes maxVersionGenerations — while the copies
+// over Family are materialized once per version, and every version's
+// citation is byte-identical to a fresh generator's. The views are the
+// paper's with swapped heads, so every one is a copy the view cache
+// holds.
 func TestVersionSweepSharesUnchangedViews(t *testing.T) {
-	g := paperGenerator(t)
+	g := copyingPaperGenerator(t)
 	const n = 12
 	vers := commitHistory(t, g, n, "Family")
 	introQuery := "Q(Text) :- FamilyIntro(FID, Text)"
@@ -169,30 +171,33 @@ func TestVersionedCiteNeedsFrozenSnapshot(t *testing.T) {
 // BenchmarkVersionSweep cites the four query shapes of the serving
 // benchmark's history traffic across 32 committed versions of a
 // 500-family GtoPdb instance that differ only in Family, one sweep per
-// iteration over one long-lived generator. The sweep touches 32 versions,
-// more than maxVersionGenerations, so views over Family refill on every
-// sweep while those over Target and FamilyIntro are shared by every
-// version. Under identity the views are the serving benchmark's
-// own, identity views each served as its ascending base relation; under
-// copy each view's first two head columns are swapped, so every fill
-// materializes a copy.
+// iteration over one long-lived generator. Under identity the views are
+// the serving benchmark's own, identity views each read straight from
+// the version's snapshot as its ascending base relation, so no view is
+// ever filled. Under copy each view's first two head columns are swapped,
+// so every view is a copy: the sweep touches 32 versions, more than
+// maxVersionGenerations, so copies over Family refill on every sweep
+// while those over Target and FamilyIntro are shared by every version.
 func BenchmarkVersionSweep(b *testing.B) {
 	b.Run("identity", func(b *testing.B) { benchmarkVersionSweep(b, servingRegistry) })
 	b.Run("copy", func(b *testing.B) { benchmarkVersionSweep(b, swappedServingRegistry) })
 }
 
-// swappedServingRegistry is servingRegistry with the first two head
-// columns of every view swapped: the same views as a rewriting target,
-// none of them an identity view.
-func swappedServingRegistry(s *schema.Schema) *Registry {
-	reg := NewRegistry(s)
-	for _, v := range servingRegistry(s).Views() {
+// swappedHeads returns reg's views with the first two head columns of
+// each swapped: the same views as a rewriting target, none of them an
+// identity view, so the view cache holds a copy of every one.
+func swappedHeads(reg *Registry) *Registry {
+	out := NewRegistry(reg.Schema())
+	for _, v := range reg.Views() {
 		q := v.Query.Clone()
 		q.Head[0], q.Head[1] = q.Head[1], q.Head[0]
-		reg.MustAdd(&View{Query: q, Citations: v.Citations, Fn: v.Fn, Static: v.Static})
+		out.MustAdd(&View{Query: q, Citations: v.Citations, Fn: v.Fn, Static: v.Static})
 	}
-	return reg
+	return out
 }
+
+// swappedServingRegistry is servingRegistry under swappedHeads.
+func swappedServingRegistry(s *schema.Schema) *Registry { return swappedHeads(servingRegistry(s)) }
 
 // TestViewCopyIsFrozen: the view cache freezes every copy it fills, so
 // plans read a copy through its columnar block and build no row index on
@@ -218,38 +223,45 @@ func TestViewCopyIsFrozen(t *testing.T) {
 		t.Errorf("a second cite over the cached copy encoded %d bytes, want 0", n)
 	}
 	for _, name := range []string{"FamilyView", "FamilyAll"} {
-		vi, err := g.materializeAt(context.Background(), snap, name)
+		rel, _, err := g.materializeAt(context.Background(), snap, name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !vi.rel.Frozen() {
+		if !rel.Frozen() {
 			t.Errorf("%s: the cached copy is mutable", name)
 		}
-		for col := range vi.rel.Schema().Arity() {
-			if vi.rel.HasIndex(col) {
+		for col := range rel.Schema().Arity() {
+			if rel.HasIndex(col) {
 				t.Errorf("%s: the cached copy holds a row index on column %d", name, col)
 			}
 		}
 	}
 }
 
-func benchmarkVersionSweep(b *testing.B, registry func(*schema.Schema) *Registry) {
-	const versions, families = 32, 500
+// familyReleases generates a GtoPdb instance of the given size and
+// freezes n versions of it, the first as generated and each later one
+// after adding one family. db is the head; vers[v-1] is version v.
+func familyReleases(tb testing.TB, families, n int) (db *storage.Database, vers []*storage.Database) {
+	tb.Helper()
 	cfg := gtopdb.DefaultConfig()
 	cfg.Families = families
-	db := gtopdb.Generate(cfg)
-	reg := registry(db.Schema())
-	snaps := make([]*storage.Database, 0, versions)
-	for v := 1; v <= versions; v++ {
+	db = gtopdb.Generate(cfg)
+	for v := 1; v <= n; v++ {
 		if v > 1 {
 			fid := int64(families + v)
 			if err := db.Insert("Family", value.Int(fid), value.String(fmt.Sprintf("Family added in release %d", v)), value.String("added")); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
-		snaps = append(snaps, db.Snapshot())
+		vers = append(vers, db.Snapshot())
 	}
-	g := NewGenerator(reg, db)
+	return db, vers
+}
+
+func benchmarkVersionSweep(b *testing.B, registry func(*schema.Schema) *Registry) {
+	const versions, families = 32, 500
+	db, snaps := familyReleases(b, families, versions)
+	g := NewGenerator(registry(db.Schema()), db)
 	g.Parallelism = 1
 	sweep := func(i int) {
 		for v := 1; v <= versions; v++ {

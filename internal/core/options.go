@@ -57,8 +57,8 @@ func WithRewriteMethod(m rewrite.Method) CiteOption {
 	return func(c *citeConfig) { c.method = &m }
 }
 
-// WithParallelism bounds this call's worker pools — the per-query
-// rewriting evaluation and the CiteAll/CiteEach batch fan-out. 1 forces
+// WithParallelism bounds this call's worker pools — each rewriting's
+// partitioned join and the CiteAll/CiteEach batch fan-out. 1 forces
 // fully sequential evaluation; 0 (or omitting the option) means
 // GOMAXPROCS. Parallel and sequential evaluation produce structurally
 // identical citations (DESIGN.md §3), so the option never changes a

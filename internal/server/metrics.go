@@ -202,7 +202,7 @@ func (m *serverMetrics) render(w *strings.Builder, s *Server) {
 		name, what    string
 		kept, evicted int64
 	}{
-		{"view", "Materialized views", gc.ViewsKept, gc.ViewsEvicted},
+		{"view", "View copies", gc.ViewsKept, gc.ViewsEvicted},
 		{"atom", "Atom-cache entries", gc.AtomsKept, gc.AtomsEvicted},
 		{"branch", "Cached branch evaluations", gc.BranchesKept, gc.BranchesEvicted},
 	} {

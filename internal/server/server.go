@@ -121,8 +121,8 @@ type Options struct {
 	// disables the store (the endpoint then answers 404).
 	QueryStats int
 	// Parallelism bounds the engine's worker pools for every cite the
-	// server makes — a batch's fan-out and each query's rewriting
-	// evaluation — through core.WithParallelism. 0 means GOMAXPROCS; 1
+	// server makes — a batch's fan-out and each rewriting's partitioned
+	// join — through core.WithParallelism. 0 means GOMAXPROCS; 1
 	// forces sequential evaluation. Results are identical either way.
 	Parallelism int
 }

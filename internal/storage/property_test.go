@@ -360,3 +360,97 @@ func TestSnapshotReadsWhileSourceWrites(t *testing.T) {
 		t.Fatalf("snapshot len %d after source writes, want 300", snap.Len())
 	}
 }
+
+// ascendsAllPairs is RowsAscend's oracle, stated over every pair of live
+// rows rather than neighbours: no NaN anywhere, and each row strictly
+// before every later one under Tuple.Compare.
+func ascendsAllPairs(r *Relation) bool {
+	rows := r.Tuples()
+	for i, row := range rows {
+		for _, v := range row {
+			if v.Kind() == value.KindFloat && math.IsNaN(v.FloatVal()) {
+				return false
+			}
+		}
+		for _, later := range rows[i+1:] {
+			if row.Compare(later) >= 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestRowsAscendMatchesAllPairs: over random rows — with NaN payloads and ±0
+// on odd rounds, loaded sorted or as drawn — RowsAscend agrees with the
+// all-pairs oracle on the mutable relation after every write (holes, a
+// row deleted and re-inserted), so its answer follows the writes, and on
+// a snapshot taken then, which keeps its answer while its source changes.
+func TestRowsAscendMatchesAllPairs(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	ascending, outOfOrder, flips := 0, 0, 0
+	for round := 0; round < 400; round++ {
+		floats := []value.Value{value.Float(1), value.Float(2), value.Float(-1.5)}
+		if round%2 == 1 {
+			floats = append(floats, value.Float(0), negZero, nanA, nanB)
+		}
+		rows := make([]Tuple, rng.Intn(10))
+		for i := range rows {
+			rows[i] = Tuple{value.Int(int64(rng.Intn(4))), floats[rng.Intn(len(floats))], value.String(string(rune('a' + rng.Intn(2))))}
+		}
+		if round%4 < 2 {
+			slices.SortFunc(rows, Tuple.Compare)
+		}
+		r := NewRelation(propSchema())
+		if _, err := r.InsertBatch(rows); err != nil {
+			t.Fatal(err)
+		}
+		type frozen struct {
+			rel  *Relation
+			want bool
+		}
+		var snaps []frozen
+		check := func(step string) {
+			t.Helper()
+			want := ascendsAllPairs(r)
+			if len(snaps) > 0 && snaps[len(snaps)-1].want != want {
+				flips++
+			}
+			if got := r.RowsAscend(); got != want {
+				t.Fatalf("round %d, %s: mutable RowsAscend = %v, want %v (rows %v)", round, step, got, want, r.Tuples())
+			}
+			snap := r.Snapshot()
+			if got := snap.RowsAscend(); got != want {
+				t.Fatalf("round %d, %s: snapshot RowsAscend = %v, want %v (rows %v)", round, step, got, want, snap.Tuples())
+			}
+			snaps = append(snaps, frozen{snap, want})
+			if want {
+				ascending++
+			} else {
+				outOfOrder++
+			}
+		}
+		check("loaded")
+		if live := r.Tuples(); len(live) > 0 {
+			row := live[rng.Intn(len(live))]
+			r.Delete(row)
+			check("deleted")
+			if _, err := r.Insert(row); err != nil {
+				t.Fatal(err)
+			}
+			check("re-inserted")
+			for range 1 + len(live)/3 {
+				r.Delete(live[rng.Intn(len(live))])
+			}
+			check("holes")
+		}
+		for i, s := range snaps {
+			if got := s.rel.RowsAscend(); got != s.want || got != ascendsAllPairs(s.rel) {
+				t.Fatalf("round %d: snapshot %d reads %v after its source changed, want %v", round, i, got, s.want)
+			}
+		}
+	}
+	if ascending < 100 || outOfOrder < 100 || flips < 100 {
+		t.Errorf("%d checks ascending, %d out of order, %d answers changed by a write; want at least 100 each", ascending, outOfOrder, flips)
+	}
+}

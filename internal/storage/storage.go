@@ -38,6 +38,9 @@ package storage
 
 import (
 	"fmt"
+	"iter"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -169,6 +172,10 @@ type Relation struct {
 	// request under colMu and kept for life; always nil on a mutable one.
 	colBlk atomic.Pointer[ColBlock]
 	colMu  sync.Mutex
+
+	// ascends memoizes RowsAscend on a frozen relation: 0 until first
+	// asked, then rowsAscend or rowsOutOfOrder. Always 0 on a mutable one.
+	ascends atomic.Uint32
 
 	// Snapshot reuse. On a mutable relation, snap is the last frozen
 	// snapshot handed out and snapGen the content generation it froze
@@ -627,6 +634,50 @@ func (r *Relation) SortedTuples() []Tuple {
 	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
 	return out
 }
+
+// Values of Relation.ascends.
+const (
+	rowsAscend = 1 + iota
+	rowsOutOfOrder
+)
+
+// RowsAscend reports whether the live rows, in scan order, are Ascending:
+// then they list the relation's tuples in the order sorting them gives.
+// A frozen relation scans once and keeps the answer for life; a mutable
+// one scans on every call, so the answer follows its writes.
+func (r *Relation) RowsAscend() bool {
+	if a := r.ascends.Load(); a != 0 {
+		return a == rowsAscend
+	}
+	ok := Ascending(r.Scan)
+	if r.frozen {
+		a := uint32(rowsOutOfOrder)
+		if ok {
+			a = rowsAscend
+		}
+		r.ascends.Store(a)
+	}
+	return ok
+}
+
+// Ascending reports whether rows strictly ascend under Tuple.Compare and
+// hold no NaN: then sorting them, in any order, gives this sequence and
+// only it. A NaN compares equal to every float, which makes Compare
+// intransitive: rows can ascend pairwise yet sort differently. Two rows
+// that compare equal (0 and -0) keep an order that depends on the sort's
+// input.
+func Ascending(rows iter.Seq[Tuple]) bool {
+	var prev Tuple
+	for t := range rows {
+		if prev != nil && prev.Compare(t) >= 0 || slices.ContainsFunc(t, isNaN) {
+			return false
+		}
+		prev = t
+	}
+	return true
+}
+
+func isNaN(v value.Value) bool { return v.Kind() == value.KindFloat && math.IsNaN(v.FloatVal()) }
 
 // DistinctCount returns the number of distinct values in column col, where
 // values are distinct unless == says otherwise (0 and -0 count once, each

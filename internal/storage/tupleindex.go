@@ -40,7 +40,7 @@ var canonicalNaN = value.Float(math.NaN())
 func hashTuple(t Tuple) uint64 {
 	h := uint64(14695981039346656037)
 	for _, v := range t {
-		if v.Kind() == value.KindFloat && math.IsNaN(v.FloatVal()) {
+		if isNaN(v) {
 			v = canonicalNaN
 		}
 		h ^= v.Hash()

@@ -36,8 +36,9 @@ import (
 // per-call CiteOptions. Precedence is per-call over default: AtVersion,
 // WithPolicy, WithRewriteMethod, WithParallelism and WithoutFixityPin
 // override, for one call only, the system-wide defaults (the
-// SetPolicyNamed policy, GOMAXPROCS workers; calls without options
-// behave exactly as before).
+// SetPolicyNamed policy, GOMAXPROCS batch workers; calls without options
+// behave exactly as before). A single cite runs on its caller's
+// goroutine; WithParallelism bounds only a batch's fan-out.
 //
 // Every cite reads a frozen snapshot — the head's, reused until the
 // head's content changes, or a committed version's with AtVersion — and
@@ -46,9 +47,10 @@ import (
 // is current exactly while a snapshot holds the content its read-set had.
 // System.Version is the monotonic epoch replies carry: it advances with
 // every Insert, Delete, Commit, DefineView and SetPolicyNamed and
-// deliberately NOT with WithParallelism (scheduling only, results
-// identical). See DESIGN.md §3 for the locking and invalidation rules
-// and §7 for the request-option and versioned-read design.
+// deliberately NOT with WithParallelism (it bounds only how many batch
+// members cite at once). See DESIGN.md §3 for the locking and
+// invalidation rules and §7 for the request-option and versioned-read
+// design.
 type System = core.System
 
 // CiteOption is a per-call request parameter for the CiteContext family;
@@ -64,8 +66,8 @@ type CiteOption = core.CiteOption
 //   - WithPolicy(p) — combination policy for this call (overrides the
 //     SetPolicyNamed default).
 //   - WithRewriteMethod(m) — rewriting algorithm for this call.
-//   - WithParallelism(n) — worker-pool bound for this call (default
-//     GOMAXPROCS; 1 forces sequential evaluation).
+//   - WithParallelism(n) — how many members of a CiteAll/CiteEach batch
+//     cite at once (default GOMAXPROCS; 1 cites them one after another).
 //   - WithoutFixityPin() — skip the pin re-execution.
 var (
 	// AtVersion cites against a committed snapshot instead of the head.
@@ -74,7 +76,7 @@ var (
 	WithPolicy = core.WithPolicy
 	// WithRewriteMethod overrides the rewriting algorithm per call.
 	WithRewriteMethod = core.WithRewriteMethod
-	// WithParallelism overrides the worker-pool bound per call.
+	// WithParallelism bounds a batch's fan-out per call.
 	WithParallelism = core.WithParallelism
 	// WithoutFixityPin skips the fixity pin per call.
 	WithoutFixityPin = core.WithoutFixityPin

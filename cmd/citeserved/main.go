@@ -21,6 +21,10 @@
 //	citeserved -open dir [same serving flags]
 //	citeserved -version
 //
+// Each cite runs on one goroutine. -parallelism bounds only how many
+// members of a batch /cite (a body with "queries") are cited at once;
+// 0 means GOMAXPROCS and 1 cites them one after another.
+//
 // Observability: every request gets a latency histogram observation on
 // /metrics; sampled requests (-trace-sample, default all) additionally
 // carry a span trace through the citation pipeline, retained in an
@@ -95,7 +99,7 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "per-request deadline (0 = default 30s, negative = none)")
 	computeTimeout := flag.Duration("compute-timeout", 0, "detached cache-fill computation deadline (0 = 4×timeout, negative = none)")
 	maxInFlight := flag.Int("max-inflight", 0, "admitted concurrent /cite+/ingest requests (0 = 4×GOMAXPROCS, negative = unlimited)")
-	parallelism := flag.Int("parallelism", 0, "engine worker-pool bound (0 = GOMAXPROCS)")
+	parallelism := flag.Int("parallelism", 0, "how many members of a batch /cite are cited at once (0 = GOMAXPROCS)")
 	polName := flag.String("policy", "minsize", "+R policy: minsize, maxcoverage, all")
 	fsyncMode := flag.String("fsync", "on-commit", "write-ahead log sync policy: always, on-commit, interval")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "automatic checkpoint after every N commits (0 = only at shutdown)")

@@ -2,12 +2,10 @@ package datacitation_test
 
 // Concurrency tests of the serving engine: a -race stress test hammering
 // System.Cite from many goroutines while commits and inserts interleave,
-// and determinism tests asserting that parallel evaluation (rewriting
-// branches, partitioned joins, batched CiteAll) produces citation
-// expressions identical to sequential evaluation.
+// and determinism tests asserting that a batched CiteAll, whose members
+// run on a worker pool, returns exactly what one-at-a-time cites return.
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -15,7 +13,6 @@ import (
 	"testing"
 
 	datacitation "repro"
-	"repro/internal/experiments"
 )
 
 // TestConcurrentCiteCommitStress hammers Cite from many goroutines while a
@@ -84,53 +81,6 @@ func TestConcurrentCiteCommitStress(t *testing.T) {
 	for err := range errc {
 		stop.Store(true)
 		t.Error(err)
-	}
-}
-
-// TestParallelCiteDeterminism asserts that parallel evaluation of
-// alternative rewritings produces exactly the same citation — formal
-// expressions, selected branches and resolved records — as sequential
-// evaluation. The chain workload admits many equivalent rewritings, so the
-// branch pool is genuinely exercised.
-func TestParallelCiteDeterminism(t *testing.T) {
-	build := func(parallelism int) (*datacitation.Citation, error) {
-		cs, err := experiments.NewChainSetup(3, 3, 60)
-		if err != nil {
-			return nil, err
-		}
-		return cs.Sys.CiteQueryContext(context.Background(), cs.Query, datacitation.WithParallelism(parallelism))
-	}
-	seq, err := build(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq.Result.Rewritings) < 2 {
-		t.Fatalf("want multiple rewritings, got %d", len(seq.Result.Rewritings))
-	}
-	for _, parallelism := range []int{2, 4, 8} {
-		par, err := build(parallelism)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := par.Result.Expr.String(), seq.Result.Expr.String(); got != want {
-			t.Fatalf("parallelism %d: aggregate expression diverged:\n got %s\nwant %s", parallelism, got, want)
-		}
-		if !par.Result.Record.Equal(seq.Result.Record) {
-			t.Fatalf("parallelism %d: record diverged:\n got %v\nwant %v",
-				parallelism, par.Result.Record, seq.Result.Record)
-		}
-		if len(par.Result.Tuples) != len(seq.Result.Tuples) {
-			t.Fatalf("parallelism %d: tuple count %d, want %d",
-				parallelism, len(par.Result.Tuples), len(seq.Result.Tuples))
-		}
-		for i := range seq.Result.Tuples {
-			if got, want := par.Result.Tuples[i].Expr.String(), seq.Result.Tuples[i].Expr.String(); got != want {
-				t.Errorf("parallelism %d: tuple %d expression diverged:\n got %s\nwant %s", parallelism, i, got, want)
-			}
-			if got, want := par.Result.Tuples[i].Selected.String(), seq.Result.Tuples[i].Selected.String(); got != want {
-				t.Errorf("parallelism %d: tuple %d selection diverged:\n got %s\nwant %s", parallelism, i, got, want)
-			}
-		}
 	}
 }
 

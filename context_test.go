@@ -225,6 +225,9 @@ func testCancellation(t *testing.T, opts ...datacitation.CiteOption) {
 	}
 }
 
+// A single cite runs on its caller's goroutine whatever the batch bound
+// says; cancellation must behave the same under either setting.
+
 func TestCiteContextCancellationSequential(t *testing.T) {
 	testCancellation(t, datacitation.WithParallelism(1))
 }

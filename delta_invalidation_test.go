@@ -1,10 +1,9 @@
 package datacitation_test
 
-// Delta-invalidation correctness at the public API, in the style of
-// TestParallelCiteDeterminism: after a commit touching relation R, every
-// citation served from surviving caches must be byte-identical to a
-// fresh recomputation, and every query reading R must recompute and see
-// the new data. Run under -race (the CI does) — concurrent citers hammer
+// Delta-invalidation correctness at the public API: after a commit
+// touching relation R, every citation served from surviving caches must
+// be byte-identical to a fresh recomputation, and every query reading R
+// must recompute and see the new data. Run under -race (the CI does) — concurrent citers hammer
 // both query families while the writer commits single-relation deltas.
 
 import (

@@ -32,7 +32,7 @@
 // The context-first form of the same request takes per-call options —
 // AtVersion cites any committed snapshot (time travel, byte-identical to
 // the citation generated when that version was live), WithPolicy /
-// WithParallelism override the system defaults for one call, and
+// WithRewriteMethod override the system defaults for one call, and
 // cancellation propagates down to the join enumeration:
 //
 //	cite, err := sys.CiteContext(ctx, query, datacitation.AtVersion(1))

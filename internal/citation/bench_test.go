@@ -63,7 +63,6 @@ func BenchmarkCiteDistinctConstants(b *testing.B) {
 	cfg.Families = families
 	db := gtopdb.Generate(cfg)
 	g := NewGenerator(servingRegistry(db.Schema()), db)
-	g.Parallelism = 1
 	cite := func(shape, id int) {
 		q := cq.MustParse(fmt.Sprintf(servingShapes[shape], id))
 		if _, err := g.CiteContext(context.Background(), q, Request{}); err != nil {

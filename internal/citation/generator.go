@@ -5,11 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"iter"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/citeexpr"
 	"repro/internal/cq"
@@ -34,12 +32,11 @@ var ErrNoRewriting = errors.New("citation: query has no rewriting over the regis
 // A Generator is safe for concurrent Cite calls: its caches are
 // singleflight (each view copy is materialized, each citation atom
 // resolved and each rewriting evaluated exactly once under concurrent
-// demand, later callers block until the value is ready). A cite
-// evaluates its rewritings in order; the only parallelism inside one
-// cite is a rewriting's partitioned join. The configuration fields
-// (Method, AllowPartial, CostPruned, MaxRewritings, Parallelism) must be
-// set before the generator is shared across goroutines; the view registry
-// must likewise be fully populated first.
+// demand, later callers block until the value is ready). A cite runs on
+// its caller's goroutine: it evaluates its rewritings in order, each in
+// one walk of its plan. The configuration fields (Method, AllowPartial,
+// CostPruned) must be set before the generator is shared across
+// goroutines; the view registry must likewise be fully populated first.
 type Generator struct {
 	reg *Registry
 	db  *storage.Database
@@ -58,13 +55,6 @@ type Generator struct {
 	// from relation statistics and evaluates only the best one. Only
 	// effective when the policy's +R strategy selects a single branch.
 	CostPruned bool
-	// MaxRewritings caps the rewriting search (0 = unlimited).
-	MaxRewritings int
-	// Parallelism bounds the workers that partition one rewriting's join
-	// (eval.RunAnnotatedParallelCtx), which partitions only when the
-	// leading step has enough candidates. 0 means GOMAXPROCS; 1 forces
-	// sequential evaluation.
-	Parallelism int
 
 	// The three caches memoize the pipeline's steps under (origin,
 	// name/signature) keys (genKey): views holds frozen view copies
@@ -115,7 +105,7 @@ const maxVersionGenerations = 8
 
 // Request carries the per-call parameters of one citation generation.
 // The zero value cites against the head's snapshot (Head) with the
-// generator's default policy, rewriting method and parallelism — so
+// generator's default policy and rewriting method — so
 // Cite(q) ≡ CiteContext(ctx, q, Request{}).
 type Request struct {
 	// DB is the frozen snapshot to cite. nil means Head(), and only for a
@@ -132,9 +122,6 @@ type Request struct {
 	// Method, when non-nil, overrides the rewriting algorithm for this
 	// call only.
 	Method *rewrite.Method
-	// Parallelism, when positive, overrides the generator's join worker
-	// bound for this call only (1 forces sequential evaluation).
-	Parallelism int
 }
 
 // NewGenerator builds a Generator with the paper's default policy.
@@ -173,14 +160,6 @@ func (g *Generator) Registry() *Registry { return g.reg }
 
 // Database returns the generator's database.
 func (g *Generator) Database() *storage.Database { return g.db }
-
-// workers resolves the effective join worker bound.
-func (g *Generator) workers() int {
-	if g.Parallelism > 0 {
-		return g.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // InvalidateCache drops every materialized view, resolved citation
 // record and branch evaluation, counting the ones the head maps as
@@ -304,19 +283,17 @@ func (b *branch) expr(t storage.Tuple) (citeexpr.Expr, bool) {
 // Cite constructs the citation for q's answer over the generator's
 // database (Definitions 2.1 and 2.2 plus the Agg step). The query must
 // range over base relations. Alternative rewritings are evaluated in
-// order, each join partitioned over up to Parallelism workers when its
-// leading step has enough candidates; the expressions are identical to
-// sequential evaluation.
+// order, on the caller's goroutine.
 func (g *Generator) Cite(q *cq.Query) (*Result, error) {
 	//lint:detach context-free public API: Cite is the no-cancellation convenience wrapper over CiteContext
 	return g.CiteContext(context.Background(), q, Request{})
 }
 
 // CiteContext is Cite with per-call parameters and cooperative
-// cancellation: req selects the target snapshot and overrides policy,
-// rewriting method and parallelism for this call only, and the
-// evaluation polls ctx — between pipeline stages, per enumeration chunk,
-// and per resolved tuple — so canceling ctx aborts with ctx.Err()
+// cancellation: req selects the target snapshot and overrides policy
+// and rewriting method for this call only, and the evaluation polls ctx
+// — between pipeline stages, every few hundred candidate tuples of each
+// join, and per resolved tuple — so canceling ctx aborts with ctx.Err()
 // promptly instead of finishing the enumeration. Every step is cached
 // under the snapshot content it read, so cites race neither writes nor
 // commits nor each other.
@@ -341,10 +318,6 @@ func (g *Generator) CiteContext(ctx context.Context, q *cq.Query, req Request) (
 	method := g.Method
 	if req.Method != nil {
 		method = *req.Method
-	}
-	workers := req.Parallelism
-	if workers <= 0 {
-		workers = g.workers()
 	}
 	g.touchVersion(req.Version, db)
 	res := &Result{Query: q}
@@ -395,11 +368,11 @@ func (g *Generator) CiteContext(ctx context.Context, q *cq.Query, req Request) (
 
 	// Stage: annotated evaluation of the surviving rewritings. Each
 	// alternative gets its own child span ("branch") with its outcome;
-	// the eval package attaches tuples_examined / eval_workers to it.
+	// the eval package attaches its work counters to it.
 	evalCtx, evalSpan := trace.StartSpan(ctx, "eval")
 	evalSpan.Set("branches", len(evalSet))
 	evalSpan.Set("pruned", res.Stats.Pruned)
-	branches, err := g.evalBranches(evalCtx, evalSet, prep.params, db, workers)
+	branches, err := g.evalBranches(evalCtx, evalSet, prep.params, db)
 	evalSpan.End()
 	if err != nil {
 		return nil, err
@@ -512,11 +485,11 @@ func (g *Generator) rewriteStage(q *cq.Query, method rewrite.Method) ([]*rewrite
 	vs := g.reg.viewSet()
 	var kb [256]byte
 	var cb [8]value.Value
-	key, classes := shapeKey(kb[:0], q, vs, method, g.MaxRewritings, g.AllowPartial, cb[:0])
+	key, classes := shapeKey(kb[:0], q, vs, method, g.AllowPartial, cb[:0])
 	if e := g.memo.load(key); e != nil {
 		return e.instantiate(classes), e, true, nil
 	}
-	opts := rewrite.Options{Method: method, MaxRewritings: g.MaxRewritings}
+	opts := rewrite.Options{Method: method}
 	rres, err := rewrite.Rewrite(q, vs.queries, opts)
 	if err != nil {
 		return nil, nil, false, err
@@ -589,11 +562,9 @@ func (g *Generator) readSet(rewritings []*rewrite.Rewriting) []string {
 }
 
 // evalBranches evaluates every rewriting with citation-expression
-// annotations against the snapshot db, in order, with caching. Each
-// evaluation may partition its own join over up to workers goroutines
-// (eval.RunAnnotatedParallelCtx); canceling ctx aborts it with
-// ctx.Err().
-func (g *Generator) evalBranches(ctx context.Context, evalSet []*rewrite.Rewriting, params map[string][]int, db *storage.Database, workers int) ([]*branch, error) {
+// annotations against the snapshot db, in order, with caching; canceling
+// ctx aborts it with ctx.Err().
+func (g *Generator) evalBranches(ctx context.Context, evalSet []*rewrite.Rewriting, params map[string][]int, db *storage.Database) ([]*branch, error) {
 	branches := make([]*branch, len(evalSet))
 	for i, rw := range evalSet {
 		// Branch cache: a repeated rewriting over unchanged body content
@@ -604,7 +575,7 @@ func (g *Generator) evalBranches(ctx context.Context, evalSet []*rewrite.Rewriti
 		q := rw.AsQuery("rw")
 		deps := g.reg.BodyDeps(q)
 		b, hit, err := g.branches.get(genKey{db.Origin(deps), branchName(q)}, deps,
-			func() (*branch, error) { return g.evalBranch(ctx, i, q, rw, params, db, workers) })
+			func() (*branch, error) { return g.evalBranch(ctx, i, q, rw, params, db) })
 		if err != nil {
 			return nil, err
 		}
@@ -650,7 +621,7 @@ func branchName(q *cq.Query) string {
 // a trace shows which alternative cost what. The plan is compiled on
 // every miss: the branch cache above it already memoizes the whole
 // evaluation under the same key and deps.
-func (g *Generator) evalBranch(ctx context.Context, idx int, q *cq.Query, rw *rewrite.Rewriting, params map[string][]int, db *storage.Database, workers int) (*branch, error) {
+func (g *Generator) evalBranch(ctx context.Context, idx int, q *cq.Query, rw *rewrite.Rewriting, params map[string][]int, db *storage.Database) (*branch, error) {
 	bctx, bsp := trace.StartSpan(ctx, "branch")
 	defer bsp.End()
 	bsp.Set("alt", idx)
@@ -669,7 +640,7 @@ func (g *Generator) evalBranch(ctx context.Context, idx int, q *cq.Query, rw *re
 			bsp.Set("outcome", "compile-error")
 			return nil, err
 		}
-		annotated, err := eval.RunAnnotatedParallelCtx(bctx, plan, sr, annotator(params), workers)
+		annotated, err := eval.RunAnnotatedCtx(bctx, plan, sr, annotator(params))
 		if err != nil {
 			bsp.Set("outcome", "eval-error")
 		}
@@ -691,12 +662,12 @@ func (g *Generator) evalBranch(ctx context.Context, idx int, q *cq.Query, rw *re
 	// give; else evaluate again over their copies in answer order, from
 	// the view cache. The cost of an alias thus does not depend on its
 	// row order unless the result does.
-	var plus atomic.Int64
-	annotated, err := run(plusCounter{&plus})
+	var plus plusCounter
+	annotated, err := run(&plus)
 	if err != nil {
 		return nil, err
 	}
-	if plus.Load() > 0 || !storage.Ascending(answerTuples(annotated)) {
+	if plus.n > 0 || !storage.Ascending(answerTuples(annotated)) {
 		bsp.Set("resorted", len(unordered))
 		for _, name := range unordered {
 			rel, _, err := g.viewCopy(db, name)
@@ -726,16 +697,17 @@ func newBranch(bsp *trace.Span, annotated []eval.Annotated[citeexpr.Expr]) *bran
 // plusCounter is the citation semiring counting its Plus calls. The
 // annotated evaluation stores an answer's first derivation as is and
 // adds each further one with Plus, so no call means that every answer
-// has exactly one derivation.
-type plusCounter struct{ n *atomic.Int64 }
+// has exactly one derivation. The walk runs on one goroutine, so the
+// count is a plain int.
+type plusCounter struct{ n int }
 
-func (plusCounter) Zero() citeexpr.Expr                    { return citeexpr.Semiring{}.Zero() }
-func (plusCounter) One() citeexpr.Expr                     { return citeexpr.Semiring{}.One() }
-func (plusCounter) Times(a, b citeexpr.Expr) citeexpr.Expr { return citeexpr.Semiring{}.Times(a, b) }
-func (plusCounter) Equal(a, b citeexpr.Expr) bool          { return citeexpr.Semiring{}.Equal(a, b) }
-func (plusCounter) IsZero(a citeexpr.Expr) bool            { return citeexpr.Semiring{}.IsZero(a) }
-func (c plusCounter) Plus(a, b citeexpr.Expr) citeexpr.Expr {
-	c.n.Add(1)
+func (*plusCounter) Zero() citeexpr.Expr                    { return citeexpr.Semiring{}.Zero() }
+func (*plusCounter) One() citeexpr.Expr                     { return citeexpr.Semiring{}.One() }
+func (*plusCounter) Times(a, b citeexpr.Expr) citeexpr.Expr { return citeexpr.Semiring{}.Times(a, b) }
+func (*plusCounter) Equal(a, b citeexpr.Expr) bool          { return citeexpr.Semiring{}.Equal(a, b) }
+func (*plusCounter) IsZero(a citeexpr.Expr) bool            { return citeexpr.Semiring{}.IsZero(a) }
+func (c *plusCounter) Plus(a, b citeexpr.Expr) citeexpr.Expr {
+	c.n++
 	return citeexpr.Semiring{}.Plus(a, b)
 }
 

@@ -121,22 +121,6 @@ func TestCostPrunedDisabledForAllBranches(t *testing.T) {
 	}
 }
 
-func TestMaxRewritingsLimitsGeneration(t *testing.T) {
-	g := paperGenerator(t)
-	g.MaxRewritings = 1
-	res, err := g.Cite(cq.MustParse(paperQueryText))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.RewritingsFound != 1 {
-		t.Errorf("found %d rewritings, want capped 1", res.Stats.RewritingsFound)
-	}
-	// Still produces a valid citation.
-	if res.Record.IsEmpty() {
-		t.Error("empty record under rewriting cap")
-	}
-}
-
 func TestStatsAccounting(t *testing.T) {
 	g := paperGenerator(t)
 	res, err := g.Cite(cq.MustParse(paperQueryText))
@@ -199,7 +183,7 @@ func TestEvictedVersionFillNotRetained(t *testing.T) {
 			if _, _, err := g.materializeAt(ctx, db, "V3"); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := g.evalBranches(ctx, res.Rewritings[:1], params, db, 1); err != nil {
+			if _, err := g.evalBranches(ctx, res.Rewritings[:1], params, db); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := resolve(atom); err != nil {

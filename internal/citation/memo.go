@@ -103,7 +103,7 @@ func (e *memoEntry) instantiate(to []value.Value) []*rewrite.Rewriting {
 
 // shapeKey appends the memo key of rewriting q over vs to buf, and q's
 // class constants to classes. The key holds the view-set generation,
-// the method, MaxRewritings, AllowPartial and q's head and body with
+// the method, AllowPartial and q's head and body with
 // variable names verbatim; q's name and λ-parameters are left out, as
 // the rewriter ignores them. Each constant appears either as the index
 // of its class (numbered by first occurrence) or, when it could steer
@@ -112,7 +112,7 @@ func (e *memoEntry) instantiate(to []value.Value) []*rewrite.Rewriting {
 // differ only by a bijection between their class constants that keeps
 // every comparison the rewriter makes, and classes lists the request's
 // side of that bijection.
-func shapeKey(buf []byte, q *cq.Query, vs *viewSet, method rewrite.Method, maxRewritings int, partial bool, classes []value.Value) ([]byte, []value.Value) {
+func shapeKey(buf []byte, q *cq.Query, vs *viewSet, method rewrite.Method, partial bool, classes []value.Value) ([]byte, []value.Value) {
 	var db [8]value.Value
 	distinct := db[:0]
 	varsAfterConsts := true
@@ -142,7 +142,6 @@ func shapeKey(buf []byte, q *cq.Query, vs *viewSet, method rewrite.Method, maxRe
 
 	buf = binary.AppendUvarint(buf, vs.gen)
 	buf = binary.AppendUvarint(buf, uint64(method))
-	buf = binary.AppendVarint(buf, int64(maxRewritings))
 	if partial {
 		buf = append(buf, 1)
 	} else {

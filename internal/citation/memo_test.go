@@ -164,7 +164,7 @@ func (sh memoShape) instantiate(rng *rand.Rand) *cq.Query {
 func directRewriting(t *testing.T, g *Generator, q *cq.Query, method rewrite.Method) ([]*rewrite.Rewriting, int, int) {
 	t.Helper()
 	views := g.reg.ViewQueries()
-	opts := rewrite.Options{Method: method, MaxRewritings: g.MaxRewritings}
+	opts := rewrite.Options{Method: method}
 	res, err := rewrite.Rewrite(q, views, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -208,12 +208,9 @@ func TestRewriteMemoMatchesDirectRewrite(t *testing.T) {
 	var hits, substituted int
 	for _, set := range []memoViewSet{gtopdbMemoViews(t), eagleIMemoViews(t)} {
 		for _, method := range []rewrite.Method{rewrite.MethodMiniCon, rewrite.MethodBucket} {
-			for _, cfg := range []struct {
-				partial bool
-				max     int
-			}{{false, 0}, {true, 0}, {true, 1}} {
+			for _, partial := range []bool{false, true} {
 				g := NewGenerator(set.reg, nil)
-				g.AllowPartial, g.MaxRewritings = cfg.partial, cfg.max
+				g.AllowPartial = partial
 				for range 30 {
 					sh := randomMemoShape(rng, set.rels)
 					for range 8 {
@@ -223,10 +220,10 @@ func TestRewriteMemoMatchesDirectRewrite(t *testing.T) {
 						}
 						got, e, hit, err := g.rewriteStage(q, method)
 						if err != nil {
-							t.Fatalf("%s %v %+v: %s: %v", set.name, method, cfg, q, err)
+							t.Fatalf("%s %v partial=%v: %s: %v", set.name, method, partial, q, err)
 						}
 						want, cand, mcds := directRewriting(t, g, q, method)
-						where := fmt.Sprintf("%s %v %+v hit=%v: %s", set.name, method, cfg, hit, q)
+						where := fmt.Sprintf("%s %v partial=%v hit=%v: %s", set.name, method, partial, hit, q)
 						if gs, ws := rewritingStrings(got), rewritingStrings(want); !slices.Equal(gs, ws) {
 							t.Fatalf("%s:\nmemo   %q\ndirect %q", where, gs, ws)
 						}
@@ -363,7 +360,7 @@ func TestShapeKey(t *testing.T) {
 	set := eagleIMemoViews(t)
 	vs := set.reg.viewSet()
 	key := func(src string) string {
-		k, _ := shapeKey(nil, cq.MustParse(src), vs, rewrite.MethodMiniCon, 0, false, nil)
+		k, _ := shapeKey(nil, cq.MustParse(src), vs, rewrite.MethodMiniCon, false, nil)
 		return string(k)
 	}
 	same := [][2]string{
@@ -402,7 +399,7 @@ func TestShapeKey(t *testing.T) {
 		cq.NewAtom("Provider", cq.Const(value.Float(5)), cq.Var("L")),
 		cq.NewAtom("Provider", cq.Const(value.Float(0)), cq.Const(value.Float(math.NaN()))),
 	}}
-	if _, classes := shapeKey(nil, q, vs, rewrite.MethodMiniCon, 0, false, nil); len(classes) != 0 {
+	if _, classes := shapeKey(nil, q, vs, rewrite.MethodMiniCon, false, nil); len(classes) != 0 {
 		t.Errorf("lookalikes, a zero and a NaN gave class constants %v", classes)
 	}
 	// A variable that could sort before a constant rendering keeps every
@@ -410,20 +407,19 @@ func TestShapeKey(t *testing.T) {
 	q = &cq.Query{Name: "Q", Head: []cq.Term{cq.Var("1x")}, Body: []cq.Atom{
 		cq.NewAtom("Provider", cq.Const(value.Int(5)), cq.Var("1x")),
 	}}
-	if _, classes := shapeKey(nil, q, vs, rewrite.MethodMiniCon, 0, false, nil); len(classes) != 0 {
+	if _, classes := shapeKey(nil, q, vs, rewrite.MethodMiniCon, false, nil); len(classes) != 0 {
 		t.Errorf("a digit-led variable name gave class constants %v", classes)
 	}
 
 	base := cq.MustParse("Q(L) :- Resource(7, C, L)")
-	k0, _ := shapeKey(nil, base, vs, rewrite.MethodMiniCon, 0, false, nil)
+	k0, _ := shapeKey(nil, base, vs, rewrite.MethodMiniCon, false, nil)
 	for name, k := range map[string]func() []byte{
-		"method":  func() []byte { k, _ := shapeKey(nil, base, vs, rewrite.MethodBucket, 0, false, nil); return k },
-		"max":     func() []byte { k, _ := shapeKey(nil, base, vs, rewrite.MethodMiniCon, 1, false, nil); return k },
-		"partial": func() []byte { k, _ := shapeKey(nil, base, vs, rewrite.MethodMiniCon, 0, true, nil); return k },
+		"method":  func() []byte { k, _ := shapeKey(nil, base, vs, rewrite.MethodBucket, false, nil); return k },
+		"partial": func() []byte { k, _ := shapeKey(nil, base, vs, rewrite.MethodMiniCon, true, nil); return k },
 		"generation": func() []byte {
 			next := *vs
 			next.gen++
-			k, _ := shapeKey(nil, base, &next, rewrite.MethodMiniCon, 0, false, nil)
+			k, _ := shapeKey(nil, base, &next, rewrite.MethodMiniCon, false, nil)
 			return k
 		},
 	} {

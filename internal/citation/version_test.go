@@ -262,7 +262,6 @@ func benchmarkVersionSweep(b *testing.B, registry func(*schema.Schema) *Registry
 	const versions, families = 32, 500
 	db, snaps := familyReleases(b, families, versions)
 	g := NewGenerator(registry(db.Schema()), db)
-	g.Parallelism = 1
 	sweep := func(i int) {
 		for v := 1; v <= versions; v++ {
 			for s, shape := range servingShapes {

@@ -126,8 +126,8 @@ func (s *System) Database() *storage.Database { return s.store.Head() }
 // SetPolicyNamed — atomically with the change itself (the bump happens
 // under the exclusive system lock, so a cite whose snapshot was taken
 // at epoch e reads state no older than e). The per-call WithParallelism
-// option changes only how work is scheduled, never what a citation
-// contains. Replies carry it; caches do not key on it, since the
+// option changes only how many batch members cite at once, never what a
+// citation contains. Replies carry it; caches do not key on it, since the
 // content a citation read is what decides whether it is still current
 // (DESIGN.md §3).
 func (s *System) Version() int64 {
@@ -334,8 +334,10 @@ func (s *System) Cite(querySrc string) (*Citation, error) {
 //
 //   - AtVersion(v) cites against committed snapshot v instead of the head
 //     (ErrUnknownVersion if v was never committed); the pin executes at v.
-//   - WithPolicy / WithRewriteMethod / WithParallelism override the
-//     system defaults for this call only.
+//   - WithPolicy / WithRewriteMethod override the system defaults for
+//     this call only. The cite runs on the caller's goroutine, so
+//     WithParallelism, which bounds a batch's fan-out, changes nothing
+//     here.
 //   - WithoutFixityPin skips the pin re-execution.
 //
 // Cancellation is cooperative and threads down to the plan enumeration:
@@ -371,10 +373,9 @@ func (s *System) CiteQueryContext(ctx context.Context, q *cq.Query, opts ...Cite
 		return nil, err
 	}
 	req := citation.Request{
-		Version:     int(cfg.version),
-		Policy:      cfg.policy,
-		Method:      cfg.method,
-		Parallelism: cfg.parallelism,
+		Version: int(cfg.version),
+		Policy:  cfg.policy,
+		Method:  cfg.method,
 	}
 	pinAt := cfg.version
 	if cfg.version > 0 {
@@ -406,14 +407,14 @@ func (s *System) CiteQueryContext(ctx context.Context, q *cq.Query, opts ...Cite
 	return out, nil
 }
 
-// CiteAll generates citations for a batch of queries with bounded
-// parallelism (GOMAXPROCS workers; CiteAllContext takes WithParallelism).
-// Results are positional: out[i] is the citation of queries[i]. The
-// queries share the generator's caches, so a view referenced by many
-// batch members is materialized once (singleflight) and its citation
-// records are resolved once. On error the first failure in query order is
-// returned along with the partial results (failed or unprocessed
-// positions are nil).
+// CiteAll generates citations for a batch of queries, citing up to
+// GOMAXPROCS members at once (CiteAllContext takes WithParallelism), each
+// on one goroutine. Results are positional: out[i] is the citation of
+// queries[i]. The queries share the generator's caches, so a view
+// referenced by many batch members is materialized once (singleflight)
+// and its citation records are resolved once. On error the first failure
+// in query order is returned along with the partial results (failed or
+// unprocessed positions are nil).
 //
 // Each query takes its own head snapshot: a batch does not starve
 // Commit, and a Commit that lands mid-batch is observed by the remaining

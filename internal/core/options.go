@@ -8,10 +8,10 @@ import (
 
 // CiteOption is a per-call request parameter for the CiteContext family.
 // Options override the system-wide defaults (SetPolicyNamed, the
-// generator's Method, GOMAXPROCS workers) for one call only — two concurrent requests
-// with different options never observe each other, which is what makes
-// the option form safe for serving many tenants off one System where the
-// mutable global setters are not.
+// generator's Method, GOMAXPROCS batch workers) for one call only — two
+// concurrent requests with different options never observe each other,
+// which is what makes the option form safe for serving many tenants off
+// one System where the mutable global setters are not.
 type CiteOption func(*citeConfig)
 
 // citeConfig is the resolved per-call request configuration. The zero
@@ -57,12 +57,10 @@ func WithRewriteMethod(m rewrite.Method) CiteOption {
 	return func(c *citeConfig) { c.method = &m }
 }
 
-// WithParallelism bounds this call's worker pools — each rewriting's
-// partitioned join and the CiteAll/CiteEach batch fan-out. 1 forces
-// fully sequential evaluation; 0 (or omitting the option) means
-// GOMAXPROCS. Parallel and sequential evaluation produce structurally
-// identical citations (DESIGN.md §3), so the option never changes a
-// result and bumps no epoch.
+// WithParallelism bounds how many members of a CiteAll/CiteEach batch
+// cite at once: 1 cites them one after another, and 0 (or omitting the
+// option) means GOMAXPROCS. Each cite, in a batch or alone, runs on one
+// goroutine, so the option never changes a result and bumps no epoch.
 func WithParallelism(n int) CiteOption {
 	return func(c *citeConfig) { c.parallelism = n }
 }

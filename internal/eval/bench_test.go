@@ -79,7 +79,7 @@ func BenchmarkWalk(b *testing.B) {
 			b.Run("annotated", func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := RunAnnotatedParallelCtx(ctx, p, semiring.Natural{}, one, 1); err != nil {
+					if _, err := RunAnnotatedCtx(ctx, p, semiring.Natural{}, one); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -61,17 +61,17 @@ func TestColumnarMatchesRowRandomized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for qi, q := range queries {
+			for _, q := range queries {
 				name := fmt.Sprintf("%s-seed%d-%s", shape, seed, q.Name)
-				compareColumnarToRow(t, name, snap, q, 1+qi%4)
+				compareColumnarToRow(t, name, snap, q)
 			}
 		}
 	}
 }
 
 // compareColumnarToRow checks one query on one instance across both
-// storage paths, all semirings, and sequential + parallel runs.
-func compareColumnarToRow(t *testing.T, name string, inst Instance, q *cq.Query, workers int) {
+// storage paths and all semirings.
+func compareColumnarToRow(t *testing.T, name string, inst Instance, q *cq.Query) {
 	t.Helper()
 
 	var wantTuples []storage.Tuple
@@ -119,56 +119,54 @@ func compareColumnarToRow(t *testing.T, name string, inst Instance, q *cq.Query,
 		}
 	})
 
-	compareSemiringPaths(t, name, inst, q, workers, semiring.Bool{},
+	compareSemiringPaths(t, name, inst, q, semiring.Bool{},
 		func(string, storage.Tuple) bool { return true })
-	compareSemiringPaths(t, name, inst, q, workers, semiring.Natural{},
+	compareSemiringPaths(t, name, inst, q, semiring.Natural{},
 		func(string, storage.Tuple) int { return 1 })
 	why := semiring.Why{}
-	compareSemiringPaths[semiring.WhySet](t, name, inst, q, workers, why,
+	compareSemiringPaths[semiring.WhySet](t, name, inst, q, why,
 		func(pred string, tp storage.Tuple) semiring.WhySet {
 			return why.Singleton(pred + ":" + tp.Key())
 		})
 	poly := semiring.Polynomial{}
-	compareSemiringPaths[semiring.Poly](t, name, inst, q, workers, poly,
+	compareSemiringPaths[semiring.Poly](t, name, inst, q, poly,
 		func(pred string, tp storage.Tuple) semiring.Poly {
 			return poly.Token(pred + ":" + tp.Key())
 		})
 }
 
 // compareSemiringPaths compares columnar vs row annotated evaluation under
-// one semiring at 1 and `workers` workers. Both paths must agree on tuple
-// order and on the annotation values — including the structure of free
-// expressions, which is sensitive to enumeration order.
-func compareSemiringPaths[T any](t *testing.T, name string, inst Instance, q *cq.Query, workers int, sr semiring.Semiring[T], annot func(string, storage.Tuple) T) {
+// one semiring. Both paths must agree on tuple order and on the
+// annotation values — including the structure of free expressions, which
+// is sensitive to enumeration order.
+func compareSemiringPaths[T any](t *testing.T, name string, inst Instance, q *cq.Query, sr semiring.Semiring[T], annot func(string, storage.Tuple) T) {
 	t.Helper()
-	for _, w := range []int{1, workers} {
-		var want []Annotated[T]
-		var err error
-		withColumnar(false, func() {
-			want, err = EvalAnnotatedParallel(inst, q, sr, annot, w)
-		})
-		if err != nil {
-			t.Fatalf("%s: row annotated (workers=%d): %v", name, w, err)
+	var want []Annotated[T]
+	var err error
+	withColumnar(false, func() {
+		want, err = EvalAnnotated(inst, q, sr, annot)
+	})
+	if err != nil {
+		t.Fatalf("%s: row annotated: %v", name, err)
+	}
+	var got []Annotated[T]
+	withColumnar(true, func() {
+		got, err = EvalAnnotated(inst, q, sr, annot)
+	})
+	if err != nil {
+		t.Fatalf("%s: columnar annotated: %v", name, err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: columnar %d annotated tuples, row %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if !got[i].Tuple.Equal(want[i].Tuple) {
+			t.Fatalf("%s: tuple %d differs: columnar %v, row %v",
+				name, i, got[i].Tuple, want[i].Tuple)
 		}
-		var got []Annotated[T]
-		withColumnar(true, func() {
-			got, err = EvalAnnotatedParallel(inst, q, sr, annot, w)
-		})
-		if err != nil {
-			t.Fatalf("%s: columnar annotated (workers=%d): %v", name, w, err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%s (workers=%d): columnar %d annotated tuples, row %d", name, w, len(got), len(want))
-		}
-		for i := range want {
-			if !got[i].Tuple.Equal(want[i].Tuple) {
-				t.Fatalf("%s (workers=%d): tuple %d differs: columnar %v, row %v",
-					name, w, i, got[i].Tuple, want[i].Tuple)
-			}
-			if !sr.Equal(got[i].Annotation, want[i].Annotation) {
-				t.Fatalf("%s (workers=%d): tuple %d annotation diverged:\ncolumnar %v\n     row %v",
-					name, w, i, got[i].Annotation, want[i].Annotation)
-			}
+		if !sr.Equal(got[i].Annotation, want[i].Annotation) {
+			t.Fatalf("%s: tuple %d annotation diverged:\ncolumnar %v\n     row %v",
+				name, i, got[i].Annotation, want[i].Annotation)
 		}
 	}
 }
@@ -191,11 +189,11 @@ func TestColumnarCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	calls := 0
-	_, err = RunAnnotatedParallelCtx(ctx, p, semiring.Natural{}, func(string, storage.Tuple) int {
+	_, err = RunAnnotatedCtx(ctx, p, semiring.Natural{}, func(string, storage.Tuple) int {
 		calls++
 		cancel()
 		return 1
-	}, 1)
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("columnar run canceled mid-walk: err = %v, want context.Canceled", err)
 	}
@@ -294,8 +292,8 @@ func TestColumnarSpanAttribute(t *testing.T) {
 
 	tr := trace.New("test")
 	ctx := trace.ContextWithSpan(context.Background(), tr.Root())
-	if _, err := RunAnnotatedParallelCtx(ctx, p, semiring.Bool{},
-		func(string, storage.Tuple) bool { return true }, 1); err != nil {
+	if _, err := RunAnnotatedCtx(ctx, p, semiring.Bool{},
+		func(string, storage.Tuple) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
 	attrs := tr.Root().Snapshot().Attrs
@@ -310,8 +308,8 @@ func TestColumnarSpanAttribute(t *testing.T) {
 	withColumnar(false, func() {
 		tr2 := trace.New("test-row")
 		ctx2 := trace.ContextWithSpan(context.Background(), tr2.Root())
-		if _, err := RunAnnotatedParallelCtx(ctx2, p, semiring.Bool{},
-			func(string, storage.Tuple) bool { return true }, 1); err != nil {
+		if _, err := RunAnnotatedCtx(ctx2, p, semiring.Bool{},
+			func(string, storage.Tuple) bool { return true }); err != nil {
 			t.Fatal(err)
 		}
 		if v := tr2.Root().Snapshot().Attrs["columnar"]; v != false {

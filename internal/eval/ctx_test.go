@@ -64,23 +64,24 @@ func TestContextVariantsMatchPlain(t *testing.T) {
 	}
 
 	annot := func(pred string, tup storage.Tuple) int { return 1 }
-	seq := RunAnnotated[int](p, semiring.Natural{}, annot)
-	par, err := RunAnnotatedParallelCtx[int](ctx, p, semiring.Natural{}, annot, 4)
+	plainAnn := RunAnnotated[int](p, semiring.Natural{}, annot)
+	polledAnn, err := RunAnnotatedCtx[int](ctx, p, semiring.Natural{}, annot)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seq) != len(par) {
-		t.Fatalf("parallel ctx run returned %d tuples, sequential %d", len(par), len(seq))
+	if len(plainAnn) != len(polledAnn) {
+		t.Fatalf("ctx annotated run returned %d tuples, plain %d", len(polledAnn), len(plainAnn))
 	}
-	for i := range seq {
-		if !seq[i].Tuple.Equal(par[i].Tuple) || seq[i].Annotation != par[i].Annotation {
-			t.Fatalf("row %d: parallel %v/%d, sequential %v/%d",
-				i, par[i].Tuple, par[i].Annotation, seq[i].Tuple, seq[i].Annotation)
+	for i := range plainAnn {
+		if !plainAnn[i].Tuple.Equal(polledAnn[i].Tuple) || plainAnn[i].Annotation != polledAnn[i].Annotation {
+			t.Fatalf("row %d: ctx %v/%d, plain %v/%d",
+				i, polledAnn[i].Tuple, polledAnn[i].Annotation, plainAnn[i].Tuple, plainAnn[i].Annotation)
 		}
 	}
 }
 
-// TestRunCancellation asserts both enumeration paths abort with ctx.Err().
+// TestRunCancellation asserts the annotated and set-semantics runs abort
+// with ctx.Err().
 func TestRunCancellation(t *testing.T) {
 	db, q := bigSelfJoin(t, 64)
 	p, err := Compile(db, q)
@@ -88,15 +89,11 @@ func TestRunCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	annot := func(pred string, tup storage.Tuple) int { return 1 }
-	for _, workers := range []int{1, 4} {
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel() // pre-canceled: the run must abort before enumerating
-		if _, err := RunAnnotatedParallelCtx[int](ctx, p, semiring.Natural{}, annot, workers); !errors.Is(err, context.Canceled) {
-			t.Errorf("workers=%d: err = %v, want context.Canceled", workers, err)
-		}
-	}
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
+	cancel() // pre-canceled: the run must abort before enumerating
+	if _, err := RunAnnotatedCtx[int](ctx, p, semiring.Natural{}, annot); !errors.Is(err, context.Canceled) {
+		t.Errorf("RunAnnotatedCtx err = %v, want context.Canceled", err)
+	}
 	if _, err := p.EvalContext(ctx); !errors.Is(err, context.Canceled) {
 		t.Errorf("EvalContext err = %v, want context.Canceled", err)
 	}
@@ -151,7 +148,7 @@ func TestCancellationWithoutBindings(t *testing.T) {
 		}
 		st := p.getState()
 		calls := 0
-		if p.walk(ctx, st, nil, func(*runState) bool { calls++; return true }) {
+		if p.walk(ctx, st, func(*runState) bool { calls++; return true }) {
 			t.Errorf("columnar=%v: walk completed under a canceled context", tc.columnar)
 		}
 		if calls != 0 {

@@ -16,7 +16,7 @@ import (
 // randomized conjunctive-query workload over the gtopdb instance: distinct
 // answer tuples, binding counts, and annotations under every semiring with
 // a semantic Equal must be identical — regardless of the plan's own atom
-// ordering, probe choices, and parallel partitioning.
+// ordering and probe choices.
 func TestPlanMatchesNaiveOracleRandomized(t *testing.T) {
 	cfg := gtopdb.DefaultConfig()
 	cfg.Families = 60
@@ -35,7 +35,7 @@ func TestPlanMatchesNaiveOracleRandomized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for qi, q := range queries {
+			for _, q := range queries {
 				name := fmt.Sprintf("%s-seed%d-%s", shape, seed, q.Name)
 
 				// Set semantics.
@@ -82,21 +82,18 @@ func TestPlanMatchesNaiveOracleRandomized(t *testing.T) {
 					t.Fatalf("%s: HasBinding = %v with %d bindings", name, has, oracleCount)
 				}
 
-				// Annotated evaluation under every semiring, sequential and
-				// parallel. Workers vary per query so chunked merging is
-				// exercised across many shapes.
-				workers := 1 + qi%4
-				checkSemiring(t, name, db, q, workers, semiring.Bool{},
+				// Annotated evaluation under every semiring.
+				checkSemiring(t, name, db, q, semiring.Bool{},
 					func(string, storage.Tuple) bool { return true })
-				checkSemiring(t, name, db, q, workers, semiring.Natural{},
+				checkSemiring(t, name, db, q, semiring.Natural{},
 					func(string, storage.Tuple) int { return 1 })
 				why := semiring.Why{}
-				checkSemiring[semiring.WhySet](t, name, db, q, workers, why,
+				checkSemiring[semiring.WhySet](t, name, db, q, why,
 					func(pred string, tp storage.Tuple) semiring.WhySet {
 						return why.Singleton(pred + ":" + tp.Key())
 					})
 				poly := semiring.Polynomial{}
-				checkSemiring[semiring.Poly](t, name, db, q, workers, poly,
+				checkSemiring[semiring.Poly](t, name, db, q, poly,
 					func(pred string, tp storage.Tuple) semiring.Poly {
 						return poly.Token(pred + ":" + tp.Key())
 					})
@@ -105,31 +102,29 @@ func TestPlanMatchesNaiveOracleRandomized(t *testing.T) {
 	}
 }
 
-// checkSemiring compares plan-based annotated evaluation (at 1 and at
-// `workers` workers) against the naive oracle under one semiring.
-func checkSemiring[T any](t *testing.T, name string, inst Instance, query *cq.Query, workers int, sr semiring.Semiring[T], annot func(string, storage.Tuple) T) {
+// checkSemiring compares plan-based annotated evaluation against the
+// naive oracle under one semiring.
+func checkSemiring[T any](t *testing.T, name string, inst Instance, query *cq.Query, sr semiring.Semiring[T], annot func(string, storage.Tuple) T) {
 	t.Helper()
 	want, err := naiveEvalAnnotated(inst, query, sr, annot)
 	if err != nil {
 		t.Fatalf("%s: oracle annotated: %v", name, err)
 	}
-	for _, w := range []int{1, workers} {
-		got, err := EvalAnnotatedParallel(inst, query, sr, annot, w)
-		if err != nil {
-			t.Fatalf("%s: plan annotated (workers=%d): %v", name, w, err)
+	got, err := EvalAnnotated(inst, query, sr, annot)
+	if err != nil {
+		t.Fatalf("%s: plan annotated: %v", name, err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d annotated tuples, oracle has %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if !got[i].Tuple.Equal(want[i].Tuple) {
+			t.Fatalf("%s: tuple %d differs: got %v, want %v",
+				name, i, got[i].Tuple, want[i].Tuple)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("%s (workers=%d): %d annotated tuples, oracle has %d", name, w, len(got), len(want))
-		}
-		for i := range want {
-			if !got[i].Tuple.Equal(want[i].Tuple) {
-				t.Fatalf("%s (workers=%d): tuple %d differs: got %v, want %v",
-					name, w, i, got[i].Tuple, want[i].Tuple)
-			}
-			if !sr.Equal(got[i].Annotation, want[i].Annotation) {
-				t.Fatalf("%s (workers=%d): tuple %d annotation diverged:\n got %v\nwant %v",
-					name, w, i, got[i].Annotation, want[i].Annotation)
-			}
+		if !sr.Equal(got[i].Annotation, want[i].Annotation) {
+			t.Fatalf("%s: tuple %d annotation diverged:\n got %v\nwant %v",
+				name, i, got[i].Annotation, want[i].Annotation)
 		}
 	}
 }

@@ -15,8 +15,8 @@
 // is one walk over a flat register file with index-nested-loop joins,
 // handing each satisfying assignment to a consumer the entry point
 // supplies; set-semantics consumers deduplicate through an open-addressed
-// hash table (see plan.go). Eval, CountBindings, HasBinding and the
-// EvalAnnotated family are thin compile-and-run wrappers; a caller that
+// hash table (see plan.go). Eval, CountBindings, HasBinding and
+// EvalAnnotated are thin compile-and-run wrappers; a caller that
 // evaluates one query repeatedly compiles it once and reuses the Plan.
 // The citation generator compiles a rewriting's plan on every branch-cache
 // miss and drops it once the branch is evaluated.
@@ -145,10 +145,12 @@ func HasBinding(inst Instance, q *cq.Query) (bool, error) {
 // each matched tuple is supplied by annot(predicate, tuple); per output
 // tuple the result is Σ over bindings of Π over body atoms, exactly the
 // semiring semantics of Green et al. Output order is deterministic.
-// EvalAnnotatedParallel is the same computation partitioned across
-// goroutines.
 func EvalAnnotated[T any](inst Instance, q *cq.Query, sr semiring.Semiring[T], annot func(pred string, t storage.Tuple) T) ([]Annotated[T], error) {
-	return EvalAnnotatedParallel(inst, q, sr, annot, 1)
+	p, err := Compile(inst, q)
+	if err != nil {
+		return nil, err
+	}
+	return RunAnnotated(p, sr, annot), nil
 }
 
 // Materialize evaluates q and loads its distinct answers into a fresh

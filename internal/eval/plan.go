@@ -9,6 +9,7 @@ import (
 	"repro/internal/cq"
 	"repro/internal/semiring"
 	"repro/internal/storage"
+	"repro/internal/trace"
 	"repro/internal/value"
 )
 
@@ -457,21 +458,19 @@ cand:
 }
 
 // walk enumerates every satisfying assignment, calling fn with the run
-// state (register file filled, matched tuples parallel to steps). When
-// leading is non-nil it supplies step 0's candidate tuples — the parallel
-// evaluator injects one contiguous chunk per worker. fn returning false
-// stops the walk; walk reports whether it ran to completion. Every
-// candidate is counted into st.examined, and a cancelable ctx is polled
-// on the examine cadence: a canceled walk returns false, so callers whose
-// fn always returns true read false as "canceled".
+// state (register file filled, matched tuples parallel to steps). fn
+// returning false stops the walk; walk reports whether it ran to
+// completion. Every candidate is counted into st.examined, and a
+// cancelable ctx is polled on the examine cadence: a canceled walk
+// returns false, so callers whose fn always returns true read false as
+// "canceled".
 //
 // Steps over a frozen relation read its columnar block through the
 // code-compare path (colStep). Steps over a mutable relation, which has no
-// block, and step 0 when a leading chunk of row tuples is injected, run
-// the row path below through the relation's indexes. Over frozen
-// relations with columnarEnabled off, the row path is the oracle the
-// randomized equivalence tests pin the columnar path against.
-func (p *Plan) walk(ctx context.Context, st *runState, leading []storage.Tuple, fn func(*runState) bool) bool {
+// block, run the row path below through the relation's indexes. Over
+// frozen relations with columnarEnabled off, the row path is the oracle
+// the randomized equivalence tests pin the columnar path against.
+func (p *Plan) walk(ctx context.Context, st *runState, fn func(*runState) bool) bool {
 	p.bindBlocks(st)
 	st.examined = 0
 	st.cancelable = ctx.Done() != nil
@@ -480,27 +479,21 @@ func (p *Plan) walk(ctx context.Context, st *runState, leading []storage.Tuple, 
 		if i == len(p.steps) {
 			return fn(st)
 		}
-		s := &p.steps[i]
-		if st.colSteps[i].blk != nil && (i != 0 || leading == nil) {
+		if st.colSteps[i].blk != nil {
 			return p.colStep(ctx, st, i, rec)
 		}
-		var cands []storage.Tuple
-		if i == 0 && leading != nil {
-			cands = leading
-		} else {
-			buf := st.cand[i][:0]
-			if s.probeCol >= 0 {
-				v := s.probeConst
-				if s.probeSlot >= 0 {
-					v = st.regs[s.probeSlot]
-				}
-				buf = s.rel.AppendLookup(buf, s.probeCol, v)
-			} else {
-				buf = s.rel.AppendTuples(buf)
+		s := &p.steps[i]
+		cands := st.cand[i][:0]
+		if s.probeCol >= 0 {
+			v := s.probeConst
+			if s.probeSlot >= 0 {
+				v = st.regs[s.probeSlot]
 			}
-			st.cand[i] = buf
-			cands = buf
+			cands = s.rel.AppendLookup(cands, s.probeCol, v)
+		} else {
+			cands = s.rel.AppendTuples(cands)
 		}
+		st.cand[i] = cands
 		for _, t := range cands {
 			if st.examine(ctx) {
 				return false
@@ -543,29 +536,6 @@ func (p *Plan) fillHead(st *runState) {
 	}
 }
 
-// leadingCandidates computes step 0's candidate tuples (the partition axis
-// of parallel runs), reading through the columnar block when the leading
-// relation has one — a posting-list gather instead of a locked lookup.
-func (p *Plan) leadingCandidates() []storage.Tuple {
-	s := &p.steps[0]
-	if columnarEnabled {
-		if blk := s.rel.ColumnarBlock(); blk != nil {
-			if s.probeCol < 0 {
-				return blk.AppendAll(nil)
-			}
-			// Step 0 has no earlier bindings, so its probe is a constant.
-			if code, ok := blk.Code(s.probeCol, s.probeConst); ok {
-				return blk.AppendRows(nil, blk.Postings(s.probeCol, code))
-			}
-			return nil
-		}
-	}
-	if s.probeCol >= 0 {
-		return s.rel.AppendLookup(nil, s.probeCol, s.probeConst)
-	}
-	return s.rel.AppendTuples(nil)
-}
-
 // Eval runs the plan with set semantics, returning the distinct answer
 // tuples in deterministic (sorted) order.
 func (p *Plan) Eval() []storage.Tuple {
@@ -589,7 +559,7 @@ func (p *Plan) EvalContext(ctx context.Context) ([]storage.Tuple, error) {
 	st := p.getState()
 	defer p.putState(st)
 	var ix TupleIndex
-	if !p.walk(ctx, st, nil, func(st *runState) bool {
+	if !p.walk(ctx, st, func(st *runState) bool {
 		p.fillHead(st)
 		ix.Add(st.headBuf)
 		return true
@@ -612,7 +582,7 @@ func (p *Plan) CountBindings() int {
 	st := p.getState()
 	defer p.putState(st)
 	//lint:detach context-free public API: a walk under Background is never polled
-	p.walk(context.Background(), st, nil, func(*runState) bool { n++; return true })
+	p.walk(context.Background(), st, func(*runState) bool { n++; return true })
 	return n
 }
 
@@ -626,7 +596,7 @@ func (p *Plan) HasBinding() bool {
 	st := p.getState()
 	defer p.putState(st)
 	//lint:detach context-free public API: a walk under Background is never polled
-	p.walk(context.Background(), st, nil, func(*runState) bool { found = true; return false })
+	p.walk(context.Background(), st, func(*runState) bool { found = true; return false })
 	return found
 }
 
@@ -634,78 +604,77 @@ func (p *Plan) HasBinding() bool {
 // Annotated runs. Go methods cannot be generic, so the semiring-annotated
 // entry points are package functions over a *Plan.
 
-// annotAcc accumulates per-output-tuple annotations in first-occurrence
-// order — the invariant both the sequential and the parallel evaluator
-// preserve so their results are identical. Tuples are deduplicated by the
-// open-addressed TupleIndex; anns[i] annotates ix.Tuple(i).
-type annotAcc[T any] struct {
-	ix   TupleIndex
-	anns []T
-	// examined counts the candidate tuples the walk looked at.
-	examined int
-	// columnar is the number of plan steps the walk served from a
-	// dictionary-encoded block (the rest ran the row path).
-	columnar int
+// RunAnnotated evaluates the plan under the semiring sr: per output tuple,
+// Σ over bindings of Π over body atoms of annot(predicate, matched tuple).
+// Output order is deterministic.
+func RunAnnotated[T any](p *Plan, sr semiring.Semiring[T], annot func(pred string, t storage.Tuple) T) []Annotated[T] {
+	// context.Background can never be canceled, so the walk never polls
+	// it and the error is statically nil.
+	//lint:detach context-free public API: a walk under Background is never polled
+	out, _ := RunAnnotatedCtx(context.Background(), p, sr, annot)
+	return out
 }
 
-// accumBinding folds one satisfying assignment into the accumulator: the
-// Π over matched atoms, summed (⊕) into the output tuple's annotation.
-func accumBinding[T any](p *Plan, sr semiring.Semiring[T], annot func(pred string, t storage.Tuple) T, out *annotAcc[T], st *runState) {
-	prod := sr.One()
-	for j := range p.steps {
-		prod = sr.Times(prod, annot(p.steps[j].pred, st.matched[j]))
+// RunAnnotatedCtx is RunAnnotated with cooperative cancellation: the walk
+// polls ctx every cancelCheckMask+1 candidate tuples it examines — at
+// every join depth, independent of how many satisfying assignments exist
+// — so canceling ctx aborts the run promptly with ctx.Err() instead of
+// finishing the enumeration. A context that can never be canceled is
+// never polled. Output tuples are deduplicated by the open-addressed
+// TupleIndex and annotated in first-occurrence order, each binding's
+// product summed (⊕) into its tuple's annotation.
+func RunAnnotatedCtx[T any](ctx context.Context, p *Plan, sr semiring.Semiring[T], annot func(pred string, t storage.Tuple) T) ([]Annotated[T], error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	p.fillHead(st)
-	id, added := out.ix.Add(st.headBuf)
-	if added {
-		out.anns = append(out.anns, prod)
-	} else {
-		out.anns[id] = sr.Plus(out.anns[id], prod)
+	if p.constant {
+		return []Annotated[T]{{Tuple: p.constRow.Clone(), Annotation: sr.One()}}, nil
 	}
-}
-
-// runAnnotatedLeading enumerates every satisfying assignment whose leading
-// tuple ranges over leading (nil means all of step 0's candidates), summing
-// the per-binding products into a fresh accumulator. It is the single
-// evaluation core shared by the sequential and parallel annotated runs,
-// and aborts with ctx.Err() once the walk observes a cancellation.
-func runAnnotatedLeading[T any](ctx context.Context, p *Plan, sr semiring.Semiring[T], annot func(pred string, t storage.Tuple) T, leading []storage.Tuple) (*annotAcc[T], error) {
-	out := &annotAcc[T]{}
+	var ix TupleIndex
+	var anns []T // anns[i] annotates ix.Tuple(i)
 	st := p.getState()
 	defer p.putState(st)
-	if !p.walk(ctx, st, leading, func(st *runState) bool {
-		accumBinding(p, sr, annot, out, st)
+	if !p.walk(ctx, st, func(st *runState) bool {
+		prod := sr.One()
+		for j := range p.steps {
+			prod = sr.Times(prod, annot(p.steps[j].pred, st.matched[j]))
+		}
+		p.fillHead(st)
+		if id, added := ix.Add(st.headBuf); added {
+			anns = append(anns, prod)
+		} else {
+			anns[id] = sr.Plus(anns[id], prod)
+		}
 		return true
 	}) {
 		// The walk only ever stops after observing a non-nil (and
 		// sticky) ctx.Err().
 		return nil, ctx.Err()
 	}
-	out.examined = st.examined
-	out.columnar = st.columnarSteps
+	recordEvalStats(trace.SpanFromContext(ctx), p, st.examined, ix.Len(), st.columnarSteps)
+	out := make([]Annotated[T], ix.Len())
+	for i, t := range ix.Tuples() {
+		out[i] = Annotated[T]{Tuple: t, Annotation: anns[i]}
+	}
+	slices.SortFunc(out, func(a, b Annotated[T]) int { return a.Tuple.Compare(b.Tuple) })
 	return out, nil
 }
 
-// finishAnnotated converts an accumulator into the sorted output slice.
-func finishAnnotated[T any](acc *annotAcc[T]) []Annotated[T] {
-	out := make([]Annotated[T], acc.ix.Len())
-	for i, t := range acc.ix.Tuples() {
-		out[i] = Annotated[T]{Tuple: t, Annotation: acc.anns[i]}
+// recordEvalStats attaches the enumeration's work counters to the
+// current trace span, when one is active: candidate tuples examined
+// across all join depths, the distinct output tuples, and which storage
+// path served the run — `columnar` is true when every join step read a
+// dictionary-encoded block, and columnar_steps gives the exact count for
+// mixed plans. Nil-safe, so untraced runs pay nothing beyond the nil
+// check.
+func recordEvalStats(sp *trace.Span, p *Plan, examined, out, columnar int) {
+	if sp == nil {
+		return
 	}
-	slices.SortFunc(out, func(a, b Annotated[T]) int { return a.Tuple.Compare(b.Tuple) })
-	return out
-}
-
-// RunAnnotated evaluates the plan under the semiring sr: per output tuple,
-// Σ over bindings of Π over body atoms of annot(predicate, matched tuple).
-// Output order is deterministic.
-func RunAnnotated[T any](p *Plan, sr semiring.Semiring[T], annot func(pred string, t storage.Tuple) T) []Annotated[T] {
-	return RunAnnotatedParallel(p, sr, annot, 1)
-}
-
-// constantRun handles the body-less constant-query case.
-func constantRun[T any](p *Plan, sr semiring.Semiring[T]) []Annotated[T] {
-	return []Annotated[T]{{Tuple: p.constRow.Clone(), Annotation: sr.One()}}
+	sp.Add("tuples_examined", int64(examined))
+	sp.Add("out_tuples", int64(out))
+	sp.Set("columnar", columnar > 0 && columnar == len(p.steps))
+	sp.Set("columnar_steps", columnar)
 }
 
 // ---------------------------------------------------------------------------

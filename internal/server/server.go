@@ -120,10 +120,10 @@ type Options struct {
 	// /debug/querystats. 0 means qstats.DefaultK (256); negative
 	// disables the store (the endpoint then answers 404).
 	QueryStats int
-	// Parallelism bounds the engine's worker pools for every cite the
-	// server makes — a batch's fan-out and each rewriting's partitioned
-	// join — through core.WithParallelism. 0 means GOMAXPROCS; 1
-	// forces sequential evaluation. Results are identical either way.
+	// Parallelism bounds how many members of a batch /cite the engine
+	// cites at once, through core.WithParallelism. 0 means GOMAXPROCS;
+	// 1 cites them one after another. Each cite runs on one goroutine,
+	// and results are identical either way.
 	Parallelism int
 }
 
@@ -1033,24 +1033,27 @@ type attrInfo struct {
 }
 
 // handleRelations reports relation names, arities and cardinalities of
-// the head database, or of committed snapshot N with ?version=N (404 on
-// unknown versions).
+// the head's snapshot, or of committed snapshot N with ?version=N (404 on
+// unknown versions). The snapshot and the reply's epoch are read under
+// one lock, so the counts are exactly those of that epoch.
 func (s *Server) handleRelations(w http.ResponseWriter, r *http.Request) {
-	epoch, latest := s.sys.Versions()
-	db := s.sys.Database()
-	respVersion := int(latest)
+	var v fixity.Version
 	if vs := r.URL.Query().Get("version"); vs != "" {
 		n, err := strconv.Atoi(vs)
 		if err != nil || n < 1 {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid version %q: want a positive integer", vs))
 			return
 		}
-		vdb, err := s.sys.Store().At(fixity.Version(n))
-		if err != nil {
-			writeError(w, statusForError(err), err.Error())
-			return
-		}
-		db, respVersion = vdb, n
+		v = fixity.Version(n)
+	}
+	db, epoch, _, latest, err := s.sys.Snapshot(v)
+	if err != nil {
+		writeError(w, statusForError(err), err.Error())
+		return
+	}
+	respVersion := int(latest)
+	if v > 0 {
+		respVersion = int(v)
 	}
 	sch := db.Schema()
 	out := struct {

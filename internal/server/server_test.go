@@ -919,6 +919,70 @@ func TestRelationsEndpoint(t *testing.T) {
 	}
 }
 
+// TestRelationsCountsMatchEpoch: GET /relations reads its counts and its
+// epoch from one snapshot. While a writer inserts Family tuples one at a
+// time, each insert bumping the epoch once, every reply's Family count
+// must be the first reply's plus the epochs between them.
+func TestRelationsCountsMatchEpoch(t *testing.T) {
+	srv, _ := paperServer(t, Options{})
+	h := srv.Handler()
+	poll := func() (epoch int64, family int) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/relations", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("relations: %d %s", rec.Code, rec.Body)
+		}
+		var out struct {
+			Epoch     int64 `json:"epoch"`
+			Relations []struct {
+				Name   string `json:"name"`
+				Tuples int    `json:"tuples"`
+			} `json:"relations"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range out.Relations {
+			if r.Name == "Family" {
+				return out.Epoch, r.Tuples
+			}
+		}
+		t.Fatal("relations: no Family")
+		return 0, 0
+	}
+	e0, f0 := poll()
+	const inserts = 5000
+	done := make(chan error, 1)
+	go func() {
+		for i := range inserts {
+			tup := storage.Tuple{value.Int(int64(100000 + i)), value.String("F"), value.String("D")}
+			if _, err := srv.System().Insert("Family", []storage.Tuple{tup}); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	check := func(reply int) {
+		e, f := poll()
+		if want := f0 + int(e-e0); f != want {
+			t.Fatalf("reply %d: epoch %d has %d Family tuples, want %d", reply, e, f, want)
+		}
+	}
+	for reply := 1; ; reply++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(reply)
+			return
+		default:
+			check(reply)
+		}
+	}
+}
+
 // durablePaperServer builds a journaling system from the paper fixture.
 func durablePaperServer(t *testing.T, dir string) (*Server, *httptest.Server) {
 	t.Helper()
@@ -1171,16 +1235,18 @@ func TestIngestScopedPurge(t *testing.T) {
 	}
 }
 
-// TestParallelismOptionSameCitation: Options.Parallelism only schedules
-// engine work, so a sequential server answers head and versioned cites
-// with the same citations as a default one.
+// TestParallelismOptionSameCitation: Options.Parallelism bounds how many
+// members of a batch cite at once and nothing else, so a sequential
+// server answers head and versioned batches with the same citations as a
+// default one.
 func TestParallelismOptionSameCitation(t *testing.T) {
 	_, def := paperServer(t, Options{})
 	_, seq := paperServer(t, Options{Parallelism: 1})
+	batch := citeRequest{Queries: []string{paperQuery, "Q(Text) :- FamilyIntro(FID, Text)"}}
 	for _, path := range []string{"/cite", "/cite?version=1"} {
-		var texts []string
-		for _, ts := range []*httptest.Server{def, seq} {
-			resp, body := postJSON(t, ts.Client(), ts.URL+path, citeRequest{Query: paperQuery})
+		var texts [2]string
+		for i, ts := range []*httptest.Server{def, seq} {
+			resp, body := postJSON(t, ts.Client(), ts.URL+path, batch)
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("%s: status %d: %s", path, resp.StatusCode, body)
 			}
@@ -1188,7 +1254,15 @@ func TestParallelismOptionSameCitation(t *testing.T) {
 			if err := json.Unmarshal(body, &out); err != nil {
 				t.Fatal(err)
 			}
-			texts = append(texts, out.Result.Text)
+			if len(out.Results) != len(batch.Queries) {
+				t.Fatalf("%s: %d results, want %d", path, len(out.Results), len(batch.Queries))
+			}
+			for _, r := range out.Results {
+				if r.Error != "" {
+					t.Fatalf("%s: batch member failed: %s", path, r.Error)
+				}
+				texts[i] += r.Text + "\n"
+			}
 		}
 		if texts[0] != texts[1] {
 			t.Errorf("%s: parallelism 1 cites %q, default %q", path, texts[1], texts[0])

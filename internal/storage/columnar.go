@@ -180,17 +180,6 @@ func (b *ColBlock) Postings(col int, code uint32) []uint32 {
 // dictionary's length, free once the column is encoded.
 func (b *ColBlock) DistinctCount(col int) int { return len(b.Column(col).vals) }
 
-// AppendAll appends every encoded row's tuple to dst.
-func (b *ColBlock) AppendAll(dst []Tuple) []Tuple { return append(dst, b.rows...) }
-
-// AppendRows appends the tuples at the given row positions to dst.
-func (b *ColBlock) AppendRows(dst []Tuple, rows []uint32) []Tuple {
-	for _, i := range rows {
-		dst = append(dst, b.rows[i])
-	}
-	return dst
-}
-
 // Code returns v's dictionary code, or ok=false when the value does not
 // occur in the column.
 func (c *Column) Code(v value.Value) (uint32, bool) { return c.code(v) }

@@ -112,7 +112,7 @@ func TestColumnarOnlyFrozen(t *testing.T) {
 		t.Fatalf("the snapshot after a write shares the old block (snapshot reused: %v, block %p vs %p)", next == snap, nblk, blk)
 	}
 	var got []int64
-	for _, tu := range nblk.AppendAll(nil) {
+	for _, tu := range nblk.rows {
 		got = append(got, tu[0].IntVal())
 	}
 	if !slices.Equal(got, []int64{2, 3}) {
@@ -219,8 +219,8 @@ func TestBlockColumnsEncodeOnFirstUse(t *testing.T) {
 		t.Error("the block copied the rows of a frozen relation without holes")
 	}
 	// A full scan reads rows, never codes.
-	if n := len(blk.AppendAll(nil)); n != 1600 {
-		t.Fatalf("full scan read %d rows, want 1600", n)
+	if n := blk.Len(); n != 1600 {
+		t.Fatalf("block holds %d rows, want 1600", n)
 	}
 	for i := 0; i < blk.Len(); i++ {
 		blk.Row(uint32(i))
@@ -317,7 +317,7 @@ func TestColumnarConcurrentBuild(t *testing.T) {
 				t.Fatal("one snapshot built two blocks")
 			}
 		}
-		if got, want := blks[0].AppendAll(nil), snap.Tuples(); !slices.EqualFunc(got, want, Tuple.Equal) {
+		if got, want := blks[0].rows, snap.Tuples(); !slices.EqualFunc(got, want, Tuple.Equal) {
 			t.Fatalf("block holds %d rows, snapshot %d, or they differ", len(got), len(want))
 		}
 	}

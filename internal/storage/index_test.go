@@ -55,7 +55,9 @@ func TestSignedZeroAndNaNPathsAgree(t *testing.T) {
 	} {
 		var viaBlock []Tuple
 		if code, ok := blk.Code(1, probe.v); ok {
-			viaBlock = blk.AppendRows(nil, blk.Postings(1, code))
+			for _, row := range blk.Postings(1, code) {
+				viaBlock = append(viaBlock, blk.Row(row))
+			}
 		}
 		got := map[string]string{
 			"scan":     ids(scan.Lookup(1, probe.v)),

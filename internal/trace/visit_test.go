@@ -13,7 +13,7 @@ func TestVisitAndAttrs(t *testing.T) {
 	ctx1, eval := StartSpan(ctx, "eval")
 	eval.Add("tuples_examined", 7)
 	eval.Add("tuples_examined", 3)
-	eval.Set("eval_workers", 4) // Set stores an int, not int64
+	eval.Set("branches", 4) // Set stores an int, not int64
 	_, br := StartSpan(ctx1, "branch")
 	br.Set("cache", "hit")
 	br.Add("tuples_examined", 5)
@@ -27,7 +27,7 @@ func TestVisitAndAttrs(t *testing.T) {
 	if got := eval.AttrInt("tuples_examined"); got != 10 {
 		t.Fatalf("AttrInt(tuples_examined) = %d, want 10", got)
 	}
-	if got := eval.AttrInt("eval_workers"); got != 4 {
+	if got := eval.AttrInt("branches"); got != 4 {
 		t.Fatalf("AttrInt must coerce int: got %d, want 4", got)
 	}
 	if v, _ := br.Attr("cache"); v != "hit" {

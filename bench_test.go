@@ -307,9 +307,10 @@ func BenchmarkE11PlanReuse(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		args := eval.Args(nil, q)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			eval.RunAnnotated[int](plan, sr, count)
+			eval.RunAnnotated[int](plan, args, sr, count)
 		}
 	})
 }

@@ -144,7 +144,7 @@ func copiesCite(t *testing.T, reg *Registry, snap *storage.Database, q *cq.Query
 		if err != nil {
 			t.Fatal(err)
 		}
-		annotated, err := eval.RunAnnotatedCtx(context.Background(), plan, citeexpr.Semiring{}, annotator(prep.params))
+		annotated, err := eval.RunAnnotatedCtx(context.Background(), plan, eval.Args(nil, bq), citeexpr.Semiring{}, annotator(prep.params))
 		if err != nil {
 			t.Fatal(err)
 		}

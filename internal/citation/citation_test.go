@@ -461,7 +461,7 @@ func TestCoverageAnalysis(t *testing.T) {
 
 func TestResolveAtomRecordsParams(t *testing.T) {
 	g := paperGenerator(t)
-	rec, err := g.resolveAtom(g.Head(), citeexpr.NewAtom("V1", value.Int(11)))
+	rec, err := g.resolverAt(g.Head(), nil)(citeexpr.NewAtom("V1", value.Int(11)))
 	if err != nil {
 		t.Fatalf("resolveAtom: %v", err)
 	}

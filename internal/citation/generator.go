@@ -31,8 +31,9 @@ var ErrNoRewriting = errors.New("citation: query has no rewriting over the regis
 //
 // A Generator is safe for concurrent Cite calls: its caches are
 // singleflight (each view copy is materialized, each citation atom
-// resolved and each rewriting evaluated exactly once under concurrent
-// demand, later callers block until the value is ready). A cite runs on
+// resolved, each rewriting evaluated and each plan compiled exactly once
+// under concurrent demand, later callers block until the value is
+// ready). A cite runs on
 // its caller's goroutine: it evaluates its rewritings in order, each in
 // one walk of its plan. The configuration fields (Method, AllowPartial,
 // CostPruned) must be set before the generator is shared across
@@ -56,20 +57,24 @@ type Generator struct {
 	// effective when the policy's +R strategy selects a single branch.
 	CostPruned bool
 
-	// The three caches memoize the pipeline's steps under (origin,
+	// The four caches memoize the pipeline's steps under (origin,
 	// name/signature) keys (genKey): views holds frozen view copies
 	// (viewCopy; deps: Registry.QueryDeps) — an identity view is read
 	// straight from the snapshot and has an entry only for its copy in
 	// answer order — atoms resolved citation records (deps:
-	// Registry.CitationDeps), and branches the annotated evaluation of one
-	// rewriting (deps: Registry.BodyDeps). Every cite reads a frozen
+	// Registry.CitationDeps), branches the annotated evaluation of one
+	// rewriting (deps: Registry.BodyDeps), and plans the prepared plan of
+	// one rewriting or citation-query shape (eval.AppendShape; deps: the
+	// rewriting's BodyDeps or the view's CitationDeps), which every query
+	// of the shape runs with its own constants. Every cite reads a frozen
 	// snapshot, and an entry is keyed by the origin of the content its
 	// deps read there, so it never goes stale and serves every snapshot —
 	// the head's or a committed version's — that shares that content
-	// (DESIGN.md §3, §7).
+	// (DESIGN.md §3, §6, §7).
 	views    *depCache[*storage.Relation]
 	atoms    *depCache[format.Record]
 	branches *depCache[*branch]
+	plans    *depCache[*eval.Plan]
 
 	// verMu guards the live snapshots, whose entries the caches retain.
 	// head is the snapshot head cites read (Head) and headGen the bound
@@ -133,12 +138,13 @@ func NewGenerator(reg *Registry, db *storage.Database) *Generator {
 	g.views = newDepCache[*storage.Relation](g.keyLive)
 	g.atoms = newDepCache[format.Record](g.keyLive)
 	g.branches = newDepCache[*branch](g.keyLive)
+	g.plans = newDepCache[*eval.Plan](g.keyLive)
 	return g
 }
 
 // caches lists the generator's caches for whole-generator sweeps.
 func (g *Generator) caches() []sweeper {
-	return []sweeper{g.views, g.atoms, g.branches}
+	return []sweeper{g.views, g.atoms, g.branches, g.plans}
 }
 
 // SetPolicy replaces the combination policy.
@@ -162,11 +168,11 @@ func (g *Generator) Registry() *Registry { return g.reg }
 func (g *Generator) Database() *storage.Database { return g.db }
 
 // InvalidateCache drops every materialized view, resolved citation
-// record and branch evaluation, counting the ones the head maps as
-// evicted. No change needs it for correctness — entries are keyed by the
-// content they read — so only cold-cache experiments and tests call it.
-// In-flight fills finish for the callers already holding their entries
-// and are re-done on next demand.
+// record, branch evaluation and prepared plan, counting the ones the head
+// maps as evicted. No change needs it for correctness — entries are keyed
+// by the content they read — so only cold-cache experiments and tests
+// call it. In-flight fills finish for the callers already holding their
+// entries and are re-done on next demand.
 func (g *Generator) InvalidateCache() {
 	g.verMu.Lock()
 	head := g.head
@@ -183,6 +189,7 @@ type CacheCounters struct {
 	ViewsKept, ViewsEvicted       int64
 	AtomsKept, AtomsEvicted       int64
 	BranchesKept, BranchesEvicted int64
+	PlansKept, PlansEvicted       int64
 }
 
 // Counters snapshots the cache-survival counters.
@@ -194,6 +201,8 @@ func (g *Generator) Counters() CacheCounters {
 		AtomsEvicted:    g.atoms.evicted.Load(),
 		BranchesKept:    g.branches.kept.Load(),
 		BranchesEvicted: g.branches.evicted.Load(),
+		PlansKept:       g.plans.kept.Load(),
+		PlansEvicted:    g.plans.evicted.Load(),
 	}
 }
 
@@ -574,8 +583,9 @@ func (g *Generator) evalBranches(ctx context.Context, evalSet []*rewrite.Rewriti
 		// citation-query deltas are the atom cache's concern.
 		q := rw.AsQuery("rw")
 		deps := g.reg.BodyDeps(q)
-		b, hit, err := g.branches.get(genKey{db.Origin(deps), branchName(q)}, deps,
-			func() (*branch, error) { return g.evalBranch(ctx, i, q, rw, params, db) })
+		origin := db.Origin(deps)
+		b, hit, err := g.branches.get(genKey{origin, branchName(q)}, deps,
+			func() (*branch, error) { return g.evalBranch(ctx, i, q, rw, params, db, deps, origin) })
 		if err != nil {
 			return nil, err
 		}
@@ -617,11 +627,14 @@ func branchName(q *cq.Query) string {
 
 // evalBranch performs one rewriting's annotated evaluation — the cache
 // miss path of evalBranches. One span per alternative rewriting: view
-// lookups, plan compilation and the enumeration itself nest under it, so
-// a trace shows which alternative cost what. The plan is compiled on
-// every miss: the branch cache above it already memoizes the whole
-// evaluation under the same key and deps.
-func (g *Generator) evalBranch(ctx context.Context, idx int, q *cq.Query, rw *rewrite.Rewriting, params map[string][]int, db *storage.Database) (*branch, error) {
+// lookups, the plan lookup and the enumeration itself nest under it, so
+// a trace shows which alternative cost what. The plan comes from the plan
+// cache, keyed by the rewriting's shape and the origin of its body deps
+// (which the branch key shares): a branch miss is most often a new
+// constant of a known shape, so the plan compiled for an earlier query
+// of the shape over the same content is run with q's constants, and only
+// a plan-cache miss compiles.
+func (g *Generator) evalBranch(ctx context.Context, idx int, q *cq.Query, rw *rewrite.Rewriting, params map[string][]int, db *storage.Database, deps []string, origin uint64) (*branch, error) {
 	bctx, bsp := trace.StartSpan(ctx, "branch")
 	defer bsp.End()
 	bsp.Set("alt", idx)
@@ -632,22 +645,32 @@ func (g *Generator) evalBranch(ctx context.Context, idx int, q *cq.Query, rw *re
 		bsp.Set("outcome", "materialize-error")
 		return nil, err
 	}
-	run := func(sr semiring.Semiring[citeexpr.Expr]) ([]eval.Annotated[citeexpr.Expr], error) {
+	var sb [64]byte
+	var ab [4]value.Value
+	shape := eval.AppendShape(sb[:0], q)
+	args := eval.Args(ab[:0], q)
+	// run evaluates the branch over inst with the plan cached under shape.
+	run := func(shape string, sr semiring.Semiring[citeexpr.Expr]) ([]eval.Annotated[citeexpr.Expr], error) {
 		_, psp := trace.StartSpan(bctx, "plan")
-		plan, err := eval.Compile(inst, q)
+		plan, hit, err := g.plans.get(genKey{origin, shape}, deps, func() (*eval.Plan, error) { return eval.Compile(inst, q) })
+		if hit {
+			psp.Set("cache", "hit")
+		} else {
+			psp.Set("cache", "miss")
+		}
 		psp.End()
 		if err != nil {
 			bsp.Set("outcome", "compile-error")
 			return nil, err
 		}
-		annotated, err := eval.RunAnnotatedCtx(bctx, plan, sr, annotator(params))
+		annotated, err := eval.RunAnnotatedCtx(bctx, plan, args, sr, annotator(params))
 		if err != nil {
 			bsp.Set("outcome", "eval-error")
 		}
 		return annotated, err
 	}
 	if len(unordered) == 0 {
-		annotated, err := run(citeexpr.Semiring{})
+		annotated, err := run(string(shape), citeexpr.Semiring{})
 		if err != nil {
 			return nil, err
 		}
@@ -661,9 +684,12 @@ func (g *Generator) evalBranch(ctx context.Context, idx int, q *cq.Query, rw *re
 	// neither happened, the result is the one the views in answer order
 	// give; else evaluate again over their copies in answer order, from
 	// the view cache. The cost of an alias thus does not depend on its
-	// row order unless the result does.
+	// row order unless the result does. The plan over the copies reads
+	// other relations than the plan over the aliases, so it is cached
+	// under a key of its own: the shape with a byte appended, which no
+	// shape (a self-delimiting encoding) equals.
 	var plus plusCounter
-	annotated, err := run(&plus)
+	annotated, err := run(string(shape), &plus)
 	if err != nil {
 		return nil, err
 	}
@@ -677,7 +703,7 @@ func (g *Generator) evalBranch(ctx context.Context, idx int, q *cq.Query, rw *re
 			}
 			inst.views[name] = rel
 		}
-		if annotated, err = run(citeexpr.Semiring{}); err != nil {
+		if annotated, err = run(string(append(shape, 0)), citeexpr.Semiring{}); err != nil {
 			return nil, err
 		}
 	}
@@ -1008,8 +1034,9 @@ func annotator(positions map[string][]int) func(pred string, t storage.Tuple) ci
 func (g *Generator) resolverAt(db *storage.Database, stats *Stats) policy.Resolver {
 	return func(a citeexpr.Atom) (format.Record, error) {
 		deps := g.reg.CitationDeps(a.View)
-		rec, hit, err := g.atoms.get(genKey{db.Origin(deps), a.Key()}, deps,
-			func() (format.Record, error) { return g.resolveAtom(db, a) })
+		origin := db.Origin(deps)
+		rec, hit, err := g.atoms.get(genKey{origin, a.Key()}, deps,
+			func() (format.Record, error) { return g.resolveAtom(db, a, deps, origin) })
 		if !hit && err == nil && stats != nil {
 			stats.AtomsResolved++
 		}
@@ -1018,10 +1045,14 @@ func (g *Generator) resolverAt(db *storage.Database, stats *Stats) policy.Resolv
 }
 
 // resolveAtom evaluates the citation queries of the atom's view with the
-// atom's parameter values bound against the snapshot db, and applies the
-// citation function.
-func (g *Generator) resolveAtom(db *storage.Database, a citeexpr.Atom) (format.Record, error) {
-	v := g.reg.View(a.View)
+// atom's parameter values bound against the snapshot db, whose content
+// of deps (the view's CitationDeps) has the given origin, and applies the
+// citation function. Each citation query runs the prepared plan of its
+// shape (Registry.citationView) from the plan cache with the atom's
+// parameters as arguments: only the first atom of a view over this
+// content compiles, and none substitutes.
+func (g *Generator) resolveAtom(db *storage.Database, a citeexpr.Atom, deps []string, origin uint64) (format.Record, error) {
+	v, shapes := g.reg.citationView(a.View)
 	if v == nil {
 		return nil, fmt.Errorf("citation: unknown view %s in citation atom", a.View)
 	}
@@ -1029,25 +1060,56 @@ func (g *Generator) resolveAtom(db *storage.Database, a citeexpr.Atom) (format.R
 		return nil, fmt.Errorf("citation: atom %s has %d parameters, view declares %d",
 			a, len(a.Params), len(v.Query.Params))
 	}
-	sub := make(map[string]cq.Term, len(a.Params))
 	bindings := make([]ParamBinding, len(a.Params))
 	for i, p := range v.Query.Params {
-		sub[p] = cq.Const(a.Params[i])
 		bindings[i] = ParamBinding{Name: p, Value: a.Params[i].String()}
 	}
 	rows := make(map[string][]storage.Tuple, len(v.Citations))
-	for _, c := range v.Citations {
-		inst := c.Query.Substitute(sub)
-		inst.Params = nil
-		tuples, err := eval.Eval(db, inst)
+	var ab [4]value.Value
+	for i, c := range v.Citations {
+		plan, _, err := g.plans.get(genKey{origin, shapes[i]}, deps, func() (*eval.Plan, error) {
+			sub := make(map[string]cq.Term, len(a.Params))
+			for j, p := range v.Query.Params {
+				sub[p] = cq.Const(a.Params[j])
+			}
+			return eval.Compile(db, c.Query.Substitute(sub))
+		})
 		if err != nil {
 			return nil, fmt.Errorf("citation: evaluating citation query %s: %w", c.Query.Name, err)
 		}
-		rows[c.Query.Name] = tuples
+		rows[c.Query.Name] = plan.Eval(citationArgs(ab[:0], c.Query, v.Query.Params, a.Params))
 	}
 	fn := v.Fn
 	if fn == nil {
 		fn = DefaultFunction
 	}
 	return fn(v, bindings, rows), nil
+}
+
+// citationArgs appends to dst the arguments of citation query c with the
+// view's λ-parameters names bound to vals: its constants and the values
+// of its parameter occurrences, in term order — eval.Args of c with the
+// parameters substituted, without building that query.
+func citationArgs(dst []value.Value, c *cq.Query, names []string, vals []value.Value) []value.Value {
+	for _, t := range c.Head {
+		dst = appendArg(dst, t, names, vals)
+	}
+	for _, a := range c.Body {
+		for _, t := range a.Terms {
+			dst = appendArg(dst, t, names, vals)
+		}
+	}
+	return dst
+}
+
+// appendArg appends t's argument, if it has one: a constant's value or a
+// bound parameter's.
+func appendArg(dst []value.Value, t cq.Term, names []string, vals []value.Value) []value.Value {
+	if !t.IsVar {
+		return append(dst, t.Const)
+	}
+	if i := slices.Index(names, t.Name); i >= 0 {
+		return append(dst, vals[i])
+	}
+	return dst
 }

@@ -242,10 +242,10 @@ func TestParamPositions(t *testing.T) {
 
 func TestResolveAtomArityMismatch(t *testing.T) {
 	g := paperGenerator(t)
-	if _, err := g.resolveAtom(g.Head(), citeexpr.NewAtom("V1")); err == nil {
+	if _, err := g.resolverAt(g.Head(), nil)(citeexpr.NewAtom("V1")); err == nil {
 		t.Error("missing parameter accepted")
 	}
-	if _, err := g.resolveAtom(g.Head(), citeexpr.NewAtom("NoSuchView")); err == nil {
+	if _, err := g.resolverAt(g.Head(), nil)(citeexpr.NewAtom("NoSuchView")); err == nil {
 		t.Error("unknown view accepted")
 	}
 }

@@ -26,7 +26,10 @@ type Registry struct {
 	schema *schema.Schema
 	views  []*View
 	byName map[string]*View
-	set    *viewSet // the rewriter's image of views; replaced by every Add
+	// citeShapes holds, per view, the plan shape of each of its citation
+	// queries with the view's λ-parameters bound (citationShapes).
+	citeShapes map[string][]string
+	set        *viewSet // the rewriter's image of views; replaced by every Add
 }
 
 // viewSet is one generation of the registry's views as the rewriter sees
@@ -41,7 +44,7 @@ type viewSet struct {
 
 // NewRegistry creates an empty registry over the schema.
 func NewRegistry(s *schema.Schema) *Registry {
-	return &Registry{schema: s, byName: make(map[string]*View), set: &viewSet{}}
+	return &Registry{schema: s, byName: make(map[string]*View), citeShapes: make(map[string][]string), set: &viewSet{}}
 }
 
 // Schema returns the registry's database schema.
@@ -58,6 +61,7 @@ func (r *Registry) Add(v *View) error {
 	name := v.Name()
 	r.views = append(r.views, v)
 	r.byName[name] = v
+	r.citeShapes[name] = citationShapes(v)
 	next := &viewSet{
 		gen:     r.set.gen + 1,
 		queries: append(slices.Clip(r.set.queries), v.Query),
@@ -119,6 +123,30 @@ func (r *Registry) View(name string) *View {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.byName[name]
+}
+
+// citationView returns the named view (nil if none) and the plan shape of
+// each of its citation queries, read under one lock.
+func (r *Registry) citationView(name string) (*View, []string) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.byName[name], r.citeShapes[name]
+}
+
+// citationShapes returns the plan shape (eval.AppendShape) of each of v's
+// citation queries with v's λ-parameters bound, as a citation atom binds
+// them. A shape masks constants, so any value stands in for the
+// parameters; the generator's plan cache keys citation-query plans by it.
+func citationShapes(v *View) []string {
+	sub := make(map[string]cq.Term, len(v.Query.Params))
+	for _, p := range v.Query.Params {
+		sub[p] = cq.Const(value.Int(0))
+	}
+	out := make([]string, len(v.Citations))
+	for i, c := range v.Citations {
+		out[i] = string(eval.AppendShape(nil, c.Query.Substitute(sub)))
+	}
+	return out
 }
 
 // Views returns the registered views in registration order.

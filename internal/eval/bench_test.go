@@ -2,6 +2,7 @@ package eval
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/cq"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/schema"
 	"repro/internal/semiring"
 	"repro/internal/storage"
+	"repro/internal/value"
 )
 
 // BenchmarkMaterialize is a versioned cite's per-view path: materialize a
@@ -67,11 +69,12 @@ func BenchmarkWalk(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			want := p.CountBindings() // warm the pooled run state
+			args := Args(nil, q)
+			want := p.CountBindings(args) // warm the pooled run state
 			b.Run("count", func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if n := p.CountBindings(); n != want {
+					if n := p.CountBindings(args); n != want {
 						b.Fatalf("count = %d, want %d", n, want)
 					}
 				}
@@ -79,11 +82,77 @@ func BenchmarkWalk(b *testing.B) {
 			b.Run("annotated", func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := RunAnnotatedCtx(ctx, p, semiring.Natural{}, one); err != nil {
+					if _, err := RunAnnotatedCtx(ctx, p, args, semiring.Natural{}, one); err != nil {
 						b.Fatal(err)
 					}
 				}
 			})
 		})
 	}
+}
+
+// BenchmarkPreparedPlan is a cold cite's plan cost for one serving-shape
+// rewriting, the join of two identity views read as their frozen base
+// relations over a 2,000-family GtoPdb snapshot: compile compiles the
+// rewriting of every query and runs it, as a generator without a plan
+// cache did on each branch miss; bind runs one plan, prepared before the
+// timer, with each query's constants. Every op cites a fresh family and
+// checks that the answer is that family's introduction.
+func BenchmarkPreparedPlan(b *testing.B) {
+	const families = 2000
+	cfg := gtopdb.DefaultConfig()
+	cfg.Families = families
+	snap := gtopdb.Generate(cfg).Snapshot()
+	inst := Relations{"FamilyView": snap.Relation("Family"), "IntroView": snap.Relation("FamilyIntro")}
+	const shape = "rw(FName, Text) :- FamilyView(%[1]d, FName, Desc), IntroView(%[1]d, Text)"
+	one := func(string, storage.Tuple) int { return 1 }
+	type op struct {
+		q    *cq.Query
+		args []value.Value
+		want string
+	}
+	ops := func(n int) []op {
+		out := make([]op, n)
+		for i := range out {
+			fid := 1 + i%families
+			q := cq.MustParse(fmt.Sprintf(shape, fid))
+			out[i] = op{q, Args(nil, q), fmt.Sprintf("Introduction to family %d, curated overview.", fid)}
+		}
+		return out
+	}
+	check := func(b *testing.B, o op, out []Annotated[int], err error) {
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(out) != 1 || out[0].Tuple[1].Str() != o.want || out[0].Annotation != 1 {
+			b.Fatalf("%s: answer %v", o.q, out)
+		}
+	}
+	ctx := context.Background()
+	b.Run("compile", func(b *testing.B) {
+		ops := ops(b.N)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for _, o := range ops {
+			p, err := Compile(inst, o.q)
+			if err != nil {
+				b.Fatal(err)
+			}
+			out, err := RunAnnotatedCtx(ctx, p, o.args, semiring.Natural{}, one)
+			check(b, o, out, err)
+		}
+	})
+	b.Run("bind", func(b *testing.B) {
+		ops := ops(b.N)
+		p, err := Compile(inst, cq.MustParse(fmt.Sprintf(shape, families+1)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for _, o := range ops {
+			out, err := RunAnnotatedCtx(ctx, p, o.args, semiring.Natural{}, one)
+			check(b, o, out, err)
+		}
+	})
 }

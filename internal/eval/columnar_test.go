@@ -185,11 +185,12 @@ func TestColumnarCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bindings := p.CountBindings()
+	args := Args(nil, q)
+	bindings := p.CountBindings(args)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	calls := 0
-	_, err = RunAnnotatedCtx(ctx, p, semiring.Natural{}, func(string, storage.Tuple) int {
+	_, err = RunAnnotatedCtx(ctx, p, args, semiring.Natural{}, func(string, storage.Tuple) int {
 		calls++
 		cancel()
 		return 1
@@ -229,15 +230,16 @@ func TestColumnarScanAllocsZero(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.label, err)
 		}
-		want := p.CountBindings() // warm the pool and the blocks
+		args := Args(nil, q)
+		want := p.CountBindings(args) // warm the pool and the blocks
 		if allocs := testing.AllocsPerRun(100, func() {
-			if n := p.CountBindings(); n != want {
+			if n := p.CountBindings(args); n != want {
 				t.Fatalf("%s: count changed: %d != %d", tc.label, n, want)
 			}
 		}); allocs != 0 {
 			t.Errorf("%s: warm columnar CountBindings allocates %.1f per run, want 0", tc.label, allocs)
 		}
-		if allocs := testing.AllocsPerRun(100, func() { p.HasBinding() }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(100, func() { p.HasBinding(args) }); allocs != 0 {
 			t.Errorf("%s: warm columnar HasBinding allocates %.1f per run, want 0", tc.label, allocs)
 		}
 	}
@@ -255,11 +257,12 @@ func TestColumnarWalkEncodesReadColumnsOnly(t *testing.T) {
 	encodedBy := func(query string) uint64 {
 		u := storage.ColumnarUsage()
 		before := u.DictBytes + u.CodeBytes
-		p, err := Compile(snap, cq.MustParse(query))
+		q := cq.MustParse(query)
+		p, err := Compile(snap, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.CountBindings() == 0 {
+		if p.CountBindings(Args(nil, q)) == 0 {
 			t.Fatalf("%s: no bindings", query)
 		}
 		u = storage.ColumnarUsage()
@@ -292,7 +295,7 @@ func TestColumnarSpanAttribute(t *testing.T) {
 
 	tr := trace.New("test")
 	ctx := trace.ContextWithSpan(context.Background(), tr.Root())
-	if _, err := RunAnnotatedCtx(ctx, p, semiring.Bool{},
+	if _, err := RunAnnotatedCtx(ctx, p, nil, semiring.Bool{},
 		func(string, storage.Tuple) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +311,7 @@ func TestColumnarSpanAttribute(t *testing.T) {
 	withColumnar(false, func() {
 		tr2 := trace.New("test-row")
 		ctx2 := trace.ContextWithSpan(context.Background(), tr2.Root())
-		if _, err := RunAnnotatedCtx(ctx2, p, semiring.Bool{},
+		if _, err := RunAnnotatedCtx(ctx2, p, nil, semiring.Bool{},
 			func(string, storage.Tuple) bool { return true }); err != nil {
 			t.Fatal(err)
 		}

@@ -9,17 +9,21 @@
 // polynomial per output tuple is exactly the paper's
 // Σ_B  F_V1(CV1(B1)) · … · F_Vn(CVn(Bn))  (Definitions 2.1 and 2.2).
 //
-// Evaluation is compiled: Compile(inst, q) produces a Plan that numbers
-// variables into integer slots, orders atoms once using relation
-// statistics, and precomputes per-atom access paths. Every run of a Plan
-// is one walk over a flat register file with index-nested-loop joins,
-// handing each satisfying assignment to a consumer the entry point
-// supplies; set-semantics consumers deduplicate through an open-addressed
-// hash table (see plan.go). Eval, CountBindings, HasBinding and
-// EvalAnnotated are thin compile-and-run wrappers; a caller that
-// evaluates one query repeatedly compiles it once and reuses the Plan.
-// The citation generator compiles a rewriting's plan on every branch-cache
-// miss and drops it once the branch is evaluated.
+// Evaluation is compiled: Compile(inst, q) produces a Plan of q's shape
+// that numbers variables into integer slots, orders atoms once using
+// relation statistics, and precomputes per-atom access paths. Every
+// constant is a parameter: a run takes the query's constants as its
+// argument vector (Args), so one Plan evaluates every query of its shape
+// (AppendShape) over the same relations. Every run of a Plan is one walk
+// over a flat register file with index-nested-loop joins, handing each
+// satisfying assignment to a consumer the entry point supplies;
+// set-semantics consumers deduplicate through an open-addressed hash
+// table (see plan.go). Eval, CountBindings, HasBinding and EvalAnnotated
+// are thin compile-and-run wrappers; a caller that evaluates one shape
+// repeatedly compiles it once and runs the Plan with each query's
+// arguments. The citation generator keeps one plan per rewriting and
+// citation-query shape and snapshot content, and binds each cite's
+// constants to it.
 package eval
 
 import (
@@ -32,6 +36,10 @@ import (
 	"repro/internal/storage"
 	"repro/internal/value"
 )
+
+// maxStackArgs is how many arguments the compile-and-run wrappers collect
+// without a heap allocation; a query with more spills.
+const maxStackArgs = 4
 
 // ErrUnknownRelation is returned when a query references a predicate the
 // instance does not supply. Callers distinguish it with errors.Is — the
@@ -57,55 +65,17 @@ type Annotated[T any] struct {
 	Annotation T
 }
 
-// coerceConstants aligns constant terms with the kinds the relation's
-// columns declare: the query syntax writes every quoted literal as a
-// string, so a constant like '2026-01-15T00:00:00Z' compared against a
-// time column must be lifted to a time value (and integer literals to
-// float columns). Unliftable constants are left alone — they simply never
-// match, which is the correct empty-answer semantics.
-func coerceConstants(a cq.Atom, rel *storage.Relation) cq.Atom {
-	var out *cq.Atom
-	for i, t := range a.Terms {
-		if t.IsVar || i >= rel.Schema().Arity() {
-			continue
-		}
-		want := rel.Schema().Attributes[i].Kind
-		if t.Const.Kind() == want {
-			continue
-		}
-		var lifted value.Value
-		switch {
-		case want == value.KindTime && t.Const.Kind() == value.KindString:
-			lifted = value.Parse(t.Const.Str())
-			if lifted.Kind() != value.KindTime {
-				continue
-			}
-		case want == value.KindFloat && t.Const.Kind() == value.KindInt:
-			lifted = value.Float(float64(t.Const.IntVal()))
-		default:
-			continue
-		}
-		if out == nil {
-			c := a.Clone()
-			out = &c
-		}
-		out.Terms[i] = cq.Const(lifted)
-	}
-	if out != nil {
-		return *out
-	}
-	return a
-}
-
 // Eval computes the distinct answer tuples of q over inst (set semantics),
 // in deterministic (sorted) order. It compiles and runs a Plan; callers
-// evaluating the same query repeatedly should Compile once and reuse it.
+// evaluating the same shape repeatedly should Compile once and run the
+// plan with each query's Args.
 func Eval(inst Instance, q *cq.Query) ([]storage.Tuple, error) {
 	p, err := Compile(inst, q)
 	if err != nil {
 		return nil, err
 	}
-	return p.Eval(), nil
+	var ab [maxStackArgs]value.Value
+	return p.Eval(Args(ab[:0], q)), nil
 }
 
 // EvalContext is Eval with cooperative cancellation: the enumeration polls
@@ -116,7 +86,8 @@ func EvalContext(ctx context.Context, inst Instance, q *cq.Query) ([]storage.Tup
 	if err != nil {
 		return nil, err
 	}
-	return p.EvalContext(ctx)
+	var ab [maxStackArgs]value.Value
+	return p.EvalContext(ctx, Args(ab[:0], q))
 }
 
 // CountBindings returns the number of satisfying assignments (derivations),
@@ -127,7 +98,8 @@ func CountBindings(inst Instance, q *cq.Query) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return p.CountBindings(), nil
+	var ab [maxStackArgs]value.Value
+	return p.CountBindings(Args(ab[:0], q)), nil
 }
 
 // HasBinding reports whether q has at least one satisfying assignment,
@@ -138,7 +110,8 @@ func HasBinding(inst Instance, q *cq.Query) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return p.HasBinding(), nil
+	var ab [maxStackArgs]value.Value
+	return p.HasBinding(Args(ab[:0], q)), nil
 }
 
 // EvalAnnotated evaluates q under the semiring sr. The base annotation of
@@ -150,7 +123,8 @@ func EvalAnnotated[T any](inst Instance, q *cq.Query, sr semiring.Semiring[T], a
 	if err != nil {
 		return nil, err
 	}
-	return RunAnnotated(p, sr, annot), nil
+	var ab [maxStackArgs]value.Value
+	return RunAnnotated(p, Args(ab[:0], q), sr, annot), nil
 }
 
 // Materialize evaluates q and loads its distinct answers into a fresh

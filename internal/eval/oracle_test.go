@@ -28,6 +28,19 @@ func (b Binding) Apply(t cq.Term) (value.Value, bool) {
 	return v, ok
 }
 
+// coerceConstants aligns an atom's constants with the kinds its
+// relation's columns declare, by the rule a plan run applies to its
+// arguments (coerce).
+func coerceConstants(a cq.Atom, rel *storage.Relation) cq.Atom {
+	out := a.Clone()
+	for i, t := range out.Terms {
+		if !t.IsVar {
+			out.Terms[i] = cq.Const(coerce(t.Const, rel.Schema().Attributes[i].Kind))
+		}
+	}
+	return out
+}
+
 // orderAtoms returns an evaluation order for the body atoms: greedily pick
 // the atom with the most terms bound so far (constants or previously bound
 // variables), breaking ties by smaller relation cardinality.

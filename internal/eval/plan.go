@@ -2,6 +2,7 @@ package eval
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sync"
@@ -13,42 +14,46 @@ import (
 	"repro/internal/value"
 )
 
-// Plan is a compiled conjunctive query bound to the relation instances it
-// was compiled against. Compilation numbers the query's variables into
-// integer slots, orders the body atoms once using relation statistics
-// (cardinality and per-column distinct counts), and resolves every term of
-// every atom into a precomputed access path: which column to probe with
-// which slot or constant, which columns merely filter, and which columns
+// Plan is a compiled conjunctive query shape bound to the relation
+// instances it was compiled against. Compilation numbers the query's
+// variables into integer slots, orders the body atoms once using relation
+// statistics (cardinality and per-column distinct counts), and resolves
+// every term of every atom into a precomputed access path: which column to
+// probe with which slot, which columns merely filter, and which columns
 // bind fresh slots. Enumeration then runs over a flat []value.Value
 // register file — no per-binding maps, no per-candidate maps, no Key()
 // strings — and deduplicates output tuples through an open-addressed hash
 // table.
 //
+// Every constant of the compiled query — probe, check and head constants
+// alike — is a parameter: a register slot that each run fills from its
+// argument vector (Args), so one Plan serves every query of its shape
+// (AppendShape) over the same relations. Parametric query optimization
+// (Ioannidis, Ng, Shim & Sellis, VLDB 1992) is the model: the atom order
+// and probe choices depend on which terms are constants and on relation
+// statistics, never on the constants' values, so a plan is chosen once
+// per shape and statistics and its constants are bound per run.
+//
 // A Plan is immutable after Compile and safe for concurrent use: each run
 // draws its mutable state (registers, candidate buffers) from an internal
 // pool, so a cached plan serves any number of goroutines and a warm run
-// performs no per-binding allocation. Plans read their relations live —
-// data mutated after compilation is still observed — but the atom order
-// and probe choices reflect compile-time statistics. The citation
-// generator compiles a rewriting's plan on every branch-cache miss and
-// drops it once the branch is evaluated (DESIGN.md §6).
+// performs no per-binding allocation, and none per argument. Plans read
+// their relations live — data mutated after compilation is still
+// observed — but the atom order and probe choices reflect compile-time
+// statistics. The citation generator keeps one plan per rewriting and
+// citation-query shape and snapshot content (DESIGN.md §6).
 type Plan struct {
-	query    *cq.Query
-	constant bool          // body-less query: head is all constants
-	constRow storage.Tuple // the single output row of a constant query
+	constant bool // body-less query: the head is all constants
+	// kinds[i] is the kind of the column argument i is compared against,
+	// which a run lifts it to (coerce); anyKind for a head constant,
+	// which meets no column. Arguments occupy register slots 0..len-1.
+	kinds []value.Kind
 
-	nslots int
+	nslots int // register slots: the arguments, then the variables
 	steps  []atomStep
-	head   []headSrc
+	head   []int // the register slot of each head column
 
 	pool sync.Pool // *runState
-}
-
-// headSrc says where one head column comes from: a register slot or a
-// constant.
-type headSrc struct {
-	slot int // >= 0: regs[slot]; -1: cnst
-	cnst value.Value
 }
 
 // atomStep is one join level: the relation to enumerate, the access path
@@ -57,18 +62,19 @@ type atomStep struct {
 	pred string
 	rel  *storage.Relation
 
-	// Probe: candidates are the tuples whose probeCol equals the probe
-	// value (taken from regs[probeSlot], or probeConst when probeSlot < 0).
-	// probeCol -1 means a full scan.
+	// Probe: candidates are the tuples whose probeCol equals
+	// regs[probeSlot]. probeParam marks an argument slot, fixed for the
+	// whole run, which the columnar path resolves to a dictionary code
+	// once per walk. probeCol -1 means a full scan.
 	probeCol   int
 	probeSlot  int
-	probeConst value.Value
+	probeParam bool
 
 	// binds write fresh variables into the register file, in column order.
 	binds []colBind
-	// checks filter candidates: t[col] must equal regs[slot] (or cnst when
-	// slot < 0). Applied after binds, so intra-atom repeated variables are
-	// slot comparisons against the register just written.
+	// checks filter candidates: t[col] must equal regs[slot]. Applied
+	// after binds, so intra-atom repeated variables are slot comparisons
+	// against the register just written.
 	checks []colCheck
 }
 
@@ -76,8 +82,10 @@ type colBind struct{ col, slot int }
 
 type colCheck struct {
 	col  int
-	slot int // >= 0: compare against regs[slot]; -1: cnst
-	cnst value.Value
+	slot int
+	// param marks an argument slot, resolved to a dictionary code once
+	// per walk rather than once per step entry.
+	param bool
 	// sameAtom marks an intra-atom repeat of a fresh variable: the slot is
 	// written by this very step's binds, so the check must compare values
 	// after binding instead of dictionary codes before it (the columnar
@@ -86,6 +94,10 @@ type colCheck struct {
 	sameAtom bool
 }
 
+// anyKind is the kind of a head argument: it meets no column, so a run
+// takes it as given.
+const anyKind value.Kind = 255
+
 // columnarEnabled gates the columnar fast path. The randomized
 // equivalence tests flip it off to force the row path as the oracle; it
 // is on everywhere else.
@@ -93,7 +105,7 @@ var columnarEnabled = true
 
 // colRun is the per-run columnar binding of one atom step: the block the
 // step's relation currently serves (nil = row path), the encoded columns
-// its probe and checks compare, the probe constant's dictionary code, and
+// its probe and checks compare, the probe argument's dictionary code, and
 // one resolved code per check. Resolved once per walk by bindBlocks,
 // before any candidate is examined, so the candidate loops read flat
 // arrays.
@@ -101,14 +113,14 @@ type colRun struct {
 	blk   *storage.ColBlock
 	probe *storage.Column // probe column (nil for a full scan)
 	// checks[k] binds the step's checks[k]: its column (nil for a sameAtom
-	// check, which compares values) and its code. Constants are resolved
+	// check, which compares values) and its code. Arguments are resolved
 	// by bindBlocks, earlier-slot checks per step entry (registers are
 	// fixed for the duration of one entry's candidate loop).
 	checks []colCheckRun
 	// probeCode and dead come last so the struct packs into 48 bytes:
 	// every run state holds one colRun per step.
-	probeCode uint32 // code of probeConst when probeSlot < 0
-	// dead: a probe or check constant does not occur in its column's
+	probeCode uint32 // code of the probe argument when probeParam
+	// dead: a probe or check argument does not occur in its column's
 	// dictionary, so the step — and with it the whole conjunction — can
 	// never match.
 	dead bool
@@ -141,31 +153,35 @@ type runState struct {
 	cancelable bool
 }
 
-// Compile builds an execution plan for q over the instances supplied by
-// inst. Unknown relations, arity mismatches and unsafe head variables are
-// reported here, once, instead of on every evaluation. The planner asks
-// relations for the statistics it needs (Len, DistinctCount — both cached
-// by package storage) and builds hash indexes on demand for the probe
-// columns it selects on mutable relations.
+// Compile builds the execution plan of q's shape over the instances
+// supplied by inst: every constant of q is a parameter, numbered in term
+// order (Args), so the plan evaluates q when run with Args(q) and any
+// query of the same shape (AppendShape) when run with that query's
+// arguments. Unknown relations, arity mismatches and unsafe head
+// variables are reported here, once, instead of on every evaluation. The
+// planner asks relations for the statistics it needs (Len, DistinctCount
+// — both cached by package storage) and builds hash indexes on demand for
+// the probe columns it selects on mutable relations.
 func Compile(inst Instance, q *cq.Query) (*Plan, error) {
-	p := &Plan{query: q}
+	p := &Plan{}
+	for _, t := range q.Head {
+		if !t.IsVar {
+			p.kinds = append(p.kinds, anyKind)
+		}
+	}
 	if q.IsConstant() {
-		row := make(storage.Tuple, len(q.Head))
-		for i, term := range q.Head {
-			if term.IsVar {
-				return nil, fmt.Errorf("eval: unsafe constant query %s", q.Name)
-			}
-			row[i] = term.Const
+		if len(p.kinds) != len(q.Head) {
+			return nil, fmt.Errorf("eval: unsafe constant query %s", q.Name)
 		}
 		p.constant = true
-		p.constRow = row
-		p.initPool()
 		return p, nil
 	}
 
+	// first is the argument slot of an atom's first constant.
 	type atomInfo struct {
-		atom cq.Atom
-		rel  *storage.Relation
+		atom  cq.Atom
+		rel   *storage.Relation
+		first int
 	}
 	remaining := make([]atomInfo, 0, len(q.Body))
 	for _, a := range q.Body {
@@ -177,15 +193,22 @@ func Compile(inst Instance, q *cq.Query) (*Plan, error) {
 			return nil, fmt.Errorf("eval: atom %s has arity %d, relation has %d",
 				a.Predicate, len(a.Terms), rel.Schema().Arity())
 		}
-		remaining = append(remaining, atomInfo{coerceConstants(a, rel), rel})
+		remaining = append(remaining, atomInfo{a, rel, len(p.kinds)})
+		for col, t := range a.Terms {
+			if !t.IsVar {
+				p.kinds = append(p.kinds, rel.Schema().Attributes[col].Kind)
+			}
+		}
 	}
+	p.nslots = len(p.kinds)
 
 	// Atom ordering, computed once: greedily pick the atom with the most
 	// terms bound so far (constants or previously bound variables), then
 	// break ties by the smallest estimated candidate count — relation
 	// cardinality divided by the best bound-column selectivity the
 	// statistics admit. This is the interpreter's heuristic upgraded with
-	// distinct counts, paid at compile time instead of per call.
+	// distinct counts, paid at compile time instead of per call. It reads
+	// where the constants are, never what they are.
 	bound := make(map[string]bool)
 	ordered := make([]atomInfo, 0, len(remaining))
 	for len(remaining) > 0 {
@@ -222,27 +245,28 @@ func Compile(inst Instance, q *cq.Query) (*Plan, error) {
 	// Slot assignment and access paths.
 	slots := make(map[string]int)
 	for _, ai := range ordered {
-		step := atomStep{pred: ai.atom.Predicate, rel: ai.rel, probeCol: -1, probeSlot: -1}
+		step := atomStep{pred: ai.atom.Predicate, rel: ai.rel, probeCol: -1}
 		// probeable: columns whose value is known before this atom runs
-		// (constants and slots bound by earlier atoms). Intra-atom repeats
+		// (arguments and slots bound by earlier atoms). Intra-atom repeats
 		// of a fresh variable are NOT probeable — their register is written
 		// by this very tuple — and become plain slot checks.
 		type boundCol struct {
-			col  int
-			slot int
-			cnst value.Value
+			col, slot int
+			param     bool
 		}
 		var probeable []boundCol
 		freshHere := make(map[string]bool)
+		arg := ai.first
 		for col, t := range ai.atom.Terms {
 			switch {
 			case !t.IsVar:
-				probeable = append(probeable, boundCol{col, -1, t.Const})
+				probeable = append(probeable, boundCol{col, arg, true})
+				arg++
 			case freshHere[t.Name]:
 				step.checks = append(step.checks, colCheck{col: col, slot: slots[t.Name], sameAtom: true})
 			default:
 				if s, ok := slots[t.Name]; ok {
-					probeable = append(probeable, boundCol{col, s, value.Value{}})
+					probeable = append(probeable, boundCol{col, s, false})
 					continue
 				}
 				s := p.nslots
@@ -264,34 +288,133 @@ func Compile(inst Instance, q *cq.Query) (*Plan, error) {
 			}
 			ai.rel.EnsureIndex(probeable[pick].col)
 			bc := probeable[pick]
-			step.probeCol, step.probeSlot, step.probeConst = bc.col, bc.slot, bc.cnst
+			step.probeCol, step.probeSlot, step.probeParam = bc.col, bc.slot, bc.param
 			for i, bc := range probeable {
 				if i != pick {
-					step.checks = append(step.checks, colCheck{col: bc.col, slot: bc.slot, cnst: bc.cnst})
+					step.checks = append(step.checks, colCheck{col: bc.col, slot: bc.slot, param: bc.param})
 				}
 			}
 		}
 		p.steps = append(p.steps, step)
 	}
 
-	p.head = make([]headSrc, len(q.Head))
+	p.head = make([]int, len(q.Head))
+	arg := 0
 	for i, t := range q.Head {
 		if !t.IsVar {
-			p.head[i] = headSrc{slot: -1, cnst: t.Const}
+			p.head[i] = arg
+			arg++
 			continue
 		}
 		s, ok := slots[t.Name]
 		if !ok {
 			return nil, fmt.Errorf("eval: head variable %s unbound (unsafe query %s)", t.Name, q.Name)
 		}
-		p.head[i] = headSrc{slot: s}
+		p.head[i] = s
 	}
 	p.initPool()
 	return p, nil
 }
 
-// Query returns the query the plan was compiled from.
-func (p *Plan) Query() *cq.Query { return p.query }
+// Args appends q's constants to dst in term order — the head left to
+// right, then each body atom in body order, left to right: the arguments
+// with which a plan of q's shape evaluates q.
+func Args(dst []value.Value, q *cq.Query) []value.Value {
+	for _, t := range q.Head {
+		if !t.IsVar {
+			dst = append(dst, t.Const)
+		}
+	}
+	for _, a := range q.Body {
+		for _, t := range a.Terms {
+			if !t.IsVar {
+				dst = append(dst, t.Const)
+			}
+		}
+	}
+	return dst
+}
+
+// AppendShape appends q's shape to buf: the query with its constants
+// masked — the head and every body atom in order, each predicate with its
+// arity, each variable by first-occurrence number and each constant as a
+// parameter mark. Compile reads nothing more of q than the shape and the
+// constants, so two queries of equal shape compile, over the same
+// relations, to plans that evaluate either query when run with its Args.
+// The name (which Compile reads only for error messages) and the
+// λ-parameters of q are left out.
+func AppendShape(buf []byte, q *cq.Query) []byte {
+	var nb [16]string
+	names := nb[:0]
+	term := func(t cq.Term) {
+		if !t.IsVar {
+			buf = append(buf, 0)
+			return
+		}
+		i := slices.Index(names, t.Name)
+		if i < 0 {
+			i = len(names)
+			names = append(names, t.Name)
+		}
+		buf = binary.AppendUvarint(buf, uint64(i)+1)
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(q.Head)))
+	for _, t := range q.Head {
+		term(t)
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(q.Body)))
+	for _, a := range q.Body {
+		buf = binary.AppendUvarint(buf, uint64(len(a.Predicate)))
+		buf = append(buf, a.Predicate...)
+		buf = binary.AppendUvarint(buf, uint64(len(a.Terms)))
+		for _, t := range a.Terms {
+			term(t)
+		}
+	}
+	return buf
+}
+
+// coerce lifts an argument to the kind of the column it is compared
+// against: the query syntax writes every quoted literal as a string, so a
+// constant like '2026-01-15T00:00:00Z' compared against a time column must
+// be lifted to a time value (and an integer to a float column's kind).
+// Unliftable arguments, and head arguments (anyKind), are taken as given —
+// a mismatched one simply never matches, which is the correct
+// empty-answer semantics.
+func coerce(v value.Value, want value.Kind) value.Value {
+	switch {
+	case v.Kind() == want:
+	case want == value.KindTime && v.Kind() == value.KindString:
+		if lifted := value.Parse(v.Str()); lifted.Kind() == value.KindTime {
+			return lifted
+		}
+	case want == value.KindFloat && v.Kind() == value.KindInt:
+		return value.Float(float64(v.IntVal()))
+	}
+	return v
+}
+
+// bindArgs writes a run's arguments, lifted to their columns' kinds, into
+// the argument slots. A vector of the wrong length is a caller bug.
+func (p *Plan) bindArgs(st *runState, args []value.Value) {
+	p.checkArgs(args)
+	for i, k := range p.kinds {
+		st.regs[i] = coerce(args[i], k)
+	}
+}
+
+func (p *Plan) checkArgs(args []value.Value) {
+	if len(args) != len(p.kinds) {
+		panic(fmt.Sprintf("eval: plan takes %d arguments, run has %d", len(p.kinds), len(args)))
+	}
+}
+
+// constRow is the single output row of a body-less plan: its arguments,
+// which are all head constants.
+func (p *Plan) constRow(args []value.Value) storage.Tuple {
+	p.checkArgs(args)
+	return storage.Tuple(slices.Clone(args))
+}
 
 func (p *Plan) initPool() {
 	p.pool.New = func() any {
@@ -299,7 +422,7 @@ func (p *Plan) initPool() {
 			regs:     make([]value.Value, p.nslots),
 			matched:  make([]storage.Tuple, len(p.steps)),
 			cand:     make([][]storage.Tuple, len(p.steps)),
-			headBuf:  make(storage.Tuple, len(p.query.Head)),
+			headBuf:  make(storage.Tuple, len(p.head)),
 			colSteps: make([]colRun, len(p.steps)),
 		}
 		for i := range p.steps {
@@ -317,11 +440,11 @@ func (p *Plan) putState(s *runState) { p.pool.Put(s) }
 // bindBlocks resolves each step's columnar binding for one walk: which
 // steps have a current dictionary-encoded block, the block columns the
 // step's probe and code-compared checks read (encoding each on its first
-// read), the dictionary codes of every probe and check constant, and
-// whether a constant's absence from its column's dictionary makes the
-// step (hence the whole conjunction) unsatisfiable. Runs once per walk;
-// the per-candidate loops then compare uint32 codes instead of
-// value.Values.
+// read), the dictionary codes of the run's probe and check arguments, and
+// whether an argument's absence from its column's dictionary makes the
+// step (hence the whole conjunction) unsatisfiable. Runs once per walk,
+// after bindArgs; the per-candidate loops then compare uint32 codes
+// instead of value.Values.
 func (p *Plan) bindBlocks(st *runState) {
 	st.columnarSteps = 0
 	for i := range p.steps {
@@ -339,8 +462,8 @@ func (p *Plan) bindBlocks(st *runState) {
 		st.columnarSteps++
 		if s.probeCol >= 0 {
 			cs.probe = blk.Column(s.probeCol)
-			if s.probeSlot < 0 {
-				code, ok := cs.probe.Code(s.probeConst)
+			if s.probeParam {
+				code, ok := cs.probe.Code(st.regs[s.probeSlot])
 				if !ok {
 					cs.dead = true
 					continue
@@ -355,8 +478,8 @@ func (p *Plan) bindBlocks(st *runState) {
 				continue
 			}
 			cr.col = blk.Column(c.col)
-			if c.slot < 0 {
-				code, ok := cr.col.Code(c.cnst)
+			if c.param {
+				code, ok := cr.col.Code(st.regs[c.slot])
 				if !ok {
 					cs.dead = true
 					break
@@ -386,8 +509,8 @@ func (st *runState) examine(ctx context.Context) bool {
 // colStep enumerates one join level through its columnar block: earlier-
 // slot check values resolve to dictionary codes once per entry, probe
 // candidates come from the block's posting list (full scans iterate the
-// dense row range), and every equality against an earlier binding or a
-// constant is a uint32 compare on the code vectors. Only intra-atom
+// dense row range), and every equality against an earlier binding or an
+// argument is a uint32 compare on the code vectors. Only intra-atom
 // repeats (sameAtom checks) compare values, after the step's own binds.
 // Returns false iff rec did or ctx was canceled (the caller stops the
 // walk).
@@ -399,7 +522,7 @@ func (p *Plan) colStep(ctx context.Context, st *runState, i int, rec func(int) b
 	}
 	for k := range s.checks {
 		c, cr := &s.checks[k], &cs.checks[k]
-		if c.sameAtom || c.slot < 0 {
+		if c.sameAtom || c.param {
 			continue
 		}
 		code, ok := cr.col.Code(st.regs[c.slot])
@@ -415,7 +538,7 @@ func (p *Plan) colStep(ctx context.Context, st *runState, i int, rec func(int) b
 		end = cs.blk.Len()
 	} else {
 		code := cs.probeCode
-		if s.probeSlot >= 0 {
+		if !s.probeParam {
 			var ok bool
 			code, ok = cs.probe.Code(st.regs[s.probeSlot])
 			if !ok {
@@ -457,8 +580,9 @@ cand:
 	return true
 }
 
-// walk enumerates every satisfying assignment, calling fn with the run
-// state (register file filled, matched tuples parallel to steps). fn
+// walk enumerates every satisfying assignment of the plan under args,
+// calling fn with the run state (register file filled, matched tuples
+// parallel to steps). fn
 // returning false stops the walk; walk reports whether it ran to
 // completion. Every candidate is counted into st.examined, and a
 // cancelable ctx is polled on the examine cadence: a canceled walk
@@ -470,7 +594,8 @@ cand:
 // block, run the row path below through the relation's indexes. Over
 // frozen relations with columnarEnabled off, the row path is the oracle
 // the randomized equivalence tests pin the columnar path against.
-func (p *Plan) walk(ctx context.Context, st *runState, fn func(*runState) bool) bool {
+func (p *Plan) walk(ctx context.Context, st *runState, args []value.Value, fn func(*runState) bool) bool {
+	p.bindArgs(st, args)
 	p.bindBlocks(st)
 	st.examined = 0
 	st.cancelable = ctx.Done() != nil
@@ -485,11 +610,7 @@ func (p *Plan) walk(ctx context.Context, st *runState, fn func(*runState) bool) 
 		s := &p.steps[i]
 		cands := st.cand[i][:0]
 		if s.probeCol >= 0 {
-			v := s.probeConst
-			if s.probeSlot >= 0 {
-				v = st.regs[s.probeSlot]
-			}
-			cands = s.rel.AppendLookup(cands, s.probeCol, v)
+			cands = s.rel.AppendLookup(cands, s.probeCol, st.regs[s.probeSlot])
 		} else {
 			cands = s.rel.AppendTuples(cands)
 		}
@@ -503,11 +624,7 @@ func (p *Plan) walk(ctx context.Context, st *runState, fn func(*runState) bool) 
 			}
 			ok := true
 			for _, c := range s.checks {
-				want := c.cnst
-				if c.slot >= 0 {
-					want = st.regs[c.slot]
-				}
-				if t[c.col] != want {
+				if t[c.col] != st.regs[c.slot] {
 					ok = false
 					break
 				}
@@ -527,21 +644,18 @@ func (p *Plan) walk(ctx context.Context, st *runState, fn func(*runState) bool) 
 
 // fillHead projects the register file onto the head buffer.
 func (p *Plan) fillHead(st *runState) {
-	for i, h := range p.head {
-		if h.slot >= 0 {
-			st.headBuf[i] = st.regs[h.slot]
-		} else {
-			st.headBuf[i] = h.cnst
-		}
+	for i, s := range p.head {
+		st.headBuf[i] = st.regs[s]
 	}
 }
 
-// Eval runs the plan with set semantics, returning the distinct answer
-// tuples in deterministic (sorted) order.
-func (p *Plan) Eval() []storage.Tuple {
+// Eval runs the plan under args (Args) with set semantics, returning the
+// distinct answer tuples in deterministic (sorted) order. Every run takes
+// the query's arguments; one of the wrong length panics.
+func (p *Plan) Eval(args []value.Value) []storage.Tuple {
 	// Background can never be canceled, so the error is statically nil.
 	//lint:detach context-free public API: a walk under Background is never polled
-	out, _ := p.EvalContext(context.Background())
+	out, _ := p.EvalContext(context.Background(), args)
 	return out
 }
 
@@ -549,17 +663,17 @@ func (p *Plan) Eval() []storage.Tuple {
 // per candidate tuple at every join depth, and a canceled enumeration
 // aborts with ctx.Err(). A context that can never be canceled
 // (ctx.Done() == nil) is never polled.
-func (p *Plan) EvalContext(ctx context.Context) ([]storage.Tuple, error) {
+func (p *Plan) EvalContext(ctx context.Context, args []value.Value) ([]storage.Tuple, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if p.constant {
-		return []storage.Tuple{p.constRow.Clone()}, nil
+		return []storage.Tuple{p.constRow(args)}, nil
 	}
 	st := p.getState()
 	defer p.putState(st)
 	var ix TupleIndex
-	if !p.walk(ctx, st, func(st *runState) bool {
+	if !p.walk(ctx, st, args, func(st *runState) bool {
 		p.fillHead(st)
 		ix.Add(st.headBuf)
 		return true
@@ -572,31 +686,33 @@ func (p *Plan) EvalContext(ctx context.Context) ([]storage.Tuple, error) {
 }
 
 // CountBindings returns the number of satisfying assignments (derivations)
-// without materializing bindings — the no-allocation path for read-only
-// consumers.
-func (p *Plan) CountBindings() int {
+// under args without materializing bindings — the no-allocation path for
+// read-only consumers.
+func (p *Plan) CountBindings(args []value.Value) int {
 	if p.constant {
+		p.checkArgs(args)
 		return 1
 	}
 	n := 0
 	st := p.getState()
 	defer p.putState(st)
 	//lint:detach context-free public API: a walk under Background is never polled
-	p.walk(context.Background(), st, func(*runState) bool { n++; return true })
+	p.walk(context.Background(), st, args, func(*runState) bool { n++; return true })
 	return n
 }
 
-// HasBinding reports whether at least one satisfying assignment exists,
-// stopping at the first.
-func (p *Plan) HasBinding() bool {
+// HasBinding reports whether at least one satisfying assignment exists
+// under args, stopping at the first.
+func (p *Plan) HasBinding(args []value.Value) bool {
 	if p.constant {
+		p.checkArgs(args)
 		return true
 	}
 	found := false
 	st := p.getState()
 	defer p.putState(st)
 	//lint:detach context-free public API: a walk under Background is never polled
-	p.walk(context.Background(), st, func(*runState) bool { found = true; return false })
+	p.walk(context.Background(), st, args, func(*runState) bool { found = true; return false })
 	return found
 }
 
@@ -604,14 +720,14 @@ func (p *Plan) HasBinding() bool {
 // Annotated runs. Go methods cannot be generic, so the semiring-annotated
 // entry points are package functions over a *Plan.
 
-// RunAnnotated evaluates the plan under the semiring sr: per output tuple,
-// Σ over bindings of Π over body atoms of annot(predicate, matched tuple).
-// Output order is deterministic.
-func RunAnnotated[T any](p *Plan, sr semiring.Semiring[T], annot func(pred string, t storage.Tuple) T) []Annotated[T] {
+// RunAnnotated evaluates the plan under args (Args) and the semiring sr:
+// per output tuple, Σ over bindings of Π over body atoms of
+// annot(predicate, matched tuple). Output order is deterministic.
+func RunAnnotated[T any](p *Plan, args []value.Value, sr semiring.Semiring[T], annot func(pred string, t storage.Tuple) T) []Annotated[T] {
 	// context.Background can never be canceled, so the walk never polls
 	// it and the error is statically nil.
 	//lint:detach context-free public API: a walk under Background is never polled
-	out, _ := RunAnnotatedCtx(context.Background(), p, sr, annot)
+	out, _ := RunAnnotatedCtx(context.Background(), p, args, sr, annot)
 	return out
 }
 
@@ -623,18 +739,18 @@ func RunAnnotated[T any](p *Plan, sr semiring.Semiring[T], annot func(pred strin
 // never polled. Output tuples are deduplicated by the open-addressed
 // TupleIndex and annotated in first-occurrence order, each binding's
 // product summed (⊕) into its tuple's annotation.
-func RunAnnotatedCtx[T any](ctx context.Context, p *Plan, sr semiring.Semiring[T], annot func(pred string, t storage.Tuple) T) ([]Annotated[T], error) {
+func RunAnnotatedCtx[T any](ctx context.Context, p *Plan, args []value.Value, sr semiring.Semiring[T], annot func(pred string, t storage.Tuple) T) ([]Annotated[T], error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if p.constant {
-		return []Annotated[T]{{Tuple: p.constRow.Clone(), Annotation: sr.One()}}, nil
+		return []Annotated[T]{{Tuple: p.constRow(args), Annotation: sr.One()}}, nil
 	}
 	var ix TupleIndex
 	var anns []T // anns[i] annotates ix.Tuple(i)
 	st := p.getState()
 	defer p.putState(st)
-	if !p.walk(ctx, st, func(st *runState) bool {
+	if !p.walk(ctx, st, args, func(st *runState) bool {
 		prod := sr.One()
 		for j := range p.steps {
 			prod = sr.Times(prod, annot(p.steps[j].pred, st.matched[j]))

@@ -52,13 +52,13 @@ func TestPlanReuseObservesLiveData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Eval(); len(got) != 1 {
+	if got := p.Eval(nil); len(got) != 1 {
 		t.Fatalf("first run: %d tuples", len(got))
 	}
 	if err := db.Insert("E", value.Int(7), value.Int(8)); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Eval(); len(got) != 2 {
+	if got := p.Eval(nil); len(got) != 2 {
 		t.Fatalf("after insert: %d tuples, want 2", len(got))
 	}
 }
@@ -76,9 +76,9 @@ func TestPlanRunIsAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.CountBindings() // warm the pooled run state and candidate buffers
+	p.CountBindings(nil) // warm the pooled run state and candidate buffers
 	allocs := testing.AllocsPerRun(20, func() {
-		if p.CountBindings() == 0 {
+		if p.CountBindings(nil) == 0 {
 			t.Fatal("no bindings")
 		}
 	})
@@ -91,20 +91,22 @@ func TestPlanRunIsAllocationFree(t *testing.T) {
 
 func TestPlanConstantQuery(t *testing.T) {
 	db := edgeDB(t, nil)
-	p, err := Compile(db, cq.MustParse("C('k', 5) :- true"))
+	q := cq.MustParse("C('k', 5) :- true")
+	p, err := Compile(db, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Eval(); len(got) != 1 || got[0].String() != "('k', 5)" {
+	args := Args(nil, q)
+	if got := p.Eval(args); len(got) != 1 || got[0].String() != "('k', 5)" {
 		t.Fatalf("constant plan: %v", rows(got))
 	}
-	if n := p.CountBindings(); n != 1 {
+	if n := p.CountBindings(args); n != 1 {
 		t.Errorf("constant CountBindings = %d", n)
 	}
-	if !p.HasBinding() {
+	if !p.HasBinding(args) {
 		t.Error("constant HasBinding = false")
 	}
-	ann := RunAnnotated[int](p, semiring.Natural{}, func(string, storage.Tuple) int { return 1 })
+	ann := RunAnnotated[int](p, args, semiring.Natural{}, func(string, storage.Tuple) int { return 1 })
 	if len(ann) != 1 || ann[0].Annotation != 1 {
 		t.Fatalf("constant annotated: %v", ann)
 	}

@@ -40,6 +40,7 @@ func E11PlanReuse() (*Table, error) {
 	q := cq.MustParse("Q(FName, Text) :- Family(FID, FName, Desc), FamilyIntro(FID, Text)")
 	sr := semiring.Natural{}
 	count := func(string, storage.Tuple) int { return 1 }
+	args := eval.Args(nil, q)
 	for _, families := range e11Sizes {
 		cfg := gtopdb.DefaultConfig()
 		cfg.Families = families
@@ -49,7 +50,7 @@ func E11PlanReuse() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		nTuples := len(plan.Eval())
+		nTuples := len(plan.Eval(args))
 
 		reps := 2000 / (1 + families/100)
 		if reps < 5 {
@@ -63,7 +64,7 @@ func E11PlanReuse() (*Table, error) {
 			return nil, err
 		}
 		warm, err := timePer(reps, func() error {
-			eval.RunAnnotated[int](plan, sr, count)
+			eval.RunAnnotated[int](plan, args, sr, count)
 			return nil
 		})
 		if err != nil {
@@ -78,7 +79,7 @@ func E11PlanReuse() (*Table, error) {
 			}
 		})
 		warmAllocs := testing.AllocsPerRun(5, func() {
-			eval.RunAnnotated[int](plan, sr, count)
+			eval.RunAnnotated[int](plan, args, sr, count)
 		})
 
 		t.AddRow(

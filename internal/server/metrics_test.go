@@ -337,3 +337,43 @@ func TestStatusRecorderFlush(t *testing.T) {
 		t.Fatal("statusRecorder.Flush must pass through to the underlying writer")
 	}
 }
+
+// TestPlanCacheMetrics: /metrics exposes the prepared-plan cache's
+// turnover counters beside the other generator caches'. A Family ingest
+// turns the head over: the plans of the paper query's rewritings read
+// Family and are evicted, and the plan of its constant citation queries
+// reads nothing and is kept.
+func TestPlanCacheMetrics(t *testing.T) {
+	_, ts := paperServer(t, Options{})
+	client := ts.Client()
+	cite := func() {
+		t.Helper()
+		if resp, body := postJSON(t, client, ts.URL+"/cite", citeRequest{Query: paperQuery}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("cite: %d %s", resp.StatusCode, body)
+		}
+	}
+	cite()
+	if resp, body := postJSON(t, client, ts.URL+"/ingest", map[string]any{
+		"relation": "Family", "insert": [][]any{{77, "Amylin", "A1"}},
+	}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest: %d %s", resp.StatusCode, body)
+	}
+	cite()
+	scrape := getText(t, client, ts.URL+"/metrics")
+	samples, types := parseExposition(t, scrape)
+	got := map[string]float64{}
+	for _, s := range samples {
+		got[s.name] = s.value
+	}
+	for _, name := range []string{"citeserved_plan_cache_kept_total", "citeserved_plan_cache_evicted_total"} {
+		if types[name] != "counter" {
+			t.Errorf("%s: type %q, want counter", name, types[name])
+		}
+		if !strings.Contains(scrape, "# HELP "+name+" Prepared plans ") {
+			t.Errorf("%s: no HELP line naming prepared plans", name)
+		}
+		if got[name] < 1 {
+			t.Errorf("%s = %g after a Family ingest, want >= 1", name, got[name])
+		}
+	}
+}

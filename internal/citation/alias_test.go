@@ -149,7 +149,8 @@ func copiesCite(t *testing.T, reg *Registry, snap *storage.Database, q *cq.Query
 			t.Fatal(err)
 		}
 		deps := reg.BodyDeps(bq)
-		g.branches.get(genKey{snap.Origin(deps), branchName(bq)}, deps,
+		key, _ := branchKey(nil, bq)
+		g.branches.get(genKey{snap.Origin(deps), key}, deps,
 			func() (*branch, error) { return newBranch(nil, annotated), nil })
 	}
 	tr := trace.New("cite")

@@ -575,6 +575,7 @@ func (g *Generator) readSet(rewritings []*rewrite.Rewriting) []string {
 // ctx aborts it with ctx.Err().
 func (g *Generator) evalBranches(ctx context.Context, evalSet []*rewrite.Rewriting, params map[string][]int, db *storage.Database) ([]*branch, error) {
 	branches := make([]*branch, len(evalSet))
+	var kb [128]byte
 	for i, rw := range evalSet {
 		// Branch cache: a repeated rewriting over unchanged body content
 		// reuses the whole annotated evaluation. Deps are the rewriting's
@@ -584,8 +585,9 @@ func (g *Generator) evalBranches(ctx context.Context, evalSet []*rewrite.Rewriti
 		q := rw.AsQuery("rw")
 		deps := g.reg.BodyDeps(q)
 		origin := db.Origin(deps)
-		b, hit, err := g.branches.get(genKey{origin, branchName(q)}, deps,
-			func() (*branch, error) { return g.evalBranch(ctx, i, q, rw, params, db, deps, origin) })
+		key, shape := branchKey(kb[:0], q)
+		b, hit, err := g.branches.get(genKey{origin, key}, deps,
+			func() (*branch, error) { return g.evalBranch(ctx, i, q, shape, rw, params, db, deps, origin) })
 		if err != nil {
 			return nil, err
 		}
@@ -600,41 +602,43 @@ func (g *Generator) evalBranches(ctx context.Context, evalSet []*rewrite.Rewriti
 	return branches, nil
 }
 
-// branchName names a rewriting's branch-cache entry: its signature
-// followed by the kind of each constant, since the signature renders
-// constants as literals and lookalikes of different kinds (Int(1) and
-// Float(1) both render as 1) select different tuples.
-func branchName(q *cq.Query) string {
-	var kb [16]byte
-	kinds := kb[:0]
+// branchKey returns the branch-cache name of rewriting query q and, as
+// a prefix of it, q's plan shape (eval.AppendShape), built in buf: the
+// shape followed by each constant's exact kind and bits (appendLiteral),
+// in term order. The shape is self-delimiting and fixes the number of
+// constants, so two queries share a name exactly when they have one
+// shape and identical constants: lookalikes that render alike but
+// select different tuples, such as Int(1) and Float(1), get names of
+// their own.
+func branchKey(buf []byte, q *cq.Query) (key, shape string) {
+	buf = eval.AppendShape(buf, q)
+	n := len(buf)
 	for _, t := range q.Head {
 		if !t.IsVar {
-			kinds = append(kinds, '0'+byte(t.Const.Kind()))
+			buf = appendLiteral(buf, t.Const)
 		}
 	}
 	for _, a := range q.Body {
 		for _, t := range a.Terms {
 			if !t.IsVar {
-				kinds = append(kinds, '0'+byte(t.Const.Kind()))
+				buf = appendLiteral(buf, t.Const)
 			}
 		}
 	}
-	if len(kinds) == 0 {
-		return q.Signature()
-	}
-	return q.Signature() + "#" + string(kinds)
+	key = string(buf)
+	return key, key[:n]
 }
 
 // evalBranch performs one rewriting's annotated evaluation — the cache
 // miss path of evalBranches. One span per alternative rewriting: view
 // lookups, the plan lookup and the enumeration itself nest under it, so
 // a trace shows which alternative cost what. The plan comes from the plan
-// cache, keyed by the rewriting's shape and the origin of its body deps
-// (which the branch key shares): a branch miss is most often a new
-// constant of a known shape, so the plan compiled for an earlier query
-// of the shape over the same content is run with q's constants, and only
-// a plan-cache miss compiles.
-func (g *Generator) evalBranch(ctx context.Context, idx int, q *cq.Query, rw *rewrite.Rewriting, params map[string][]int, db *storage.Database, deps []string, origin uint64) (*branch, error) {
+// cache, keyed by the rewriting's shape (the prefix of its branch key)
+// and the origin of its body deps (which the branch key shares): a
+// branch miss is most often a new constant of a known shape, so the plan
+// compiled for an earlier query of the shape over the same content is
+// run with q's constants, and only a plan-cache miss compiles.
+func (g *Generator) evalBranch(ctx context.Context, idx int, q *cq.Query, shape string, rw *rewrite.Rewriting, params map[string][]int, db *storage.Database, deps []string, origin uint64) (*branch, error) {
 	bctx, bsp := trace.StartSpan(ctx, "branch")
 	defer bsp.End()
 	bsp.Set("alt", idx)
@@ -645,9 +649,7 @@ func (g *Generator) evalBranch(ctx context.Context, idx int, q *cq.Query, rw *re
 		bsp.Set("outcome", "materialize-error")
 		return nil, err
 	}
-	var sb [64]byte
 	var ab [4]value.Value
-	shape := eval.AppendShape(sb[:0], q)
 	args := eval.Args(ab[:0], q)
 	// run evaluates the branch over inst with the plan cached under shape.
 	run := func(shape string, sr semiring.Semiring[citeexpr.Expr]) ([]eval.Annotated[citeexpr.Expr], error) {
@@ -670,7 +672,7 @@ func (g *Generator) evalBranch(ctx context.Context, idx int, q *cq.Query, rw *re
 		return annotated, err
 	}
 	if len(unordered) == 0 {
-		annotated, err := run(string(shape), citeexpr.Semiring{})
+		annotated, err := run(shape, citeexpr.Semiring{})
 		if err != nil {
 			return nil, err
 		}
@@ -686,10 +688,11 @@ func (g *Generator) evalBranch(ctx context.Context, idx int, q *cq.Query, rw *re
 	// the view cache. The cost of an alias thus does not depend on its
 	// row order unless the result does. The plan over the copies reads
 	// other relations than the plan over the aliases, so it is cached
-	// under a key of its own: the shape with a byte appended, which no
-	// shape (a self-delimiting encoding) equals.
+	// under a key of its own: the shape with the byte 0 appended, which
+	// no shape (a self-delimiting encoding) equals, nor a pin's plan key
+	// (Answer).
 	var plus plusCounter
-	annotated, err := run(string(shape), &plus)
+	annotated, err := run(shape, &plus)
 	if err != nil {
 		return nil, err
 	}
@@ -703,7 +706,7 @@ func (g *Generator) evalBranch(ctx context.Context, idx int, q *cq.Query, rw *re
 			}
 			inst.views[name] = rel
 		}
-		if annotated, err = run(string(append(shape, 0)), citeexpr.Semiring{}); err != nil {
+		if annotated, err = run(shape+"\x00", citeexpr.Semiring{}); err != nil {
 			return nil, err
 		}
 	}
@@ -761,6 +764,33 @@ func (g *Generator) CiteTuple(q *cq.Query, t storage.Tuple) (*TupleCitation, err
 		}
 	}
 	return nil, fmt.Errorf("citation: tuple %s is not in the answer of %s", t, q.Name)
+}
+
+// Answer returns q's answer over the frozen snapshot db itself, in
+// Tuple.Compare order, and whether the plan cache held its plan: the
+// re-execution with which a fixity pin digests a cited query's answer
+// at its committed version (core.System, fixity.Store.Pin). The plan is
+// the prepared plan of q's shape over db's content of the relations q
+// reads (Registry.BodyDeps), run with q's constants, so only the first
+// query of a shape over that content compiles. Its key is the shape
+// with the byte 1 appended, which no rewriting's plan can take: those
+// run over view instances, under the shape or the shape and a 0, while
+// this one runs over db. Like every entry, it is cached only while a
+// live snapshot — the head's or a retained version's — maps it.
+func (g *Generator) Answer(ctx context.Context, q *cq.Query, db *storage.Database) ([]storage.Tuple, bool, error) {
+	if db == nil || !db.Frozen() {
+		return nil, false, fmt.Errorf("citation: answer of %s: target database is not a frozen snapshot", q.Name)
+	}
+	var sb [64]byte
+	var ab [4]value.Value
+	key := string(append(eval.AppendShape(sb[:0], q), 1))
+	deps := g.reg.BodyDeps(q)
+	plan, hit, err := g.plans.get(genKey{db.Origin(deps), key}, deps, func() (*eval.Plan, error) { return eval.Compile(db, q) })
+	if err != nil {
+		return nil, hit, err
+	}
+	tuples, err := plan.EvalContext(ctx, eval.Args(ab[:0], q))
+	return tuples, hit, err
 }
 
 // instanceFor fetches the view instances a rewriting references and

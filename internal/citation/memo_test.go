@@ -280,6 +280,13 @@ func TestRewriteMemoConstantOrderAndLookalikes(t *testing.T) {
 		{value.Float(1), value.Int(1)},
 		{value.Int(7), value.Int(7)},
 		{value.Int(9), value.Int(8)},
+		// Text order disagrees with numeric order: "10" < "9", "-1" < "-10".
+		{value.Int(9), value.Int(10)},
+		{value.Int(10), value.Int(9)},
+		{value.Int(-1), value.Int(-10)},
+		// A doubled quote renders '' inside the literal: 'it''s' < 'its'.
+		{value.String("it's"), value.String("its")},
+		{value.String("its"), value.String("it's")},
 	} {
 		q := &cq.Query{Name: "Q", Body: []cq.Atom{
 			cq.NewAtom("Provider", cq.Const(b[0]), cq.Const(b[1])),

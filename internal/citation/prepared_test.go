@@ -3,12 +3,14 @@ package citation
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"slices"
 	"testing"
 
 	"repro/internal/citeexpr"
 	"repro/internal/cq"
+	"repro/internal/eval"
 	"repro/internal/format"
 	"repro/internal/gtopdb"
 	"repro/internal/trace"
@@ -164,5 +166,41 @@ func TestPlanEntriesStayInLiveNamespaces(t *testing.T) {
 	}
 	if other != 2 {
 		t.Errorf("%d plans read no Family, want 2", other)
+	}
+}
+
+// TestPinPlanKeysStayApart: a pin's plan (Answer) runs over the snapshot
+// itself and a rewriting's over view instances, so the two never share
+// an entry. The rewriting of a Family cite, taken as a query over the
+// view predicate, has the shape and the body deps of the rewriting's
+// cached plan; answered over the snapshot, it must compile a plan of its
+// own and fail with the unknown-relation error, not read the view
+// instance's rows through the rewriting's plan.
+func TestPinPlanKeysStayApart(t *testing.T) {
+	cfg := gtopdb.DefaultConfig()
+	cfg.Families = 50
+	snap := gtopdb.Generate(cfg).Snapshot()
+	g := NewGenerator(servingRegistry(snap.Schema()), snap)
+	res, err := g.Cite(cq.MustParse("Q(FName, Desc) :- Family(7, FName, Desc)"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Tuples) == 0 || len(res.Rewritings) == 0 {
+		t.Fatalf("the cite found %d tuples over %d rewritings", len(res.Tuples), len(res.Rewritings))
+	}
+	for _, rw := range res.Rewritings {
+		q := rw.AsQuery("rw")
+		deps := g.reg.BodyDeps(q)
+		_, shape := branchKey(nil, q)
+		if _, hit, err := g.plans.get(genKey{snap.Origin(deps), shape}, deps, func() (*eval.Plan, error) {
+			return nil, errors.New("not cached")
+		}); !hit || err != nil {
+			t.Fatalf("%s: the rewriting's plan is not cached (hit %v, %v)", q, hit, err)
+		}
+		tuples, hit, err := g.Answer(context.Background(), q, snap)
+		if hit || !errors.Is(err, eval.ErrUnknownRelation) {
+			t.Fatalf("%s over the snapshot: %d tuples, plan cache hit %v, error %v; want its own plan and %v",
+				q, len(tuples), hit, err, eval.ErrUnknownRelation)
+		}
 	}
 }

@@ -395,16 +395,40 @@ func (s *System) CiteQueryContext(ctx context.Context, q *cq.Query, opts ...Cite
 	}
 	out := &Citation{Result: res}
 	if !cfg.noPin && pinAt > 0 {
-		pinCtx, pinSpan := trace.StartSpan(ctx, "fixity")
-		pinSpan.Set("version", int(pinAt))
-		_, pin, err := s.store.ExecuteContext(pinCtx, q, pinAt)
-		pinSpan.End()
+		pin, err := s.pin(ctx, q, pinAt)
 		if err != nil {
 			return nil, err
 		}
 		out.Pin = &pin
 	}
 	return out, nil
+}
+
+// pin re-executes q at committed version v and pins its answer: the
+// generator evaluates q over v's snapshot with the prepared plan of q's
+// shape (citation.Generator.Answer), and the store builds the pin from
+// that answer (fixity.Store.Pin), so it equals Store.Execute's. The
+// fixity span says whether the plan cache held the plan; the lookup
+// opens no plan span of its own, so the plan spans stay the rewritings'
+// and the citation queries'.
+func (s *System) pin(ctx context.Context, q *cq.Query, v fixity.Version) (fixity.PinnedCitation, error) {
+	pinCtx, sp := trace.StartSpan(ctx, "fixity")
+	defer sp.End()
+	sp.Set("version", int(v))
+	db, err := s.store.At(v)
+	if err != nil {
+		return fixity.PinnedCitation{}, err
+	}
+	tuples, hit, err := s.gen.Answer(pinCtx, q, db)
+	if hit {
+		sp.Set("cache", "hit")
+	} else {
+		sp.Set("cache", "miss")
+	}
+	if err != nil {
+		return fixity.PinnedCitation{}, err
+	}
+	return s.store.Pin(q, v, tuples)
 }
 
 // CiteAll generates citations for a batch of queries, citing up to

@@ -16,6 +16,7 @@ package cq
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -46,6 +47,15 @@ func (t Term) String() string {
 	return t.Const.Quote()
 }
 
+// AppendString appends t's String rendering to dst and returns the
+// extended buffer.
+func (t Term) AppendString(dst []byte) []byte {
+	if t.IsVar {
+		return append(dst, t.Name...)
+	}
+	return value.AppendQuote(dst, t.Const)
+}
+
 // Equal reports structural equality of terms.
 func (t Term) Equal(u Term) bool {
 	if t.IsVar != u.IsVar {
@@ -70,11 +80,29 @@ func NewAtom(pred string, terms ...Term) Atom {
 
 // String renders the atom as Pred(t1, ..., tn).
 func (a Atom) String() string {
-	parts := make([]string, len(a.Terms))
-	for i, t := range a.Terms {
-		parts[i] = t.String()
+	var b [128]byte
+	return string(a.AppendString(b[:0]))
+}
+
+// AppendString appends a's String rendering to dst and returns the
+// extended buffer.
+func (a Atom) AppendString(dst []byte) []byte {
+	dst = append(dst, a.Predicate...)
+	dst = append(dst, '(')
+	dst = appendTerms(dst, a.Terms)
+	return append(dst, ')')
+}
+
+// appendTerms appends the terms' renderings to dst, separated by ", ":
+// the argument list of an atom or a head.
+func appendTerms(dst []byte, terms []Term) []byte {
+	for i, t := range terms {
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = t.AppendString(dst)
 	}
-	return a.Predicate + "(" + strings.Join(parts, ", ") + ")"
+	return dst
 }
 
 // Equal reports structural equality of atoms.
@@ -220,45 +248,46 @@ func (q *Query) IsConstant() bool { return len(q.Body) == 0 }
 //   - safety: every head variable appears in some body atom (unless the
 //     body is empty and the head is all constants);
 //   - every λ-parameter appears in the head (paper §2 requirement);
-//   - no λ-parameter is unused.
+//   - no λ-parameter is declared twice.
+//
+// A query has a few variables and parameters, so each check is a linear
+// scan, and a valid query allocates nothing.
 func (q *Query) Validate() error {
 	if q.Name == "" {
 		return fmt.Errorf("cq: query has empty name")
 	}
-	bodyVars := make(map[string]bool)
-	for _, v := range q.BodyVars() {
-		bodyVars[v] = true
-	}
-	if len(q.Body) == 0 {
-		for _, t := range q.Head {
-			if t.IsVar {
-				return fmt.Errorf("cq: %s: head variable %s in a body-less query is unsafe", q.Name, t.Name)
-			}
+	for _, t := range q.Head {
+		switch {
+		case !t.IsVar:
+		case len(q.Body) == 0:
+			return fmt.Errorf("cq: %s: head variable %s in a body-less query is unsafe", q.Name, t.Name)
+		case !q.bodyHasVar(t.Name):
+			return fmt.Errorf("cq: %s: head variable %s does not appear in the body", q.Name, t.Name)
 		}
-	} else {
-		for _, t := range q.Head {
-			if t.IsVar && !bodyVars[t.Name] {
-				return fmt.Errorf("cq: %s: head variable %s does not appear in the body", q.Name, t.Name)
-			}
-		}
-	}
-	headVars := make(map[string]bool)
-	for _, v := range q.HeadVars() {
-		headVars[v] = true
 	}
 	for _, p := range q.Params {
-		if !headVars[p] {
+		if !slices.ContainsFunc(q.Head, func(t Term) bool { return t.IsVar && t.Name == p }) {
 			return fmt.Errorf("cq: %s: parameter %s must appear in the head", q.Name, p)
 		}
 	}
-	seen := make(map[string]bool)
-	for _, p := range q.Params {
-		if seen[p] {
+	for i, p := range q.Params {
+		if slices.Contains(q.Params[:i], p) {
 			return fmt.Errorf("cq: %s: duplicate parameter %s", q.Name, p)
 		}
-		seen[p] = true
 	}
 	return nil
+}
+
+// bodyHasVar reports whether a body atom has the variable name.
+func (q *Query) bodyHasVar(name string) bool {
+	for _, a := range q.Body {
+		for _, t := range a.Terms {
+			if t.IsVar && t.Name == name {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Rename returns a copy of the query with every variable prefixed, making
@@ -309,34 +338,40 @@ func (q *Query) Substitute(sub map[string]Term) *Query {
 }
 
 // String renders the query in the parseable datalog syntax, including the
-// λ-prefix when parameterized.
+// λ-prefix when parameterized. It is AppendString into a new string.
 func (q *Query) String() string {
-	var b strings.Builder
+	var b [256]byte
+	return string(q.AppendString(b[:0]))
+}
+
+// AppendString appends q's String rendering to dst and returns the
+// extended buffer: given a buffer with room, it renders without
+// allocating.
+func (q *Query) AppendString(dst []byte) []byte {
 	if len(q.Params) > 0 {
-		b.WriteString("lambda ")
-		b.WriteString(strings.Join(q.Params, ", "))
-		b.WriteString(". ")
-	}
-	b.WriteString(q.Name)
-	b.WriteByte('(')
-	for i, t := range q.Head {
-		if i > 0 {
-			b.WriteString(", ")
+		dst = append(dst, "lambda "...)
+		for i, p := range q.Params {
+			if i > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst = append(dst, p...)
 		}
-		b.WriteString(t.String())
+		dst = append(dst, ". "...)
 	}
-	b.WriteString(") :- ")
+	dst = append(dst, q.Name...)
+	dst = append(dst, '(')
+	dst = appendTerms(dst, q.Head)
+	dst = append(dst, ") :- "...)
 	if len(q.Body) == 0 {
-		b.WriteString("true")
-		return b.String()
+		return append(dst, "true"...)
 	}
 	for i, a := range q.Body {
 		if i > 0 {
-			b.WriteString(", ")
+			dst = append(dst, ", "...)
 		}
-		b.WriteString(a.String())
+		dst = a.AppendString(dst)
 	}
-	return b.String()
+	return dst
 }
 
 // Fingerprint returns the query's constant-normalized canonical form —

@@ -239,22 +239,35 @@ func (st *Store) ExecuteContext(ctx context.Context, q *cq.Query, v Version) ([]
 	if err != nil {
 		return nil, PinnedCitation{}, err
 	}
-	info, err := st.Info(v)
-	if err != nil {
-		return nil, PinnedCitation{}, err
-	}
 	tuples, err := eval.EvalContext(ctx, db, q)
 	if err != nil {
 		return nil, PinnedCitation{}, err
 	}
-	pin := PinnedCitation{
+	pin, err := st.Pin(q, v, tuples)
+	if err != nil {
+		return nil, PinnedCitation{}, err
+	}
+	return tuples, pin, nil
+}
+
+// Pin fixes tuples, q's answer at version v, in a pinned citation: q's
+// text, v and its commit timestamp, and the answer's digest and size.
+// It is the one place a pin is built: ExecuteContext pins the answer it
+// computes, and a caller that computed the answer itself (the citation
+// engine runs q's prepared plan) pins it here. An unknown version
+// reports ErrUnknownVersion.
+func (st *Store) Pin(q *cq.Query, v Version, tuples []storage.Tuple) (PinnedCitation, error) {
+	info, err := st.Info(v)
+	if err != nil {
+		return PinnedCitation{}, err
+	}
+	return PinnedCitation{
 		QueryText: q.String(),
 		Version:   v,
 		Timestamp: info.Timestamp,
 		Digest:    Digest(tuples),
 		Tuples:    len(tuples),
-	}
-	return tuples, pin, nil
+	}, nil
 }
 
 // ExecuteLatest runs q against the newest committed version.

@@ -147,7 +147,8 @@ type fpEntry struct {
 }
 
 // fpCache memoizes Parse+Fingerprint per raw query text. The warm path
-// (a repeated query string) is one lock-free sync.Map load, no parsing.
+// (a repeated query string) is one lock-free sync.Map load, no parsing,
+// and a text the engine parsed is filled from its parse (Remember).
 // An insert costs O(1) whatever the memo holds, which matters because
 // the keys are raw texts: under a stream of distinct constants nearly
 // every request inserts. Inserts are counted under mu, and the whole
@@ -254,21 +255,48 @@ func (s *Store) fingerprint(query string) (string, uint64, bool) {
 	}
 	var e fpEntry
 	if q, err := cq.Parse(query); err == nil {
-		fp, consts := q.Fingerprint()
-		e = fpEntry{fp: fp, hash: cq.ConstHash(consts)}
+		e = fingerprintOf(q)
 	}
 	// e.fp == "" memoizes the parse failure, so a client hammering one
 	// malformed query does not re-parse it per request.
-	s.fps.mu.Lock()
-	if s.fps.n >= maxFPCache {
-		s.fps.m.Clear()
-		s.fps.n = 0
-	}
-	if _, loaded := s.fps.m.LoadOrStore(query, e); !loaded {
-		s.fps.n++
-	}
-	s.fps.mu.Unlock()
+	s.fps.store(query, e)
 	return e.fp, e.hash, e.fp != ""
+}
+
+// Remember memoizes the fingerprint of the query text from q, the
+// engine's parse of that text, so ObserveRequest finds the text
+// fingerprinted and does not parse it again. The server calls it for
+// every citation it computes, before publishing the result; a text
+// already memoized is left as it is. A nil store or query does nothing.
+func (s *Store) Remember(query string, q *cq.Query) {
+	if s == nil || q == nil {
+		return
+	}
+	if _, ok := s.fps.m.Load(query); ok {
+		return
+	}
+	s.fps.store(query, fingerprintOf(q))
+}
+
+// fingerprintOf is q's memo entry.
+func fingerprintOf(q *cq.Query) fpEntry {
+	fp, consts := q.Fingerprint()
+	return fpEntry{fp: fp, hash: cq.ConstHash(consts)}
+}
+
+// store inserts e under the query text, dropping the whole memo first
+// when it is full. A concurrent insert of the same text keeps the first
+// entry.
+func (c *fpCache) store(query string, e fpEntry) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.n >= maxFPCache {
+		c.m.Clear()
+		c.n = 0
+	}
+	if _, loaded := c.m.LoadOrStore(query, e); !loaded {
+		c.n++
+	}
 }
 
 // observedWall is the duration a per-fingerprint latency histogram

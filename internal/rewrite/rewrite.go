@@ -26,7 +26,10 @@
 package rewrite
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/contain"
@@ -117,7 +120,23 @@ func (r *Rewriting) AsQuery(name string) *cq.Query {
 }
 
 // String renders the rewriting in datalog syntax.
-func (r *Rewriting) String() string { return r.AsQuery("Q'").String() }
+func (r *Rewriting) String() string {
+	var b [256]byte
+	return string(r.AppendString(b[:0]))
+}
+
+// AppendString appends r's String rendering to dst and returns the
+// extended buffer: the rendering of r.AsQuery("Q'"), from a query that
+// shares r's terms instead of copying them.
+func (r *Rewriting) AppendString(dst []byte) []byte {
+	var ab [8]cq.Atom
+	body := ab[:0]
+	for _, va := range r.ViewAtoms {
+		body = append(body, va.Atom())
+	}
+	q := cq.Query{Name: "Q'", Head: r.Head, Body: append(body, r.BaseAtoms...)}
+	return q.AppendString(dst)
+}
 
 // signature canonically identifies the rewriting (order-insensitive over
 // atoms) for deduplication.
@@ -259,14 +278,33 @@ func checkViews(views []*cq.Query) error {
 // pairwise differently (equal renderings share a signature and are
 // deduplicated), so the order is total. Callers that substitute
 // constants into a result re-sort with it to get the order a fresh
-// Rewrite would give.
+// Rewrite would give. Each rewriting is rendered once (AppendString),
+// into one buffer, and compared as its span of bytes.
 func SortRewritings(rs []*Rewriting) {
-	sort.SliceStable(rs, func(i, j int) bool {
-		if len(rs[i].ViewAtoms) != len(rs[j].ViewAtoms) {
-			return len(rs[i].ViewAtoms) < len(rs[j].ViewAtoms)
+	if len(rs) < 2 {
+		return
+	}
+	type rendered struct {
+		rw         *Rewriting
+		start, end int
+	}
+	var bb [512]byte
+	var kb [4]rendered
+	buf, keys := bb[:0], kb[:0]
+	for _, rw := range rs {
+		start := len(buf)
+		buf = rw.AppendString(buf)
+		keys = append(keys, rendered{rw, start, len(buf)})
+	}
+	slices.SortStableFunc(keys, func(a, b rendered) int {
+		if c := cmp.Compare(len(a.rw.ViewAtoms), len(b.rw.ViewAtoms)); c != 0 {
+			return c
 		}
-		return rs[i].String() < rs[j].String()
+		return bytes.Compare(buf[a.start:a.end], buf[b.start:b.end])
 	})
+	for i, k := range keys {
+		rs[i] = k.rw
+	}
 }
 
 // minimizeRewriting drops view atoms whose removal keeps the expansion

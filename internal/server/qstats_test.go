@@ -1,12 +1,16 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/cq"
+	"repro/internal/fixity"
 	"repro/internal/qstats"
 	"repro/internal/trace"
 )
@@ -306,5 +310,38 @@ func TestAdmissionWaitMetric(t *testing.T) {
 	}
 	if !strings.Contains(scrape, "citeserved_inflight_requests") {
 		t.Fatal("inflight gauge missing")
+	}
+}
+
+// TestQueryStatsFingerprintFromEngineParse: a computed citation's query
+// is fingerprinted from the engine's parse of its text (Result.Query),
+// not by parsing the text again. A citer that hands back a stand-in
+// parse of another shape makes the statistics list the stand-in's
+// fingerprint, for the computing request and for a later hit alike.
+func TestQueryStatsFingerprintFromEngineParse(t *testing.T) {
+	srv, ts := paperServer(t, Options{})
+	client := ts.Client()
+	standIn := cq.MustParse("StandIn(X) :- Other(X, 'k')")
+	inner := srv.citer
+	srv.citer = func(ctx context.Context, queries []string, v fixity.Version) ([]*core.Citation, []error) {
+		cites, errs := inner(ctx, queries, v)
+		for _, c := range cites {
+			if c != nil {
+				r := *c.Result
+				r.Query = standIn
+				c.Result = &r
+			}
+		}
+		return cites, errs
+	}
+	for range 2 {
+		if resp, body := postJSON(t, client, ts.URL+"/cite", citeRequest{Query: paperQuery}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+	}
+	rep := waitForCalls(t, client, ts.URL+"/debug/querystats", 2)
+	want, _ := standIn.Fingerprint()
+	if len(rep.Rows) != 1 || rep.Rows[0].Fingerprint != want || rep.Rows[0].ResultMisses != 1 || rep.Rows[0].ResultHits != 1 {
+		t.Fatalf("rows %+v; want one row of fingerprint %q with one miss and one hit", rep.Rows, want)
 	}
 }

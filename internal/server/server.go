@@ -713,6 +713,10 @@ func (s *Server) citeBatch(ctx context.Context, queries []string, version fixity
 					err = fmt.Errorf("%w: citer returned no citation", errEngineFault)
 				}
 				if err == nil {
+					// The engine parsed the text: its parse fingerprints
+					// the query for the statistics store before any
+					// waiter's request observes it.
+					s.qstats.Remember(batch[j], cites[j].Result.Query)
 					// The one encoding of this citation: every reply that
 					// carries it is written around these bytes. Its origin
 					// is the one of the snapshot the citation read, which

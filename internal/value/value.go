@@ -117,22 +117,30 @@ func AppendString(dst []byte, v Value) []byte {
 
 // Quote renders the value as a literal that the query parser accepts:
 // strings are single-quoted with internal quotes doubled; other kinds use
-// their natural literal form.
+// their natural literal form. It is AppendQuote into a new string.
 func (v Value) Quote() string {
-	if v.kind == KindString {
-		out := make([]byte, 0, len(v.s)+2)
-		out = append(out, '\'')
-		for i := 0; i < len(v.s); i++ {
-			if v.s[i] == '\'' {
-				out = append(out, '\'', '\'')
-			} else {
-				out = append(out, v.s[i])
-			}
-		}
-		out = append(out, '\'')
-		return string(out)
+	if v.kind != KindString {
+		return v.String()
 	}
-	return v.String()
+	var b [64]byte
+	return string(AppendQuote(b[:0], v))
+}
+
+// AppendQuote appends v's Quote rendering to dst and returns the
+// extended buffer, without allocating when dst has room.
+func AppendQuote(dst []byte, v Value) []byte {
+	if v.kind != KindString {
+		return AppendString(dst, v)
+	}
+	dst = append(dst, '\'')
+	for i := 0; i < len(v.s); i++ {
+		if v.s[i] == '\'' {
+			dst = append(dst, '\'', '\'')
+		} else {
+			dst = append(dst, v.s[i])
+		}
+	}
+	return append(dst, '\'')
 }
 
 // Equal reports whether two values are identical in kind and payload.

@@ -3,6 +3,7 @@ package value
 import (
 	"math"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -95,6 +96,34 @@ func TestQuote(t *testing.T) {
 	for _, c := range cases {
 		if got := c.v.Quote(); got != c.want {
 			t.Errorf("Quote(%v) = %q, want %q", c.v, got, c.want)
+		}
+	}
+}
+
+// TestAppendQuoteMatchesQuote: AppendQuote renders exactly Quote's bytes
+// for every kind, after existing content, and a string longer than
+// Quote's stack buffer quotes whole.
+func TestAppendQuoteMatchesQuote(t *testing.T) {
+	long := strings.Repeat("o'", 40)
+	for _, c := range []struct {
+		v    Value
+		want string
+	}{
+		{String(""), "''"},
+		{String("it's"), "'it''s'"},
+		{String("''"), "''''''"},
+		{String(long), "'" + strings.ReplaceAll(long, "'", "''") + "'"},
+		{Int(-42), "-42"},
+		{Float(math.Copysign(0, -1)), "-0"},
+		{Float(math.NaN()), "NaN"},
+		{Float(1e21), "1e+21"},
+		{Time(time.Date(1969, 12, 31, 23, 59, 59, 123456789, time.UTC)), "1969-12-31T23:59:59.123456789Z"},
+	} {
+		if got := c.v.Quote(); got != c.want {
+			t.Errorf("Quote(%s %v) = %q, want %q", c.v.Kind(), c.v, got, c.want)
+		}
+		if got := string(AppendQuote([]byte("x"), c.v)); got != "x"+c.want {
+			t.Errorf("AppendQuote(%s %v) = %q, want %q", c.v.Kind(), c.v, got, "x"+c.want)
 		}
 	}
 }

@@ -336,7 +336,7 @@ func (g *Generator) CiteContext(ctx context.Context, q *cq.Query, req Request) (
 	// place a slow /cite can burn time (combinatorial view sets) — and
 	// whether the shape memo answered it; a hit reports the candidates
 	// its entry's search examined.
-	_, rwSpan := trace.StartSpan(ctx, "rewrite")
+	rwSpan := trace.SpanFromContext(ctx).StartChild("rewrite")
 	rewritings, prep, hit, err := g.rewriteStage(q, method)
 	if err != nil {
 		rwSpan.End()
@@ -427,7 +427,7 @@ func (g *Generator) CiteContext(ctx context.Context, q *cq.Query, req Request) (
 
 	// Stage: policy aggregation — branch selection, citation-atom
 	// resolution (the atom cache lives under it) and the Agg fold.
-	_, polSpan := trace.StartSpan(ctx, "policy")
+	polSpan := trace.SpanFromContext(ctx).StartChild("policy")
 	defer func() {
 		polSpan.Add("atoms_resolved", int64(res.Stats.AtomsResolved))
 		polSpan.End()
@@ -592,7 +592,7 @@ func (g *Generator) evalBranches(ctx context.Context, evalSet []*rewrite.Rewriti
 			return nil, err
 		}
 		if hit {
-			_, bsp := trace.StartSpan(ctx, "branch")
+			bsp := trace.SpanFromContext(ctx).StartChild("branch")
 			bsp.Set("alt", i)
 			bsp.Set("cache", "hit")
 			bsp.End()
@@ -653,7 +653,7 @@ func (g *Generator) evalBranch(ctx context.Context, idx int, q *cq.Query, shape 
 	args := eval.Args(ab[:0], q)
 	// run evaluates the branch over inst with the plan cached under shape.
 	run := func(shape string, sr semiring.Semiring[citeexpr.Expr]) ([]eval.Annotated[citeexpr.Expr], error) {
-		_, psp := trace.StartSpan(bctx, "plan")
+		psp := trace.SpanFromContext(bctx).StartChild("plan")
 		plan, hit, err := g.plans.get(genKey{origin, shape}, deps, func() (*eval.Plan, error) { return eval.Compile(inst, q) })
 		if hit {
 			psp.Set("cache", "hit")
@@ -933,7 +933,7 @@ func mapsTo(vers []liveVersion, key genKey, deps []string) bool {
 // span says alias: true and cache: "hit", since nothing is materialized.
 // Any other view is a frozen copy from the view cache (viewCopy).
 func (g *Generator) materializeAt(ctx context.Context, db *storage.Database, viewName string) (*storage.Relation, bool, error) {
-	_, sp := trace.StartSpan(ctx, "views")
+	sp := trace.SpanFromContext(ctx).StartChild("views")
 	defer sp.End()
 	sp.Set("view", viewName)
 	if rel := g.identityRelation(db, viewName); rel != nil {

@@ -289,8 +289,12 @@ func (s *System) CommitVersioned(message string) (fixity.VersionInfo, int64, err
 			Message:   message,
 			Tuples:    head.Size(),
 		}
+		// Digest the snapshot the commit stores, not the head: it holds
+		// the frozen relations RestoreCommit appends as this version,
+		// which keep their canonical order, so no later digest of this
+		// or another version sharing them sorts them again.
 		//lint:lockscope journaled mutation: the commit record and the version store must advance atomically under the writer lock
-		if _, err := s.wal.Append(durable.Entry{Type: durable.EntryCommit, Commit: commitMeta(info, head)}, true); err != nil {
+		if _, err := s.wal.Append(durable.Entry{Type: durable.EntryCommit, Commit: commitMeta(info, head.Snapshot())}, true); err != nil {
 			return fixity.VersionInfo{}, s.epoch, fmt.Errorf("core: journal: %w", err)
 		}
 		if err := s.store.RestoreCommit(info); err != nil {
@@ -345,7 +349,7 @@ func (s *System) Cite(querySrc string) (*Citation, error) {
 // and returns ctx.Err(). A malformed query reports an error satisfying
 // errors.Is(err, cq.ErrBadQuery).
 func (s *System) CiteContext(ctx context.Context, querySrc string, opts ...CiteOption) (*Citation, error) {
-	_, sp := trace.StartSpan(ctx, "parse")
+	sp := trace.SpanFromContext(ctx).StartChild("parse")
 	q, err := cq.Parse(querySrc)
 	sp.End()
 	if err != nil {
@@ -489,7 +493,7 @@ func (s *System) CiteEachContext(ctx context.Context, queries []string, opts ...
 	qs := make([]*cq.Query, len(queries))
 	out = make([]*Citation, len(queries))
 	errs = make([]error, len(queries))
-	_, sp := trace.StartSpan(ctx, "parse")
+	sp := trace.SpanFromContext(ctx).StartChild("parse")
 	for i, src := range queries {
 		q, err := cq.Parse(src)
 		if err != nil {

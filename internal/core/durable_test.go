@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/durable"
 	"repro/internal/fixity"
+	"repro/internal/schema"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
@@ -532,6 +534,77 @@ func TestCheckpointKeepsKeyLookalikes(t *testing.T) {
 		if !fam.Contains(c.has) || fam.Contains(c.lacks) {
 			t.Errorf("recovered %s: has %v = %v, has %v = %v",
 				c.name, c.has, fam.Contains(c.has), c.lacks, fam.Contains(c.lacks))
+		}
+	}
+}
+
+// TestCheckpointKeepsRowOrder: a tuple deleted and inserted again moves
+// to the end of its relation's rows, and a checkpoint must rebuild that
+// order, not only the set. A relation holding both zeros digests by its
+// row order (Tuple.Compare ties 0 with -0), so a checkpoint that rebuilt
+// version 2 in version 1's order would fail recovery's digest check; a
+// relation without ties would silently change an identity view's answer
+// order. The head repeats the move after the last commit.
+func TestCheckpointKeepsRowOrder(t *testing.T) {
+	s := schema.New()
+	s.MustAdd(schema.MustRelation("F", []schema.Attribute{
+		{Name: "X", Kind: value.KindFloat},
+		{Name: "S", Kind: value.KindString},
+	}))
+	sys := NewSystem(s)
+	dir := filepath.Join(t.TempDir(), "data")
+	if err := sys.EnableDurability(dir, DurableOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	zero := storage.Tuple{value.Float(0), value.String("z")}
+	negZero := storage.Tuple{value.Float(math.Copysign(0, -1)), value.String("z")}
+	other := storage.Tuple{value.Float(1), value.String("o")}
+	move := func(tu storage.Tuple) {
+		t.Helper()
+		if _, err := sys.Delete("F", []storage.Tuple{tu}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Insert("F", []storage.Tuple{tu}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := sys.Insert("F", []storage.Tuple{zero, negZero, other}); err != nil {
+		t.Fatal(err)
+	}
+	sys.Commit("v1")
+	move(zero)
+	sys.Commit("v2")
+	move(negZero)
+	rowKeys := func(db *storage.Database) []string {
+		var out []string
+		for _, tu := range db.Relation("F").Tuples() {
+			out = append(out, tu.Key())
+		}
+		return out
+	}
+	var want [][]string
+	for v := fixity.Version(1); v <= 2; v++ {
+		db, _ := sys.Store().At(v)
+		want = append(want, rowKeys(db))
+	}
+	want = append(want, rowKeys(sys.Database()))
+	if err := sys.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.CloseDurability(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(dir, DurableOptions{ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range []string{"version 1", "version 2", "head"} {
+		db := re.Database()
+		if i < 2 {
+			db, _ = re.Store().At(fixity.Version(i + 1))
+		}
+		if got := rowKeys(db); !slices.Equal(got, want[i]) {
+			t.Errorf("recovered %s rows %q, want %q", name, got, want[i])
 		}
 	}
 }

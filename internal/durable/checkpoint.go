@@ -28,10 +28,13 @@ type Checkpoint struct {
 
 // AppendDiff appends to dst the delete and insert batches that turn old
 // into new, relation by relation in new's schema order, and returns the
-// extended slice. old may be nil, meaning the empty database. Tuples
-// compare by value (Relation.Contains), never by a rendering, and a
-// relation both databases hold as the same frozen object is skipped
-// unread: committed versions share every relation they did not change.
+// extended slice. old may be nil, meaning the empty database; its
+// relations are frozen. A relation both databases hold as the same frozen
+// object is skipped unread: committed versions share every relation they
+// did not change. Every other one's batches are Relation.Diff's, so
+// replaying them rebuilds new's row order too; along a history that only
+// appended they are the appended rows, found with no membership test.
+// Tuples compare by value, never by a rendering.
 func AppendDiff(dst []Entry, old, new *storage.Database) []Entry {
 	for _, name := range new.Schema().Names() {
 		nr := new.Relation(name)
@@ -42,21 +45,7 @@ func AppendDiff(dst []Entry, old, new *storage.Database) []Entry {
 		if or == nr {
 			continue
 		}
-		var del, ins []storage.Tuple
-		if or != nil {
-			or.Scan(func(t storage.Tuple) bool {
-				if !nr.Contains(t) {
-					del = append(del, t)
-				}
-				return true
-			})
-		}
-		nr.Scan(func(t storage.Tuple) bool {
-			if or == nil || !or.Contains(t) {
-				ins = append(ins, t)
-			}
-			return true
-		})
+		del, ins := nr.Diff(or)
 		if del != nil {
 			dst = append(dst, Entry{Type: EntryDelete, Relation: name, Tuples: del})
 		}

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 	"sync"
 	"time"
 
@@ -188,20 +189,25 @@ var keyEnd = []byte{0}
 // DatabaseDigest computes the canonical SHA-256 digest of a whole
 // database: relations in schema order, each hashed as its name followed
 // by its tuples in canonical (sorted) order. Two databases digest equal
-// iff every relation is equal as a set. Commit log entries carry this
+// iff every relation is equal as a set, except where Tuple.Compare ties
+// rows (+0 and -0) or cannot order them (NaN): their order in the digest
+// follows their row order. Commit log entries carry this
 // digest so recovery can prove a rebuilt snapshot is byte-equivalent to
-// the one the original process committed. Every tuple is rendered into
-// one reused buffer.
+// the one the original process committed. Each relation's tuples stream
+// into the hash in place (Relation.SortedScan), rendered into one reused
+// buffer: a frozen relation sorts only on its first digest, so digesting
+// a snapshot again copies and sorts nothing.
 func DatabaseDigest(db *storage.Database) string {
 	h := sha256.New()
 	var buf []byte
 	for _, name := range db.Schema().Names() {
-		h.Write([]byte(name))
-		h.Write([]byte{0xff})
-		for _, t := range db.Relation(name).SortedTuples() {
+		buf = append(append(buf[:0], name...), 0xff)
+		h.Write(buf)
+		db.Relation(name).SortedScan(func(t storage.Tuple) bool {
 			buf = append(t.AppendKey(buf[:0]), 0)
 			h.Write(buf)
-		}
+			return true
+		})
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -218,10 +224,20 @@ type PinnedCitation struct {
 	Tuples    int
 }
 
-// String renders the pin for embedding in a human-readable citation.
+// String renders the pin for embedding in a human-readable citation:
+// query=<quoted text> version=<n> retrieved=<RFC 3339 UTC> sha256=<hex>.
+// It appends every part into one buffer.
 func (p PinnedCitation) String() string {
-	return fmt.Sprintf("query=%q version=%d retrieved=%s sha256=%s",
-		p.QueryText, p.Version, p.Timestamp.UTC().Format(time.RFC3339), p.Digest)
+	b := make([]byte, 0, len(p.QueryText)+len(p.Digest)+64)
+	b = append(b, "query="...)
+	b = strconv.AppendQuote(b, p.QueryText)
+	b = append(b, " version="...)
+	b = strconv.AppendInt(b, int64(p.Version), 10)
+	b = append(b, " retrieved="...)
+	b = p.Timestamp.UTC().AppendFormat(b, time.RFC3339)
+	b = append(b, " sha256="...)
+	b = append(b, p.Digest...)
+	return string(b)
 }
 
 // Execute runs q against the given version and returns the result with a

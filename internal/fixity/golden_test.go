@@ -62,6 +62,14 @@ func TestGoldenDigests(t *testing.T) {
 	if got := DatabaseDigest(db); got != goldenDatabaseDigest {
 		t.Errorf("DatabaseDigest = %s, want %s", got, goldenDatabaseDigest)
 	}
+	// A snapshot's rows do not ascend here: its first digest sorts and
+	// keeps each relation's canonical order, and its second reads it.
+	snap := goldenDB(t).Snapshot()
+	for _, pass := range []string{"first", "second"} {
+		if got := DatabaseDigest(snap); got != goldenDatabaseDigest {
+			t.Errorf("DatabaseDigest of a snapshot, %s pass = %s, want %s", pass, got, goldenDatabaseDigest)
+		}
+	}
 	// A result digest is order-insensitive: feed the tuples unsorted.
 	rows := db.Relation("M").Tuples()
 	result := append(append([]storage.Tuple{}, rows[3:]...), rows[:3]...)

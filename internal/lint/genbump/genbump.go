@@ -4,8 +4,9 @@
 // generation via bumpStats. The counter is what head-snapshot reuse
 // (DESIGN.md §3), the distinct-count memo and the durable layer's
 // bypass detection (§8) all key on — a mutation that skips the bump
-// serves stale cached citations and can brick recovery. Content-preserving reorganizations (detach's lazy copy,
-// compaction) legitimately leave the counter alone and annotate with
+// serves stale cached citations and can brick recovery. Content-preserving
+// reorganizations (compaction) and helpers whose callers bump
+// (removeLocked) leave the counter alone and annotate with
 //
 //	//lint:nobump <reason>
 //

@@ -1,6 +1,6 @@
 // Package spanend verifies that every span opened with
-// trace.StartSpan reaches End() on all paths out of the function that
-// opened it. A span that is never ended stays open in its trace tree
+// trace.StartSpan or Span.StartChild reaches End() on all paths out of
+// the function that opened it. A span that is never ended stays open in its trace tree
 // forever: /debug/traces and the slow-query log render it as an
 // in-flight stage with a garbage duration, and the stage histograms
 // never observe it (DESIGN.md §9). The usual hole is an early error
@@ -26,7 +26,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "spanend",
-	Doc:  "require trace.StartSpan spans to be ended on every path out of the opening function",
+	Doc:  "require spans from trace.StartSpan and Span.StartChild to be ended on every path out of the opening function",
 	Run:  run,
 }
 
@@ -58,29 +58,49 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
+// openers maps each trace function that opens a span to the number of
+// values it returns; the span is the last.
+var openers = map[string]int{"StartSpan": 2, "StartChild": 1}
+
+// opener returns the name of the trace function e calls to open a span,
+// or "" when e is no such call.
+func opener(pass *analysis.Pass, e ast.Expr) string {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok {
+		return ""
+	}
+	fn := pass.CalleeFunc(call)
+	if fn == nil || openers[fn.Name()] == 0 || !tracePath(analysis.FuncPath(fn)) {
+		return ""
+	}
+	return fn.Name()
+}
+
 // checkFunc examines one function body (function literals nested in it
 // are visited separately by run's walk and skipped here).
 func checkFunc(pass *analysis.Pass, body *ast.BlockStmt, hasResults bool) {
 	walkBlocks(body, func(list []ast.Stmt) {
 		for i, st := range list {
+			if es, ok := st.(*ast.ExprStmt); ok {
+				if name := opener(pass, es.X); name != "" {
+					pass.Reportf(es.Pos(), "span from trace.%s is discarded: it can never be ended and stays open in the trace tree", name)
+				}
+				continue
+			}
 			as, ok := st.(*ast.AssignStmt)
-			if !ok || len(as.Rhs) != 1 || len(as.Lhs) != 2 {
+			if !ok || len(as.Rhs) != 1 {
 				continue
 			}
-			call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
-			if !ok {
+			name := opener(pass, as.Rhs[0])
+			if name == "" || len(as.Lhs) != openers[name] {
 				continue
 			}
-			fn := pass.CalleeFunc(call)
-			if fn == nil || fn.Name() != "StartSpan" || !tracePath(analysis.FuncPath(fn)) {
-				continue
-			}
-			spanID, ok := as.Lhs[1].(*ast.Ident)
+			spanID, ok := as.Lhs[len(as.Lhs)-1].(*ast.Ident)
 			if !ok {
 				continue
 			}
 			if spanID.Name == "_" {
-				pass.Reportf(as.Pos(), "span from trace.StartSpan is discarded: it can never be ended and stays open in the trace tree")
+				pass.Reportf(as.Pos(), "span from trace.%s is discarded: it can never be ended and stays open in the trace tree", name)
 				continue
 			}
 			checkSpan(pass, body, list, i, as, spanID, hasResults)

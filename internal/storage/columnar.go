@@ -91,16 +91,11 @@ func (r *Relation) buildColumnar() *ColBlock {
 		return blk
 	}
 	// A frozen relation's row slice is never written again (its source
-	// detaches before writing), so a block over one without holes shares
-	// it; otherwise the block copies the live rows.
+	// appends past it and copies it before a delete), so a block over one
+	// without holes shares it; otherwise the block copies the live rows.
 	rows := r.rows.tuples
 	if r.live != len(rows) {
-		rows = make([]Tuple, 0, r.live)
-		for _, t := range r.rows.tuples {
-			if t != nil {
-				rows = append(rows, t)
-			}
-		}
+		rows = appendLive(make([]Tuple, 0, r.live), rows)
 	}
 	blk := &ColBlock{rows: rows, cols: make([]atomic.Pointer[Column], r.schema.Arity())}
 	r.colBlk.Store(blk)

@@ -267,9 +267,11 @@ func TestTupleIndexMatchesKeyOracle(t *testing.T) {
 
 // TestSnapshotReadsWhileSourceWrites reads a snapshot from several
 // goroutines while its source inserts, deletes, compacts and rebuilds
-// indexes (meaningful under -race: detach must privatize every array the
-// writer touches before touching it). The readers' answers must never
-// move.
+// indexes (meaningful under -race: the source appends only past the
+// snapshot's prefix of its rows, and copies them before a delete clears a
+// slot). The snapshot's first membership test and first sorted scan fill
+// its membership table and its row-order memo under the readers' race.
+// The readers' answers must never move.
 func TestSnapshotReadsWhileSourceWrites(t *testing.T) {
 	r := NewRelation(snapSchema().Relation("R"))
 	for i := 0; i < 300; i++ {
@@ -327,6 +329,19 @@ func TestSnapshotReadsWhileSourceWrites(t *testing.T) {
 				}
 				if snap.Len() != 300 || snap.DistinctCount(1) != 3 {
 					errs <- "statistics moved"
+					return
+				}
+				n, prev := 0, Tuple(nil)
+				snap.SortedScan(func(t Tuple) bool {
+					if prev != nil && prev.Compare(t) >= 0 {
+						n = -1
+						return false
+					}
+					n, prev = n+1, t
+					return true
+				})
+				if n != 300 {
+					errs <- "sorted scan moved"
 					return
 				}
 			}

@@ -2,6 +2,9 @@ package storage
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -256,6 +259,137 @@ func TestConcurrentSnapshotInsert(t *testing.T) {
 				t.Fatalf("stamp %d names two snapshots", s.Stamp())
 			}
 			byStamp[s.Stamp()] = s
+		}
+	}
+}
+
+// TestSnapshotSharesAppendOnlyRows: a snapshot holds a prefix of its
+// source's rows, with no probe table of its own until it is asked for
+// membership. Appends after it never show through; a delete after it
+// copies the source's rows first, so it never reaches the snapshot,
+// whether it is the first delete since the snapshot or a later one.
+func TestSnapshotSharesAppendOnlyRows(t *testing.T) {
+	row := func(i int) Tuple { return Tuple{value.Int(int64(i)), value.String(fmt.Sprintf("v%d", i))} }
+	r := NewRelation(snapSchema().Relation("R"))
+	for i := 0; i < 50; i++ {
+		r.MustInsert(row(i).Clone()...)
+	}
+	s1 := r.Snapshot()
+	if s1.rows.table != nil || s1.member.Load() != nil {
+		t.Fatal("a new snapshot holds a probe table")
+	}
+	for i := 50; i < 80; i++ {
+		r.MustInsert(row(i).Clone()...)
+	}
+	s2 := r.Snapshot()
+	del, ins := s2.Diff(s1)
+	if del != nil || len(ins) != 30 || !ins[0].Equal(row(50)) || !ins[29].Equal(row(79)) {
+		t.Fatalf("after appends: Diff = %d deletes, %d inserts; want rows 50..79 inserted", len(del), len(ins))
+	}
+	if s1.member.Load() != nil {
+		t.Error("the diff of an append-only history built a membership table")
+	}
+	for i := 1; i < 80; i += 2 {
+		if !r.Delete(row(i)) {
+			t.Fatalf("delete of row %d failed", i)
+		}
+	}
+	r.MustInsert(row(1000).Clone()...)
+	check := func(name string, s *Relation, n int) {
+		t.Helper()
+		if s.Len() != n {
+			t.Errorf("%s: %d tuples, want %d", name, s.Len(), n)
+		}
+		for i := 0; i < n; i++ {
+			if !s.Contains(row(i)) {
+				t.Errorf("%s lost row %d", name, i)
+			}
+		}
+		if s.Contains(row(1000)) || s.Contains(row(n)) {
+			t.Errorf("%s shows a later insert", name)
+		}
+		got := 0
+		s.Scan(func(Tuple) bool { got++; return true })
+		if got != n || s.ColumnarBlock().Len() != n {
+			t.Errorf("%s scans %d rows and blocks %d, want %d", name, got, s.ColumnarBlock().Len(), n)
+		}
+	}
+	check("first snapshot", s1, 50)
+	check("second snapshot", s2, 80)
+	if s1.member.Load() == nil {
+		t.Error("Contains built no membership table on the snapshot")
+	}
+	if r.Len() != 41 || r.Contains(row(1)) || !r.Contains(row(1000)) {
+		t.Errorf("source: %d tuples (want 41), holds row 1: %v, row 1000: %v", r.Len(), r.Contains(row(1)), r.Contains(row(1000)))
+	}
+	s3 := r.Snapshot()
+	if del, ins := s3.Diff(s2); len(del) != 40 || len(ins) != 1 || !ins[0].Equal(row(1000)) {
+		t.Errorf("after deletes: Diff = %d deletes, %v; want the 40 odd rows deleted, row 1000 inserted", len(del), ins)
+	}
+	if del, ins := s3.Diff(nil); del != nil || len(ins) != 41 {
+		t.Errorf("Diff(nil) = %d deletes, %d inserts; want every live row inserted", len(del), len(ins))
+	}
+}
+
+// TestDiffReplaysRowOrder: replaying Diff's batches on a relation that
+// holds the older snapshot's rows in its row order rebuilds the newer
+// one's live rows in its row order, for every pair of snapshots of a
+// random history of inserts, deletes, re-inserts and compactions over
+// floats that Tuple.Compare ties (+0, -0) or cannot order (NaN). A diff
+// taken across no delete deletes nothing.
+func TestDiffReplaysRowOrder(t *testing.T) {
+	rs := schema.MustRelation("F", []schema.Attribute{{Name: "X", Kind: value.KindFloat}, {Name: "K", Kind: value.KindInt}})
+	floats := []float64{0, math.Copysign(0, -1), math.NaN(), 1.5, -2}
+	keysOf := func(ts []Tuple) []string {
+		var out []string
+		for _, tu := range ts {
+			out = append(out, tu.Key())
+		}
+		return out
+	}
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		r := NewRelation(rs)
+		snaps := []*Relation{r.Snapshot()}
+		deletedBefore := []int{0} // deletes done before each snapshot
+		deletes := 0
+		for step := 0; step < 60; step++ {
+			tu := Tuple{value.Float(floats[rng.Intn(len(floats))]), value.Int(int64(rng.Intn(4)))}
+			switch k := rng.Intn(10); {
+			case k < 6:
+				r.MustInsert(tu...)
+			case k < 9:
+				if r.Delete(tu) {
+					deletes++
+				}
+			default:
+				r.Compact()
+			}
+			if rng.Intn(3) == 0 {
+				snaps = append(snaps, r.Snapshot())
+				deletedBefore = append(deletedBefore, deletes)
+			}
+		}
+		for i, old := range snaps {
+			for j := i; j < len(snaps); j++ {
+				del, ins := snaps[j].Diff(old)
+				rebuilt := NewRelation(rs)
+				if _, err := rebuilt.InsertBatch(old.Tuples()); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := rebuilt.DeleteBatch(del); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := rebuilt.InsertBatch(ins); err != nil {
+					t.Fatal(err)
+				}
+				if got, want := keysOf(rebuilt.Tuples()), keysOf(snaps[j].Tuples()); !slices.Equal(got, want) {
+					t.Fatalf("seed %d: snapshot %d rebuilt from %d as %q, want %q (deleted %d, inserted %d)", seed, j, i, got, want, len(del), len(ins))
+				}
+				if deletedBefore[j] == deletedBefore[i] && del != nil {
+					t.Fatalf("seed %d: diff from snapshot %d to %d deletes %d rows across no delete", seed, i, j, len(del))
+				}
+			}
 		}
 	}
 }

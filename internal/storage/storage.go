@@ -27,13 +27,13 @@
 //
 // Concurrency model (see DESIGN.md §3): every Relation is safe for
 // concurrent readers and writers via an internal RWMutex. Snapshot produces
-// a frozen relation that shares the rows with its source; frozen relations
-// are immutable from birth, so their readers skip locking entirely. The
-// source relation detaches (copies the arrays it writes in place) before
-// its next mutation, making snapshot creation O(1) per relation no matter
-// how large the data is. A relation that has not changed since its last
-// snapshot hands out that same frozen object again, so versions share
-// unchanged relations.
+// a frozen relation that reads a prefix of its source's append-only row
+// slice; frozen relations are immutable from birth, so their readers skip
+// locking entirely. The source appends past the prefix and copies the row
+// slice only before the first delete after a snapshot, so a snapshot is
+// O(1) and a version costs the rows it added, no matter how large the data
+// is. A relation that has not changed since its last snapshot hands out
+// that same frozen object again, so versions share unchanged relations.
 package storage
 
 import (
@@ -145,13 +145,14 @@ type Relation struct {
 
 	mu     sync.RWMutex
 	frozen bool // immutable snapshot: set at construction, never cleared
-	shared bool // rows shared with a snapshot; detach before writing
 
 	// rows holds the tuples by row position — rows.Tuple(i) is row i,
-	// nil once deleted — and answers membership by content. live counts
-	// the rows that are not nil. indexes[col] is a mutable relation's
-	// hash index on column col, nil if none was built; the slice is nil
-	// until the first build, and always on a frozen relation.
+	// nil once deleted. On a mutable relation it also answers membership
+	// by content; a frozen one holds only its prefix of the source's rows
+	// and row hashes, with no probe table (see members). live counts the
+	// rows that are not nil. indexes[col] is a mutable relation's hash
+	// index on column col, nil if none was built; the slice is nil until
+	// the first build, and always on a frozen relation.
 	rows    TupleIndex
 	live    int
 	indexes []*colIndex
@@ -168,14 +169,19 @@ type Relation struct {
 	statsGen atomic.Uint64
 	distinct []int
 
-	// A frozen relation's columnar block (see columnar.go), built on first
-	// request under colMu and kept for life; always nil on a mutable one.
+	// A frozen relation's columnar block (see columnar.go) and membership
+	// table (see members), each built on first request under colMu and
+	// kept for life; always nil on a mutable one.
 	colBlk atomic.Pointer[ColBlock]
+	member atomic.Pointer[TupleIndex]
 	colMu  sync.Mutex
 
 	// ascends memoizes RowsAscend on a frozen relation: 0 until first
-	// asked, then rowsAscend or rowsOutOfOrder. Always 0 on a mutable one.
+	// asked, then rowsAscend or rowsOutOfOrder. order memoizes its
+	// canonical order when the rows do not ascend (see canonicalOrder).
+	// Both stay empty on a mutable one.
 	ascends atomic.Uint32
+	order   atomic.Pointer[[]int32]
 
 	// Snapshot reuse. On a mutable relation, snap is the last frozen
 	// snapshot handed out and snapGen the content generation it froze
@@ -217,39 +223,24 @@ func (r *Relation) rUnlock() {
 	}
 }
 
-// wLock acquires the write lock, panics if the relation is a frozen
-// snapshot, and detaches shared backing storage so a pending snapshot is
-// never mutated. Callers must pair it with r.mu.Unlock.
+// wLock acquires the write lock and panics if the relation is a frozen
+// snapshot. Callers must pair it with r.mu.Unlock.
 func (r *Relation) wLock() {
 	if r.frozen {
 		panic(fmt.Sprintf("storage: relation %s: write to frozen snapshot", r.schema.Name))
 	}
 	//lint:lockscope lock-handoff helper: callers pair wLock with r.mu.Unlock
 	r.mu.Lock()
-	r.detach()
-}
-
-// detach privatizes the rows shared with a snapshot before the first
-// write after it. Only the arrays a write changes in place are copied:
-// the row slice (deletes nil a row) and the membership probe table. The
-// tuples, the arena chunks and the row hashes, which writes only ever
-// append to, are shared for good: the snapshot reads its own prefix of
-// them, which later appends never touch. Indexes are never shared.
-//
-//lint:nobump content-preserving copy: the tuple set is identical, only the backing storage is privatized
-func (r *Relation) detach() {
-	if !r.shared {
-		return
-	}
-	r.rows = r.rows.detached()
-	r.shared = false
 }
 
 // Snapshot returns an immutable view of the relation's current contents.
-// The snapshot shares the rows with the source, so creation is O(1); the
-// source copies them lazily before its next mutation. It shares no index
-// and no block: the snapshot builds its own columnar block when it is
-// first read. Snapshots of a snapshot return the receiver.
+// The snapshot holds a capped prefix of the source's row slice and row
+// hashes, so creation is O(1) and copies nothing. The source only ever
+// appends past that prefix, and copies the row slice before the first
+// delete after a snapshot (removeLocked), so no write reaches it. The
+// snapshot shares no probe table, index or block: it builds its own
+// membership table and columnar block when they are first read.
+// Snapshots of a snapshot return the receiver.
 //
 // While the source's content has not mutated since the previous snapshot
 // (index builds, compaction and no-op writes do not count), Snapshot
@@ -267,9 +258,8 @@ func (r *Relation) Snapshot() *Relation {
 	if r.snap != nil && r.snapGen == gen {
 		return r.snap
 	}
-	r.shared = true
-	rows := r.rows
-	rows.arena = nil // a frozen relation never clones; the arena stays the source's
+	n := r.rows.Len()
+	rows := TupleIndex{tuples: r.rows.tuples[:n:n], hashes: r.rows.hashes[:n:n]}
 	r.snap = &Relation{schema: r.schema, frozen: true, rows: rows, live: r.live, stamp: snapStamps.Add(1)}
 	r.snapGen = gen
 	return r.snap
@@ -446,7 +436,7 @@ func (r *Relation) DeleteBatch(ts []Tuple) (int, error) {
 	defer r.mu.Unlock()
 	removed := 0
 	for _, t := range ts {
-		if r.rows.remove(t) {
+		if r.removeLocked(t) {
 			removed++
 		}
 	}
@@ -471,7 +461,7 @@ func (r *Relation) MustInsert(vals ...value.Value) {
 func (r *Relation) Delete(t Tuple) bool {
 	r.wLock()
 	defer r.mu.Unlock()
-	if !r.rows.remove(t) {
+	if !r.removeLocked(t) {
 		return false
 	}
 	r.live--
@@ -479,12 +469,143 @@ func (r *Relation) Delete(t Tuple) bool {
 	return true
 }
 
-// Contains reports whether the relation holds the tuple.
+// removeLocked clears t's row to a nil hole and reports whether t was
+// present; the caller counts the row out and bumps the statistics
+// generation. Its probe-table entry stays behind as a tombstone that
+// lookups step over, until the next rehash drops it. Called with mu held
+// for writing.
+//
+//lint:nobump the caller counts the removed row out of live and bumps
+func (r *Relation) removeLocked(t Tuple) bool {
+	id, ok := r.rows.Get(t)
+	if !ok {
+		return false
+	}
+	// When the last snapshot holds a prefix of the row slice, the first
+	// delete after it copies the slice before clearing a slot. No older
+	// snapshot can hold the slice without the last one: a copied,
+	// compacted or outgrown slice is replaced by a fresh one, never
+	// handed back.
+	if s := r.snap; s != nil && len(s.rows.tuples) > 0 && &s.rows.tuples[0] == &r.rows.tuples[0] {
+		r.rows.tuples = slices.Clone(r.rows.tuples)
+	}
+	r.rows.tuples[id] = nil
+	return true
+}
+
+// Contains reports whether the relation holds the tuple. A frozen
+// relation answers through its membership table (members).
 func (r *Relation) Contains(t Tuple) bool {
-	r.rLock()
-	defer r.rUnlock()
+	if r.frozen {
+		_, ok := r.members().Get(t)
+		return ok
+	}
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	_, ok := r.rows.Get(t)
 	return ok
+}
+
+// members returns a frozen relation's membership table: a probe table
+// over its own rows and row hashes, built from the hashes on first
+// request and kept for life, like its columnar block. A snapshot does not
+// copy its source's table, which the source keeps writing.
+func (r *Relation) members() *TupleIndex {
+	if ix := r.member.Load(); ix != nil {
+		return ix
+	}
+	r.colMu.Lock()
+	defer r.colMu.Unlock()
+	if ix := r.member.Load(); ix != nil {
+		return ix
+	}
+	ix := &TupleIndex{tuples: r.rows.tuples, hashes: r.rows.hashes}
+	ix.rehash(tableSize(r.live))
+	r.member.Store(ix)
+	return ix
+}
+
+// Diff returns the batches that turn old into r: replayed on a relation
+// holding old's live rows in old's row order, deleting del and then
+// inserting ins leaves r's live rows in r's row order. So a replay
+// rebuilds r's row order too, on which its digest (where Tuple.Compare
+// ties) and its identity views' answer order depend. old is a frozen
+// relation, or nil for the empty relation.
+//
+// When r's rows extend old's position by position (the same tuple object,
+// or a hole in both), as they do when old is an earlier snapshot of r's
+// source with no delete in between, the diff is the live rows past them,
+// found with no membership test. Otherwise old's membership table
+// locates r's live rows in old: the longest prefix of them that old holds
+// in the same order stays, every other row of old is deleted, and every
+// later row of r is inserted, a row deleted and inserted again included.
+func (r *Relation) Diff(old *Relation) (del, ins []Tuple) {
+	var prev []Tuple
+	if old != nil {
+		if !old.frozen {
+			panic(fmt.Sprintf("storage: relation %s: diff from a mutable relation", old.schema.Name))
+		}
+		prev = old.rows.tuples
+	}
+	r.rLock()
+	defer r.rUnlock()
+	rows := r.rows.tuples
+	if extends(rows, prev) {
+		return nil, appendLive(nil, rows[len(prev):])
+	}
+	// kept holds the old positions of the rows that stay, ascending;
+	// r's rows from stop on are inserted.
+	ix := old.members()
+	var kept []int
+	stop := len(rows)
+	for i, t := range rows {
+		if t == nil {
+			continue
+		}
+		id, ok := ix.Get(t)
+		if !ok || len(kept) > 0 && id <= kept[len(kept)-1] {
+			stop = i
+			break
+		}
+		kept = append(kept, id)
+	}
+	ins = appendLive(nil, rows[stop:])
+	for i, t := range prev {
+		if len(kept) > 0 && kept[0] == i {
+			kept = kept[1:]
+		} else if t != nil {
+			del = append(del, t)
+		}
+	}
+	return del, ins
+}
+
+// extends reports whether rows extend prefix position by position: each
+// of prefix's positions holds the same tuple object in rows, or a hole in
+// both. Tuples are never mutated in place, so the same object holds the
+// same values, and rows' first len(prefix) positions hold exactly
+// prefix's tuples.
+func extends(rows, prefix []Tuple) bool {
+	if len(prefix) > len(rows) {
+		return false
+	}
+	for i, t := range prefix {
+		u := rows[i]
+		if len(t) != len(u) || (t == nil) != (u == nil) || len(t) > 0 && &t[0] != &u[0] {
+			return false
+		}
+	}
+	return true
+}
+
+// appendLive appends the rows that are not holes to dst.
+func appendLive(dst, rows []Tuple) []Tuple {
+	for _, t := range rows {
+		if t != nil {
+			dst = append(dst, t)
+		}
+	}
+	return dst
 }
 
 // Compact rebuilds internal storage after deletions, dropping holes and
@@ -591,12 +712,7 @@ func (r *Relation) AppendLookup(dst []Tuple, col int, v value.Value) []Tuple {
 func (r *Relation) AppendTuples(dst []Tuple) []Tuple {
 	r.rLock()
 	defer r.rUnlock()
-	for _, t := range r.rows.tuples {
-		if t != nil {
-			dst = append(dst, t)
-		}
-	}
-	return dst
+	return appendLive(dst, r.rows.tuples)
 }
 
 // Scan invokes fn for every live tuple; fn returning false stops the scan.
@@ -618,13 +734,7 @@ func (r *Relation) Scan(fn func(Tuple) bool) {
 func (r *Relation) Tuples() []Tuple {
 	r.rLock()
 	defer r.rUnlock()
-	out := make([]Tuple, 0, r.live)
-	for _, t := range r.rows.tuples {
-		if t != nil {
-			out = append(out, t)
-		}
-	}
-	return out
+	return appendLive(make([]Tuple, 0, r.live), r.rows.tuples)
 }
 
 // SortedTuples returns all live tuples in canonical (lexicographic) order,
@@ -633,6 +743,60 @@ func (r *Relation) SortedTuples() []Tuple {
 	out := r.Tuples()
 	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
 	return out
+}
+
+// SortedScan invokes fn for every live tuple in the order SortedTuples
+// lists them, ties included; fn returning false stops the scan. A frozen
+// relation reads its rows in place, in its memoized canonical order
+// (canonicalOrder), so only its first scan sorts, and not even that when
+// its rows ascend. A mutable relation sorts a copy on every call.
+func (r *Relation) SortedScan(fn func(Tuple) bool) {
+	if !r.frozen {
+		for _, t := range r.SortedTuples() {
+			if !fn(t) {
+				return
+			}
+		}
+		return
+	}
+	order := r.canonicalOrder()
+	if order == nil {
+		r.Scan(fn)
+		return
+	}
+	for _, i := range order {
+		if !fn(r.rows.tuples[i]) {
+			return
+		}
+	}
+}
+
+// canonicalOrder returns a frozen relation's canonical order: nil when its
+// rows ascend (RowsAscend), since then row order is canonical, and
+// otherwise its live row positions in exactly the order SortedTuples
+// lists their tuples. SortedTuples sorts the live rows in row order with
+// sort.Slice; sorting their positions, in the same order, with the same
+// comparator makes the same comparisons and the same swaps, so the two
+// agree even where Compare ties (0 and -0) or is intransitive (NaN).
+// Sorted on first request and kept for life, as RowsAscend is; racing
+// first callers compute the same order.
+func (r *Relation) canonicalOrder() []int32 {
+	if r.RowsAscend() {
+		return nil
+	}
+	if o := r.order.Load(); o != nil {
+		return *o
+	}
+	rows := r.rows.tuples
+	order := make([]int32, 0, r.live)
+	for i, t := range rows {
+		if t != nil {
+			order = append(order, int32(i))
+		}
+	}
+	sort.Slice(order, func(i, j int) bool { return rows[order[i]].Compare(rows[order[j]]) < 0 })
+	r.order.Store(&order)
+	return order
 }
 
 // Values of Relation.ascends.
@@ -669,12 +833,24 @@ func (r *Relation) RowsAscend() bool {
 func Ascending(rows iter.Seq[Tuple]) bool {
 	var prev Tuple
 	for t := range rows {
-		if prev != nil && prev.Compare(t) >= 0 || slices.ContainsFunc(t, isNaN) {
+		if prev != nil && prev.Compare(t) >= 0 || hasNaN(t) {
 			return false
 		}
 		prev = t
 	}
 	return true
+}
+
+// hasNaN reports whether t holds a NaN. It is a plain loop, so isNaN
+// inlines: Ascending runs it on every row of every frozen relation a
+// digest or an identity view reads.
+func hasNaN(t Tuple) bool {
+	for i := range t {
+		if isNaN(t[i]) {
+			return true
+		}
+	}
+	return false
 }
 
 func isNaN(v value.Value) bool { return v.Kind() == value.KindFloat && math.IsNaN(v.FloatVal()) }
@@ -852,8 +1028,8 @@ func (db *Database) Clone() *Database {
 
 // Snapshot returns an immutable copy-on-write view of the database — the
 // cheap versioning primitive behind fixity commits. Creation cost is
-// O(relations), not O(data): each relation shares its rows with its
-// snapshot and detaches lazily on its next write, and a relation whose
+// O(relations), not O(data): each relation's snapshot reads a prefix of
+// its append-only rows (Relation.Snapshot), and a relation whose
 // content did not change since the previous Snapshot contributes that
 // snapshot's frozen object again (Relation.Snapshot), so successive
 // versions share their unchanged relations and Relation.Stamp tells

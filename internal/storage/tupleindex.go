@@ -143,17 +143,6 @@ func (ix *TupleIndex) insert(t Tuple, clone bool) (int, bool) {
 	return id, true
 }
 
-// remove drops t's row, leaving its id as a nil hole, and reports
-// whether t was a member. The table entry stays behind as a tombstone
-// that lookups step over, until the next rehash drops it.
-func (ix *TupleIndex) remove(t Tuple) bool {
-	id, ok := ix.Get(t)
-	if ok {
-		ix.tuples[id] = nil
-	}
-	return ok
-}
-
 // adopt prepares an empty index for a bulk load of rows, sized so the
 // load neither regrows the table nor reallocates the hash slice. The
 // index takes rows' backing array as its tuple slice: the loader writes
@@ -186,19 +175,6 @@ func (ix *TupleIndex) compacted(live int) TupleIndex {
 		}
 	}
 	out.rehash(tableSize(live))
-	return out
-}
-
-// detached returns a copy whose writes cannot reach ix's readers: the
-// probe table and the tuple slice — the two arrays insert and remove
-// write in place — are copied. The tuples themselves are shared (never
-// mutated in place), and so is the hash slice, which is only ever
-// appended to: a reader of ix sees a prefix that later appends never
-// touch. The copy keeps the arena, whose unused tail no reader sees.
-func (ix *TupleIndex) detached() TupleIndex {
-	out := *ix
-	out.table = append([]int32(nil), ix.table...)
-	out.tuples = append([]Tuple(nil), ix.tuples...)
 	return out
 }
 

@@ -252,7 +252,9 @@ const (
 	SelectMaxCoverage = policy.MaxCoverage
 )
 
-// Expr is a citation expression (the formal `·`/`+`/`+R`/Agg tree).
+// Expr is a citation expression (the formal `·`/`+`/`+R`/Agg tree). The
+// engine keeps citations in flat form; Result.Expr and
+// TupleCitation.Expr/Selected build these trees from it on each call.
 type Expr = citeexpr.Expr
 
 // ExprSize counts the distinct citation atoms of an expression — the

@@ -112,7 +112,7 @@ func TestPublicAPIExprSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range cite.Result.Tuples {
-		if datacitation.ExprSize(tc.Selected) == 0 {
+		if datacitation.ExprSize(tc.Selected()) == 0 {
 			t.Errorf("tuple %s has empty citation expression", tc.Tuple)
 		}
 	}

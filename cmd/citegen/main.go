@@ -136,7 +136,7 @@ func main() {
 		}
 		fmt.Printf("-- %d answer tuple(s) --\n", len(cite.Result.Tuples))
 		for _, tc := range cite.Result.Tuples {
-			fmt.Printf("  %s\n    formal: %s\n    selected: %s\n", tc.Tuple, tc.Expr, tc.Selected)
+			fmt.Printf("  %s\n    formal: %s\n    selected: %s\n", tc.Tuple, tc.Expr(), tc.Selected())
 		}
 		fmt.Printf("-- stats: rewritings=%d evaluated=%d candidates=%d atoms=%d pruned=%v --\n",
 			cite.Result.Stats.RewritingsFound, cite.Result.Stats.RewritingsEvaluated,

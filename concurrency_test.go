@@ -107,7 +107,7 @@ func TestCiteAllMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := batch[i].Result.Expr.String(), one.Result.Expr.String(); got != want {
+		if got, want := batch[i].Result.Expr().String(), one.Result.Expr().String(); got != want {
 			t.Errorf("query %d: batch expression %s, sequential %s", i, got, want)
 		}
 		if got, want := batch[i].Text(), one.Text(); got != want {

@@ -21,11 +21,11 @@ import (
 // digest — the pin's version and retrieval timestamp legitimately track
 // the commit history, while the digest pins the bytes of the answer.
 func contentText(c *datacitation.Citation) string {
-	out := c.Result.Expr.String() + "\n" + c.Text()
+	out := c.Result.Expr().String() + "\n" + c.Text()
 	if c.Pin != nil {
-		out = c.Result.Expr.String() + "\nsha256=" + c.Pin.Digest
+		out = c.Result.Expr().String() + "\nsha256=" + c.Pin.Digest
 		for _, tc := range c.Result.Tuples {
-			out += "\n" + tc.Expr.String() + "|" + tc.Selected.String()
+			out += "\n" + tc.Expr().String() + "|" + tc.Selected().String()
 		}
 	}
 	return out

@@ -100,8 +100,8 @@ func main() {
 	fmt.Println()
 	for _, tc := range cite.Result.Tuples {
 		fmt.Printf("tuple %s\n", tc.Tuple)
-		fmt.Printf("  formal citation: %s\n", tc.Expr)
-		fmt.Printf("  +R (min-size) selects: %s\n", tc.Selected)
+		fmt.Printf("  formal citation: %s\n", tc.Expr())
+		fmt.Printf("  +R (min-size) selects: %s\n", tc.Selected())
 		fmt.Printf("  record: %s\n", datacitation.FormatText(tc.Record))
 	}
 

@@ -44,8 +44,8 @@ func TestFullLifecycle(t *testing.T) {
 		t.Fatal("no pin")
 	}
 	pin1 := *cite1.Pin
-	if want := "(CV1(11)·CV3 + CV1(12)·CV3) +R (CV2·CV3)"; cite1.Result.Tuples[0].Expr.String() != want {
-		t.Fatalf("expression %s", cite1.Result.Tuples[0].Expr)
+	if want := "(CV1(11)·CV3 + CV1(12)·CV3) +R (CV2·CV3)"; cite1.Result.Tuples[0].Expr().String() != want {
+		t.Fatalf("expression %s", cite1.Result.Tuples[0].Expr())
 	}
 
 	// Archive the extended citation.

@@ -14,7 +14,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/citeexpr"
 	"repro/internal/cq"
 	"repro/internal/eval"
 	"repro/internal/format"
@@ -144,14 +143,13 @@ func copiesCite(t *testing.T, reg *Registry, snap *storage.Database, q *cq.Query
 		if err != nil {
 			t.Fatal(err)
 		}
-		annotated, err := eval.RunAnnotatedCtx(context.Background(), plan, eval.Args(nil, bq), citeexpr.Semiring{}, annotator(prep.params))
+		b, err := tabulate(context.Background(), plan, eval.Args(nil, bq), prep.params)
 		if err != nil {
 			t.Fatal(err)
 		}
 		deps := reg.BodyDeps(bq)
 		key, _ := branchKey(nil, bq)
-		g.branches.get(genKey{snap.Origin(deps), key}, deps,
-			func() (*branch, error) { return newBranch(nil, annotated), nil })
+		g.branches.get(genKey{snap.Origin(deps), key}, deps, func() (*branch, error) { return b, nil })
 	}
 	tr := trace.New("cite")
 	res, err := g.CiteContext(trace.NewContext(context.Background(), tr), q, Request{Policy: &pol})
@@ -399,7 +397,7 @@ func TestIdentityViewAliasMatchesMaterialize(t *testing.T) {
 			if len(identity.Tuples) != 1 {
 				t.Fatalf("%s: %d answer tuples, want 1", pol, len(identity.Tuples))
 			}
-			if got, want := identity.Tuples[0].Selected.String(), "CV1(11) + CV1(12) + CV1(13)"; got != want {
+			if got, want := identity.Tuples[0].Selected().String(), "CV1(11) + CV1(12) + CV1(13)"; got != want {
 				t.Errorf("%s: expression %s, want %s", pol, got, want)
 			}
 			if got, want := resultText(t, identity), resultText(t, copied); got != want {

@@ -3,6 +3,7 @@ package citation
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/cq"
@@ -85,5 +86,43 @@ func BenchmarkCiteDistinctConstants(b *testing.B) {
 		if _, err := g.CiteContext(context.Background(), q, Request{}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkCiteUncachedBranch cites E3's query, the name and introduction
+// of every family, over a 1,000-family GtoPdb snapshot with the serving
+// views, emptying the branch cache before each op: every op evaluates
+// both rewritings over the whole answer and combines their tables. Atoms,
+// plans and views stay warm. Every op checks the tuple count and the
+// record against the first cite's.
+func BenchmarkCiteUncachedBranch(b *testing.B) {
+	cfg := gtopdb.DefaultConfig()
+	cfg.Families = 1000
+	db := gtopdb.Generate(cfg).Snapshot()
+	g := NewGenerator(servingRegistry(db.Schema()), db)
+	q := cq.MustParse("Q(FName, Text) :- Family(FID, FName, Desc), FamilyIntro(FID, Text)")
+	first, err := g.Cite(q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(first.Tuples) < 900 {
+		b.Fatalf("%d answer tuples, want about 1,000", len(first.Tuples))
+	}
+	all := func(genKey, []string) bool { return true }
+	none := func(genKey, []string) bool { return false }
+	g.branches.drop(all, none)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := g.Cite(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if len(res.Tuples) != len(first.Tuples) || !reflect.DeepEqual(res.Record, first.Record) {
+			b.Fatalf("op %d: %d tuples, record %v; want %d, %v", i, len(res.Tuples), res.Record, len(first.Tuples), first.Record)
+		}
+		g.branches.drop(all, none)
+		b.StartTimer()
 	}
 }

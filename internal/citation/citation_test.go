@@ -134,9 +134,9 @@ func TestPaperExampleEndToEnd(t *testing.T) {
 	}
 
 	// The full expression must be an AltR over two branches.
-	altR, ok := tc.Expr.(citeexpr.AltR)
+	altR, ok := tc.Expr().(citeexpr.AltR)
 	if !ok {
-		t.Fatalf("tuple expression is %T, want AltR", tc.Expr)
+		t.Fatalf("tuple expression is %T, want AltR", tc.Expr())
 	}
 	if len(altR.Children) != 2 {
 		t.Fatalf("AltR has %d branches, want 2", len(altR.Children))
@@ -181,13 +181,13 @@ func TestPaperExampleEndToEnd(t *testing.T) {
 	}
 
 	// Min-size +R selects the CV2·CV3 branch (paper's final step).
-	if got := citeexpr.Size(tc.Selected); got != 2 {
-		t.Errorf("selected branch has %d atoms, want 2 (CV2·CV3): %s", got, tc.Selected)
+	if got := citeexpr.Size(tc.Selected()); got != 2 {
+		t.Errorf("selected branch has %d atoms, want 2 (CV2·CV3): %s", got, tc.Selected())
 	}
-	selAtoms := citeexpr.Atoms(tc.Selected)
+	selAtoms := citeexpr.Atoms(tc.Selected())
 	for _, a := range selAtoms {
 		if a.View == "V1" {
-			t.Errorf("min-size policy selected parameterized branch: %s", tc.Selected)
+			t.Errorf("min-size policy selected parameterized branch: %s", tc.Selected())
 		}
 	}
 
@@ -222,7 +222,7 @@ func TestPaperExampleMaxCoverage(t *testing.T) {
 		t.Fatalf("Cite: %v", err)
 	}
 	tc := res.Tuples[0]
-	if got := citeexpr.Size(tc.Selected); got != 3 {
+	if got := citeexpr.Size(tc.Selected()); got != 3 {
 		t.Fatalf("selected branch size %d, want 3", got)
 	}
 	authors := tc.Record[format.FieldAuthor]

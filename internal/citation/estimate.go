@@ -1,6 +1,7 @@
 package citation
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/policy"
@@ -74,32 +75,17 @@ func (g *Generator) estimateDistinct(db *storage.Database, v *View, p string) (i
 	return 0, fmt.Errorf("citation: view %s: parameter %s does not occur in the body", v.Name(), p)
 }
 
-// selectByEstimate picks the rewriting the +R policy pol would choose,
-// using schema-level size estimates (over db) instead of evaluated
-// citations. MinSize picks the smallest estimate, MaxCoverage the
-// largest; ties break toward the earlier rewriting in the engine's
-// deterministic order.
-func (g *Generator) selectByEstimate(db *storage.Database, rws []*rewrite.Rewriting, pol policy.Policy) (*rewrite.Rewriting, error) {
-	if len(rws) == 0 {
-		return nil, ErrNoRewriting
-	}
-	best := rws[0]
-	bestEst, err := g.estimateRewritingSize(db, best)
-	if err != nil {
-		return nil, err
-	}
-	for _, rw := range rws[1:] {
-		est, err := g.estimateRewritingSize(db, rw)
-		if err != nil {
-			return nil, err
-		}
-		better := est < bestEst
-		if pol.AltR == policy.MaxCoverage {
-			better = est > bestEst
-		}
-		if better {
-			best, bestEst = rw, est
-		}
-	}
-	return best, nil
+// selectByEstimate returns the index of the rewriting the +R policy pol
+// would choose, using schema-level size estimates (over db) instead of
+// evaluated citations (policy.Pick: MinSize picks the smallest estimate,
+// MaxCoverage the largest, ties toward the earlier rewriting in the
+// engine's deterministic order).
+func (g *Generator) selectByEstimate(db *storage.Database, rws []*rewrite.Rewriting, pol policy.Policy) (int, error) {
+	var err error
+	best := pol.Pick(len(rws), func(i int) int {
+		est, e := g.estimateRewritingSize(db, rws[i])
+		err = cmp.Or(err, e)
+		return est
+	})
+	return best, err
 }

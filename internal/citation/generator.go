@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"iter"
 	"slices"
 	"sort"
 	"sync"
@@ -15,7 +14,6 @@ import (
 	"repro/internal/format"
 	"repro/internal/policy"
 	"repro/internal/rewrite"
-	"repro/internal/semiring"
 	"repro/internal/storage"
 	"repro/internal/trace"
 	"repro/internal/value"
@@ -206,14 +204,36 @@ func (g *Generator) Counters() CacheCounters {
 	}
 }
 
-// TupleCitation is the citation of a single answer tuple: its full formal
-// expression (an AltR over the rewritings), the branch chosen by the +R
-// policy, and the concrete record after policy evaluation.
+// TupleCitation is the citation of a single answer tuple: its record
+// after policy evaluation, and the branch tables its formal expressions
+// are built from on each call (Expr, Selected).
 type TupleCitation struct {
-	Tuple    storage.Tuple
-	Expr     citeexpr.Expr
-	Selected citeexpr.Expr
-	Record   format.Record
+	Tuple  storage.Tuple
+	Record format.Record
+
+	branches []*branch // the cite's evaluated rewritings
+	sel      int       // the branch Record evaluates; -1: all holding Tuple
+}
+
+// Expr builds the tuple's full formal expression: +R over the
+// expression of each rewriting whose answer holds the tuple.
+func (tc TupleCitation) Expr() citeexpr.Expr {
+	var out citeexpr.AltR
+	for _, b := range tc.branches {
+		if b.has(tc.Tuple) {
+			out.Children = append(out.Children, b.expr(tc.Tuple))
+		}
+	}
+	return out
+}
+
+// Selected builds the expression the +R policy chose, the one Record
+// evaluates: a rewriting's, or under AllBranches + over all of them.
+func (tc TupleCitation) Selected() citeexpr.Expr {
+	if tc.sel < 0 {
+		return citeexpr.Alt{Children: tc.Expr().(citeexpr.AltR).Children}
+	}
+	return tc.branches[tc.sel].expr(tc.Tuple)
 }
 
 // Stats reports the work performed while generating a citation.
@@ -226,12 +246,12 @@ type Stats struct {
 }
 
 // Result is the citation of a query answer: per-tuple citations plus the
-// aggregated result-level citation (the paper's Agg).
+// aggregated result-level citation (the paper's Agg), a fresh record,
+// whose formal expression Expr builds on demand.
 type Result struct {
 	Query      *cq.Query
 	Rewritings []*rewrite.Rewriting
 	Tuples     []TupleCitation
-	Expr       citeexpr.Expr
 	Record     format.Record
 	Stats      Stats
 	// Reads is the sorted set of base relations this citation transitively
@@ -246,47 +266,19 @@ type Result struct {
 	// rule result caches above the engine validate entries by (DESIGN.md
 	// §3).
 	Origin uint64
+
+	deps []string // Query's body deps (Registry.BodyDeps), for Answer
 }
 
-// branch is the annotated evaluation of one rewriting: per answer tuple,
-// Σ_B Π_i CV_i(B_i). Lookup by tuple goes through the evaluator's
-// open-addressed TupleIndex (ids match positions in annotated), so neither
-// construction nor lookup builds Key() strings.
-type branch struct {
-	annotated []eval.Annotated[citeexpr.Expr]
-	ix        eval.TupleIndex
-
-	// atomOnce/atomCount memoize the number of distinct citation atoms
-	// across the branch's annotations — the +R size measure. Branches are
-	// shared through the branch cache, so the VisitAtoms walk runs once
-	// per cached evaluation, not once per cite.
-	atomOnce  sync.Once
-	atomCount int
-}
-
-// distinctAtoms returns the number of distinct citation atoms the branch
-// contributes across the whole answer, computed on first use.
-func (b *branch) distinctAtoms() int {
-	b.atomOnce.Do(func() {
-		atoms := make(map[string]bool)
-		for _, a := range b.annotated {
-			citeexpr.VisitAtoms(a.Annotation, func(at citeexpr.Atom) {
-				atoms[at.Key()] = true
-			})
-		}
-		b.atomCount = len(atoms)
-	})
-	return b.atomCount
-}
-
-// expr returns the branch's citation expression for the tuple, if the
-// tuple is in this branch's answer.
-func (b *branch) expr(t storage.Tuple) (citeexpr.Expr, bool) {
-	id, ok := b.ix.Get(t)
-	if !ok {
-		return nil, false
+// Expr builds the answer's formal expression: Agg over every tuple's
+// selected one. Expressions are built from the branch tables on each
+// call, which serving a citation never makes.
+func (r *Result) Expr() citeexpr.Expr {
+	var children []citeexpr.Expr
+	for _, tc := range r.Tuples {
+		children = append(children, tc.Selected())
 	}
-	return b.annotated[id].Annotation, true
+	return citeexpr.Agg{Children: children}
 }
 
 // Cite constructs the citation for q's answer over the generator's
@@ -359,16 +351,16 @@ func (g *Generator) CiteContext(ctx context.Context, q *cq.Query, req Request) (
 	}
 	res.Rewritings = rewritings
 	res.Stats.RewritingsFound = len(rewritings)
-	res.Reads = prep.reads
+	res.Reads, res.deps = prep.reads, prep.deps
 	res.Origin = db.Origin(res.Reads)
 
-	evalSet := rewritings
+	evalSet := prep.plans
 	if g.CostPruned && pol.AltR != policy.AllBranches {
 		best, err := g.selectByEstimate(db, rewritings, pol)
 		if err != nil {
 			return nil, err
 		}
-		evalSet = []*rewrite.Rewriting{best}
+		evalSet = evalSet[best : best+1]
 		res.Stats.Pruned = true
 	}
 	if err := ctx.Err(); err != nil {
@@ -388,42 +380,26 @@ func (g *Generator) CiteContext(ctx context.Context, q *cq.Query, req Request) (
 	}
 	res.Stats.RewritingsEvaluated = len(evalSet)
 
-	// Union of answer tuples across branches, deduplicated through the
-	// evaluator's open-addressed TupleIndex (no Key() strings) and emitted
-	// in canonical tuple order.
-	var union eval.TupleIndex
-	for i := range branches {
-		for _, a := range branches[i].annotated {
-			union.AddOwned(a.Tuple)
+	// Union of answer tuples across branches, each branch's in answer
+	// order after the earlier branches' (a tuple is new unless an earlier
+	// branch's index holds it), sorted into canonical tuple order.
+	tuples := make([]storage.Tuple, 0, len(branches[0].sorted))
+	for i, b := range branches {
+		for _, t := range b.sorted {
+			if !slices.ContainsFunc(branches[:i], func(e *branch) bool { return e.has(t) }) {
+				tuples = append(tuples, t)
+			}
 		}
 	}
-	tuples := append([]storage.Tuple(nil), union.Tuples()...)
 	slices.SortFunc(tuples, storage.Tuple.Compare)
 
 	// Choose the +R branch globally, the way the paper's closing example
 	// does: the size of a rewriting's citation is the number of distinct
 	// citation atoms it contributes across the whole answer ("the
 	// estimated size of the citation using Q1 would therefore be
-	// proportional to the size of Family"), so one rewriting is selected
-	// for the entire result. Per-tuple expressions still record every
-	// branch; only the policy evaluation commits to the chosen one.
-	chosen := -1
-	if pol.AltR != policy.AllBranches && len(branches) > 1 {
-		sizes := make([]int, len(branches))
-		for i := range branches {
-			sizes[i] = branches[i].distinctAtoms()
-		}
-		chosen = 0
-		for i := 1; i < len(sizes); i++ {
-			if pol.AltR == policy.MaxCoverage {
-				if sizes[i] > sizes[chosen] {
-					chosen = i
-				}
-			} else if sizes[i] < sizes[chosen] {
-				chosen = i
-			}
-		}
-	}
+	// proportional to the size of Family"), its table's atoms, so one
+	// rewriting is selected for the entire result.
+	chosen := pol.Pick(len(branches), func(i int) int { return len(branches[i].atoms) })
 
 	// Stage: policy aggregation — branch selection, citation-atom
 	// resolution (the atom cache lives under it) and the Agg fold.
@@ -433,50 +409,58 @@ func (g *Generator) CiteContext(ctx context.Context, q *cq.Query, req Request) (
 		polSpan.End()
 	}()
 	polSpan.Set("tuples", len(tuples))
-	resolver := g.resolverAt(db, &res.Stats)
-	var aggChildren []citeexpr.Expr
-	records := make([]format.Record, 0, len(tuples))
-	for _, tup := range tuples {
+	// run evaluates t's run in branch i, resolving each distinct atom of
+	// the branch once per cite.
+	recs := make([][]format.Record, len(branches))
+	run := func(i int, t storage.Tuple) (format.Record, error) {
+		b := branches[i]
+		return pol.EvalRun(b.run(t), b.width, func(a uint32) (rec format.Record, err error) {
+			if recs[i] == nil {
+				recs[i] = make([]format.Record, len(b.atoms))
+			}
+			if rec = recs[i][a]; rec == nil {
+				rec, err = g.resolve(db, b.atoms[a].view, b.atoms[a].params, b.atoms[a].key, &res.Stats)
+				recs[i][a] = rec
+			}
+			return rec, err
+		})
+	}
+	res.Tuples = make([]TupleCitation, len(tuples))
+	records := make([]format.Record, len(tuples))
+	for i, tup := range tuples {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		var children []citeexpr.Expr
-		for i := range branches {
-			if e, ok := branches[i].expr(tup); ok {
-				children = append(children, e)
-			}
-		}
-		full := citeexpr.AltR{Children: children}
-		var selected citeexpr.Expr
-		if chosen >= 0 {
-			if e, ok := branches[chosen].expr(tup); ok {
-				selected = e
-			} else {
-				// The chosen branch somehow misses this tuple (cannot
-				// happen for certified rewritings); fall back to the
-				// per-tuple selection.
-				selected = pol.SelectBranch(children)
-			}
+		tc := TupleCitation{Tuple: tup, branches: branches, sel: chosen}
+		var err error
+		if chosen >= 0 && branches[chosen].has(tup) {
+			tc.Record, err = run(chosen, tup)
 		} else {
-			selected = pol.SelectBranch(children)
+			var holding []int
+			for j, b := range branches {
+				if b.has(tup) {
+					holding = append(holding, j)
+				}
+			}
+			if chosen >= 0 {
+				// The chosen rewriting's answer lacks the tuple: +R picks
+				// among those holding it by the sizes of their runs.
+				tc.sel = holding[pol.Pick(len(holding), func(j int) int { return branches[holding[j]].size(tup) })]
+				tc.Record, err = run(tc.sel, tup)
+			} else {
+				// AllBranches: + over the runs of every branch holding it.
+				alts := make([]format.Record, len(holding))
+				for k := 0; k < len(holding) && err == nil; k++ {
+					alts[k], err = run(holding[k], tup)
+				}
+				tc.Record = pol.Alt.Fold(alts)
+			}
 		}
-		rec, err := pol.Eval(selected, resolver)
 		if err != nil {
 			return nil, err
 		}
-		res.Tuples = append(res.Tuples, TupleCitation{
-			Tuple:    tup,
-			Expr:     full,
-			Selected: selected,
-			Record:   rec,
-		})
-		aggChildren = append(aggChildren, selected)
-		records = append(records, rec)
+		res.Tuples[i], records[i] = tc, tc.Record
 	}
-	res.Expr = citeexpr.Agg{Children: aggChildren}
-	// The Agg children are exactly the selected expressions resolved above,
-	// so the result-level record aggregates the per-tuple records directly
-	// instead of re-resolving every atom of every tuple.
 	res.Record = pol.EvalAgg(records)
 	return res, nil
 }
@@ -486,31 +470,34 @@ func (g *Generator) CiteContext(ctx context.Context, q *cq.Query, req Request) (
 // AllowPartial is set, the partial rewritings that use a view. The shape
 // memo answers it when a query of q's shape was rewritten over the same
 // view set before (hit reports that); a miss runs rewrite.Rewrite and
-// fills the memo. The returned entry carries the candidates examined and
-// what the pipeline derives from the rewritings alone: the read-set and
-// the views' parameter positions. Its fields are shared by every cite of
-// the shape and must not be modified.
-func (g *Generator) rewriteStage(q *cq.Query, method rewrite.Method) ([]*rewrite.Rewriting, *memoEntry, bool, error) {
+// fills the memo. The returned stage holds the cite's rewritings planned
+// and the shape's entry, which carries the candidates examined and what
+// the pipeline derives from the rewritings alone: the read-set, the
+// dependency sets and the views' parameter positions. The entry's fields
+// are shared by every cite of the shape and must not be modified.
+func (g *Generator) rewriteStage(q *cq.Query, method rewrite.Method) ([]*rewrite.Rewriting, stage, bool, error) {
 	vs := g.reg.viewSet()
 	var kb [256]byte
 	var cb [8]value.Value
 	key, classes := shapeKey(kb[:0], q, vs, method, g.AllowPartial, cb[:0])
-	if e := g.memo.load(key); e != nil {
-		return e.instantiate(classes), e, true, nil
+	e := g.memo.load(key)
+	if e != nil {
+		rewritings, plans := e.instantiate(classes)
+		return rewritings, stage{e, plans}, true, nil
 	}
 	opts := rewrite.Options{Method: method}
 	rres, err := rewrite.Rewrite(q, vs.queries, opts)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, stage{}, false, err
 	}
-	e := &memoEntry{candidates: rres.CandidatesExamined, mcds: rres.MCDCount}
+	e = &memoEntry{candidates: rres.CandidatesExamined, mcds: rres.MCDCount}
 	rewritings := rres.Rewritings
 	if len(rewritings) == 0 && g.AllowPartial {
 		e.partial = true
 		opts.AllowPartial = true
 		pres, err := rewrite.Rewrite(q, vs.queries, opts)
 		if err != nil {
-			return nil, nil, false, err
+			return nil, stage{}, false, err
 		}
 		e.candidates += pres.CandidatesExamined
 		e.mcds += pres.MCDCount
@@ -521,13 +508,17 @@ func (g *Generator) rewriteStage(q *cq.Query, method rewrite.Method) ([]*rewrite
 		}
 	}
 	if e.params, err = g.paramPositions(rewritings); err != nil {
-		return nil, nil, false, err
+		return nil, stage{}, false, err
 	}
-	e.reads = g.readSet(rewritings)
-	e.rewritings = copyRewritings(rewritings, func(t cq.Term) cq.Term { return t })
+	e.reads, e.deps = g.readSet(rewritings), g.reg.BodyDeps(q)
+	// The entry keeps the rewriter's results: cites get copies.
+	for _, rw := range rewritings {
+		e.plans = append(e.plans, planned{rw: rw, deps: g.reg.BodyDeps(rw.AsQuery("rw"))})
+	}
 	e.from = slices.Clone(classes)
 	g.memo.store(key, e)
-	return rewritings, e, false, nil
+	rewritings, plans := e.instantiate(classes)
+	return rewritings, stage{e, plans}, false, nil
 }
 
 // RewriteMemoStats snapshots the rewriting memo's hit and miss counters
@@ -570,24 +561,23 @@ func (g *Generator) readSet(rewritings []*rewrite.Rewriting) []string {
 	return out
 }
 
-// evalBranches evaluates every rewriting with citation-expression
+// evalBranches evaluates every planned rewriting with citation
 // annotations against the snapshot db, in order, with caching; canceling
 // ctx aborts it with ctx.Err().
-func (g *Generator) evalBranches(ctx context.Context, evalSet []*rewrite.Rewriting, params map[string][]int, db *storage.Database) ([]*branch, error) {
+func (g *Generator) evalBranches(ctx context.Context, evalSet []planned, params map[string][]int, db *storage.Database) ([]*branch, error) {
 	branches := make([]*branch, len(evalSet))
 	var kb [128]byte
-	for i, rw := range evalSet {
+	for i := range evalSet {
 		// Branch cache: a repeated rewriting over unchanged body content
 		// reuses the whole annotated evaluation. Deps are the rewriting's
 		// body reads: the branch holds answers and parameter-built
-		// annotations, both functions of the body relations alone —
+		// atoms, both functions of the body relations alone —
 		// citation-query deltas are the atom cache's concern.
-		q := rw.AsQuery("rw")
-		deps := g.reg.BodyDeps(q)
-		origin := db.Origin(deps)
-		key, shape := branchKey(kb[:0], q)
-		b, hit, err := g.branches.get(genKey{origin, key}, deps,
-			func() (*branch, error) { return g.evalBranch(ctx, i, q, shape, rw, params, db, deps, origin) })
+		p := &evalSet[i]
+		origin := db.Origin(p.deps)
+		key, shape := branchKey(kb[:0], &p.q)
+		b, hit, err := g.branches.get(genKey{origin, key}, p.deps,
+			func() (*branch, error) { return g.evalBranch(ctx, i, p, shape, params, db, origin) })
 		if err != nil {
 			return nil, err
 		}
@@ -637,24 +627,25 @@ func branchKey(buf []byte, q *cq.Query) (key, shape string) {
 // and the origin of its body deps (which the branch key shares): a
 // branch miss is most often a new constant of a known shape, so the plan
 // compiled for an earlier query of the shape over the same content is
-// run with q's constants, and only a plan-cache miss compiles.
-func (g *Generator) evalBranch(ctx context.Context, idx int, q *cq.Query, shape string, rw *rewrite.Rewriting, params map[string][]int, db *storage.Database, deps []string, origin uint64) (*branch, error) {
+// run with the rewriting's constants, and only a plan-cache miss
+// compiles.
+func (g *Generator) evalBranch(ctx context.Context, idx int, p *planned, shape string, params map[string][]int, db *storage.Database, origin uint64) (*branch, error) {
 	bctx, bsp := trace.StartSpan(ctx, "branch")
 	defer bsp.End()
 	bsp.Set("alt", idx)
-	bsp.Set("views", len(rw.ViewAtoms))
-	bsp.Set("base_atoms", len(rw.BaseAtoms))
-	inst, unordered, err := g.instanceFor(bctx, rw, db)
+	bsp.Set("views", len(p.rw.ViewAtoms))
+	bsp.Set("base_atoms", len(p.rw.BaseAtoms))
+	inst, unordered, err := g.instanceFor(bctx, p.rw, db)
 	if err != nil {
 		bsp.Set("outcome", "materialize-error")
 		return nil, err
 	}
 	var ab [4]value.Value
-	args := eval.Args(ab[:0], q)
-	// run evaluates the branch over inst with the plan cached under shape.
-	run := func(shape string, sr semiring.Semiring[citeexpr.Expr]) ([]eval.Annotated[citeexpr.Expr], error) {
+	args := eval.Args(ab[:0], &p.q)
+	// run tabulates the branch over inst with the plan cached under shape.
+	run := func(shape string) (*branch, error) {
 		psp := trace.SpanFromContext(bctx).StartChild("plan")
-		plan, hit, err := g.plans.get(genKey{origin, shape}, deps, func() (*eval.Plan, error) { return eval.Compile(inst, q) })
+		plan, hit, err := g.plans.get(genKey{origin, shape}, p.deps, func() (*eval.Plan, error) { return eval.Compile(inst, &p.q) })
 		if hit {
 			psp.Set("cache", "hit")
 		} else {
@@ -665,38 +656,31 @@ func (g *Generator) evalBranch(ctx context.Context, idx int, q *cq.Query, shape 
 			bsp.Set("outcome", "compile-error")
 			return nil, err
 		}
-		annotated, err := eval.RunAnnotatedCtx(bctx, plan, args, sr, annotator(params))
+		b, err := tabulate(bctx, plan, args, params)
 		if err != nil {
 			bsp.Set("outcome", "eval-error")
 		}
-		return annotated, err
+		return b, err
 	}
-	if len(unordered) == 0 {
-		annotated, err := run(shape, citeexpr.Semiring{})
-		if err != nil {
-			return nil, err
-		}
-		return newBranch(bsp, annotated), nil
-	}
-	// Some views are aliases whose rows do not ascend. The walk meets
-	// their rows in row order, not in answer order, but the result shows
-	// that order only where an answer has several derivations (the
-	// order of its + alternatives), or where answers tie under
-	// Tuple.Compare or hold a NaN (their order after sorting). If
-	// neither happened, the result is the one the views in answer order
-	// give; else evaluate again over their copies in answer order, from
-	// the view cache. The cost of an alias thus does not depend on its
-	// row order unless the result does. The plan over the copies reads
-	// other relations than the plan over the aliases, so it is cached
-	// under a key of its own: the shape with the byte 0 appended, which
-	// no shape (a self-delimiting encoding) equals, nor a pin's plan key
-	// (Answer).
-	var plus plusCounter
-	annotated, err := run(shape, &plus)
+	b, err := run(shape)
 	if err != nil {
 		return nil, err
 	}
-	if plus.n > 0 || !storage.Ascending(answerTuples(annotated)) {
+	// Some views may be aliases whose rows do not ascend. The walk meets
+	// their rows in row order, not in answer order, but the result shows
+	// that order only where an answer has several derivations (the table
+	// then has runs): in the order of its + alternatives, or in the atom
+	// order its run keeps of a monomial two derivations hold in
+	// different orders. It shows too where answers tie under
+	// Tuple.Compare or hold a NaN (their order after sorting). If neither
+	// happened, the result is the one the views in answer order give;
+	// else evaluate again over their copies in answer order, from the
+	// view cache. The cost of an alias thus does not depend on its row
+	// order unless the result does. The plan over the copies reads other
+	// relations than the plan over the aliases, so it is cached under a
+	// key of its own: the shape with the byte 0 appended, which no shape
+	// (a self-delimiting encoding) equals, nor a pin's plan key (Answer).
+	if len(unordered) > 0 && (b.runs != nil || !storage.Ascending(slices.Values(b.sorted))) {
 		bsp.Set("resorted", len(unordered))
 		for _, name := range unordered {
 			rel, _, err := g.viewCopy(db, name)
@@ -706,49 +690,12 @@ func (g *Generator) evalBranch(ctx context.Context, idx int, q *cq.Query, shape 
 			}
 			inst.views[name] = rel
 		}
-		if annotated, err = run(shape+"\x00", citeexpr.Semiring{}); err != nil {
+		if b, err = run(shape + "\x00"); err != nil {
 			return nil, err
 		}
 	}
-	return newBranch(bsp, annotated), nil
-}
-
-// newBranch indexes a branch's annotated answer and marks its span ok.
-func newBranch(bsp *trace.Span, annotated []eval.Annotated[citeexpr.Expr]) *branch {
 	bsp.Set("outcome", "ok")
-	b := &branch{annotated: annotated}
-	for _, a := range annotated {
-		b.ix.AddOwned(a.Tuple)
-	}
-	return b
-}
-
-// plusCounter is the citation semiring counting its Plus calls. The
-// annotated evaluation stores an answer's first derivation as is and
-// adds each further one with Plus, so no call means that every answer
-// has exactly one derivation. The walk runs on one goroutine, so the
-// count is a plain int.
-type plusCounter struct{ n int }
-
-func (*plusCounter) Zero() citeexpr.Expr                    { return citeexpr.Semiring{}.Zero() }
-func (*plusCounter) One() citeexpr.Expr                     { return citeexpr.Semiring{}.One() }
-func (*plusCounter) Times(a, b citeexpr.Expr) citeexpr.Expr { return citeexpr.Semiring{}.Times(a, b) }
-func (*plusCounter) Equal(a, b citeexpr.Expr) bool          { return citeexpr.Semiring{}.Equal(a, b) }
-func (*plusCounter) IsZero(a citeexpr.Expr) bool            { return citeexpr.Semiring{}.IsZero(a) }
-func (c *plusCounter) Plus(a, b citeexpr.Expr) citeexpr.Expr {
-	c.n++
-	return citeexpr.Semiring{}.Plus(a, b)
-}
-
-// answerTuples yields the tuples of an annotated answer in order.
-func answerTuples(annotated []eval.Annotated[citeexpr.Expr]) iter.Seq[storage.Tuple] {
-	return func(yield func(storage.Tuple) bool) {
-		for _, a := range annotated {
-			if !yield(a.Tuple) {
-				return
-			}
-		}
-	}
+	return b, nil
 }
 
 // CiteTuple returns the citation of a single answer tuple of q, or an
@@ -766,25 +713,31 @@ func (g *Generator) CiteTuple(q *cq.Query, t storage.Tuple) (*TupleCitation, err
 	return nil, fmt.Errorf("citation: tuple %s is not in the answer of %s", t, q.Name)
 }
 
-// Answer returns q's answer over the frozen snapshot db itself, in
-// Tuple.Compare order, and whether the plan cache held its plan: the
-// re-execution with which a fixity pin digests a cited query's answer
-// at its committed version (core.System, fixity.Store.Pin). The plan is
-// the prepared plan of q's shape over db's content of the relations q
-// reads (Registry.BodyDeps), run with q's constants, so only the first
-// query of a shape over that content compiles. Its key is the shape
-// with the byte 1 appended, which no rewriting's plan can take: those
-// run over view instances, under the shape or the shape and a 0, while
-// this one runs over db. Like every entry, it is cached only while a
-// live snapshot — the head's or a retained version's — maps it.
-func (g *Generator) Answer(ctx context.Context, q *cq.Query, db *storage.Database) ([]storage.Tuple, bool, error) {
+// Answer returns the answer of the query res cites over the frozen
+// snapshot db itself, in Tuple.Compare order, and whether the plan cache
+// held its plan: the re-execution with which a fixity pin digests a
+// cited query's answer at its committed version (core.System,
+// fixity.Store.Pin). The plan is the prepared plan of the query's shape
+// over db's content of the relations the query reads, run with its
+// constants, so only the first query of a shape over that content
+// compiles. Those relations come from the query's rewriting-memo entry,
+// or from Registry.BodyDeps for a Result the caller built. The plan's key
+// is the shape with the byte 1 appended, which no rewriting's plan can
+// take: those run over view instances, under the shape or the shape and
+// a 0, while this one runs over db. Like every entry, it is cached only
+// while a live snapshot — the head's or a retained version's — maps it.
+func (g *Generator) Answer(ctx context.Context, res *Result, db *storage.Database) ([]storage.Tuple, bool, error) {
+	q := res.Query
 	if db == nil || !db.Frozen() {
 		return nil, false, fmt.Errorf("citation: answer of %s: target database is not a frozen snapshot", q.Name)
 	}
 	var sb [64]byte
 	var ab [4]value.Value
 	key := string(append(eval.AppendShape(sb[:0], q), 1))
-	deps := g.reg.BodyDeps(q)
+	deps := res.deps
+	if deps == nil {
+		deps = g.reg.BodyDeps(q)
+	}
 	plan, hit, err := g.plans.get(genKey{db.Origin(deps), key}, deps, func() (*eval.Plan, error) { return eval.Compile(db, q) })
 	if err != nil {
 		return nil, hit, err
@@ -1032,82 +985,59 @@ func (g *Generator) paramPositions(rewritings []*rewrite.Rewriting) (map[string]
 	return positions, nil
 }
 
-// annotator returns the base-annotation function for a rewriting's
-// annotated evaluation, given its views' parameter positions: a tuple of
-// one of the views is annotated with the citation atom CV(params) built
-// from the tuple's parameter columns; base-relation tuples (partial
-// rewritings) are neutral. The returned function is safe for concurrent
-// calls.
-func annotator(positions map[string][]int) func(pred string, t storage.Tuple) citeexpr.Expr {
-	return func(pred string, t storage.Tuple) citeexpr.Expr {
-		pos, ok := positions[pred]
-		if !ok {
-			return citeexpr.Joint{} // base relation: neutral annotation
-		}
-		params := make([]value.Value, len(pos))
-		for i, p := range pos {
-			params[i] = t[p]
-		}
-		// NewAtom precomputes the canonical rendering, so the semiring ops
-		// and the record cache never re-render this atom.
-		return citeexpr.NewAtom(pred, params...)
+// resolve returns the citation record of view's atom with params, whose
+// key is key (appendAtomKey), over the snapshot db: the view's citation
+// queries evaluated with the parameter values and its citation function
+// applied. The atom cache holds records under the key and the origin of
+// the citation queries' content; it is shared across concurrent cites and
+// singleflight, so a hot atom demanded by many citers at once is resolved
+// by exactly one of them (failures are evicted so they retry). A
+// resolution resolve performs itself counts in stats, when non-nil.
+func (g *Generator) resolve(db *storage.Database, view string, params []value.Value, key string, stats *Stats) (format.Record, error) {
+	v, shapes, deps := g.reg.citationView(view)
+	origin := db.Origin(deps)
+	rec, hit, err := g.atoms.get(genKey{origin, key}, deps,
+		func() (format.Record, error) { return g.resolveAtom(db, v, shapes, view, params, deps, origin) })
+	if !hit && err == nil && stats != nil {
+		stats.AtomsResolved++
 	}
+	return rec, err
 }
 
-// resolverAt returns a caching policy.Resolver that evaluates a view's
-// citation queries over the snapshot db with the atom's parameter values
-// and applies the view's citation function. The cache is shared across
-// concurrent Cite calls, keyed by atom and the origin of its citation
-// queries' content, and singleflight: a hot atom demanded by many citers
-// at once is resolved by exactly one of them (failures are evicted so
-// they retry).
-func (g *Generator) resolverAt(db *storage.Database, stats *Stats) policy.Resolver {
-	return func(a citeexpr.Atom) (format.Record, error) {
-		deps := g.reg.CitationDeps(a.View)
-		origin := db.Origin(deps)
-		rec, hit, err := g.atoms.get(genKey{origin, a.Key()}, deps,
-			func() (format.Record, error) { return g.resolveAtom(db, a, deps, origin) })
-		if !hit && err == nil && stats != nil {
-			stats.AtomsResolved++
-		}
-		return rec, err
-	}
-}
-
-// resolveAtom evaluates the citation queries of the atom's view with the
-// atom's parameter values bound against the snapshot db, whose content
-// of deps (the view's CitationDeps) has the given origin, and applies the
-// citation function. Each citation query runs the prepared plan of its
-// shape (Registry.citationView) from the plan cache with the atom's
-// parameters as arguments: only the first atom of a view over this
-// content compiles, and none substitutes.
-func (g *Generator) resolveAtom(db *storage.Database, a citeexpr.Atom, deps []string, origin uint64) (format.Record, error) {
-	v, shapes := g.reg.citationView(a.View)
+// resolveAtom evaluates the citation queries of view v (named view, nil
+// if unknown) with the atom's parameter values bound against the
+// snapshot db, whose content of deps (the view's CitationDeps) has the
+// given origin, and applies the citation function. Each citation query
+// runs the prepared plan of its shape (shapes, from
+// Registry.citationView) from the plan cache with the parameters as
+// arguments: only the first atom of a view over this content compiles,
+// and none substitutes.
+func (g *Generator) resolveAtom(db *storage.Database, v *View, shapes []string, view string, params []value.Value, deps []string, origin uint64) (format.Record, error) {
 	if v == nil {
-		return nil, fmt.Errorf("citation: unknown view %s in citation atom", a.View)
+		return nil, fmt.Errorf("citation: unknown view %s in citation atom", view)
 	}
-	if len(a.Params) != len(v.Query.Params) {
+	if len(params) != len(v.Query.Params) {
 		return nil, fmt.Errorf("citation: atom %s has %d parameters, view declares %d",
-			a, len(a.Params), len(v.Query.Params))
+			citeexpr.NewAtom(view, params...), len(params), len(v.Query.Params))
 	}
-	bindings := make([]ParamBinding, len(a.Params))
+	bindings := make([]ParamBinding, len(params))
 	for i, p := range v.Query.Params {
-		bindings[i] = ParamBinding{Name: p, Value: a.Params[i].String()}
+		bindings[i] = ParamBinding{Name: p, Value: params[i].String()}
 	}
 	rows := make(map[string][]storage.Tuple, len(v.Citations))
 	var ab [4]value.Value
 	for i, c := range v.Citations {
 		plan, _, err := g.plans.get(genKey{origin, shapes[i]}, deps, func() (*eval.Plan, error) {
-			sub := make(map[string]cq.Term, len(a.Params))
+			sub := make(map[string]cq.Term, len(params))
 			for j, p := range v.Query.Params {
-				sub[p] = cq.Const(a.Params[j])
+				sub[p] = cq.Const(params[j])
 			}
 			return eval.Compile(db, c.Query.Substitute(sub))
 		})
 		if err != nil {
 			return nil, fmt.Errorf("citation: evaluating citation query %s: %w", c.Query.Name, err)
 		}
-		rows[c.Query.Name] = plan.Eval(citationArgs(ab[:0], c.Query, v.Query.Params, a.Params))
+		rows[c.Query.Name] = plan.Eval(citationArgs(ab[:0], c.Query, v.Query.Params, params))
 	}
 	fn := v.Fn
 	if fn == nil {

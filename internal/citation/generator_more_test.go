@@ -66,7 +66,7 @@ func TestMultiParameterView(t *testing.T) {
 	// Each tuple's atom carries both parameter values, and resolves to
 	// the steward of exactly that (site, year).
 	for _, tc := range res.Tuples {
-		atoms := citeexpr.Atoms(tc.Selected)
+		atoms := citeexpr.Atoms(tc.Selected())
 		if len(atoms) != 1 {
 			t.Fatalf("tuple %s atoms %v", tc.Tuple, atoms)
 		}
@@ -94,8 +94,8 @@ func TestBucketMethodEndToEnd(t *testing.T) {
 	if len(res.Rewritings) != 2 || len(res.Tuples) != 1 {
 		t.Fatalf("bucket: rewritings=%d tuples=%d", len(res.Rewritings), len(res.Tuples))
 	}
-	if res.Tuples[0].Expr.String() != "(CV1(11)·CV3 + CV1(12)·CV3) +R (CV2·CV3)" {
-		t.Errorf("bucket expression %s", res.Tuples[0].Expr)
+	if res.Tuples[0].Expr().String() != "(CV1(11)·CV3 + CV1(12)·CV3) +R (CV2·CV3)" {
+		t.Errorf("bucket expression %s", res.Tuples[0].Expr())
 	}
 }
 
@@ -158,12 +158,11 @@ func TestStatsAccounting(t *testing.T) {
 // views have swapped heads, so V3 is a copy the view cache holds.
 func TestEvictedVersionFillNotRetained(t *testing.T) {
 	g := copyingPaperGenerator(t)
-	res, err := g.Cite(cq.MustParse(paperQueryText))
-	if err != nil {
+	if _, err := g.Cite(cq.MustParse(paperQueryText)); err != nil {
 		t.Fatal(err)
 	}
 	atom := citeexpr.NewAtom("V1", value.Int(11))
-	params, err := g.paramPositions(res.Rewritings[:1])
+	_, prep, _, err := g.rewriteStage(cq.MustParse(paperQueryText), g.Method)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +182,7 @@ func TestEvictedVersionFillNotRetained(t *testing.T) {
 			if _, _, err := g.materializeAt(ctx, db, "V3"); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := g.evalBranches(ctx, res.Rewritings[:1], params, db); err != nil {
+			if _, err := g.evalBranches(ctx, prep.plans[:1], prep.params, db); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := resolve(atom); err != nil {

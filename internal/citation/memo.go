@@ -36,15 +36,34 @@ type rewriteMemo struct {
 
 // memoEntry is the rewriting stage's outcome for one shape, as computed
 // for the query that filled it, with what the pipeline derives from the
-// rewritings alone. It is immutable once stored.
+// rewritings alone (dependency sets read only predicates). It is
+// immutable once stored.
 type memoEntry struct {
-	rewritings []*rewrite.Rewriting // private copies, over from's constants
-	from       []value.Value        // the filling query's class constants
-	candidates int                  // CandidatesExamined over both calls
-	mcds       int                  // MCDCount over both calls
-	partial    bool                 // the AllowPartial fallback ran
-	reads      []string             // Result.Reads
-	params     map[string][]int     // view name → parameter positions
+	plans      []planned        // over from's constants; q unset
+	from       []value.Value    // the filling query's class constants
+	candidates int              // CandidatesExamined over both calls
+	mcds       int              // MCDCount over both calls
+	partial    bool             // the AllowPartial fallback ran
+	reads      []string         // Result.Reads
+	deps       []string         // the query's body deps, for its pin (Answer)
+	params     map[string][]int // view name → parameter positions
+}
+
+// stage is the rewriting stage's outcome for one cite: the memo entry of
+// its query's shape, and its rewritings planned.
+type stage struct {
+	*memoEntry
+	plans []planned
+}
+
+// planned is a rewriting with what evaluating it needs: q, the query its
+// plan runs (the view atoms and residual base atoms as a body, sharing
+// the rewriting's terms), and deps, the base relations that body reads
+// (Registry.BodyDeps), which key its plan and branch entries.
+type planned struct {
+	rw   *rewrite.Rewriting
+	q    cq.Query
+	deps []string
 }
 
 // MemoStats is a point-in-time snapshot of the rewriting memo.
@@ -86,9 +105,9 @@ func (m *rewriteMemo) stats() MemoStats {
 
 // instantiate returns the entry's rewritings with the request's class
 // constants in place of the filling query's, in the order a fresh
-// rewrite.Rewrite would return them.
-func (e *memoEntry) instantiate(to []value.Value) []*rewrite.Rewriting {
-	out := copyRewritings(e.rewritings, func(t cq.Term) cq.Term {
+// rewrite.Rewrite would return them, and the same rewritings planned.
+func (e *memoEntry) instantiate(to []value.Value) ([]*rewrite.Rewriting, []planned) {
+	plans := copyPlans(e.plans, func(t cq.Term) cq.Term {
 		if !t.IsVar {
 			// Class constants are never NaN or a zero, so == is identity.
 			if i := slices.Index(e.from, t.Const); i >= 0 {
@@ -97,8 +116,12 @@ func (e *memoEntry) instantiate(to []value.Value) []*rewrite.Rewriting {
 		}
 		return t
 	})
-	rewrite.SortRewritings(out)
-	return out
+	rewrite.SortFunc(plans, func(p planned) *rewrite.Rewriting { return p.rw })
+	rws := make([]*rewrite.Rewriting, len(plans))
+	for i := range plans {
+		rws[i] = plans[i].rw
+	}
+	return rws, plans
 }
 
 // shapeKey appends the memo key of rewriting q over vs to buf, and q's
@@ -238,29 +261,45 @@ func appendLiteral(buf []byte, c value.Value) []byte {
 	}
 }
 
+// appendAtomKey appends the key of view's citation atom with params: the
+// view's name and each parameter's kind and bits (appendLiteral), every
+// NaN written as one. Two atoms share a key exactly when they render
+// alike (citeexpr.Atom.String): in a view's typed columns, only NaN
+// payloads render alike and differ in bits.
+func appendAtomKey(buf []byte, view string, params []value.Value) []byte {
+	buf = appendLenString(buf, view)
+	for _, p := range params {
+		if p.Kind() == value.KindFloat && math.IsNaN(p.FloatVal()) {
+			p = value.Float(math.NaN())
+		}
+		buf = appendLiteral(buf, p)
+	}
+	return buf
+}
+
 func appendLenString(buf []byte, s string) []byte {
 	return append(binary.AppendUvarint(buf, uint64(len(s))), s...)
 }
 
-// copyRewritings deep-copies rs through sub, which maps every term. The
-// copies share five backing arrays, each slice capped at its length so
+// copyPlans deep-copies the rewritings of ps through sub, which maps
+// every term, and plans each copy with its deps. The copies and their
+// queries share five backing arrays, each slice capped at its length so
 // an append cannot reach a neighbor, and keep nil slices nil.
-func copyRewritings(rs []*rewrite.Rewriting, sub func(cq.Term) cq.Term) []*rewrite.Rewriting {
-	nTerms, nViews, nBase := 0, 0, 0
-	for _, rw := range rs {
-		nTerms += len(rw.Head)
-		nViews += len(rw.ViewAtoms)
-		nBase += len(rw.BaseAtoms)
-		for _, va := range rw.ViewAtoms {
+func copyPlans(ps []planned, sub func(cq.Term) cq.Term) []planned {
+	nTerms, nAtoms := 0, 0
+	for _, p := range ps {
+		nTerms += len(p.rw.Head)
+		nAtoms += len(p.rw.ViewAtoms) + len(p.rw.BaseAtoms)
+		for _, va := range p.rw.ViewAtoms {
 			nTerms += len(va.Args)
 		}
-		for _, a := range rw.BaseAtoms {
+		for _, a := range p.rw.BaseAtoms {
 			nTerms += len(a.Terms)
 		}
 	}
 	terms := make([]cq.Term, 0, nTerms)
-	views := make([]rewrite.ViewAtom, 0, nViews)
-	bases := make([]cq.Atom, 0, nBase)
+	views := make([]rewrite.ViewAtom, 0, nAtoms)
+	body := make([]cq.Atom, 0, nAtoms)
 	copyTerms := func(ts []cq.Term) []cq.Term {
 		if ts == nil {
 			return nil
@@ -271,26 +310,27 @@ func copyRewritings(rs []*rewrite.Rewriting, sub func(cq.Term) cq.Term) []*rewri
 		}
 		return terms[start:len(terms):len(terms)]
 	}
-	structs := make([]rewrite.Rewriting, len(rs))
-	out := make([]*rewrite.Rewriting, len(rs))
-	for i, rw := range rs {
-		c := &structs[i]
-		c.Head = copyTerms(rw.Head)
-		if rw.ViewAtoms != nil {
-			start := len(views)
-			for _, va := range rw.ViewAtoms {
+	rws := make([]rewrite.Rewriting, len(ps))
+	out := make([]planned, len(ps))
+	for i, p := range ps {
+		c, start := &rws[i], len(body)
+		c.Head = copyTerms(p.rw.Head)
+		if p.rw.ViewAtoms != nil {
+			at := len(views)
+			for _, va := range p.rw.ViewAtoms {
 				views = append(views, rewrite.ViewAtom{ViewName: va.ViewName, Args: copyTerms(va.Args)})
+				body = append(body, cq.Atom{Predicate: va.ViewName, Terms: views[len(views)-1].Args})
 			}
-			c.ViewAtoms = views[start:len(views):len(views)]
+			c.ViewAtoms = views[at:len(views):len(views)]
 		}
-		if rw.BaseAtoms != nil {
-			start := len(bases)
-			for _, a := range rw.BaseAtoms {
-				bases = append(bases, cq.Atom{Predicate: a.Predicate, Terms: copyTerms(a.Terms)})
+		if p.rw.BaseAtoms != nil {
+			at := len(body)
+			for _, a := range p.rw.BaseAtoms {
+				body = append(body, cq.Atom{Predicate: a.Predicate, Terms: copyTerms(a.Terms)})
 			}
-			c.BaseAtoms = bases[start:len(bases):len(bases)]
+			c.BaseAtoms = body[at:len(body):len(body)]
 		}
-		out[i] = c
+		out[i] = planned{c, cq.Query{Name: "rw", Head: c.Head, Body: body[start:len(body):len(body)]}, p.deps}
 	}
 	return out
 }

@@ -95,7 +95,7 @@ func resultJSON(t *testing.T, res *Result) string {
 		Origin     uint64
 	}{
 		Query:  res.Query.String(),
-		Expr:   res.Expr.String(),
+		Expr:   res.Expr().String(),
 		Record: res.Record,
 		Stats:  res.Stats,
 		Reads:  res.Reads,
@@ -106,7 +106,7 @@ func resultJSON(t *testing.T, res *Result) string {
 		out.Rewritings = append(out.Rewritings, rw.String())
 	}
 	for _, tc := range res.Tuples {
-		out.Tuples = append(out.Tuples, tupleJSON{tc.Tuple.Key(), tc.Expr.String(), tc.Selected.String(), tc.Record})
+		out.Tuples = append(out.Tuples, tupleJSON{tc.Tuple.Key(), tc.Expr().String(), tc.Selected().String(), tc.Record})
 	}
 	b, err := json.Marshal(out)
 	if err != nil {
@@ -142,7 +142,7 @@ func TestPlanEntriesStayInLiveNamespaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.evalBranches(context.Background(), rewritings, prep.params, vers[0]); err != nil {
+	if _, err := g.evalBranches(context.Background(), prep.plans, prep.params, vers[0]); err != nil {
 		t.Fatal(err)
 	}
 	g.verMu.Lock()
@@ -197,7 +197,7 @@ func TestPinPlanKeysStayApart(t *testing.T) {
 		}); !hit || err != nil {
 			t.Fatalf("%s: the rewriting's plan is not cached (hit %v, %v)", q, hit, err)
 		}
-		tuples, hit, err := g.Answer(context.Background(), q, snap)
+		tuples, hit, err := g.Answer(context.Background(), &Result{Query: q}, snap)
 		if hit || !errors.Is(err, eval.ErrUnknownRelation) {
 			t.Fatalf("%s over the snapshot: %d tuples, plan cache hit %v, error %v; want its own plan and %v",
 				q, len(tuples), hit, err, eval.ErrUnknownRelation)

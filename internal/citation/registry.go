@@ -27,9 +27,11 @@ type Registry struct {
 	views  []*View
 	byName map[string]*View
 	// citeShapes holds, per view, the plan shape of each of its citation
-	// queries with the view's λ-parameters bound (citationShapes).
-	citeShapes map[string][]string
-	set        *viewSet // the rewriter's image of views; replaced by every Add
+	// queries with the view's λ-parameters bound (citationShapes), and
+	// citeDeps its CitationDeps, which no later Add changes: citation
+	// queries read base relations only.
+	citeShapes, citeDeps map[string][]string
+	set                  *viewSet // the rewriter's image of views; replaced by every Add
 }
 
 // viewSet is one generation of the registry's views as the rewriter sees
@@ -44,7 +46,8 @@ type viewSet struct {
 
 // NewRegistry creates an empty registry over the schema.
 func NewRegistry(s *schema.Schema) *Registry {
-	return &Registry{schema: s, byName: make(map[string]*View), citeShapes: make(map[string][]string), set: &viewSet{}}
+	return &Registry{schema: s, byName: make(map[string]*View), citeShapes: make(map[string][]string),
+		citeDeps: make(map[string][]string), set: &viewSet{}}
 }
 
 // Schema returns the registry's database schema.
@@ -62,6 +65,13 @@ func (r *Registry) Add(v *View) error {
 	r.views = append(r.views, v)
 	r.byName[name] = v
 	r.citeShapes[name] = citationShapes(v)
+	deps := make(map[string]bool)
+	for _, c := range v.Citations {
+		for _, a := range c.Query.Body {
+			r.bodyDepsLocked(a.Predicate, make(map[string]bool), deps)
+		}
+	}
+	r.citeDeps[name] = sortedKeys(deps)
 	next := &viewSet{
 		gen:     r.set.gen + 1,
 		queries: append(slices.Clip(r.set.queries), v.Query),
@@ -125,12 +135,13 @@ func (r *Registry) View(name string) *View {
 	return r.byName[name]
 }
 
-// citationView returns the named view (nil if none) and the plan shape of
-// each of its citation queries, read under one lock.
-func (r *Registry) citationView(name string) (*View, []string) {
+// citationView returns the named view (nil if none), the plan shape of
+// each of its citation queries and its CitationDeps, read under one lock.
+// The slices are shared: read them, do not modify them.
+func (r *Registry) citationView(name string) (*View, []string, []string) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.byName[name], r.citeShapes[name]
+	return r.byName[name], r.citeShapes[name], r.citeDeps[name]
 }
 
 // citationShapes returns the plan shape (eval.AppendShape) of each of v's
@@ -221,16 +232,8 @@ func (r *Registry) QueryDeps(pred string) []string {
 // the view's own body never enters a citation query's evaluation.
 func (r *Registry) CitationDeps(view string) []string {
 	r.mu.RLock()
-	out := make(map[string]bool)
-	if v := r.byName[view]; v != nil {
-		for _, c := range v.Citations {
-			for _, a := range c.Query.Body {
-				r.bodyDepsLocked(a.Predicate, make(map[string]bool), out)
-			}
-		}
-	}
-	r.mu.RUnlock()
-	return sortedKeys(out)
+	defer r.mu.RUnlock()
+	return slices.Clone(r.citeDeps[view])
 }
 
 // BodyDeps returns the sorted set of base relations q's body atoms

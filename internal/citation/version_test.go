@@ -57,13 +57,13 @@ func resultText(t testing.TB, res *Result) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := res.Expr.String() + "\n" + string(rec)
+	out := res.Expr().String() + "\n" + string(rec)
 	for _, tc := range res.Tuples {
 		tr, err := tc.Record.MarshalJSON()
 		if err != nil {
 			t.Fatal(err)
 		}
-		out += "\n" + tc.Tuple.String() + "|" + tc.Expr.String() + "|" + tc.Selected.String() + "|" + string(tr)
+		out += "\n" + tc.Tuple.String() + "|" + tc.Expr().String() + "|" + tc.Selected().String() + "|" + string(tr)
 	}
 	return out
 }

@@ -5,13 +5,15 @@
 // view instantiated with parameter values.
 //
 // Expressions are a *formal* representation (paper §2: "this is a formal
-// semantics, not a means of computation"); package policy interprets them
-// under owner-chosen combination functions, and package citation resolves
-// atoms into concrete citation records.
+// semantics, not a means of computation"). The citation engine computes
+// with a flat form instead — per answer tuple, a run of monomials of
+// interned atom ids (package citation's branch tables, which package
+// policy evaluates) — and builds these trees from it only when a library
+// caller asks for them. Package policy also interprets the trees under
+// owner-chosen combination functions.
 package citeexpr
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
@@ -32,30 +34,15 @@ type Expr interface {
 // Atom is an instantiated citation reference CV(p1,…,pk) for a view: the
 // view's citation, parameterized by the λ-parameter values of one binding.
 // Unparameterized views yield atoms with empty Params (written CV).
-//
-// canon, when non-empty, caches the rendered form. NewAtom fills it at
-// construction so the annotated evaluator's inner loop — which keys
-// semiring deduplication and the citation-record cache on it — never
-// re-renders an atom; struct-literal construction still works and falls
-// back to rendering on demand.
 type Atom struct {
 	View   string
 	Params []value.Value
-
-	canon string
 }
 
 func (Atom) isExpr() {}
 
 // String renders CV(p1,…,pk), or just CV when unparameterized.
 func (a Atom) String() string {
-	if a.canon != "" {
-		return a.canon
-	}
-	return a.render()
-}
-
-func (a Atom) render() string {
 	if len(a.Params) == 0 {
 		return "C" + a.View
 	}
@@ -79,14 +66,8 @@ func (a Atom) Key() string { return a.Canonical() }
 
 // Joint is the `·` operator: joint use of citations within one binding of
 // one rewriting (Definition 2.1). An empty Joint is the neutral citation
-// (contributes nothing). canon, when non-empty, caches the canonical
-// encoding; the semiring's Times fills it at construction so downstream
-// deduplication never re-canonicalizes a product.
-type Joint struct {
-	Children []Expr
-
-	canon string
-}
+// (contributes nothing).
+type Joint struct{ Children []Expr }
 
 func (Joint) isExpr() {}
 
@@ -94,12 +75,7 @@ func (Joint) isExpr() {}
 func (j Joint) String() string { return renderNary(j.Children, "·", "1") }
 
 // Canonical returns the normalized encoding (children sorted, flattened).
-func (j Joint) Canonical() string {
-	if j.canon != "" {
-		return j.canon
-	}
-	return canonNary("J", flatten(j.Children, isJoint))
-}
+func (j Joint) Canonical() string { return canonNary("J", flatten(j.Children, isJoint)) }
 
 // Alt is the `+` operator: alternative citations arising from multiple
 // bindings of a single rewriting (Definition 2.2). An empty Alt denotes
@@ -307,9 +283,7 @@ func (Semiring) One() Expr { return Joint{} }
 
 // appendDedup appends e to dst unless an expression with the same
 // canonical encoding is already present, preserving first-occurrence
-// order. The linear scan compares cached canonical strings, so the
-// annotated evaluator's inner loop allocates no per-operation map — the
-// dedup cost the interpreter used to pay on every binding.
+// order.
 func appendDedup(dst []Expr, e Expr) []Expr {
 	k := e.Canonical()
 	for _, d := range dst {
@@ -345,9 +319,7 @@ func (Semiring) Plus(a, b Expr) Expr {
 
 // Times combines joint uses, flattening and deduplicating identical
 // factors (idempotent `·`, sound for the implemented policies); zero
-// annihilates. The resulting product carries its canonical encoding, so
-// the Plus that follows in Σ-over-bindings deduplicates it by string
-// comparison alone.
+// annihilates.
 func (Semiring) Times(a, b Expr) Expr {
 	if isZero(a) || isZero(b) {
 		return Alt{}
@@ -365,7 +337,7 @@ func (Semiring) Times(a, b Expr) Expr {
 	if len(children) == 1 {
 		return children[0]
 	}
-	return Joint{Children: children, canon: canonNary("J", children)}
+	return Joint{Children: children}
 }
 
 // Equal reports canonical equality.
@@ -379,46 +351,5 @@ func isZero(e Expr) bool {
 	return ok && len(alt.Children) == 0
 }
 
-// NewAtom constructs a citation atom with its canonical rendering
-// precomputed — the constructor the annotated evaluator's hot path uses,
-// so every later Canonical/Key/String call on the atom is a field read.
-func NewAtom(view string, params ...value.Value) Atom {
-	a := Atom{View: view, Params: params}
-	a.canon = a.render()
-	return a
-}
-
-// Describe returns a short human-readable summary: operator counts and
-// atom count, e.g. "3 atoms, 2 alternatives, 1 rewriting branch".
-func Describe(e Expr) string {
-	var atoms, alts, joints, altRs int
-	var walk func(Expr)
-	walk = func(x Expr) {
-		switch n := x.(type) {
-		case Atom:
-			atoms++
-		case Joint:
-			joints++
-			for _, c := range n.Children {
-				walk(c)
-			}
-		case Alt:
-			alts++
-			for _, c := range n.Children {
-				walk(c)
-			}
-		case AltR:
-			altRs++
-			for _, c := range n.Children {
-				walk(c)
-			}
-		case Agg:
-			for _, c := range n.Children {
-				walk(c)
-			}
-		}
-	}
-	walk(e)
-	return fmt.Sprintf("%d atom(s), %d joint(s), %d alternative(s), %d rewriting branch(es)",
-		atoms, joints, alts, altRs)
-}
+// NewAtom constructs the citation atom CV(params) of view.
+func NewAtom(view string, params ...value.Value) Atom { return Atom{View: view, Params: params} }

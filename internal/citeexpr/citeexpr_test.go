@@ -2,7 +2,6 @@ package citeexpr
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/value"
@@ -185,19 +184,6 @@ func TestAggCanonical(t *testing.T) {
 	b := Agg{Children: []Expr{atomB(), atomA()}}
 	if !Equal(a, b) {
 		t.Error("Agg order-sensitive")
-	}
-}
-
-func TestDescribe(t *testing.T) {
-	e := AltR{Children: []Expr{
-		Alt{Children: []Expr{Joint{Children: []Expr{atomA(), atomC()}}}},
-	}}
-	d := Describe(e)
-	if !strings.Contains(d, "2 atom(s)") {
-		t.Errorf("Describe = %q", d)
-	}
-	if !strings.Contains(d, "1 rewriting branch(es)") {
-		t.Errorf("Describe = %q", d)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"time"
 
@@ -399,7 +398,7 @@ func (s *System) CiteQueryContext(ctx context.Context, q *cq.Query, opts ...Cite
 	}
 	out := &Citation{Result: res}
 	if !cfg.noPin && pinAt > 0 {
-		pin, err := s.pin(ctx, q, pinAt)
+		pin, err := s.pin(ctx, res, pinAt)
 		if err != nil {
 			return nil, err
 		}
@@ -408,14 +407,14 @@ func (s *System) CiteQueryContext(ctx context.Context, q *cq.Query, opts ...Cite
 	return out, nil
 }
 
-// pin re-executes q at committed version v and pins its answer: the
-// generator evaluates q over v's snapshot with the prepared plan of q's
-// shape (citation.Generator.Answer), and the store builds the pin from
-// that answer (fixity.Store.Pin), so it equals Store.Execute's. The
-// fixity span says whether the plan cache held the plan; the lookup
-// opens no plan span of its own, so the plan spans stay the rewritings'
-// and the citation queries'.
-func (s *System) pin(ctx context.Context, q *cq.Query, v fixity.Version) (fixity.PinnedCitation, error) {
+// pin re-executes the query res cites at committed version v and pins
+// its answer: the generator evaluates the query over v's snapshot with
+// the prepared plan of its shape (citation.Generator.Answer), and the
+// store builds the pin from that answer (fixity.Store.Pin), so it equals
+// Store.Execute's. The fixity span says whether the plan cache held the
+// plan; the lookup opens no plan span of its own, so the plan spans stay
+// the rewritings' and the citation queries'.
+func (s *System) pin(ctx context.Context, res *citation.Result, v fixity.Version) (fixity.PinnedCitation, error) {
 	pinCtx, sp := trace.StartSpan(ctx, "fixity")
 	defer sp.End()
 	sp.Set("version", int(v))
@@ -423,7 +422,7 @@ func (s *System) pin(ctx context.Context, q *cq.Query, v fixity.Version) (fixity
 	if err != nil {
 		return fixity.PinnedCitation{}, err
 	}
-	tuples, hit, err := s.gen.Answer(pinCtx, q, db)
+	tuples, hit, err := s.gen.Answer(pinCtx, res, db)
 	if hit {
 		sp.Set("cache", "hit")
 	} else {
@@ -432,7 +431,7 @@ func (s *System) pin(ctx context.Context, q *cq.Query, v fixity.Version) (fixity
 	if err != nil {
 		return fixity.PinnedCitation{}, err
 	}
-	return s.store.Pin(q, v, tuples)
+	return s.store.Pin(res.Query, v, tuples)
 }
 
 // CiteAll generates citations for a batch of queries, citing up to
@@ -549,16 +548,14 @@ func (s *System) citeBatch(ctx context.Context, qs []*cq.Query, out []*Citation,
 }
 
 // Text renders the aggregated citation as human-readable text, including
-// the fixity pin when present.
+// the fixity pin when present, into one buffer.
 func (c *Citation) Text() string {
-	var b strings.Builder
-	b.WriteString(format.Text(c.Result.Record))
+	var b [512]byte
+	out := format.AppendText(b[:0], c.Result.Record)
 	if c.Pin != nil {
-		b.WriteString(" [")
-		b.WriteString(c.Pin.String())
-		b.WriteString("]")
+		out = append(c.Pin.AppendString(append(out, " ["...)), ']')
 	}
-	return b.String()
+	return string(out)
 }
 
 // BibTeX renders the aggregated citation as a BibTeX entry.
@@ -609,7 +606,7 @@ func (c *Citation) JSON() (string, error) {
 func (c *Citation) Archive(store *citestore.Store) (ref, compact string) {
 	ext := citestore.Extended{
 		QueryText: c.Result.Query.String(),
-		Expr:      c.Result.Expr,
+		Expr:      c.Result.Expr(),
 		Record:    c.Result.Record,
 	}
 	ref = store.Put(ext)

@@ -307,7 +307,7 @@ func TestAtomCacheKeepsLookalikeParams(t *testing.T) {
 	}
 	for i, tc := range cite.Result.Tuples {
 		if got := tc.Record[format.FieldAuthor]; len(got) != 1 || got[0] != want[i] {
-			t.Errorf("tuple %s: expr %s, authors %v, want [%s]", tc.Tuple, tc.Expr, got, want[i])
+			t.Errorf("tuple %s: expr %s, authors %v, want [%s]", tc.Tuple, tc.Expr(), got, want[i])
 		}
 	}
 	if got := cite.Result.Record[format.FieldAuthor]; len(got) != len(want) {

@@ -4,10 +4,10 @@
 // (PODS 2007): the annotation of an output tuple is the sum (+) over
 // bindings of the product (·) of the annotations of the base tuples used.
 //
-// The citation generator runs annotated evaluation over *materialized view
-// instances*, with view tuples annotated by citation atoms; the resulting
-// polynomial per output tuple is exactly the paper's
-// Σ_B  F_V1(CV1(B1)) · … · F_Vn(CVn(Bn))  (Definitions 2.1 and 2.2).
+// The citation generator runs the same walk (Plan.Derive) over
+// *materialized view instances* and keeps, per output tuple, the paper's
+// Σ_B  F_V1(CV1(B1)) · … · F_Vn(CVn(Bn))  (Definitions 2.1 and 2.2) as a
+// table of citation-atom ids rather than a semiring value.
 //
 // Evaluation is compiled: Compile(inst, q) produces a Plan of q's shape
 // that numbers variables into integer slots, orders atoms once using

@@ -740,34 +740,21 @@ func RunAnnotated[T any](p *Plan, args []value.Value, sr semiring.Semiring[T], a
 // TupleIndex and annotated in first-occurrence order, each binding's
 // product summed (⊕) into its tuple's annotation.
 func RunAnnotatedCtx[T any](ctx context.Context, p *Plan, args []value.Value, sr semiring.Semiring[T], annot func(pred string, t storage.Tuple) T) ([]Annotated[T], error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if p.constant {
-		return []Annotated[T]{{Tuple: p.constRow(args), Annotation: sr.One()}}, nil
-	}
 	var ix TupleIndex
 	var anns []T // anns[i] annotates ix.Tuple(i)
-	st := p.getState()
-	defer p.putState(st)
-	if !p.walk(ctx, st, args, func(st *runState) bool {
+	if err := p.Derive(ctx, args, &ix, func(id int, matched []storage.Tuple) {
 		prod := sr.One()
-		for j := range p.steps {
-			prod = sr.Times(prod, annot(p.steps[j].pred, st.matched[j]))
+		for j, t := range matched {
+			prod = sr.Times(prod, annot(p.steps[j].pred, t))
 		}
-		p.fillHead(st)
-		if id, added := ix.Add(st.headBuf); added {
+		if id == len(anns) {
 			anns = append(anns, prod)
 		} else {
 			anns[id] = sr.Plus(anns[id], prod)
 		}
-		return true
-	}) {
-		// The walk only ever stops after observing a non-nil (and
-		// sticky) ctx.Err().
-		return nil, ctx.Err()
+	}); err != nil {
+		return nil, err
 	}
-	recordEvalStats(trace.SpanFromContext(ctx), p, st.examined, ix.Len(), st.columnarSteps)
 	out := make([]Annotated[T], ix.Len())
 	for i, t := range ix.Tuples() {
 		out[i] = Annotated[T]{Tuple: t, Annotation: anns[i]}
@@ -775,6 +762,48 @@ func RunAnnotatedCtx[T any](ctx context.Context, p *Plan, args []value.Value, sr
 	slices.SortFunc(out, func(a, b Annotated[T]) int { return a.Tuple.Compare(b.Tuple) })
 	return out, nil
 }
+
+// Derive runs the plan under args (Args) and hands fn every satisfying
+// assignment: the id of its head tuple in ix, where a new tuple takes the
+// next id, and the tuple each step matched, in step order (Pred). The
+// matched slice is reused across calls. It is the one consumer annotated
+// evaluation runs on: RunAnnotatedCtx folds a semiring over it, and the
+// citation generator tabulates citation atoms from it. Canceling ctx
+// aborts the walk with ctx.Err(), as RunAnnotatedCtx documents, and a
+// finished walk attaches its work counters to ctx's span
+// (recordEvalStats). A body-less plan derives its one row once, from no
+// matched tuples.
+func (p *Plan) Derive(ctx context.Context, args []value.Value, ix *TupleIndex, fn func(id int, matched []storage.Tuple)) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if p.constant {
+		id, _ := ix.AddOwned(p.constRow(args))
+		fn(id, nil)
+		return nil
+	}
+	st := p.getState()
+	defer p.putState(st)
+	if !p.walk(ctx, st, args, func(st *runState) bool {
+		p.fillHead(st)
+		id, _ := ix.Add(st.headBuf)
+		fn(id, st.matched)
+		return true
+	}) {
+		// The walk only ever stops after observing a non-nil (and
+		// sticky) ctx.Err().
+		return ctx.Err()
+	}
+	recordEvalStats(trace.SpanFromContext(ctx), p, st.examined, ix.Len(), st.columnarSteps)
+	return nil
+}
+
+// Steps returns the number of the plan's join steps: the length of the
+// matched slice Derive hands over.
+func (p *Plan) Steps() int { return len(p.steps) }
+
+// Pred returns the predicate join step i reads.
+func (p *Plan) Pred(i int) string { return p.steps[i].pred }
 
 // recordEvalStats attaches the enumeration's work counters to the
 // current trace span, when one is active: candidate tuples examined

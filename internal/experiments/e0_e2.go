@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/citation"
 	"repro/internal/citeexpr"
 	"repro/internal/cq"
 	"repro/internal/policy"
@@ -30,8 +29,8 @@ func E0PaperExample() (*Table, error) {
 		},
 	}
 	for _, tc := range cite.Result.Tuples {
-		t.AddRow(tc.Tuple.String(), tc.Expr.String(), tc.Selected.String(),
-			fmt.Sprintf("%d", citeexpr.Size(tc.Selected)))
+		t.AddRow(tc.Tuple.String(), tc.Expr().String(), tc.Selected().String(),
+			fmt.Sprintf("%d", citeexpr.Size(tc.Selected())))
 	}
 	return t, nil
 }
@@ -110,7 +109,7 @@ func E2CitationSize() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		minAtoms := citeexpr.Size(citeexpr.Agg{Children: selectedExprs(resMin)})
+		minAtoms := citeexpr.Size(resMin.Expr())
 		p := policy.Default()
 		p.AltR = policy.MaxCoverage
 		gen.SetPolicy(p)
@@ -119,19 +118,10 @@ func E2CitationSize() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		maxAtoms := citeexpr.Size(citeexpr.Agg{Children: selectedExprs(resMax)})
+		maxAtoms := citeexpr.Size(resMax.Expr())
 		t.AddRow(fmt.Sprintf("%d", families),
 			fmt.Sprintf("%d", minAtoms), fmt.Sprintf("%d", resMin.Record.Size()),
 			fmt.Sprintf("%d", maxAtoms), fmt.Sprintf("%d", resMax.Record.Size()))
 	}
 	return t, nil
-}
-
-// selectedExprs gathers the +R-selected expression of every answer tuple.
-func selectedExprs(res *citation.Result) []citeexpr.Expr {
-	out := make([]citeexpr.Expr, 0, len(res.Tuples))
-	for _, tc := range res.Tuples {
-		out = append(out, tc.Selected)
-	}
-	return out
 }

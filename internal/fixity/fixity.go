@@ -226,9 +226,14 @@ type PinnedCitation struct {
 
 // String renders the pin for embedding in a human-readable citation:
 // query=<quoted text> version=<n> retrieved=<RFC 3339 UTC> sha256=<hex>.
-// It appends every part into one buffer.
+// It appends every part into one buffer (AppendString).
 func (p PinnedCitation) String() string {
-	b := make([]byte, 0, len(p.QueryText)+len(p.Digest)+64)
+	return string(p.AppendString(make([]byte, 0, len(p.QueryText)+len(p.Digest)+64)))
+}
+
+// AppendString appends the pin's String rendering to b and returns the
+// extended buffer.
+func (p PinnedCitation) AppendString(b []byte) []byte {
 	b = append(b, "query="...)
 	b = strconv.AppendQuote(b, p.QueryText)
 	b = append(b, " version="...)
@@ -236,8 +241,7 @@ func (p PinnedCitation) String() string {
 	b = append(b, " retrieved="...)
 	b = p.Timestamp.UTC().AppendFormat(b, time.RFC3339)
 	b = append(b, " sha256="...)
-	b = append(b, p.Digest...)
-	return string(b)
+	return append(b, p.Digest...)
 }
 
 // Execute runs q against the given version and returns the result with a

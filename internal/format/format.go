@@ -9,9 +9,11 @@
 package format
 
 import (
+	"cmp"
 	"encoding/json"
 	"encoding/xml"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -80,12 +82,17 @@ func (r Record) Clone() Record {
 // r-first order). Merge is commutative up to value order and idempotent.
 func (r Record) Merge(o Record) Record {
 	out := r.Clone()
+	out.AddAll(o)
+	return out
+}
+
+// AddAll unions o into r in place: Add of each of o's values, in order.
+func (r Record) AddAll(o Record) {
 	for f, vs := range o {
 		for _, v := range vs {
-			out.Add(f, v)
+			r.Add(f, v)
 		}
 	}
-	return out
 }
 
 // Intersect keeps only (field, value) pairs present in both records — the
@@ -151,28 +158,36 @@ func normalize(r Record) map[string][]string {
 }
 
 // Fields returns the record's field names in canonical rendering order.
-func (r Record) Fields() []string {
-	fields := make([]string, 0, len(r))
-	for f := range r {
-		if len(r[f]) > 0 {
-			fields = append(fields, f)
+func (r Record) Fields() []string { return r.appendFields(make([]string, 0, len(r))) }
+
+// appendFields appends the record's non-empty field names to dst, sorted
+// in canonical rendering order, and returns the extended slice.
+func (r Record) appendFields(dst []string) []string {
+	start := len(dst)
+	for f, vs := range r {
+		if len(vs) > 0 {
+			dst = append(dst, f)
 		}
 	}
-	sort.Slice(fields, func(i, j int) bool {
-		oi, iok := fieldOrder[fields[i]]
-		oj, jok := fieldOrder[fields[j]]
-		switch {
-		case iok && jok:
-			return oi < oj
-		case iok:
-			return true
-		case jok:
-			return false
-		default:
-			return fields[i] < fields[j]
-		}
-	})
-	return fields
+	slices.SortFunc(dst[start:], compareFields)
+	return dst
+}
+
+// compareFields orders field names for rendering: the known fields in
+// fieldOrder, then the rest by name.
+func compareFields(a, b string) int {
+	oa, aok := fieldOrder[a]
+	ob, bok := fieldOrder[b]
+	switch {
+	case aok && bok:
+		return cmp.Compare(oa, ob)
+	case aok:
+		return -1
+	case bok:
+		return 1
+	default:
+		return strings.Compare(a, b)
+	}
 }
 
 // Text renders a human-readable one-line citation in the conventional
@@ -182,25 +197,49 @@ const etAlThreshold = 3
 
 // Text renders the record as human-readable text.
 func Text(r Record) string {
-	var parts []string
-	for _, f := range r.Fields() {
-		vs := r[f]
+	var b [256]byte
+	return string(AppendText(b[:0], r))
+}
+
+// AppendText appends r's Text rendering to dst and returns the extended
+// buffer: the fields in Fields order, each its values joined, the parts
+// joined by ". " and closed by ".".
+func AppendText(dst []byte, r Record) []byte {
+	var fb [8]string
+	for i, f := range r.appendFields(fb[:0]) {
+		if i > 0 {
+			dst = append(dst, ". "...)
+		}
+		vs, sep := r[f], "; "
 		switch f {
 		case FieldAuthor:
+			sep = ", "
 			if len(vs) > etAlThreshold {
-				parts = append(parts, strings.Join(vs[:etAlThreshold], ", ")+" et al.")
-			} else {
-				parts = append(parts, strings.Join(vs, ", "))
+				dst = appendJoin(dst, vs[:etAlThreshold], sep)
+				dst = append(dst, " et al."...)
+				continue
 			}
 		case FieldVersion:
-			parts = append(parts, "version "+strings.Join(vs, ", "))
+			sep = ", "
+			dst = append(dst, "version "...)
 		case FieldDate:
-			parts = append(parts, "accessed "+strings.Join(vs, ", "))
-		default:
-			parts = append(parts, strings.Join(vs, "; "))
+			sep = ", "
+			dst = append(dst, "accessed "...)
 		}
+		dst = appendJoin(dst, vs, sep)
 	}
-	return strings.Join(parts, ". ") + "."
+	return append(dst, '.')
+}
+
+// appendJoin appends vs joined by sep to dst.
+func appendJoin(dst []byte, vs []string, sep string) []byte {
+	for i, v := range vs {
+		if i > 0 {
+			dst = append(dst, sep...)
+		}
+		dst = append(dst, v...)
+	}
+	return dst
 }
 
 // BibTeX renders the record as a @misc BibTeX entry with the given key.

@@ -2,6 +2,7 @@ package format
 
 import (
 	"encoding/json"
+	"math/rand/v2"
 	"strings"
 	"testing"
 )
@@ -256,5 +257,62 @@ func TestCloneIndependence(t *testing.T) {
 	c.Add(FieldAuthor, "New")
 	if len(a[FieldAuthor]) != 2 {
 		t.Error("Clone shares slices")
+	}
+}
+
+// joinText is the strings.Join renderer Text replaced: each field's
+// values joined per its decoration, the parts joined by ". ".
+func joinText(r Record) string {
+	var parts []string
+	for _, f := range r.Fields() {
+		vs := r[f]
+		switch f {
+		case FieldAuthor:
+			if len(vs) > etAlThreshold {
+				parts = append(parts, strings.Join(vs[:etAlThreshold], ", ")+" et al.")
+			} else {
+				parts = append(parts, strings.Join(vs, ", "))
+			}
+		case FieldVersion:
+			parts = append(parts, "version "+strings.Join(vs, ", "))
+		case FieldDate:
+			parts = append(parts, "accessed "+strings.Join(vs, ", "))
+		default:
+			parts = append(parts, strings.Join(vs, "; "))
+		}
+	}
+	return strings.Join(parts, ". ") + "."
+}
+
+// TestAppendTextMatchesJoin: Text and AppendText render random records
+// byte for byte as the strings.Join renderer — records with every known
+// field, unknown fields (which sort by name), author lists on both sides
+// of etAlThreshold, empty value lists, and values holding quotes,
+// separators, non-ASCII runes and control characters — and AppendText
+// keeps what dst held.
+func TestAppendTextMatchesJoin(t *testing.T) {
+	rng := rand.New(rand.NewPCG(31, 2017))
+	fields := []string{FieldAuthor, FieldTitle, FieldDatabase, FieldIdentifier, FieldVersion, FieldDate, FieldURL, FieldNote,
+		"zeta", "alpha", "Keyword", "", "a.b"}
+	values := []string{"", "Alice", "Bob Jones", `it's "quoted"`, "a, b; c.", "ünïcödé — 日本語", "tab\tnew\nline\x00nul", " ", "11", "2026-01-15T00:00:00Z"}
+	for i := range 2000 {
+		r := Record{}
+		for range rng.IntN(8) {
+			f := fields[rng.IntN(len(fields))]
+			if rng.IntN(6) == 0 {
+				r[f] = nil // an empty list is no field
+				continue
+			}
+			for range 1 + rng.IntN(5) {
+				r.Add(f, values[rng.IntN(len(values))])
+			}
+		}
+		want := joinText(r)
+		if got := Text(r); got != want {
+			t.Fatalf("record %d %q: Text\n%q\nwant\n%q", i, r, got, want)
+		}
+		if got := string(AppendText([]byte("prefix "), r)); got != "prefix "+want {
+			t.Fatalf("record %d %q: AppendText\n%q\nwant\n%q", i, r, got, "prefix "+want)
+		}
 	}
 }

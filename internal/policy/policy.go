@@ -3,8 +3,9 @@
 // and `Agg` "are policies to be specified by the database owner" (§2). The
 // package provides the interpretations the paper proposes — union and join
 // for `·`, `+` and `Agg`; union or minimum-estimated-size for `+R` — and
-// applies them to citeexpr trees, resolving citation atoms to records via a
-// caller-supplied Resolver.
+// applies them to citations in flat form (EvalRun, over the atom ids of
+// package citation's branch tables) and to citeexpr trees (Eval, resolving
+// citation atoms to records via a caller-supplied Resolver).
 package policy
 
 import (
@@ -97,45 +98,40 @@ func (p Policy) String() string {
 // applying the citation function).
 type Resolver func(citeexpr.Atom) (format.Record, error)
 
-// SelectBranch applies the +R selection to the children of an AltR node,
-// returning the chosen sub-expression. With AllBranches it returns an Alt
-// over all children. Size ties break toward the earlier branch, which is
-// deterministic because the citation generator orders rewritings.
-func (p Policy) SelectBranch(children []citeexpr.Expr) citeexpr.Expr {
-	if len(children) == 0 {
-		return citeexpr.Alt{}
+// Pick applies the +R selection to n branches, the i-th of size(i)
+// distinct atoms: the index of the fewest (MinSize) or most
+// (MaxCoverage), ties toward the earlier, which is deterministic because
+// the generator orders rewritings; or -1 under AllBranches.
+func (p Policy) Pick(n int, size func(i int) int) int {
+	if p.AltR == AllBranches || n == 0 {
+		return -1
 	}
-	switch p.AltR {
-	case AllBranches:
-		return citeexpr.Alt{Children: children}
-	case MaxCoverage:
-		best := children[0]
-		bestSize := citeexpr.Size(best)
-		for _, c := range children[1:] {
-			if s := citeexpr.Size(c); s > bestSize {
-				best, bestSize = c, s
-			}
+	best, bestSize := 0, size(0)
+	for i := 1; i < n; i++ {
+		if s := size(i); p.AltR == MaxCoverage && s > bestSize || p.AltR != MaxCoverage && s < bestSize {
+			best, bestSize = i, s
 		}
-		return best
-	default: // MinSize
-		best := children[0]
-		bestSize := citeexpr.Size(best)
-		for _, c := range children[1:] {
-			if s := citeexpr.Size(c); s < bestSize {
-				best, bestSize = c, s
-			}
-		}
-		return best
 	}
+	return best
 }
 
-// combine folds records under a combination function. An empty operand
-// list yields an empty record.
-func combine(mode Combine, records []format.Record) format.Record {
+// SelectBranch applies the +R selection (Pick, by citeexpr.Size) to the
+// children of an AltR node; under AllBranches it returns their Alt.
+func (p Policy) SelectBranch(children []citeexpr.Expr) citeexpr.Expr {
+	if i := p.Pick(len(children), func(i int) int { return citeexpr.Size(children[i]) }); i >= 0 {
+		return children[i]
+	}
+	return citeexpr.Alt{Children: children}
+}
+
+// Fold combines records under c into a fresh record, never one of the
+// operands; an empty operand list yields an empty record. Union adds
+// every operand's values into one new record, in operand order.
+func (c Combine) Fold(records []format.Record) format.Record {
 	if len(records) == 0 {
 		return format.Record{}
 	}
-	switch mode {
+	switch c {
 	case First:
 		return records[0].Clone()
 	case Join:
@@ -145,12 +141,48 @@ func combine(mode Combine, records []format.Record) format.Record {
 		}
 		return out
 	default: // Union
-		out := format.Record{}
+		out := make(format.Record, len(records[0]))
 		for _, r := range records {
-			out = out.Merge(r)
+			out.AddAll(r)
 		}
 		return out
 	}
+}
+
+// NoAtom pads a monomial of a flat citation whose repeated atoms `·`
+// dropped.
+const NoAtom = ^uint32(0)
+
+// EvalRun interprets one tuple's citation under one rewriting in flat
+// form: ids holds its monomials, width atom ids each, distinct as sets,
+// in first-occurrence order; resolve maps an id to its record. It is
+// Eval of the tree the citeexpr semiring builds for the same bindings —
+// an atom alone, else a Joint, per monomial; an Alt over several — which
+// it never builds.
+func (p Policy) EvalRun(ids []uint32, width int, resolve func(id uint32) (format.Record, error)) (format.Record, error) {
+	var mb, ab [4]format.Record
+	monos := mb[:0]
+	for m := 0; m < len(ids); m += width {
+		atoms := ab[:0]
+		for _, id := range ids[m : m+width] {
+			if id != NoAtom {
+				r, err := resolve(id)
+				if err != nil {
+					return nil, err
+				}
+				atoms = append(atoms, r)
+			}
+		}
+		if len(atoms) == 1 {
+			monos = append(monos, atoms[0])
+		} else {
+			monos = append(monos, p.Joint.Fold(atoms))
+		}
+	}
+	if len(monos) == 1 {
+		return monos[0], nil
+	}
+	return p.Alt.Fold(monos), nil
 }
 
 // Eval interprets a citation expression under the policy, resolving atoms
@@ -162,47 +194,31 @@ func (p Policy) Eval(e citeexpr.Expr, resolve Resolver) (format.Record, error) {
 	case citeexpr.Atom:
 		return resolve(n)
 	case citeexpr.Joint:
-		records, err := p.evalAll(n.Children, resolve)
-		if err != nil {
-			return nil, err
-		}
-		return combine(p.Joint, records), nil
+		return p.fold(p.Joint, n.Children, resolve)
 	case citeexpr.Alt:
-		records, err := p.evalAll(n.Children, resolve)
-		if err != nil {
-			return nil, err
-		}
-		return combine(p.Alt, records), nil
+		return p.fold(p.Alt, n.Children, resolve)
 	case citeexpr.AltR:
 		return p.Eval(p.SelectBranch(n.Children), resolve)
 	case citeexpr.Agg:
-		records, err := p.evalAll(n.Children, resolve)
-		if err != nil {
-			return nil, err
-		}
-		return combine(p.Agg, records), nil
+		return p.fold(p.Agg, n.Children, resolve)
 	default:
 		return nil, fmt.Errorf("policy: unknown expression node %T", e)
 	}
 }
 
-// EvalAgg aggregates already-resolved child records under the Agg
-// function. It is Eval of an Agg node whose children the caller has
-// evaluated before — the citation generator resolves every tuple's
-// selected expression for the per-tuple records anyway, so the
-// result-level record reuses them instead of re-resolving each atom.
-func (p Policy) EvalAgg(records []format.Record) format.Record {
-	return combine(p.Agg, records)
-}
+// EvalAgg aggregates per-tuple records under the Agg function: Eval of an
+// Agg node whose children the caller evaluated, as the generator does.
+func (p Policy) EvalAgg(records []format.Record) format.Record { return p.Agg.Fold(records) }
 
-func (p Policy) evalAll(children []citeexpr.Expr, resolve Resolver) ([]format.Record, error) {
+// fold evaluates children and combines their records under c.
+func (p Policy) fold(c Combine, children []citeexpr.Expr, resolve Resolver) (format.Record, error) {
 	records := make([]format.Record, 0, len(children))
-	for _, c := range children {
-		r, err := p.Eval(c, resolve)
+	for _, e := range children {
+		r, err := p.Eval(e, resolve)
 		if err != nil {
 			return nil, err
 		}
 		records = append(records, r)
 	}
-	return records, nil
+	return c.Fold(records), nil
 }

@@ -280,30 +280,35 @@ func checkViews(views []*cq.Query) error {
 // constants into a result re-sort with it to get the order a fresh
 // Rewrite would give. Each rewriting is rendered once (AppendString),
 // into one buffer, and compared as its span of bytes.
-func SortRewritings(rs []*Rewriting) {
-	if len(rs) < 2 {
+func SortRewritings(rs []*Rewriting) { SortFunc(rs, func(r *Rewriting) *Rewriting { return r }) }
+
+// SortFunc sorts s in SortRewritings' order of the rewriting each
+// element carries (rw), so data kept beside each rewriting moves with
+// it.
+func SortFunc[E any](s []E, rw func(E) *Rewriting) {
+	if len(s) < 2 {
 		return
 	}
 	type rendered struct {
-		rw         *Rewriting
+		e          E
 		start, end int
 	}
 	var bb [512]byte
 	var kb [4]rendered
 	buf, keys := bb[:0], kb[:0]
-	for _, rw := range rs {
+	for _, e := range s {
 		start := len(buf)
-		buf = rw.AppendString(buf)
-		keys = append(keys, rendered{rw, start, len(buf)})
+		buf = rw(e).AppendString(buf)
+		keys = append(keys, rendered{e, start, len(buf)})
 	}
 	slices.SortStableFunc(keys, func(a, b rendered) int {
-		if c := cmp.Compare(len(a.rw.ViewAtoms), len(b.rw.ViewAtoms)); c != 0 {
+		if c := cmp.Compare(len(rw(a.e).ViewAtoms), len(rw(b.e).ViewAtoms)); c != 0 {
 			return c
 		}
 		return bytes.Compare(buf[a.start:a.end], buf[b.start:b.end])
 	})
 	for i, k := range keys {
-		rs[i] = k.rw
+		s[i] = k.e
 	}
 }
 

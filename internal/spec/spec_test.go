@@ -57,7 +57,7 @@ func TestLoadedSystemCites(t *testing.T) {
 		t.Fatalf("tuples %d", len(cite.Result.Tuples))
 	}
 	want := "(CV1(11)·CV3 + CV1(12)·CV3) +R (CV2·CV3)"
-	if got := cite.Result.Tuples[0].Expr.String(); got != want {
+	if got := cite.Result.Tuples[0].Expr().String(); got != want {
 		t.Errorf("expression %q, want %q", got, want)
 	}
 }

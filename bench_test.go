@@ -283,11 +283,12 @@ func BenchmarkE10ConcurrentCite(b *testing.B) {
 }
 
 // BenchmarkE11PlanReuse contrasts compile-per-call annotated evaluation
-// with a warm compiled plan on the gtopdb two-way join — the per-query
-// planning overhead a cold Cite pays once per branch-cache miss (a warm
-// Cite skips planning and evaluation alike), over a frozen snapshot as a
-// cite reads it. cmd/citebench reports the same comparison with an
-// allocs/op column (citebench -only E11).
+// with a warm compiled plan on the gtopdb two-way join — the planning
+// overhead a cite pays when its rewriting's shape has no prepared plan
+// over the snapshot's content yet (every later cite of the shape runs
+// the cached plan), over a frozen snapshot as a cite reads it.
+// cmd/citebench reports the same comparison with an allocs/op column
+// (citebench -only E11).
 func BenchmarkE11PlanReuse(b *testing.B) {
 	cfg := gtopdb.DefaultConfig()
 	cfg.Families = 1000

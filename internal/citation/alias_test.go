@@ -11,11 +11,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
 	"repro/internal/cq"
-	"repro/internal/eval"
 	"repro/internal/format"
 	"repro/internal/policy"
 	"repro/internal/schema"
@@ -50,8 +50,7 @@ func TestIdentityViewShapes(t *testing.T) {
 // TestIdentityViewsLeaveNoCacheEntry: an identity view is read straight
 // from the snapshot, so citing the serving shapes across 10 versions that
 // change Family leaves no view-cache entry, and a lookup at version 1,
-// which the caches no longer retain, runs no fill: it allocates only the
-// span attribute.
+// which the caches no longer retain, runs no fill: it allocates nothing.
 func TestIdentityViewsLeaveNoCacheEntry(t *testing.T) {
 	const families, versions = 200, 10
 	db, vers := familyReleases(t, families, versions)
@@ -73,8 +72,42 @@ func TestIdentityViewsLeaveNoCacheEntry(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if allocs > 1 {
-			t.Errorf("%s at version 1: %v allocations per lookup, want at most 1 (the span attribute)", name, allocs)
+		if allocs != 0 {
+			t.Errorf("%s at version 1: %v allocations per lookup, want 0", name, allocs)
+		}
+	}
+}
+
+// TestUntracedViewLookupAllocatesNothing: an untraced lookup of an
+// identity view at the head allocates nothing — the view's name is boxed
+// into a span attribute only when there is a span — and a traced lookup
+// still names the view in its span.
+func TestUntracedViewLookupAllocatesNothing(t *testing.T) {
+	db, _ := familyReleases(t, 50, 1)
+	g := NewGenerator(servingRegistry(db.Schema()), db)
+	head := g.Head()
+	for _, name := range []string{"FamilyView", "FamilyAll"} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, _, err := g.materializeAt(context.Background(), head, name); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocations per untraced lookup, want 0", name, allocs)
+		}
+		tr := trace.New("cite")
+		if _, _, err := g.materializeAt(trace.NewContext(context.Background(), tr), head, name); err != nil {
+			t.Fatal(err)
+		}
+		tr.Finish()
+		named := 0
+		tr.Root().Visit(func(sp *trace.Span) {
+			if v, _ := sp.Attr("view"); sp.Name() == "views" && v == name {
+				named++
+			}
+		})
+		if named != 1 {
+			t.Errorf("%s: %d views spans name the view, want 1", name, named)
 		}
 	}
 }
@@ -114,55 +147,6 @@ func aliasRegistry(s *schema.Schema) *Registry {
 		})
 	}
 	return reg
-}
-
-// copiesCite cites q over snap as a generator that copies every view
-// would: each rewriting is evaluated over a layeredInstance of
-// Registry.Materialize's copies, and the results pre-fill the branch
-// cache, so the cite itself only unions, selects and resolves. Its result
-// is what the identity views' cite must render as.
-func copiesCite(t *testing.T, reg *Registry, snap *storage.Database, q *cq.Query, pol policy.Policy) *Result {
-	t.Helper()
-	copies := make(eval.Relations)
-	for _, v := range reg.Views() {
-		rel, err := reg.Materialize(snap, v.Query.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		copies[v.Query.Name] = rel.Snapshot()
-	}
-	inst := layeredInstance{views: copies, base: snap}
-	g := NewGenerator(reg, snap)
-	rewritings, prep, _, err := g.rewriteStage(q, g.Method)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rw := range rewritings {
-		bq := rw.AsQuery("rw")
-		plan, err := eval.Compile(inst, bq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := tabulate(context.Background(), plan, eval.Args(nil, bq), prep.params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		deps := reg.BodyDeps(bq)
-		key, _ := branchKey(nil, bq)
-		g.branches.get(genKey{snap.Origin(deps), key}, deps, func() (*branch, error) { return b, nil })
-	}
-	tr := trace.New("cite")
-	res, err := g.CiteContext(trace.NewContext(context.Background(), tr), q, Request{Policy: &pol})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.Finish()
-	tr.Root().Visit(func(sp *trace.Span) {
-		if c, _ := sp.Attr("cache"); sp.Name() == "branch" && c != "hit" {
-			t.Fatalf("%s: the reference evaluated a branch itself instead of reading the copies'", q)
-		}
-	})
-	return res
 }
 
 // randomRows draws up to 40 rows for rel. Only when special is set do
@@ -223,9 +207,10 @@ func rowKeys(rel *storage.Relation) []string {
 // view is the snapshot's base relation itself, a view-cache hit that
 // leaves no entry. It is in answer order exactly when its rows ascend,
 // and the view cache's copy of it lists Registry.Materialize's rows in
-// their order. Every cite through the identity views renders as the cite
-// through Materialize's copies (copiesCite), and one of rows inserted out
-// of order renders its alternatives in answer order.
+// their order. Every cite through the identity views equals the tree path
+// over Materialize's copies (treeCite): its expressions, records and
+// atoms resolved. One of rows inserted out of order renders its
+// alternatives in answer order.
 func TestIdentityViewAliasMatchesMaterialize(t *testing.T) {
 	t.Run("random", func(t *testing.T) {
 		s := aliasSchema()
@@ -348,9 +333,9 @@ func TestIdentityViewAliasMatchesMaterialize(t *testing.T) {
 							t.Fatal(err)
 						}
 						tr.Finish()
-						want := copiesCite(t, reg, snap, q, pol)
-						if got, want := resultText(t, got), resultText(t, want); got != want {
-							t.Fatalf("seed %d, %s, %s, %s: identity views cite\n%s\ncopies cite\n%s", seed, layout, src, pol, got, want)
+						want, _ := treeCite(t, reg, snap, q, pol, false)
+						if got := tableCitation(got); !reflect.DeepEqual(got, want) {
+							t.Fatalf("seed %d, %s, %s, %s: identity views cite\n%+v\ncopies cite\n%+v", seed, layout, src, pol, got, want)
 						}
 						tr.Root().Visit(func(sp *trace.Span) {
 							if _, ok := sp.Attr("resorted"); ok && sp.Name() == "branch" {

@@ -53,7 +53,7 @@ func servingRegistry(s *schema.Schema) *Registry {
 
 // BenchmarkCiteDistinctConstants cites the four cold shapes over a
 // 2,000-family GtoPdb head with a fresh constant per op, so every cite
-// misses the branch and atom caches. Queries are parsed before the
+// misses the atom cache. Queries are parsed before the
 // timer, so an op is the generator's work alone: rewriting, planning,
 // evaluation and policy aggregation. Views and their columnar blocks
 // are warm, and so is the rewriting memo: after the warm-up every
@@ -91,10 +91,10 @@ func BenchmarkCiteDistinctConstants(b *testing.B) {
 
 // BenchmarkCiteUncachedBranch cites E3's query, the name and introduction
 // of every family, over a 1,000-family GtoPdb snapshot with the serving
-// views, emptying the branch cache before each op: every op evaluates
-// both rewritings over the whole answer and combines their tables. Atoms,
-// plans and views stay warm. Every op checks the tuple count and the
-// record against the first cite's.
+// views: every op evaluates both rewritings over the whole answer and
+// combines their tables, as every cite does. Atoms, plans and views stay
+// warm. Every op checks the tuple count and the record against the first
+// cite's.
 func BenchmarkCiteUncachedBranch(b *testing.B) {
 	cfg := gtopdb.DefaultConfig()
 	cfg.Families = 1000
@@ -108,9 +108,6 @@ func BenchmarkCiteUncachedBranch(b *testing.B) {
 	if len(first.Tuples) < 900 {
 		b.Fatalf("%d answer tuples, want about 1,000", len(first.Tuples))
 	}
-	all := func(genKey, []string) bool { return true }
-	none := func(genKey, []string) bool { return false }
-	g.branches.drop(all, none)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -122,7 +119,6 @@ func BenchmarkCiteUncachedBranch(b *testing.B) {
 		if len(res.Tuples) != len(first.Tuples) || !reflect.DeepEqual(res.Record, first.Record) {
 			b.Fatalf("op %d: %d tuples, record %v; want %d, %v", i, len(res.Tuples), res.Record, len(first.Tuples), first.Record)
 		}
-		g.branches.drop(all, none)
 		b.StartTimer()
 	}
 }

@@ -196,11 +196,12 @@ func TestHeadTurnoverSelectivity(t *testing.T) {
 	}
 }
 
-// TestBranchCacheInvalidation pins the branch cache's lifecycle: repeat
-// cites reuse the cached annotated evaluation, a write to a relation the
-// rewriting's body does not read keeps the branch warm, and a body write
-// evicts it so the recomputed citation reflects the new data — byte
-// identical to a cold generator over the same database.
+// TestBranchCacheInvalidation pins that a cite evaluates its rewritings
+// over the data it reads, with no evaluation kept to go stale: a repeat
+// cite and a cite after a write to a relation the rewritings' bodies do
+// not read render as the first, a cite after a body write reflects the
+// new data — byte identical to a cold generator over the same database —
+// and a full flush changes nothing.
 func TestBranchCacheInvalidation(t *testing.T) {
 	g := paperGenerator(t)
 	db := g.Database()
@@ -209,32 +210,17 @@ func TestBranchCacheInvalidation(t *testing.T) {
 		t.Fatalf("warm repeat diverged:\n got %s\nwant %s", got, before)
 	}
 
-	// Committee feeds only V1's citation query — the branch's body reads
-	// (Family, FamilyIntro) are untouched, so every branch survives.
-	base := g.Counters()
+	// Committee feeds only V1's citation query — the rewritings' body
+	// reads (Family, FamilyIntro) are untouched.
 	db.Relation("Committee").MustInsert(value.Int(12), value.String("Dan"))
-	g.Head()
-	c := g.Counters()
-	if c.BranchesEvicted != base.BranchesEvicted {
-		t.Errorf("Committee write evicted %d branches, want 0", c.BranchesEvicted-base.BranchesEvicted)
-	}
-	if c.BranchesKept == base.BranchesKept {
-		t.Error("surviving branches not counted kept")
-	}
 	if got := citeText(t, g, paperQueryText); got != before {
-		t.Errorf("branch-cache-served citation diverged:\n got %s\nwant %s", got, before)
+		t.Errorf("citation after a Committee write diverged:\n got %s\nwant %s", got, before)
 	}
 
-	// A body write evicts the branch, and the recomputation sees the new
-	// family — identical to a generator with no cache history.
+	// After a body write the cite sees the new family — identical to a
+	// generator with no cache history.
 	db.Relation("Family").MustInsert(value.Int(13), value.String("Galanin"), value.String("C3"))
 	db.Relation("FamilyIntro").MustInsert(value.Int(13), value.String("3rd"))
-	base = g.Counters()
-	g.Head()
-	c = g.Counters()
-	if c.BranchesEvicted == base.BranchesEvicted {
-		t.Error("body write evicted no branches")
-	}
 	after := citeText(t, g, paperQueryText)
 	if after == before {
 		t.Error("citation unchanged after body write")
@@ -244,7 +230,7 @@ func TestBranchCacheInvalidation(t *testing.T) {
 		t.Errorf("recomputed citation diverged from cold generator:\n got %s\nwant %s", after, got)
 	}
 
-	// Full flush drops branches too.
+	// A full flush leaves the citation as it was.
 	g.InvalidateCache()
 	if got := citeText(t, g, paperQueryText); got != after {
 		t.Errorf("post-flush citation diverged:\n got %s\nwant %s", got, after)

@@ -5,19 +5,19 @@ import (
 	"sync/atomic"
 )
 
-// genKey keys one cache entry: name is the view name, atom key or
-// rewriting signature, and origin is the origin of the snapshot content
-// the entry read (storage.Database.Origin of its deps). Every snapshot —
-// the head's or a committed version's — that gives the deps the same
-// origin holds the same content for them, so one entry serves them all
-// and never goes stale.
+// genKey keys one cache entry: name is the view name, atom key or plan
+// shape, and origin is the origin of the snapshot content the entry read
+// (storage.Database.Origin of its deps). Every snapshot — the head's or a
+// committed version's — that gives the deps the same origin holds the
+// same content for them, so one entry serves them all and never goes
+// stale.
 type genKey struct {
 	origin uint64
 	name   string
 }
 
 // depCache is the generator's one dependency-tracked cache type; the
-// view, atom and branch caches are its instances (DESIGN.md §3, §7).
+// view, atom and plan caches are its instances (DESIGN.md §3, §7).
 //
 // Fills are singleflight: the first caller of a missing key computes the
 // value, every other caller blocks on the entry's ready channel. A failed

@@ -29,13 +29,13 @@ var ErrNoRewriting = errors.New("citation: query has no rewriting over the regis
 //
 // A Generator is safe for concurrent Cite calls: its caches are
 // singleflight (each view copy is materialized, each citation atom
-// resolved, each rewriting evaluated and each plan compiled exactly once
-// under concurrent demand, later callers block until the value is
-// ready). A cite runs on
-// its caller's goroutine: it evaluates its rewritings in order, each in
-// one walk of its plan. The configuration fields (Method, AllowPartial,
-// CostPruned) must be set before the generator is shared across
-// goroutines; the view registry must likewise be fully populated first.
+// resolved and each plan compiled exactly once under concurrent demand,
+// later callers block until the value is ready). A cite runs on its
+// caller's goroutine: it evaluates its own rewritings in order, each in
+// one walk of its plan, and caches no evaluation. The configuration
+// fields (Method, AllowPartial, CostPruned) must be set before the
+// generator is shared across goroutines; the view registry must likewise
+// be fully populated first.
 type Generator struct {
 	reg *Registry
 	db  *storage.Database
@@ -55,24 +55,22 @@ type Generator struct {
 	// effective when the policy's +R strategy selects a single branch.
 	CostPruned bool
 
-	// The four caches memoize the pipeline's steps under (origin,
-	// name/signature) keys (genKey): views holds frozen view copies
+	// The three caches memoize the pipeline's steps under (origin,
+	// name/shape) keys (genKey): views holds frozen view copies
 	// (viewCopy; deps: Registry.QueryDeps) — an identity view is read
 	// straight from the snapshot and has an entry only for its copy in
 	// answer order — atoms resolved citation records (deps:
-	// Registry.CitationDeps), branches the annotated evaluation of one
-	// rewriting (deps: Registry.BodyDeps), and plans the prepared plan of
-	// one rewriting or citation-query shape (eval.AppendShape; deps: the
+	// Registry.CitationDeps), and plans the prepared plan of one
+	// rewriting or citation-query shape (eval.AppendShape; deps: the
 	// rewriting's BodyDeps or the view's CitationDeps), which every query
 	// of the shape runs with its own constants. Every cite reads a frozen
 	// snapshot, and an entry is keyed by the origin of the content its
 	// deps read there, so it never goes stale and serves every snapshot —
 	// the head's or a committed version's — that shares that content
 	// (DESIGN.md §3, §6, §7).
-	views    *depCache[*storage.Relation]
-	atoms    *depCache[format.Record]
-	branches *depCache[*branch]
-	plans    *depCache[*eval.Plan]
+	views *depCache[*storage.Relation]
+	atoms *depCache[format.Record]
+	plans *depCache[*eval.Plan]
 
 	// verMu guards the live snapshots, whose entries the caches retain.
 	// head is the snapshot head cites read (Head) and headGen the bound
@@ -135,14 +133,13 @@ func NewGenerator(reg *Registry, db *storage.Database) *Generator {
 	}
 	g.views = newDepCache[*storage.Relation](g.keyLive)
 	g.atoms = newDepCache[format.Record](g.keyLive)
-	g.branches = newDepCache[*branch](g.keyLive)
 	g.plans = newDepCache[*eval.Plan](g.keyLive)
 	return g
 }
 
 // caches lists the generator's caches for whole-generator sweeps.
 func (g *Generator) caches() []sweeper {
-	return []sweeper{g.views, g.atoms, g.branches, g.plans}
+	return []sweeper{g.views, g.atoms, g.plans}
 }
 
 // SetPolicy replaces the combination policy.
@@ -166,7 +163,7 @@ func (g *Generator) Registry() *Registry { return g.reg }
 func (g *Generator) Database() *storage.Database { return g.db }
 
 // InvalidateCache drops every materialized view, resolved citation
-// record, branch evaluation and prepared plan, counting the ones the head
+// record and prepared plan, counting the ones the head
 // maps as evicted. No change needs it for correctness — entries are keyed
 // by the content they read — so only cold-cache experiments and tests
 // call it. In-flight fills finish for the callers already holding their
@@ -184,23 +181,20 @@ func (g *Generator) InvalidateCache() {
 // as kept (the new head or a retained version still maps it) or evicted
 // (a relation among its dependencies changed).
 type CacheCounters struct {
-	ViewsKept, ViewsEvicted       int64
-	AtomsKept, AtomsEvicted       int64
-	BranchesKept, BranchesEvicted int64
-	PlansKept, PlansEvicted       int64
+	ViewsKept, ViewsEvicted int64
+	AtomsKept, AtomsEvicted int64
+	PlansKept, PlansEvicted int64
 }
 
 // Counters snapshots the cache-survival counters.
 func (g *Generator) Counters() CacheCounters {
 	return CacheCounters{
-		ViewsKept:       g.views.kept.Load(),
-		ViewsEvicted:    g.views.evicted.Load(),
-		AtomsKept:       g.atoms.kept.Load(),
-		AtomsEvicted:    g.atoms.evicted.Load(),
-		BranchesKept:    g.branches.kept.Load(),
-		BranchesEvicted: g.branches.evicted.Load(),
-		PlansKept:       g.plans.kept.Load(),
-		PlansEvicted:    g.plans.evicted.Load(),
+		ViewsKept:    g.views.kept.Load(),
+		ViewsEvicted: g.views.evicted.Load(),
+		AtomsKept:    g.atoms.kept.Load(),
+		AtomsEvicted: g.atoms.evicted.Load(),
+		PlansKept:    g.plans.kept.Load(),
+		PlansEvicted: g.plans.evicted.Load(),
 	}
 }
 
@@ -295,9 +289,10 @@ func (g *Generator) Cite(q *cq.Query) (*Result, error) {
 // and rewriting method for this call only, and the evaluation polls ctx
 // — between pipeline stages, every few hundred candidate tuples of each
 // join, and per resolved tuple — so canceling ctx aborts with ctx.Err()
-// promptly instead of finishing the enumeration. Every step is cached
-// under the snapshot content it read, so cites race neither writes nor
-// commits nor each other.
+// promptly instead of finishing the enumeration. The cite reads one
+// frozen snapshot, and every cached step is keyed by the snapshot
+// content it read, so cites race neither writes nor commits nor each
+// other.
 func (g *Generator) CiteContext(ctx context.Context, q *cq.Query, req Request) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -562,74 +557,31 @@ func (g *Generator) readSet(rewritings []*rewrite.Rewriting) []string {
 }
 
 // evalBranches evaluates every planned rewriting with citation
-// annotations against the snapshot db, in order, with caching; canceling
-// ctx aborts it with ctx.Err().
+// annotations against the snapshot db, in order; canceling ctx aborts it
+// with ctx.Err(). Every cite evaluates its own rewritings: a branch is
+// cheap to tabulate from a prepared plan, and one kept per distinct
+// query would grow a fixed head's caches with every query cited.
 func (g *Generator) evalBranches(ctx context.Context, evalSet []planned, params map[string][]int, db *storage.Database) ([]*branch, error) {
 	branches := make([]*branch, len(evalSet))
-	var kb [128]byte
 	for i := range evalSet {
-		// Branch cache: a repeated rewriting over unchanged body content
-		// reuses the whole annotated evaluation. Deps are the rewriting's
-		// body reads: the branch holds answers and parameter-built
-		// atoms, both functions of the body relations alone —
-		// citation-query deltas are the atom cache's concern.
-		p := &evalSet[i]
-		origin := db.Origin(p.deps)
-		key, shape := branchKey(kb[:0], &p.q)
-		b, hit, err := g.branches.get(genKey{origin, key}, p.deps,
-			func() (*branch, error) { return g.evalBranch(ctx, i, p, shape, params, db, origin) })
+		b, err := g.evalBranch(ctx, i, &evalSet[i], params, db)
 		if err != nil {
 			return nil, err
-		}
-		if hit {
-			bsp := trace.SpanFromContext(ctx).StartChild("branch")
-			bsp.Set("alt", i)
-			bsp.Set("cache", "hit")
-			bsp.End()
 		}
 		branches[i] = b
 	}
 	return branches, nil
 }
 
-// branchKey returns the branch-cache name of rewriting query q and, as
-// a prefix of it, q's plan shape (eval.AppendShape), built in buf: the
-// shape followed by each constant's exact kind and bits (appendLiteral),
-// in term order. The shape is self-delimiting and fixes the number of
-// constants, so two queries share a name exactly when they have one
-// shape and identical constants: lookalikes that render alike but
-// select different tuples, such as Int(1) and Float(1), get names of
-// their own.
-func branchKey(buf []byte, q *cq.Query) (key, shape string) {
-	buf = eval.AppendShape(buf, q)
-	n := len(buf)
-	for _, t := range q.Head {
-		if !t.IsVar {
-			buf = appendLiteral(buf, t.Const)
-		}
-	}
-	for _, a := range q.Body {
-		for _, t := range a.Terms {
-			if !t.IsVar {
-				buf = appendLiteral(buf, t.Const)
-			}
-		}
-	}
-	key = string(buf)
-	return key, key[:n]
-}
-
-// evalBranch performs one rewriting's annotated evaluation — the cache
-// miss path of evalBranches. One span per alternative rewriting: view
-// lookups, the plan lookup and the enumeration itself nest under it, so
-// a trace shows which alternative cost what. The plan comes from the plan
-// cache, keyed by the rewriting's shape (the prefix of its branch key)
-// and the origin of its body deps (which the branch key shares): a
-// branch miss is most often a new constant of a known shape, so the plan
-// compiled for an earlier query of the shape over the same content is
-// run with the rewriting's constants, and only a plan-cache miss
-// compiles.
-func (g *Generator) evalBranch(ctx context.Context, idx int, p *planned, shape string, params map[string][]int, db *storage.Database, origin uint64) (*branch, error) {
+// evalBranch performs one rewriting's annotated evaluation. One span per
+// alternative rewriting: view lookups, the plan lookup and the
+// enumeration itself nest under it, so a trace shows which alternative
+// cost what. The plan comes from the plan cache, keyed by the
+// rewriting's shape (eval.AppendShape) and the origin of its body deps:
+// the plan compiled for an earlier query of the shape over the same
+// content is run with the rewriting's constants, and only a plan-cache
+// miss compiles.
+func (g *Generator) evalBranch(ctx context.Context, idx int, p *planned, params map[string][]int, db *storage.Database) (*branch, error) {
 	bctx, bsp := trace.StartSpan(ctx, "branch")
 	defer bsp.End()
 	bsp.Set("alt", idx)
@@ -642,6 +594,9 @@ func (g *Generator) evalBranch(ctx context.Context, idx int, p *planned, shape s
 	}
 	var ab [4]value.Value
 	args := eval.Args(ab[:0], &p.q)
+	var sb [128]byte
+	shape := string(eval.AppendShape(sb[:0], &p.q))
+	origin := db.Origin(p.deps)
 	// run tabulates the branch over inst with the plan cached under shape.
 	run := func(shape string) (*branch, error) {
 		psp := trace.SpanFromContext(bctx).StartChild("plan")
@@ -888,7 +843,10 @@ func mapsTo(vers []liveVersion, key genKey, deps []string) bool {
 func (g *Generator) materializeAt(ctx context.Context, db *storage.Database, viewName string) (*storage.Relation, bool, error) {
 	sp := trace.SpanFromContext(ctx).StartChild("views")
 	defer sp.End()
-	sp.Set("view", viewName)
+	if sp != nil {
+		// Boxing the name allocates, even for a nil span.
+		sp.Set("view", viewName)
+	}
 	if rel := g.identityRelation(db, viewName); rel != nil {
 		sp.Set("alias", true)
 		sp.Set("cache", "hit")

@@ -162,17 +162,13 @@ func TestEvictedVersionFillNotRetained(t *testing.T) {
 		t.Fatal(err)
 	}
 	atom := citeexpr.NewAtom("V1", value.Int(11))
-	_, prep, _, err := g.rewriteStage(cq.MustParse(paperQueryText), g.Method)
-	if err != nil {
-		t.Fatal(err)
-	}
 	n := maxVersionGenerations + 1
 	vers := commitHistory(t, g, n, "Family", "Committee", "FamilyIntro")
 	g.Head()
 
-	// fillTwice fills the view, atom and branch caches at ver, repeats the
+	// fillTwice fills the view and atom caches at ver, repeats the
 	// lookups, and reports which of the repeats the cache served.
-	fillTwice := func(ver int) (viewHit, atomHit, branchHit bool) {
+	fillTwice := func(ver int) (viewHit, atomHit bool) {
 		db := vers[ver-1]
 		var st Stats
 		resolve := g.resolverAt(db, &st)
@@ -180,9 +176,6 @@ func TestEvictedVersionFillNotRetained(t *testing.T) {
 			tr := trace.New("fill")
 			ctx := trace.NewContext(context.Background(), tr)
 			if _, _, err := g.materializeAt(ctx, db, "V3"); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := g.evalBranches(ctx, prep.plans[:1], prep.params, db); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := resolve(atom); err != nil {
@@ -193,22 +186,21 @@ func TestEvictedVersionFillNotRetained(t *testing.T) {
 				tr.Root().Visit(func(s *trace.Span) {
 					if v, _ := s.Attr("cache"); v == "hit" {
 						viewHit = viewHit || s.Name() == "views"
-						branchHit = branchHit || s.Name() == "branch"
 					}
 				})
 			}
 		}
-		return viewHit, st.AtomsResolved == 1, branchHit
+		return viewHit, st.AtomsResolved == 1
 	}
 
 	for v := 1; v <= n; v++ {
 		g.touchVersion(v, vers[v-1])
 	}
-	if v, a, b := fillTwice(1); v || a || b {
-		t.Errorf("fill for evicted version 1 was cached: view %v, atom %v, branch %v", v, a, b)
+	if v, a := fillTwice(1); v || a {
+		t.Errorf("fill for evicted version 1 was cached: view %v, atom %v", v, a)
 	}
-	if v, a, b := fillTwice(n); !v || !a || !b {
-		t.Errorf("fill for live version %d not cached: view %v, atom %v, branch %v", n, v, a, b)
+	if v, a := fillTwice(n); !v || !a {
+		t.Errorf("fill for live version %d not cached: view %v, atom %v", n, v, a)
 	}
 }
 

@@ -59,7 +59,7 @@ type stage struct {
 // planned is a rewriting with what evaluating it needs: q, the query its
 // plan runs (the view atoms and residual base atoms as a body, sharing
 // the rewriting's terms), and deps, the base relations that body reads
-// (Registry.BodyDeps), which key its plan and branch entries.
+// (Registry.BodyDeps), which key its plan entry.
 type planned struct {
 	rw   *rewrite.Rewriting
 	q    cq.Query

@@ -20,7 +20,7 @@ import (
 // TestPreparedPlansServeFreshConstants: once one cite has warmed each
 // serving shape, cites with fresh constants compile no plan. Over a
 // 2,000-family snapshot, 400 cites of new families and targets miss the
-// branch and atom caches, yet every plan span of their traces says
+// atom cache, yet every plan span of their traces says
 // cache "hit" and the plan cache takes no fill. Each Result must render,
 // as JSON, byte for byte as a cite of the same query by a fresh
 // generator, whose every plan is compiled from that query.
@@ -191,7 +191,7 @@ func TestPinPlanKeysStayApart(t *testing.T) {
 	for _, rw := range res.Rewritings {
 		q := rw.AsQuery("rw")
 		deps := g.reg.BodyDeps(q)
-		_, shape := branchKey(nil, q)
+		shape := string(eval.AppendShape(nil, q))
 		if _, hit, err := g.plans.get(genKey{snap.Origin(deps), shape}, deps, func() (*eval.Plan, error) {
 			return nil, errors.New("not cached")
 		}); !hit || err != nil {

@@ -238,8 +238,8 @@ func (r *Registry) CitationDeps(view string) []string {
 
 // BodyDeps returns the sorted set of base relations q's body atoms
 // transitively read, folding registered view predicates' dependencies in
-// like QueryDeps. The citation engine keys branch-cache entries (one
-// rewriting's annotated evaluation) on it.
+// like QueryDeps. The citation engine keys a rewriting's prepared plan,
+// and a pin's, on it.
 func (r *Registry) BodyDeps(q *cq.Query) []string {
 	r.mu.RLock()
 	out := make(map[string]bool)

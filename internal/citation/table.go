@@ -14,8 +14,7 @@ import (
 // branch is one rewriting's annotated evaluation in flat form (DESIGN.md
 // §2): per answer tuple, the paper's Σ over bindings of Π over view atoms
 // as a run of monomials, each a set of atom ids. A branch interns its own
-// atoms: it is shared through the branch cache, so its ids must stay
-// valid for later cites.
+// atoms, and belongs to the one cite that evaluated it.
 type branch struct {
 	ix     eval.TupleIndex // the walk's answer tuples, ids in first-derivation order
 	sorted []storage.Tuple // ix's tuples in answer order (Tuple.Compare)

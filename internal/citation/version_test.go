@@ -266,7 +266,7 @@ func benchmarkVersionSweep(b *testing.B, registry func(*schema.Schema) *Registry
 		for v := 1; v <= versions; v++ {
 			for s, shape := range servingShapes {
 				// Constants advance with every cite, so consecutive sweeps
-				// cite different queries and mostly miss the branch cache.
+				// cite different queries.
 				id := 1 + (i*versions*len(servingShapes)+v*len(servingShapes)+s)%families
 				q := cq.MustParse(fmt.Sprintf(shape, id))
 				if _, err := g.CiteContext(context.Background(), q, Request{DB: snaps[v-1], Version: v}); err != nil {

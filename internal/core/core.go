@@ -219,7 +219,7 @@ func (s *System) DefineView(viewSrc string, static format.Record, specs ...Citat
 		return err // unreachable unless the registry is added to directly, bypassing DefineView
 	}
 	// A new view changes which rewritings exist, which the rewriting memo
-	// keys by registry generation; no cached view, atom or branch depends
+	// keys by registry generation; no cached view, atom or plan depends
 	// on another view's definition, so none turns over.
 	s.epoch++
 	s.cfg++

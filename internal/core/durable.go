@@ -502,8 +502,8 @@ func (s *System) SetPolicyNamed(name string) error {
 			return fmt.Errorf("core: journal: %w", err)
 		}
 	}
-	// No generator cache entry depends on the policy: it is applied to
-	// cached branches and atoms on every cite.
+	// No generator cache entry depends on the policy: every cite applies
+	// it to the rewritings it evaluates and the atoms it resolves.
 	s.epoch++
 	s.cfg++
 	s.gen.SetPolicy(p)

@@ -95,7 +95,7 @@ func BenchmarkWalk(b *testing.B) {
 // rewriting, the join of two identity views read as their frozen base
 // relations over a 2,000-family GtoPdb snapshot: compile compiles the
 // rewriting of every query and runs it, as a generator without a plan
-// cache did on each branch miss; bind runs one plan, prepared before the
+// cache did on each cite; bind runs one plan, prepared before the
 // timer, with each query's constants. Every op cites a fresh family and
 // checks that the answer is that family's introduction.
 func BenchmarkPreparedPlan(b *testing.B) {

@@ -288,9 +288,8 @@ func TestDeltaString(t *testing.T) {
 }
 
 // TestApplyInvalidatesBranchCache: the maintainer writes through the
-// system, whose delta invalidation evicts the generator's cached branch
-// evaluations that read the written relation. A repeat cite of the same
-// query after a delta has to see the inserted family.
+// system, so a repeat cite of the same query after a delta reads the new
+// head and has to see the inserted family.
 func TestApplyInvalidatesBranchCache(t *testing.T) {
 	sys, m := testSystem(t, 5)
 	g := sys.Generator()
@@ -311,7 +310,7 @@ func TestApplyInvalidatesBranchCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(res.Tuples) != before+1 {
-		t.Fatalf("post-delta cite has %d tuples, want %d (stale branch cache?)", len(res.Tuples), before+1)
+		t.Fatalf("post-delta cite has %d tuples, want %d (stale head?)", len(res.Tuples), before+1)
 	}
 	found := false
 	for _, tc := range res.Tuples {

@@ -21,12 +21,12 @@ var e11Sizes = []int{100, 1000, 5000}
 // counting semiring, once compiling the plan on every call (what every
 // evaluation paid before plans existed above the per-call interpreter
 // work) and once reusing a warm plan. The citation generator compiles a
-// plan on every branch-cache miss, so the compile/call column is the
-// planning share of a cold cite. Claim (ROADMAP north star + §1 "on-the-fly"
-// generation): the per-call cost of a hot query should be join work, not
-// planning work — warm plans must hold a constant allocation profile as
-// the database grows. Both evaluate a frozen snapshot, the content a cite
-// reads.
+// plan only for the first query of a rewriting's shape over a snapshot's
+// content, so the compile/call column is the planning share of that
+// cite. Claim (ROADMAP north star + §1 "on-the-fly" generation): the
+// per-call cost of a hot query should be join work, not planning work —
+// warm plans must hold a constant allocation profile as the database
+// grows. Both evaluate a frozen snapshot, the content a cite reads.
 func E11PlanReuse() (*Table, error) {
 	t := &Table{
 		ID:    "E11",

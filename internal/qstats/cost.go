@@ -38,11 +38,9 @@ type Costs struct {
 	Pruned         int64 // rewritings pruned before evaluation
 	ColumnarSteps  int64 // join steps served from columnar blocks (§10)
 
-	// Engine-cache traffic, per layer (DESIGN.md §3/§6/§10): view
-	// materializations and branch evaluations served from cache vs
-	// computed.
-	ViewHits, ViewMisses     int64
-	BranchHits, BranchMisses int64
+	// View-cache traffic (DESIGN.md §3): view lookups served from cache
+	// vs materialized.
+	ViewHits, ViewMisses int64
 
 	// Result-cache outcome of the query itself; set per query from the
 	// server's per-result outcome, not from the trace.
@@ -80,11 +78,6 @@ func FromTrace(tr *trace.Trace) Costs {
 			c.EvalNS += d
 		case "branch":
 			c.BranchNS += d
-			if v, _ := s.Attr("cache"); v == "hit" {
-				c.BranchHits++
-			} else {
-				c.BranchMisses++
-			}
 		case "views":
 			c.ViewsNS += d
 			if v, _ := s.Attr("cache"); v == "hit" {
@@ -239,8 +232,6 @@ func (s *Store) ObserveRequest(tr *trace.Trace, outcomes []Outcome) {
 			q.ColumnarSteps = share(c.ColumnarSteps, en, ei)
 			q.ViewHits = share(c.ViewHits, en, ei)
 			q.ViewMisses = share(c.ViewMisses, en, ei)
-			q.BranchHits = share(c.BranchHits, en, ei)
-			q.BranchMisses = share(c.BranchMisses, en, ei)
 		}
 		s.Observe(fp, hash, q)
 	}

@@ -58,10 +58,10 @@ type row struct {
 	calls, errors atomic.Int64
 	wall, admission, cacheNS, parse, rewrite, eval,
 	branch, views, plan, policy, fixity, encode atomic.Int64
-	tuples, outTuples, branches, pruned, columnar  atomic.Int64
-	viewHits, viewMisses, branchHits, branchMisses atomic.Int64
-	resultHits, resultMisses, resultCoalesced      atomic.Int64
-	respBytes                                      atomic.Int64
+	tuples, outTuples, branches, pruned, columnar atomic.Int64
+	viewHits, viewMisses                          atomic.Int64
+	resultHits, resultMisses, resultCoalesced     atomic.Int64
+	respBytes                                     atomic.Int64
 
 	hist *trace.Histogram // per-call wall-time latency
 
@@ -103,8 +103,6 @@ func (r *row) add(constHash uint64, c Costs) {
 	r.columnar.Add(c.ColumnarSteps)
 	r.viewHits.Add(c.ViewHits)
 	r.viewMisses.Add(c.ViewMisses)
-	r.branchHits.Add(c.BranchHits)
-	r.branchMisses.Add(c.BranchMisses)
 	r.resultHits.Add(c.ResultHits)
 	r.resultMisses.Add(c.ResultMisses)
 	r.resultCoalesced.Add(c.ResultCoalesced)
@@ -292,8 +290,6 @@ type RowSnapshot struct {
 	ResultCoalesced int64 `json:"result_cache_coalesced"`
 	ViewHits        int64 `json:"view_cache_hits"`
 	ViewMisses      int64 `json:"view_cache_misses"`
-	BranchHits      int64 `json:"branch_cache_hits"`
-	BranchMisses    int64 `json:"branch_cache_misses"`
 
 	RespBytes int64 `json:"resp_bytes"`
 }
@@ -361,8 +357,6 @@ func (s *Store) Snapshot(sortKey string, limit int) (Stats, []RowSnapshot) {
 			ResultCoalesced: r.resultCoalesced.Load(),
 			ViewHits:        r.viewHits.Load(),
 			ViewMisses:      r.viewMisses.Load(),
-			BranchHits:      r.branchHits.Load(),
-			BranchMisses:    r.branchMisses.Load(),
 			RespBytes:       r.respBytes.Load(),
 		}
 		snap.MeanMS = snap.TotalMS / float64(calls)

@@ -204,7 +204,6 @@ func (m *serverMetrics) render(w *strings.Builder, s *Server) {
 	}{
 		{"view", "View copies", gc.ViewsKept, gc.ViewsEvicted},
 		{"atom", "Atom-cache entries", gc.AtomsKept, gc.AtomsEvicted},
-		{"branch", "Cached branch evaluations", gc.BranchesKept, gc.BranchesEvicted},
 		{"plan", "Prepared plans", gc.PlansKept, gc.PlansEvicted},
 	} {
 		kept, evicted := "citeserved_"+c.name+"_cache_kept_total", "citeserved_"+c.name+"_cache_evicted_total"

@@ -48,7 +48,7 @@ func BenchmarkVersionedCite(b *testing.B) {
 }
 
 // BenchmarkServerCiteDistinct cites a fresh (shape, constant) query per
-// op, so no result, atom or branch cache entry is ever reused and every
+// op, so no result or atom cache entry is ever reused and every
 // request pays the full engine path plus the query-statistics store's
 // first sight of a new text. ServerCite's cold mode re-cites the same
 // four queries, so per-query fixed costs — memory sized for the worst

@@ -311,7 +311,7 @@ func BenchmarkE11PlanReuse(b *testing.B) {
 		args := eval.Args(nil, q)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			eval.RunAnnotated[int](plan, args, sr, count)
+			eval.RunAnnotated[int](plan, db, args, sr, count)
 		}
 	})
 }

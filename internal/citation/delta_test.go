@@ -1,8 +1,8 @@
 package citation
 
 // Tests of the dependency machinery behind content-keyed caching: the
-// registry's transitive read-set computations, Result.Reads, and the
-// selectivity of a head turnover with its kept/evicted accounting.
+// registry's transitive read-set computations, Result.Reads, and which
+// lookups a head turnover makes miss.
 
 import (
 	"reflect"
@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/citeexpr"
 	"repro/internal/cq"
+	"repro/internal/storage"
 	"repro/internal/value"
 )
 
@@ -79,10 +80,10 @@ func TestResultReads(t *testing.T) {
 	}
 }
 
-// headViewCached reports whether the view cache holds a finished,
-// successful materialization of the named view for the head's content.
-func headViewCached(g *Generator, name string) bool {
-	key := genKey{g.Head().Origin(g.reg.QueryDeps(name)), name}
+// viewCachedAt reports whether the view cache holds a finished,
+// successful materialization of the named view for db's content.
+func viewCachedAt(g *Generator, db *storage.Database, name string) bool {
+	key := genKey{db.Origin(g.reg.QueryDeps(name)), name}
 	g.views.mu.Lock()
 	e, ok := g.views.m[key]
 	g.views.mu.Unlock()
@@ -97,6 +98,9 @@ func headViewCached(g *Generator, name string) bool {
 	}
 }
 
+// headViewCached is viewCachedAt for the head's content.
+func headViewCached(g *Generator, name string) bool { return viewCachedAt(g, g.Head(), name) }
+
 // citeText canonicalizes a Result for byte-identity comparison.
 func citeText(t *testing.T, g *Generator, src string) string {
 	t.Helper()
@@ -109,86 +113,90 @@ func citeText(t *testing.T, g *Generator, src string) string {
 
 // TestHeadTurnoverSelectivity pins the generator-level delta rule:
 // when a write turns the head over, exactly the view-copy and atom
-// entries that transitively read a written relation leave; everything
-// else survives and keeps serving citations identical to a cold
-// recomputation. The views have swapped heads, so each is a copy the
-// view cache holds.
+// lookups that transitively read a written relation miss at the new
+// head; everything else hits the entries an earlier head filled and
+// keeps serving citations identical to a cold recomputation. A turnover
+// drops no entry: the first head's copies still serve its snapshot. The
+// views have swapped heads, so each is a copy the view cache holds.
 func TestHeadTurnoverSelectivity(t *testing.T) {
 	g := copyingPaperGenerator(t)
 	db := g.Database()
 	introQuery := "Q(Text) :- FamilyIntro(FID, Text)"
+	// resolved reports whether resolving V1(11), whose citation query
+	// reads Committee, at the head ran a fill.
+	resolved := func() bool {
+		t.Helper()
+		var st Stats
+		if _, err := g.resolverAt(g.Head(), &st)(citeexpr.NewAtom("V1", value.Int(11))); err != nil {
+			t.Fatal(err)
+		}
+		return st.AtomsResolved == 1
+	}
+	views := []string{"V1", "V2", "V3"}
 
 	paperBefore := citeText(t, g, paperQueryText)
 	introBefore := citeText(t, g, introQuery)
-	if !headViewCached(g, "V3") {
-		t.Fatal("V3 not materialized after citing — test assumptions broken")
+	for _, v := range views {
+		if !headViewCached(g, v) {
+			t.Fatalf("%s not materialized after citing — test assumptions broken", v)
+		}
 	}
-	// The min-size policy picks CV2·CV3 (constant citations), so force a
-	// Committee-reading atom entry into the cache explicitly.
-	if _, err := g.resolverAt(g.Head(), nil)(citeexpr.NewAtom("V1", value.Int(11))); err != nil {
-		t.Fatal(err)
+	// The min-size policy picks CV2·CV3 (constant citations), so resolve
+	// a Committee-reading atom explicitly.
+	if !resolved() {
+		t.Fatal("V1(11) resolved without a fill from an empty atom cache")
 	}
-	base := g.Counters()
+	first := g.Head()
 
-	// Committee only feeds V1's citation query: every view copy survives;
-	// only atom-cache entries for V1 go.
+	// Committee only feeds V1's citation query: every view copy serves
+	// the new head; only V1's atoms resolve again.
 	db.Relation("Committee").MustInsert(value.Int(12), value.String("Dan"))
-	g.Head()
-	c := g.Counters()
-	if c.ViewsEvicted != base.ViewsEvicted {
-		t.Errorf("Committee write evicted %d views, want 0", c.ViewsEvicted-base.ViewsEvicted)
+	if g.Head() == first {
+		t.Fatal("a Committee write did not turn the head over")
 	}
-	if c.AtomsEvicted == base.AtomsEvicted {
-		t.Error("Committee write evicted no atom entries, want V1's citations gone")
+	for _, v := range views {
+		if !headViewCached(g, v) {
+			t.Errorf("%s missed after a Committee write it does not read", v)
+		}
 	}
-	if c.ViewsKept == base.ViewsKept {
-		t.Error("surviving views not counted kept")
-	}
-	if !headViewCached(g, "V3") {
-		t.Error("V3 evicted by a Committee write it does not read")
+	if !resolved() {
+		t.Error("V1(11) hit after a Committee write, want it resolved over the new Committee")
 	}
 	if got := citeText(t, g, paperQueryText); got != paperBefore {
-		t.Errorf("survivor-served citation diverged from original:\n got %s\nwant %s", got, paperBefore)
+		t.Errorf("citation served from the surviving entries diverged from the original:\n got %s\nwant %s", got, paperBefore)
 	}
 
-	// Family feeds the V1/V2 bodies; V3 and the intro query survive
-	// untouched.
-	base = g.Counters()
+	// Family feeds the V1/V2 bodies; V3, the V1(11) record and the intro
+	// query still hit.
 	db.Relation("Family").MustInsert(value.Int(13), value.String("Galanin"), value.String("C3"))
-	g.Head()
-	c = g.Counters()
-	if c.ViewsEvicted == base.ViewsEvicted {
-		t.Error("Family write evicted no views, want Family-backed materializations gone")
-	}
 	if !headViewCached(g, "V3") {
-		t.Error("V3 evicted by a Family write it does not read")
+		t.Error("V3 missed after a Family write it does not read")
 	}
 	if headViewCached(g, "V1") || headViewCached(g, "V2") {
-		t.Error("Family-backed materialization survived a Family write")
+		t.Error("a Family-backed copy hit after a Family write")
+	}
+	if resolved() {
+		t.Error("V1(11) resolved again after a Family write it does not read")
 	}
 	if got := citeText(t, g, introQuery); got != introBefore {
 		t.Errorf("intro citation diverged after Family write:\n got %s\nwant %s", got, introBefore)
 	}
 
-	// No write, no turnover: nothing evicted and nothing counted.
-	base = g.Counters()
-	g.Head()
-	if c := g.Counters(); c != base {
-		t.Errorf("Head without a write turned the caches over: %+v, was %+v", c, base)
+	// No write, no turnover: the head's snapshot is reused.
+	if head := g.Head(); g.Head() != head {
+		t.Error("Head without a write took a new snapshot")
 	}
-	if !headViewCached(g, "V3") {
-		t.Error("V3 evicted without a write")
+	// No turnover dropped the first head's entries.
+	for _, v := range views {
+		if !viewCachedAt(g, first, v) {
+			t.Errorf("%s no longer serves the first head's snapshot", v)
+		}
 	}
 
-	// Full flush still works and counts evictions.
-	base = g.Counters()
+	// A full flush empties every cache and counts no eviction.
 	g.InvalidateCache()
-	c = g.Counters()
-	if headViewCached(g, "V3") {
-		t.Error("V3 survived InvalidateCache")
-	}
-	if c.ViewsEvicted == base.ViewsEvicted {
-		t.Error("InvalidateCache counted no view evictions")
+	if c := g.Counters(); c != (CacheCounters{}) {
+		t.Errorf("after InvalidateCache: %+v, want no entries and no evictions", c)
 	}
 	cold := NewGenerator(g.Registry(), db)
 	if got, want := citeText(t, g, paperQueryText), citeText(t, cold, paperQueryText); got != want {

@@ -30,9 +30,11 @@ var ErrNoRewriting = errors.New("citation: query has no rewriting over the regis
 // A Generator is safe for concurrent Cite calls: its caches are
 // singleflight (each view copy is materialized, each citation atom
 // resolved and each plan compiled exactly once under concurrent demand,
-// later callers block until the value is ready). A cite runs on its
-// caller's goroutine: it evaluates its own rewritings in order, each in
-// one walk of its plan, and caches no evaluation. The configuration
+// later callers block until the value is ready), keyed by the snapshot
+// content each entry read, and bounded by entry count, so any number of
+// cited versions costs at most the bounds. A cite runs on its caller's
+// goroutine: it evaluates its own rewritings in order, each in one walk
+// of its plan, and caches no evaluation. The configuration
 // fields (Method, AllowPartial, CostPruned) must be set before the
 // generator is shared across goroutines; the view registry must likewise
 // be fully populated first.
@@ -63,60 +65,37 @@ type Generator struct {
 	// Registry.CitationDeps), and plans the prepared plan of one
 	// rewriting or citation-query shape (eval.AppendShape; deps: the
 	// rewriting's BodyDeps or the view's CitationDeps), which every query
-	// of the shape runs with its own constants. Every cite reads a frozen
-	// snapshot, and an entry is keyed by the origin of the content its
-	// deps read there, so it never goes stale and serves every snapshot —
-	// the head's or a committed version's — that shares that content
-	// (DESIGN.md §3, §6, §7).
+	// of the shape runs with its own constants over its own snapshot.
+	// Every cite reads a frozen snapshot, and an entry is keyed by the
+	// origin of the content its deps read there, so it never goes stale
+	// and serves every snapshot — the head's or a committed version's —
+	// that shares that content. Each cache holds at most its bound of
+	// entries (maxViewEntries, maxAtomEntries, maxPlanEntries) and evicts
+	// by SIEVE past it; no entry holds a snapshot (DESIGN.md §3, §6, §7).
 	views *depCache[*storage.Relation]
 	atoms *depCache[format.Record]
 	plans *depCache[*eval.Plan]
 
-	// verMu guards the live snapshots, whose entries the caches retain.
-	// head is the snapshot head cites read (Head) and headGen the bound
-	// database's MutationGen when it was taken. verUse is the recency
-	// order (least-recently-used first) of the committed versions whose
-	// entries are retained, each with its snapshot. Entries never go
-	// stale — snapshots are immutable — but they hold materialized views,
-	// so retention is bounded: past maxVersionGenerations distinct
-	// versions the coldest leaves verUse, and with it every entry no
-	// remaining version nor the head maps to. This caps memory at
-	// O(maxVersionGenerations × entries per version) no matter how many
-	// versions clients sweep through.
-	verMu   sync.Mutex
+	// headMu guards head, the snapshot head cites read (Head), and
+	// headGen, the bound database's MutationGen when it was taken.
+	headMu  sync.Mutex
 	head    *storage.Database
 	headGen uint64
-	verUse  []liveVersion
 
 	// memo answers the rewriting stage by query shape (memo.go).
 	memo rewriteMemo
 }
-
-// liveVersion is one retained committed version and its snapshot.
-type liveVersion struct {
-	ver int
-	db  *storage.Database
-}
-
-// maxVersionGenerations bounds how many committed versions keep warm
-// caches at once. Serving workloads cite the head plus a handful of
-// recent (or landmark) versions; anything colder re-materializes on
-// demand, unless a retained version shares the content it needs.
-const maxVersionGenerations = 8
 
 // Request carries the per-call parameters of one citation generation.
 // The zero value cites against the head's snapshot (Head) with the
 // generator's default policy and rewriting method — so
 // Cite(q) ≡ CiteContext(ctx, q, Request{}).
 type Request struct {
-	// DB is the frozen snapshot to cite. nil means Head(), and only for a
-	// head request (Version 0); a mutable database is refused.
-	DB *storage.Database
-	// Version is 0 for a head request; v ≥ 1 marks DB as committed
-	// version v and names it in the LRU of retained versions. Either
-	// way, cache entries are keyed by the snapshot content they read, and
+	// DB is the frozen snapshot to cite, the head's or a committed
+	// version's; nil means Head(), and a mutable database is refused.
+	// Cache entries are keyed by the snapshot content they read, and
 	// shared with every snapshot holding the same content.
-	Version int
+	DB *storage.Database
 	// Policy, when non-nil, overrides the generator's default combination
 	// policy for this call only.
 	Policy *policy.Policy
@@ -127,19 +106,12 @@ type Request struct {
 
 // NewGenerator builds a Generator with the paper's default policy.
 func NewGenerator(reg *Registry, db *storage.Database) *Generator {
-	g := &Generator{reg: reg, db: db, pol: policy.Default()}
-	if db != nil && db.Frozen() {
-		g.head = db
+	return &Generator{
+		reg: reg, db: db, pol: policy.Default(),
+		views: newDepCache[*storage.Relation](maxViewEntries),
+		atoms: newDepCache[format.Record](maxAtomEntries),
+		plans: newDepCache[*eval.Plan](maxPlanEntries),
 	}
-	g.views = newDepCache[*storage.Relation](g.keyLive)
-	g.atoms = newDepCache[format.Record](g.keyLive)
-	g.plans = newDepCache[*eval.Plan](g.keyLive)
-	return g
-}
-
-// caches lists the generator's caches for whole-generator sweeps.
-func (g *Generator) caches() []sweeper {
-	return []sweeper{g.views, g.atoms, g.plans}
 }
 
 // SetPolicy replaces the combination policy.
@@ -162,40 +134,31 @@ func (g *Generator) Registry() *Registry { return g.reg }
 // Database returns the generator's database.
 func (g *Generator) Database() *storage.Database { return g.db }
 
-// InvalidateCache drops every materialized view, resolved citation
-// record and prepared plan, counting the ones the head
-// maps as evicted. No change needs it for correctness — entries are keyed
-// by the content they read — so only cold-cache experiments and tests
-// call it. In-flight fills finish for the callers already holding their
+// InvalidateCache empties the view, atom and plan caches, counting no
+// eviction. No change needs it for correctness — entries are keyed by
+// the content they read — so only cold-cache experiments and tests call
+// it. In-flight fills finish for the callers already holding their
 // entries and are re-done on next demand.
 func (g *Generator) InvalidateCache() {
-	g.verMu.Lock()
-	head := g.head
-	g.verMu.Unlock()
-	g.sweep(nil, head)
+	g.views.purge()
+	g.atoms.purge()
+	g.plans.purge()
 }
 
-// CacheCounters is the point-in-time snapshot of the generator's
-// cache-survival counters: per head turnover (Head replacing its
-// snapshot), every entry the old head mapped is accounted exactly once
-// as kept (the new head or a retained version still maps it) or evicted
-// (a relation among its dependencies changed).
-type CacheCounters struct {
-	ViewsKept, ViewsEvicted int64
-	AtomsKept, AtomsEvicted int64
-	PlansKept, PlansEvicted int64
+// CacheCounters is a point-in-time snapshot of the generator's view,
+// atom and plan caches.
+type CacheCounters struct{ Views, Atoms, Plans CacheCount }
+
+// CacheCount is one cache's entries and its evictions at the bound so
+// far.
+type CacheCount struct {
+	Entries int
+	Evicted int64
 }
 
-// Counters snapshots the cache-survival counters.
+// Counters snapshots the caches' entries and evictions.
 func (g *Generator) Counters() CacheCounters {
-	return CacheCounters{
-		ViewsKept:    g.views.kept.Load(),
-		ViewsEvicted: g.views.evicted.Load(),
-		AtomsKept:    g.atoms.kept.Load(),
-		AtomsEvicted: g.atoms.evicted.Load(),
-		PlansKept:    g.plans.kept.Load(),
-		PlansEvicted: g.plans.evicted.Load(),
-	}
+	return CacheCounters{g.views.stats(), g.atoms.stats(), g.plans.stats()}
 }
 
 // TupleCitation is the citation of a single answer tuple: its record
@@ -301,11 +264,11 @@ func (g *Generator) CiteContext(ctx context.Context, q *cq.Query, req Request) (
 		return nil, err
 	}
 	db := req.DB
-	if db == nil && req.Version <= 0 {
+	if db == nil {
 		db = g.Head()
 	}
-	if db == nil || !db.Frozen() {
-		return nil, fmt.Errorf("citation: version %d: target database is not a frozen snapshot", req.Version)
+	if !db.Frozen() {
+		return nil, fmt.Errorf("citation: cite of %s: target database is not a frozen snapshot", q.Name)
 	}
 	pol := g.Policy()
 	if req.Policy != nil {
@@ -315,7 +278,6 @@ func (g *Generator) CiteContext(ctx context.Context, q *cq.Query, req Request) (
 	if req.Method != nil {
 		method = *req.Method
 	}
-	g.touchVersion(req.Version, db)
 	res := &Result{Query: q}
 
 	// Stage: rewriting enumeration. The span records how many candidate
@@ -508,7 +470,8 @@ func (g *Generator) rewriteStage(q *cq.Query, method rewrite.Method) ([]*rewrite
 	e.reads, e.deps = g.readSet(rewritings), g.reg.BodyDeps(q)
 	// The entry keeps the rewriter's results: cites get copies.
 	for _, rw := range rewritings {
-		e.plans = append(e.plans, planned{rw: rw, deps: g.reg.BodyDeps(rw.AsQuery("rw"))})
+		rq := rw.AsQuery("rw")
+		e.plans = append(e.plans, planned{rw: rw, deps: g.reg.BodyDeps(rq), shape: string(eval.AppendShape(nil, rq))})
 	}
 	e.from = slices.Clone(classes)
 	g.memo.store(key, e)
@@ -577,10 +540,10 @@ func (g *Generator) evalBranches(ctx context.Context, evalSet []planned, params 
 // alternative rewriting: view lookups, the plan lookup and the
 // enumeration itself nest under it, so a trace shows which alternative
 // cost what. The plan comes from the plan cache, keyed by the
-// rewriting's shape (eval.AppendShape) and the origin of its body deps:
-// the plan compiled for an earlier query of the shape over the same
-// content is run with the rewriting's constants, and only a plan-cache
-// miss compiles.
+// rewriting's shape (planned.shape) and the origin of its body deps: the
+// plan compiled for an earlier query of the shape over the same content
+// is run over this cite's instance with the rewriting's constants, and
+// only a plan-cache miss compiles.
 func (g *Generator) evalBranch(ctx context.Context, idx int, p *planned, params map[string][]int, db *storage.Database) (*branch, error) {
 	bctx, bsp := trace.StartSpan(ctx, "branch")
 	defer bsp.End()
@@ -594,13 +557,11 @@ func (g *Generator) evalBranch(ctx context.Context, idx int, p *planned, params 
 	}
 	var ab [4]value.Value
 	args := eval.Args(ab[:0], &p.q)
-	var sb [128]byte
-	shape := string(eval.AppendShape(sb[:0], &p.q))
 	origin := db.Origin(p.deps)
-	// run tabulates the branch over inst with the plan cached under shape.
-	run := func(shape string) (*branch, error) {
+	// run tabulates the branch over inst with the plan of p's shape.
+	run := func() (*branch, error) {
 		psp := trace.SpanFromContext(bctx).StartChild("plan")
-		plan, hit, err := g.plans.get(genKey{origin, shape}, p.deps, func() (*eval.Plan, error) { return eval.Compile(inst, &p.q) })
+		plan, hit, err := g.plans.get(genKey{origin, p.shape}, func() (*eval.Plan, error) { return eval.Compile(inst, &p.q) })
 		if hit {
 			psp.Set("cache", "hit")
 		} else {
@@ -611,13 +572,13 @@ func (g *Generator) evalBranch(ctx context.Context, idx int, p *planned, params 
 			bsp.Set("outcome", "compile-error")
 			return nil, err
 		}
-		b, err := tabulate(bctx, plan, args, params)
+		b, err := tabulate(bctx, plan, inst, args, params)
 		if err != nil {
 			bsp.Set("outcome", "eval-error")
 		}
 		return b, err
 	}
-	b, err := run(shape)
+	b, err := run()
 	if err != nil {
 		return nil, err
 	}
@@ -631,10 +592,9 @@ func (g *Generator) evalBranch(ctx context.Context, idx int, p *planned, params 
 	// happened, the result is the one the views in answer order give;
 	// else evaluate again over their copies in answer order, from the
 	// view cache. The cost of an alias thus does not depend on its row
-	// order unless the result does. The plan over the copies reads other
-	// relations than the plan over the aliases, so it is cached under a
-	// key of its own: the shape with the byte 0 appended, which no shape
-	// (a self-delimiting encoding) equals, nor a pin's plan key (Answer).
+	// order unless the result does. A copy holds the tuples its alias
+	// holds, so it has the alias's statistics, and the plan of the shape
+	// runs over the copies as it ran over the aliases.
 	if len(unordered) > 0 && (b.runs != nil || !storage.Ascending(slices.Values(b.sorted))) {
 		bsp.Set("resorted", len(unordered))
 		for _, name := range unordered {
@@ -645,7 +605,7 @@ func (g *Generator) evalBranch(ctx context.Context, idx int, p *planned, params 
 			}
 			inst.views[name] = rel
 		}
-		if b, err = run(shape + "\x00"); err != nil {
+		if b, err = run(); err != nil {
 			return nil, err
 		}
 	}
@@ -673,14 +633,14 @@ func (g *Generator) CiteTuple(q *cq.Query, t storage.Tuple) (*TupleCitation, err
 // held its plan: the re-execution with which a fixity pin digests a
 // cited query's answer at its committed version (core.System,
 // fixity.Store.Pin). The plan is the prepared plan of the query's shape
-// over db's content of the relations the query reads, run with its
-// constants, so only the first query of a shape over that content
-// compiles. Those relations come from the query's rewriting-memo entry,
-// or from Registry.BodyDeps for a Result the caller built. The plan's key
-// is the shape with the byte 1 appended, which no rewriting's plan can
-// take: those run over view instances, under the shape or the shape and
-// a 0, while this one runs over db. Like every entry, it is cached only
-// while a live snapshot — the head's or a retained version's — maps it.
+// over db's content of the relations the query reads, run over db with
+// its constants, so only the first query of a shape over that content,
+// in any snapshot holding it, compiles. Those relations come from the
+// query's rewriting-memo entry, or from Registry.BodyDeps for a Result
+// the caller built. The plan's key is the shape with the byte 1
+// appended, which no shape (a self-delimiting encoding) equals, so no
+// rewriting's plan can take it: those run over view instances, while
+// this one runs over db.
 func (g *Generator) Answer(ctx context.Context, res *Result, db *storage.Database) ([]storage.Tuple, bool, error) {
 	q := res.Query
 	if db == nil || !db.Frozen() {
@@ -693,18 +653,20 @@ func (g *Generator) Answer(ctx context.Context, res *Result, db *storage.Databas
 	if deps == nil {
 		deps = g.reg.BodyDeps(q)
 	}
-	plan, hit, err := g.plans.get(genKey{db.Origin(deps), key}, deps, func() (*eval.Plan, error) { return eval.Compile(db, q) })
+	plan, hit, err := g.plans.get(genKey{db.Origin(deps), key}, func() (*eval.Plan, error) { return eval.Compile(db, q) })
 	if err != nil {
 		return nil, hit, err
 	}
-	tuples, err := plan.EvalContext(ctx, eval.Args(ab[:0], q))
+	tuples, err := plan.EvalContext(ctx, db, eval.Args(ab[:0], q))
 	return tuples, hit, err
 }
 
 // instanceFor fetches the view instances a rewriting references and
 // combines them with db for residual atoms. unordered names those of
-// them that list their view's answer out of order.
-func (g *Generator) instanceFor(ctx context.Context, rw *rewrite.Rewriting, db *storage.Database) (inst layeredInstance, unordered []string, err error) {
+// them that list their view's answer out of order. The instance is a
+// pointer, so each plan run converts it to eval.Instance without an
+// allocation.
+func (g *Generator) instanceFor(ctx context.Context, rw *rewrite.Rewriting, db *storage.Database) (inst *layeredInstance, unordered []string, err error) {
 	rels := make(eval.Relations)
 	for _, va := range rw.ViewAtoms {
 		if _, done := rels[va.ViewName]; done {
@@ -712,14 +674,14 @@ func (g *Generator) instanceFor(ctx context.Context, rw *rewrite.Rewriting, db *
 		}
 		rel, ordered, err := g.materializeAt(ctx, db, va.ViewName)
 		if err != nil {
-			return layeredInstance{}, nil, err
+			return nil, nil, err
 		}
 		rels[va.ViewName] = rel
 		if !ordered {
 			unordered = append(unordered, va.ViewName)
 		}
 	}
-	return layeredInstance{views: rels, base: db}, unordered, nil
+	return &layeredInstance{views: rels, base: db}, unordered, nil
 }
 
 // layeredInstance resolves view predicates from materialized instances and
@@ -739,96 +701,20 @@ func (l layeredInstance) Relation(name string) *storage.Relation {
 // Head returns the frozen snapshot head cites read: the bound database
 // itself when that is frozen, else a snapshot of it, taken on first use
 // and reused while the database's MutationGen is unchanged — so the next
-// cite after any write, journaled or direct, reads it. Replacing the
-// snapshot sweeps the caches: every entry that neither the new head nor
-// a retained version maps leaves them, and every entry the old head
-// mapped is counted as kept or evicted. The head never counts toward
-// maxVersionGenerations. Head must not race writes to the bound
-// database; core.System calls it under its engine lock.
+// cite after any write, journaled or direct, reads it. Head must not
+// race writes to the bound database; core.System calls it under its
+// engine lock.
 func (g *Generator) Head() *storage.Database {
 	if g.db.Frozen() {
 		return g.db
 	}
 	gen := g.db.MutationGen()
-	g.verMu.Lock()
-	old := g.head
-	if old != nil && g.headGen == gen {
-		g.verMu.Unlock()
-		return old
+	g.headMu.Lock()
+	defer g.headMu.Unlock()
+	if g.head == nil || g.headGen != gen {
+		g.head, g.headGen = g.db.Snapshot(), gen
 	}
-	head := g.db.Snapshot()
-	g.head, g.headGen = head, gen
-	live := g.liveLocked()
-	g.verMu.Unlock()
-	if old != nil {
-		g.sweep(live, old)
-	}
-	return head
-}
-
-// touchVersion records a use of committed version ver, whose snapshot is
-// db, and past maxVersionGenerations distinct versions evicts the
-// coldest: every entry that neither the head nor a remaining version
-// maps to leaves every cache, while entries the evicted version shared
-// with a live snapshot stay. In-flight cites of an evicted version keep
-// the entry pointers they already hold (the same orphan semantics as
-// InvalidateCache), their later fills cache nothing unless a live
-// snapshot maps to them (keyLive), and later demand recomputes.
-func (g *Generator) touchVersion(ver int, db *storage.Database) {
-	if ver <= 0 {
-		return
-	}
-	g.verMu.Lock()
-	if i := slices.IndexFunc(g.verUse, func(u liveVersion) bool { return u.ver == ver }); i >= 0 {
-		u := g.verUse[i]
-		g.verUse = append(slices.Delete(g.verUse, i, i+1), u)
-		g.verMu.Unlock()
-		return
-	}
-	g.verUse = append(g.verUse, liveVersion{ver, db})
-	if len(g.verUse) <= maxVersionGenerations {
-		g.verMu.Unlock()
-		return
-	}
-	g.verUse = slices.Delete(g.verUse, 0, 1)
-	live := g.liveLocked()
-	g.verMu.Unlock()
-	g.sweep(live, nil)
-}
-
-// liveLocked lists the live snapshots: the retained versions, then the
-// head when one was taken. Called with verMu held.
-func (g *Generator) liveLocked() []liveVersion {
-	live := slices.Clone(g.verUse)
-	if g.head != nil {
-		live = append(live, liveVersion{0, g.head})
-	}
-	return live
-}
-
-// sweep drops, from every cache, each entry no snapshot in live maps,
-// and counts each entry old maps as kept or evicted (none when old is
-// nil).
-func (g *Generator) sweep(live []liveVersion, old *storage.Database) {
-	stale := func(k genKey, deps []string) bool { return !mapsTo(live, k, deps) }
-	counted := func(k genKey, deps []string) bool { return old != nil && old.Origin(deps) == k.origin }
-	for _, c := range g.caches() {
-		c.drop(stale, counted)
-	}
-}
-
-// keyLive reports whether the head or a retained version maps an entry
-// with deps to key — the admission test for a fill.
-func (g *Generator) keyLive(key genKey, deps []string) bool {
-	g.verMu.Lock()
-	defer g.verMu.Unlock()
-	return g.head != nil && g.head.Origin(deps) == key.origin || mapsTo(g.verUse, key, deps)
-}
-
-// mapsTo reports whether any of the snapshots maps an entry with deps to
-// key.
-func mapsTo(vers []liveVersion, key genKey, deps []string) bool {
-	return slices.ContainsFunc(vers, func(u liveVersion) bool { return u.db.Origin(deps) == key.origin })
+	return g.head
 }
 
 // materializeAt returns the named view's instance over the snapshot db,
@@ -873,7 +759,7 @@ func (g *Generator) materializeAt(ctx context.Context, db *storage.Database, vie
 // through its columnar block.
 func (g *Generator) viewCopy(db *storage.Database, viewName string) (*storage.Relation, bool, error) {
 	deps := g.reg.QueryDeps(viewName)
-	return g.views.get(genKey{db.Origin(deps), viewName}, deps, func() (*storage.Relation, error) {
+	return g.views.get(genKey{db.Origin(deps), viewName}, func() (*storage.Relation, error) {
 		rel, err := g.reg.Materialize(db, viewName)
 		if err != nil {
 			return nil, err
@@ -954,8 +840,8 @@ func (g *Generator) paramPositions(rewritings []*rewrite.Rewriting) (map[string]
 func (g *Generator) resolve(db *storage.Database, view string, params []value.Value, key string, stats *Stats) (format.Record, error) {
 	v, shapes, deps := g.reg.citationView(view)
 	origin := db.Origin(deps)
-	rec, hit, err := g.atoms.get(genKey{origin, key}, deps,
-		func() (format.Record, error) { return g.resolveAtom(db, v, shapes, view, params, deps, origin) })
+	rec, hit, err := g.atoms.get(genKey{origin, key},
+		func() (format.Record, error) { return g.resolveAtom(db, v, shapes, view, params, origin) })
 	if !hit && err == nil && stats != nil {
 		stats.AtomsResolved++
 	}
@@ -964,13 +850,12 @@ func (g *Generator) resolve(db *storage.Database, view string, params []value.Va
 
 // resolveAtom evaluates the citation queries of view v (named view, nil
 // if unknown) with the atom's parameter values bound against the
-// snapshot db, whose content of deps (the view's CitationDeps) has the
-// given origin, and applies the citation function. Each citation query
-// runs the prepared plan of its shape (shapes, from
-// Registry.citationView) from the plan cache with the parameters as
-// arguments: only the first atom of a view over this content compiles,
-// and none substitutes.
-func (g *Generator) resolveAtom(db *storage.Database, v *View, shapes []string, view string, params []value.Value, deps []string, origin uint64) (format.Record, error) {
+// snapshot db, whose content of the view's CitationDeps has the given
+// origin, and applies the citation function. Each citation query runs
+// the prepared plan of its shape (shapes, from Registry.citationView)
+// from the plan cache over db with the parameters as arguments: only the
+// first atom of a view over this content compiles, and none substitutes.
+func (g *Generator) resolveAtom(db *storage.Database, v *View, shapes []string, view string, params []value.Value, origin uint64) (format.Record, error) {
 	if v == nil {
 		return nil, fmt.Errorf("citation: unknown view %s in citation atom", view)
 	}
@@ -985,7 +870,7 @@ func (g *Generator) resolveAtom(db *storage.Database, v *View, shapes []string, 
 	rows := make(map[string][]storage.Tuple, len(v.Citations))
 	var ab [4]value.Value
 	for i, c := range v.Citations {
-		plan, _, err := g.plans.get(genKey{origin, shapes[i]}, deps, func() (*eval.Plan, error) {
+		plan, _, err := g.plans.get(genKey{origin, shapes[i]}, func() (*eval.Plan, error) {
 			sub := make(map[string]cq.Term, len(params))
 			for j, p := range v.Query.Params {
 				sub[p] = cq.Const(params[j])
@@ -995,7 +880,7 @@ func (g *Generator) resolveAtom(db *storage.Database, v *View, shapes []string, 
 		if err != nil {
 			return nil, fmt.Errorf("citation: evaluating citation query %s: %w", c.Query.Name, err)
 		}
-		rows[c.Query.Name] = plan.Eval(citationArgs(ab[:0], c.Query, v.Query.Params, params))
+		rows[c.Query.Name] = plan.Eval(db, citationArgs(ab[:0], c.Query, v.Query.Params, params))
 	}
 	fn := v.Fn
 	if fn == nil {

@@ -58,12 +58,15 @@ type stage struct {
 
 // planned is a rewriting with what evaluating it needs: q, the query its
 // plan runs (the view atoms and residual base atoms as a body, sharing
-// the rewriting's terms), and deps, the base relations that body reads
-// (Registry.BodyDeps), which key its plan entry.
+// the rewriting's terms), deps, the base relations that body reads
+// (Registry.BodyDeps), which key its plan entry with shape, q's
+// eval.AppendShape. A shape masks the constants, so the memo entry
+// renders it once for every cite of the entry's shape.
 type planned struct {
-	rw   *rewrite.Rewriting
-	q    cq.Query
-	deps []string
+	rw    *rewrite.Rewriting
+	q     cq.Query
+	deps  []string
+	shape string
 }
 
 // MemoStats is a point-in-time snapshot of the rewriting memo.
@@ -282,9 +285,9 @@ func appendLenString(buf []byte, s string) []byte {
 }
 
 // copyPlans deep-copies the rewritings of ps through sub, which maps
-// every term, and plans each copy with its deps. The copies and their
-// queries share five backing arrays, each slice capped at its length so
-// an append cannot reach a neighbor, and keep nil slices nil.
+// every term, and plans each copy with its deps and plan key. The copies
+// and their queries share five backing arrays, each slice capped at its
+// length so an append cannot reach a neighbor, and keep nil slices nil.
 func copyPlans(ps []planned, sub func(cq.Term) cq.Term) []planned {
 	nTerms, nAtoms := 0, 0
 	for _, p := range ps {
@@ -330,7 +333,7 @@ func copyPlans(ps []planned, sub func(cq.Term) cq.Term) []planned {
 			}
 			c.BaseAtoms = body[at:len(body):len(body)]
 		}
-		out[i] = planned{c, cq.Query{Name: "rw", Head: c.Head, Body: body[start:len(body):len(body)]}, p.deps}
+		out[i] = planned{c, cq.Query{Name: "rw", Head: c.Head, Body: body[start:len(body):len(body)]}, p.deps, p.shape}
 	}
 	return out
 }

@@ -5,14 +5,16 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"slices"
+	"runtime"
 	"testing"
+	"weak"
 
 	"repro/internal/citeexpr"
 	"repro/internal/cq"
 	"repro/internal/eval"
 	"repro/internal/format"
 	"repro/internal/gtopdb"
+	"repro/internal/storage"
 	"repro/internal/trace"
 	"repro/internal/value"
 )
@@ -35,11 +37,8 @@ func TestPreparedPlansServeFreshConstants(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// A plan-cache miss asks whether a live snapshot maps the new entry;
-	// nothing else does.
-	fills := 0
-	live := g.plans.live
-	g.plans.live = func(k genKey, deps []string) bool { fills++; return live(k, deps) }
+	// A plan-cache fill adds an entry, or evicts one at the bound.
+	before := g.plans.stats()
 
 	var planSpans, planMisses int
 	for i := range cites {
@@ -67,6 +66,8 @@ func TestPreparedPlansServeFreshConstants(t *testing.T) {
 			t.Fatalf("%s: prepared plans cite\n%s\nfresh generator cites\n%s", q, got, want)
 		}
 	}
+	after := g.plans.stats()
+	fills := after.Entries - before.Entries + int(after.Evicted-before.Evicted)
 	if planSpans < cites || planMisses != 0 || fills != 0 {
 		t.Errorf("%d cites opened %d plan spans, %d not a cache hit, and filled the plan cache %d times; want every plan from the cache",
 			cites, planSpans, planMisses, fills)
@@ -115,22 +116,20 @@ func resultJSON(t *testing.T, res *Result) string {
 	return string(b)
 }
 
-// TestPlanEntriesStayInLiveNamespaces: prepared plans leave by the rule
-// every other entry does. Versions 1..9 change only Family, and each is
-// cited once and resolves a V1 atom, so version 1 leaves the LRU of
-// retained versions. Then
-// version 1's branches are evaluated again without touching it: their
-// plans read Family at its content, which no live snapshot maps, so they
-// are compiled but not cached. Every retained plan is the key of a live
-// version: one per rewriting shape and live version over Family, and the
-// citation-query plans over unchanged relations once for all versions.
+// TestPlanEntriesStayInLiveNamespaces: prepared plans stay by the rule
+// every other entry does, by the content they read. Versions 1..9 change
+// only Family, and each is cited once and resolves a V1 atom. Then
+// version 1's branches are evaluated again, and every plan lookup hits:
+// no later version dropped its plans. The cache holds one plan per
+// rewriting shape and version over Family, and the citation-query plans
+// over unchanged relations once for all versions.
 func TestPlanEntriesStayInLiveNamespaces(t *testing.T) {
 	g := paperGenerator(t)
-	n := maxVersionGenerations + 1
+	const n = 9
 	vers := commitHistory(t, g, n, "Family")
 	q := cq.MustParse(paperQueryText)
 	for v := 1; v <= n; v++ {
-		if _, err := g.CiteContext(context.Background(), q, Request{DB: vers[v-1], Version: v}); err != nil {
+		if _, err := g.CiteContext(context.Background(), q, Request{DB: vers[v-1]}); err != nil {
 			t.Fatal(err)
 		}
 		// The min-size policy cites V2·V3, so resolve a V1 atom too.
@@ -142,30 +141,49 @@ func TestPlanEntriesStayInLiveNamespaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.evalBranches(context.Background(), prep.plans, prep.params, vers[0]); err != nil {
-		t.Fatal(err)
-	}
-	g.verMu.Lock()
-	live := slices.Clone(g.verUse)
-	g.verMu.Unlock()
-	var overFamily, other int
-	for k, deps := range cacheEntries(g.plans) {
-		if !mapsTo(live, k, deps) {
-			t.Errorf("plan %q (deps %v, origin %d) is the key of no live version", k.name, deps, k.origin)
+	misses := lookupMisses("plan", func(ctx context.Context) {
+		if _, err := g.evalBranches(ctx, prep.plans, prep.params, vers[0]); err != nil {
+			t.Fatal(err)
 		}
-		if slices.Contains(deps, "Family") {
-			overFamily++
-		} else {
-			other++
+	})
+	if misses != 0 {
+		t.Errorf("version 1's branches missed %d plans after %d later versions", misses, n-1)
+	}
+	// Two rewritings per version; CV1's shape and the one shape of the
+	// constant citation queries CV2 and CV3.
+	if got, want := len(cacheEntries(g.plans)), len(rewritings)*n+2; got != want {
+		t.Errorf("the plan cache holds %d entries, want %d", got, want)
+	}
+}
+
+// TestCachedPlanPinsNoSnapshot: a cached plan binds its relations per
+// run, so it keeps no snapshot alive. A cite of a committed snapshot
+// fills the plan cache; once the snapshot is dropped and the head has
+// moved past its Family, a collection frees that Family relation, while
+// the plans stay cached.
+func TestCachedPlanPinsNoSnapshot(t *testing.T) {
+	g := paperGenerator(t)
+	db := g.Database()
+	q := cq.MustParse(paperQueryText)
+	family, plans := func() (weak.Pointer[storage.Relation], int) {
+		snap := db.Snapshot()
+		if _, err := g.CiteContext(context.Background(), q, Request{DB: snap}); err != nil {
+			t.Fatal(err)
 		}
+		return weak.Make(snap.Relation("Family")), g.Counters().Plans.Entries
+	}()
+	if plans == 0 {
+		t.Fatal("the cite cached no plan")
 	}
-	// Two rewritings per live version; CV1's shape and the one shape of
-	// the constant citation queries CV2 and CV3.
-	if want := len(rewritings) * maxVersionGenerations; overFamily != want {
-		t.Errorf("%d plans read Family, want %d", overFamily, want)
+	db.Relation("Family").MustInsert(value.Int(13), value.String("Galanin"), value.String("C3"))
+	db.Snapshot() // the head's Family stops reusing the cited one
+	runtime.GC()
+	runtime.GC()
+	if family.Value() != nil {
+		t.Error("the dropped snapshot's Family is still reachable")
 	}
-	if other != 2 {
-		t.Errorf("%d plans read no Family, want 2", other)
+	if got := g.Counters().Plans.Entries; got != plans {
+		t.Errorf("the plan cache holds %d entries after the collection, want %d", got, plans)
 	}
 }
 
@@ -192,7 +210,7 @@ func TestPinPlanKeysStayApart(t *testing.T) {
 		q := rw.AsQuery("rw")
 		deps := g.reg.BodyDeps(q)
 		shape := string(eval.AppendShape(nil, q))
-		if _, hit, err := g.plans.get(genKey{snap.Origin(deps), shape}, deps, func() (*eval.Plan, error) {
+		if _, hit, err := g.plans.get(genKey{snap.Origin(deps), shape}, func() (*eval.Plan, error) {
 			return nil, errors.New("not cached")
 		}); !hit || err != nil {
 			t.Fatalf("%s: the rewriting's plan is not cached (hit %v, %v)", q, hit, err)

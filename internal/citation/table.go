@@ -96,12 +96,12 @@ type viewStep struct {
 	pos  []int
 }
 
-// tabulate runs plan under args (eval.Plan.Derive) into a branch. A
-// binding's monomial is the atom of each view step in step order, a
-// repeat dropped (idempotent ·). A tuple's run is its monomials in walk
-// order, a repeat as a set dropped (idempotent +): the First policy
-// reads the first derivation's.
-func tabulate(ctx context.Context, plan *eval.Plan, args []value.Value, params map[string][]int) (*branch, error) {
+// tabulate runs plan over inst under args (eval.Plan.Derive) into a
+// branch. A binding's monomial is the atom of each view step in step
+// order, a repeat dropped (idempotent ·). A tuple's run is its monomials
+// in walk order, a repeat as a set dropped (idempotent +): the First
+// policy reads the first derivation's.
+func tabulate(ctx context.Context, plan *eval.Plan, inst eval.Instance, args []value.Value, params map[string][]int) (*branch, error) {
 	var sb [4]viewStep
 	t := tabulator{b: &branch{}, steps: sb[:0], ids: make(map[string]uint32)}
 	for i := range plan.Steps() {
@@ -111,7 +111,7 @@ func tabulate(ctx context.Context, plan *eval.Plan, args []value.Value, params m
 	}
 	b := t.b
 	b.width = max(1, len(t.steps))
-	if err := plan.Derive(ctx, args, &b.ix, t.add); err != nil {
+	if err := plan.Derive(ctx, inst, args, &b.ix, t.add); err != nil {
 		return nil, err
 	}
 	if t.owner != nil {

@@ -375,11 +375,7 @@ func (s *System) CiteQueryContext(ctx context.Context, q *cq.Query, opts ...Cite
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	req := citation.Request{
-		Version: int(cfg.version),
-		Policy:  cfg.policy,
-		Method:  cfg.method,
-	}
+	req := citation.Request{Policy: cfg.policy, Method: cfg.method}
 	pinAt := cfg.version
 	if cfg.version > 0 {
 		db, err := s.store.At(cfg.version)

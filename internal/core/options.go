@@ -38,10 +38,11 @@ func resolveOptions(opts []CiteOption) citeConfig {
 // records resolved and the fixity pin executed all at v — rather than the
 // mutable head. The result is byte-identical to the citation that was (or
 // would have been) generated while v was the head, and it stays available
-// forever: committed snapshots cannot change, so the engine's
-// versioned caches never invalidate them and a concurrent Commit
-// neither blocks the call nor evicts its cache entries. Citing a version
-// that was never committed fails with ErrUnknownVersion.
+// forever: committed snapshots cannot change, and the engine's caches key
+// every entry by the snapshot content it read, so v shares the entries of
+// every snapshot holding the same content, and a concurrent Commit
+// neither blocks the call nor invalidates them. Citing a version that was
+// never committed fails with ErrUnknownVersion.
 func AtVersion(v fixity.Version) CiteOption {
 	return func(c *citeConfig) { c.version = v }
 }

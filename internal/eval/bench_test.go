@@ -70,11 +70,11 @@ func BenchmarkWalk(b *testing.B) {
 				b.Fatal(err)
 			}
 			args := Args(nil, q)
-			want := p.CountBindings(args) // warm the pooled run state
+			want := p.CountBindings(path.inst, args) // warm the pooled run state
 			b.Run("count", func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if n := p.CountBindings(args); n != want {
+					if n := p.CountBindings(path.inst, args); n != want {
 						b.Fatalf("count = %d, want %d", n, want)
 					}
 				}
@@ -82,7 +82,7 @@ func BenchmarkWalk(b *testing.B) {
 			b.Run("annotated", func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := RunAnnotatedCtx(ctx, p, args, semiring.Natural{}, one); err != nil {
+					if _, err := RunAnnotatedCtx(ctx, p, path.inst, args, semiring.Natural{}, one); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -138,7 +138,7 @@ func BenchmarkPreparedPlan(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			out, err := RunAnnotatedCtx(ctx, p, o.args, semiring.Natural{}, one)
+			out, err := RunAnnotatedCtx(ctx, p, inst, o.args, semiring.Natural{}, one)
 			check(b, o, out, err)
 		}
 	})
@@ -151,7 +151,7 @@ func BenchmarkPreparedPlan(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for _, o := range ops {
-			out, err := RunAnnotatedCtx(ctx, p, o.args, semiring.Natural{}, one)
+			out, err := RunAnnotatedCtx(ctx, p, inst, o.args, semiring.Natural{}, one)
 			check(b, o, out, err)
 		}
 	})

@@ -186,11 +186,11 @@ func TestColumnarCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	args := Args(nil, q)
-	bindings := p.CountBindings(args)
+	bindings := p.CountBindings(snap, args)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	calls := 0
-	_, err = RunAnnotatedCtx(ctx, p, args, semiring.Natural{}, func(string, storage.Tuple) int {
+	_, err = RunAnnotatedCtx(ctx, p, snap, args, semiring.Natural{}, func(string, storage.Tuple) int {
 		calls++
 		cancel()
 		return 1
@@ -231,15 +231,15 @@ func TestColumnarScanAllocsZero(t *testing.T) {
 			t.Fatalf("%s: %v", tc.label, err)
 		}
 		args := Args(nil, q)
-		want := p.CountBindings(args) // warm the pool and the blocks
+		want := p.CountBindings(snap, args) // warm the pool and the blocks
 		if allocs := testing.AllocsPerRun(100, func() {
-			if n := p.CountBindings(args); n != want {
+			if n := p.CountBindings(snap, args); n != want {
 				t.Fatalf("%s: count changed: %d != %d", tc.label, n, want)
 			}
 		}); allocs != 0 {
 			t.Errorf("%s: warm columnar CountBindings allocates %.1f per run, want 0", tc.label, allocs)
 		}
-		if allocs := testing.AllocsPerRun(100, func() { p.HasBinding(args) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(100, func() { p.HasBinding(snap, args) }); allocs != 0 {
 			t.Errorf("%s: warm columnar HasBinding allocates %.1f per run, want 0", tc.label, allocs)
 		}
 	}
@@ -262,7 +262,7 @@ func TestColumnarWalkEncodesReadColumnsOnly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.CountBindings(Args(nil, q)) == 0 {
+		if p.CountBindings(snap, Args(nil, q)) == 0 {
 			t.Fatalf("%s: no bindings", query)
 		}
 		u = storage.ColumnarUsage()
@@ -295,7 +295,7 @@ func TestColumnarSpanAttribute(t *testing.T) {
 
 	tr := trace.New("test")
 	ctx := trace.ContextWithSpan(context.Background(), tr.Root())
-	if _, err := RunAnnotatedCtx(ctx, p, nil, semiring.Bool{},
+	if _, err := RunAnnotatedCtx(ctx, p, snap, nil, semiring.Bool{},
 		func(string, storage.Tuple) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestColumnarSpanAttribute(t *testing.T) {
 	withColumnar(false, func() {
 		tr2 := trace.New("test-row")
 		ctx2 := trace.ContextWithSpan(context.Background(), tr2.Root())
-		if _, err := RunAnnotatedCtx(ctx2, p, nil, semiring.Bool{},
+		if _, err := RunAnnotatedCtx(ctx2, p, snap, nil, semiring.Bool{},
 			func(string, storage.Tuple) bool { return true }); err != nil {
 			t.Fatal(err)
 		}

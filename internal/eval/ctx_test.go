@@ -40,15 +40,15 @@ func TestContextVariantsMatchPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := p.Eval(nil)
-	withCtx, err := p.EvalContext(context.Background(), nil)
+	plain := p.Eval(db, nil)
+	withCtx, err := p.EvalContext(context.Background(), db, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A cancelable-but-never-canceled context takes the polling path.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	polled, err := p.EvalContext(ctx, nil)
+	polled, err := p.EvalContext(ctx, db, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,8 +64,8 @@ func TestContextVariantsMatchPlain(t *testing.T) {
 	}
 
 	annot := func(pred string, tup storage.Tuple) int { return 1 }
-	plainAnn := RunAnnotated[int](p, nil, semiring.Natural{}, annot)
-	polledAnn, err := RunAnnotatedCtx[int](ctx, p, nil, semiring.Natural{}, annot)
+	plainAnn := RunAnnotated[int](p, db, nil, semiring.Natural{}, annot)
+	polledAnn, err := RunAnnotatedCtx[int](ctx, p, db, nil, semiring.Natural{}, annot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,10 +91,10 @@ func TestRunCancellation(t *testing.T) {
 	annot := func(pred string, tup storage.Tuple) int { return 1 }
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // pre-canceled: the run must abort before enumerating
-	if _, err := RunAnnotatedCtx[int](ctx, p, nil, semiring.Natural{}, annot); !errors.Is(err, context.Canceled) {
+	if _, err := RunAnnotatedCtx[int](ctx, p, db, nil, semiring.Natural{}, annot); !errors.Is(err, context.Canceled) {
 		t.Errorf("RunAnnotatedCtx err = %v, want context.Canceled", err)
 	}
-	if _, err := p.EvalContext(ctx, nil); !errors.Is(err, context.Canceled) {
+	if _, err := p.EvalContext(ctx, db, nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("EvalContext err = %v, want context.Canceled", err)
 	}
 	if _, err := EvalContext(ctx, db, q); !errors.Is(err, context.Canceled) {
@@ -143,12 +143,12 @@ func TestCancellationWithoutBindings(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Sanity: the join really is empty.
-		if out := p.Eval(nil); len(out) != 0 {
+		if out := p.Eval(tc.inst, nil); len(out) != 0 {
 			t.Fatalf("columnar=%v: cycle query returned %d tuples over a chain", tc.columnar, len(out))
 		}
 		st := p.getState()
 		calls := 0
-		if p.walk(ctx, st, nil, func(*runState) bool { calls++; return true }) {
+		if p.walk(ctx, st, tc.inst, nil, func(*runState) bool { calls++; return true }) {
 			t.Errorf("columnar=%v: walk completed under a canceled context", tc.columnar)
 		}
 		if calls != 0 {
@@ -162,7 +162,7 @@ func TestCancellationWithoutBindings(t *testing.T) {
 			t.Errorf("columnar=%v: %d steps read a columnar block, want %d", tc.columnar, st.columnarSteps, want)
 		}
 		p.putState(st)
-		if _, err := p.EvalContext(ctx, nil); !errors.Is(err, context.Canceled) {
+		if _, err := p.EvalContext(ctx, tc.inst, nil); !errors.Is(err, context.Canceled) {
 			t.Errorf("columnar=%v: EvalContext err = %v, want context.Canceled", tc.columnar, err)
 		}
 	}

@@ -21,9 +21,10 @@
 // table (see plan.go). Eval, CountBindings, HasBinding and EvalAnnotated
 // are thin compile-and-run wrappers; a caller that evaluates one shape
 // repeatedly compiles it once and runs the Plan with each query's
-// arguments. The citation generator keeps one plan per rewriting and
+// arguments. A Plan holds no relation: each run takes the instance it
+// reads. The citation generator keeps one plan per rewriting and
 // citation-query shape and snapshot content, and binds each cite's
-// constants to it.
+// constants and instance to it.
 package eval
 
 import (
@@ -75,7 +76,7 @@ func Eval(inst Instance, q *cq.Query) ([]storage.Tuple, error) {
 		return nil, err
 	}
 	var ab [maxStackArgs]value.Value
-	return p.Eval(Args(ab[:0], q)), nil
+	return p.Eval(inst, Args(ab[:0], q)), nil
 }
 
 // EvalContext is Eval with cooperative cancellation: the enumeration polls
@@ -87,7 +88,7 @@ func EvalContext(ctx context.Context, inst Instance, q *cq.Query) ([]storage.Tup
 		return nil, err
 	}
 	var ab [maxStackArgs]value.Value
-	return p.EvalContext(ctx, Args(ab[:0], q))
+	return p.EvalContext(ctx, inst, Args(ab[:0], q))
 }
 
 // CountBindings returns the number of satisfying assignments (derivations),
@@ -99,7 +100,7 @@ func CountBindings(inst Instance, q *cq.Query) (int, error) {
 		return 0, err
 	}
 	var ab [maxStackArgs]value.Value
-	return p.CountBindings(Args(ab[:0], q)), nil
+	return p.CountBindings(inst, Args(ab[:0], q)), nil
 }
 
 // HasBinding reports whether q has at least one satisfying assignment,
@@ -111,7 +112,7 @@ func HasBinding(inst Instance, q *cq.Query) (bool, error) {
 		return false, err
 	}
 	var ab [maxStackArgs]value.Value
-	return p.HasBinding(Args(ab[:0], q)), nil
+	return p.HasBinding(inst, Args(ab[:0], q)), nil
 }
 
 // EvalAnnotated evaluates q under the semiring sr. The base annotation of
@@ -124,7 +125,7 @@ func EvalAnnotated[T any](inst Instance, q *cq.Query, sr semiring.Semiring[T], a
 		return nil, err
 	}
 	var ab [maxStackArgs]value.Value
-	return RunAnnotated(p, Args(ab[:0], q), sr, annot), nil
+	return RunAnnotated(p, inst, Args(ab[:0], q), sr, annot), nil
 }
 
 // Materialize evaluates q and loads its distinct answers into a fresh

@@ -34,14 +34,19 @@ import (
 // statistics, never on the constants' values, so a plan is chosen once
 // per shape and statistics and its constants are bound per run.
 //
+// A Plan holds no relation: like its constants, its relations are bound
+// per run. Every run takes the instance it reads, and resolves each
+// step's relation there by predicate once per walk, so a cached plan
+// keeps no snapshot alive. The instance must supply every predicate the
+// plan reads, with the arity it was compiled against; the atom order and
+// probe choices reflect the statistics of the instance Compile read.
+//
 // A Plan is immutable after Compile and safe for concurrent use: each run
 // draws its mutable state (registers, candidate buffers) from an internal
 // pool, so a cached plan serves any number of goroutines and a warm run
-// performs no per-binding allocation, and none per argument. Plans read
-// their relations live — data mutated after compilation is still
-// observed — but the atom order and probe choices reflect compile-time
-// statistics. The citation generator keeps one plan per rewriting and
-// citation-query shape and snapshot content (DESIGN.md §6).
+// performs no per-binding allocation, and none per argument. The
+// citation generator keeps one plan per rewriting and citation-query
+// shape and snapshot content (DESIGN.md §6).
 type Plan struct {
 	constant bool // body-less query: the head is all constants
 	// kinds[i] is the kind of the column argument i is compared against,
@@ -56,11 +61,11 @@ type Plan struct {
 	pool sync.Pool // *runState
 }
 
-// atomStep is one join level: the relation to enumerate, the access path
-// for candidate tuples, and the slot writes/checks to perform per tuple.
+// atomStep is one join level: the predicate whose relation it
+// enumerates, the access path for candidate tuples, and the slot
+// writes/checks to perform per tuple.
 type atomStep struct {
 	pred string
-	rel  *storage.Relation
 
 	// Probe: candidates are the tuples whose probeCol equals
 	// regs[probeSlot]. probeParam marks an argument slot, fixed for the
@@ -103,13 +108,14 @@ const anyKind value.Kind = 255
 // is on everywhere else.
 var columnarEnabled = true
 
-// colRun is the per-run columnar binding of one atom step: the block the
-// step's relation currently serves (nil = row path), the encoded columns
-// its probe and checks compare, the probe argument's dictionary code, and
-// one resolved code per check. Resolved once per walk by bindBlocks,
-// before any candidate is examined, so the candidate loops read flat
-// arrays.
+// colRun is the per-run binding of one atom step: its relation in the
+// run's instance, the block that relation serves (nil = row path), the
+// encoded columns its probe and checks compare, the probe argument's
+// dictionary code, and one resolved code per check. Resolved once per
+// walk by bindBlocks, before any candidate is examined, so the candidate
+// loops read flat arrays.
 type colRun struct {
+	rel   *storage.Relation
 	blk   *storage.ColBlock
 	probe *storage.Column // probe column (nil for a full scan)
 	// checks[k] binds the step's checks[k]: its column (nil for a sameAtom
@@ -117,7 +123,7 @@ type colRun struct {
 	// by bindBlocks, earlier-slot checks per step entry (registers are
 	// fixed for the duration of one entry's candidate loop).
 	checks []colCheckRun
-	// probeCode and dead come last so the struct packs into 48 bytes:
+	// probeCode and dead come last so the struct packs into 56 bytes:
 	// every run state holds one colRun per step.
 	probeCode uint32 // code of the probe argument when probeParam
 	// dead: a probe or check argument does not occur in its column's
@@ -132,16 +138,16 @@ type colCheckRun struct {
 }
 
 // runState is the per-run mutable state drawn from the plan's pool: the
-// register file, the matched tuple per step, one candidate buffer per join
-// depth (reused across iterations, so warm probes allocate nothing), and a
-// reusable head-projection buffer.
+// register file, the matched tuple per step, one candidate buffer per
+// join depth (reused across iterations, so warm probes allocate
+// nothing), and a reusable head-projection buffer.
 type runState struct {
 	regs    []value.Value
 	matched []storage.Tuple
 	cand    [][]storage.Tuple
 	headBuf storage.Tuple
-	// colSteps is the walk's columnar binding, refreshed by bindBlocks at
-	// the start of every run; columnarSteps counts how many steps it
+	// colSteps is the walk's binding of each step, refreshed by bindBlocks
+	// at the start of every run; columnarSteps counts how many steps it
 	// resolved to a block (surfaced as the `columnar` span attribute).
 	colSteps      []colRun
 	columnarSteps int
@@ -245,7 +251,7 @@ func Compile(inst Instance, q *cq.Query) (*Plan, error) {
 	// Slot assignment and access paths.
 	slots := make(map[string]int)
 	for _, ai := range ordered {
-		step := atomStep{pred: ai.atom.Predicate, rel: ai.rel, probeCol: -1}
+		step := atomStep{pred: ai.atom.Predicate, probeCol: -1}
 		// probeable: columns whose value is known before this atom runs
 		// (arguments and slots bound by earlier atoms). Intra-atom repeats
 		// of a fresh variable are NOT probeable — their register is written
@@ -434,27 +440,46 @@ func (p *Plan) initPool() {
 	}
 }
 
-func (p *Plan) getState() *runState  { return p.pool.Get().(*runState) }
-func (p *Plan) putState(s *runState) { p.pool.Put(s) }
+func (p *Plan) getState() *runState { return p.pool.Get().(*runState) }
 
-// bindBlocks resolves each step's columnar binding for one walk: which
-// steps have a current dictionary-encoded block, the block columns the
-// step's probe and code-compared checks read (encoding each on its first
-// read), the dictionary codes of the run's probe and check arguments, and
-// whether an argument's absence from its column's dictionary makes the
-// step (hence the whole conjunction) unsatisfiable. Runs once per walk,
-// after bindArgs; the per-candidate loops then compare uint32 codes
-// instead of value.Values.
-func (p *Plan) bindBlocks(st *runState) {
+// putState returns st to the pool without the relations, blocks,
+// columns and rows the walk read, so a pooled state keeps none alive.
+func (p *Plan) putState(st *runState) {
+	clear(st.matched)
+	for i, c := range st.cand {
+		clear(c[:cap(c)])
+		cs := &st.colSteps[i]
+		cs.rel, cs.blk, cs.probe = nil, nil, nil
+		for k := range cs.checks {
+			cs.checks[k].col = nil
+		}
+	}
+	p.pool.Put(st)
+}
+
+// bindBlocks resolves each step's relation in inst and its columnar
+// binding for one walk: which steps have a current dictionary-encoded
+// block, the block columns the step's probe and code-compared checks read
+// (encoding each on its first read), the dictionary codes of the run's
+// probe and check arguments, and whether an argument's absence from its
+// column's dictionary makes the step (hence the whole conjunction)
+// unsatisfiable. Runs once per walk, after bindArgs; the per-candidate
+// loops then compare uint32 codes instead of value.Values. An instance
+// that lacks a predicate of the plan is a caller bug.
+func (p *Plan) bindBlocks(st *runState, inst Instance) {
 	st.columnarSteps = 0
 	for i := range p.steps {
 		s := &p.steps[i]
+		rel := inst.Relation(s.pred)
+		if rel == nil {
+			panic(fmt.Sprintf("eval: plan reads %s, which the instance does not supply", s.pred))
+		}
 		cs := &st.colSteps[i]
-		cs.blk, cs.probe, cs.dead = nil, nil, false
+		cs.rel, cs.blk, cs.probe, cs.dead = rel, nil, nil, false
 		if !columnarEnabled {
 			continue
 		}
-		blk := s.rel.ColumnarBlock()
+		blk := rel.ColumnarBlock()
 		if blk == nil {
 			continue
 		}
@@ -580,23 +605,22 @@ cand:
 	return true
 }
 
-// walk enumerates every satisfying assignment of the plan under args,
-// calling fn with the run state (register file filled, matched tuples
-// parallel to steps). fn
-// returning false stops the walk; walk reports whether it ran to
-// completion. Every candidate is counted into st.examined, and a
-// cancelable ctx is polled on the examine cadence: a canceled walk
-// returns false, so callers whose fn always returns true read false as
-// "canceled".
+// walk enumerates every satisfying assignment of the plan over inst
+// under args, calling fn with the run state (register file filled,
+// matched tuples parallel to steps). fn returning false stops the walk;
+// walk reports whether it ran to completion. Every candidate is counted
+// into st.examined, and a cancelable ctx is polled on the examine
+// cadence: a canceled walk returns false, so callers whose fn always
+// returns true read false as "canceled".
 //
 // Steps over a frozen relation read its columnar block through the
 // code-compare path (colStep). Steps over a mutable relation, which has no
 // block, run the row path below through the relation's indexes. Over
 // frozen relations with columnarEnabled off, the row path is the oracle
 // the randomized equivalence tests pin the columnar path against.
-func (p *Plan) walk(ctx context.Context, st *runState, args []value.Value, fn func(*runState) bool) bool {
+func (p *Plan) walk(ctx context.Context, st *runState, inst Instance, args []value.Value, fn func(*runState) bool) bool {
 	p.bindArgs(st, args)
-	p.bindBlocks(st)
+	p.bindBlocks(st, inst)
 	st.examined = 0
 	st.cancelable = ctx.Done() != nil
 	var rec func(i int) bool
@@ -607,12 +631,12 @@ func (p *Plan) walk(ctx context.Context, st *runState, args []value.Value, fn fu
 		if st.colSteps[i].blk != nil {
 			return p.colStep(ctx, st, i, rec)
 		}
-		s := &p.steps[i]
+		s, rel := &p.steps[i], st.colSteps[i].rel
 		cands := st.cand[i][:0]
 		if s.probeCol >= 0 {
-			cands = s.rel.AppendLookup(cands, s.probeCol, st.regs[s.probeSlot])
+			cands = rel.AppendLookup(cands, s.probeCol, st.regs[s.probeSlot])
 		} else {
-			cands = s.rel.AppendTuples(cands)
+			cands = rel.AppendTuples(cands)
 		}
 		st.cand[i] = cands
 		for _, t := range cands {
@@ -649,13 +673,15 @@ func (p *Plan) fillHead(st *runState) {
 	}
 }
 
-// Eval runs the plan under args (Args) with set semantics, returning the
-// distinct answer tuples in deterministic (sorted) order. Every run takes
-// the query's arguments; one of the wrong length panics.
-func (p *Plan) Eval(args []value.Value) []storage.Tuple {
+// Eval runs the plan over inst under args (Args) with set semantics,
+// returning the distinct answer tuples in deterministic (sorted) order.
+// Every run takes the query's arguments; one of the wrong length panics.
+// Pass inst as a pointer or a map (*storage.Database, Relations), so the
+// conversion to Instance does not allocate.
+func (p *Plan) Eval(inst Instance, args []value.Value) []storage.Tuple {
 	// Background can never be canceled, so the error is statically nil.
 	//lint:detach context-free public API: a walk under Background is never polled
-	out, _ := p.EvalContext(context.Background(), args)
+	out, _ := p.EvalContext(context.Background(), inst, args)
 	return out
 }
 
@@ -663,7 +689,7 @@ func (p *Plan) Eval(args []value.Value) []storage.Tuple {
 // per candidate tuple at every join depth, and a canceled enumeration
 // aborts with ctx.Err(). A context that can never be canceled
 // (ctx.Done() == nil) is never polled.
-func (p *Plan) EvalContext(ctx context.Context, args []value.Value) ([]storage.Tuple, error) {
+func (p *Plan) EvalContext(ctx context.Context, inst Instance, args []value.Value) ([]storage.Tuple, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -673,7 +699,7 @@ func (p *Plan) EvalContext(ctx context.Context, args []value.Value) ([]storage.T
 	st := p.getState()
 	defer p.putState(st)
 	var ix TupleIndex
-	if !p.walk(ctx, st, args, func(st *runState) bool {
+	if !p.walk(ctx, st, inst, args, func(st *runState) bool {
 		p.fillHead(st)
 		ix.Add(st.headBuf)
 		return true
@@ -686,9 +712,9 @@ func (p *Plan) EvalContext(ctx context.Context, args []value.Value) ([]storage.T
 }
 
 // CountBindings returns the number of satisfying assignments (derivations)
-// under args without materializing bindings — the no-allocation path for
-// read-only consumers.
-func (p *Plan) CountBindings(args []value.Value) int {
+// over inst under args without materializing bindings — the no-allocation
+// path for read-only consumers.
+func (p *Plan) CountBindings(inst Instance, args []value.Value) int {
 	if p.constant {
 		p.checkArgs(args)
 		return 1
@@ -697,13 +723,13 @@ func (p *Plan) CountBindings(args []value.Value) int {
 	st := p.getState()
 	defer p.putState(st)
 	//lint:detach context-free public API: a walk under Background is never polled
-	p.walk(context.Background(), st, args, func(*runState) bool { n++; return true })
+	p.walk(context.Background(), st, inst, args, func(*runState) bool { n++; return true })
 	return n
 }
 
 // HasBinding reports whether at least one satisfying assignment exists
-// under args, stopping at the first.
-func (p *Plan) HasBinding(args []value.Value) bool {
+// over inst under args, stopping at the first.
+func (p *Plan) HasBinding(inst Instance, args []value.Value) bool {
 	if p.constant {
 		p.checkArgs(args)
 		return true
@@ -712,7 +738,7 @@ func (p *Plan) HasBinding(args []value.Value) bool {
 	st := p.getState()
 	defer p.putState(st)
 	//lint:detach context-free public API: a walk under Background is never polled
-	p.walk(context.Background(), st, args, func(*runState) bool { found = true; return false })
+	p.walk(context.Background(), st, inst, args, func(*runState) bool { found = true; return false })
 	return found
 }
 
@@ -720,14 +746,14 @@ func (p *Plan) HasBinding(args []value.Value) bool {
 // Annotated runs. Go methods cannot be generic, so the semiring-annotated
 // entry points are package functions over a *Plan.
 
-// RunAnnotated evaluates the plan under args (Args) and the semiring sr:
-// per output tuple, Σ over bindings of Π over body atoms of
+// RunAnnotated evaluates the plan over inst under args (Args) and the
+// semiring sr: per output tuple, Σ over bindings of Π over body atoms of
 // annot(predicate, matched tuple). Output order is deterministic.
-func RunAnnotated[T any](p *Plan, args []value.Value, sr semiring.Semiring[T], annot func(pred string, t storage.Tuple) T) []Annotated[T] {
+func RunAnnotated[T any](p *Plan, inst Instance, args []value.Value, sr semiring.Semiring[T], annot func(pred string, t storage.Tuple) T) []Annotated[T] {
 	// context.Background can never be canceled, so the walk never polls
 	// it and the error is statically nil.
 	//lint:detach context-free public API: a walk under Background is never polled
-	out, _ := RunAnnotatedCtx(context.Background(), p, args, sr, annot)
+	out, _ := RunAnnotatedCtx(context.Background(), p, inst, args, sr, annot)
 	return out
 }
 
@@ -739,10 +765,10 @@ func RunAnnotated[T any](p *Plan, args []value.Value, sr semiring.Semiring[T], a
 // never polled. Output tuples are deduplicated by the open-addressed
 // TupleIndex and annotated in first-occurrence order, each binding's
 // product summed (⊕) into its tuple's annotation.
-func RunAnnotatedCtx[T any](ctx context.Context, p *Plan, args []value.Value, sr semiring.Semiring[T], annot func(pred string, t storage.Tuple) T) ([]Annotated[T], error) {
+func RunAnnotatedCtx[T any](ctx context.Context, p *Plan, inst Instance, args []value.Value, sr semiring.Semiring[T], annot func(pred string, t storage.Tuple) T) ([]Annotated[T], error) {
 	var ix TupleIndex
 	var anns []T // anns[i] annotates ix.Tuple(i)
-	if err := p.Derive(ctx, args, &ix, func(id int, matched []storage.Tuple) {
+	if err := p.Derive(ctx, inst, args, &ix, func(id int, matched []storage.Tuple) {
 		prod := sr.One()
 		for j, t := range matched {
 			prod = sr.Times(prod, annot(p.steps[j].pred, t))
@@ -763,8 +789,8 @@ func RunAnnotatedCtx[T any](ctx context.Context, p *Plan, args []value.Value, sr
 	return out, nil
 }
 
-// Derive runs the plan under args (Args) and hands fn every satisfying
-// assignment: the id of its head tuple in ix, where a new tuple takes the
+// Derive runs the plan over inst under args (Args) and hands fn every
+// satisfying assignment: the id of its head tuple in ix, where a new tuple takes the
 // next id, and the tuple each step matched, in step order (Pred). The
 // matched slice is reused across calls. It is the one consumer annotated
 // evaluation runs on: RunAnnotatedCtx folds a semiring over it, and the
@@ -773,7 +799,7 @@ func RunAnnotatedCtx[T any](ctx context.Context, p *Plan, args []value.Value, sr
 // finished walk attaches its work counters to ctx's span
 // (recordEvalStats). A body-less plan derives its one row once, from no
 // matched tuples.
-func (p *Plan) Derive(ctx context.Context, args []value.Value, ix *TupleIndex, fn func(id int, matched []storage.Tuple)) error {
+func (p *Plan) Derive(ctx context.Context, inst Instance, args []value.Value, ix *TupleIndex, fn func(id int, matched []storage.Tuple)) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -784,7 +810,7 @@ func (p *Plan) Derive(ctx context.Context, args []value.Value, ix *TupleIndex, f
 	}
 	st := p.getState()
 	defer p.putState(st)
-	if !p.walk(ctx, st, args, func(st *runState) bool {
+	if !p.walk(ctx, st, inst, args, func(st *runState) bool {
 		p.fillHead(st)
 		id, _ := ix.Add(st.headBuf)
 		fn(id, st.matched)

@@ -43,8 +43,11 @@ func TestPlanSlotNumbering(t *testing.T) {
 	}
 }
 
-// TestPlanReuseObservesLiveData verifies a compiled plan reads its
-// relations live: tuples inserted after compilation appear in later runs.
+// TestPlanReuseObservesLiveData verifies a compiled plan reads the
+// instance each run passes: tuples inserted after compilation appear in
+// later runs over the same database, a run over a snapshot taken before
+// the insert reads only the snapshot's rows, and a run over an instance
+// without the plan's predicate panics.
 func TestPlanReuseObservesLiveData(t *testing.T) {
 	db := edgeDB(t, [][2]int64{{1, 2}})
 	q := cq.MustParse("Q(X, Y) :- E(X, Y)")
@@ -52,15 +55,25 @@ func TestPlanReuseObservesLiveData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Eval(nil); len(got) != 1 {
+	if got := p.Eval(db, nil); len(got) != 1 {
 		t.Fatalf("first run: %d tuples", len(got))
 	}
+	before := db.Snapshot()
 	if err := db.Insert("E", value.Int(7), value.Int(8)); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Eval(nil); len(got) != 2 {
+	if got := p.Eval(db, nil); len(got) != 2 {
 		t.Fatalf("after insert: %d tuples, want 2", len(got))
 	}
+	if got := p.Eval(before, nil); len(got) != 1 {
+		t.Fatalf("over the earlier snapshot: %d tuples, want 1", len(got))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a run over an instance without E did not panic")
+		}
+	}()
+	p.Eval(Relations{}, nil)
 }
 
 // TestPlanRunIsAllocationFree pins the tentpole property: a warm plan
@@ -72,13 +85,14 @@ func TestPlanRunIsAllocationFree(t *testing.T) {
 	for i := int64(0); i < 200; i++ {
 		edges = append(edges, [2]int64{i % 20, (i + 1) % 20})
 	}
-	p, err := Compile(edgeDB(t, edges).Snapshot(), cq.MustParse("Q(X, Z) :- E(X, Y), E(Y, Z)"))
+	snap := edgeDB(t, edges).Snapshot()
+	p, err := Compile(snap, cq.MustParse("Q(X, Z) :- E(X, Y), E(Y, Z)"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.CountBindings(nil) // warm the pooled run state and candidate buffers
+	p.CountBindings(snap, nil) // warm the pooled run state and candidate buffers
 	allocs := testing.AllocsPerRun(20, func() {
-		if p.CountBindings(nil) == 0 {
+		if p.CountBindings(snap, nil) == 0 {
 			t.Fatal("no bindings")
 		}
 	})
@@ -97,16 +111,16 @@ func TestPlanConstantQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	args := Args(nil, q)
-	if got := p.Eval(args); len(got) != 1 || got[0].String() != "('k', 5)" {
+	if got := p.Eval(db, args); len(got) != 1 || got[0].String() != "('k', 5)" {
 		t.Fatalf("constant plan: %v", rows(got))
 	}
-	if n := p.CountBindings(args); n != 1 {
+	if n := p.CountBindings(db, args); n != 1 {
 		t.Errorf("constant CountBindings = %d", n)
 	}
-	if !p.HasBinding(args) {
+	if !p.HasBinding(db, args) {
 		t.Error("constant HasBinding = false")
 	}
-	ann := RunAnnotated[int](p, args, semiring.Natural{}, func(string, storage.Tuple) int { return 1 })
+	ann := RunAnnotated[int](p, db, args, semiring.Natural{}, func(string, storage.Tuple) int { return 1 })
 	if len(ann) != 1 || ann[0].Annotation != 1 {
 		t.Fatalf("constant annotated: %v", ann)
 	}

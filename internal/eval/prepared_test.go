@@ -216,7 +216,7 @@ func comparePrepared(t *testing.T, where string, inst Instance, prepared *Plan, 
 	}
 	args := Args(nil, q)
 
-	got, want := prepared.Eval(args), compiled.Eval(args)
+	got, want := prepared.Eval(inst, args), compiled.Eval(inst, args)
 	if g, w := tupleKeys(got), tupleKeys(want); !slices.Equal(g, w) {
 		t.Fatalf("%s: prepared %q, compiled %q", where, g, w)
 	}
@@ -227,10 +227,10 @@ func comparePrepared(t *testing.T, where string, inst Instance, prepared *Plan, 
 	if g, w := sortedKeys(got), sortedKeys(oracle); !slices.Equal(g, w) {
 		t.Fatalf("%s: prepared %q, interpreter %q", where, g, w)
 	}
-	if g, w := prepared.CountBindings(args), compiled.CountBindings(args); g != w {
+	if g, w := prepared.CountBindings(inst, args), compiled.CountBindings(inst, args); g != w {
 		t.Fatalf("%s: prepared counts %d bindings, compiled %d", where, g, w)
 	}
-	if g, w := prepared.HasBinding(args), compiled.HasBinding(args); g != w {
+	if g, w := prepared.HasBinding(inst, args), compiled.HasBinding(inst, args); g != w {
 		t.Fatalf("%s: prepared HasBinding %v, compiled %v", where, g, w)
 	}
 
@@ -254,8 +254,8 @@ func comparePrepared(t *testing.T, where string, inst Instance, prepared *Plan, 
 func comparePreparedAnnotated[T any](t *testing.T, where string, inst Instance, prepared, compiled *Plan, q *cq.Query, sr semiring.Semiring[T], annot func(string, storage.Tuple) T) {
 	t.Helper()
 	args := Args(nil, q)
-	got := RunAnnotated(prepared, args, sr, annot)
-	want := RunAnnotated(compiled, args, sr, annot)
+	got := RunAnnotated(prepared, inst, args, sr, annot)
+	want := RunAnnotated(compiled, inst, args, sr, annot)
 	if len(got) != len(want) {
 		t.Fatalf("%s: prepared annotates %d tuples, compiled %d", where, len(got), len(want))
 	}
@@ -323,7 +323,7 @@ func TestPreparedPlanBindsPerRun(t *testing.T) {
 			{[]value.Value{value.String("h"), value.Int(8), value.Float(4)}, nil},
 			{[]value.Value{value.Int(1), value.Int(7), value.Float(4)}, []string{"('k', 1)"}},
 		} {
-			if got := rows(p.Eval(tc.args)); !slices.Equal(got, tc.want) {
+			if got := rows(p.Eval(inst, tc.args)); !slices.Equal(got, tc.want) {
 				t.Errorf("args %v: got %v, want %v", tc.args, got, tc.want)
 			}
 		}
@@ -331,10 +331,10 @@ func TestPreparedPlanBindsPerRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := tp.CountBindings([]value.Value{value.String(t1.Format(time.RFC3339))}); n == 0 {
+		if n := tp.CountBindings(inst, []value.Value{value.String(t1.Format(time.RFC3339))}); n == 0 {
 			t.Error("a time string argument matched no time value")
 		}
-		if n := tp.CountBindings([]value.Value{value.String("not-a-time")}); n != 0 {
+		if n := tp.CountBindings(inst, []value.Value{value.String("not-a-time")}); n != 0 {
 			t.Errorf("an unparsable time string matched %d rows", n)
 		}
 	}
@@ -343,7 +343,8 @@ func TestPreparedPlanBindsPerRun(t *testing.T) {
 // TestPreparedPlanArgumentCount: a run whose argument vector does not fit
 // the plan is a caller bug, and panics instead of reading stale slots.
 func TestPreparedPlanArgumentCount(t *testing.T) {
-	p, err := Compile(edgeDB(t, nil), cq.MustParse("Q(X) :- E(X, 1)"))
+	db := edgeDB(t, nil)
+	p, err := Compile(db, cq.MustParse("Q(X) :- E(X, 1)"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +353,7 @@ func TestPreparedPlanArgumentCount(t *testing.T) {
 			t.Error("a run without the plan's argument did not panic")
 		}
 	}()
-	p.Eval(nil)
+	p.Eval(db, nil)
 }
 
 // TestAppendShape: queries that differ only in their constants, their
@@ -397,7 +398,7 @@ func TestPreparedPlanConcurrentRuns(t *testing.T) {
 	}
 	want := make([][]string, 4)
 	for a := range want {
-		want[a] = tupleKeys(p.Eval([]value.Value{value.Int(int64(a))}))
+		want[a] = tupleKeys(p.Eval(snap, []value.Value{value.Int(int64(a))}))
 	}
 	var wg sync.WaitGroup
 	for g := range 8 {
@@ -406,7 +407,7 @@ func TestPreparedPlanConcurrentRuns(t *testing.T) {
 			defer wg.Done()
 			for i := range 200 {
 				a := (g + i) % len(want)
-				if got := tupleKeys(p.Eval([]value.Value{value.Int(int64(a))})); !slices.Equal(got, want[a]) {
+				if got := tupleKeys(p.Eval(snap, []value.Value{value.Int(int64(a))})); !slices.Equal(got, want[a]) {
 					t.Errorf("goroutine %d, argument %d: %q, want %q", g, a, got, want[a])
 					return
 				}

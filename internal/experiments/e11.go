@@ -50,7 +50,7 @@ func E11PlanReuse() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		nTuples := len(plan.Eval(args))
+		nTuples := len(plan.Eval(db, args))
 
 		reps := 2000 / (1 + families/100)
 		if reps < 5 {
@@ -64,7 +64,7 @@ func E11PlanReuse() (*Table, error) {
 			return nil, err
 		}
 		warm, err := timePer(reps, func() error {
-			eval.RunAnnotated[int](plan, args, sr, count)
+			eval.RunAnnotated[int](plan, db, args, sr, count)
 			return nil
 		})
 		if err != nil {
@@ -79,7 +79,7 @@ func E11PlanReuse() (*Table, error) {
 			}
 		})
 		warmAllocs := testing.AllocsPerRun(5, func() {
-			eval.RunAnnotated[int](plan, args, sr, count)
+			eval.RunAnnotated[int](plan, db, args, sr, count)
 		})
 
 		t.AddRow(

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/citation"
 	"repro/internal/storage"
 	"repro/internal/trace"
 )
@@ -199,21 +200,20 @@ func (m *serverMetrics) render(w *strings.Builder, s *Server) {
 
 	gc := s.sys.Generator().Counters()
 	for _, c := range []struct {
-		name, what    string
-		kept, evicted int64
+		name, what string
+		count      citation.CacheCount
 	}{
-		{"view", "View copies", gc.ViewsKept, gc.ViewsEvicted},
-		{"atom", "Atom-cache entries", gc.AtomsKept, gc.AtomsEvicted},
-		{"plan", "Prepared plans", gc.PlansKept, gc.PlansEvicted},
+		{"view", "View copies", gc.Views},
+		{"atom", "Atom-cache entries", gc.Atoms},
+		{"plan", "Prepared plans", gc.Plans},
 	} {
-		kept, evicted := "citeserved_"+c.name+"_cache_kept_total", "citeserved_"+c.name+"_cache_evicted_total"
-		counter(kept, c.what+" the old head read that the new head still reads, per head snapshot turnover.")
-		fmt.Fprintf(w, "%s %d\n", kept, c.kept)
-		counter(evicted, c.what+" the old head read that no live snapshot reads, dropped at a head snapshot turnover.")
-		fmt.Fprintf(w, "%s %d\n", evicted, c.evicted)
+		entries, evicted := "citeserved_"+c.name+"_cache_entries", "citeserved_"+c.name+"_cache_evicted_total"
+		gauge(entries, c.what+" the generator holds.")
+		fmt.Fprintf(w, "%s %d\n", entries, c.count.Entries)
+		counter(evicted, c.what+" evicted at the cache's entry bound.")
+		fmt.Fprintf(w, "%s %d\n", evicted, c.count.Evicted)
 	}
-	// The rewriting memo is keyed by view-set generation, not by data, so
-	// it has no kept/evicted counts: hits, misses and live entries.
+	// The rewriting memo: hits, misses and live entries.
 	rm := s.sys.Generator().RewriteMemoStats()
 	counter("citeserved_rewrite_memo_hits_total", "Rewriting stages answered by the shape memo.")
 	fmt.Fprintf(w, "citeserved_rewrite_memo_hits_total %d\n", rm.Hits)

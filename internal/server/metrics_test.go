@@ -338,11 +338,12 @@ func TestStatusRecorderFlush(t *testing.T) {
 	}
 }
 
-// TestPlanCacheMetrics: /metrics exposes the prepared-plan cache's
-// turnover counters beside the other generator caches'. A Family ingest
-// turns the head over: the plans of the paper query's rewritings read
-// Family and are evicted, and the plan of its constant citation queries
-// reads nothing and is kept.
+// TestPlanCacheMetrics: /metrics exposes the prepared-plan cache's live
+// state beside the other generator caches': its entries as a gauge and
+// its evictions at the entry bound as a counter. A cite fills plans; a
+// Family ingest and a second cite compile the rewritings' plans over the
+// new Family content beside the old ones, so the entries grow, and no
+// cache reaches its bound, so nothing is evicted.
 func TestPlanCacheMetrics(t *testing.T) {
 	_, ts := paperServer(t, Options{})
 	client := ts.Client()
@@ -352,28 +353,43 @@ func TestPlanCacheMetrics(t *testing.T) {
 			t.Fatalf("cite: %d %s", resp.StatusCode, body)
 		}
 	}
+	const entries, evicted = "citeserved_plan_cache_entries", "citeserved_plan_cache_evicted_total"
+	scrape := func() map[string]float64 {
+		t.Helper()
+		text := getText(t, client, ts.URL+"/metrics")
+		samples, types := parseExposition(t, text)
+		for name, typ := range map[string]string{entries: "gauge", evicted: "counter"} {
+			if types[name] != typ {
+				t.Errorf("%s: type %q, want %s", name, types[name], typ)
+			}
+			if !strings.Contains(text, "# HELP "+name+" Prepared plans ") {
+				t.Errorf("%s: no HELP line naming prepared plans", name)
+			}
+		}
+		got := map[string]float64{}
+		for _, s := range samples {
+			got[s.name] = s.value
+		}
+		return got
+	}
 	cite()
+	first := scrape()
+	if first[entries] < 1 {
+		t.Errorf("%s = %g after a cite, want >= 1", entries, first[entries])
+	}
 	if resp, body := postJSON(t, client, ts.URL+"/ingest", map[string]any{
 		"relation": "Family", "insert": [][]any{{77, "Amylin", "A1"}},
 	}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("ingest: %d %s", resp.StatusCode, body)
 	}
 	cite()
-	scrape := getText(t, client, ts.URL+"/metrics")
-	samples, types := parseExposition(t, scrape)
-	got := map[string]float64{}
-	for _, s := range samples {
-		got[s.name] = s.value
+	second := scrape()
+	if second[entries] <= first[entries] {
+		t.Errorf("%s = %g after a Family ingest and a cite, want more than %g", entries, second[entries], first[entries])
 	}
-	for _, name := range []string{"citeserved_plan_cache_kept_total", "citeserved_plan_cache_evicted_total"} {
-		if types[name] != "counter" {
-			t.Errorf("%s: type %q, want counter", name, types[name])
-		}
-		if !strings.Contains(scrape, "# HELP "+name+" Prepared plans ") {
-			t.Errorf("%s: no HELP line naming prepared plans", name)
-		}
-		if got[name] < 1 {
-			t.Errorf("%s = %g after a Family ingest, want >= 1", name, got[name])
+	for _, c := range []string{"view", "atom", "plan"} {
+		if name := "citeserved_" + c + "_cache_evicted_total"; second[name] != 0 {
+			t.Errorf("%s = %g below the bound, want 0", name, second[name])
 		}
 	}
 }

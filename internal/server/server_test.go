@@ -1177,7 +1177,7 @@ func TestCommitKeepsUntouchedEntries(t *testing.T) {
 	// The counters surface on /metrics for the CI smoke to assert on.
 	metrics := getText(t, client, ts.URL+"/metrics")
 	if !strings.Contains(metrics, "citeserved_result_cache_evicted_total") ||
-		!strings.Contains(metrics, "citeserved_plan_cache_kept_total") {
+		!strings.Contains(metrics, "citeserved_plan_cache_entries") {
 		t.Error("delta-invalidation counters missing from /metrics")
 	}
 }

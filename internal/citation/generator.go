@@ -224,7 +224,10 @@ type Result struct {
 	// §3).
 	Origin uint64
 
-	deps []string // Query's body deps (Registry.BodyDeps), for Answer
+	// Query's body deps (Registry.BodyDeps) and plan key (pinKey), for
+	// Answer; zero in a Result the caller built.
+	deps []string
+	pin  string
 }
 
 // Expr builds the answer's formal expression: Agg over every tuple's
@@ -308,7 +311,7 @@ func (g *Generator) CiteContext(ctx context.Context, q *cq.Query, req Request) (
 	}
 	res.Rewritings = rewritings
 	res.Stats.RewritingsFound = len(rewritings)
-	res.Reads, res.deps = prep.reads, prep.deps
+	res.Reads, res.deps, res.pin = prep.reads, prep.deps, prep.pin
 	res.Origin = db.Origin(res.Reads)
 
 	evalSet := prep.plans
@@ -467,7 +470,7 @@ func (g *Generator) rewriteStage(q *cq.Query, method rewrite.Method) ([]*rewrite
 	if e.params, err = g.paramPositions(rewritings); err != nil {
 		return nil, stage{}, false, err
 	}
-	e.reads, e.deps = g.readSet(rewritings), g.reg.BodyDeps(q)
+	e.reads, e.deps, e.pin = g.readSet(rewritings), g.reg.BodyDeps(q), pinKey(q)
 	// The entry keeps the rewriter's results: cites get copies.
 	for _, rw := range rewritings {
 		rq := rw.AsQuery("rw")
@@ -603,7 +606,7 @@ func (g *Generator) evalBranch(ctx context.Context, idx int, p *planned, params 
 				bsp.Set("outcome", "materialize-error")
 				return nil, err
 			}
-			inst.views[name] = rel
+			inst.views[inst.index(name)].rel = rel
 		}
 		if b, err = run(); err != nil {
 			return nil, err
@@ -635,23 +638,19 @@ func (g *Generator) CiteTuple(q *cq.Query, t storage.Tuple) (*TupleCitation, err
 // fixity.Store.Pin). The plan is the prepared plan of the query's shape
 // over db's content of the relations the query reads, run over db with
 // its constants, so only the first query of a shape over that content,
-// in any snapshot holding it, compiles. Those relations come from the
-// query's rewriting-memo entry, or from Registry.BodyDeps for a Result
-// the caller built. The plan's key is the shape with the byte 1
-// appended, which no shape (a self-delimiting encoding) equals, so no
-// rewriting's plan can take it: those run over view instances, while
-// this one runs over db.
+// in any snapshot holding it, compiles. Those relations and the plan's
+// key (pinKey) come from the query's rewriting-memo entry, which renders
+// them once for every query of its shape, or are derived here for a
+// Result the caller built.
 func (g *Generator) Answer(ctx context.Context, res *Result, db *storage.Database) ([]storage.Tuple, bool, error) {
 	q := res.Query
 	if db == nil || !db.Frozen() {
 		return nil, false, fmt.Errorf("citation: answer of %s: target database is not a frozen snapshot", q.Name)
 	}
-	var sb [64]byte
 	var ab [4]value.Value
-	key := string(append(eval.AppendShape(sb[:0], q), 1))
-	deps := res.deps
-	if deps == nil {
-		deps = g.reg.BodyDeps(q)
+	key, deps := res.pin, res.deps
+	if key == "" {
+		key, deps = pinKey(q), g.reg.BodyDeps(q)
 	}
 	plan, hit, err := g.plans.get(genKey{db.Origin(deps), key}, func() (*eval.Plan, error) { return eval.Compile(db, q) })
 	if err != nil {
@@ -661,41 +660,72 @@ func (g *Generator) Answer(ctx context.Context, res *Result, db *storage.Databas
 	return tuples, hit, err
 }
 
+// pinKey returns the plan key of q's pin (Answer): q's shape with the
+// byte 1 appended, which no shape (a self-delimiting encoding) equals, so
+// no rewriting's plan can take it: those run over view instances, while
+// a pin's runs over the snapshot. A rewriting-memo entry's queries share
+// one shape, so the entry renders the key once for all of them.
+func pinKey(q *cq.Query) string {
+	var sb [64]byte
+	return string(append(eval.AppendShape(sb[:0], q), 1))
+}
+
 // instanceFor fetches the view instances a rewriting references and
 // combines them with db for residual atoms. unordered names those of
-// them that list their view's answer out of order. The instance is a
-// pointer, so each plan run converts it to eval.Instance without an
-// allocation.
+// them that list their view's answer out of order. The instance is one
+// object, which holds the rewriting's few (view, relation) pairs inline,
+// and a pointer, so each plan run converts it to eval.Instance without
+// an allocation.
 func (g *Generator) instanceFor(ctx context.Context, rw *rewrite.Rewriting, db *storage.Database) (inst *layeredInstance, unordered []string, err error) {
-	rels := make(eval.Relations)
+	inst = &layeredInstance{base: db}
+	inst.views = inst.inline[:0]
 	for _, va := range rw.ViewAtoms {
-		if _, done := rels[va.ViewName]; done {
+		if inst.index(va.ViewName) >= 0 {
 			continue
 		}
 		rel, ordered, err := g.materializeAt(ctx, db, va.ViewName)
 		if err != nil {
 			return nil, nil, err
 		}
-		rels[va.ViewName] = rel
+		inst.views = append(inst.views, viewInstance{va.ViewName, rel})
 		if !ordered {
 			unordered = append(unordered, va.ViewName)
 		}
 	}
-	return &layeredInstance{views: rels, base: db}, unordered, nil
+	return inst, unordered, nil
 }
 
 // layeredInstance resolves view predicates from materialized instances and
-// everything else from the base database.
+// everything else from the base database. views is inline's prefix while
+// the rewriting reads no more views than inline holds.
 type layeredInstance struct {
-	views eval.Relations
-	base  *storage.Database
+	base   *storage.Database
+	views  []viewInstance
+	inline [4]viewInstance
 }
 
-func (l layeredInstance) Relation(name string) *storage.Relation {
-	if r, ok := l.views[name]; ok {
-		return r
+// viewInstance is one view's instance in a layeredInstance.
+type viewInstance struct {
+	name string
+	rel  *storage.Relation
+}
+
+func (l *layeredInstance) Relation(name string) *storage.Relation {
+	if i := l.index(name); i >= 0 {
+		return l.views[i].rel
 	}
 	return l.base.Relation(name)
+}
+
+// index returns the position of the named view's instance in views, or
+// -1.
+func (l *layeredInstance) index(name string) int {
+	for i := range l.views {
+		if l.views[i].name == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // Head returns the frozen snapshot head cites read: the bound database

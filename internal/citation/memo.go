@@ -46,6 +46,7 @@ type memoEntry struct {
 	partial    bool             // the AllowPartial fallback ran
 	reads      []string         // Result.Reads
 	deps       []string         // the query's body deps, for its pin (Answer)
+	pin        string           // the query's plan key for its pin (Answer)
 	params     map[string][]int // view name → parameter positions
 }
 

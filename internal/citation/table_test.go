@@ -85,13 +85,17 @@ func tableCitation(res *Result) treeCitation {
 // branch lacks.
 func treeCite(t *testing.T, reg *Registry, snap *storage.Database, q *cq.Query, pol policy.Policy, partial bool) (ref treeCitation, fallbacks int) {
 	t.Helper()
-	copies := make(eval.Relations)
+	// The walks read the base relations and the views' copies.
+	inst := make(eval.Relations)
+	for _, name := range snap.Schema().Names() {
+		inst[name] = snap.Relation(name)
+	}
 	for _, v := range reg.Views() {
 		rel, err := reg.Materialize(snap, v.Query.Name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		copies[v.Query.Name] = rel.Snapshot()
+		inst[v.Query.Name] = rel.Snapshot()
 	}
 	g := NewGenerator(reg, snap)
 	g.AllowPartial = partial
@@ -103,7 +107,7 @@ func treeCite(t *testing.T, reg *Registry, snap *storage.Database, q *cq.Query, 
 	var union eval.TupleIndex
 	for _, rw := range rewritings {
 		bq := rw.AsQuery("rw")
-		annotated, err := eval.EvalAnnotated(layeredInstance{views: copies, base: snap}, bq, citeexpr.Semiring{}, annotator(prep.params))
+		annotated, err := eval.EvalAnnotated(inst, bq, citeexpr.Semiring{}, annotator(prep.params))
 		if err != nil {
 			t.Fatal(err)
 		}

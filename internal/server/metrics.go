@@ -223,8 +223,12 @@ func (m *serverMetrics) render(w *strings.Builder, s *Server) {
 	fmt.Fprintf(w, "citeserved_rewrite_memo_entries %d\n", rm.Entries)
 
 	cu := storage.ColumnarUsage()
-	counter("citeserved_columnar_blocks_total", "Dictionary-encoded columnar blocks built, one per frozen relation read.")
+	counter("citeserved_columnar_blocks_total", "Dictionary-encoded columnar blocks built for frozen relations, rebuilds of evicted blocks included.")
 	fmt.Fprintf(w, "citeserved_columnar_blocks_total %d\n", cu.BlocksBuilt)
+	counter("citeserved_columnar_blocks_evicted_total", "Columnar blocks evicted at the block set's bound.")
+	fmt.Fprintf(w, "citeserved_columnar_blocks_evicted_total %d\n", cu.BlocksEvicted)
+	gauge("citeserved_columnar_blocks_held", "Frozen relations holding a columnar block.")
+	fmt.Fprintf(w, "citeserved_columnar_blocks_held %d\n", cu.BlocksHeld)
 	counter("citeserved_columnar_dict_bytes_total", "Cumulative dictionary bytes built into columnar blocks.")
 	fmt.Fprintf(w, "citeserved_columnar_dict_bytes_total %d\n", cu.DictBytes)
 	counter("citeserved_columnar_code_bytes_total", "Cumulative code-vector and posting-list bytes built into columnar blocks.")

@@ -343,8 +343,13 @@ func TestStatusRecorderFlush(t *testing.T) {
 // its evictions at the entry bound as a counter. A cite fills plans; a
 // Family ingest and a second cite compile the rewritings' plans over the
 // new Family content beside the old ones, so the entries grow, and no
-// cache reaches its bound, so nothing is evicted.
+// cache reaches its bound, so nothing is evicted. The columnar block set
+// shows the same way: the relations holding a block as a gauge, and its
+// evictions and the blocks built, rebuilds included, as counters. It is
+// process-wide, so the test first collects what earlier tests left in
+// it, and then its few blocks evict none.
 func TestPlanCacheMetrics(t *testing.T) {
+	runtime.GC()
 	_, ts := paperServer(t, Options{})
 	client := ts.Client()
 	cite := func() {
@@ -354,16 +359,24 @@ func TestPlanCacheMetrics(t *testing.T) {
 		}
 	}
 	const entries, evicted = "citeserved_plan_cache_entries", "citeserved_plan_cache_evicted_total"
+	const blocksBuilt, blocksEvicted, blocksHeld = "citeserved_columnar_blocks_total", "citeserved_columnar_blocks_evicted_total", "citeserved_columnar_blocks_held"
+	series := []struct{ name, typ, help string }{
+		{entries, "gauge", "Prepared plans "},
+		{evicted, "counter", "Prepared plans "},
+		{blocksBuilt, "counter", "Dictionary-encoded columnar blocks built for frozen relations, rebuilds of evicted blocks included."},
+		{blocksEvicted, "counter", "Columnar blocks evicted at the block set's bound."},
+		{blocksHeld, "gauge", "Frozen relations holding a columnar block."},
+	}
 	scrape := func() map[string]float64 {
 		t.Helper()
 		text := getText(t, client, ts.URL+"/metrics")
 		samples, types := parseExposition(t, text)
-		for name, typ := range map[string]string{entries: "gauge", evicted: "counter"} {
-			if types[name] != typ {
-				t.Errorf("%s: type %q, want %s", name, types[name], typ)
+		for _, c := range series {
+			if types[c.name] != c.typ {
+				t.Errorf("%s: type %q, want %s", c.name, types[c.name], c.typ)
 			}
-			if !strings.Contains(text, "# HELP "+name+" Prepared plans ") {
-				t.Errorf("%s: no HELP line naming prepared plans", name)
+			if !strings.Contains(text, "# HELP "+c.name+" "+c.help) {
+				t.Errorf("%s: no HELP line starting %q", c.name, c.help)
 			}
 		}
 		got := map[string]float64{}
@@ -372,6 +385,7 @@ func TestPlanCacheMetrics(t *testing.T) {
 		}
 		return got
 	}
+	start := scrape()
 	cite()
 	first := scrape()
 	if first[entries] < 1 {
@@ -391,5 +405,12 @@ func TestPlanCacheMetrics(t *testing.T) {
 		if name := "citeserved_" + c + "_cache_evicted_total"; second[name] != 0 {
 			t.Errorf("%s = %g below the bound, want 0", name, second[name])
 		}
+	}
+	if second[blocksBuilt] <= start[blocksBuilt] || second[blocksHeld] < 1 {
+		t.Errorf("%s %g -> %g and %s %g after two cites, want blocks built and held",
+			blocksBuilt, start[blocksBuilt], second[blocksBuilt], blocksHeld, second[blocksHeld])
+	}
+	if n := second[blocksEvicted] - start[blocksEvicted]; n != 0 {
+		t.Errorf("%s rose by %g below the bound, want 0", blocksEvicted, n)
 	}
 }

@@ -3,6 +3,7 @@ package storage
 import (
 	"sync"
 	"sync/atomic"
+	"weak"
 
 	"repro/internal/value"
 )
@@ -21,9 +22,12 @@ import (
 // posting lists in place — no per-probe buffer copies, no locking, no
 // allocation.
 //
-// A block's rows never change, and the relation keeps its block for
-// life. Each column is encoded at most once, under the block's lock, and
-// published atomically.
+// A block's rows never change. Each column is encoded at most once per
+// block, under the block's lock, and published atomically. A relation
+// keeps its block while the block set holds it (admitBlock): at most
+// maxBlocks frozen relations hold one at a time, and a relation evicted
+// from the set builds its block again, from the same rows, when it is
+// next read.
 type ColBlock struct {
 	rows []Tuple
 	mu   sync.Mutex               // serializes column encodings
@@ -46,44 +50,94 @@ type Column struct {
 // the relation simply stays on the row path.
 const maxColumnarRows = 1 << 30
 
-// Cumulative columnarization counters, exposed on /metrics.
-var (
-	colBlocksBuilt atomic.Uint64 // blocks built
-	colDictBytes   atomic.Uint64 // approximate dictionary bytes of encoded columns
-	colCodeBytes   atomic.Uint64 // code-vector + posting-list bytes of encoded columns
-)
+// maxBlocks bounds the frozen relations that hold a columnar block at
+// once, process-wide. A block is an index derived from rows its relation
+// keeps, so evicting one costs a rebuild on the relation's next read,
+// never an answer. The bound sits above every measured working set: a
+// cold or hot serving run reads 4 blocks, a history run 35, a mixed run
+// its head's 3 at a time, and a 32-version sweep through copied views
+// (BenchmarkVersionSweep/copy) 101 (66 view copies, the 32 versions'
+// Family relations and the relations they share). At a bound of 64
+// that sweep rebuilt 64 blocks on every pass, and its bytes per sweep
+// rose from 1.0 to 4.1 MB.
+const maxBlocks = 128
 
-// ColumnarStats is a snapshot of the cumulative columnarization counters.
-type ColumnarStats struct {
-	BlocksBuilt uint64 // columnar blocks constructed since process start
-	DictBytes   uint64 // cumulative dictionary bytes of encoded block columns
-	CodeBytes   uint64 // cumulative code-vector and posting-list bytes of encoded block columns
+// blocks is the block set: a CLOCK ring of the frozen relations that
+// hold a block, each with a visited bit on the relation (colSeen) that a
+// ColumnarBlock hit sets, for second-chance eviction as in SIEVE (Zhang
+// et al., NSDI 2024). The ring holds weak pointers, so it keeps no
+// relation alive: the slot of a relation that was collected is free
+// again.
+var blocks struct {
+	mu   sync.Mutex
+	ring [maxBlocks]weak.Pointer[Relation]
+	hand int // the next slot admitBlock examines
 }
 
-// ColumnarUsage returns the process-wide columnarization counters.
+// Cumulative columnarization counters, exposed on /metrics.
+var (
+	colBlocksBuilt   atomic.Uint64 // blocks built, rebuilds of evicted blocks included
+	colBlocksEvicted atomic.Uint64 // blocks evicted from the block set
+	colDictBytes     atomic.Uint64 // approximate dictionary bytes of encoded columns
+	colCodeBytes     atomic.Uint64 // code-vector + posting-list bytes of encoded columns
+)
+
+// ColumnarStats is a snapshot of the columnarization counters and of the
+// block set.
+type ColumnarStats struct {
+	BlocksBuilt   uint64 // columnar blocks constructed since process start, rebuilds included
+	BlocksEvicted uint64 // blocks evicted from the block set since process start
+	BlocksHeld    int    // frozen relations holding a block now, at most maxBlocks
+	DictBytes     uint64 // cumulative dictionary bytes of encoded block columns
+	CodeBytes     uint64 // cumulative code-vector and posting-list bytes of encoded block columns
+}
+
+// ColumnarUsage returns the process-wide columnarization counters and
+// the block set's occupancy.
 func ColumnarUsage() ColumnarStats {
+	held := 0
+	blocks.mu.Lock()
+	for _, p := range blocks.ring {
+		if p.Value() != nil {
+			held++
+		}
+	}
+	blocks.mu.Unlock()
 	return ColumnarStats{
-		BlocksBuilt: colBlocksBuilt.Load(),
-		DictBytes:   colDictBytes.Load(),
-		CodeBytes:   colCodeBytes.Load(),
+		BlocksBuilt:   colBlocksBuilt.Load(),
+		BlocksEvicted: colBlocksEvicted.Load(),
+		BlocksHeld:    held,
+		DictBytes:     colDictBytes.Load(),
+		CodeBytes:     colCodeBytes.Load(),
 	}
 }
 
-// ColumnarBlock returns a frozen relation's columnar block, building it on
-// first request and keeping it for the relation's life. A mutable
-// relation has no block (nil): it is read through its row indexes, which
-// writes keep current, where a block would be stale after the next write.
-// So is a relation past maxColumnarRows.
+// ColumnarBlock returns a frozen relation's columnar block, building it
+// when the relation holds none: on first request, and again after the
+// block set evicted it. A hit marks the relation visited in the block
+// set, writing the bit only when it is clear, so concurrent readers of a
+// hot relation do not all write to it. A mutable relation has no block
+// (nil): it is read through its row indexes, which writes keep current,
+// where a block would be stale after the next write. So is a relation
+// past maxColumnarRows.
 func (r *Relation) ColumnarBlock() *ColBlock {
-	if blk := r.colBlk.Load(); blk != nil || !r.frozen {
+	if blk := r.colBlk.Load(); blk != nil {
+		if !r.colSeen.Load() {
+			r.colSeen.Store(true)
+		}
 		return blk
+	}
+	if !r.frozen {
+		return nil
 	}
 	return r.buildColumnar()
 }
 
 // buildColumnar constructs and publishes the block of the frozen relation
-// r: its live rows, with no column encoded yet. colMu serializes builders,
-// so a relation builds one block.
+// r, its live rows with no column encoded yet, and admits r to the block
+// set. colMu serializes builders, so a relation builds one block until
+// the set evicts it. A rebuild reads the same rows, so it encodes the
+// same codes, dictionaries and postings.
 func (r *Relation) buildColumnar() *ColBlock {
 	r.colMu.Lock()
 	defer r.colMu.Unlock()
@@ -100,12 +154,40 @@ func (r *Relation) buildColumnar() *ColBlock {
 	blk := &ColBlock{rows: rows, cols: make([]atomic.Pointer[Column], r.schema.Arity())}
 	r.colBlk.Store(blk)
 	colBlocksBuilt.Add(1)
+	admitBlock(r)
 	return blk
+}
+
+// admitBlock enters r, which has just published a block, into the block
+// set. The hand moves round the ring, clearing each visited bit it
+// passes, and stops at the first slot whose relation is gone (never
+// filled, or collected) or has its bit clear; it evicts the latter by
+// storing nil into its block, and r takes the slot. A walk that bound
+// the evicted block keeps reading it; the block is freed once no walk
+// holds it. Eviction takes no relation's colMu, so builders, which hold
+// their own while admitting, cannot deadlock.
+func admitBlock(r *Relation) {
+	blocks.mu.Lock()
+	defer blocks.mu.Unlock()
+	for {
+		v := blocks.ring[blocks.hand].Value()
+		if v == nil {
+			break
+		}
+		if !v.colSeen.Swap(false) {
+			v.colBlk.Store(nil)
+			colBlocksEvicted.Add(1)
+			break
+		}
+		blocks.hand = (blocks.hand + 1) % maxBlocks
+	}
+	blocks.ring[blocks.hand] = weak.Make(r)
+	blocks.hand = (blocks.hand + 1) % maxBlocks
 }
 
 // Column returns column col's encoding, building it on first use. Tuples
 // are never mutated in place, so the rows a block holds stay valid to
-// encode for as long as the block lives.
+// encode for as long as the block lives, evicted or not.
 func (b *ColBlock) Column(col int) *Column {
 	if c := b.cols[col].Load(); c != nil {
 		return c

@@ -22,8 +22,10 @@
 // positions — which every write keeps current, and counts distinct values
 // through an index or a throwaway table of row positions, memoized until
 // the next write. A frozen relation is read through its columnar block
-// (ColBlock), built on first request and kept for life, whose
-// dictionaries also answer its distinct counts.
+// (ColBlock), whose dictionaries also answer its distinct counts. The
+// block is built on first request and kept while the relation is among
+// the maxBlocks relations the block set holds; a relation evicted from
+// the set builds it again from the same rows on its next read.
 //
 // Concurrency model (see DESIGN.md §3): every Relation is safe for
 // concurrent readers and writers via an internal RWMutex. Snapshot produces
@@ -170,11 +172,16 @@ type Relation struct {
 	distinct []int
 
 	// A frozen relation's columnar block (see columnar.go) and membership
-	// table (see members), each built on first request under colMu and
-	// kept for life; always nil on a mutable one.
-	colBlk atomic.Pointer[ColBlock]
-	member atomic.Pointer[TupleIndex]
-	colMu  sync.Mutex
+	// table (see members), each built on first request under colMu;
+	// always nil on a mutable one. The membership table is kept for
+	// life. The block is kept while the block set holds the relation
+	// (admitBlock), which evicts it past maxBlocks relations, and it is
+	// built again on the next read; colSeen is the relation's visited
+	// bit in that set.
+	colBlk  atomic.Pointer[ColBlock]
+	colSeen atomic.Bool
+	member  atomic.Pointer[TupleIndex]
+	colMu   sync.Mutex
 
 	// ascends memoizes RowsAscend on a frozen relation: 0 until first
 	// asked, then rowsAscend or rowsOutOfOrder. order memoizes its
@@ -508,8 +515,8 @@ func (r *Relation) Contains(t Tuple) bool {
 
 // members returns a frozen relation's membership table: a probe table
 // over its own rows and row hashes, built from the hashes on first
-// request and kept for life, like its columnar block. A snapshot does not
-// copy its source's table, which the source keeps writing.
+// request and kept for life. A snapshot does not copy its source's
+// table, which the source keeps writing.
 func (r *Relation) members() *TupleIndex {
 	if ix := r.member.Load(); ix != nil {
 		return ix
@@ -1034,9 +1041,10 @@ func (db *Database) Clone() *Database {
 // snapshot's frozen object again (Relation.Snapshot), so successive
 // versions share their unchanged relations and Relation.Stamp tells
 // which ones changed. Snapshot readers join through each relation's
-// columnar block, built on first access and kept for life (see
-// ColumnarBlock), and a block encodes only the columns plans compare, so
-// a commit pays no eager build for columns no query reads.
+// columnar block, built on first access and kept while the block set
+// holds the relation (see ColumnarBlock), and a block encodes only the
+// columns plans compare, so a commit pays no eager build for columns no
+// query reads, and a version nobody reads keeps no block.
 func (db *Database) Snapshot() *Database {
 	out := &Database{frozen: true, schema: db.schema, relations: make(map[string]*Relation, len(db.relations))}
 	for name, r := range db.relations {

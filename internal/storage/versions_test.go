@@ -46,13 +46,19 @@ func appendBatch(tb testing.TB, db *storage.Database, v int) {
 	}
 }
 
+// historyRelations are the relations each version of the history
+// appends to.
+var historyRelations = []string{"Family", "FamilyIntro", "Target"}
+
 // appendVersions loads the history's base database and snapshots it as
 // its first version, then appends k batches (appendBatch), snapshotting
 // after every batch when commitEach is set and once after the last
-// otherwise. It returns the heap bytes held after the first version,
-// measured with every version and the head still live, and checks the
-// final version's row counts.
-func appendVersions(tb testing.TB, k int, commitEach bool) uint64 {
+// otherwise. With readBlocks set it reads each new version's blocks of
+// the appended relations and encodes their key columns, as a cite of
+// the new head does. It returns the heap bytes held after the first
+// version, measured with every version and the head still live, and
+// checks the final version's row counts.
+func appendVersions(tb testing.TB, k int, commitEach, readBlocks bool) uint64 {
 	tb.Helper()
 	cfg := gtopdb.DefaultConfig()
 	cfg.Families = historyFamilies
@@ -63,12 +69,18 @@ func appendVersions(tb testing.TB, k int, commitEach bool) uint64 {
 	for v := range k {
 		appendBatch(tb, db, v)
 		if commitEach || v == k-1 {
-			versions = append(versions, db.Snapshot())
+			snap := db.Snapshot()
+			versions = append(versions, snap)
+			if readBlocks {
+				for _, rel := range historyRelations {
+					snap.Relation(rel).ColumnarBlock().Column(0)
+				}
+			}
 		}
 	}
 	held := heapLive() - before
 	first, last := versions[0], versions[len(versions)-1]
-	for _, rel := range []string{"Family", "FamilyIntro", "Target"} {
+	for _, rel := range historyRelations {
 		if got, want := last.Relation(rel).Len(), first.Relation(rel).Len()+k*historyBatch; got != want {
 			tb.Fatalf("%s holds %d rows after %d versions, want %d", rel, got, k, want)
 		}
@@ -84,7 +96,21 @@ func appendVersions(tb testing.TB, k int, commitEach bool) uint64 {
 func BenchmarkAppendVersions(b *testing.B) {
 	var held uint64
 	for i := 0; i < b.N; i++ {
-		held = appendVersions(b, historyVersions, true)
+		held = appendVersions(b, historyVersions, true, false)
+	}
+	b.ReportMetric(float64(held)/historyVersions, "retained-B/version")
+}
+
+// BenchmarkVersionBlocks builds the same history and reads each new
+// version's Family, FamilyIntro and Target blocks between batches,
+// encoding their key columns as mixed's head cites do, then reports the
+// heap bytes each version holds (retained-B/version). The block set
+// bounds the relations holding a block, so a version nobody reads again
+// keeps its changed rows and no block.
+func BenchmarkVersionBlocks(b *testing.B) {
+	var held uint64
+	for i := 0; i < b.N; i++ {
+		held = appendVersions(b, historyVersions, true, true)
 	}
 	b.ReportMetric(float64(held)/historyVersions, "retained-B/version")
 }
@@ -94,8 +120,8 @@ func BenchmarkAppendVersions(b *testing.B) {
 // that each copied every relation they wrote would hold about 33 times
 // as much.
 func TestAppendedVersionsShareRows(t *testing.T) {
-	each := appendVersions(t, historyVersions, true)
-	once := appendVersions(t, historyVersions, false)
+	each := appendVersions(t, historyVersions, true, false)
+	once := appendVersions(t, historyVersions, false, false)
 	t.Logf("%d versions hold %d B; one commit of the same rows holds %d B", historyVersions, each, once)
 	if each >= 3*once {
 		t.Errorf("%d versions hold %d B, %.1f times the %d B of one commit; want under 3 times",

@@ -20,20 +20,24 @@ type genKey struct {
 // working sets with room to spare: 5,000 distinct cites of the serving
 // shapes over 2,000 families hold 1,252 atoms, and a sweep of 32
 // versions through views that are all copies (BenchmarkVersionSweep/copy)
-// holds 66 view copies and 195 plans.
+// holds 66 view copies and 195 plans. The rewriting memo holds one entry
+// per query shape and view-set generation, far fewer than its bound in
+// serving workloads.
 const (
 	maxViewEntries = 128
 	maxAtomEntries = 4096
 	maxPlanEntries = 1024
+	maxMemoEntries = 1024
 )
 
 // depCache is the generator's one cache type; the view, atom and plan
-// caches are its instances (DESIGN.md §3, §7). Entries are keyed by the
-// content they read, so none goes stale, and the cache is bounded by
-// count: a fill past bound entries evicts one by SIEVE (Zhang et al., NSDI
-// 2024). Entries queue in insertion order and a hit only marks its entry
-// visited; a hand moving from the oldest entry toward the newest unmarks
-// each visited entry it passes and evicts the first unvisited one.
+// caches and the rewriting memo are its instances (DESIGN.md §3, §7).
+// Entries are keyed by the content they read, so none goes stale, and
+// the cache is bounded by count: a fill past bound entries evicts one by
+// SIEVE (Zhang et al., NSDI 2024). Entries queue in insertion order and
+// a hit only marks its entry visited; a hand moving from the oldest
+// entry toward the newest unmarks each visited entry it passes and
+// evicts the first unvisited one.
 //
 // Fills are singleflight: the first caller of a missing key computes the
 // value, every other caller blocks on the entry's ready channel. An entry

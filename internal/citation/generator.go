@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/citeexpr"
 	"repro/internal/cq"
@@ -82,8 +83,10 @@ type Generator struct {
 	head    *storage.Database
 	headGen uint64
 
-	// memo answers the rewriting stage by query shape (memo.go).
-	memo rewriteMemo
+	// memo answers the rewriting stage by query shape (memoEntry), at
+	// most maxMemoEntries shapes; hits and misses count its lookups.
+	memo                 *depCache[*memoEntry]
+	memoHits, memoMisses atomic.Int64
 }
 
 // Request carries the per-call parameters of one citation generation.
@@ -111,6 +114,7 @@ func NewGenerator(reg *Registry, db *storage.Database) *Generator {
 		views: newDepCache[*storage.Relation](maxViewEntries),
 		atoms: newDepCache[format.Record](maxAtomEntries),
 		plans: newDepCache[*eval.Plan](maxPlanEntries),
+		memo:  newDepCache[*memoEntry](maxMemoEntries),
 	}
 }
 
@@ -429,35 +433,49 @@ func (g *Generator) CiteContext(ctx context.Context, q *cq.Query, req Request) (
 // rewritings over the registered views or, when none exists and
 // AllowPartial is set, the partial rewritings that use a view. The shape
 // memo answers it when a query of q's shape was rewritten over the same
-// view set before (hit reports that); a miss runs rewrite.Rewrite and
-// fills the memo. The returned stage holds the cite's rewritings planned
-// and the shape's entry, which carries the candidates examined and what
-// the pipeline derives from the rewritings alone: the read-set, the
-// dependency sets and the views' parameter positions. The entry's fields
-// are shared by every cite of the shape and must not be modified.
+// view set before (hit reports that); a miss runs rewriteShape once for
+// every concurrent cite of the shape. The returned stage holds the cite's
+// rewritings planned and the shape's entry, which carries the candidates
+// examined and what the pipeline derives from the rewritings alone: the
+// read-set, the dependency sets and the views' parameter positions. The
+// entry's fields are shared by every cite of the shape and must not be
+// modified.
 func (g *Generator) rewriteStage(q *cq.Query, method rewrite.Method) ([]*rewrite.Rewriting, stage, bool, error) {
 	vs := g.reg.viewSet()
 	var kb [256]byte
 	var cb [8]value.Value
 	key, classes := shapeKey(kb[:0], q, vs, method, g.AllowPartial, cb[:0])
-	e := g.memo.load(key)
-	if e != nil {
-		rewritings, plans := e.instantiate(classes)
-		return rewritings, stage{e, plans}, true, nil
+	e, hit, err := g.memo.get(genKey{0, string(key)}, func() (*memoEntry, error) {
+		return g.rewriteShape(q, vs, method, classes)
+	})
+	if hit {
+		g.memoHits.Add(1)
+	} else {
+		g.memoMisses.Add(1)
 	}
+	if err != nil {
+		return nil, stage{}, hit, err
+	}
+	rewritings, plans := e.instantiate(classes)
+	return rewritings, stage{e, plans}, hit, nil
+}
+
+// rewriteShape runs the rewriter for q over vs and returns the memo entry
+// of q's shape, whose class constants are classes.
+func (g *Generator) rewriteShape(q *cq.Query, vs *viewSet, method rewrite.Method, classes []value.Value) (*memoEntry, error) {
 	opts := rewrite.Options{Method: method}
 	rres, err := rewrite.Rewrite(q, vs.queries, opts)
 	if err != nil {
-		return nil, stage{}, false, err
+		return nil, err
 	}
-	e = &memoEntry{candidates: rres.CandidatesExamined, mcds: rres.MCDCount}
+	e := &memoEntry{candidates: rres.CandidatesExamined, mcds: rres.MCDCount}
 	rewritings := rres.Rewritings
 	if len(rewritings) == 0 && g.AllowPartial {
 		e.partial = true
 		opts.AllowPartial = true
 		pres, err := rewrite.Rewrite(q, vs.queries, opts)
 		if err != nil {
-			return nil, stage{}, false, err
+			return nil, err
 		}
 		e.candidates += pres.CandidatesExamined
 		e.mcds += pres.MCDCount
@@ -468,7 +486,7 @@ func (g *Generator) rewriteStage(q *cq.Query, method rewrite.Method) ([]*rewrite
 		}
 	}
 	if e.params, err = g.paramPositions(rewritings); err != nil {
-		return nil, stage{}, false, err
+		return nil, err
 	}
 	e.reads, e.deps, e.pin = g.readSet(rewritings), g.reg.BodyDeps(q), pinKey(q)
 	// The entry keeps the rewriter's results: cites get copies.
@@ -477,14 +495,15 @@ func (g *Generator) rewriteStage(q *cq.Query, method rewrite.Method) ([]*rewrite
 		e.plans = append(e.plans, planned{rw: rw, deps: g.reg.BodyDeps(rq), shape: string(eval.AppendShape(nil, rq))})
 	}
 	e.from = slices.Clone(classes)
-	g.memo.store(key, e)
-	rewritings, plans := e.instantiate(classes)
-	return rewritings, stage{e, plans}, false, nil
+	return e, nil
 }
 
-// RewriteMemoStats snapshots the rewriting memo's hit and miss counters
-// and its entry count.
-func (g *Generator) RewriteMemoStats() MemoStats { return g.memo.stats() }
+// RewriteMemoStats snapshots the rewriting memo's hit and miss counters,
+// its entry count and its evictions at the bound.
+func (g *Generator) RewriteMemoStats() MemoStats {
+	c := g.memo.stats()
+	return MemoStats{Hits: g.memoHits.Load(), Misses: g.memoMisses.Load(), Entries: c.Entries, Evicted: c.Evicted}
+}
 
 // readSet computes the union of base relations a citation built from
 // these rewritings transitively reads: every view atom contributes its

@@ -4,40 +4,25 @@ import (
 	"encoding/binary"
 	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/cq"
 	"repro/internal/rewrite"
 	"repro/internal/value"
 )
 
-// maxRewriteMemo bounds the rewriting memo. It holds one entry per
-// query shape and view-set generation, so serving workloads stay far
-// below it; past it the memo is dropped whole and the working set of
-// shapes re-warms in one round.
-const maxRewriteMemo = 1024
-
-// rewriteMemo memoizes the rewriting stage by query shape (DESIGN.md
-// §2). A rewriting set depends on the query's constants only through
-// which of them equal each other or render like a view constant, so one
-// entry serves every query of the shape: a hit substitutes the request's
-// constants into the entry's rewritings and re-sorts them. Entries read
-// no relation, so data deltas never touch them, and a view definition
-// orphans them by bumping the registry generation the key starts with.
-// The hit path is one lock-free sync.Map load; inserts are counted under
-// mu, as in the query-statistics store's fingerprint memo.
-type rewriteMemo struct {
-	m            sync.Map // shape key → *memoEntry
-	mu           sync.Mutex
-	n            int // entries inserted since the last drop; guarded by mu
-	hits, misses atomic.Int64
-}
-
-// memoEntry is the rewriting stage's outcome for one shape, as computed
-// for the query that filled it, with what the pipeline derives from the
-// rewritings alone (dependency sets read only predicates). It is
-// immutable once stored.
+// memoEntry is the rewriting memo's entry for one query shape (DESIGN.md
+// §2): the rewriting stage's outcome as computed for the query that
+// filled it, with what the pipeline derives from the rewritings alone
+// (dependency sets read only predicates). It is immutable once stored.
+//
+// A rewriting set depends on the query's constants only through which
+// of them equal each other or render like a view constant, so one entry
+// serves every query of the shape: a hit substitutes the request's
+// constants into the entry's rewritings and re-sorts them. The memo is
+// the generator's fourth depCache, keyed genKey{0, shapeKey}: entries
+// read no relation, so data deltas never touch them, and a view
+// definition orphans them by bumping the registry generation the key
+// starts with.
 type memoEntry struct {
 	plans      []planned        // over from's constants; q unset
 	from       []value.Value    // the filling query's class constants
@@ -70,41 +55,12 @@ type planned struct {
 	shape string
 }
 
-// MemoStats is a point-in-time snapshot of the rewriting memo.
+// MemoStats is a point-in-time snapshot of the rewriting memo: its hits
+// and misses, the shapes it holds and those evicted at its bound.
 type MemoStats struct {
 	Hits, Misses int64
 	Entries      int
-}
-
-// load returns the entry stored under key, or nil, counting the outcome.
-func (m *rewriteMemo) load(key []byte) *memoEntry {
-	if v, ok := m.m.Load(string(key)); ok {
-		m.hits.Add(1)
-		return v.(*memoEntry)
-	}
-	m.misses.Add(1)
-	return nil
-}
-
-// store inserts e under key, dropping the whole memo first when it is
-// full. A concurrent fill of the same key keeps the first entry.
-func (m *rewriteMemo) store(key []byte, e *memoEntry) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.n >= maxRewriteMemo {
-		m.m.Clear()
-		m.n = 0
-	}
-	if _, loaded := m.m.LoadOrStore(string(key), e); !loaded {
-		m.n++
-	}
-}
-
-func (m *rewriteMemo) stats() MemoStats {
-	m.mu.Lock()
-	n := m.n
-	m.mu.Unlock()
-	return MemoStats{Hits: m.hits.Load(), Misses: m.misses.Load(), Entries: n}
+	Evicted      int64
 }
 
 // instantiate returns the entry's rewritings with the request's class

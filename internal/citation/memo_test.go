@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/cq"
@@ -436,27 +437,72 @@ func TestShapeKey(t *testing.T) {
 	}
 }
 
-// TestRewriteMemoDropsAtCap: the memo counts its inserts and, full,
-// drops every entry before the next one, so it never holds more than
-// maxRewriteMemo entries.
-func TestRewriteMemoDropsAtCap(t *testing.T) {
-	var m rewriteMemo
-	for i := range maxRewriteMemo + 1 {
-		m.store([]byte(fmt.Sprint(i)), &memoEntry{})
-		if st := m.stats(); st.Entries > maxRewriteMemo {
-			t.Fatalf("after %d inserts the memo holds %d entries", i+1, st.Entries)
+// TestRewriteMemoKeepsCitedShapeAtCap: the memo evicts one shape at a
+// time past its bound, by SIEVE, so a shape cited again before as many
+// new shapes as the bound fill the memo is still a hit after them.
+func TestRewriteMemoKeepsCitedShapeAtCap(t *testing.T) {
+	g := NewGenerator(gtopdbMemoViews(t).reg, nil)
+	cite := func(desc string) bool {
+		t.Helper()
+		_, _, hit, err := g.rewriteStage(cq.MustParse("Q(N) :- Family(1, N, "+desc+")"), rewrite.MethodMiniCon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hit
+	}
+	if cite("D") || !cite("D") {
+		t.Fatal("the first cite of a shape must miss and the second hit")
+	}
+	for i := range maxMemoEntries {
+		if cite(fmt.Sprintf("D%d", i)) {
+			t.Fatalf("new shape %d hit", i)
 		}
 	}
-	n := 0
-	m.m.Range(func(any, any) bool { n++; return true })
-	if st := m.stats(); n != 1 || st.Entries != 1 {
-		t.Fatalf("after the drop the memo holds %d entries (counted %d), want 1", n, st.Entries)
+	if !cite("D") {
+		t.Fatalf("%d new shapes evicted the cited shape", maxMemoEntries)
 	}
-	if m.load([]byte("0")) != nil || m.load([]byte(fmt.Sprint(maxRewriteMemo))) == nil {
-		t.Fatal("the drop kept an old entry or lost the new one")
+	if st := g.RewriteMemoStats(); st.Entries != maxMemoEntries || st.Evicted != 1 || st.Hits != 2 || st.Misses != maxMemoEntries+1 {
+		t.Fatalf("stats %+v, want %d entries, 1 evicted, 2 hits, %d misses", st, maxMemoEntries, maxMemoEntries+1)
 	}
-	if st := m.stats(); st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("stats %+v, want one hit and one miss", st)
+}
+
+// TestRewriteMemoConcurrentFirstCitesMissOnce: cites of a new shape that
+// arrive together run the rewriter once; the others wait for its entry
+// and get their own constants' rewritings from it. The shape's four
+// Family atoms keep the rewriter busy for milliseconds, so the cites
+// overlap.
+func TestRewriteMemoConcurrentFirstCitesMissOnce(t *testing.T) {
+	g := NewGenerator(gtopdbMemoViews(t).reg, nil)
+	q := func(fid int) *cq.Query {
+		return cq.MustParse(fmt.Sprintf("Q(N, T) :- Family(%[1]d, N, D), Family(%[1]d, N1, D1), "+
+			"Family(%[1]d, N2, D2), Family(%[1]d, N3, D3), FamilyIntro(%[1]d, T)", fid))
+	}
+	want := make([][]string, 8)
+	for i := range want {
+		direct, _, _ := directRewriting(t, g, q(i), rewrite.MethodMiniCon)
+		want[i] = rewritingStrings(direct)
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range want {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			rws, _, _, err := g.rewriteStage(q(i), rewrite.MethodMiniCon)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if got := rewritingStrings(rws); !slices.Equal(got, want[i]) {
+				t.Errorf("cite %d: %q, want %q", i, got, want[i])
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if st := g.RewriteMemoStats(); st.Misses != 1 || st.Hits != 7 {
+		t.Fatalf("stats %+v, want 1 miss and 7 hits", st)
 	}
 }
 

@@ -213,7 +213,7 @@ func (m *serverMetrics) render(w *strings.Builder, s *Server) {
 		counter(evicted, c.what+" evicted at the cache's entry bound.")
 		fmt.Fprintf(w, "%s %d\n", evicted, c.count.Evicted)
 	}
-	// The rewriting memo: hits, misses and live entries.
+	// The rewriting memo: hits, misses, live entries and evictions.
 	rm := s.sys.Generator().RewriteMemoStats()
 	counter("citeserved_rewrite_memo_hits_total", "Rewriting stages answered by the shape memo.")
 	fmt.Fprintf(w, "citeserved_rewrite_memo_hits_total %d\n", rm.Hits)
@@ -221,6 +221,8 @@ func (m *serverMetrics) render(w *strings.Builder, s *Server) {
 	fmt.Fprintf(w, "citeserved_rewrite_memo_misses_total %d\n", rm.Misses)
 	gauge("citeserved_rewrite_memo_entries", "Query shapes held by the rewriting memo.")
 	fmt.Fprintf(w, "citeserved_rewrite_memo_entries %d\n", rm.Entries)
+	counter("citeserved_rewrite_memo_evicted_total", "Query shapes evicted at the rewriting memo's entry bound.")
+	fmt.Fprintf(w, "citeserved_rewrite_memo_evicted_total %d\n", rm.Evicted)
 
 	cu := storage.ColumnarUsage()
 	counter("citeserved_columnar_blocks_total", "Dictionary-encoded columnar blocks built for frozen relations, rebuilds of evicted blocks included.")

@@ -292,9 +292,9 @@ func TestMetricsExposition(t *testing.T) {
 }
 
 // TestRewriteMemoMetrics: /metrics exposes the rewriting memo's hits,
-// misses and entries. Two constants of one shape are one miss and one
-// hit; the series are a counter pair and a gauge outside the cache
-// kept/evicted families.
+// misses, entries and evictions. Two constants of one shape are one miss
+// and one hit; the series are three counters and a gauge outside the
+// cache kept/evicted families.
 func TestRewriteMemoMetrics(t *testing.T) {
 	_, ts := paperServer(t, Options{})
 	client := ts.Client()
@@ -313,9 +313,10 @@ func TestRewriteMemoMetrics(t *testing.T) {
 		typ   string
 		value float64
 	}{
-		"citeserved_rewrite_memo_hits_total":   {"counter", 1},
-		"citeserved_rewrite_memo_misses_total": {"counter", 1},
-		"citeserved_rewrite_memo_entries":      {"gauge", 1},
+		"citeserved_rewrite_memo_hits_total":    {"counter", 1},
+		"citeserved_rewrite_memo_misses_total":  {"counter", 1},
+		"citeserved_rewrite_memo_entries":       {"gauge", 1},
+		"citeserved_rewrite_memo_evicted_total": {"counter", 0},
 	} {
 		if types[name] != want.typ {
 			t.Errorf("%s: type %q, want %q", name, types[name], want.typ)

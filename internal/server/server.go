@@ -544,9 +544,9 @@ func (s *Server) handleCite(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// citeVersion checks a /cite request's ?version= parameter: 0 for a
-// head request, else a committed version. A rejection reports its
-// status and message; status 0 accepts.
+// citeVersion checks a /cite or /relations request's ?version=
+// parameter: 0 for a head request, else a committed version. A rejection
+// reports its status and message; status 0 accepts.
 func (s *Server) citeVersion(vs string) (v fixity.Version, status int, msg string) {
 	if vs == "" {
 		return 0, 0, ""
@@ -1041,14 +1041,10 @@ type attrInfo struct {
 // unknown versions). The snapshot and the reply's epoch are read under
 // one lock, so the counts are exactly those of that epoch.
 func (s *Server) handleRelations(w http.ResponseWriter, r *http.Request) {
-	var v fixity.Version
-	if vs := r.URL.Query().Get("version"); vs != "" {
-		n, err := strconv.Atoi(vs)
-		if err != nil || n < 1 {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid version %q: want a positive integer", vs))
-			return
-		}
-		v = fixity.Version(n)
+	v, status, msg := s.citeVersion(r.URL.Query().Get("version"))
+	if status != 0 {
+		writeError(w, status, msg)
+		return
 	}
 	db, epoch, _, latest, err := s.sys.Snapshot(v)
 	if err != nil {

@@ -282,20 +282,6 @@ func sortedKeys(m map[string]bool) []string {
 	return out
 }
 
-// Covers reports whether the registry's views admit at least one complete
-// equivalent rewriting of q — the schema-level "does the view set cover
-// this query" test of the paper's §3 ("best views" open problem).
-func (r *Registry) Covers(q *cq.Query, method rewrite.Method) (bool, error) {
-	res, err := rewrite.Rewrite(q, r.ViewQueries(), rewrite.Options{
-		Method:        method,
-		MaxRewritings: 1,
-	})
-	if err != nil {
-		return false, err
-	}
-	return len(res.Rewritings) > 0, nil
-}
-
 // CoverageReport summarizes how a workload of queries is covered by the
 // registered views.
 type CoverageReport struct {

@@ -52,15 +52,15 @@ type System struct {
 	store *fixity.Store
 	reg   *citation.Registry
 	gen   *citation.Generator
+	views []durable.Entry // the define-view entries applied, which checkpoints write again
 
 	// Durability (nil/zero when the system is purely in-memory; see
-	// durable.go). wal is the attached commit log: journaled mutations
-	// append to it before touching the store, all under the exclusive
-	// system lock.
+	// durable.go). wal is the attached commit log: every write appends
+	// to it before it applies, under the exclusive system lock.
 	wal              *durable.Log
 	walDir           string
 	walOpts          DurableOptions
-	readOnly         bool   // recovered with ReadOnly: journaled mutation APIs refuse
+	readOnly         bool   // recovered with ReadOnly: every write refuses
 	walGen           uint64 // head mutation generation as of the last journaled state
 	polName          string // last named default policy ("" = unnamed/default)
 	commitsSinceCkpt int
@@ -104,7 +104,9 @@ func NewSystemFromDatabase(db *storage.Database) *System {
 // Store returns the versioned store.
 func (s *System) Store() *fixity.Store { return s.store }
 
-// Registry returns the citation-view registry.
+// Registry returns the citation-view registry. A view added to it
+// directly is neither journaled nor checkpointed, just as Database()
+// writes are not: a durable system defines views through DefineView.
 func (s *System) Registry() *citation.Registry { return s.reg }
 
 // Generator returns the citation generator bound to the store head.
@@ -180,50 +182,15 @@ func (s *System) Snapshot(v fixity.Version) (db *storage.Database, epoch, config
 // DefineView parses and registers a citation view in one step: viewSrc is
 // the view query in datalog syntax; each CitationSpec pairs a citation
 // query with its field mapping. On a durable system the definition is
-// journaled (in canonical query syntax) after it validates and before it
-// registers, so a recovered system wakes up with the same view set.
+// journaled, in the text the caller wrote, after it validates and before
+// it registers, so a recovered system wakes up with the same view set.
 func (s *System) DefineView(viewSrc string, static format.Record, specs ...CitationSpec) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.readOnly {
-		return fmt.Errorf("core: system was opened read-only")
-	}
-	vq, err := cq.Parse(viewSrc)
-	if err != nil {
-		return fmt.Errorf("core: view query: %w", err)
-	}
-	v := &citation.View{Query: vq, Static: static}
+	e := durable.Entry{Type: durable.EntryDefineView, ViewSrc: viewSrc, Static: staticPairs(static)}
 	for _, spec := range specs {
-		cqy, err := cq.Parse(spec.Query)
-		if err != nil {
-			return fmt.Errorf("core: citation query: %w", err)
-		}
-		v.Citations = append(v.Citations, &citation.CitationQuery{
-			Query:  cqy,
-			Fields: spec.Fields,
-		})
+		e.Cites = append(e.Cites, durable.ViewCite(spec))
 	}
-	// Journal between the registry's checks and the registration, as the
-	// other journaled mutations do: a failed append leaves no view behind
-	// that a restart would lose.
-	if err := s.reg.Check(v); err != nil {
-		return err
-	}
-	if s.wal != nil {
-		//lint:lockscope journaled mutation: the WAL entry and the registry update must commit atomically under the writer lock
-		if _, err := s.wal.Append(viewEntry(v), true); err != nil {
-			return fmt.Errorf("core: journal: %w", err)
-		}
-	}
-	if err := s.reg.Add(v); err != nil {
-		return err // unreachable unless the registry is added to directly, bypassing DefineView
-	}
-	// A new view changes which rewritings exist, which the rewriting memo
-	// keys by registry generation; no cached view, atom or plan depends
-	// on another view's definition, so none turns over.
-	s.epoch++
-	s.cfg++
-	return nil
+	_, _, err := s.write(&e, true)
+	return err
 }
 
 // CitationSpec pairs a citation query source with its field mapping, for
@@ -239,8 +206,9 @@ type CitationSpec struct {
 // by the content they read, so a citation that reads nothing written
 // since it was computed stays warm.
 //
+// A commit stamps the store clock's time (fixity.Store.SetClock) in UTC.
 // On a durable system the commit is journaled — version number,
-// UTC timestamp, message, tuple count and the canonical database digest
+// timestamp, message, tuple count and the canonical database digest
 // reach stable storage (every fsync policy syncs at commit boundaries
 // except interval mode, which syncs on its timer) before the version is
 // created — and a journaling failure panics; callers that must handle
@@ -263,53 +231,16 @@ func (s *System) Commit(message string) fixity.VersionInfo {
 // already landed durably; the error is surfaced so operators see the
 // disk problem before the log grows without bound.
 func (s *System) CommitVersioned(message string) (fixity.VersionInfo, int64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.readOnly {
-		return fixity.VersionInfo{}, s.epoch, fmt.Errorf("core: system was opened read-only")
+	e := durable.Entry{Type: durable.EntryCommit, Commit: durable.CommitMeta{Message: message}}
+	_, epoch, err := s.write(&e, true)
+	if err != nil {
+		return fixity.VersionInfo{}, epoch, err
 	}
-	var info fixity.VersionInfo
-	if s.wal == nil {
-		info = s.store.Commit(message)
-	} else {
-		head := s.store.Head()
-		// Refuse to seal contents the log cannot reproduce: a direct
-		// Database() mutation bypassed the journal, and committing its
-		// digest would make the whole directory unrecoverable at the next
-		// boot (replay rebuilds different contents and fails the digest
-		// check). Failing here is loud and immediate instead.
-		if g := head.MutationGen(); g != s.walGen {
-			return fixity.VersionInfo{}, s.epoch, fmt.Errorf(
-				"core: head was mutated outside the journaled API (direct Database() writes?); durable systems must mutate through System.Insert/Delete")
-		}
-		info = fixity.VersionInfo{
-			Version:   s.store.Latest() + 1,
-			Timestamp: time.Now().UTC(),
-			Message:   message,
-			Tuples:    head.Size(),
-		}
-		// Digest the snapshot the commit stores, not the head: it holds
-		// the frozen relations RestoreCommit appends as this version,
-		// which keep their canonical order, so no later digest of this
-		// or another version sharing them sorts them again.
-		//lint:lockscope journaled mutation: the commit record and the version store must advance atomically under the writer lock
-		if _, err := s.wal.Append(durable.Entry{Type: durable.EntryCommit, Commit: commitMeta(info, head.Snapshot())}, true); err != nil {
-			return fixity.VersionInfo{}, s.epoch, fmt.Errorf("core: journal: %w", err)
-		}
-		if err := s.store.RestoreCommit(info); err != nil {
-			return fixity.VersionInfo{}, s.epoch, err
-		}
+	info := versionInfo(e.Commit)
+	if err := s.checkpointEvery(); err != nil {
+		return info, epoch, fmt.Errorf("core: checkpoint after commit %d: %w", info.Version, err)
 	}
-	s.epoch++
-	if s.wal != nil && s.walOpts.CheckpointEvery > 0 {
-		s.commitsSinceCkpt++
-		if s.commitsSinceCkpt >= s.walOpts.CheckpointEvery {
-			if err := s.checkpointLocked(); err != nil {
-				return info, s.epoch, fmt.Errorf("core: checkpoint after commit %d: %w", info.Version, err)
-			}
-		}
-	}
-	return info, s.epoch, nil
+	return info, epoch, nil
 }
 
 // Citation is the complete outcome of citing a query: the structural

@@ -79,11 +79,11 @@ func PolicyByName(name string) (policy.Policy, bool) {
 // EnableDurability initializes dir as this system's data directory and
 // attaches the commit log: the manifest pins the schema, a checkpoint
 // captures the system's current state (tuples, views, policy, any
-// already-committed versions), and every subsequent journaled mutation —
-// Insert, Delete, Commit, DefineView, SetPolicyNamed — appends to the
-// log before touching the store. The directory must not be initialized
-// yet; reattaching to an existing directory is Open's job, and doing it
-// here would silently fork the history.
+// already-committed versions), and every subsequent write — Insert,
+// Delete, Commit, DefineView, SetPolicyNamed — is journaled before it
+// applies. The directory must not be initialized yet; reattaching to an
+// existing directory is Open's job, and doing it here would silently
+// fork the history.
 func (s *System) EnableDurability(dir string, opts DurableOptions) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -100,13 +100,18 @@ func (s *System) EnableDurability(dir string, opts DurableOptions) error {
 	if err := durable.WriteManifest(dir, s.store.Head().Schema()); err != nil {
 		return err
 	}
-	ckpt := s.buildCheckpointLocked(0)
 	//lint:lockscope one-time enablement: the checkpoint snapshots the head the lock is freezing
-	if err := durable.WriteCheckpoint(dir, ckpt); err != nil {
+	if err := durable.WriteCheckpoint(dir, s.buildCheckpointLocked(0)); err != nil {
 		return err
 	}
-	//lint:lockscope one-time enablement: the log must open before any mutation can race it into existence
-	wal, err := durable.OpenLog(dir, 0, durable.LogOptions{
+	return s.attach(dir, 0, opts)
+}
+
+// attach opens dir's log to append from sequence number next, so every
+// later write journals there. Called with the exclusive system lock held
+// (or before the system is shared).
+func (s *System) attach(dir string, next uint64, opts DurableOptions) error {
+	wal, err := durable.OpenLog(dir, next, durable.LogOptions{
 		Fsync:        opts.Fsync,
 		SyncInterval: opts.SyncInterval,
 		SegmentBytes: opts.SegmentBytes,
@@ -114,22 +119,21 @@ func (s *System) EnableDurability(dir string, opts DurableOptions) error {
 	if err != nil {
 		return err
 	}
-	s.wal = wal
-	s.walDir = dir
-	s.walOpts = opts
+	s.wal, s.walDir, s.walOpts = wal, dir, opts
 	s.walGen = s.store.Head().MutationGen()
 	return nil
 }
 
 // Open recovers a System from a durable data directory: the manifest
 // yields the schema, and the newest checkpoint's entries and then the
-// log tail's apply one by one through the same applyEntry — rebuilding
-// the exact fixity version history (same version numbers, timestamps,
-// messages and digests; every rebuilt snapshot is verified against the
-// digest its commit entry recorded). A torn log tail recovers the
-// longest clean prefix; checksum or sequencing damage anywhere else, or
-// an entry that does not apply, reports an error wrapping
-// durable.ErrCorrupt rather than serving a mangled state.
+// log tail's apply one by one through applyEntry, the function every
+// live write applies through — rebuilding the exact fixity version
+// history (same version numbers, timestamps, messages and digests;
+// every rebuilt snapshot is verified against the digest its commit entry
+// recorded). A torn log tail recovers the longest clean prefix; checksum
+// or sequencing damage anywhere else, or an entry that does not apply,
+// reports an error wrapping durable.ErrCorrupt rather than serving a
+// mangled state.
 //
 // Unless opts.ReadOnly is set, the recovered system continues journaling
 // to the same directory.
@@ -140,13 +144,21 @@ func Open(dir string, opts DurableOptions) (*System, error) {
 		return nil, err
 	}
 	sys := NewSystem(sch)
-	head := sys.store.Head()
 
 	// A checkpoint and the log tail hold only entries the live system
-	// applied, so an entry that does not apply is damage, whichever
-	// source it comes from.
+	// applied, so an entry that does not apply, or a commit whose rebuilt
+	// snapshot digests otherwise than the live one did, is damage,
+	// whichever source it comes from.
 	apply := func(src string, i uint64, e durable.Entry) error {
-		if err := sys.applyEntry(e); err != nil {
+		_, err := sys.applyEntry(e)
+		if err == nil && e.Type == durable.EntryCommit {
+			db, _ := sys.store.At(fixity.Version(e.Commit.Version)) // applyEntry just committed it
+			if got := fixity.DatabaseDigest(db); got != e.Commit.Digest {
+				err = fmt.Errorf("version %d digest mismatch: rebuilt %s, committed %s",
+					e.Commit.Version, got, e.Commit.Digest)
+			}
+		}
+		if err != nil {
 			return fmt.Errorf("%w: %s entry %d (%s): %w", durable.ErrCorrupt, src, i, e.Type, err)
 		}
 		return nil
@@ -178,119 +190,187 @@ func Open(dir string, opts DurableOptions) (*System, error) {
 	sys.recoveryDur = time.Since(start)
 	sys.recoveredVer = sys.store.Latest()
 	sys.readOnly = opts.ReadOnly
-
 	if !opts.ReadOnly {
-		wal, err := durable.OpenLog(dir, next, durable.LogOptions{
-			Fsync:        opts.Fsync,
-			SyncInterval: opts.SyncInterval,
-			SegmentBytes: opts.SegmentBytes,
-		})
-		if err != nil {
+		if err := sys.attach(dir, next, opts); err != nil {
 			return nil, err
 		}
-		sys.wal = wal
-		sys.walDir = dir
-		sys.walOpts = opts
-		sys.walGen = head.MutationGen()
 	}
 	return sys, nil
 }
 
-// applyEntry applies one recovered entry, from a checkpoint or the log
-// tail, without journaling. It runs before the system is shared, so no
-// locking.
-func (s *System) applyEntry(e durable.Entry) error {
+// write is the one way the system's state changes. Under the exclusive
+// system lock it completes and validates e (prepare), journals it when a
+// log is attached — synced if sync is set, as the fsync policy says — and
+// applies it with applyEntry, the function Open replays the journal
+// through, so a recovered system holds exactly what the live one held. A
+// failed append applies nothing. It returns applyEntry's batch count and
+// the epoch observed with the change.
+func (s *System) write(e *durable.Entry, sync bool) (int, int64, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.readOnly {
+		return 0, s.epoch, fmt.Errorf("core: system was opened read-only")
+	}
+	if err := s.prepare(e); err != nil {
+		return 0, s.epoch, err
+	}
+	if s.wal != nil {
+		//lint:lockscope journaled mutation: the journal entry and its apply must commit atomically under the writer lock
+		if _, err := s.wal.Append(*e, sync); err != nil {
+			return 0, s.epoch, fmt.Errorf("core: journal: %w", err)
+		}
+	}
+	n, err := s.applyEntry(*e)
+	if err != nil {
+		return n, s.epoch, err // unreachable: prepare validated e
+	}
+	// Re-read rather than increment: a no-op batch (all duplicates) does
+	// not advance the relation's generation.
+	s.walGen = s.store.Head().MutationGen()
+	return n, s.epoch, nil
+}
+
+// prepare validates e against the current state, with the checks and
+// messages of the method that made it, and completes a commit entry:
+// version, timestamp (the store clock, in UTC), tuple count, and, when
+// the entry is journaled, the digest of the snapshot it seals.
+func (s *System) prepare(e *durable.Entry) error {
+	head := s.store.Head()
+	switch e.Type {
+	case durable.EntryInsert, durable.EntryDelete:
+		r := head.Relation(e.Relation)
+		if r == nil {
+			return fmt.Errorf("core: unknown relation %s", e.Relation)
+		}
+		for _, t := range e.Tuples {
+			if err := r.Check(t); err != nil {
+				return fmt.Errorf("core: %w", err)
+			}
+		}
+	case durable.EntryCommit:
+		var snap *storage.Database
+		if s.wal != nil {
+			// Refuse to seal contents the log cannot reproduce: a direct
+			// Database() mutation bypassed the journal, and committing its
+			// digest would make the whole directory unrecoverable at the
+			// next boot (replay rebuilds different contents and fails the
+			// digest check). Failing here is loud and immediate instead.
+			if g := head.MutationGen(); g != s.walGen {
+				return fmt.Errorf(
+					"core: head was mutated outside the journaled API (direct Database() writes?); durable systems must mutate through System.Insert/Delete")
+			}
+			// Digest the snapshot the commit stores, not the head: it
+			// holds the frozen relations the store appends as this
+			// version, which keep their canonical order, so no later
+			// digest of this or another version sharing them sorts them
+			// again.
+			snap = head.Snapshot()
+		}
+		e.Commit = commitMeta(s.store.Next(e.Commit.Message), snap)
+	case durable.EntryDefineView:
+		v, err := entryView(*e)
+		if err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
+		return s.reg.Check(v)
+	}
+	return nil
+}
+
+// applyEntry applies one entry: a live one once write has journaled it,
+// or a recovered one, from a checkpoint or the log tail. It returns an
+// insert's or delete's batch count (tuples added or removed). The caller
+// holds the exclusive system lock, or the system is not shared yet.
+func (s *System) applyEntry(e durable.Entry) (n int, err error) {
 	switch e.Type {
 	case durable.EntryInsert, durable.EntryDelete:
 		r := s.store.Head().Relation(e.Relation)
 		if r == nil {
-			return fmt.Errorf("unknown relation %s", e.Relation)
+			return 0, fmt.Errorf("unknown relation %s", e.Relation)
 		}
 		batch := r.InsertBatch
 		if e.Type == durable.EntryDelete {
 			batch = r.DeleteBatch
 		}
-		if _, err := batch(e.Tuples); err != nil {
-			return err
+		if n, err = batch(e.Tuples); err != nil {
+			return n, err
 		}
-		s.epoch++
 	case durable.EntryCommit:
-		if err := s.restoreVersion(e.Commit); err != nil {
-			return err
+		if err := s.store.Commit(versionInfo(e.Commit)); err != nil {
+			return 0, err
 		}
-		s.epoch++
 	case durable.EntryDefineView:
-		if err := s.applyViewDef(e); err != nil {
-			return err
+		v, err := entryView(e)
+		if err != nil {
+			return 0, err
 		}
-		s.epoch++
+		if err := s.reg.Add(v); err != nil {
+			return 0, err
+		}
+		// A new view changes which rewritings exist, which the rewriting
+		// memo keys by registry generation; no cached view, atom or plan
+		// depends on another view's definition, so none turns over.
+		s.views = append(s.views, e)
 		s.cfg++
 	case durable.EntrySetPolicy:
 		p, ok := PolicyByName(e.Policy)
 		if !ok {
-			return fmt.Errorf("unknown policy %q", e.Policy)
+			return 0, fmt.Errorf("unknown policy %q", e.Policy)
 		}
+		// No generator cache entry depends on the policy: every cite
+		// applies it to the rewritings it evaluates and the atoms it
+		// resolves.
 		s.gen.SetPolicy(p)
 		s.polName = e.Policy
-		s.epoch++
 		s.cfg++
 	default:
-		return fmt.Errorf("unknown entry type %d", e.Type)
+		return 0, fmt.Errorf("unknown entry type %d", e.Type)
 	}
-	return nil
+	s.epoch++
+	return n, nil
 }
 
-// restoreVersion rebuilds one committed version from its logged metadata
-// and proves the rebuilt snapshot digests identically to the one the
-// original process committed.
-func (s *System) restoreVersion(meta durable.CommitMeta) error {
-	info := fixity.VersionInfo{
-		Version:   fixity.Version(meta.Version),
-		Timestamp: time.Unix(0, meta.Timestamp).UTC(),
-		Message:   meta.Message,
-		Tuples:    int(meta.Tuples),
+// versionInfo is the version metadata a commit entry records.
+func versionInfo(m durable.CommitMeta) fixity.VersionInfo {
+	return fixity.VersionInfo{
+		Version:   fixity.Version(m.Version),
+		Timestamp: time.Unix(0, m.Timestamp).UTC(),
+		Message:   m.Message,
+		Tuples:    int(m.Tuples),
 	}
-	if err := s.store.RestoreCommit(info); err != nil {
-		return err
-	}
-	db, err := s.store.At(info.Version)
-	if err != nil {
-		return err
-	}
-	if got := fixity.DatabaseDigest(db); got != meta.Digest {
-		return fmt.Errorf("version %d digest mismatch: rebuilt %s, committed %s",
-			info.Version, got, meta.Digest)
-	}
-	return nil
 }
 
-// commitMeta is the commit entry's record of a version: its metadata and
-// the digest of its database.
+// commitMeta is the commit entry's record of a version: its metadata
+// and, for an entry that is journaled, the digest of db, its database.
 func commitMeta(info fixity.VersionInfo, db *storage.Database) durable.CommitMeta {
-	return durable.CommitMeta{
+	m := durable.CommitMeta{
 		Version:   int64(info.Version),
 		Timestamp: info.Timestamp.UnixNano(),
 		Message:   info.Message,
 		Tuples:    int64(info.Tuples),
-		Digest:    fixity.DatabaseDigest(db),
 	}
+	if db != nil {
+		m.Digest = fixity.DatabaseDigest(db)
+	}
+	return m
 }
 
-// applyViewDef registers a define-view entry's view without journaling.
-func (s *System) applyViewDef(e durable.Entry) error {
+// entryView builds the view a define-view entry defines, parsing its
+// view and citation queries from the text the caller wrote.
+func entryView(e durable.Entry) (*citation.View, error) {
 	vq, err := cq.Parse(e.ViewSrc)
 	if err != nil {
-		return fmt.Errorf("view query: %w", err)
+		return nil, fmt.Errorf("view query: %w", err)
 	}
 	v := &citation.View{Query: vq, Static: staticRecord(e.Static)}
 	for _, c := range e.Cites {
 		cqy, err := cq.Parse(c.Query)
 		if err != nil {
-			return fmt.Errorf("citation query: %w", err)
+			return nil, fmt.Errorf("citation query: %w", err)
 		}
 		v.Citations = append(v.Citations, &citation.CitationQuery{Query: cqy, Fields: c.Fields})
 	}
-	return s.reg.Add(v)
+	return v, nil
 }
 
 // staticPairs renders a record as ordered field/value pairs (canonical
@@ -318,28 +398,16 @@ func staticRecord(pairs [][2]string) format.Record {
 	return rec
 }
 
-// viewEntry is the define-view entry that records a view: its query and
-// citation queries in canonical syntax, and its static record.
-func viewEntry(v *citation.View) durable.Entry {
-	e := durable.Entry{Type: durable.EntryDefineView, ViewSrc: v.Query.String(), Static: staticPairs(v.Static)}
-	for _, c := range v.Citations {
-		e.Cites = append(e.Cites, durable.ViewCite{Query: c.Query.String(), Fields: c.Fields})
-	}
-	return e
-}
-
 // buildCheckpointLocked captures the full logical state at the given log
 // watermark as the entries that rebuild it from an empty database: the
-// policy, every view, each committed version as the batches from its
-// predecessor plus its commit, and the batches from the latest version
-// to the head. Called with the exclusive system lock held (or before the
+// policy, the define-view entries the system applied, each committed
+// version as the batches from its predecessor plus its commit, and the
+// batches from the latest version to the head. Called with the exclusive system lock held (or before the
 // system is shared).
 func (s *System) buildCheckpointLocked(watermark uint64) *durable.Checkpoint {
 	c := &durable.Checkpoint{Watermark: watermark}
 	c.Entries = append(c.Entries, durable.Entry{Type: durable.EntrySetPolicy, Policy: s.polName})
-	for _, v := range s.reg.Views() {
-		c.Entries = append(c.Entries, viewEntry(v))
-	}
+	c.Entries = append(c.Entries, s.views...)
 	var prev *storage.Database
 	for v := fixity.Version(1); v <= s.store.Latest(); v++ {
 		db, err := s.store.At(v)
@@ -366,6 +434,20 @@ func (s *System) buildCheckpointLocked(watermark uint64) *durable.Checkpoint {
 func (s *System) Checkpoint() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.checkpointLocked()
+}
+
+// checkpointEvery counts a commit that landed and, on a system
+// configured with CheckpointEvery, writes a checkpoint every that many.
+func (s *System) checkpointEvery() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.wal == nil || s.walOpts.CheckpointEvery <= 0 {
+		return nil
+	}
+	if s.commitsSinceCkpt++; s.commitsSinceCkpt < s.walOpts.CheckpointEvery {
+		return nil
+	}
 	return s.checkpointLocked()
 }
 
@@ -429,54 +511,16 @@ func (s *System) Durability() (stats DurabilityStats, ok bool) {
 // snapshot holding the batch. On a system without durability the batch
 // applies directly.
 func (s *System) Insert(relation string, tuples []storage.Tuple) (int, error) {
-	return s.mutate(relation, tuples, durable.EntryInsert)
+	n, _, err := s.write(&durable.Entry{Type: durable.EntryInsert, Relation: relation, Tuples: tuples}, false)
+	return n, err
 }
 
 // Delete journals and applies a batch deletion from the named head
 // relation, returning how many tuples were present (and removed). See
 // Insert for the journaling contract.
 func (s *System) Delete(relation string, tuples []storage.Tuple) (int, error) {
-	return s.mutate(relation, tuples, durable.EntryDelete)
-}
-
-func (s *System) mutate(relation string, tuples []storage.Tuple, typ durable.EntryType) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.readOnly {
-		return 0, fmt.Errorf("core: system was opened read-only")
-	}
-	r := s.store.Head().Relation(relation)
-	if r == nil {
-		return 0, fmt.Errorf("core: unknown relation %s", relation)
-	}
-	for _, t := range tuples {
-		if err := r.Check(t); err != nil {
-			return 0, fmt.Errorf("core: %w", err)
-		}
-	}
-	if s.wal != nil {
-		//lint:lockscope journaled mutation: the WAL entry and the head apply must commit atomically under the writer lock
-		if _, err := s.wal.Append(durable.Entry{Type: typ, Relation: relation, Tuples: tuples}, false); err != nil {
-			return 0, fmt.Errorf("core: journal: %w", err)
-		}
-	}
-	var n int
-	var err error
-	if typ == durable.EntryInsert {
-		n, err = r.InsertBatch(tuples)
-	} else {
-		n, err = r.DeleteBatch(tuples)
-	}
-	if err != nil {
-		return n, err // unreachable: the batch was validated above
-	}
-	if s.wal != nil {
-		// Re-read rather than increment: a no-op batch (all duplicates)
-		// does not advance the relation's generation.
-		s.walGen = s.store.Head().MutationGen()
-	}
-	s.epoch++
-	return n, nil
+	n, _, err := s.write(&durable.Entry{Type: durable.EntryDelete, Relation: relation, Tuples: tuples}, false)
+	return n, err
 }
 
 // SetPolicyNamed replaces the *default* combination policy — the one
@@ -487,26 +531,9 @@ func (s *System) mutate(relation string, tuples []storage.Tuple, typ durable.Ent
 // the default can change the outcome of every subsequent default-policy
 // citation, even of an already committed version.
 func (s *System) SetPolicyNamed(name string) error {
-	p, ok := PolicyByName(name)
-	if !ok {
+	if _, ok := PolicyByName(name); !ok {
 		return fmt.Errorf("core: unknown policy %q (want minsize, maxcoverage or all)", name)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.readOnly {
-		return fmt.Errorf("core: system was opened read-only")
-	}
-	if s.wal != nil {
-		//lint:lockscope journaled mutation: the policy record and the in-memory policy must flip atomically under the writer lock
-		if _, err := s.wal.Append(durable.Entry{Type: durable.EntrySetPolicy, Policy: name}, true); err != nil {
-			return fmt.Errorf("core: journal: %w", err)
-		}
-	}
-	// No generator cache entry depends on the policy: every cite applies
-	// it to the rewritings it evaluates and the atoms it resolves.
-	s.epoch++
-	s.cfg++
-	s.gen.SetPolicy(p)
-	s.polName = name
-	return nil
+	_, _, err := s.write(&durable.Entry{Type: durable.EntrySetPolicy, Policy: name}, true)
+	return err
 }

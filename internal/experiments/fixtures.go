@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/citation"
 	"repro/internal/core"
 	"repro/internal/cq"
 	"repro/internal/format"
@@ -179,17 +178,12 @@ func NewChainSetup(joins, copies, tuplesPerRel int) (*ChainSetup, error) {
 	for i := 0; i < joins; i++ {
 		for c := 0; c < copies; c++ {
 			name := fmt.Sprintf("V%d_%d", i, c)
-			vq := cq.MustParse(fmt.Sprintf("lambda A. %s(A, B) :- R%d(A, B)", name, i))
-			cs.Views = append(cs.Views, vq)
-			v := &citation.View{
-				Query: vq,
-				Citations: []*citation.CitationQuery{{
-					Query:  cq.MustParse(fmt.Sprintf("lambda A. C%s(A, B) :- R%d(A, B)", name, i)),
-					Fields: []string{format.FieldIdentifier, ""},
-				}},
-				Static: format.NewRecord(format.FieldDatabase, "chain"),
-			}
-			if err := sys.Registry().Add(v); err != nil {
+			src := fmt.Sprintf("lambda A. %s(A, B) :- R%d(A, B)", name, i)
+			cs.Views = append(cs.Views, cq.MustParse(src))
+			if err := sys.DefineView(src, format.NewRecord(format.FieldDatabase, "chain"), core.CitationSpec{
+				Query:  fmt.Sprintf("lambda A. C%s(A, B) :- R%d(A, B)", name, i),
+				Fields: []string{format.FieldIdentifier, ""},
+			}); err != nil {
 				return nil, err
 			}
 		}
@@ -202,16 +196,12 @@ func NewChainSetup(joins, copies, tuplesPerRel int) (*ChainSetup, error) {
 	// equivalence check — the E5 gap.
 	for i := 0; i < joins; i++ {
 		name := fmt.Sprintf("VD%d", i)
-		vq := cq.MustParse(fmt.Sprintf("%s(A) :- R%d(A, B)", name, i))
-		cs.Views = append(cs.Views, vq)
-		v := &citation.View{
-			Query: vq,
-			Citations: []*citation.CitationQuery{{
-				Query:  cq.MustParse(fmt.Sprintf("C%s(D) :- D = 'chain distractor %d'", name, i)),
-				Fields: []string{format.FieldNote},
-			}},
-		}
-		if err := sys.Registry().Add(v); err != nil {
+		src := fmt.Sprintf("%s(A) :- R%d(A, B)", name, i)
+		cs.Views = append(cs.Views, cq.MustParse(src))
+		if err := sys.DefineView(src, nil, core.CitationSpec{
+			Query:  fmt.Sprintf("C%s(D) :- D = 'chain distractor %d'", name, i),
+			Fields: []string{format.FieldNote},
+		}); err != nil {
 			return nil, err
 		}
 	}

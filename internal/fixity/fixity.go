@@ -75,38 +75,33 @@ func (st *Store) Head() *storage.Database {
 	return st.head
 }
 
-// Commit snapshots the head as a new immutable version and returns it.
-// Snapshots are copy-on-write (storage.Database.Snapshot): commit cost is
-// O(relations), and any number of Cite calls can read a committed version
-// concurrently without locking.
-func (st *Store) Commit(message string) VersionInfo {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	snap := st.head.Snapshot()
-	st.versions = append(st.versions, snap)
-	info := VersionInfo{
-		Version:   Version(len(st.versions)),
-		Timestamp: st.clock(),
+// Next returns the metadata a commit of the head records now: the next
+// version number, the store clock's time in UTC, the message and the
+// head's live tuple count.
+func (st *Store) Next(message string) VersionInfo {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return VersionInfo{
+		Version:   Version(len(st.versions) + 1),
+		Timestamp: st.clock().UTC(),
 		Message:   message,
-		Tuples:    snap.Size(),
+		Tuples:    st.head.Size(),
 	}
-	st.infos = append(st.infos, info)
-	return info
 }
 
-// RestoreCommit appends the current head snapshot as the next version
-// with caller-supplied metadata instead of freshly generated metadata —
-// the durable layer's commit primitive. The write-ahead log (and its
-// checkpoints) record each commit's version number, timestamp, message
-// and tuple count; restoring through this method reproduces the exact
-// VersionInfo the original process observed, so a recovered store's pins
-// render byte-identically to the ones handed out before the crash.
+// Commit appends the head's snapshot as the next version, with info as
+// its metadata: Next's for a new commit, or the metadata a commit log
+// recorded, so a recovered store's pins render byte-identically to the
+// ones handed out before the crash. Snapshots are copy-on-write
+// (storage.Database.Snapshot): commit cost is O(relations), and any
+// number of Cite calls can read a committed version concurrently
+// without locking.
 //
 // info.Version must be exactly Latest()+1 and info.Tuples must match the
 // head's live tuple count; violations report an error and change nothing,
 // which is how recovery surfaces a log that diverged from the state it
 // claims to describe.
-func (st *Store) RestoreCommit(info VersionInfo) error {
+func (st *Store) Commit(info VersionInfo) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if want := Version(len(st.versions) + 1); info.Version != want {

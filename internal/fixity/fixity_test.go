@@ -21,6 +21,17 @@ func testSchema(t *testing.T) *schema.Schema {
 	return s
 }
 
+// commit seals the head as the next version, with the metadata Next
+// stamps, through the store's one commit primitive.
+func commit(t *testing.T, st *Store, message string) VersionInfo {
+	t.Helper()
+	info := st.Next(message)
+	if err := st.Commit(info); err != nil {
+		t.Fatal(err)
+	}
+	return info
+}
+
 func TestCommitAndAt(t *testing.T) {
 	st := NewStore(testSchema(t))
 	if st.Latest() != 0 {
@@ -29,14 +40,14 @@ func TestCommitAndAt(t *testing.T) {
 	if err := st.Head().Insert("R", value.Int(1), value.String("a")); err != nil {
 		t.Fatal(err)
 	}
-	info := st.Commit("first")
+	info := commit(t, st, "first")
 	if info.Version != 1 || info.Tuples != 1 || info.Message != "first" {
 		t.Errorf("info %+v", info)
 	}
 	if err := st.Head().Insert("R", value.Int(2), value.String("b")); err != nil {
 		t.Fatal(err)
 	}
-	st.Commit("second")
+	commit(t, st, "second")
 	v1, err := st.At(1)
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +75,7 @@ func TestSnapshotImmuneToHeadChanges(t *testing.T) {
 	if err := st.Head().Insert("R", value.Int(1), value.String("a")); err != nil {
 		t.Fatal(err)
 	}
-	st.Commit("v1")
+	commit(t, st, "v1")
 	if _, err := st.Head().Delete("R", value.Int(1), value.String("a")); err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +92,8 @@ func TestHistory(t *testing.T) {
 	st := NewStore(testSchema(t))
 	now := time.Date(2026, 6, 12, 0, 0, 0, 0, time.UTC)
 	st.SetClock(func() time.Time { return now })
-	st.Commit("a")
-	st.Commit("b")
+	commit(t, st, "a")
+	commit(t, st, "b")
 	h := st.History()
 	if len(h) != 2 || h[0].Message != "a" || h[1].Message != "b" {
 		t.Errorf("history %+v", h)
@@ -121,7 +132,7 @@ func TestExecuteAndPin(t *testing.T) {
 	if err := st.Head().Insert("R", value.Int(1), value.String("a")); err != nil {
 		t.Fatal(err)
 	}
-	st.Commit("v1")
+	commit(t, st, "v1")
 	q := cq.MustParse("Q(A) :- R(A, B)")
 	tuples, pin, err := st.Execute(q, 1)
 	if err != nil {
@@ -153,7 +164,7 @@ func TestVerifyAfterChange(t *testing.T) {
 	if err := st.Head().Insert("R", value.Int(1), value.String("a")); err != nil {
 		t.Fatal(err)
 	}
-	st.Commit("v1")
+	commit(t, st, "v1")
 	q := cq.MustParse("Q(A) :- R(A, B)")
 	_, pin, err := st.Execute(q, 1)
 	if err != nil {
@@ -164,7 +175,7 @@ func TestVerifyAfterChange(t *testing.T) {
 	if err := st.Head().Insert("R", value.Int(2), value.String("b")); err != nil {
 		t.Fatal(err)
 	}
-	st.Commit("v2")
+	commit(t, st, "v2")
 	ok, err := st.Verify(pin)
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +205,7 @@ func TestVerifyAfterChange(t *testing.T) {
 
 func TestVerifyBadQuery(t *testing.T) {
 	st := NewStore(testSchema(t))
-	st.Commit("v1")
+	commit(t, st, "v1")
 	if _, err := st.Verify(PinnedCitation{QueryText: "((("}); err == nil {
 		t.Error("unparseable pinned query accepted")
 	}
@@ -207,7 +218,7 @@ func TestPinRoundTripThroughString(t *testing.T) {
 	if err := st.Head().Insert("R", value.Int(1), value.String("it's")); err != nil {
 		t.Fatal(err)
 	}
-	st.Commit("v1")
+	commit(t, st, "v1")
 	q := cq.MustParse("Q(A) :- R(A, 'it''s')")
 	_, pin, err := st.Execute(q, 1)
 	if err != nil {
@@ -261,7 +272,7 @@ func TestRestoreCommit(t *testing.T) {
 		Message:   "restored",
 		Tuples:    1,
 	}
-	if err := st.RestoreCommit(want); err != nil {
+	if err := st.Commit(want); err != nil {
 		t.Fatal(err)
 	}
 	got, err := st.Info(1)
@@ -280,10 +291,10 @@ func TestRestoreCommit(t *testing.T) {
 	}
 
 	// Out-of-order versions and tuple-count mismatches are refused.
-	if err := st.RestoreCommit(VersionInfo{Version: 5, Tuples: 1}); err == nil {
+	if err := st.Commit(VersionInfo{Version: 5, Tuples: 1}); err == nil {
 		t.Fatal("out-of-order restore accepted")
 	}
-	if err := st.RestoreCommit(VersionInfo{Version: 2, Tuples: 99}); err == nil {
+	if err := st.Commit(VersionInfo{Version: 2, Tuples: 99}); err == nil {
 		t.Fatal("tuple-count mismatch accepted")
 	}
 	if st.Latest() != 1 {
@@ -291,7 +302,7 @@ func TestRestoreCommit(t *testing.T) {
 	}
 
 	// Regular commits continue after a restore.
-	info := st.Commit("v2")
+	info := commit(t, st, "v2")
 	if info.Version != 2 {
 		t.Fatalf("commit after restore got version %d", info.Version)
 	}

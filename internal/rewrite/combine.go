@@ -152,7 +152,7 @@ func combineMiniCon(q *cq.Query, mcds []*mcd, opts Options, emit func(*Rewriting
 	covered := make([]bool, n)
 	var selected []*mcd
 	var uncovered []int
-	budget := opts.MaxCandidates
+	budget := DefaultMaxCandidates
 	var rec func(next int) bool
 	rec = func(next int) bool {
 		for next < n && covered[next] {
@@ -226,7 +226,7 @@ func combineBucket(q *cq.Query, entries []*mcd, opts Options, emit func(*Rewriti
 	}
 	var selected []*mcd
 	var uncovered []int
-	budget := opts.MaxCandidates
+	budget := DefaultMaxCandidates
 	var rec func(i int) bool
 	rec = func(i int) bool {
 		if i == n {

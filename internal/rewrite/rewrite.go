@@ -61,23 +61,16 @@ func (m Method) String() string {
 type Options struct {
 	// Method selects MiniCon (default) or the bucket baseline.
 	Method Method
-	// MaxCandidates caps the number of candidate combinations examined
-	// before equivalence checking; 0 means DefaultMaxCandidates.
-	MaxCandidates int
 	// MaxRewritings stops the search after this many certified
 	// rewritings; 0 means unlimited.
 	MaxRewritings int
 	// AllowPartial also returns partial rewritings, in which some query
 	// subgoals remain as base-relation atoms alongside view atoms.
 	AllowPartial bool
-	// SkipMinimize disables dropping redundant view atoms from certified
-	// rewritings. Minimization is on by default because the paper
-	// considers the set of *minimal* equivalent rewritings.
-	SkipMinimize bool
 }
 
-// DefaultMaxCandidates bounds the combination search when
-// Options.MaxCandidates is zero.
+// DefaultMaxCandidates bounds the candidate combinations a search
+// examines before equivalence checking.
 const DefaultMaxCandidates = 100000
 
 // ViewAtom is an atom over a view head appearing in a rewriting.
@@ -203,9 +196,6 @@ func Rewrite(q *cq.Query, views []*cq.Query, opts Options) (*Result, error) {
 	if err := checkViews(views); err != nil {
 		return nil, err
 	}
-	if opts.MaxCandidates == 0 {
-		opts.MaxCandidates = DefaultMaxCandidates
-	}
 	viewByName := make(map[string]*cq.Query, len(views))
 	for _, v := range views {
 		viewByName[v.Name] = v
@@ -231,9 +221,7 @@ func Rewrite(q *cq.Query, views []*cq.Query, opts Options) (*Result, error) {
 		if !contain.Equivalent(full, q) {
 			return true
 		}
-		if !opts.SkipMinimize {
-			r = minimizeRewriting(r, q, viewByName)
-		}
+		r = minimizeRewriting(r, q, viewByName)
 		sig := r.signature()
 		if seen[sig] {
 			return true

@@ -32,14 +32,15 @@ var referenceQueries = []string{
 }
 
 // TestHandlerMatchesJournalReference drives a durable paper system
-// through its handler with random writes, commits, policy changes, one
-// view definition and cites, and checks every cite reply against a
-// reference with no cache history: the system recovered read-only from
-// the commit log as it stands at that cite. Each reply's result must
-// equal the reference citation byte for byte, except that a cached head
-// citation may keep the older pin it was computed with (DESIGN.md §3):
-// that pin must verify against the reference store at its own version,
-// and everything but pin and text must still match.
+// through its handler with random write batches, commits, checkpoints,
+// policy changes, one view definition and cites, and checks every cite
+// reply against a reference with no cache history: the system recovered
+// read-only from the checkpoint and commit log as they stand at that
+// cite. Each reply's result must equal the reference citation byte for
+// byte, except that a cached head citation may keep the older pin it
+// was computed with (DESIGN.md §3): that pin must verify against the
+// reference store at its own version, and everything but pin and text
+// must still match.
 func TestHandlerMatchesJournalReference(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("..", "..", "testdata", "paper.dcs"))
 	if err != nil {
@@ -96,6 +97,10 @@ func TestHandlerMatchesJournalReference(t *testing.T) {
 				if err := sys.SetPolicyNamed([]string{"minsize", "maxcoverage", "all"}[rng.IntN(3)]); err != nil {
 					t.Fatalf("%s: set policy: %v", where, err)
 				}
+			case r < 12:
+				if err := sys.Checkpoint(); err != nil {
+					t.Fatalf("%s: checkpoint: %v", where, err)
+				}
 			default:
 				q := referenceQueries[rng.IntN(len(referenceQueries))]
 				var version fixity.Version
@@ -117,27 +122,28 @@ func TestHandlerMatchesJournalReference(t *testing.T) {
 	t.Logf("%d cites of the query the defined view makes rewritable", rewritable)
 }
 
-// randomIngest is an /ingest body inserting or deleting one tuple of a
-// small domain, so writes often repeat or undo each other.
+// randomIngest is an /ingest body inserting or deleting a batch of 1–3
+// tuples of one relation, over a small domain, so writes often repeat
+// or undo each other.
 func randomIngest(rng *rand.Rand) string {
-	fid := 11 + rng.IntN(4)
-	var rel, tuple string
-	switch rng.IntN(3) {
-	case 0:
-		rel = "Family"
-		tuple = fmt.Sprintf(`[%d, %q, %q]`, fid, []string{"Calcitonin", "Galanin"}[rng.IntN(2)], []string{"C1", "C2"}[rng.IntN(2)])
-	case 1:
-		rel = "FamilyIntro"
-		tuple = fmt.Sprintf(`[%d, %q]`, fid, []string{"1st", "2nd"}[rng.IntN(2)])
-	default:
-		rel = "Committee"
-		tuple = fmt.Sprintf(`[%d, %q]`, fid, []string{"Alice", "Bob", "Carol"}[rng.IntN(3)])
+	rel := []string{"Family", "FamilyIntro", "Committee"}[rng.IntN(3)]
+	tuples := make([]string, 1+rng.IntN(3))
+	for i := range tuples {
+		fid := 11 + rng.IntN(4)
+		switch rel {
+		case "Family":
+			tuples[i] = fmt.Sprintf(`[%d, %q, %q]`, fid, []string{"Calcitonin", "Galanin"}[rng.IntN(2)], []string{"C1", "C2"}[rng.IntN(2)])
+		case "FamilyIntro":
+			tuples[i] = fmt.Sprintf(`[%d, %q]`, fid, []string{"1st", "2nd"}[rng.IntN(2)])
+		default:
+			tuples[i] = fmt.Sprintf(`[%d, %q]`, fid, []string{"Alice", "Bob", "Carol"}[rng.IntN(3)])
+		}
 	}
 	verb := "insert"
 	if rng.IntN(2) == 0 {
 		verb = "delete"
 	}
-	return fmt.Sprintf(`{"relation": %q, %q: [%s]}`, rel, verb, tuple)
+	return fmt.Sprintf(`{"relation": %q, %q: [%s]}`, rel, verb, strings.Join(tuples, ", "))
 }
 
 // checkAgainstReference cites q at version (0 for the head) through

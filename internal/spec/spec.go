@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/citation"
 	"repro/internal/core"
 	"repro/internal/cq"
 	"repro/internal/format"
@@ -30,8 +29,8 @@ import (
 func Load(src string) (*core.System, error) {
 	s := schema.New()
 	type pendingView struct {
-		query  *cq.Query
-		cites  []*citation.CitationQuery
+		src    string
+		cites  []core.CitationSpec
 		static format.Record
 	}
 	var views []*pendingView
@@ -70,7 +69,7 @@ func Load(src string) (*core.System, error) {
 			if err != nil {
 				return nil, fmt.Errorf("spec: line %d: %w", lineNo+1, err)
 			}
-			pv := &pendingView{query: q}
+			pv := &pendingView{src: rest}
 			views = append(views, pv)
 			byName[q.Name] = pv
 		case "cite":
@@ -97,11 +96,11 @@ func Load(src string) (*core.System, error) {
 					fields[i] = ""
 				}
 			}
-			q, err := cq.Parse(strings.TrimSpace(queryPart))
-			if err != nil {
+			queryPart = strings.TrimSpace(queryPart)
+			if _, err := cq.Parse(queryPart); err != nil {
 				return nil, fmt.Errorf("spec: line %d: %w", lineNo+1, err)
 			}
-			pv.cites = append(pv.cites, &citation.CitationQuery{Query: q, Fields: fields})
+			pv.cites = append(pv.cites, core.CitationSpec{Query: queryPart, Fields: fields})
 		case "static":
 			viewName, kv, ok := strings.Cut(rest, " ")
 			if !ok {
@@ -147,8 +146,7 @@ func Load(src string) (*core.System, error) {
 		}
 	}
 	for _, pv := range views {
-		v := &citation.View{Query: pv.query, Citations: pv.cites, Static: pv.static}
-		if err := sys.Registry().Add(v); err != nil {
+		if err := sys.DefineView(pv.src, pv.static, pv.cites...); err != nil {
 			return nil, err
 		}
 	}

@@ -80,14 +80,20 @@ func (b *branch) expr(t storage.Tuple) citeexpr.Expr {
 
 // tabulator builds a branch from its plan's derivations.
 type tabulator struct {
-	b     *branch
-	steps []viewStep
-	ids   map[string]uint32 // atom key → id
-	vals  []value.Value     // the atoms' parameters
+	b *branch
+	// ids maps atom keys to ids once the branch holds more than scanAtoms
+	// atoms; below that, intern scans the atoms' keys.
+	ids  map[string]uint32
+	vals []value.Value // the atoms' parameters
 	// owner is each monomial's tuple id, nil while monomial i is tuple
 	// i's.
 	owner []int32
 }
+
+// scanAtoms is the most atoms a branch interns by scanning their keys:
+// a cold branch holds one or two, and a map per branch cost more than
+// the scan.
+const scanAtoms = 8
 
 // viewStep is a plan step reading a view, whose λ-parameters sit at pos.
 type viewStep struct {
@@ -103,15 +109,19 @@ type viewStep struct {
 // policy reads the first derivation's.
 func tabulate(ctx context.Context, plan *eval.Plan, inst eval.Instance, args []value.Value, params map[string][]int) (*branch, error) {
 	var sb [4]viewStep
-	t := tabulator{b: &branch{}, steps: sb[:0], ids: make(map[string]uint32)}
+	steps := sb[:0]
 	for i := range plan.Steps() {
 		if pos, ok := params[plan.Pred(i)]; ok {
-			t.steps = append(t.steps, viewStep{i, plan.Pred(i), pos})
+			steps = append(steps, viewStep{i, plan.Pred(i), pos})
 		}
 	}
+	t := tabulator{b: &branch{}}
 	b := t.b
-	b.width = max(1, len(t.steps))
-	if err := plan.Derive(ctx, inst, args, &b.ix, t.add); err != nil {
+	b.width = max(1, len(steps))
+	// The steps stay outside the tabulator, whose contents reach the
+	// branch, so they stay on the stack.
+	add := func(id int, matched []storage.Tuple) { t.add(steps, id, matched) }
+	if err := plan.Derive(ctx, inst, args, &b.ix, add); err != nil {
 		return nil, err
 	}
 	if t.owner != nil {
@@ -123,9 +133,9 @@ func tabulate(ctx context.Context, plan *eval.Plan, inst eval.Instance, args []v
 }
 
 // add appends the monomial of a binding that derived tuple id.
-func (t *tabulator) add(id int, matched []storage.Tuple) {
+func (t *tabulator) add(steps []viewStep, id int, matched []storage.Tuple) {
 	b, start := t.b, len(t.b.mono)
-	for _, s := range t.steps {
+	for _, s := range steps {
 		if a := t.intern(s, matched[s.step]); !slices.Contains(b.mono[start:], a) {
 			b.mono = append(b.mono, a)
 		}
@@ -154,14 +164,37 @@ func (t *tabulator) intern(s viewStep, row storage.Tuple) uint32 {
 	var kb [64]byte
 	params := t.vals[n:len(t.vals):len(t.vals)]
 	kbuf := appendAtomKey(kb[:0], s.view, params)
-	if id, ok := t.ids[string(kbuf)]; ok {
+	if id, ok := t.lookup(kbuf); ok {
 		t.vals = t.vals[:n]
 		return id
 	}
 	id, key := uint32(len(t.b.atoms)), string(kbuf)
-	t.ids[key] = id
 	t.b.atoms = append(t.b.atoms, atom{s.view, key, params})
+	switch {
+	case t.ids != nil:
+		t.ids[key] = id
+	case len(t.b.atoms) > scanAtoms:
+		t.ids = make(map[string]uint32, 2*len(t.b.atoms))
+		for i, a := range t.b.atoms {
+			t.ids[a.key] = uint32(i)
+		}
+	}
 	return id
+}
+
+// lookup returns the id of the atom keyed key: from the map once there
+// is one, and by scanning the atoms before.
+func (t *tabulator) lookup(key []byte) (uint32, bool) {
+	if t.ids != nil {
+		id, ok := t.ids[string(key)]
+		return id, ok
+	}
+	for i := range t.b.atoms {
+		if t.b.atoms[i].key == string(key) {
+			return uint32(i), true
+		}
+	}
+	return 0, false
 }
 
 // gather makes each tuple's run, given each monomial's tuple (owner):

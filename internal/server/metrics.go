@@ -235,6 +235,10 @@ func (m *serverMetrics) render(w *strings.Builder, s *Server) {
 	fmt.Fprintf(w, "citeserved_columnar_dict_bytes_total %d\n", cu.DictBytes)
 	counter("citeserved_columnar_code_bytes_total", "Cumulative code-vector and posting-list bytes built into columnar blocks.")
 	fmt.Fprintf(w, "citeserved_columnar_code_bytes_total %d\n", cu.CodeBytes)
+	counter("citeserved_columnar_columns_encoded_total", "Columns encoded into columnar blocks, extensions of a predecessor's included.")
+	fmt.Fprintf(w, "citeserved_columnar_columns_encoded_total %d\n", cu.ColumnsEncoded)
+	counter("citeserved_columnar_columns_extended_total", "Columns encoded by extending the same column of the block of the snapshot they append to.")
+	fmt.Fprintf(w, "citeserved_columnar_columns_extended_total %d\n", cu.ColumnsExtended)
 
 	counter("citeserved_rejected_total", "Requests rejected by admission control.")
 	fmt.Fprintf(w, "citeserved_rejected_total %d\n", m.rejected.Load())

@@ -348,25 +348,35 @@ func TestStatusRecorderFlush(t *testing.T) {
 // shows the same way: the relations holding a block as a gauge, and its
 // evictions and the blocks built, rebuilds included, as counters. It is
 // process-wide, so the test first collects what earlier tests left in
-// it, and then its few blocks evict none.
+// it, and then its few blocks evict none. The cites after the ingest
+// encode Family's key column by extending the block the cites before it
+// read, since the ingest only appended: columns extended move with the
+// columns encoded.
 func TestPlanCacheMetrics(t *testing.T) {
 	runtime.GC()
 	_, ts := paperServer(t, Options{})
 	client := ts.Client()
 	cite := func() {
 		t.Helper()
-		if resp, body := postJSON(t, client, ts.URL+"/cite", citeRequest{Query: paperQuery}); resp.StatusCode != http.StatusOK {
-			t.Fatalf("cite: %d %s", resp.StatusCode, body)
+		// The second query probes Family's key column, so its block
+		// encodes that column.
+		for _, q := range []string{paperQuery, "Q(FName) :- Family(11, FName, Desc)"} {
+			if resp, body := postJSON(t, client, ts.URL+"/cite", citeRequest{Query: q}); resp.StatusCode != http.StatusOK {
+				t.Fatalf("cite: %d %s", resp.StatusCode, body)
+			}
 		}
 	}
 	const entries, evicted = "citeserved_plan_cache_entries", "citeserved_plan_cache_evicted_total"
 	const blocksBuilt, blocksEvicted, blocksHeld = "citeserved_columnar_blocks_total", "citeserved_columnar_blocks_evicted_total", "citeserved_columnar_blocks_held"
+	const colsEncoded, colsExtended = "citeserved_columnar_columns_encoded_total", "citeserved_columnar_columns_extended_total"
 	series := []struct{ name, typ, help string }{
 		{entries, "gauge", "Prepared plans "},
 		{evicted, "counter", "Prepared plans "},
 		{blocksBuilt, "counter", "Dictionary-encoded columnar blocks built for frozen relations, rebuilds of evicted blocks included."},
 		{blocksEvicted, "counter", "Columnar blocks evicted at the block set's bound."},
 		{blocksHeld, "gauge", "Frozen relations holding a columnar block."},
+		{colsEncoded, "counter", "Columns encoded into columnar blocks, extensions of a predecessor's included."},
+		{colsExtended, "counter", "Columns encoded by extending "},
 	}
 	scrape := func() map[string]float64 {
 		t.Helper()
@@ -413,5 +423,10 @@ func TestPlanCacheMetrics(t *testing.T) {
 	}
 	if n := second[blocksEvicted] - start[blocksEvicted]; n != 0 {
 		t.Errorf("%s rose by %g below the bound, want 0", blocksEvicted, n)
+	}
+	enc, ext := second[colsEncoded]-first[colsEncoded], second[colsExtended]-first[colsExtended]
+	if ext < 1 || enc < ext {
+		t.Errorf("after an append to Family and a cite, %s rose by %g and %s by %g; want at least 1 extended, and no more than encoded",
+			colsExtended, ext, colsEncoded, enc)
 	}
 }

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"weak"
@@ -28,8 +29,16 @@ import (
 // maxBlocks frozen relations hold one at a time, and a relation evicted
 // from the set builds its block again, from the same rows, when it is
 // next read.
+//
+// A block whose relation extends a predecessor (Relation.Snapshot)
+// encodes a column by extending the predecessor block's, when that block
+// is still held and has the column encoded (extend): successive versions
+// of an appended relation then share their columns' values, hashes,
+// codes and postings, as they share rows, and each holds only a probe
+// table of its own.
 type ColBlock struct {
 	rows []Tuple
+	prev weak.Pointer[Relation]   // the relation's predecessor, if any
 	mu   sync.Mutex               // serializes column encodings
 	cols []atomic.Pointer[Column] // nil until the column is first read
 }
@@ -43,6 +52,10 @@ type Column struct {
 	// CSR posting lists: rows with code c are postRows[postStart[c]:postStart[c+1]].
 	postStart []uint32
 	postRows  []uint32
+
+	// tail is claimed by the first column that extends this one: it alone
+	// may append into the spare capacity of this column's arrays.
+	tail atomic.Bool
 }
 
 // maxColumnarRows bounds the dense row count a block will encode; beyond
@@ -80,6 +93,8 @@ var (
 	colBlocksEvicted atomic.Uint64 // blocks evicted from the block set
 	colDictBytes     atomic.Uint64 // approximate dictionary bytes of encoded columns
 	colCodeBytes     atomic.Uint64 // code-vector + posting-list bytes of encoded columns
+	colEncoded       atomic.Uint64 // columns encoded, extensions included
+	colExtended      atomic.Uint64 // columns encoded by extending a predecessor's
 )
 
 // ColumnarStats is a snapshot of the columnarization counters and of the
@@ -90,6 +105,9 @@ type ColumnarStats struct {
 	BlocksHeld    int    // frozen relations holding a block now, at most maxBlocks
 	DictBytes     uint64 // cumulative dictionary bytes of encoded block columns
 	CodeBytes     uint64 // cumulative code-vector and posting-list bytes of encoded block columns
+
+	ColumnsEncoded  uint64 // block columns encoded since process start, extensions included
+	ColumnsExtended uint64 // block columns encoded by extending a predecessor block's
 }
 
 // ColumnarUsage returns the process-wide columnarization counters and
@@ -109,6 +127,9 @@ func ColumnarUsage() ColumnarStats {
 		BlocksHeld:    held,
 		DictBytes:     colDictBytes.Load(),
 		CodeBytes:     colCodeBytes.Load(),
+
+		ColumnsEncoded:  colEncoded.Load(),
+		ColumnsExtended: colExtended.Load(),
 	}
 }
 
@@ -151,7 +172,7 @@ func (r *Relation) buildColumnar() *ColBlock {
 	if r.live != len(rows) {
 		rows = appendLive(make([]Tuple, 0, r.live), rows)
 	}
-	blk := &ColBlock{rows: rows, cols: make([]atomic.Pointer[Column], r.schema.Arity())}
+	blk := &ColBlock{rows: rows, prev: r.prev, cols: make([]atomic.Pointer[Column], r.schema.Arity())}
 	r.colBlk.Store(blk)
 	colBlocksBuilt.Add(1)
 	admitBlock(r)
@@ -196,19 +217,54 @@ func (b *ColBlock) Column(col int) *Column {
 }
 
 // encode builds and publishes column col's encoding unless a concurrent
-// reader already did.
+// reader already did: by extending the predecessor block's column when
+// it can, and from the rows otherwise. Either way the column is the
+// same.
 func (b *ColBlock) encode(col int) *Column {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if c := b.cols[col].Load(); c != nil {
 		return c
 	}
-	c := &Column{codes: make([]int32, len(b.rows))}
-	c.valueDict = encodeColumn(b.rows, col, c.codes)
-	// CSR postings by counting sort: count each code's rows, turn the
-	// counts into bucket ends, then scatter the rows from the back, moving
-	// each bucket's end down to its start. Buckets come out ascending, and
-	// no cursor array is needed.
+	var c *Column
+	if p := b.predecessor(col); p != nil {
+		var dict, code uint64
+		c, dict, code = extend(p, b.rows, col)
+		colDictBytes.Add(dict)
+		colCodeBytes.Add(code)
+		colExtended.Add(1)
+	} else {
+		c = &Column{codes: make([]int32, len(b.rows))}
+		c.valueDict = encodeColumn(b.rows, col, c.codes)
+		c.post()
+		colDictBytes.Add(c.footprint())
+		colCodeBytes.Add(4 * uint64(len(c.codes)+len(c.postRows)+len(c.postStart)))
+	}
+	b.cols[col].Store(c)
+	colEncoded.Add(1)
+	return c
+}
+
+// predecessor returns column col of the predecessor's block, when the
+// block's relation has a predecessor that is still live and holds its
+// block with that column encoded, and nil otherwise. It builds and
+// encodes nothing, and does not mark the predecessor visited.
+func (b *ColBlock) predecessor(col int) *Column {
+	p := b.prev.Value()
+	if p == nil {
+		return nil
+	}
+	if pb := p.colBlk.Load(); pb != nil {
+		return pb.cols[col].Load()
+	}
+	return nil
+}
+
+// post builds the column's CSR postings from its codes by counting sort:
+// count each code's rows, turn the counts into bucket ends, then scatter
+// the rows from the back, moving each bucket's end down to its start.
+// Buckets come out ascending, and no cursor array is needed.
+func (c *Column) post() {
 	nv := len(c.vals)
 	c.postStart = make([]uint32, nv+1)
 	for _, code := range c.codes {
@@ -224,10 +280,80 @@ func (b *ColBlock) encode(col int) *Column {
 		c.postStart[code]--
 		c.postRows[c.postStart[code]] = uint32(i)
 	}
-	b.cols[col].Store(c)
-	colDictBytes.Add(c.footprint())
-	colCodeBytes.Add(4 * uint64(len(c.codes)+len(c.postRows)+len(c.postStart)))
-	return c
+}
+
+// extend encodes column col of rows, whose first len(p.codes) rows are
+// those p encodes, by extending p, the predecessor block's column. Only
+// the appended rows are hashed, and a new value takes the next code, so
+// codes, dictionary and postings are those a from-scratch encode builds.
+// Values, hashes and codes are appended past p's lengths, and so are the
+// postings when every appended row takes a new code (each then posts
+// itself alone); otherwise the postings are rebuilt from the codes. The
+// first column to extend p claims p.tail and appends in place, into p's
+// spare capacity; any later one, a rebuild of an evicted block, finds
+// p's arrays capped at their lengths and copies. An array without room
+// is copied with an eighth more than it needs (grow). The probe table,
+// the one structure inserting a value writes into, is p's copied. It
+// returns the column and the dictionary and code bytes it allocated.
+func extend(p *Column, rows []Tuple, col int) (c *Column, dict, code uint64) {
+	n, m := len(p.codes), len(rows)-len(p.codes)
+	vals, hashes, codes, postStart, postRows := p.vals, p.hashes, p.codes, p.postStart, p.postRows
+	if !p.tail.CompareAndSwap(false, true) {
+		vals, hashes, codes = vals[:len(vals):len(vals)], hashes[:len(hashes):len(hashes)], codes[:n:n]
+		postStart, postRows = postStart[:len(postStart):len(postStart)], postRows[:n:n]
+	}
+	c = &Column{valueDict: valueDict{vals: vals, hashes: hashes, table: slices.Clone(p.table), mask: p.mask}}
+	dict = 4 * uint64(len(c.table))
+	c.codes = grow(codes, m, 4, &code)
+	fresh := true // every appended row took a new code
+	for i := n; i < len(rows); i++ {
+		v := rows[i][col]
+		h := dictHash(v)
+		slot, k := c.find(v, h)
+		if k < 0 {
+			k = len(c.vals)
+			c.vals = grow(c.vals, 1, valueBytes, &dict)
+			c.vals[k] = v
+			c.hashes = grow(c.hashes, 1, 8, &dict)
+			c.hashes[k] = h
+			c.table[slot] = int32(k + 1)
+			if len(c.vals)*4 >= len(c.table)*3 {
+				c.grow()
+				dict += 4 * uint64(len(c.table))
+			}
+		} else {
+			fresh = false
+		}
+		c.codes[i] = int32(k)
+	}
+	if !fresh {
+		c.post()
+		return c, dict, code + 4*uint64(len(c.postStart)+len(c.postRows))
+	}
+	c.postStart = grow(postStart, m, 4, &code)
+	c.postRows = grow(postRows, m, 4, &code)
+	for i := n; i < len(rows); i++ {
+		c.postRows[i] = uint32(i)
+		c.postStart[len(p.vals)+1+i-n] = uint32(i + 1)
+	}
+	return c, dict, code
+}
+
+// valueBytes is the size of a value.Value, for extend's byte count.
+const valueBytes = 40
+
+// grow returns s extended by k elements: in place when its capacity has
+// room, and otherwise in a copy with an eighth more room than it needs,
+// whose bytes (size per element) it adds to *bytes.
+func grow[E any](s []E, k int, size uint64, bytes *uint64) []E {
+	n := len(s) + k
+	if n <= cap(s) {
+		return s[:n]
+	}
+	out := make([]E, n, n+n/8)
+	copy(out, s)
+	*bytes += size * uint64(cap(out))
+	return out
 }
 
 // Len returns the number of encoded rows.

@@ -25,7 +25,10 @@
 // (ColBlock), whose dictionaries also answer its distinct counts. The
 // block is built on first request and kept while the relation is among
 // the maxBlocks relations the block set holds; a relation evicted from
-// the set builds it again from the same rows on its next read.
+// the set builds it again from the same rows on its next read. A
+// snapshot whose source only appended since its previous snapshot
+// encodes a column by extending that snapshot's, so versions share
+// encoded columns as they share rows.
 //
 // Concurrency model (see DESIGN.md §3): every Relation is safe for
 // concurrent readers and writers via an internal RWMutex. Snapshot produces
@@ -49,6 +52,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"weak"
 
 	"repro/internal/schema"
 	"repro/internal/value"
@@ -193,11 +197,19 @@ type Relation struct {
 	// Snapshot reuse. On a mutable relation, snap is the last frozen
 	// snapshot handed out and snapGen the content generation it froze
 	// (both guarded by mu): while statsGen still equals snapGen, Snapshot
-	// returns snap again. On a frozen relation, stamp is its creation
-	// stamp (see Stamp); 0 on mutable relations.
-	snap    *Relation
-	snapGen uint64
-	stamp   uint64
+	// returns snap again. appended says the relation has only appended
+	// since snap was taken: no delete and no compaction. On a frozen
+	// relation, stamp is its creation stamp (see Stamp), 0 on mutable
+	// relations, and prev its predecessor: the source's previous
+	// snapshot, when the source only appended since it and neither has
+	// holes, so its rows are a prefix of this one's, position by
+	// position. The pointer is weak, so a version keeps no older one
+	// alive; its block's columns and RowsAscend extend the predecessor's.
+	snap     *Relation
+	snapGen  uint64
+	appended bool
+	stamp    uint64
+	prev     weak.Pointer[Relation]
 }
 
 // snapStamps draws the creation stamps of frozen snapshots.
@@ -267,9 +279,14 @@ func (r *Relation) Snapshot() *Relation {
 	}
 	n := r.rows.Len()
 	rows := TupleIndex{tuples: r.rows.tuples[:n:n], hashes: r.rows.hashes[:n:n]}
-	r.snap = &Relation{schema: r.schema, frozen: true, rows: rows, live: r.live, stamp: snapStamps.Add(1)}
-	r.snapGen = gen
-	return r.snap
+	snap := &Relation{schema: r.schema, frozen: true, rows: rows, live: r.live, stamp: snapStamps.Add(1)}
+	// With no delete since the last snapshot, a source without holes now
+	// had none then either, and only appended past its rows.
+	if r.snap != nil && r.appended && r.live == n {
+		snap.prev = weak.Make(r.snap)
+	}
+	r.snap, r.snapGen, r.appended = snap, gen, true
+	return snap
 }
 
 // Stamp returns a frozen relation's creation stamp: a process-wide
@@ -497,6 +514,7 @@ func (r *Relation) removeLocked(t Tuple) bool {
 		r.rows.tuples = slices.Clone(r.rows.tuples)
 	}
 	r.rows.tuples[id] = nil
+	r.appended = false
 	return true
 }
 
@@ -629,6 +647,7 @@ func (r *Relation) Compact() {
 //lint:nobump content-preserving rewrite: same live tuples, fresh backing storage; callers bump when the content changed
 func (r *Relation) compactLocked() {
 	r.rows = r.rows.compacted(r.live)
+	r.appended = false
 	for col, ix := range r.indexes {
 		if ix != nil {
 			r.indexes[col] = newColIndex(r.rows.tuples, col)
@@ -815,19 +834,29 @@ const (
 // RowsAscend reports whether the live rows, in scan order, are Ascending:
 // then they list the relation's tuples in the order sorting them gives.
 // A frozen relation scans once and keeps the answer for life; a mutable
-// one scans on every call, so the answer follows its writes.
+// one scans on every call, so the answer follows its writes. A frozen
+// relation whose predecessor (see Snapshot) has its answer extends it:
+// out of order stays out of order, and rows past an ascending prefix
+// are tested from the prefix's last row on, the seam included.
 func (r *Relation) RowsAscend() bool {
 	if a := r.ascends.Load(); a != 0 {
 		return a == rowsAscend
 	}
-	ok := Ascending(r.Scan)
-	if r.frozen {
-		a := uint32(rowsOutOfOrder)
-		if ok {
-			a = rowsAscend
-		}
-		r.ascends.Store(a)
+	if !r.frozen {
+		return Ascending(r.Scan)
 	}
+	ok := false
+	switch p := r.prev.Value(); {
+	case p == nil || p.ascends.Load() == 0:
+		ok = Ascending(r.Scan)
+	case p.ascends.Load() == rowsAscend:
+		ok = Ascending(slices.Values(r.rows.tuples[max(len(p.rows.tuples)-1, 0):]))
+	}
+	a := uint32(rowsOutOfOrder)
+	if ok {
+		a = rowsAscend
+	}
+	r.ascends.Store(a)
 	return ok
 }
 

@@ -128,3 +128,19 @@ func TestAppendedVersionsShareRows(t *testing.T) {
 			historyVersions, each, float64(each)/float64(once), once)
 	}
 }
+
+// TestAppendedVersionsShareBlocks: the same 286 versions with each new
+// version's blocks read between batches hold less than 4 times the bytes
+// of one commit of the same rows with its blocks read. Each version's
+// key columns extend its predecessor's, so the versions the block set
+// holds share their columns' arrays and keep a probe table each. Encoding
+// every version's columns from scratch held about 12.6 times as much.
+func TestAppendedVersionsShareBlocks(t *testing.T) {
+	each := appendVersions(t, historyVersions, true, true)
+	once := appendVersions(t, historyVersions, false, true)
+	t.Logf("%d versions with their blocks read hold %d B; one commit of the same rows holds %d B", historyVersions, each, once)
+	if each >= 4*once {
+		t.Errorf("%d versions hold %d B, %.1f times the %d B of one commit; want under 4 times",
+			historyVersions, each, float64(each)/float64(once), once)
+	}
+}
